@@ -11,10 +11,10 @@
 //!   layout speedup over `gallop` is the headline number.
 //! * `morsel_t{2,4}` — the row-layout kernel under the morsel-parallel
 //!   dispatcher ([`tributary_probe`]) at 2 and 4 probe threads.
-//! * `fixed_t{2,4}` / `steal_t{2,4}` — the columnar kernel under the
-//!   fixed-quota vs work-stealing morsel schedulers
-//!   ([`tributary_probe_sched`]): stealing must never lose on the
-//!   skew-prone shapes.
+//! * `steal_t{2,4}` — the columnar kernel under the same work-stealing
+//!   dispatcher. (`BENCH_probe.json` also records the deleted
+//!   fixed-quota scheduler's `fixed_t{2,4}` rows, which stealing never
+//!   lost to.)
 //!
 //! Skew matters: under a Zipf-like degree distribution a few hot nodes
 //! own long runs, so leapfrog seeks routinely jump many rows — exactly
@@ -30,7 +30,7 @@
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use parjoin_common::{hash, Relation, Value};
 use parjoin_core::tributary::{ColumnarAtom, SortedAtom, Tributary, TrieAtom, TrieCursor};
-use parjoin_engine::probe::{tributary_probe, tributary_probe_sched, MorselSched, ProbeAtom};
+use parjoin_engine::probe::{tributary_probe, ProbeAtom};
 use parjoin_query::VarId;
 
 /// True when invoked as a smoke test (`cargo bench ... -- --test`); the
@@ -271,23 +271,14 @@ fn bench_probe(c: &mut Criterion) {
                     b.iter(|| tributary_probe(&tj, atoms, &order, threads).rel.len());
                 },
             );
-            for (sched_name, sched) in [
-                ("fixed", MorselSched::FixedQuota),
-                ("steal", MorselSched::WorkStealing),
-            ] {
-                group.bench_with_input(
-                    BenchmarkId::new(format!("{sched_name}_t{threads}"), &label),
-                    &columnar,
-                    |b, atoms| {
-                        let tj = Tributary::new(atoms, &order, &[], num_vars);
-                        b.iter(|| {
-                            tributary_probe_sched(&tj, atoms, &order, threads, sched)
-                                .rel
-                                .len()
-                        });
-                    },
-                );
-            }
+            group.bench_with_input(
+                BenchmarkId::new(format!("steal_t{threads}"), &label),
+                &columnar,
+                |b, atoms| {
+                    let tj = Tributary::new(atoms, &order, &[], num_vars);
+                    b.iter(|| tributary_probe(&tj, atoms, &order, threads).rel.len());
+                },
+            );
         }
     }
     group.finish();

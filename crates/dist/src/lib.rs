@@ -4,11 +4,13 @@
 //! execute their fragment, and stream results back.
 //!
 //! The crate deliberately contains no planning or join logic of its
-//! own — the coordinator calls [`parjoin_engine::plan_fragments`] and
-//! workers call [`parjoin_engine::remote::execute_fragment`], so a
-//! multi-process run routes and joins with literally the same code as
-//! `Transport::Local`, making byte-identical output a construction
-//! property rather than a hope.
+//! own — the coordinator calls [`parjoin_engine::plan_fragments`], which
+//! slices the plan `run_config` would execute, and workers call
+//! [`parjoin_engine::execute_fragment`], which runs the engine's one
+//! executor over the rank's partition with the TCP mesh as its shuffle
+//! transport. A multi-process run therefore plans, routes, prepares and
+//! joins with literally the same code as `Transport::Local`, making
+//! byte-identical output a construction property rather than a hope.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

@@ -6,8 +6,7 @@ use crate::error::DistError;
 use crate::proto::{self, WorkerStats};
 use parjoin_common::wire::control::{self, FrameKind, DEFAULT_FRAME_LIMIT};
 use parjoin_common::wire::encode_batch;
-use parjoin_engine::remote::execute_fragment;
-use parjoin_engine::Fragment;
+use parjoin_engine::{execute_fragment, Fragment};
 use parjoin_runtime::{HandshakeConfig, HostMesh};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::time::Duration;

@@ -6,7 +6,7 @@
 //! reconcile exactly.
 
 use parjoin_dist::{RemoteCluster, WorkerServer};
-use parjoin_engine::{run_config, Cluster, JoinAlg, PlanOptions, ShuffleAlg};
+use parjoin_engine::{run_config, Cluster, JoinAlg, PlanOptions, ShuffleAlg, SortCache, TrieCache};
 use std::time::Duration;
 
 fn all_configs() -> Vec<(ShuffleAlg, JoinAlg)> {
@@ -89,6 +89,62 @@ fn six_configs_match_local_over_real_sockets() {
             "{s:?}/{j:?}: shuffled-tuple tallies drifted"
         );
     }
+
+    remote.shutdown().expect("shutdown");
+    for h in handles {
+        h.join().expect("worker thread").expect("worker serve");
+    }
+}
+
+/// A mesh rank prepares through the process-wide sort and trie caches
+/// like any in-process worker: the second HC_TJ run on one persistent
+/// session finds its sorted views and tries resident. (The Local run
+/// comes last — it shuffles to the very same partitions and would warm
+/// the caches for the mesh.)
+#[test]
+fn second_run_on_a_session_hits_the_prepare_caches() {
+    let spec = parjoin_datagen::workloads::q1();
+    let db = parjoin_datagen::workloads::Scale::tiny().db_for(spec.dataset, 7);
+    // A seed no other test here uses, so no one else's run leaves this
+    // one's partitions in the shared caches.
+    let cluster = Cluster::new(4).with_seed(2311).with_batch_tuples(512);
+    let (s, j) = (ShuffleAlg::HyperCube, JoinAlg::Tributary);
+    let opts = PlanOptions {
+        collect_output: true,
+        ..Default::default()
+    };
+
+    let (addrs, handles) = spawn_workers(4);
+    let mut remote = RemoteCluster::connect(&addrs, Duration::from_secs(20)).expect("connect");
+    remote.reply_timeout = Some(Duration::from_secs(60));
+
+    let first = remote
+        .run(&spec.query, &db, &cluster, s, j, &opts)
+        .expect("first remote run");
+    let (sort_hits, trie_hits) = (
+        SortCache::global().stats().hits,
+        TrieCache::global().stats().hits,
+    );
+    let second = remote
+        .run(&spec.query, &db, &cluster, s, j, &opts)
+        .expect("second remote run");
+    assert!(
+        SortCache::global().stats().hits > sort_hits,
+        "the second mesh run found no sorted view in the SortCache"
+    );
+    assert!(
+        TrieCache::global().stats().hits > trie_hits,
+        "the second mesh run found no trie in the TrieCache"
+    );
+
+    let local = run_config(&spec.query, &db, &cluster, s, j, &opts).expect("local");
+    let local_out = local.output.as_ref().expect("collected");
+    assert_eq!(local_out.raw(), first.output.raw(), "cold mesh run drifted");
+    assert_eq!(
+        local_out.raw(),
+        second.output.raw(),
+        "warm mesh run drifted"
+    );
 
     remote.shutdown().expect("shutdown");
     for h in handles {

@@ -5,11 +5,14 @@
 //! share of one shuffle×join configuration *without* a database, a
 //! catalog, or an optimizer of its own: every global plan decision
 //! (effective join order, Tributary variable order, HyperCube shares,
-//! probe-thread count) is made **once** on the coordinator and shipped,
-//! so all ranks run the same deterministic step loop in lockstep and
-//! the multi-process result is byte-identical to the single-process
-//! `Transport::Local` run. The only things a worker recomputes are pure
-//! functions of the query itself (residual filters, join schemas).
+//! probe-thread count) is made **once**, by the same `plans::plan` that
+//! `run_config` executes, and [`plan_fragments`] only slices that plan
+//! per rank. [`execute_fragment`] feeds the decisions back into the same
+//! executor over the rank's one hosted partition, so all ranks run the
+//! same deterministic step sequence in lockstep and the multi-process
+//! result is byte-identical to the single-process `Transport::Local`
+//! run. The only things a worker recomputes are pure functions of the
+//! query itself (residual filters, join schemas).
 //!
 //! The wire form rides inside a `Fragment` control frame of the PJCP
 //! protocol (`parjoin_common::wire::control`): little-endian fixed-width
@@ -22,14 +25,21 @@
 use crate::cluster::Cluster;
 use crate::dist::DistRel;
 use crate::error::EngineError;
-use crate::plans::{greedy_join_order, rooted_order, JoinAlg, PlanOptions, ShuffleAlg, TrieLayout};
+use crate::plans::{
+    self, check_order, Exec, JoinAlg, Plan, PlanOptions, RunObs, ShuffleAlg, TrieLayout,
+};
+use crate::shuffle::Seam;
 use parjoin_analyze as analyze;
 use parjoin_common::wire::control::{self, ControlError, PayloadReader};
 use parjoin_common::wire::{decode_batch_into, encode_relation};
 use parjoin_common::{Relation, WireFormat};
-use parjoin_core::hypercube::{AtomShape, HcConfig, ShareProblem};
-use parjoin_core::order::{best_order, OrderCostModel};
-use parjoin_query::{resolve_atoms, Atom, CmpOp, ConjunctiveQuery, Filter, Operand, Term, VarId};
+use parjoin_core::hypercube::HcConfig;
+use parjoin_query::{Atom, CmpOp, ConjunctiveQuery, Filter, Operand, Term, VarId};
+use parjoin_runtime::exchange::ExchangeOpts;
+use parjoin_runtime::pool::DEFAULT_POOL_CAP;
+use parjoin_runtime::{BufPool, HostMesh, TransportKind};
+use std::sync::Arc;
+use std::time::Duration;
 
 /// One rank's share of a distributed plan, self-contained and
 /// serializable. See the module docs for the lockstep contract.
@@ -498,7 +508,9 @@ impl Fragment {
     /// [`EngineError::InvalidPlan`] when the analyzer finds errors;
     /// [`EngineError::Unsupported`] when the fragment's geometry is
     /// inconsistent (rank out of range, address list of the wrong
-    /// width, atom lists out of alignment).
+    /// width, atom lists out of alignment), its local join order is not
+    /// a permutation of the atoms, or it lacks the Tributary order or
+    /// HyperCube shares its configuration needs.
     pub fn preflight(&self) -> Result<(), EngineError> {
         if self.rank >= self.workers {
             return Err(EngineError::Unsupported(format!(
@@ -532,25 +544,38 @@ impl Fragment {
                 )));
             }
         }
+        // The analyzer vets `join_order`; `local_order` is not part of
+        // its spec, and the executor indexes the atoms with it.
+        check_order("local join order", &self.local_order, atoms)?;
+        let one_round = self.shuffle != ShuffleAlg::Regular;
+        if one_round && self.join == JoinAlg::Tributary && self.tj_order.is_none() {
+            return Err(EngineError::Unsupported(
+                "Tributary fragment carries no variable order".to_string(),
+            ));
+        }
+        if self.shuffle == ShuffleAlg::HyperCube && self.hc_config.is_none() {
+            return Err(EngineError::Unsupported(
+                "HyperCube fragment carries no share configuration".to_string(),
+            ));
+        }
         analyze::preflight(&self.plan_spec()).map_err(EngineError::InvalidPlan)?;
         Ok(())
     }
 }
 
-/// Plans `query` for remote execution: makes every global decision the
-/// local `run_config` path would make (effective join order, Tributary
-/// variable order on the *pre-shuffle* seeded relations, HyperCube
-/// shares, broadcast root, probe threads), vets the plan with the
-/// pre-flight analyzer (and, with [`PlanOptions::certify`], the policy
-/// certifier), round-robin-seeds the base relations, and returns one
-/// [`Fragment`] per rank.
+/// Plans `query` exactly as [`run_config`](crate::run_config) does and
+/// slices the plan into one [`Fragment`] per rank: every rank gets the
+/// same decisions and its own round-robin seed partition of each atom.
 ///
 /// `data_addrs[r]` must be rank `r`'s data-plane listener address.
 ///
 /// # Errors
-/// - [`EngineError::Unsupported`] for plan options the remote path does
-///   not carry (`skew_resilient`, `group_count`, `trace_path`) or a
-///   mis-sized address list.
+/// - [`EngineError::Unsupported`] for a mis-sized address list and for
+///   the plan options a mesh cannot run yet, each for its own reason:
+///   `skew_resilient` picks heavy keys from *global* key frequencies,
+///   which no single rank sees; `group_count` needs a fragment flag plus
+///   a combine round on the exchange seam; `trace_path` needs a channel
+///   that returns the ranks' spans to the coordinator (ROADMAP item 5).
 /// - [`EngineError::Resolve`] when the query references missing
 ///   relations.
 /// - [`EngineError::InvalidPlan`] when the analyzer or certifier
@@ -564,20 +589,25 @@ pub fn plan_fragments(
     opts: &PlanOptions,
     data_addrs: &[String],
 ) -> Result<Vec<Fragment>, EngineError> {
-    if opts.skew_resilient {
-        return Err(EngineError::Unsupported(
-            "skew_resilient shuffles are not supported over the remote mesh".to_string(),
-        ));
-    }
-    if opts.group_count {
-        return Err(EngineError::Unsupported(
-            "group_count aggregation is not supported over the remote mesh".to_string(),
-        ));
-    }
-    if opts.trace_path.is_some() {
-        return Err(EngineError::Unsupported(
-            "trace capture is not supported over the remote mesh".to_string(),
-        ));
+    for (set, lacks) in [
+        (
+            opts.skew_resilient,
+            "skew_resilient: heavy keys are chosen from global key frequencies, which no \
+             single rank sees",
+        ),
+        (
+            opts.group_count,
+            "group_count: fragments carry no aggregation flag and the exchange seam has no \
+             combine round",
+        ),
+        (
+            opts.trace_path.is_some(),
+            "trace_path: workers have no channel to return their spans to the coordinator",
+        ),
+    ] {
+        if set {
+            return Err(EngineError::Unsupported(format!("over a mesh, {lacks}")));
+        }
     }
     if data_addrs.len() != cluster.workers {
         return Err(EngineError::Unsupported(format!(
@@ -587,95 +617,12 @@ pub fn plan_fragments(
         )));
     }
 
-    let (resolved, _residual) = resolve_atoms(query, db)?;
-    let atom_vars: Vec<Vec<VarId>> = resolved.iter().map(|a| a.vars.clone()).collect();
-    let cards: Vec<u64> = resolved.iter().map(|a| a.len() as u64).collect();
-    let join_order = opts.join_order.clone().unwrap_or_else(|| {
-        let shapes: Vec<(Vec<VarId>, &Relation)> = resolved
-            .iter()
-            .map(|a| (a.vars.clone(), a.rel.as_ref()))
-            .collect();
-        greedy_join_order(&shapes)
-    });
-
-    // The same pre-flight gate `run_config` applies, on the same spec —
-    // the *effective* join order is what gets vetted.
-    let spec = analyze::PlanSpec {
-        query,
-        cards: cards.clone(),
-        workers: cluster.workers,
-        memory_budget: cluster.memory_budget,
-        shuffle: shuffle_alg.into(),
-        join: join_alg.into(),
-        join_order: Some(join_order.clone()),
-        hc_config: opts.hc_config.clone(),
-        tj_order: opts.tj_order.clone(),
-        batch_tuples: Some(cluster.batch_tuples as u64),
-        wire_format: cluster.wire_format,
-        max_frame_bytes: Some(u64::from(parjoin_runtime::transport::MAX_FRAME_BYTES)),
-        host_cores: parjoin_common::threads::host_parallelism(),
-        seed: cluster.seed,
-    };
-    analyze::preflight(&spec).map_err(EngineError::InvalidPlan)?;
-    if opts.certify {
-        let (_planned, cert_diags) = analyze::certify_spec(&spec);
-        if analyze::has_errors(&cert_diags) {
-            return Err(EngineError::InvalidPlan(cert_diags));
-        }
-    }
-
-    // Initial placement, identical to the local path.
-    let seeded: Vec<DistRel> = resolved
-        .iter()
-        .map(|a| DistRel::round_robin(&a.rel, a.vars.clone(), cluster.workers))
-        .collect();
-
-    // Global plan decisions, computed exactly as the local executor
-    // computes them (run_one_round): the Tributary order is optimized on
-    // the gathered *pre-shuffle* relations so statistics see no
-    // replication; broadcast roots the local tree at the largest atom.
-    let tj_order: Option<Vec<VarId>> =
-        if join_alg == JoinAlg::Tributary && shuffle_alg != ShuffleAlg::Regular {
-            Some(opts.tj_order.clone().unwrap_or_else(|| {
-                let gathered: Vec<Relation> = seeded.iter().map(|d| d.gather()).collect();
-                let model_atoms: Vec<(&Relation, Vec<VarId>)> = gathered
-                    .iter()
-                    .zip(&atom_vars)
-                    .map(|(r, vs)| (r, vs.clone()))
-                    .collect();
-                let model = OrderCostModel::from_atoms(&model_atoms);
-                best_order(&model, &query.all_vars()).0
-            }))
-        } else {
-            None
-        };
-    let local_order = if shuffle_alg == ShuffleAlg::Broadcast {
-        // Queries have at least one atom (parser and analyzer both
-        // enforce it), so the argmax exists; 0 is unreachable.
-        let largest = (0..cards.len()).max_by_key(|&i| cards[i]).unwrap_or(0);
-        rooted_order(&atom_vars, largest)
-    } else {
-        join_order.clone()
-    };
-    let hc_config: Option<HcConfig> = if shuffle_alg == ShuffleAlg::HyperCube {
-        Some(opts.hc_config.clone().unwrap_or_else(|| {
-            let problem = ShareProblem {
-                vars: query.all_vars(),
-                atoms: atom_vars
-                    .iter()
-                    .zip(&cards)
-                    .map(|(vs, &c)| AtomShape {
-                        vars: vs.clone(),
-                        cardinality: c,
-                    })
-                    .collect(),
-            };
-            problem.optimize(cluster.workers)
-        }))
-    } else {
-        None
-    };
-    let probe_threads = opts.effective_probe_threads(cluster.workers) as u32;
+    // The mesh is a streaming TCP transport whatever the coordinator's
+    // own cluster says, so the analyzer vets batch and frame sizes.
+    let mesh_cluster = cluster.clone().with_transport(TransportKind::Tcp);
+    let plan = plans::plan(query, db, &mesh_cluster, shuffle_alg, join_alg, opts)?;
+    let atom_vars: Vec<Vec<VarId>> = plan.seeded.iter().map(|d| d.vars.clone()).collect();
+    let cards: Vec<u64> = plan.seeded.iter().map(DistRel::total_len).collect();
     let host_cores = parjoin_common::threads::host_parallelism().map(|c| c as u64);
 
     Ok((0..cluster.workers)
@@ -689,20 +636,125 @@ pub fn plan_fragments(
             wire_format: cluster.wire_format,
             wire_compression: opts.wire_compression,
             batch_tuples: cluster.batch_tuples as u32,
-            probe_threads,
+            probe_threads: plan.probe_threads as u32,
             memory_budget: cluster.memory_budget,
             host_cores,
-            join_order: join_order.clone(),
-            local_order: local_order.clone(),
-            tj_order: tj_order.clone(),
-            hc_config: hc_config.clone(),
+            join_order: plan.join_order.clone(),
+            local_order: plan.local_order.clone(),
+            tj_order: plan.tj_order.clone(),
+            hc_config: plan.hc_config.clone(),
             cards: cards.clone(),
             query: query.clone(),
             atom_vars: atom_vars.clone(),
-            parts: seeded.iter().map(|d| d.parts[rank].clone()).collect(),
+            parts: plan.seeded.iter().map(|d| d.parts[rank].clone()).collect(),
             data_addrs: data_addrs.to_vec(),
         })
         .collect())
+}
+
+/// What one rank produced by executing its fragment.
+#[derive(Debug)]
+pub struct RemoteOutcome {
+    /// This rank's partition of the output, projected to the head.
+    pub output: Relation,
+    /// Tuples this rank sent across all exchange rounds.
+    pub tuples_sent: u64,
+    /// Exchange rounds this rank participated in.
+    pub rounds: u32,
+}
+
+/// Executes `frag` on an already-joined `mesh` and returns this rank's
+/// output partition: the fragment's decisions and its one partition per
+/// atom go through the same executor `run_config` uses, with every
+/// shuffle one exchange round on the mesh. The rank therefore prepares
+/// through the process-wide sort and trie caches like any in-process
+/// worker.
+///
+/// # Errors
+/// - [`EngineError::Transport`] when an exchange round fails (peer
+///   death, handshake timeout, frame errors — all typed
+///   `RuntimeError`s).
+/// - [`EngineError::MemoryBudget`] when a join step exceeds the
+///   fragment's per-worker budget.
+/// - [`EngineError::InvalidPlan`] / [`EngineError::Unsupported`] on
+///   malformed fragments (callers normally run
+///   [`Fragment::preflight`] first).
+pub fn execute_fragment(frag: &Fragment, mesh: &HostMesh) -> Result<RemoteOutcome, EngineError> {
+    if mesh.workers() != frag.workers as usize || mesh.rank() != frag.rank as usize {
+        return Err(EngineError::Unsupported(format!(
+            "fragment addressed to rank {}/{} but the mesh is rank {}/{}",
+            frag.rank,
+            frag.workers,
+            mesh.rank(),
+            mesh.workers()
+        )));
+    }
+    let cluster = Cluster {
+        workers: frag.workers as usize,
+        memory_budget: frag.memory_budget,
+        seed: frag.seed,
+        // Simulated network costs model a cluster this process is not
+        // simulating: the mesh's bytes really move.
+        round_latency: Duration::ZERO,
+        shuffle_tuple_cost: Duration::ZERO,
+        transport: TransportKind::Tcp,
+        batch_tuples: (frag.batch_tuples as usize).max(1),
+        wire_format: frag.wire_format,
+    };
+    let opts = PlanOptions {
+        collect_output: true,
+        trie_layout: frag.trie_layout,
+        ..PlanOptions::default()
+    };
+    let plan = Plan {
+        shuffle: frag.shuffle,
+        join: frag.join,
+        join_order: frag.join_order.clone(),
+        local_order: frag.local_order.clone(),
+        tj_order: frag.tj_order.clone(),
+        hc_config: frag.hc_config.clone(),
+        probe_threads: frag.probe_threads as usize,
+        diagnostics: Vec::new(),
+        route_sigs: None,
+        seeded: frag
+            .atom_vars
+            .iter()
+            .zip(&frag.parts)
+            .map(|(vars, part)| DistRel {
+                vars: vars.clone(),
+                parts: vec![part.clone()],
+            })
+            .collect(),
+    };
+    let seam = Seam::Mesh {
+        mesh,
+        pool: Arc::new(BufPool::new(
+            DEFAULT_POOL_CAP,
+            mesh.obs.buf_reuses.clone(),
+            mesh.obs.buf_allocs.clone(),
+        )),
+        opts: ExchangeOpts {
+            batch_tuples: cluster.batch_tuples,
+            format: frag.wire_format,
+            compression: frag.wire_compression,
+        },
+    };
+    let ex = Exec {
+        query: &frag.query,
+        cluster: &cluster,
+        opts: &opts,
+        seam: &seam,
+        obs: &RunObs::new(false),
+    };
+    let result = plans::execute(&ex, plan)?;
+    Ok(RemoteOutcome {
+        // `collect_output` is set above. xtask: allow(expect)
+        output: result.output.expect("collected output"),
+        tuples_sent: result.tuples_shuffled,
+        // One exchange round per shuffle; `result.rounds` counts
+        // communication *barriers* (one for a whole HyperCube round).
+        rounds: result.shuffles.len() as u32,
+    })
 }
 
 #[cfg(test)]
@@ -811,35 +863,88 @@ mod tests {
     }
 
     #[test]
-    fn unsupported_options_are_refused() {
+    fn mesh_refusals_name_what_the_mesh_lacks() {
         let (q, db) = triangle_db();
-        let cluster = Cluster::new(4);
-        for opts in [
-            PlanOptions {
-                skew_resilient: true,
-                ..Default::default()
-            },
-            PlanOptions {
-                group_count: true,
-                ..Default::default()
-            },
-            PlanOptions {
-                trace_path: Some("trace.json".into()),
-                ..Default::default()
-            },
+        let with = |set: fn(&mut PlanOptions)| {
+            let mut opts = PlanOptions::default();
+            set(&mut opts);
+            opts
+        };
+        for (opts, lacks) in [
+            (with(|o| o.skew_resilient = true), "global key frequencies"),
+            (with(|o| o.group_count = true), "combine round"),
+            (
+                with(|o| o.trace_path = Some("trace.json".into())),
+                "no channel to return their spans",
+            ),
         ] {
-            let err = plan_fragments(
-                &q,
-                &db,
-                &cluster,
-                ShuffleAlg::Regular,
-                JoinAlg::Hash,
-                &opts,
-                &addrs(4),
-            )
-            .unwrap_err();
-            assert!(matches!(err, EngineError::Unsupported(_)), "got {err:?}");
+            let (s, j) = (ShuffleAlg::Regular, JoinAlg::Hash);
+            let err =
+                plan_fragments(&q, &db, &Cluster::new(4), s, j, &opts, &addrs(4)).unwrap_err();
+            assert!(
+                matches!(&err, EngineError::Unsupported(m) if m.contains(lacks)),
+                "want Unsupported naming `{lacks}`, got {err:?}"
+            );
         }
+    }
+
+    /// `preflight` and the executor itself must both answer a hostile
+    /// fragment with `Unsupported`, never a panic: the executor runs it
+    /// as the only rank of a real one-rank loopback mesh.
+    fn assert_refused(frag: &Fragment, why: &str) {
+        let err = frag.preflight().unwrap_err();
+        assert!(
+            matches!(err, EngineError::Unsupported(_)),
+            "{why}: preflight gave {err:?}"
+        );
+        let mut mesh = HostMesh::bind("127.0.0.1:0").unwrap();
+        let addr = mesh.local_addr().unwrap();
+        mesh.join(0, vec![addr]).unwrap();
+        let err = execute_fragment(frag, &mesh).unwrap_err();
+        assert!(
+            matches!(err, EngineError::Unsupported(_)),
+            "{why}: executor gave {err:?}"
+        );
+    }
+
+    fn single_rank_fragment(s: ShuffleAlg, j: JoinAlg) -> Fragment {
+        let (q, db) = triangle_db();
+        let frag = plan_fragments(
+            &q,
+            &db,
+            &Cluster::new(1),
+            s,
+            j,
+            &PlanOptions::default(),
+            &addrs(1),
+        )
+        .unwrap()
+        .remove(0);
+        frag.preflight().unwrap();
+        frag
+    }
+
+    #[test]
+    fn local_order_must_be_a_permutation() {
+        for hostile in [vec![0, 1, 7], vec![0, 0, 1], vec![2, 1]] {
+            let mut frag = single_rank_fragment(ShuffleAlg::HyperCube, JoinAlg::Hash);
+            frag.local_order = hostile.clone();
+            assert_refused(&frag, &format!("local_order {hostile:?}"));
+        }
+    }
+
+    #[test]
+    fn tributary_fragment_needs_its_variable_order() {
+        let mut frag = single_rank_fragment(ShuffleAlg::Broadcast, JoinAlg::Tributary);
+        frag.tj_order = None;
+        assert_refused(&frag, "missing tj_order");
+    }
+
+    #[test]
+    fn hypercube_fragment_needs_its_shares() {
+        let mut frag = single_rank_fragment(ShuffleAlg::HyperCube, JoinAlg::Tributary);
+        frag.hc_config = None;
+        assert_refused(&frag, "missing hc_config");
     }
 
     #[test]

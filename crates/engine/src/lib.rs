@@ -40,10 +40,17 @@
 //! [`TransportKind::Local`] (default) replays the original sequential
 //! in-memory loop, [`TransportKind::InProcess`] streams encoded batches
 //! over bounded channels between worker threads, and
-//! [`TransportKind::Tcp`] (behind the `transport-tcp` feature) frames
-//! them over loopback sockets. Results are byte-identical across
-//! transports; the streaming ones add real `bytes_sent`/`bytes_received`
-//! to every [`ShuffleStats`](parjoin_common::ShuffleStats).
+//! [`TransportKind::Tcp`] frames them over loopback sockets. Results are
+//! byte-identical across transports; the streaming ones add real
+//! `bytes_sent`/`bytes_received` to every
+//! [`ShuffleStats`](parjoin_common::ShuffleStats).
+//!
+//! A multi-process deployment runs the same executor: the coordinator
+//! slices one plan into per-rank [`Fragment`]s, and each worker process
+//! runs [`execute_fragment`] — [`plans`]' step sequence over the one
+//! partition it hosts, its shuffles going out over a
+//! [`HostMesh`](parjoin_runtime::HostMesh) instead of an in-process
+//! transport.
 
 pub mod advisor;
 mod cache;
@@ -56,8 +63,6 @@ pub mod local;
 pub mod plans;
 pub mod prepare;
 pub mod probe;
-#[cfg(feature = "transport-tcp")]
-pub mod remote;
 pub mod semijoin;
 pub mod shuffle;
 pub mod sortcache;
@@ -69,15 +74,12 @@ pub use advisor::{advise, Advice};
 pub use cluster::Cluster;
 pub use dist::DistRel;
 pub use error::EngineError;
-pub use fragment::{plan_fragments, Fragment};
+pub use fragment::{execute_fragment, plan_fragments, Fragment, RemoteOutcome};
 pub use parjoin_analyze::{DiagCode, Diagnostic, Severity};
 pub use parjoin_obs as obs;
 pub use parjoin_runtime::TransportKind;
 pub use plans::{
     metric_names, run_config, JoinAlg, PlanOptions, PrepProbe, RunResult, ShuffleAlg, TrieLayout,
 };
-pub use probe::MorselSched;
-#[cfg(feature = "transport-tcp")]
-pub use remote::{execute_fragment, RemoteOutcome};
 pub use sortcache::SortCache;
 pub use triecache::TrieCache;

@@ -27,7 +27,7 @@ use crate::exec::{parallelism_warning, run_phase_traced};
 use crate::local::{hash_join, merge_join, SchemaRel};
 use crate::prepare;
 use crate::probe;
-use crate::shuffle;
+use crate::shuffle::{self, Seam};
 use crate::sortcache::{Lookup, Provenance, SortCache};
 use crate::triecache::TrieCache;
 use parjoin_analyze::{self as analyze, Diagnostic};
@@ -36,6 +36,7 @@ use parjoin_core::hypercube::{HcConfig, ShareProblem};
 use parjoin_core::order::{best_order, OrderCostModel};
 use parjoin_core::tributary::{ColumnarAtom, ColumnarTrie, SortedAtom, Tributary};
 use parjoin_obs::{Registry, TraceSink, COORDINATOR_LANE};
+use parjoin_query::resolve::split_filters;
 use parjoin_query::{resolve_atoms, ConjunctiveQuery, Filter, VarId};
 use parjoin_runtime::{Runtime, RuntimeConfig, RuntimeObs};
 use std::fmt::Write as _;
@@ -298,8 +299,7 @@ pub struct RunResult {
     /// actually split work.
     pub probe_morsels: u64,
     /// Probe morsels a thread claimed from another thread's deque under
-    /// the work-stealing scheduler (see
-    /// [`MorselSched`](crate::probe::MorselSched)). Zero when the
+    /// the work-stealing scheduler (see [`crate::probe`]). Zero when the
     /// sequential path ran or no imbalance arose; a high
     /// steals-to-morsels ratio means the initial contiguous deal was
     /// skewed and the stealer rebalanced it.
@@ -757,47 +757,6 @@ fn scale_duration(d: Duration, times: u64) -> Duration {
     Duration::new(secs, (nanos % 1_000_000_000) as u32)
 }
 
-/// A greedy left-deep join order: smallest relation first, then repeatedly
-/// the smallest relation sharing a variable with the running schema
-/// (falling back to the smallest remaining one if the query disconnects).
-pub fn default_join_order(atom_vars: &[Vec<VarId>], cards: &[u64]) -> Vec<usize> {
-    let n = atom_vars.len();
-    assert_eq!(cards.len(), n);
-    let mut remaining: Vec<usize> = (0..n).collect();
-    // Callers pass resolved queries, which have at least one atom.
-    let first = *remaining
-        .iter()
-        .min_by_key(|&&i| cards[i])
-        .expect("at least one atom"); // xtask: allow(expect)
-    let mut order = vec![first];
-    remaining.retain(|&i| i != first);
-    let mut bound: Vec<VarId> = atom_vars[first].clone();
-    while !remaining.is_empty() {
-        let connected: Vec<usize> = remaining
-            .iter()
-            .copied()
-            .filter(|&i| atom_vars[i].iter().any(|v| bound.contains(v)))
-            .collect();
-        let pool = if connected.is_empty() {
-            remaining.clone()
-        } else {
-            connected
-        };
-        let next = *pool
-            .iter()
-            .min_by_key(|&&i| cards[i])
-            .expect("non-empty pool"); // xtask: allow(expect)
-        order.push(next);
-        remaining.retain(|&i| i != next);
-        for &v in &atom_vars[next] {
-            if !bound.contains(&v) {
-                bound.push(v);
-            }
-        }
-    }
-    order
-}
-
 /// A fanout-aware greedy left-deep order: start from the smallest
 /// relation, then repeatedly pick the connected atom with the smallest
 /// *expected fanout* — its cardinality divided by the number of distinct
@@ -876,7 +835,7 @@ pub fn greedy_join_order(atoms: &[(Vec<VarId>, &Relation)]) -> Vec<usize> {
 
 /// A left-deep order rooted at `root`, growing by connectivity (used by
 /// broadcast plans to start from the partitioned fragment).
-pub(crate) fn rooted_order(atom_vars: &[Vec<VarId>], root: usize) -> Vec<usize> {
+fn rooted_order(atom_vars: &[Vec<VarId>], root: usize) -> Vec<usize> {
     let n = atom_vars.len();
     let mut order = vec![root];
     let mut remaining: Vec<usize> = (0..n).filter(|&i| i != root).collect();
@@ -913,13 +872,27 @@ fn check_budget(cluster: &Cluster, worker: usize, needed: u64) -> Result<(), Eng
 
 /// Filters whose variables are fully bound by `schema`, removed from
 /// `pending`.
-pub(crate) fn take_ready_filters(pending: &mut Vec<Filter>, schema: &[VarId]) -> Vec<Filter> {
+fn take_ready_filters(pending: &mut Vec<Filter>, schema: &[VarId]) -> Vec<Filter> {
     let (ready, keep): (Vec<Filter>, Vec<Filter>) = pending
         .iter()
         .copied()
         .partition(|f| f.vars().iter().all(|v| schema.contains(v)));
     *pending = keep;
     ready
+}
+
+/// Refuses an atom order that is not a permutation of `0..atoms`. The
+/// analyzer vets orders planned in this process; an order decoded from
+/// a shipped fragment is only as good as its sender.
+pub(crate) fn check_order(what: &str, order: &[usize], atoms: usize) -> Result<(), EngineError> {
+    let mut sorted = order.to_vec();
+    sorted.sort_unstable();
+    if sorted.into_iter().eq(0..atoms) {
+        return Ok(());
+    }
+    Err(EngineError::Unsupported(format!(
+        "{what} {order:?} must cover every atom of a {atoms}-atom query exactly once"
+    )))
 }
 
 /// Runs `query` on `db` under the given shuffle×join configuration.
@@ -966,7 +939,6 @@ pub fn run_config(
 /// [`run_config`] against a caller-owned [`RunObs`]. The caller finalizes
 /// (and exports) — this is how the semijoin plan shares one registry and
 /// one trace between its reduction passes and the final join.
-#[allow(clippy::too_many_arguments)]
 pub(crate) fn run_config_with_obs(
     query: &ConjunctiveQuery,
     db: &parjoin_common::Database,
@@ -976,7 +948,87 @@ pub(crate) fn run_config_with_obs(
     opts: &PlanOptions,
     obs: &RunObs,
 ) -> Result<RunResult, EngineError> {
-    let (resolved, residual) = resolve_atoms(query, db)?;
+    let plan = plan(query, db, cluster, shuffle_alg, join_alg, opts)?;
+
+    // A streaming transport gets a live worker runtime for the plan's
+    // duration; Local (the degenerate case) needs none.
+    let rt: Option<Runtime> = if cluster.transport.is_streaming() {
+        Some(Runtime::new(RuntimeConfig {
+            workers: cluster.workers,
+            transport: cluster.transport,
+            batch_tuples: cluster.batch_tuples,
+            wire_format: cluster.wire_format,
+            wire_compression: opts.wire_compression,
+            obs: obs.runtime_obs(),
+            ..RuntimeConfig::default()
+        })?)
+    } else {
+        None
+    };
+    let ex = Exec {
+        query,
+        cluster,
+        opts,
+        seam: &Seam::from(rt.as_ref()),
+        obs,
+    };
+    let result = execute(&ex, plan)?;
+    if let Some(rt) = rt {
+        rt.shutdown()?;
+    }
+    Ok(result)
+}
+
+/// Every global decision of one shuffle×join plan, made once by
+/// [`plan`]: `run_config` executes it over all `p` partitions,
+/// `plan_fragments` slices it per rank, and a mesh rank rebuilds it from
+/// the fragment it was shipped. [`execute`] makes no decision of its
+/// own, so every rank of every deployment runs the same step sequence.
+pub(crate) struct Plan {
+    pub(crate) shuffle: ShuffleAlg,
+    pub(crate) join: JoinAlg,
+    /// Effective left-deep join order (atom indices): explicit or the
+    /// greedy choice.
+    pub(crate) join_order: Vec<usize>,
+    /// Order of a one-round plan's local hash tree: `join_order`, except
+    /// under broadcast, where it is rooted at the atom that stays
+    /// partitioned (the largest).
+    pub(crate) local_order: Vec<usize>,
+    /// Tributary global variable order (one-round Tributary plans).
+    pub(crate) tj_order: Option<Vec<VarId>>,
+    /// HyperCube share assignment (HyperCube plans).
+    pub(crate) hc_config: Option<HcConfig>,
+    /// Per-worker probe threads.
+    pub(crate) probe_threads: usize,
+    /// Analyzer warnings and, under [`PlanOptions::certify`], the R420
+    /// certificate.
+    pub(crate) diagnostics: Vec<Diagnostic>,
+    /// Per-atom route signatures of a certified one-round placement.
+    pub(crate) route_sigs: Option<Vec<String>>,
+    /// The hosted partitions of each resolved atom's round-robin
+    /// placement: all `p` in-process, this rank's one on a mesh.
+    pub(crate) seeded: Vec<DistRel>,
+}
+
+/// Plans `query` under the given configuration: resolves the atoms,
+/// picks the effective join order, runs the pre-flight analyzer (and,
+/// with [`PlanOptions::certify`], the policy certifier) on it, seeds the
+/// base relations round-robin, and derives the Tributary variable
+/// order, the broadcast root and the HyperCube shares.
+///
+/// # Errors
+/// [`EngineError::Resolve`] for catalog mismatches,
+/// [`EngineError::InvalidPlan`] when the analyzer or the certifier
+/// refuses the plan.
+pub(crate) fn plan(
+    query: &ConjunctiveQuery,
+    db: &parjoin_common::Database,
+    cluster: &Cluster,
+    shuffle_alg: ShuffleAlg,
+    join_alg: JoinAlg,
+    opts: &PlanOptions,
+) -> Result<Plan, EngineError> {
+    let (resolved, _residual) = resolve_atoms(query, db)?;
     let atom_vars: Vec<Vec<VarId>> = resolved.iter().map(|a| a.vars.clone()).collect();
     let cards: Vec<u64> = resolved.iter().map(|a| a.len() as u64).collect();
     let join_order = opts.join_order.clone().unwrap_or_else(|| {
@@ -986,8 +1038,6 @@ pub(crate) fn run_config_with_obs(
             .collect();
         greedy_join_order(&shapes)
     });
-    let name = format!("{}_{}", shuffle_alg.tag(), join_alg.tag());
-    let mut result = RunResult::new(name, cluster.workers);
 
     // Pre-flight static analysis: refuse to run plans the analyzer
     // proves broken (instead of panicking mid-flight); carry warnings
@@ -1015,12 +1065,8 @@ pub(crate) fn run_config_with_obs(
         host_cores: parjoin_common::threads::host_parallelism(),
         seed: cluster.seed,
     };
-    let diagnostics = analyze::analyze(&spec);
-    if analyze::has_errors(&diagnostics) {
-        return Err(EngineError::InvalidPlan(diagnostics));
-    }
-    result.diagnostics = diagnostics;
-    result.diagnostics.extend(parallelism_warning());
+    let mut diagnostics = analyze::preflight(&spec).map_err(EngineError::InvalidPlan)?;
+    diagnostics.extend(parallelism_warning());
 
     // Certify mode: statically prove the plan's distribution policy
     // parallel-correct (R420) or refuse to run with a concrete
@@ -1056,29 +1102,12 @@ pub(crate) fn run_config_with_obs(
                 .map(|i| unit.policy.route_signature(i))
                 .collect()
         });
-        result.diagnostics.extend(cert_diags);
+        diagnostics.extend(cert_diags);
         sigs
     } else {
         None
     };
-    analyze::sort_diagnostics(&mut result.diagnostics);
-    result.probe_threads = opts.effective_probe_threads(cluster.workers) as u64;
-
-    // A streaming transport gets a live worker runtime for the plan's
-    // duration; Local (the degenerate case) needs none.
-    let rt: Option<Runtime> = if cluster.transport.is_streaming() {
-        Some(Runtime::new(RuntimeConfig {
-            workers: cluster.workers,
-            transport: cluster.transport,
-            batch_tuples: cluster.batch_tuples,
-            wire_format: cluster.wire_format,
-            wire_compression: opts.wire_compression,
-            obs: obs.runtime_obs(),
-            ..RuntimeConfig::default()
-        })?)
-    } else {
-        None
-    };
+    analyze::sort_diagnostics(&mut diagnostics);
 
     // Seed each atom round-robin, as the initial data placement.
     let seeded: Vec<DistRel> = resolved
@@ -1086,46 +1115,115 @@ pub(crate) fn run_config_with_obs(
         .map(|a| DistRel::round_robin(&a.rel, a.vars.clone(), cluster.workers))
         .collect();
 
-    match shuffle_alg {
-        ShuffleAlg::Regular => run_regular(
-            query,
-            cluster,
-            join_alg,
-            opts,
-            &join_order,
-            seeded,
-            residual,
-            rt.as_ref(),
-            obs,
-            &mut result,
-        )?,
-        ShuffleAlg::Broadcast | ShuffleAlg::HyperCube => run_one_round(
-            query,
-            cluster,
-            shuffle_alg,
-            join_alg,
-            opts,
-            &atom_vars,
-            &cards,
-            &join_order,
-            seeded,
-            residual,
-            rt.as_ref(),
-            obs,
-            route_sigs.as_deref(),
-            &mut result,
-        )?,
+    // Tributary global variable order, cost-model optimized once on the
+    // gathered *pre-shuffle* relations, as the paper's optimizer would:
+    // the statistics see no replication.
+    let tj_order =
+        (join_alg == JoinAlg::Tributary && shuffle_alg != ShuffleAlg::Regular).then(|| {
+            opts.tj_order.clone().unwrap_or_else(|| {
+                let gathered: Vec<Relation> = seeded.iter().map(|d| d.gather()).collect();
+                let model_atoms: Vec<(&Relation, Vec<VarId>)> = gathered
+                    .iter()
+                    .zip(&atom_vars)
+                    .map(|(r, vs)| (r, vs.clone()))
+                    .collect();
+                let model = OrderCostModel::from_atoms(&model_atoms);
+                best_order(&model, &query.all_vars()).0
+            })
+        });
+    let local_order = if shuffle_alg == ShuffleAlg::Broadcast {
+        // Root the local hash tree at the partitioned fragment so every
+        // worker's intermediates stay ~1/p-sized (the broadcast plan's
+        // whole point); full-copy atoms only extend it. This mirrors
+        // Myria's fact-table-first broadcast plans. Queries have at
+        // least one atom (the parser and analyzer both enforce it), so
+        // the argmax exists; 0 is unreachable.
+        let largest = (0..cards.len()).max_by_key(|&i| cards[i]).unwrap_or(0);
+        rooted_order(&atom_vars, largest)
+    } else {
+        join_order.clone()
+    };
+    let hc_config = (shuffle_alg == ShuffleAlg::HyperCube).then(|| {
+        opts.hc_config.clone().unwrap_or_else(|| {
+            let problem = ShareProblem {
+                vars: query.all_vars(),
+                atoms: atom_vars
+                    .iter()
+                    .zip(&cards)
+                    .map(|(vs, &c)| parjoin_core::hypercube::AtomShape {
+                        vars: vs.clone(),
+                        cardinality: c,
+                    })
+                    .collect(),
+            };
+            problem.optimize(cluster.workers)
+        })
+    });
+
+    Ok(Plan {
+        shuffle: shuffle_alg,
+        join: join_alg,
+        join_order,
+        local_order,
+        tj_order,
+        hc_config,
+        probe_threads: opts.effective_probe_threads(cluster.workers),
+        diagnostics,
+        route_sigs,
+        seeded,
+    })
+}
+
+/// What [`execute`] runs a [`Plan`] against.
+pub(crate) struct Exec<'a> {
+    pub(crate) query: &'a ConjunctiveQuery,
+    /// Always the *global* cluster shape: `workers` is the mesh width
+    /// even when this process hosts one rank of it.
+    pub(crate) cluster: &'a Cluster,
+    pub(crate) opts: &'a PlanOptions,
+    pub(crate) seam: &'a Seam<'a>,
+    pub(crate) obs: &'a RunObs,
+}
+
+/// The one executor: runs `plan`'s step sequence over its hosted
+/// partitions, every shuffle going through `ex.seam`. `RunResult`'s
+/// per-worker vectors are indexed by hosted partition.
+///
+/// # Errors
+/// [`EngineError::Transport`] when an exchange fails,
+/// [`EngineError::MemoryBudget`] (naming the global rank) when a join
+/// step exceeds the per-worker budget, and [`EngineError::Unsupported`]
+/// for a plan whose decisions do not fit the query — unreachable from
+/// [`plan`], which the analyzer vets, but a plan rebuilt from a shipped
+/// fragment is outside input.
+pub(crate) fn execute(ex: &Exec<'_>, mut plan: Plan) -> Result<RunResult, EngineError> {
+    let atoms = ex.query.atoms.len();
+    let hosted = match plan.seeded.first() {
+        Some(d) if plan.seeded.len() == atoms => d.workers(),
+        _ => {
+            return Err(EngineError::Unsupported(format!(
+                "plan carries {} relations for a {atoms}-atom query",
+                plan.seeded.len()
+            )))
+        }
+    };
+    let name = format!("{}_{}", plan.shuffle.tag(), plan.join.tag());
+    let mut result = RunResult::new(name, hosted);
+    result.diagnostics = std::mem::take(&mut plan.diagnostics);
+    result.probe_threads = plan.probe_threads as u64;
+    let pending = split_filters(ex.query).1;
+    match plan.shuffle {
+        ShuffleAlg::Regular => run_regular(ex, plan, pending, &mut result)?,
+        ShuffleAlg::Broadcast | ShuffleAlg::HyperCube => {
+            run_one_round(ex, plan, pending, &mut result)?;
+        }
     }
 
-    if let Some(rt) = rt {
-        rt.shutdown()?;
-    }
+    result.wall += ex.cluster.round_latency * result.rounds;
 
-    result.wall += cluster.round_latency * result.rounds;
-
-    if opts.collect_output {
+    if ex.opts.collect_output {
         if let Some(out) = result.output.take() {
-            result.output = Some(if opts.distinct_output {
+            result.output = Some(if ex.opts.distinct_output {
                 out.distinct()
             } else {
                 out
@@ -1135,36 +1233,55 @@ pub(crate) fn run_config_with_obs(
     Ok(result)
 }
 
+/// One binary hash join on a worker, then the pending filters its output
+/// schema completes: an RS_HJ step's whole local join, and each step of
+/// a one-round plan's hash tree. Returns `(result, morsels, steals)`.
+fn hash_join_step(
+    a: &SchemaRel,
+    b: &SchemaRel,
+    pending: &mut Vec<Filter>,
+    seed: u64,
+    threads: usize,
+) -> (SchemaRel, u64, u64) {
+    let (joined, morsels, steals) = probe::hash_join_parallel(a, b, seed, threads);
+    let ready = take_ready_filters(pending, &joined.vars);
+    let out = if ready.is_empty() {
+        joined
+    } else {
+        joined.filter(&ready)
+    };
+    (out, morsels, steals)
+}
+
 /// Left-deep tree of binary joins with a regular shuffle per step.
-#[allow(clippy::too_many_arguments)]
 fn run_regular(
-    query: &ConjunctiveQuery,
-    cluster: &Cluster,
-    join_alg: JoinAlg,
-    opts: &PlanOptions,
-    order: &[usize],
-    seeded: Vec<DistRel>,
+    ex: &Exec<'_>,
+    plan: Plan,
     mut pending: Vec<Filter>,
-    rt: Option<&Runtime>,
-    obs: &RunObs,
     result: &mut RunResult,
 ) -> Result<(), EngineError> {
-    assert_eq!(
-        order.len(),
-        seeded.len(),
-        "join order must cover every atom"
-    );
-
+    let (query, cluster, opts, seam, obs) = (ex.query, ex.cluster, ex.opts, ex.seam, ex.obs);
+    let Plan {
+        join: join_alg,
+        join_order: order,
+        probe_threads,
+        seeded,
+        ..
+    } = plan;
+    let hosted = result.per_worker_busy.len();
     let mut seeded: Vec<Option<DistRel>> = seeded.into_iter().map(Some).collect();
-    // The analyzer vets the join order (a permutation of the atoms), so
-    // these lookups cannot miss through `run_config`; a malformed order
-    // reaching this internal function directly is still a typed error.
-    let Some(mut cur) = seeded[order[0]].take() else {
-        return Err(EngineError::Unsupported(format!(
-            "join order reuses atom {}",
-            order[0]
-        )));
+    if order.len() != seeded.len() {
+        return Err(EngineError::Unsupported(
+            "join order must cover every atom".to_string(),
+        ));
+    }
+    let mut take_atom = |ai: usize| {
+        seeded
+            .get_mut(ai)
+            .and_then(Option::take)
+            .ok_or_else(|| EngineError::Unsupported(format!("join order reuses atom {ai}")))
     };
+    let mut cur = take_atom(order[0])?;
     let mut cur_label = query.atoms[order[0]].relation.clone();
 
     // Filters already covered by the first atom alone (e.g. a var-var
@@ -1187,11 +1304,7 @@ fn run_regular(
     }
 
     for &ai in &order[1..] {
-        let Some(next) = seeded[ai].take() else {
-            return Err(EngineError::Unsupported(format!(
-                "join order reuses atom {ai}"
-            )));
-        };
+        let next = take_atom(ai)?;
         let next_label = &query.atoms[ai].relation;
         let shared: Vec<VarId> = cur
             .vars
@@ -1226,20 +1339,21 @@ fn run_regular(
             );
             (ca, cb, sa, sb)
         } else {
-            let (cur_s, s1) = shuffle::regular_via(
-                &cur,
-                &shuffle_key,
-                format!("{cur_label} ->h({key_desc})"),
-                cluster.seed,
-                rt,
-            )?;
-            let (next_s, s2) = shuffle::regular_via(
-                &next,
-                &shuffle_key,
-                format!("{next_label} ->h({key_desc})"),
-                cluster.seed,
-                rt,
-            )?;
+            let hash_on_key = |d: &DistRel, label: &str| {
+                shuffle::run_router(
+                    d,
+                    shuffle::regular_router_for(
+                        &d.vars,
+                        &shuffle_key,
+                        cluster.seed,
+                        cluster.workers,
+                    ),
+                    format!("{label} ->h({key_desc})"),
+                    seam,
+                )
+            };
+            let (cur_s, s1) = hash_on_key(&cur, &cur_label)?;
+            let (next_s, s2) = hash_on_key(&next, next_label)?;
             (cur_s, next_s, s1, s2)
         };
         result.absorb_network(&[&s1, &s2], cluster.shuffle_tuple_cost);
@@ -1269,8 +1383,7 @@ fn run_regular(
         };
         let ready = take_ready_filters(&mut pending, &out_schema);
         let seed = cluster.seed;
-        let probe_threads = opts.effective_probe_threads(cluster.workers);
-        let phase = run_phase_traced(cluster.workers, &obs.trace, "local-join", |w, lane| {
+        let phase = run_phase_traced(hosted, &obs.trace, "local-join", |w, lane| {
             let a = SchemaRel {
                 vars: cur_s.vars.clone(),
                 rel: cur_s.parts[w].clone(),
@@ -1279,10 +1392,11 @@ fn run_regular(
                 vars: next_s.vars.clone(),
                 rel: next_s.parts[w].clone(),
             };
-            let (joined, sort_buf, sort_time, morsels, steals) = match join_alg {
+            let (filtered, sort_buf, sort_time, morsels, steals) = match join_alg {
                 JoinAlg::Hash => {
                     let probe_span = lane.span("probe", "engine");
-                    let (j, m, st) = probe::hash_join_parallel(&a, &b, seed, probe_threads);
+                    let (j, m, st) =
+                        hash_join_step(&a, &b, &mut ready.clone(), seed, probe_threads);
                     drop(probe_span);
                     (j, 0, Duration::ZERO, m, st)
                 }
@@ -1295,13 +1409,13 @@ fn run_regular(
                     let elapsed = t0.elapsed();
                     lane.record("prepare", "engine", t0, t);
                     lane.record("probe", "engine", t0 + t, elapsed.saturating_sub(t));
+                    let j = if ready.is_empty() {
+                        j
+                    } else {
+                        j.filter(&ready)
+                    };
                     (j, buf, t, 1, 0)
                 }
-            };
-            let filtered = if ready.is_empty() {
-                joined
-            } else {
-                joined.filter(&ready)
             };
             // Memory model per the paper's Q4 discussion: the pipelined
             // hash join keeps only its build side (the smaller input)
@@ -1317,10 +1431,10 @@ fn run_regular(
             };
             (filtered.rel, live, sort_time, morsels, steals)
         });
-        let mut parts = Vec::with_capacity(cluster.workers);
-        let mut sort_times = Vec::with_capacity(cluster.workers);
+        let mut parts = Vec::with_capacity(hosted);
+        let mut sort_times = Vec::with_capacity(hosted);
         for (w, (rel, live, sort, morsels, steals)) in phase.results.iter().enumerate() {
-            check_budget(cluster, w, *live)?;
+            check_budget(cluster, seam.first_rank() + w, *live)?;
             result.peak_worker_tuples = result.peak_worker_tuples.max(*live);
             result.probe_morsels += morsels;
             result.probe_steals += steals;
@@ -1353,7 +1467,7 @@ fn run_regular(
         ));
     }
 
-    finish_output(query, cluster, opts, cur, obs, result);
+    finish_output(ex, cur, result);
     Ok(())
 }
 
@@ -1375,64 +1489,52 @@ struct JoinTally {
 
 /// Broadcast and HyperCube plans: one communication round, then a local
 /// multiway join on every worker.
-#[allow(clippy::too_many_arguments)]
 fn run_one_round(
-    query: &ConjunctiveQuery,
-    cluster: &Cluster,
-    shuffle_alg: ShuffleAlg,
-    join_alg: JoinAlg,
-    opts: &PlanOptions,
-    atom_vars: &[Vec<VarId>],
-    cards: &[u64],
-    local_order: &[usize],
-    seeded: Vec<DistRel>,
+    ex: &Exec<'_>,
+    plan: Plan,
     pending: Vec<Filter>,
-    rt: Option<&Runtime>,
-    obs: &RunObs,
-    route_sigs: Option<&[String]>,
     result: &mut RunResult,
 ) -> Result<(), EngineError> {
-    // Tributary global variable order (cost-model optimized once on the
-    // global resolved relations, as the paper's optimizer would; computed
-    // before the shuffle so statistics see no replication).
-    let tj_order: Option<Vec<VarId>> = if join_alg == JoinAlg::Tributary {
-        Some(opts.tj_order.clone().unwrap_or_else(|| {
-            let gathered: Vec<Relation> = seeded.iter().map(|d| d.gather()).collect();
-            let model_atoms: Vec<(&Relation, Vec<VarId>)> = gathered
-                .iter()
-                .zip(atom_vars)
-                .map(|(r, vs)| (r, vs.clone()))
-                .collect();
-            let model = OrderCostModel::from_atoms(&model_atoms);
-            best_order(&model, &query.all_vars()).0
-        }))
-    } else {
-        None
+    let (query, cluster, opts, seam, obs) = (ex.query, ex.cluster, ex.opts, ex.seam, ex.obs);
+    let Plan {
+        shuffle: shuffle_alg,
+        join: join_alg,
+        local_order,
+        tj_order,
+        hc_config,
+        probe_threads,
+        route_sigs,
+        seeded,
+        ..
+    } = plan;
+    let route_sigs = route_sigs.as_deref();
+    let hosted = result.per_worker_busy.len();
+    check_order("local join order", &local_order, seeded.len())?;
+    let tj_order = match (join_alg, tj_order) {
+        (JoinAlg::Tributary, None) => {
+            return Err(EngineError::Unsupported(
+                "Tributary plan carries no variable order".to_string(),
+            ))
+        }
+        (_, order) => order.unwrap_or_default(),
     };
 
     // --- The single communication round. --------------------------------
-    let mut local_order: Vec<usize> = local_order.to_vec();
     let shuffled: Vec<DistRel> = match shuffle_alg {
         ShuffleAlg::Broadcast => {
-            // Queries have at least one atom (the parser and analyzer
-            // both enforce it), so the max exists.
-            let largest = (0..cards.len())
-                .max_by_key(|&i| cards[i])
-                .expect("at least one atom"); // xtask: allow(expect)
-                                              // Root the local hash tree at the partitioned fragment so
-                                              // every worker's intermediates stay ~1/p-sized (the broadcast
-                                              // plan's whole point); full-copy atoms only extend it. This
-                                              // mirrors Myria's fact-table-first broadcast plans.
-            local_order = rooted_order(atom_vars, largest);
+            // The plan rooted `local_order` at the atom that stays
+            // partitioned.
+            let largest = local_order[0];
             let mut out = Vec::with_capacity(seeded.len());
             for (i, d) in seeded.into_iter().enumerate() {
                 if i == largest {
                     out.push(d); // stays partitioned, nothing sent
                 } else {
-                    let (bc, stats) = shuffle::broadcast_via(
+                    let (bc, stats) = shuffle::run_router(
                         &d,
+                        shuffle::broadcast_router(cluster.workers),
                         format!("Broadcast {}", query.atoms[i].relation),
-                        rt,
+                        seam,
                     )?;
                     result.absorb_shuffle(stats);
                     out.push(bc);
@@ -1441,34 +1543,30 @@ fn run_one_round(
             out
         }
         ShuffleAlg::HyperCube => {
-            let problem = ShareProblem {
-                vars: query.all_vars(),
-                atoms: atom_vars
-                    .iter()
-                    .zip(cards)
-                    .map(|(vs, &c)| parjoin_core::hypercube::AtomShape {
-                        vars: vs.clone(),
-                        cardinality: c,
-                    })
-                    .collect(),
+            let Some(config) = hc_config else {
+                return Err(EngineError::Unsupported(
+                    "HyperCube plan carries no share configuration".to_string(),
+                ));
             };
-            let config = opts
-                .hc_config
-                .clone()
-                .unwrap_or_else(|| problem.optimize(cluster.workers));
-            result.hc_config = Some(config.clone());
+            if config.num_cells() > cluster.workers {
+                return Err(EngineError::Unsupported(format!(
+                    "configuration has {} cells but only {} workers",
+                    config.num_cells(),
+                    cluster.workers
+                )));
+            }
             let mut out = Vec::with_capacity(seeded.len());
             for (i, d) in seeded.into_iter().enumerate() {
-                let (hc, stats) = shuffle::hypercube_via(
+                let (hc, stats) = shuffle::run_router(
                     &d,
-                    &config,
+                    shuffle::hypercube_router_for(&d.vars, &config, cluster.seed),
                     format!("HCS {}", query.atoms[i].relation),
-                    cluster.seed,
-                    rt,
+                    seam,
                 )?;
                 result.absorb_shuffle(stats);
                 out.push(hc);
             }
+            result.hc_config = Some(config);
             out
         }
         ShuffleAlg::Regular => unreachable!("handled by run_regular"),
@@ -1490,11 +1588,11 @@ fn run_one_round(
     result.rounds += 1;
     {
         let stats: Vec<&ShuffleStats> = result.shuffles.iter().collect();
-        let mut net = RunResult::new(String::new(), cluster.workers);
+        let mut net = RunResult::new(String::new(), hosted);
         net.absorb_network(&stats, cluster.shuffle_tuple_cost);
         result.wall += net.wall;
         result.total_cpu += net.total_cpu;
-        for w in 0..cluster.workers {
+        for w in 0..hosted {
             result.per_worker_busy[w] += net.per_worker_busy[w];
             result.per_worker_net[w] += net.per_worker_net[w];
         }
@@ -1512,10 +1610,8 @@ fn run_one_round(
     } else {
         prepare::prepare_threads_for_host(cluster.workers)
     };
-    // The probe phase claims those same leftover cores (crate::probe).
-    let probe_threads = opts.effective_probe_threads(cluster.workers);
     let budget = cluster.memory_budget;
-    let phase = run_phase_traced(cluster.workers, &obs.trace, "local-join", |w, lane| {
+    let phase = run_phase_traced(hosted, &obs.trace, "local-join", |w, lane| {
         let locals: Vec<SchemaRel> = shuffled
             .iter()
             .map(|d| SchemaRel {
@@ -1536,15 +1632,10 @@ fn run_one_round(
                 let probe_span = lane.span("probe", "engine");
                 for &ai in &local_order[1..] {
                     let (joined, m, st) =
-                        probe::hash_join_parallel(&cur, &locals[ai], seed, probe_threads);
+                        hash_join_step(&cur, &locals[ai], &mut pending, seed, probe_threads);
                     tally.morsels += m;
                     tally.steals += st;
-                    let ready = take_ready_filters(&mut pending, &joined.vars);
-                    cur = if ready.is_empty() {
-                        joined
-                    } else {
-                        joined.filter(&ready)
-                    };
+                    cur = joined;
                     live = live.max(
                         locals.iter().map(|l| l.rel.len() as u64).sum::<u64>()
                             + cur.rel.len() as u64,
@@ -1556,8 +1647,7 @@ fn run_one_round(
                 (out.rel, tally)
             }
             JoinAlg::Tributary => {
-                // Computed unconditionally above for Tributary plans.
-                let order = tj_order.as_ref().expect("TJ order computed"); // xtask: allow(expect)
+                let order = &tj_order;
                 let mut tally = JoinTally::default();
                 // A view (or trie) too large for a worker's memory budget
                 // is returned but never cached — the budget bounds what
@@ -1720,10 +1810,10 @@ fn run_one_round(
         }
     });
 
-    let mut outputs = Vec::with_capacity(cluster.workers);
-    let mut sort_times = Vec::with_capacity(cluster.workers);
+    let mut outputs = Vec::with_capacity(hosted);
+    let mut sort_times = Vec::with_capacity(hosted);
     for (w, (rel, t)) in phase.results.iter().enumerate() {
-        check_budget(cluster, w, t.live)?;
+        check_budget(cluster, seam.first_rank() + w, t.live)?;
         result.peak_worker_tuples = result.peak_worker_tuples.max(t.live);
         result.probe_morsels += t.morsels;
         result.probe_steals += t.steals;
@@ -1742,25 +1832,19 @@ fn run_one_round(
         vars: head,
         parts: outputs,
     };
-    finish_output(query, cluster, opts, out, obs, result);
+    finish_output(ex, out, result);
     Ok(())
 }
 
 /// Projects to the head (RS path still carries the full schema), counts,
 /// and optionally gathers the output.
-fn finish_output(
-    query: &ConjunctiveQuery,
-    cluster: &Cluster,
-    opts: &PlanOptions,
-    cur: DistRel,
-    obs: &RunObs,
-    result: &mut RunResult,
-) {
+fn finish_output(ex: &Exec<'_>, cur: DistRel, result: &mut RunResult) {
+    let (cluster, opts) = (ex.cluster, ex.opts);
     // Output projection/aggregation/gathering is coordinator work: it
     // gets the coordinator lane, not a worker lane.
-    let lane = obs.trace.lane(COORDINATOR_LANE);
+    let lane = ex.obs.trace.lane(COORDINATOR_LANE);
     let _span = lane.span("output", "engine");
-    let head = query.output_vars();
+    let head = ex.query.output_vars();
     let needs_project = cur.vars != head;
     let projected: DistRel = if needs_project {
         let cols: Vec<usize> = head.iter().map(|&v| cur.col_of(v)).collect();
@@ -1847,10 +1931,6 @@ mod tests {
     use super::*;
     use parjoin_common::Database;
     use parjoin_query::QueryBuilder;
-
-    fn v(i: u32) -> VarId {
-        VarId(i)
-    }
 
     fn triangle_query() -> ConjunctiveQuery {
         let mut b = QueryBuilder::new("Tri");
@@ -2072,25 +2152,6 @@ mod tests {
         )
         .unwrap();
         assert_eq!(r.output.unwrap().arity(), 1);
-    }
-
-    #[test]
-    fn default_join_order_prefers_small_connected() {
-        let vars = vec![
-            vec![v(0), v(1)], // 0: big
-            vec![v(1), v(2)], // 1: small
-            vec![v(2), v(3)], // 2: medium
-        ];
-        let order = default_join_order(&vars, &[100, 5, 50]);
-        assert_eq!(order, vec![1, 2, 0]);
-    }
-
-    #[test]
-    fn default_join_order_handles_disconnection() {
-        let vars = vec![vec![v(0)], vec![v(1)]];
-        let order = default_join_order(&vars, &[10, 5]);
-        assert_eq!(order.len(), 2);
-        assert_eq!(order[0], 1);
     }
 
     #[test]

@@ -19,19 +19,14 @@
 //!   into contiguous row ranges over a shared read-only
 //!   [`JoinTable`](crate::local::JoinTable).
 //!
-//! **Scheduling.** Two morsel schedulers coexist ([`MorselSched`]):
-//!
-//! * [`MorselSched::WorkStealing`] (default) — morsels are dealt to
-//!   per-thread deques in contiguous blocks; a thread drains its own
-//!   deque front-first (locality) and, when empty, steals from the
-//!   *back* of the next non-empty victim. The morsel count adapts to
-//!   the split domain's cardinality (one morsel per
-//!   [`MORSEL_TARGET_ROWS`] rows, clamped to
-//!   `threads ..= threads × MAX_MORSELS_PER_THREAD`), so a skewed value
-//!   range decomposes into many fine morsels that idle threads soak up.
-//!   Steals are counted and surfaced as `engine.probe.steals`.
-//! * [`MorselSched::FixedQuota`] — the PR 3 scheduler (a shared ticket
-//!   counter over `4 × threads` morsels), kept as the bench baseline.
+//! **Scheduling.** Morsels are dealt to per-thread deques in contiguous
+//! blocks; a thread drains its own deque front-first (locality) and,
+//! when empty, steals from the *back* of the next non-empty victim. The
+//! morsel count adapts to the split domain's cardinality (one morsel per
+//! [`MORSEL_TARGET_ROWS`] rows, clamped to
+//! `threads ..= threads × MAX_MORSELS_PER_THREAD`), so a skewed value
+//! range decomposes into many fine morsels that idle threads soak up.
+//! Steals are counted and surfaced as `engine.probe.steals`.
 //!
 //! **Determinism.** The depth-0 leapfrog enumerates values in ascending
 //! order and the hash probe scans rows in input order, so concatenating
@@ -54,21 +49,15 @@ use parjoin_common::{Relation, Value};
 use parjoin_core::tributary::{ColumnarAtom, SortedAtom, Tributary, TrieAtom};
 use parjoin_query::VarId;
 use std::collections::VecDeque;
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Mutex, PoisonError};
 
 /// Minimum probe-side rows (hash join/semijoin) or split-trie rows
 /// (Tributary) before morsel dispatch pays for its thread handoffs.
 pub const MORSEL_MIN_ROWS: usize = 4096;
 
-/// Morsels carved per probe thread under [`MorselSched::FixedQuota`].
-/// More than 1 so a skewed morsel (one hot value range) can be soaked up
-/// by threads that finish early.
-const MORSELS_PER_THREAD: usize = 4;
-
-/// Target split-domain rows per morsel under
-/// [`MorselSched::WorkStealing`]: the morsel count is derived from the
-/// data (`rows / MORSEL_TARGET_ROWS`) instead of a fixed thread
+/// Target split-domain rows per morsel: the morsel count is derived from
+/// the data (`rows / MORSEL_TARGET_ROWS`) instead of a fixed thread
 /// multiple, so bigger inputs get proportionally more morsels for the
 /// stealer to balance.
 pub const MORSEL_TARGET_ROWS: usize = 2048;
@@ -76,16 +65,6 @@ pub const MORSEL_TARGET_ROWS: usize = 2048;
 /// Upper clamp on adaptive morsels per thread — bounds per-morsel
 /// dispatch overhead on huge inputs.
 pub const MAX_MORSELS_PER_THREAD: usize = 32;
-
-/// Which morsel scheduler dispatches probe work.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum MorselSched {
-    /// Shared ticket counter over `4 × threads` morsels (PR 3 baseline).
-    FixedQuota,
-    /// Per-thread deques with back-stealing and an adaptive morsel count.
-    #[default]
-    WorkStealing,
-}
 
 /// Probe threads available to each worker of a phase: identical to the
 /// prepare-phase rule (`host_cores / workers`, at least 1) — both phases
@@ -186,50 +165,11 @@ pub fn morsel_bounds(rel: &Relation, target: usize) -> Vec<(Value, Option<Value>
     morsel_bounds_by(rel.len(), |k| rel.value(k, 0), target)
 }
 
-/// Adaptive morsel count for the work-stealing scheduler: one morsel per
+/// Adaptive morsel count: one morsel per
 /// [`MORSEL_TARGET_ROWS`] rows of the split domain, at least one per
 /// thread, at most [`MAX_MORSELS_PER_THREAD`] per thread.
 fn adaptive_morsels(rows: usize, threads: usize) -> usize {
     (rows / MORSEL_TARGET_ROWS).clamp(threads, threads * MAX_MORSELS_PER_THREAD)
-}
-
-/// Runs `f(0..n)` on up to `threads` scoped threads, morsels claimed
-/// dynamically from a shared ticket counter; returns results in index
-/// order.
-fn scatter<T, F>(n: usize, threads: usize, f: F) -> Vec<T>
-where
-    T: Send,
-    F: Fn(usize) -> T + Sync,
-{
-    let threads = threads.min(n).max(1);
-    if threads <= 1 {
-        return (0..n).map(f).collect();
-    }
-    let slots: Mutex<Vec<Option<T>>> = Mutex::new((0..n).map(|_| None).collect());
-    let cursor = AtomicUsize::new(0);
-    std::thread::scope(|scope| {
-        for _ in 0..threads {
-            scope.spawn(|| loop {
-                // Morsel claim ticket: the counter is the only shared
-                // state and carries no data dependencies, so relaxed
-                // ordering is safe. xtask: allow(ordering)
-                let m = cursor.fetch_add(1, Ordering::Relaxed);
-                if m >= n {
-                    break;
-                }
-                let r = f(m);
-                slots.lock().unwrap_or_else(PoisonError::into_inner)[m] = Some(r);
-            });
-        }
-    });
-    slots
-        .into_inner()
-        .unwrap_or_else(PoisonError::into_inner)
-        .into_iter()
-        // The cursor hands out every index in 0..n exactly once and the
-        // scope joins all workers before this runs. xtask: allow(expect)
-        .map(|s| s.expect("every morsel ran"))
-        .collect()
 }
 
 /// Runs `f(0..n)` on up to `threads` scoped threads with work stealing:
@@ -309,22 +249,21 @@ pub struct ProbeOutcome {
     /// Morsels executed; 1 means the sequential path ran.
     pub morsels: u64,
     /// Morsels a thread claimed from another thread's deque (always 0
-    /// for the sequential and fixed-quota paths).
+    /// for the sequential path).
     pub steals: u64,
 }
 
 /// Runs `tj`, materializing the projection onto `head`, with up to
-/// `threads` morsel threads under `sched`. `atoms` must be the slice
+/// `threads` work-stealing morsel threads. `atoms` must be the slice
 /// `tj` was built over — the smallest atom whose first trie level is the
 /// first global variable donates its sorted level-0 keys as the split
 /// domain. Output is byte-identical to the sequential `tj.run` collect
-/// loop regardless of scheduler, thread count, or trie layout.
-pub fn tributary_probe_sched<A: ProbeAtom>(
+/// loop regardless of thread count or trie layout.
+pub fn tributary_probe<A: ProbeAtom>(
     tj: &Tributary<'_, A>,
     atoms: &[A],
     head: &[VarId],
     threads: usize,
-    sched: MorselSched,
 ) -> ProbeOutcome {
     let collect_range = |lo: Value, hi: Option<Value>| {
         let mut out = Relation::new(head.len());
@@ -354,22 +293,15 @@ pub fn tributary_probe_sched<A: ProbeAtom>(
     if threads <= 1 || split.split_rows() < MORSEL_MIN_ROWS {
         return collect_seq();
     }
-    let target = match sched {
-        MorselSched::FixedQuota => threads * MORSELS_PER_THREAD,
-        MorselSched::WorkStealing => adaptive_morsels(split.split_rows(), threads),
-    };
+    let target = adaptive_morsels(split.split_rows(), threads);
     let bounds = morsel_bounds_by(split.split_len(), |k| split.split_key(k), target);
     if bounds.len() <= 1 {
         return collect_seq();
     }
-    let run_morsel = |m: usize| {
+    let (parts, steals) = scatter_stealing(bounds.len(), threads, |m| {
         let (lo, hi) = bounds[m];
         collect_range(lo, hi)
-    };
-    let (parts, steals) = match sched {
-        MorselSched::FixedQuota => (scatter(bounds.len(), threads, run_morsel), 0),
-        MorselSched::WorkStealing => scatter_stealing(bounds.len(), threads, run_morsel),
-    };
+    });
     let mut it = parts.into_iter();
     // One part per morsel and at least one morsel always exists.
     // xtask: allow(expect)
@@ -382,16 +314,6 @@ pub fn tributary_probe_sched<A: ProbeAtom>(
         morsels: bounds.len() as u64,
         steals,
     }
-}
-
-/// [`tributary_probe_sched`] under the default work-stealing scheduler.
-pub fn tributary_probe<A: ProbeAtom>(
-    tj: &Tributary<'_, A>,
-    atoms: &[A],
-    head: &[VarId],
-    threads: usize,
-) -> ProbeOutcome {
-    tributary_probe_sched(tj, atoms, head, threads, MorselSched::WorkStealing)
 }
 
 /// [`crate::local::hash_join`] with up to `threads` work-stealing morsel
@@ -587,14 +509,6 @@ mod tests {
     }
 
     #[test]
-    fn scatter_preserves_index_order() {
-        let got = scatter(17, 4, |i| i * i);
-        assert_eq!(got, (0..17).map(|i| i * i).collect::<Vec<_>>());
-        assert_eq!(scatter(3, 1, |i| i), vec![0, 1, 2]);
-        assert!(scatter(0, 4, |i| i).is_empty());
-    }
-
-    #[test]
     fn scatter_stealing_preserves_index_order() {
         for threads in [1, 2, 3, 4, 7] {
             let (got, steals) = scatter_stealing(23, threads, |i| i * 3);
@@ -668,11 +582,9 @@ mod tests {
         assert_eq!(seq.morsels, 1);
         assert_eq!(seq.steals, 0);
         for threads in [2, 3, 4] {
-            for sched in [MorselSched::FixedQuota, MorselSched::WorkStealing] {
-                let par = tributary_probe_sched(&tj, &atoms, &head, threads, sched);
-                assert!(par.morsels > 1, "{threads} threads {sched:?} should split");
-                assert_eq!(par.rel.raw(), seq.rel.raw(), "{threads} threads {sched:?}");
-            }
+            let par = tributary_probe(&tj, &atoms, &head, threads);
+            assert!(par.morsels > 1, "{threads} threads should split");
+            assert_eq!(par.rel.raw(), seq.rel.raw(), "{threads} threads");
         }
     }
 

@@ -9,21 +9,58 @@
 //! worker (Table 2 charges the full 1,114,289 tuples for `R(x,y) ->h(y)`).
 //!
 //! Each shuffle is expressed as a [`Router`] closure (row → destination
-//! set) handed to the worker runtime. The `*_via` variants take an
-//! optional [`Runtime`]: with `None` they run the sequential Local loop
-//! (byte-for-byte the original simulator, zero bytes moved); with a
-//! runtime they stream encoded batches through its transport and the
-//! returned stats carry real `bytes_sent`/`bytes_received`. Row order of
-//! the output partitions is identical either way, so results are
-//! byte-identical across transports.
+//! set) run over the *hosted* partitions through a `Seam` — the one
+//! place where an in-process run and a mesh rank differ. `Local` is the
+//! sequential loop (byte-for-byte the original simulator, zero bytes
+//! moved), `Runtime` streams encoded batches between the `p` worker
+//! actors of this process, and `Mesh` is one exchange round of a
+//! multi-process [`HostMesh`] on which this process hosts a single
+//! rank. Row order of the output partitions is identical on all three,
+//! so results are byte-identical across transports and processes.
 
 use crate::dist::DistRel;
 use crate::error::EngineError;
 use parjoin_common::{hash, Relation, ShuffleStats};
 use parjoin_core::hypercube::HcConfig;
 use parjoin_query::VarId;
-use parjoin_runtime::{local_shuffle, Router, Runtime};
+use parjoin_runtime::exchange::{self, ExchangeOpts};
+use parjoin_runtime::{local_shuffle, BufPool, HostMesh, Router, Runtime, ShuffleOutcome};
 use std::sync::Arc;
+
+/// Where a shuffle's bytes go.
+pub(crate) enum Seam<'a> {
+    /// The sequential in-memory loop over all `p` hosted partitions.
+    Local,
+    /// The worker runtime's streaming transport between all `p` hosted
+    /// partitions.
+    Runtime(&'a Runtime),
+    /// One exchange round per shuffle on a multi-process mesh; this
+    /// process hosts only its own rank's partition.
+    Mesh {
+        /// The joined mesh (rank, address book, counters).
+        mesh: &'a HostMesh,
+        /// Frame buffers recycled across the plan's rounds.
+        pool: Arc<BufPool>,
+        /// Batch size and framing of the exchange.
+        opts: ExchangeOpts,
+    },
+}
+
+impl<'a> From<Option<&'a Runtime>> for Seam<'a> {
+    fn from(rt: Option<&'a Runtime>) -> Self {
+        rt.map_or(Seam::Local, Seam::Runtime)
+    }
+}
+
+impl Seam<'_> {
+    /// Global rank of hosted partition 0 (errors name global ranks).
+    pub(crate) fn first_rank(&self) -> usize {
+        match self {
+            Seam::Local | Seam::Runtime(_) => 0,
+            Seam::Mesh { mesh, .. } => mesh.rank(),
+        }
+    }
+}
 
 /// Derives a deterministic seed for hashing on a specific variable set,
 /// so that the two sides of a join partition identically.
@@ -33,26 +70,55 @@ pub fn join_key_seed(base: u64, on: &[VarId]) -> u64 {
     hash::key_seed(base, &sorted)
 }
 
-/// Runs `router` over `input` — sequentially when `rt` is `None`
-/// (the Local path), through the runtime's transport otherwise — and
+/// Runs `router` over `input`'s hosted partitions through `seam` and
 /// packages the outcome as the engine's types.
-fn run_router(
+pub(crate) fn run_router(
     input: &DistRel,
     router: Router,
     label: impl Into<String>,
-    rt: Option<&Runtime>,
+    seam: &Seam<'_>,
 ) -> Result<(DistRel, ShuffleStats), EngineError> {
-    let outcome = match rt {
-        None => local_shuffle(&input.parts, &router),
-        Some(rt) => rt.shuffle(input.parts.clone(), router)?,
+    let outcome = match seam {
+        Seam::Local => local_shuffle(&input.parts, &router),
+        Seam::Runtime(rt) => rt.shuffle(input.parts.clone(), router)?,
+        Seam::Mesh { mesh, pool, opts } => {
+            let [part] = input.parts.as_slice() else {
+                return Err(EngineError::Unsupported(format!(
+                    "a mesh rank hosts one partition per relation, got {}",
+                    input.parts.len()
+                )));
+            };
+            // A fresh endpoint per round: the mesh's round-sync contract
+            // guarantees rounds never interleave, and the per-source
+            // ascending drain reproduces the Local loop's row order.
+            let endpoint = mesh.endpoint(pool)?;
+            let w = exchange::run_worker(
+                mesh.rank(),
+                part,
+                mesh.workers(),
+                *opts,
+                endpoint,
+                &router,
+                &mesh.obs,
+                pool,
+            )?;
+            ShuffleOutcome {
+                per_producer: vec![w.sent_tuples],
+                per_consumer: vec![w.received.len() as u64],
+                bytes_sent: w.bytes_sent,
+                bytes_sent_raw: w.bytes_sent_raw,
+                bytes_received: w.bytes_received,
+                parts: vec![w.received],
+            }
+        }
     };
     let stats = ShuffleStats::new(label, outcome.per_producer, outcome.per_consumer)
         .with_bytes(outcome.bytes_sent, outcome.bytes_received)
         .with_raw_bytes(outcome.bytes_sent_raw);
     let mut parts = outcome.parts;
-    // An all-empty input gives the runtime no partition to read the
-    // arity from; restore the schema arity so downstream joins see the
-    // right column count.
+    // An all-empty input (or, on a mesh rank, nothing received) leaves
+    // no partition to read the arity from; restore the schema arity so
+    // downstream joins see the right column count.
     let arity = input.vars.len();
     for p in &mut parts {
         if p.is_empty() && p.arity() != arity {
@@ -84,9 +150,7 @@ fn regular_router(cols: Vec<usize>, seed: u64, workers: usize) -> Router {
 }
 
 /// Builds the regular-shuffle [`Router`] for a relation with schema
-/// `vars`, keyed on `on`. This is the exact router `regular_via` hands
-/// the runtime, factored out so a remote worker executing a shipped
-/// fragment routes rows identically to the local simulator.
+/// `vars`, keyed on `on`, over `workers` destination ranks.
 pub(crate) fn regular_router_for(
     vars: &[VarId],
     on: &[VarId],
@@ -115,8 +179,7 @@ pub(crate) fn broadcast_router(workers: usize) -> Router {
 }
 
 /// Builds the HyperCube [`Router`] for a relation with schema `vars`
-/// under `config`. Shared by `hypercube_via` and remote fragment
-/// execution so both hash coordinates with the same per-dimension seeds.
+/// under `config`.
 pub(crate) fn hypercube_router_for(vars: &[VarId], config: &HcConfig, base_seed: u64) -> Router {
     let k = config.dims().len();
     // Per-dimension hash seeds (independent h_i per variable).
@@ -159,28 +222,15 @@ pub fn regular_via(
         input,
         regular_router_for(&input.vars, on, base_seed, workers),
         label,
-        rt,
+        &Seam::from(rt),
     )
 }
 
 /// Broadcast shuffle: every worker receives the full relation.
 pub fn broadcast(input: &DistRel, label: impl Into<String>) -> (DistRel, ShuffleStats) {
-    // With no transport (`None`) the in-memory path has no error
-    // source. xtask: allow(expect)
-    broadcast_via(input, label, None).expect("local shuffle cannot fail")
-}
-
-/// [`broadcast`], executed on `rt`'s transport when one is given.
-///
-/// # Errors
-/// [`EngineError::Transport`] if the runtime's exchange fails.
-pub fn broadcast_via(
-    input: &DistRel,
-    label: impl Into<String>,
-    rt: Option<&Runtime>,
-) -> Result<(DistRel, ShuffleStats), EngineError> {
-    let workers = input.workers();
-    run_router(input, broadcast_router(workers), label, rt)
+    let router = broadcast_router(input.workers());
+    // The in-memory seam has no error source. xtask: allow(expect)
+    run_router(input, router, label, &Seam::Local).expect("local shuffle cannot fail")
 }
 
 /// HyperCube shuffle: each tuple is sent to every cell of the hypercube
@@ -197,9 +247,15 @@ pub fn hypercube(
     label: impl Into<String>,
     base_seed: u64,
 ) -> (DistRel, ShuffleStats) {
-    // With no transport (`None`) the in-memory path has no error
-    // source. xtask: allow(expect)
-    hypercube_via(input, config, label, base_seed, None).expect("local shuffle cannot fail")
+    let workers = input.workers();
+    assert!(
+        config.num_cells() <= workers,
+        "configuration has {} cells but only {workers} workers",
+        config.num_cells()
+    );
+    let router = hypercube_router_for(&input.vars, config, base_seed);
+    // The in-memory seam has no error source. xtask: allow(expect)
+    run_router(input, router, label, &Seam::Local).expect("local shuffle cannot fail")
 }
 
 /// The [`Router`] of the HyperCube shuffle: hash the pinned dimensions,
@@ -232,34 +288,6 @@ fn hypercube_router(config: HcConfig, pinned: Vec<Option<usize>>, seeds: Vec<u64
             }
         }
     })
-}
-
-/// [`hypercube`], executed on `rt`'s transport when one is given.
-///
-/// # Errors
-/// [`EngineError::Transport`] if the runtime's exchange fails.
-///
-/// # Panics
-/// Panics if the input has more workers than the configuration has cells.
-pub fn hypercube_via(
-    input: &DistRel,
-    config: &HcConfig,
-    label: impl Into<String>,
-    base_seed: u64,
-    rt: Option<&Runtime>,
-) -> Result<(DistRel, ShuffleStats), EngineError> {
-    let workers = input.workers();
-    assert!(
-        config.num_cells() <= workers,
-        "configuration has {} cells but only {workers} workers",
-        config.num_cells()
-    );
-    run_router(
-        input,
-        hypercube_router_for(&input.vars, config, base_seed),
-        label,
-        rt,
-    )
 }
 
 /// Heavy-hitter-resilient co-shuffle of a join pair (the paper's

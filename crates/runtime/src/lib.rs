@@ -16,7 +16,7 @@
 //!   worker threads; full streaming protocol, backpressure from the
 //!   channel bound.
 //! * [`TransportKind::Tcp`] — length-prefixed frames over loopback
-//!   sockets (`transport-tcp` feature).
+//!   sockets.
 //!
 //! Shuffles stream fixed-size batches (`batch_tuples` rows each) in the
 //! compact [`parjoin_common::wire`] encoding, so byte tallies are real
@@ -33,14 +33,12 @@ pub mod error;
 pub mod exchange;
 pub mod metrics;
 pub mod pool;
-#[cfg(feature = "transport-tcp")]
 pub mod tcp;
 pub mod transport;
 
 pub use error::RuntimeError;
 pub use metrics::RuntimeObs;
 pub use pool::BufPool;
-#[cfg(feature = "transport-tcp")]
 pub use tcp::{HandshakeConfig, HostMesh};
 pub use transport::TransportKind;
 
@@ -190,10 +188,8 @@ impl Runtime {
     /// Spawns `config.workers` actor threads.
     ///
     /// # Errors
-    /// [`RuntimeError::Config`] on zero workers or zero `batch_tuples`,
-    /// and when [`TransportKind::Tcp`] is requested without the
-    /// `transport-tcp` feature; [`RuntimeError::Io`] if thread spawning
-    /// fails.
+    /// [`RuntimeError::Config`] on zero workers or zero `batch_tuples`;
+    /// [`RuntimeError::Io`] if thread spawning fails.
     pub fn new(config: RuntimeConfig) -> Result<Self, RuntimeError> {
         if config.workers == 0 {
             return Err(RuntimeError::Config(
@@ -203,12 +199,6 @@ impl Runtime {
         if config.batch_tuples == 0 {
             return Err(RuntimeError::Config(
                 "batch_tuples must be at least 1 (a zero-row batch can never flush)".into(),
-            ));
-        }
-        #[cfg(not(feature = "transport-tcp"))]
-        if config.transport == TransportKind::Tcp {
-            return Err(RuntimeError::Config(
-                "TransportKind::Tcp requires the `transport-tcp` cargo feature".into(),
             ));
         }
         let mut workers = Vec::with_capacity(config.workers);
@@ -306,7 +296,6 @@ impl Runtime {
             TransportKind::InProcess => {
                 self.streaming_shuffle(parts, &router, &transport::InProcess)
             }
-            #[cfg(feature = "transport-tcp")]
             TransportKind::Tcp => {
                 let transport = tcp::Tcp::with_obs(self.config.obs.clone())
                     .with_frame_limit(self.config.max_frame_bytes)
@@ -318,10 +307,6 @@ impl Runtime {
                     });
                 self.streaming_shuffle(parts, &router, &transport)
             }
-            #[cfg(not(feature = "transport-tcp"))]
-            TransportKind::Tcp => Err(RuntimeError::Config(
-                "TransportKind::Tcp requires the `transport-tcp` cargo feature".into(),
-            )),
         }
     }
 

@@ -1,4 +1,4 @@
-//! Loopback TCP transport (`transport-tcp` feature).
+//! Loopback TCP transport.
 //!
 //! Wire protocol per connection, after a 4-byte little-endian *hello*
 //! carrying the sender's worker id:

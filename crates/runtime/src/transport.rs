@@ -61,8 +61,6 @@ pub enum TransportKind {
     /// never copied. Backpressure comes from the channel bound.
     InProcess,
     /// Length-prefixed framed batches over loopback TCP sockets.
-    /// Requires the `transport-tcp` cargo feature; selecting it in a
-    /// build without the feature yields a [`RuntimeError::Config`].
     Tcp,
 }
 

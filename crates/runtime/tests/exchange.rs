@@ -63,12 +63,8 @@ fn assert_same_shuffle(a: &ShuffleOutcome, b: &ShuffleOutcome) {
     assert_eq!(a.per_consumer, b.per_consumer);
 }
 
-fn streaming_kinds() -> Vec<TransportKind> {
-    let mut kinds = vec![TransportKind::InProcess];
-    if cfg!(feature = "transport-tcp") {
-        kinds.push(TransportKind::Tcp);
-    }
-    kinds
+fn streaming_kinds() -> [TransportKind; 2] {
+    [TransportKind::InProcess, TransportKind::Tcp]
 }
 
 #[test]
@@ -116,9 +112,6 @@ fn streaming_matches_local_broadcast() {
 fn in_process_and_tcp_report_identical_bytes() {
     // Byte tallies count encoded payload only (no transport framing), so
     // the two streaming transports must agree to the byte.
-    if !cfg!(feature = "transport-tcp") {
-        return;
-    }
     let workers = 4;
     let parts = make_parts(workers, 2, 777, 9);
     let router = hash_router(workers, 3);
@@ -396,12 +389,5 @@ fn partition_count_mismatch_is_rejected() {
     let rt = Runtime::new(config(TransportKind::Local, 3, 16)).expect("runtime");
     let router = hash_router(3, 1);
     let err = rt.shuffle(vec![Relation::new(1); 2], router);
-    assert!(matches!(err, Err(parjoin_runtime::RuntimeError::Config(_))));
-}
-
-#[cfg(not(feature = "transport-tcp"))]
-#[test]
-fn tcp_without_feature_is_a_config_error() {
-    let err = Runtime::new(config(TransportKind::Tcp, 2, 16));
     assert!(matches!(err, Err(parjoin_runtime::RuntimeError::Config(_))));
 }

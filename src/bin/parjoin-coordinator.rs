@@ -1,9 +1,10 @@
 //! `parjoin-coordinator` — plan paper queries, ship per-rank fragments
 //! to a mesh of `parjoin-worker` processes, collect and check results.
 //!
-//! The coordinator owns every global plan decision (join order, shares,
-//! variable orders, seeds); workers only execute the fragment they are
-//! shipped. With `--check-local` each remote run is re-executed on the
+//! The coordinator makes every global plan decision (join order, shares,
+//! variable orders, seeds) with the planner `run_config` uses; each
+//! worker runs the engine's one executor over the fragment it is
+//! shipped, its shuffles going over the TCP mesh. With `--check-local` each remote run is re-executed on the
 //! in-process `Transport::Local` engine with the same cluster shape and
 //! the collected outputs are compared byte-for-byte — the multi-process
 //! path must be indistinguishable from the sequential one.

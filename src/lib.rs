@@ -19,7 +19,7 @@
 //!   shuffle×join plan configurations and the §3.6 semijoin plans;
 //! * [`runtime`] — the message-passing worker runtime the engine's
 //!   shuffles execute on, with pluggable transports (in-memory,
-//!   in-process channels, loopback TCP behind `transport-tcp`);
+//!   in-process channels, loopback TCP);
 //! * [`datagen`] — seeded Twitter-like and Freebase-like datasets and the
 //!   Q1–Q8 workloads;
 //! * [`lp`] — the small simplex solver behind the fractional share LP.
@@ -65,8 +65,8 @@ pub mod prelude {
     };
     pub use parjoin_datagen::{all_queries, DatasetKind, QuerySpec, Scale};
     pub use parjoin_engine::{
-        metric_names, run_config, Cluster, EngineError, JoinAlg, MorselSched, PlanOptions,
-        RunResult, ShuffleAlg, TransportKind, TrieCache, TrieLayout,
+        metric_names, run_config, Cluster, EngineError, JoinAlg, PlanOptions, RunResult,
+        ShuffleAlg, TransportKind, TrieCache, TrieLayout,
     };
     pub use parjoin_query::{ConjunctiveQuery, QueryBuilder, VarId};
     pub use parjoin_serve::{Server, ServerConfig, SessionConfig};

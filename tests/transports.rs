@@ -1,7 +1,7 @@
 //! Cross-transport correctness: every shuffle×join configuration on
 //! every paper query produces byte-identical output whether shuffles run
 //! on the sequential Local path, the InProcess streaming transport, or
-//! (behind `transport-tcp`) loopback TCP — and the streaming transports
+//! loopback TCP — and the streaming transports
 //! report real byte tallies with unchanged tuple counts.
 //!
 //! Byte-identical means exactly that: the collected output's backing
@@ -12,12 +12,12 @@
 
 use parjoin::prelude::*;
 
-fn transports() -> Vec<TransportKind> {
-    let mut t = vec![TransportKind::Local, TransportKind::InProcess];
-    if cfg!(feature = "transport-tcp") {
-        t.push(TransportKind::Tcp);
-    }
-    t
+fn transports() -> [TransportKind; 3] {
+    [
+        TransportKind::Local,
+        TransportKind::InProcess,
+        TransportKind::Tcp,
+    ]
 }
 
 fn all_configs() -> Vec<(ShuffleAlg, JoinAlg)> {
@@ -120,14 +120,12 @@ fn check_stats(spec: &QuerySpec) {
             }
         }
         // InProcess and Tcp count identical bytes.
-        if runs.len() > 2 {
-            for (a, b) in runs[1].shuffles.iter().zip(&runs[2].shuffles) {
-                assert_eq!(
-                    a.bytes_sent, b.bytes_sent,
-                    "{}: InProcess and Tcp disagree on {}",
-                    spec.name, a.label
-                );
-            }
+        for (a, b) in runs[1].shuffles.iter().zip(&runs[2].shuffles) {
+            assert_eq!(
+                a.bytes_sent, b.bytes_sent,
+                "{}: InProcess and Tcp disagree on {}",
+                spec.name, a.label
+            );
         }
     }
 }

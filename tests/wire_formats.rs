@@ -14,12 +14,8 @@
 
 use parjoin::prelude::*;
 
-fn streaming_transports() -> Vec<TransportKind> {
-    let mut t = vec![TransportKind::InProcess];
-    if cfg!(feature = "transport-tcp") {
-        t.push(TransportKind::Tcp);
-    }
-    t
+fn streaming_transports() -> [TransportKind; 2] {
+    [TransportKind::InProcess, TransportKind::Tcp]
 }
 
 fn all_configs() -> Vec<(ShuffleAlg, JoinAlg)> {
