@@ -2,7 +2,7 @@
 //! per relation) and enumerating all k! variable orders (per query).
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use parjoin_core::order::{best_order, AtomStats, OrderCostModel};
+use parjoin_core::order::{best_order, OrderCostModel, RelStats};
 use parjoin_datagen::graph;
 use parjoin_query::VarId;
 
@@ -14,8 +14,8 @@ fn bench_stats(c: &mut Criterion) {
     let mut group = c.benchmark_group("cost_model");
     for &nodes in &[2_000u64, 10_000] {
         let g = graph::twitter_graph(nodes, 5, 9);
-        group.bench_with_input(BenchmarkId::new("atom_stats", g.len()), &g, |b, g| {
-            b.iter(|| AtomStats::compute(g));
+        group.bench_with_input(BenchmarkId::new("rel_stats", g.len()), &g, |b, g| {
+            b.iter(|| RelStats::compute(g));
         });
     }
 

@@ -1,11 +1,12 @@
 //! The Tributary-join cost model (paper §5.1, Eq. 3–4).
 
-use super::stats::AtomStats;
+use super::stats::RelStats;
 use parjoin_common::Relation;
 use parjoin_query::VarId;
+use std::sync::Arc;
 
-/// A cost model instance: per-atom variable lists plus cached
-/// distinct-projection statistics.
+/// A cost model instance: per-atom variable lists plus each atom's
+/// relation statistics.
 ///
 /// ```
 /// use parjoin_common::Relation;
@@ -21,20 +22,42 @@ use parjoin_query::VarId;
 /// assert!(cost.is_finite() && cost > 0.0);
 /// ```
 pub struct OrderCostModel {
-    atoms: Vec<(Vec<VarId>, AtomStats)>,
+    atoms: Vec<(Vec<VarId>, Arc<RelStats>)>,
 }
 
 impl OrderCostModel {
     /// Builds the model from variables-only atoms (e.g. the output of
-    /// selection pushdown). Statistics are computed eagerly, once.
+    /// selection pushdown), analysing every relation on the spot. A
+    /// caller that already holds the statistics uses
+    /// [`OrderCostModel::from_stats`].
+    ///
+    /// # Panics
+    /// As [`OrderCostModel::from_stats`].
     pub fn from_atoms(atoms: &[(&Relation, Vec<VarId>)]) -> Self {
-        let atoms = atoms
-            .iter()
-            .map(|(rel, vars)| {
-                assert_eq!(rel.arity(), vars.len(), "one variable per column");
-                ((*vars).clone(), AtomStats::compute(rel))
-            })
-            .collect();
+        Self::from_stats(
+            atoms
+                .iter()
+                .map(|(rel, vars)| (vars.clone(), Arc::new(RelStats::compute(rel))))
+                .collect(),
+        )
+    }
+
+    /// Builds the model from precomputed statistics, one
+    /// `(variables, statistics)` pair per atom: no relation is read.
+    ///
+    /// # Panics
+    /// Panics if an atom's variable count differs from its relation's
+    /// arity, or its statistics carry no subset table
+    /// ([`RelStats::has_subsets`]) — the model is defined by it.
+    pub fn from_stats(atoms: Vec<(Vec<VarId>, Arc<RelStats>)>) -> Self {
+        for (vars, stats) in &atoms {
+            assert_eq!(stats.arity(), vars.len(), "one variable per column");
+            assert!(
+                stats.has_subsets(),
+                "cost model limited to arity {}",
+                super::stats::MAX_SUBSET_ARITY
+            );
+        }
         OrderCostModel { atoms }
     }
 

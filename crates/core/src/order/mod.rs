@@ -10,29 +10,40 @@
 //!
 //! The required statistics — the number of distinct *prefix* values
 //! `V(Rⱼ, p)` — depend only on the projected column **set**, not the
-//! order, so [`AtomStats`] caches all `2^arity` projection counts once per
-//! atom; evaluating one candidate order is then `O(k · atoms)` arithmetic,
-//! which makes exhaustive enumeration over `k!` orders cheap where the
-//! paper sampled 20 random orders.
+//! order, so [`RelStats`] holds all `2^arity` projection counts of a
+//! relation (beside the per-column statistics the join-order and
+//! advisor cost models read); evaluating one candidate order is then
+//! `O(k · atoms)` arithmetic, which makes exhaustive enumeration over
+//! `k!` orders cheap where the paper sampled 20 random orders.
 
 mod cost;
 mod stats;
 
 pub use cost::OrderCostModel;
-pub use stats::AtomStats;
+pub use stats::{ColumnStats, RelStats, MAX_SUBSET_ARITY};
 
 use parjoin_query::VarId;
 
-/// Exhaustively finds the order with the least estimated cost.
-///
-/// # Panics
-/// Panics if `vars.len() > 10` (10! ≈ 3.6 M orders is the sensible limit;
-/// use [`OrderCostModel::best_sampled`] beyond that).
+/// Most variables [`best_order`] enumerates exhaustively (10! ≈ 3.6 M
+/// orders is the sensible limit).
+pub const EXHAUSTIVE_MAX_VARS: usize = 10;
+
+/// Orders sampled beyond [`EXHAUSTIVE_MAX_VARS`] — the paper's Figure 12
+/// protocol.
+pub const SAMPLED_ORDERS: usize = 20;
+
+/// [`best_order_seeded`] with seed 0.
 pub fn best_order(model: &OrderCostModel, vars: &[VarId]) -> (Vec<VarId>, f64) {
-    assert!(
-        vars.len() <= 10,
-        "exhaustive order search limited to 10 variables"
-    );
+    best_order_seeded(model, vars, 0)
+}
+
+/// Finds the order with the least estimated cost: exhaustively up to
+/// [`EXHAUSTIVE_MAX_VARS`] variables, and above that as the best of
+/// [`SAMPLED_ORDERS`] orders [`sample_orders`] draws from `seed`.
+pub fn best_order_seeded(model: &OrderCostModel, vars: &[VarId], seed: u64) -> (Vec<VarId>, f64) {
+    if vars.len() > EXHAUSTIVE_MAX_VARS {
+        return model.best_sampled(&sample_orders(vars, SAMPLED_ORDERS, seed));
+    }
     let mut best: Option<(Vec<VarId>, f64)> = None;
     let mut perm = vars.to_vec();
     permute(&mut perm, 0, &mut |order| {
@@ -117,6 +128,24 @@ mod tests {
             s.sort();
             assert_eq!(s, vs(5));
         }
+    }
+
+    #[test]
+    fn wide_queries_fall_back_to_sampling() {
+        // An 11-variable path: exhaustive search would walk 11! orders.
+        let edge = parjoin_common::Relation::from_rows(2, [[1u64, 2], [2, 3], [3, 1]].iter());
+        let atoms: Vec<_> = (0..10)
+            .map(|i| (&edge, vec![VarId(i), VarId(i + 1)]))
+            .collect();
+        let model = OrderCostModel::from_atoms(&atoms);
+        let (order, cost) = best_order_seeded(&model, &vs(11), 7);
+        let sampled = sample_orders(&vs(11), SAMPLED_ORDERS, 7);
+        assert!(sampled.contains(&order));
+        assert!(sampled.iter().all(|o| cost <= model.cost(o)));
+        assert_eq!(
+            best_order(&model, &vs(11)),
+            best_order_seeded(&model, &vs(11), 0)
+        );
     }
 
     #[test]

@@ -1,11 +1,11 @@
 //! Property tests: Tributary join vs a naive evaluator; trie-layout
 //! parity (row arrays vs B-trees vs the columnar level-segmented trie);
 //! Algorithm 1 optimality within the integral frontier; cost-model
-//! sanity.
+//! sanity; `RelStats` vs brute-force counting.
 
 use parjoin_common::{Relation, Value};
 use parjoin_core::hypercube::{HcConfig, ShareProblem};
-use parjoin_core::order::OrderCostModel;
+use parjoin_core::order::{OrderCostModel, RelStats};
 use parjoin_core::tributary::{
     lower_bound_gallop, BTreeAtom, ColumnarAtom, SortedAtom, Tributary, TrieAtom, TrieCursor,
     TrieIter,
@@ -22,6 +22,66 @@ fn arb_edges(max_node: u64, max_edges: usize) -> impl Strategy<Value = Relation>
         let rel = Relation::from_rows(2, rows.iter().map(|&(a, b)| [a, b]).collect::<Vec<_>>());
         rel.distinct() // set semantics, as documented
     })
+}
+
+/// Bag relations of arity 0–3 over a five-value domain that includes
+/// `u64::MAX`: empty, all-duplicate and heavily repeated inputs are all
+/// likely.
+fn arb_bag() -> impl Strategy<Value = Relation> {
+    let rows = proptest::collection::vec(proptest::collection::vec(0u64..5, 3), 0..=24);
+    (0usize..=3, rows).prop_map(|(arity, rows)| {
+        let mut rel = Relation::new(arity);
+        for row in rows {
+            let row: Vec<Value> = row[..arity]
+                .iter()
+                .map(|&v| if v == 4 { u64::MAX } else { v })
+                .collect();
+            rel.push_row(&row);
+        }
+        rel
+    })
+}
+
+/// `RelStats` against the definitions, counted the slow way.
+fn assert_stats_match_brute_force(rel: &Relation) {
+    let stats = RelStats::compute(rel);
+    assert_eq!(stats.arity(), rel.arity());
+    assert_eq!(stats.cardinality(), rel.len() as u64);
+    assert_eq!(stats.distinct(0), 1);
+    for mask in 1u32..(1 << rel.arity()) {
+        let cols: Vec<usize> = (0..rel.arity()).filter(|&c| mask & (1 << c) != 0).collect();
+        assert_eq!(
+            stats.distinct(mask),
+            rel.project(&cols).distinct().len() as u64,
+            "V(R, {cols:?}) of {rel:?}"
+        );
+    }
+    for (c, col) in stats.columns().iter().enumerate() {
+        let values: Vec<Value> = rel.rows().map(|r| r[c]).collect();
+        let top = values
+            .iter()
+            .map(|v| values.iter().filter(|w| *w == v).count())
+            .max()
+            .unwrap_or(0);
+        assert_eq!(col.top_freq, top as u64, "column {c} of {rel:?}");
+        assert_eq!(col.distinct, stats.distinct(1 << c));
+    }
+}
+
+#[test]
+fn rel_stats_edge_cases_match_brute_force() {
+    let mut nullary = Relation::new(0);
+    nullary.push_nullary_rows(3);
+    for rel in [
+        Relation::new(0),
+        nullary,
+        Relation::new(3),
+        Relation::from_rows(1, [[7u64]; 5].iter()),
+        Relation::from_rows(3, [[u64::MAX, 0, u64::MAX]; 4].iter()),
+        Relation::from_rows(2, [[u64::MAX, 1], [0, 1], [u64::MAX, 2]].iter()),
+    ] {
+        assert_stats_match_brute_force(&rel);
+    }
 }
 
 /// Naive nested-loop join over variables-only binary atoms.
@@ -308,6 +368,11 @@ proptest! {
                 );
             }
         }
+    }
+
+    #[test]
+    fn rel_stats_match_brute_force(rel in arb_bag()) {
+        assert_stats_match_brute_force(&rel);
     }
 
     #[test]

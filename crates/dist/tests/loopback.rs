@@ -6,7 +6,11 @@
 //! reconcile exactly.
 
 use parjoin_dist::{RemoteCluster, WorkerServer};
-use parjoin_engine::{run_config, Cluster, JoinAlg, PlanOptions, ShuffleAlg, SortCache, TrieCache};
+use parjoin_engine::statscache::Lookup;
+use parjoin_engine::{
+    run_config, Cluster, JoinAlg, PlanOptions, ShuffleAlg, SortCache, StatsCache, TrieCache,
+};
+use std::sync::Arc;
 use std::time::Duration;
 
 fn all_configs() -> Vec<(ShuffleAlg, JoinAlg)> {
@@ -145,6 +149,62 @@ fn second_run_on_a_session_hits_the_prepare_caches() {
         second.output.raw(),
         "warm mesh run drifted"
     );
+
+    remote.shutdown().expect("shutdown");
+    for h in handles {
+        h.join().expect("worker thread").expect("worker serve");
+    }
+}
+
+/// The coordinator plans through the engine's one planner, so it reads
+/// relation statistics from the process-wide StatsCache: the first
+/// query of a session analyses the relation, the second is planned from
+/// the very same entry and computes nothing. (The counters are shared
+/// with the tests running beside this one, so the entry itself is the
+/// witness: a miss on resident content is impossible, and a recomputed
+/// entry would be another allocation.)
+#[test]
+fn second_query_of_a_session_plans_from_cached_statistics() {
+    let spec = parjoin_datagen::workloads::q1();
+    // A generator seed no other test here uses: this content's cache
+    // entry is this test's alone.
+    let db = parjoin_datagen::workloads::Scale::tiny().db_for(spec.dataset, 2312);
+    let (_, rel) = db.iter().next().expect("Q1 reads one relation");
+    let cluster = Cluster::new(4).with_seed(11).with_batch_tuples(512);
+    let (s, j) = (ShuffleAlg::HyperCube, JoinAlg::Tributary);
+    let opts = PlanOptions {
+        collect_output: true,
+        ..Default::default()
+    };
+
+    let (addrs, handles) = spawn_workers(4);
+    let mut remote = RemoteCluster::connect(&addrs, Duration::from_secs(20)).expect("connect");
+    remote.reply_timeout = Some(Duration::from_secs(60));
+
+    let first = remote
+        .run(&spec.query, &db, &cluster, s, j, &opts)
+        .expect("first remote run");
+    let (analysed, lookup) = StatsCache::global().get_or_compute(rel);
+    assert_eq!(
+        lookup,
+        Lookup::Hit,
+        "the first query must leave the relation's statistics behind"
+    );
+    let hits = StatsCache::global().stats().hits;
+    let second = remote
+        .run(&spec.query, &db, &cluster, s, j, &opts)
+        .expect("second remote run");
+    assert!(
+        StatsCache::global().stats().hits > hits,
+        "the second query's plan did not read the StatsCache"
+    );
+    let (again, lookup) = StatsCache::global().get_or_compute(rel);
+    assert_eq!(lookup, Lookup::Hit);
+    assert!(
+        Arc::ptr_eq(&analysed, &again),
+        "the second query analysed the relation again"
+    );
+    assert_eq!(first.output.raw(), second.output.raw());
 
     remote.shutdown().expect("shutdown");
     for h in handles {

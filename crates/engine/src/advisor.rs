@@ -8,7 +8,8 @@
 //! module turns that analysis into an optimizer: it estimates, per
 //! configuration, the network volume and the busiest worker's load from
 //! the same statistics the share optimizer and the §5 cost model already
-//! use, and picks the cheapest plan.
+//! use — each relation's cached [`RelStats`] — and picks the cheapest
+//! plan.
 //!
 //! Estimates (all in tuples):
 //!
@@ -25,9 +26,11 @@
 
 use crate::cluster::Cluster;
 use crate::plans::{JoinAlg, ShuffleAlg};
+use crate::statscache;
 use parjoin_analyze::{self as analyze, Diagnostic};
-use parjoin_common::{Database, Relation};
+use parjoin_common::Database;
 use parjoin_core::hypercube::{AtomShape, HcConfig, ShareProblem};
+use parjoin_core::order::RelStats;
 use parjoin_query::{resolve_atoms, ConjunctiveQuery, VarId};
 
 /// The advisor's verdict: a configuration plus its cost estimates.
@@ -71,35 +74,15 @@ struct AtomInfo {
     top_freq: Vec<f64>,
 }
 
-fn atom_info(rel: &Relation, vars: &[VarId]) -> AtomInfo {
-    let mut distinct = Vec::with_capacity(vars.len());
-    let mut top_freq = Vec::with_capacity(vars.len());
-    for c in 0..rel.arity() {
-        let col = rel.project(&[c]);
-        let mut sorted = col.clone();
-        sorted.sort_lex();
-        let mut best = 0u64;
-        let mut run = 0u64;
-        let mut prev: Option<u64> = None;
-        let mut d = 0u64;
-        for row in sorted.rows() {
-            if prev == Some(row[0]) {
-                run += 1;
-            } else {
-                d += 1;
-                run = 1;
-                prev = Some(row[0]);
-            }
-            best = best.max(run);
+impl AtomInfo {
+    fn new(vars: &[VarId], stats: &RelStats) -> AtomInfo {
+        let columns = stats.columns();
+        AtomInfo {
+            vars: vars.to_vec(),
+            card: stats.cardinality() as f64,
+            distinct: columns.iter().map(|c| c.distinct.max(1) as f64).collect(),
+            top_freq: columns.iter().map(|c| c.top_freq as f64).collect(),
         }
-        distinct.push(d.max(1) as f64);
-        top_freq.push(best as f64);
-    }
-    AtomInfo {
-        vars: vars.to_vec(),
-        card: rel.len() as f64,
-        distinct,
-        top_freq,
     }
 }
 
@@ -234,15 +217,20 @@ fn estimate_hc(query: &ConjunctiveQuery, atoms: &[AtomInfo], workers: usize) -> 
 pub fn advise(query: &ConjunctiveQuery, db: &Database, cluster: &Cluster) -> Advice {
     // Documented API contract (see `# Panics`). xtask: allow(expect)
     let (resolved, _) = resolve_atoms(query, db).expect("query resolves against catalog");
+    let stats = statscache::query_stats(resolved.iter().map(|a| a.rel.as_ref())).stats;
     let infos: Vec<AtomInfo> = resolved
         .iter()
-        .map(|a| atom_info(a.rel.as_ref(), &a.vars))
+        .zip(&stats)
+        .map(|(a, s)| AtomInfo::new(&a.vars, s))
         .collect();
-    let workers = cluster.workers;
+    advise_from(query, &infos, cluster.workers)
+}
 
-    let rs = estimate_rs(&infos, workers);
-    let br = estimate_br(&infos, workers);
-    let hc = estimate_hc(query, &infos, workers);
+/// The verdict, as arithmetic over the atoms' statistics.
+fn advise_from(query: &ConjunctiveQuery, infos: &[AtomInfo], workers: usize) -> Advice {
+    let rs = estimate_rs(infos, workers);
+    let br = estimate_br(infos, workers);
+    let hc = estimate_hc(query, infos, workers);
     let estimates = [rs, br, hc];
 
     let algs = [
@@ -414,6 +402,67 @@ mod tests {
             "{:?}",
             advice.estimates
         );
+    }
+
+    /// Per-atom statistics as the advisor counted them from the tuples,
+    /// on every call, before it read the StatsCache.
+    fn atom_info_from_tuples(rel: &parjoin_common::Relation, vars: &[VarId]) -> AtomInfo {
+        let mut distinct = Vec::with_capacity(vars.len());
+        let mut top_freq = Vec::with_capacity(vars.len());
+        for c in 0..rel.arity() {
+            let mut sorted = rel.project(&[c]);
+            sorted.sort_lex();
+            let mut best = 0u64;
+            let mut run = 0u64;
+            let mut prev: Option<u64> = None;
+            let mut d = 0u64;
+            for row in sorted.rows() {
+                if prev == Some(row[0]) {
+                    run += 1;
+                } else {
+                    d += 1;
+                    run = 1;
+                    prev = Some(row[0]);
+                }
+                best = best.max(run);
+            }
+            distinct.push(d.max(1) as f64);
+            top_freq.push(best as f64);
+        }
+        AtomInfo {
+            vars: vars.to_vec(),
+            card: rel.len() as f64,
+            distinct,
+            top_freq,
+        }
+    }
+
+    #[test]
+    fn advice_from_cached_stats_is_the_advice_from_tuples() {
+        let bits = |a: &Advice| {
+            a.estimates
+                .map(|e| (e.network_tuples.to_bits(), e.max_worker_tuples.to_bits()))
+        };
+        for spec in parjoin_datagen::all_queries() {
+            let db = Scale::tiny().db_for(spec.dataset, 42);
+            let cluster = Cluster::new(16);
+            let (resolved, _) = resolve_atoms(&spec.query, &db).expect("resolves");
+            let infos: Vec<AtomInfo> = resolved
+                .iter()
+                .map(|a| atom_info_from_tuples(a.rel.as_ref(), &a.vars))
+                .collect();
+            let want = advise_from(&spec.query, &infos, cluster.workers);
+            // Twice: the first call may analyse, the second cannot.
+            for _ in 0..2 {
+                let got = advise(&spec.query, &db, &cluster);
+                assert_eq!(
+                    (got.shuffle, got.join, bits(&got)),
+                    (want.shuffle, want.join, bits(&want)),
+                    "{}",
+                    spec.name
+                );
+            }
+        }
     }
 
     #[test]

@@ -1,13 +1,13 @@
-//! Generic keyed LRU cache shared by [`SortCache`](crate::SortCache)
-//! and [`TrieCache`](crate::TrieCache).
+//! Generic keyed LRU cache shared by [`SortCache`](crate::SortCache),
+//! [`TrieCache`](crate::TrieCache) and [`StatsCache`](crate::StatsCache).
 //!
-//! Both caches implement the same policy — content-fingerprint keys,
+//! The caches implement the same policy — content-fingerprint keys,
 //! per-route certified entries, LRU eviction under a byte capacity,
 //! build-outside-the-lock, racing inserts keep the incumbent — over
-//! different payloads (sorted `Relation` views vs prepared
-//! `ColumnarTrie`s). [`KeyedCache`] is that policy once; the public
-//! cache types are thin wrappers choosing the payload and the build
-//! function.
+//! different payloads (sorted `Relation` views, prepared
+//! `ColumnarTrie`s, `RelStats` counts). [`KeyedCache`] is that policy
+//! once; the public cache types are thin wrappers choosing the payload
+//! and the build function.
 
 use std::collections::HashMap;
 use std::sync::{Arc, Mutex, PoisonError};
@@ -73,6 +73,12 @@ impl CachePayload for parjoin_common::Relation {
 impl CachePayload for parjoin_core::tributary::ColumnarTrie {
     fn approx_bytes(&self) -> usize {
         parjoin_core::tributary::ColumnarTrie::approx_bytes(self)
+    }
+}
+
+impl CachePayload for parjoin_core::order::RelStats {
+    fn approx_bytes(&self) -> usize {
+        parjoin_core::order::RelStats::approx_bytes(self)
     }
 }
 

@@ -716,6 +716,7 @@ pub fn execute_fragment(frag: &Fragment, mesh: &HostMesh) -> Result<RemoteOutcom
         probe_threads: frag.probe_threads as usize,
         diagnostics: Vec::new(),
         route_sigs: None,
+        stats_lookups: (0, 0),
         seeded: frag
             .atom_vars
             .iter()

@@ -66,6 +66,7 @@ pub mod probe;
 pub mod semijoin;
 pub mod shuffle;
 pub mod sortcache;
+pub mod statscache;
 #[cfg(feature = "strict-invariants")]
 mod strict;
 pub mod triecache;
@@ -82,4 +83,5 @@ pub use plans::{
     metric_names, run_config, JoinAlg, PlanOptions, PrepProbe, RunResult, ShuffleAlg, TrieLayout,
 };
 pub use sortcache::SortCache;
+pub use statscache::StatsCache;
 pub use triecache::TrieCache;

@@ -29,11 +29,12 @@ use crate::prepare;
 use crate::probe;
 use crate::shuffle::{self, Seam};
 use crate::sortcache::{Lookup, Provenance, SortCache};
+use crate::statscache::{self, QueryStats};
 use crate::triecache::TrieCache;
 use parjoin_analyze::{self as analyze, Diagnostic};
 use parjoin_common::{Relation, ShuffleStats};
 use parjoin_core::hypercube::{HcConfig, ShareProblem};
-use parjoin_core::order::{best_order, OrderCostModel};
+use parjoin_core::order::{best_order_seeded, OrderCostModel, RelStats, MAX_SUBSET_ARITY};
 use parjoin_core::tributary::{ColumnarAtom, ColumnarTrie, SortedAtom, Tributary};
 use parjoin_obs::{Registry, TraceSink, COORDINATOR_LANE};
 use parjoin_query::resolve::split_filters;
@@ -126,7 +127,8 @@ pub struct PlanOptions {
     /// HyperCube configuration override; `None` runs Algorithm 1.
     pub hc_config: Option<HcConfig>,
     /// Tributary global variable order; `None` runs the §5 cost-model
-    /// optimizer.
+    /// optimizer (exhaustive up to 10 variables, the best of 20 orders
+    /// sampled from [`Cluster::seed`] above).
     pub tj_order: Option<Vec<VarId>>,
     /// Materialize the (projected) output at the coordinator.
     pub collect_output: bool,
@@ -379,6 +381,11 @@ pub mod metric_names {
     pub const TRIE_CACHE_RESIDENT_BYTES: &str = "engine.triecache.resident_bytes";
     /// Mirror of [`RunResult::peak_worker_tuples`](super::RunResult).
     pub const PEAK_WORKER_TUPLES: &str = "engine.peak_worker_tuples";
+    /// Relation statistics this run's planner found in the process-wide
+    /// [`StatsCache`](crate::StatsCache).
+    pub const STATS_CACHE_HITS: &str = "engine.statscache.hits";
+    /// Relations this run's planner had to analyse.
+    pub const STATS_CACHE_MISSES: &str = "engine.statscache.misses";
 }
 
 /// Per-run observability state: one [`Registry`] and one [`TraceSink`],
@@ -764,18 +771,20 @@ fn scale_duration(d: Duration, times: u64) -> Duration {
 /// queries like Q3, where a selective `ObjectName` atom must be joined in
 /// as soon as its variable binds; fanout ordering pulls low-multiplicity
 /// extensions (and selections) forward, like the paper's Figure 5 plan.
+///
+/// The counts come from the process-wide [`StatsCache`](crate::StatsCache):
+/// a relation is analysed the first time its content is seen.
 pub fn greedy_join_order(atoms: &[(Vec<VarId>, &Relation)]) -> Vec<usize> {
-    let n = atoms.len();
-    // Distinct counts per (atom, column).
-    let distinct: Vec<Vec<f64>> = atoms
-        .iter()
-        .map(|(vars, rel)| {
-            (0..vars.len())
-                .map(|c| rel.project(&[c]).distinct().len().max(1) as f64)
-                .collect()
-        })
-        .collect();
-    let card = |i: usize| atoms[i].1.len() as f64;
+    let stats = statscache::query_stats(atoms.iter().map(|(_, rel)| *rel)).stats;
+    let atom_vars: Vec<Vec<VarId>> = atoms.iter().map(|(vars, _)| vars.clone()).collect();
+    greedy_order(&atom_vars, &stats)
+}
+
+/// [`greedy_join_order`] as arithmetic over statistics already at hand.
+fn greedy_order(atom_vars: &[Vec<VarId>], stats: &[Arc<RelStats>]) -> Vec<usize> {
+    let n = atom_vars.len();
+    let distinct = |i: usize, c: usize| stats[i].columns()[c].distinct.max(1) as f64;
+    let card = |i: usize| stats[i].cardinality() as f64;
 
     let mut remaining: Vec<usize> = (0..n).collect();
     // total_cmp needs no finiteness assumption (scores can be +inf for
@@ -786,15 +795,15 @@ pub fn greedy_join_order(atoms: &[(Vec<VarId>, &Relation)]) -> Vec<usize> {
         .expect("at least one atom"); // xtask: allow(expect)
     let mut order = vec![first];
     remaining.retain(|&i| i != first);
-    let mut bound: Vec<VarId> = atoms[first].0.clone();
+    let mut bound: Vec<VarId> = atom_vars[first].clone();
     while !remaining.is_empty() {
         let score = |i: usize| -> f64 {
-            let (vars, _) = &atoms[i];
+            let vars = &atom_vars[i];
             let shared_distinct: f64 = vars
                 .iter()
                 .enumerate()
                 .filter(|(_, v)| bound.contains(v))
-                .map(|(c, _)| distinct[i][c])
+                .map(|(c, _)| distinct(i, c))
                 .product();
             if shared_distinct <= 1.0 && !vars.iter().any(|v| bound.contains(v)) {
                 // Disconnected: cartesian product, worst possible.
@@ -805,7 +814,7 @@ pub fn greedy_join_order(atoms: &[(Vec<VarId>, &Relation)]) -> Vec<usize> {
         };
         let connected_exists = remaining
             .iter()
-            .any(|&i| atoms[i].0.iter().any(|v| bound.contains(v)));
+            .any(|&i| atom_vars[i].iter().any(|v| bound.contains(v)));
         let next = *remaining
             .iter()
             .min_by(|&&a, &&b| {
@@ -824,7 +833,7 @@ pub fn greedy_join_order(atoms: &[(Vec<VarId>, &Relation)]) -> Vec<usize> {
         };
         order.push(next);
         remaining.retain(|&i| i != next);
-        for &v in &atoms[next].0 {
+        for &v in &atom_vars[next] {
             if !bound.contains(&v) {
                 bound.push(v);
             }
@@ -949,6 +958,9 @@ pub(crate) fn run_config_with_obs(
     obs: &RunObs,
 ) -> Result<RunResult, EngineError> {
     let plan = plan(query, db, cluster, shuffle_alg, join_alg, opts)?;
+    let (hits, misses) = plan.stats_lookups;
+    obs.registry.add(metric_names::STATS_CACHE_HITS, hits);
+    obs.registry.add(metric_names::STATS_CACHE_MISSES, misses);
 
     // A streaming transport gets a live worker runtime for the plan's
     // duration; Local (the degenerate case) needs none.
@@ -1005,6 +1017,9 @@ pub(crate) struct Plan {
     pub(crate) diagnostics: Vec<Diagnostic>,
     /// Per-atom route signatures of a certified one-round placement.
     pub(crate) route_sigs: Option<Vec<String>>,
+    /// `(hits, misses)` of the planner's [`StatsCache`](crate::StatsCache)
+    /// lookups; zero for a plan rebuilt from a shipped fragment.
+    pub(crate) stats_lookups: (u64, u64),
     /// The hosted partitions of each resolved atom's round-robin
     /// placement: all `p` in-process, this rank's one on a mesh.
     pub(crate) seeded: Vec<DistRel>,
@@ -1019,7 +1034,9 @@ pub(crate) struct Plan {
 /// # Errors
 /// [`EngineError::Resolve`] for catalog mismatches,
 /// [`EngineError::InvalidPlan`] when the analyzer or the certifier
-/// refuses the plan.
+/// refuses the plan, [`EngineError::Unsupported`] when a one-round
+/// Tributary plan needs the order optimiser over an atom wider than
+/// [`MAX_SUBSET_ARITY`].
 pub(crate) fn plan(
     query: &ConjunctiveQuery,
     db: &parjoin_common::Database,
@@ -1031,13 +1048,16 @@ pub(crate) fn plan(
     let (resolved, _residual) = resolve_atoms(query, db)?;
     let atom_vars: Vec<Vec<VarId>> = resolved.iter().map(|a| a.vars.clone()).collect();
     let cards: Vec<u64> = resolved.iter().map(|a| a.len() as u64).collect();
-    let join_order = opts.join_order.clone().unwrap_or_else(|| {
-        let shapes: Vec<(Vec<VarId>, &Relation)> = resolved
-            .iter()
-            .map(|a| (a.vars.clone(), a.rel.as_ref()))
-            .collect();
-        greedy_join_order(&shapes)
-    });
+    // Both optimisers below are arithmetic over the relations' cached
+    // statistics; a plan whose orders are both explicit never asks.
+    let stats = std::cell::OnceCell::new();
+    let rel_stats = || -> &QueryStats {
+        stats.get_or_init(|| statscache::query_stats(resolved.iter().map(|a| a.rel.as_ref())))
+    };
+    let join_order = opts
+        .join_order
+        .clone()
+        .unwrap_or_else(|| greedy_order(&atom_vars, &rel_stats().stats));
 
     // Pre-flight static analysis: refuse to run plans the analyzer
     // proves broken (instead of panicking mid-flight); carry warnings
@@ -1109,28 +1129,44 @@ pub(crate) fn plan(
     };
     analyze::sort_diagnostics(&mut diagnostics);
 
+    // Tributary global variable order, cost-model optimized once on the
+    // *pre-shuffle* relations' statistics, as the paper's optimizer
+    // would: they see no replication.
+    let tj_order = if join_alg == JoinAlg::Tributary && shuffle_alg != ShuffleAlg::Regular {
+        Some(match &opts.tj_order {
+            Some(order) => order.clone(),
+            None => {
+                let stats = &rel_stats().stats;
+                if let Some(i) = stats.iter().position(|s| !s.has_subsets()) {
+                    return Err(EngineError::Unsupported(format!(
+                        "the atom over `{}` binds {} variables, but the Tributary order \
+                         optimiser keeps distinct-prefix statistics for at most \
+                         {MAX_SUBSET_ARITY}; pass PlanOptions::tj_order or pick a hash-join \
+                         configuration",
+                        query.atoms[i].relation,
+                        stats[i].arity()
+                    )));
+                }
+                let model = OrderCostModel::from_stats(
+                    atom_vars
+                        .iter()
+                        .cloned()
+                        .zip(stats.iter().cloned())
+                        .collect(),
+                );
+                best_order_seeded(&model, &query.all_vars(), cluster.seed).0
+            }
+        })
+    } else {
+        None
+    };
+
     // Seed each atom round-robin, as the initial data placement.
     let seeded: Vec<DistRel> = resolved
         .iter()
         .map(|a| DistRel::round_robin(&a.rel, a.vars.clone(), cluster.workers))
         .collect();
 
-    // Tributary global variable order, cost-model optimized once on the
-    // gathered *pre-shuffle* relations, as the paper's optimizer would:
-    // the statistics see no replication.
-    let tj_order =
-        (join_alg == JoinAlg::Tributary && shuffle_alg != ShuffleAlg::Regular).then(|| {
-            opts.tj_order.clone().unwrap_or_else(|| {
-                let gathered: Vec<Relation> = seeded.iter().map(|d| d.gather()).collect();
-                let model_atoms: Vec<(&Relation, Vec<VarId>)> = gathered
-                    .iter()
-                    .zip(&atom_vars)
-                    .map(|(r, vs)| (r, vs.clone()))
-                    .collect();
-                let model = OrderCostModel::from_atoms(&model_atoms);
-                best_order(&model, &query.all_vars()).0
-            })
-        });
     let local_order = if shuffle_alg == ShuffleAlg::Broadcast {
         // Root the local hash tree at the partitioned fragment so every
         // worker's intermediates stay ~1/p-sized (the broadcast plan's
@@ -1170,6 +1206,7 @@ pub(crate) fn plan(
         probe_threads: opts.effective_probe_threads(cluster.workers),
         diagnostics,
         route_sigs,
+        stats_lookups: stats.get().map_or((0, 0), |s| (s.hits, s.misses)),
         seeded,
     })
 }
@@ -1383,20 +1420,23 @@ fn run_regular(
         };
         let ready = take_ready_filters(&mut pending, &out_schema);
         let seed = cluster.seed;
+        // Both sides' partitions go to their worker by move.
+        let side = |vars: &[VarId], rel| SchemaRel {
+            vars: vars.to_vec(),
+            rel,
+        };
+        let sides: Vec<(SchemaRel, SchemaRel)> = cur_s
+            .parts
+            .into_iter()
+            .zip(next_s.parts)
+            .map(|(a, b)| (side(&cur_s.vars, a), side(&next_s.vars, b)))
+            .collect();
         let phase = run_phase_traced(hosted, &obs.trace, "local-join", |w, lane| {
-            let a = SchemaRel {
-                vars: cur_s.vars.clone(),
-                rel: cur_s.parts[w].clone(),
-            };
-            let b = SchemaRel {
-                vars: next_s.vars.clone(),
-                rel: next_s.parts[w].clone(),
-            };
+            let (a, b) = &sides[w];
             let (filtered, sort_buf, sort_time, morsels, steals) = match join_alg {
                 JoinAlg::Hash => {
                     let probe_span = lane.span("probe", "engine");
-                    let (j, m, st) =
-                        hash_join_step(&a, &b, &mut ready.clone(), seed, probe_threads);
+                    let (j, m, st) = hash_join_step(a, b, &mut ready.clone(), seed, probe_threads);
                     drop(probe_span);
                     (j, 0, Duration::ZERO, m, st)
                 }
@@ -1405,7 +1445,7 @@ fn run_regular(
                     // prepare/probe split is synthesized from its report
                     // rather than measured by RAII spans.
                     let t0 = Instant::now();
-                    let (j, buf, t) = merge_join(&a, &b, seed);
+                    let (j, buf, t) = merge_join(a, b, seed);
                     let elapsed = t0.elapsed();
                     lane.record("prepare", "engine", t0, t);
                     lane.record("probe", "engine", t0 + t, elapsed.saturating_sub(t));
@@ -1433,13 +1473,13 @@ fn run_regular(
         });
         let mut parts = Vec::with_capacity(hosted);
         let mut sort_times = Vec::with_capacity(hosted);
-        for (w, (rel, live, sort, morsels, steals)) in phase.results.iter().enumerate() {
-            check_budget(cluster, seam.first_rank() + w, *live)?;
-            result.peak_worker_tuples = result.peak_worker_tuples.max(*live);
+        for (w, (rel, live, sort, morsels, steals)) in phase.results.into_iter().enumerate() {
+            check_budget(cluster, seam.first_rank() + w, live)?;
+            result.peak_worker_tuples = result.peak_worker_tuples.max(live);
             result.probe_morsels += morsels;
             result.probe_steals += steals;
-            parts.push(rel.clone());
-            sort_times.push(*sort);
+            parts.push(rel);
+            sort_times.push(sort);
         }
         result.absorb_phase(&phase.busy, Some(&sort_times));
 
@@ -1611,14 +1651,21 @@ fn run_one_round(
         prepare::prepare_threads_for_host(cluster.workers)
     };
     let budget = cluster.memory_budget;
+    // Hand every worker its partition of every atom by move: the
+    // shuffled relations are not needed as such any more.
+    let mut locals_of: Vec<Vec<SchemaRel>> = (0..hosted)
+        .map(|_| Vec::with_capacity(shuffled.len()))
+        .collect();
+    for DistRel { vars, parts } in shuffled {
+        for (locals, rel) in locals_of.iter_mut().zip(parts) {
+            locals.push(SchemaRel {
+                vars: vars.clone(),
+                rel,
+            });
+        }
+    }
     let phase = run_phase_traced(hosted, &obs.trace, "local-join", |w, lane| {
-        let locals: Vec<SchemaRel> = shuffled
-            .iter()
-            .map(|d| SchemaRel {
-                vars: d.vars.clone(),
-                rel: d.parts[w].clone(),
-            })
-            .collect();
+        let locals = &locals_of[w];
         match join_alg {
             JoinAlg::Hash => {
                 let mut pending = pending.clone();
@@ -1812,12 +1859,12 @@ fn run_one_round(
 
     let mut outputs = Vec::with_capacity(hosted);
     let mut sort_times = Vec::with_capacity(hosted);
-    for (w, (rel, t)) in phase.results.iter().enumerate() {
+    for (w, (rel, t)) in phase.results.into_iter().enumerate() {
         check_budget(cluster, seam.first_rank() + w, t.live)?;
         result.peak_worker_tuples = result.peak_worker_tuples.max(t.live);
         result.probe_morsels += t.morsels;
         result.probe_steals += t.steals;
-        outputs.push(rel.clone());
+        outputs.push(rel);
         sort_times.push(t.sort_time);
         result.sort_cache_hits += t.sort_cache_hits;
         result.sort_cache_misses += t.sort_cache_misses;
@@ -2241,6 +2288,89 @@ mod tests {
             assert_eq!(local.bytes_shuffled, 0, "{s:?}/{j:?}");
             assert!(streamed.bytes_shuffled > 0, "{s:?}/{j:?}");
         }
+    }
+
+    #[test]
+    fn eleven_variable_query_plans_by_sampled_orders() {
+        // One variable more than the exhaustive order search enumerates:
+        // the planner used to panic here.
+        let text = format!(
+            "P(x0, x10) :- {}",
+            (0..10)
+                .map(|i| format!("E1(x{i}, x{})", i + 1))
+                .collect::<Vec<_>>()
+                .join(", ")
+        );
+        let q = parjoin_query::parser::parse(&text).expect("parses");
+        assert_eq!(q.all_vars().len(), 11);
+        let db = ring_db(8);
+        let reference = run_collect(&q, &db, 4, ShuffleAlg::Regular, JoinAlg::Hash);
+        assert!(!reference.is_empty());
+        for s in [ShuffleAlg::Broadcast, ShuffleAlg::HyperCube] {
+            assert_eq!(
+                run_collect(&q, &db, 4, s, JoinAlg::Tributary),
+                reference,
+                "{s:?}"
+            );
+        }
+        // The order is the best of the Fig. 12 sample drawn from the
+        // cluster seed, so planning stays deterministic.
+        let cluster = Cluster::new(4).with_seed(17);
+        let plan = |c: &Cluster| {
+            let (s, j) = (ShuffleAlg::HyperCube, JoinAlg::Tributary);
+            plan(&q, &db, c, s, j, &PlanOptions::default())
+                .expect("plans")
+                .tj_order
+                .expect("one-round Tributary plans carry an order")
+        };
+        let order = plan(&cluster);
+        assert_eq!(order, plan(&cluster));
+        use parjoin_core::order::{sample_orders, SAMPLED_ORDERS};
+        let sampled = sample_orders(&q.all_vars(), SAMPLED_ORDERS, cluster.seed);
+        assert!(sampled.contains(&order));
+    }
+
+    #[test]
+    fn thirteen_column_atom_is_refused_typed_for_tributary_only() {
+        // One column more than `RelStats` keeps a subset table for: the
+        // planner used to panic here.
+        let vars: Vec<String> = (0..13).map(|i| format!("c{i}")).collect();
+        let text = format!("P(c0, c12) :- Wide({}), E1(c0, c1)", vars.join(", "));
+        let q = parjoin_query::parser::parse(&text).expect("parses");
+        let mut db = ring_db(10);
+        let rows: Vec<Vec<u64>> = (0..10u64)
+            .map(|i| (0..13).map(|c| (i + c) % 10).collect())
+            .collect();
+        db.insert("Wide", Relation::from_rows(13, rows.iter()));
+
+        let cluster = Cluster::new(4).with_seed(17);
+        let opts = PlanOptions::default();
+        for s in [ShuffleAlg::Broadcast, ShuffleAlg::HyperCube] {
+            match run_config(&q, &db, &cluster, s, JoinAlg::Tributary, &opts) {
+                Err(EngineError::Unsupported(why)) => {
+                    assert!(why.contains("`Wide`") && why.contains("13"), "{why}");
+                }
+                other => panic!("{s:?}: expected Unsupported, got {other:?}"),
+            }
+        }
+        // Hash-join plans only need the per-column statistics.
+        let reference = run_collect(&q, &db, 4, ShuffleAlg::Regular, JoinAlg::Hash);
+        assert_eq!(reference.len(), 10);
+        for s in [ShuffleAlg::Broadcast, ShuffleAlg::HyperCube] {
+            assert_eq!(
+                run_collect(&q, &db, 4, s, JoinAlg::Hash),
+                reference,
+                "{s:?}"
+            );
+        }
+        // And so does a Tributary plan that brings its own order.
+        let with_order = PlanOptions {
+            tj_order: Some(q.all_vars()),
+            ..PlanOptions::default()
+        };
+        let (s, j) = (ShuffleAlg::HyperCube, JoinAlg::Tributary);
+        let r = run_config(&q, &db, &cluster, s, j, &with_order).expect("explicit order runs");
+        assert_eq!(r.output_tuples, 10);
     }
 
     #[test]

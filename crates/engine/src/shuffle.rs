@@ -134,18 +134,37 @@ pub(crate) fn run_router(
     ))
 }
 
+/// Key columns / hypercube dimensions a router handles in a stack
+/// buffer; beyond it a row's scratch space comes from the heap.
+const STACK_SLOTS: usize = 16;
+
+/// Runs `f` over a zeroed scratch slice of length `len`: on the stack up
+/// to [`STACK_SLOTS`], so routing a row allocates nothing.
+#[inline]
+fn with_scratch<T: Copy + Default, R>(len: usize, f: impl FnOnce(&mut [T]) -> R) -> R {
+    if len <= STACK_SLOTS {
+        f(&mut [T::default(); STACK_SLOTS][..len])
+    } else {
+        f(&mut vec![T::default(); len])
+    }
+}
+
 /// The [`Router`] of the regular shuffle: one destination per row, the
 /// hash bucket of the key columns.
 fn regular_router(cols: Vec<usize>, seed: u64, workers: usize) -> Router {
+    // Single-column keys (the common case) need no scratch at all.
+    if let [c] = cols[..] {
+        return Arc::new(move |_w, row, dests| {
+            dests.push(hash::bucket_row(&[row[c]], seed, workers));
+        });
+    }
     Arc::new(move |_w, row, dests| {
-        if let [c] = cols.as_slice() {
-            // Single-column keys (the common case) route through a stack
-            // array — no per-row allocation.
-            dests.push(hash::bucket_row(&[row[*c]], seed, workers));
-        } else {
-            let key: Vec<u64> = cols.iter().map(|&c| row[c]).collect();
-            dests.push(hash::bucket_row(&key, seed, workers));
-        }
+        with_scratch(cols.len(), |key: &mut [u64]| {
+            for (k, &c) in key.iter_mut().zip(&cols) {
+                *k = row[c];
+            }
+            dests.push(hash::bucket_row(key, seed, workers));
+        });
     })
 }
 
@@ -265,28 +284,29 @@ fn hypercube_router(config: HcConfig, pinned: Vec<Option<usize>>, seeds: Vec<u64
     let k = dims.len();
     let free_dims: Vec<usize> = (0..k).filter(|&d| pinned[d].is_none()).collect();
     Arc::new(move |_w, row, dests| {
-        let mut coords = vec![0usize; k];
-        for d in 0..k {
-            if let Some(col) = pinned[d] {
-                coords[d] = hash::bucket(row[col], seeds[d], dims[d]);
+        with_scratch(k, |coords: &mut [usize]| {
+            for d in 0..k {
+                if let Some(col) = pinned[d] {
+                    coords[d] = hash::bucket(row[col], seeds[d], dims[d]);
+                }
             }
-        }
-        loop {
-            dests.push(config.cell_index(&coords));
-            // Mixed-radix increment over free dims.
-            let mut advanced = false;
-            for &d in &free_dims {
-                coords[d] += 1;
-                if coords[d] < dims[d] {
-                    advanced = true;
+            loop {
+                dests.push(config.cell_index(coords));
+                // Mixed-radix increment over free dims.
+                let mut advanced = false;
+                for &d in &free_dims {
+                    coords[d] += 1;
+                    if coords[d] < dims[d] {
+                        advanced = true;
+                        break;
+                    }
+                    coords[d] = 0;
+                }
+                if !advanced {
                     break;
                 }
-                coords[d] = 0;
             }
-            if !advanced {
-                break;
-            }
-        }
+        });
     })
 }
 

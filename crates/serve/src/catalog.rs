@@ -8,12 +8,21 @@
 //! against an immutable view — a concurrent `load` or `drop` builds the
 //! *next* version and never disturbs runs already in flight.
 //!
+//! Loading a relation also **analyses** it: `load`, `load_shared` and
+//! `load_db` warm the engine's process-wide
+//! [`StatsCache`] with the relation's statistics
+//! before it becomes visible, so no query pays for them — the planner
+//! and the advisor find every resident relation's numbers cached. The
+//! cache is keyed by content, so a reload under the same name simply
+//! analyses the new content; nothing needs invalidating.
+//!
 //! Every mutation bumps a version counter. The version is woven into
 //! the SortCache provenance stamp (`catalog@v3/Q1`) the session layer
 //! puts on sorted views, so a cache entry is always traceable to the
 //! catalog epoch that produced it.
 
 use parjoin_common::{Database, Relation};
+use parjoin_engine::StatsCache;
 use std::sync::{Arc, Mutex, PoisonError};
 
 /// A consistent view of the catalog at one version: the snapshot
@@ -80,6 +89,8 @@ impl Catalog {
     /// Loads (or replaces) one relation already behind an `Arc`
     /// (sharing it with the caller), returning the new catalog version.
     pub fn load_shared(&self, name: impl Into<String>, rel: Arc<Relation>) -> u64 {
+        // ANALYZE outside the lock: snapshots stay available meanwhile.
+        StatsCache::global().get_or_compute(&rel);
         let mut inner = self.lock();
         let mut next = (*inner.db).clone();
         next.insert_shared(name, rel);
@@ -92,6 +103,9 @@ impl Catalog {
     /// returning the new catalog version. One version bump for the
     /// whole batch — a multi-relation dataset loads atomically.
     pub fn load_db(&self, db: &Database) -> u64 {
+        for (_, rel) in db.iter() {
+            StatsCache::global().get_or_compute(rel);
+        }
         let mut inner = self.lock();
         let mut next = (*inner.db).clone();
         for (name, _) in db.iter() {

@@ -362,3 +362,106 @@ fn catalog_reload_changes_version_and_results_stay_consistent() {
     );
     server.shutdown();
 }
+
+/// A relation reloaded under the same name is planned from the *new*
+/// content's statistics: the StatsCache is keyed by content, the load
+/// itself analyses what it loads, and the old content's numbers can
+/// never be served. The two contents are crafted so that the Tributary
+/// variable order flips between them, which the collected output's row
+/// order makes visible; the expected orders come straight from the
+/// cost model over the raw tuples, bypassing the cache.
+#[test]
+fn reloaded_relation_is_planned_from_its_own_statistics() {
+    use parjoin_common::Relation;
+    use parjoin_core::order::{best_order, OrderCostModel};
+    use parjoin_engine::statscache::Lookup;
+    use parjoin_engine::{metric_names, run_config, JoinAlg, PlanOptions, ShuffleAlg, StatsCache};
+    use parjoin_query::VarId;
+
+    // Content only this test loads, so its cache entries are its own.
+    // ReloadS(y, z): ten y values with three z each. ReloadR(x, y) is
+    // first two x values fanning out over all ten y (cheapest from x),
+    // then twenty x values over two y (cheapest from y).
+    const BASE: u64 = 7_000;
+    let pairs = |n: u64, f: fn(u64) -> [u64; 2]| {
+        Relation::from_rows(2, (0..n).map(|i| f(i).map(|v| v + BASE)))
+    };
+    let few_x = pairs(20, |i| [i % 2, i / 2]);
+    let few_y = pairs(20, |i| [i, i % 2]);
+    let other = pairs(30, |i| [i % 10, i]);
+
+    let server = Server::start(ServerConfig {
+        executors: Some(1),
+        ..ServerConfig::default()
+    });
+    let (shuffle, join) = (ShuffleAlg::HyperCube, JoinAlg::Tributary);
+    let cfg = SessionConfig {
+        choice: ConfigChoice::Fixed(shuffle, join),
+        ..SessionConfig::default()
+    };
+    let session = server.session(cfg.clone());
+    let text = "Reload(x, y, z) :- ReloadR(x, y), ReloadS(y, z).";
+    let query = parjoin_query::parser::parse(text).expect("parses");
+    let (x, y, z) = (VarId(0), VarId(1), VarId(2));
+    let order_for = |r: &Relation| {
+        let model = OrderCostModel::from_atoms(&[(r, vec![x, y]), (&other, vec![y, z])]);
+        best_order(&model, &[x, y, z]).0
+    };
+    let (order_a, order_b) = (order_for(&few_x), order_for(&few_y));
+    assert_ne!(order_a, order_b, "the two contents must flip the order");
+
+    server.load("ReloadS", other.clone());
+    for (content, order, stale) in [(&few_x, &order_a, &order_b), (&few_y, &order_b, &order_a)] {
+        server.load("ReloadR", content.clone());
+        // ANALYZE at load: the content is already in the cache.
+        let (stats, lookup) = StatsCache::global().get_or_compute(content);
+        assert_eq!(lookup, Lookup::Hit, "load must analyse what it loads");
+        assert_eq!(stats.distinct(0b01), if order == &order_a { 2 } else { 20 });
+
+        let served = session
+            .submit(text)
+            .expect("admitted")
+            .wait()
+            .expect("completes");
+        assert_eq!(served.catalog_version, server.catalog_version());
+        let metric = |name| served.result.metric(name);
+        assert_eq!(metric(metric_names::STATS_CACHE_MISSES), Some(0));
+        assert_eq!(metric(metric_names::STATS_CACHE_HITS), Some(2));
+
+        let snapshot = server.snapshot();
+        let with_order = |order: &Vec<VarId>| {
+            let opts = PlanOptions {
+                collect_output: true,
+                certify: true,
+                tj_order: Some(order.clone()),
+                ..PlanOptions::default()
+            };
+            run_config(
+                &query,
+                &snapshot.db,
+                &server.cluster(),
+                shuffle,
+                join,
+                &opts,
+            )
+            .expect("runs")
+            .output
+            .expect("collected")
+        };
+        let out = served.result.output.as_ref().expect("collected");
+        assert!(out.len() > 1);
+        assert_eq!(
+            out.raw(),
+            with_order(order).raw(),
+            "the served plan must follow this content's variable order"
+        );
+        assert_ne!(
+            out.raw(),
+            with_order(stale).raw(),
+            "the other content's order would have shown in the row order"
+        );
+        let batch = batch_run(&query, &snapshot.db, &server.cluster(), &cfg).expect("batch");
+        assert_eq!(out.raw(), batch.output.as_ref().expect("collected").raw());
+    }
+    server.shutdown();
+}

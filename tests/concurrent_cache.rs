@@ -15,6 +15,10 @@
 //! * the same exact reconciliation holds for the [`TrieCache`] layered
 //!   on top (the default columnar layout consults both: sorted view
 //!   first, prepared trie second);
+//! * and for the [`StatsCache`] the planner reads: emptied just before
+//!   the threads start, so they analyse the relations cold and racing,
+//!   and every lookup is still one per-run hit or miss and one global
+//!   one;
 //! * the eviction-pressure metrics (evictions during run, resident
 //!   bytes at finish) are populated.
 //!
@@ -22,7 +26,7 @@
 //! binaries run per-process, so nothing else mutates the global caches
 //! while the before/after statistics are compared.
 
-use parjoin::engine::SortCache;
+use parjoin::engine::{SortCache, StatsCache};
 use parjoin::prelude::*;
 use std::thread;
 
@@ -97,6 +101,11 @@ fn concurrent_mixed_runs_share_cache_and_counters_reconcile() {
 
     let before = cache.stats();
     let trie_before = tries.stats();
+    // The baselines analysed every relation; start the threads cold
+    // (`clear` also zeroes the counters, so the totals below are the
+    // concurrent phase's own).
+    let stats = StatsCache::global();
+    stats.clear();
 
     // Concurrent phase: each thread runs every (query, config) unit
     // once, starting `t` units into the rotation so different threads
@@ -135,11 +144,13 @@ fn concurrent_mixed_runs_share_cache_and_counters_reconcile() {
 
     let after = cache.stats();
     let trie_after = tries.stats();
+    let stats_after = stats.stats();
 
     // Byte identity: all THREADS × n_units concurrent runs against the
     // sequential baselines.
     let (mut hits, mut misses, mut certified) = (0u64, 0u64, 0u64);
     let (mut t_hits, mut t_misses, mut t_certified) = (0u64, 0u64, 0u64);
+    let (mut s_hits, mut s_misses) = (0u64, 0u64);
     for runs in &per_thread {
         for (unit, r) in runs {
             let base = &baselines[*unit];
@@ -182,6 +193,8 @@ fn concurrent_mixed_runs_share_cache_and_counters_reconcile() {
             t_hits += r.trie_cache_hits;
             t_misses += r.trie_cache_misses;
             t_certified += r.trie_cache_certified_hits;
+            s_hits += r.metric(metric_names::STATS_CACHE_HITS).unwrap_or(0);
+            s_misses += r.metric(metric_names::STATS_CACHE_MISSES).unwrap_or(0);
         }
     }
 
@@ -228,6 +241,18 @@ fn concurrent_mixed_runs_share_cache_and_counters_reconcile() {
         trie_after.resident_bytes > 0,
         "no prepared tries resident after a columnar workload"
     );
+
+    // The StatsCache reconciles too: every planner lookup is one hit or
+    // one miss, in the run's registry and in the cache alike — also when
+    // two threads analyse the same cold relation at once (both miss,
+    // the incumbent entry stays).
+    assert_eq!(stats_after.hits, s_hits, "stats hit counters diverged");
+    assert_eq!(stats_after.misses, s_misses, "stats miss counters diverged");
+    assert!(
+        s_misses >= stats_after.entries && stats_after.entries > 0,
+        "a cleared cache must analyse every relation it then holds"
+    );
+    assert!(s_hits > 0, "repeated queries must find statistics cached");
 
     // Eviction-pressure metrics are wired: tiny data never overflows the
     // default budget, so no evictions — but resident bytes must show the
