@@ -4,15 +4,13 @@
 //! hops; the interesting number is how quickly larger batches amortize
 //! that overhead.
 //!
-//! The `exchange_wire` group isolates the wire path itself: the legacy
-//! varint framing (owned encode buffer per frame) against the zero-copy
-//! vectored framing, and compressed vs raw vectored frames on the
-//! sorted-run shape delta coding is built for. `exchange_stats` (the
-//! `BENCH_exchange.json` binary) reports the same kernels with
-//! counter-verified byte accounting.
+//! The `exchange_wire` group isolates the wire path itself: raw frames
+//! on the hashed shape, and compressed vs raw frames on the sorted-run
+//! shape delta coding is built for. The byte accounting behind those
+//! kernels is asserted in `crates/runtime/tests/exchange.rs`.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
-use parjoin_common::{hash, Relation, WireFormat};
+use parjoin_common::{hash, Relation};
 use parjoin_datagen::graph;
 use parjoin_runtime::{local_shuffle, Router, Runtime, RuntimeConfig, TransportKind};
 use std::sync::Arc;
@@ -88,45 +86,19 @@ fn bench_wire(c: &mut Criterion) {
         dests.push((row[0] as usize * WORKERS / rows).min(WORKERS - 1));
     });
 
-    // (kernel, format, compression, partitions, router)
-    let kernels: Vec<(&str, WireFormat, bool, &Vec<Relation>, &Router)> = vec![
-        (
-            "varint_copy",
-            WireFormat::Varint,
-            false,
-            &hashed,
-            &hash_route,
-        ),
-        (
-            "vectored",
-            WireFormat::Vectored,
-            false,
-            &hashed,
-            &hash_route,
-        ),
-        (
-            "raw_sorted",
-            WireFormat::Vectored,
-            false,
-            &sorted,
-            &range_route,
-        ),
-        (
-            "delta_sorted",
-            WireFormat::Vectored,
-            true,
-            &sorted,
-            &range_route,
-        ),
+    // (kernel, compression, partitions, router)
+    let kernels: [(&str, bool, &Vec<Relation>, &Router); 3] = [
+        ("vectored", false, &hashed, &hash_route),
+        ("raw_sorted", false, &sorted, &range_route),
+        ("delta_sorted", true, &sorted, &range_route),
     ];
-    for (name, format, compression, parts, router) in kernels {
+    for (name, compression, parts, router) in kernels {
         let tuples: usize = parts.iter().map(Relation::len).sum();
         group.throughput(Throughput::Elements(tuples as u64));
         let rt = Runtime::new(RuntimeConfig {
             workers: WORKERS,
             transport: TransportKind::InProcess,
             batch_tuples: 4096,
-            wire_format: format,
             wire_compression: compression,
             ..RuntimeConfig::default()
         })

@@ -12,16 +12,14 @@
 //! * `morsel_t{2,4}` — the row-layout kernel under the morsel-parallel
 //!   dispatcher ([`tributary_probe`]) at 2 and 4 probe threads.
 //! * `steal_t{2,4}` — the columnar kernel under the same work-stealing
-//!   dispatcher. (`BENCH_probe.json` also records the deleted
-//!   fixed-quota scheduler's `fixed_t{2,4}` rows, which stealing never
-//!   lost to.)
+//!   dispatcher.
 //!
 //! Skew matters: under a Zipf-like degree distribution a few hot nodes
 //! own long runs, so leapfrog seeks routinely jump many rows — exactly
 //! where galloping's `O(log m)` beats restarting a binary search over
-//! the whole remaining range. Measured numbers are checked in at
-//! `BENCH_probe.json` (regenerate with
-//! `cargo bench -p parjoin-bench --bench probe`).
+//! the whole remaining range. A kernel micro-benchmark for development
+//! (`cargo bench -p parjoin-bench --bench probe`); recorded performance
+//! lives in `BENCHMARK.json` only.
 //!
 //! The vendored criterion stand-in ignores CLI arguments, so quick mode
 //! (CI's `-- --test` smoke run) is detected here: it shrinks the graph

@@ -6,9 +6,9 @@
 //! Rows are node-id-like: each value is `hash64(i, seed) % domain` with
 //! a bounded domain, so high key bytes are constant and the radix sort's
 //! vary-mask pass skipping matters — the same distribution the paper's
-//! graph workloads produce. Measured numbers are checked in at
-//! `BENCH_sort.json` (regenerate with
-//! `cargo bench -p parjoin-bench --bench sort`).
+//! graph workloads produce. A kernel micro-benchmark for development
+//! (`cargo bench -p parjoin-bench --bench sort`); recorded performance
+//! lives in `BENCHMARK.json` only.
 //!
 //! The vendored criterion stand-in ignores CLI arguments, so quick mode
 //! (CI's `-- --test` smoke run) is detected here: it drops the 1M-row

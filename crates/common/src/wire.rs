@@ -1,18 +1,10 @@
-//! On-wire encoding of tuple batches.
+//! On-wire encoding of tuple batches — the one relation codec.
 //!
-//! The streaming shuffle runtime moves relations between workers as
-//! fixed-size *batches* of rows rather than whole partitions. Two frame
-//! layouts coexist behind [`WireFormat`]:
-//!
-//! **Varint** (legacy, PR 2):
-//!
-//! ```text
-//! varint(row_count)  varint(arity)  row_count × arity × u64-LE values
-//! ```
-//!
-//! **Vectored** (default): a one-byte flags field leads so receivers can
-//! dispatch before the counts, and the payload is the sender's flat
-//! row-major value slice verbatim —
+//! Every place a relation crosses a process or thread boundary uses the
+//! same frame: the streaming exchange's batches, the partitions inside a
+//! plan fragment and the `OutputBatch`es a worker returns to its
+//! coordinator. One encoder ([`encode_vectored`]), one decoder
+//! ([`decode_frame_into`]), one hostile-byte surface:
 //!
 //! ```text
 //! flags  varint(arity)  varint(row_count)  payload
@@ -20,15 +12,19 @@
 //! payload (compressed): per column, varint-zigzag deltas (column-major)
 //! ```
 //!
-//! The vectored layout exists for scatter/gather sends: the header fits a
-//! [`VECTORED_HEADER_MAX`]-byte stack buffer ([`vectored_header`]) and
-//! the raw payload *is* the relation arena's `&[u64]` slice reinterpreted
-//! as little-endian words, so a streaming sender writes two borrowed
-//! slices and never materializes an owned encode buffer. The optional
-//! compression (flag bit [`FLAG_COMPRESSED`]) delta-encodes each column
-//! with zigzag varints — sorted shuffle columns collapse to runs of
-//! one-byte deltas; arbitrary data still round-trips via wrapping
-//! arithmetic.
+//! The one-byte flags field leads so receivers can dispatch before the
+//! counts, and the raw payload is the sender's flat row-major value
+//! slice verbatim. The layout exists for scatter/gather sends: the
+//! header fits a [`VECTORED_HEADER_MAX`]-byte stack buffer
+//! ([`vectored_header`]) and the raw payload *is* the relation arena's
+//! `&[u64]` slice as little-endian words, so a streaming sender writes
+//! two borrowed slices and never materializes an owned encode buffer.
+//! The optional compression (flag bit [`FLAG_COMPRESSED`]) delta-encodes
+//! each column with zigzag varints — small ids and sorted shuffle
+//! columns collapse to runs of one-byte deltas; arbitrary data still
+//! round-trips via wrapping arithmetic. A receiver decodes by flag, so
+//! the decoder must be safe against either payload whether or not
+//! compression was asked for.
 //!
 //! Header counts use LEB128 varints (batches are usually small, so their
 //! counts fit in one or two bytes) while raw column values stay fixed
@@ -36,17 +32,19 @@
 //! spread across the full `u64` range, where varint encoding would cost
 //! more than it saves, and fixed-width decode is a straight `memcpy`.
 //!
-//! Both formats are self-delimiting only via the header — the caller
-//! frames batches on the transport (length prefix for TCP, one message
-//! per batch in process). Empty batches (zero rows) and nullary rows
-//! (zero arity, boolean-query relations) round-trip exactly in both.
+//! A frame is self-delimiting only via its header — the caller frames
+//! batches on the transport (length prefix for TCP and control frames,
+//! one message per batch in process). Empty batches (zero rows) and
+//! nullary rows (zero arity, boolean-query relations) round-trip exactly:
+//! the explicit row count is what carries a nullary relation's
+//! multiplicity.
 
 pub mod control;
 
 use crate::{Relation, Value};
 use std::fmt;
 
-/// A malformed byte sequence handed to [`decode_batch`].
+/// A malformed byte sequence handed to [`decode_frame_into`].
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct WireError(pub String);
 
@@ -96,90 +94,12 @@ pub fn read_varint(bytes: &[u8], pos: &mut usize) -> Result<u64, WireError> {
     Err(WireError("varint longer than 10 bytes".into()))
 }
 
-/// Encodes `rows` row-major tuples of `arity` columns (`flat` holds
-/// `rows × arity` values) as one batch, appending to `out` (so a sender
-/// can reuse one buffer across batches). The explicit row count is what
-/// lets nullary tuples — which contribute no values at all — round-trip
-/// with their real multiplicity.
-///
-/// # Panics
-/// Panics if `flat.len() != rows * arity` (callers build `flat` row by
-/// row, so a mismatch is a programming error).
-pub fn encode_batch(arity: usize, rows: usize, flat: &[Value], out: &mut Vec<u8>) {
-    assert_eq!(flat.len(), rows * arity, "flat buffer is not rows × arity");
-    write_varint(out, rows as u64);
-    write_varint(out, arity as u64);
-    out.reserve(flat.len() * 8);
-    for &v in flat {
-        out.extend_from_slice(&v.to_le_bytes());
-    }
-}
-
-/// Encodes an entire relation as a single batch.
-pub fn encode_relation(rel: &Relation, out: &mut Vec<u8>) {
-    encode_batch(rel.arity(), rel.len(), rel.raw(), out);
-}
-
-/// Decodes one batch, appending its rows to `rel`.
-///
-/// Returns the number of rows appended.
-///
-/// # Errors
-/// Returns [`WireError`] when the header is malformed, the payload is
-/// truncated or over-long, or the batch arity disagrees with `rel`.
-pub fn decode_batch_into(bytes: &[u8], rel: &mut Relation) -> Result<usize, WireError> {
-    let mut pos = 0usize;
-    let rows = read_varint(bytes, &mut pos)?;
-    let arity = read_varint(bytes, &mut pos)?;
-    let rows = usize::try_from(rows).map_err(|_| WireError("row count overflow".into()))?;
-    let arity = usize::try_from(arity).map_err(|_| WireError("arity overflow".into()))?;
-    if arity != rel.arity() {
-        return Err(WireError(format!(
-            "batch arity {arity} does not match relation arity {}",
-            rel.arity()
-        )));
-    }
-    let values = rows
-        .checked_mul(arity)
-        .ok_or_else(|| WireError("batch size overflow".into()))?;
-    let expect = values
-        .checked_mul(8)
-        .ok_or_else(|| WireError("batch size overflow".into()))?;
-    if bytes.len() - pos != expect {
-        return Err(WireError(format!(
-            "payload is {} bytes, expected {expect} for {rows} rows × {arity} cols",
-            bytes.len() - pos
-        )));
-    }
-    if arity == 0 {
-        rel.push_nullary_rows(rows);
-        return Ok(rows);
-    }
-    let mut row = Vec::with_capacity(arity);
-    for _ in 0..rows {
-        row.clear();
-        for _ in 0..arity {
-            let mut word = [0u8; 8];
-            word.copy_from_slice(&bytes[pos..pos + 8]);
-            pos += 8;
-            row.push(Value::from_le_bytes(word));
-        }
-        rel.push_row(&row);
-    }
-    Ok(rows)
-}
-
 /// Which batch framing a runtime puts on the wire.
 ///
-/// The legacy [`Varint`](WireFormat::Varint) layout stays readable so
-/// cross-version round-trip tests can prove query output byte-identical
-/// under old and new framing; [`Vectored`](WireFormat::Vectored) is the
-/// default zero-copy layout.
+/// There is one: the enum (and the `wire_format` fields that carry it)
+/// stays so a second framing would be a new variant, not a new axis.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum WireFormat {
-    /// PR 2 layout: `varint(rows) varint(arity) values`, encoded into an
-    /// owned buffer per batch.
-    Varint,
     /// Scatter/gather layout: `flags varint(arity) varint(rows)` header
     /// plus the borrowed flat row slice (optionally column-compressed).
     #[default]
@@ -189,7 +109,6 @@ pub enum WireFormat {
 impl fmt::Display for WireFormat {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
-            WireFormat::Varint => write!(f, "varint"),
             WireFormat::Vectored => write!(f, "vectored"),
         }
     }
@@ -255,28 +174,17 @@ pub fn varint_len(v: u64) -> usize {
     }
 }
 
-/// Exact on-wire size of an uncompressed vectored frame.
-pub fn vectored_frame_bytes(arity: usize, rows: usize) -> u64 {
-    1 + varint_len(arity as u64) as u64
-        + varint_len(rows as u64) as u64
-        + (rows as u64) * (arity as u64) * 8
-}
-
-/// Exact on-wire size of a legacy varint-format frame.
-pub fn varint_frame_bytes(arity: usize, rows: usize) -> u64 {
-    varint_len(rows as u64) as u64
-        + varint_len(arity as u64) as u64
-        + (rows as u64) * (arity as u64) * 8
-}
-
 /// Exact on-wire size of an uncompressed frame under `format`. The
 /// analyzer's per-frame pre-flight and the `runtime.tx.bytes_raw`
-/// accounting both use this — keep it in lockstep with the encoders
-/// (`wire_props` pins estimate == actual).
+/// accounting both use this — keep it in lockstep with the encoder
+/// (`common/tests/props.rs` pins estimate == actual).
 pub fn frame_bytes(format: WireFormat, arity: usize, rows: usize) -> u64 {
     match format {
-        WireFormat::Varint => varint_frame_bytes(arity, rows),
-        WireFormat::Vectored => vectored_frame_bytes(arity, rows),
+        WireFormat::Vectored => {
+            1 + varint_len(arity as u64) as u64
+                + varint_len(rows as u64) as u64
+                + (rows as u64) * (arity as u64) * 8
+        }
     }
 }
 
@@ -309,13 +217,26 @@ pub fn compress_columns(arity: usize, rows: usize, flat: &[Value], out: &mut Vec
 
 /// Decodes a compressed payload back into a row-major flat buffer,
 /// advancing `pos` past the varints consumed.
+///
+/// `rows` comes straight from a peer's header, so nothing is allocated
+/// until it is bounded: every compressed value occupies at least one
+/// byte, hence `rows × arity` can never exceed the bytes that remain.
 fn decompress_columns(
     arity: usize,
     rows: usize,
     bytes: &[u8],
     pos: &mut usize,
 ) -> Result<Vec<Value>, WireError> {
-    let mut flat = vec![0u64; rows * arity];
+    let values = rows
+        .checked_mul(arity)
+        .ok_or_else(|| WireError("batch size overflow".into()))?;
+    let remaining = bytes.len() - *pos;
+    if values > remaining {
+        return Err(WireError(format!(
+            "compressed payload is {remaining} bytes, too short for {rows} rows × {arity} cols"
+        )));
+    }
+    let mut flat = vec![0u64; values];
     for c in 0..arity {
         let mut prev: u64 = 0;
         for r in 0..rows {
@@ -328,10 +249,11 @@ fn decompress_columns(
     Ok(flat)
 }
 
-/// Encodes one vectored frame (header + payload) into an owned buffer.
-/// The streaming TCP sender skips this copy by writing
-/// [`vectored_header`] and the flat slice separately; channel transports
-/// (which ship owned messages) and tests use this form.
+/// Encodes one frame (header + payload), appending to `out`: the
+/// relation-batch encoder. Fragment partitions and coordinator
+/// `OutputBatch`es are built with it; the streaming exchange puts the
+/// same bytes on the wire without the owned buffer, by handing
+/// [`vectored_header`] and the flat slice to the transport separately.
 ///
 /// # Panics
 /// Panics if `flat.len() != rows * arity`.
@@ -355,15 +277,24 @@ pub fn encode_vectored(
     }
 }
 
-/// Decodes one vectored frame, appending its rows to `rel`.
+/// Decodes one frame under `format`, appending its rows to `rel`: the
+/// relation-batch decoder. The payload kind is read from the frame's
+/// flags, not from any configuration, so arbitrary bytes must (and do)
+/// fail typed without panicking or allocating more than
+/// `8 × bytes.len()` bytes.
 ///
 /// Returns the number of rows appended.
 ///
 /// # Errors
 /// Returns [`WireError`] on unknown flag bits, a malformed header, a
-/// truncated or over-long payload, or a batch arity that disagrees with
-/// `rel`.
-pub fn decode_vectored_into(bytes: &[u8], rel: &mut Relation) -> Result<usize, WireError> {
+/// truncated or over-long payload, a row count the payload cannot back,
+/// or a batch arity that disagrees with `rel`.
+pub fn decode_frame_into(
+    format: WireFormat,
+    bytes: &[u8],
+    rel: &mut Relation,
+) -> Result<usize, WireError> {
+    let WireFormat::Vectored = format;
     let Some(&flags) = bytes.first() else {
         return Err(WireError("empty vectored frame".into()));
     };
@@ -391,6 +322,9 @@ pub fn decode_vectored_into(bytes: &[u8], rel: &mut Relation) -> Result<usize, W
                 bytes.len() - pos
             )));
         }
+        if rel.len().checked_add(rows).is_none() {
+            return Err(WireError("nullary row count overflow".into()));
+        }
         rel.push_nullary_rows(rows);
         return Ok(rows);
     }
@@ -417,37 +351,6 @@ pub fn decode_vectored_into(bytes: &[u8], rel: &mut Relation) -> Result<usize, W
     }
     rel.push_rows_le_bytes(rows, &bytes[pos..]);
     Ok(rows)
-}
-
-/// Decodes one frame under `format`, appending its rows to `rel`.
-///
-/// # Errors
-/// Returns [`WireError`] on any malformed input (see
-/// [`decode_batch_into`] and [`decode_vectored_into`]).
-pub fn decode_frame_into(
-    format: WireFormat,
-    bytes: &[u8],
-    rel: &mut Relation,
-) -> Result<usize, WireError> {
-    match format {
-        WireFormat::Varint => decode_batch_into(bytes, rel),
-        WireFormat::Vectored => decode_vectored_into(bytes, rel),
-    }
-}
-
-/// Decodes one batch into a fresh relation.
-///
-/// # Errors
-/// Returns [`WireError`] on any malformed input (see
-/// [`decode_batch_into`]).
-pub fn decode_batch(bytes: &[u8]) -> Result<Relation, WireError> {
-    let mut pos = 0usize;
-    let _rows = read_varint(bytes, &mut pos)?;
-    let arity = read_varint(bytes, &mut pos)?;
-    let arity = usize::try_from(arity).map_err(|_| WireError("arity overflow".into()))?;
-    let mut rel = Relation::new(arity);
-    decode_batch_into(bytes, &mut rel)?;
-    Ok(rel)
 }
 
 #[cfg(test)]
@@ -481,60 +384,11 @@ mod tests {
         assert!(read_varint(&buf, &mut pos).is_err());
     }
 
-    #[test]
-    fn batch_round_trips() {
-        let rel = Relation::from_rows(3, [[1u64, 2, 3], [u64::MAX, 0, 7]].iter());
-        let mut buf = Vec::new();
-        encode_relation(&rel, &mut buf);
-        let back = decode_batch(&buf).unwrap();
-        assert_eq!(back, rel);
-    }
-
-    #[test]
-    fn empty_batch_round_trips() {
-        let rel = Relation::new(4);
-        let mut buf = Vec::new();
-        encode_relation(&rel, &mut buf);
-        let back = decode_batch(&buf).unwrap();
-        assert_eq!(back.arity(), 4);
-        assert_eq!(back.len(), 0);
-    }
-
-    #[test]
-    fn nullary_batch_round_trips() {
-        let mut rel = Relation::new(0);
-        rel.push_nullary_rows(5);
-        let mut buf = Vec::new();
-        encode_relation(&rel, &mut buf);
-        assert_eq!(buf.len(), 2, "5 nullary rows encode as two header bytes");
-        let back = decode_batch(&buf).unwrap();
-        assert_eq!(back.arity(), 0);
-        assert_eq!(back.len(), 5);
-    }
-
-    #[test]
-    fn arity_mismatch_rejected() {
-        let rel = Relation::from_rows(2, [[1u64, 2]].iter());
-        let mut buf = Vec::new();
-        encode_relation(&rel, &mut buf);
-        let mut wrong = Relation::new(3);
-        assert!(decode_batch_into(&buf, &mut wrong).is_err());
-    }
-
-    #[test]
-    fn truncated_payload_rejected() {
-        let rel = Relation::from_rows(2, [[1u64, 2], [3, 4]].iter());
-        let mut buf = Vec::new();
-        encode_relation(&rel, &mut buf);
-        buf.truncate(buf.len() - 1);
-        assert!(decode_batch(&buf).is_err());
-    }
-
     fn vectored_round_trip(rel: &Relation, compressed: bool) -> Relation {
         let mut buf = Vec::new();
         encode_vectored(rel.arity(), rel.len(), rel.raw(), compressed, &mut buf);
         let mut back = Relation::new(rel.arity());
-        let n = decode_vectored_into(&buf, &mut back).unwrap();
+        let n = decode_frame_into(WireFormat::Vectored, &buf, &mut back).unwrap();
         assert_eq!(n, rel.len());
         back
     }
@@ -569,7 +423,7 @@ mod tests {
             let h = vectored_header(arity, rows, false);
             assert_eq!(
                 h.as_bytes().len() as u64 + (rows as u64) * (arity as u64) * 8,
-                vectored_frame_bytes(arity, rows),
+                frame_bytes(WireFormat::Vectored, arity, rows),
                 "estimator disagrees with header at {arity}×{rows}"
             );
         }
@@ -591,7 +445,7 @@ mod tests {
         encode_vectored(1, 1, rel.raw(), false, &mut buf);
         buf[0] |= 0x40;
         let mut out = Relation::new(1);
-        assert!(decode_vectored_into(&buf, &mut out).is_err());
+        assert!(decode_frame_into(WireFormat::Vectored, &buf, &mut out).is_err());
     }
 
     #[test]
@@ -603,7 +457,7 @@ mod tests {
             for cut in 0..buf.len() {
                 let mut out = Relation::new(2);
                 assert!(
-                    decode_vectored_into(&buf[..cut], &mut out).is_err(),
+                    decode_frame_into(WireFormat::Vectored, &buf[..cut], &mut out).is_err(),
                     "cut at {cut} (compressed={compressed}) decoded"
                 );
             }
@@ -616,22 +470,44 @@ mod tests {
         let mut buf = Vec::new();
         encode_vectored(2, 1, rel.raw(), false, &mut buf);
         let mut wrong = Relation::new(3);
-        assert!(decode_vectored_into(&buf, &mut wrong).is_err());
+        assert!(decode_frame_into(WireFormat::Vectored, &buf, &mut wrong).is_err());
+    }
+
+    /// `01 01 <varint 2^42>`: a nine-byte compressed frame claiming 2^42
+    /// one-column rows. Used to `vec![0; 2^42]` (32 TiB) and abort.
+    #[test]
+    fn compressed_row_count_bomb_is_a_typed_error() {
+        let mut frame = vec![FLAG_COMPRESSED, 1];
+        write_varint(&mut frame, 1 << 42);
+        assert_eq!(frame.len(), 9);
+        let mut out = Relation::new(1);
+        let err = decode_frame_into(WireFormat::Vectored, &frame, &mut out);
+        assert!(err.is_err(), "bomb frame decoded: {err:?}");
+        assert!(out.is_empty());
+    }
+
+    /// Arity 4 with `u64::MAX / 4 + 2` rows: `rows × arity` wraps to 4 in
+    /// release (index out of bounds while filling) and overflows the
+    /// multiply in debug.
+    #[test]
+    fn compressed_row_count_overflow_is_a_typed_error() {
+        let mut frame = vec![FLAG_COMPRESSED, 4];
+        write_varint(&mut frame, u64::MAX / 4 + 2);
+        frame.extend_from_slice(&[0u8; 64]);
+        let mut out = Relation::new(4);
+        let err = decode_frame_into(WireFormat::Vectored, &frame, &mut out);
+        assert!(err.is_err(), "overflowing frame decoded: {err:?}");
+        assert!(out.is_empty());
     }
 
     #[test]
-    fn formats_decode_to_identical_relations() {
-        let rel = Relation::from_rows(3, [[5u64, 1, 9], [5, 2, 0], [6, 2, u64::MAX]].iter());
-        let mut legacy = Vec::new();
-        encode_relation(&rel, &mut legacy);
-        let mut vectored = Vec::new();
-        encode_vectored(rel.arity(), rel.len(), rel.raw(), false, &mut vectored);
-        let mut a = Relation::new(3);
-        decode_frame_into(WireFormat::Varint, &legacy, &mut a).unwrap();
-        let mut b = Relation::new(3);
-        decode_frame_into(WireFormat::Vectored, &vectored, &mut b).unwrap();
-        assert_eq!(a, b);
-        assert_eq!(a, rel);
+    fn nullary_row_count_overflow_is_a_typed_error() {
+        let mut frame = vec![0u8, 0];
+        write_varint(&mut frame, u64::MAX);
+        let mut out = Relation::new(0);
+        out.push_nullary_rows(1);
+        assert!(decode_frame_into(WireFormat::Vectored, &frame, &mut out).is_err());
+        assert_eq!(out.len(), 1);
     }
 
     #[test]

@@ -16,7 +16,7 @@
 //! guess at the payload. Payload layouts are version-scoped: within
 //! protocol version [`VERSION`], payloads are built from the fixed-width
 //! little-endian primitives below ([`put_u64`], [`PayloadReader`], …)
-//! plus the batch encodings of the parent module for relation data.
+//! plus the batch frame of the parent module for relation data.
 //!
 //! Frame kinds are deliberately few; the fragment payload itself (what a
 //! worker needs to execute its share of a plan) is defined by the engine
@@ -28,8 +28,12 @@ use std::io::{Read, Write};
 /// Magic bytes opening every control frame ("ParJoin Control Protocol").
 pub const MAGIC: [u8; 4] = *b"PJCP";
 
-/// Control protocol version this build speaks.
-pub const VERSION: u16 = 1;
+/// Control protocol version this build speaks. Version 2 moved the
+/// relation bodies inside `Fragment` and `OutputBatch` payloads onto the
+/// parent module's one frame layout (version 1 used a second codec
+/// without the flags byte); a version-1 peer gets a typed
+/// [`ControlError::UnsupportedVersion`].
+pub const VERSION: u16 = 2;
 
 /// Fixed size of the frame header: magic, version, kind, payload length.
 pub const HEADER_LEN: usize = 4 + 2 + 1 + 4;

@@ -1,6 +1,6 @@
 //! Property tests for the relation primitives.
 
-use parjoin_common::{hash, sort, wire, Relation};
+use parjoin_common::{hash, sort, wire, Relation, WireFormat};
 use proptest::prelude::*;
 
 fn arb_relation(max_arity: usize, max_rows: usize) -> impl Strategy<Value = Relation> {
@@ -45,6 +45,46 @@ fn arb_wire_relation(max_arity: usize, max_rows: usize) -> impl Strategy<Value =
             rel
         })
     })
+}
+
+/// Arity 0, 1 or 3.
+fn arb_frame_arity() -> impl Strategy<Value = usize> {
+    (0usize..3).prop_map(|i| [0, 1, 3][i])
+}
+
+fn encode(rel: &Relation, compressed: bool) -> Vec<u8> {
+    let mut buf = Vec::new();
+    wire::encode_vectored(rel.arity(), rel.len(), rel.raw(), compressed, &mut buf);
+    buf
+}
+
+fn decode_into(bytes: &[u8], rel: &mut Relation) -> Result<usize, wire::WireError> {
+    wire::decode_frame_into(WireFormat::Vectored, bytes, rel)
+}
+
+/// Decodes hostile `bytes` into a relation of `arity` already holding
+/// one row: the decoder must return (never panic), leave `rel` alone on
+/// error, and never grow it by more than `8 × bytes.len()` bytes.
+fn assert_decode_is_bounded(bytes: &[u8], arity: usize) {
+    let mut rel = Relation::new(arity);
+    if arity == 0 {
+        rel.push_nullary_rows(1);
+    } else {
+        rel.push_row(&vec![7; arity]);
+    }
+    let before = rel.clone();
+    match decode_into(bytes, &mut rel) {
+        Err(_) => assert_eq!(rel, before, "a failed decode must not touch rel"),
+        Ok(rows) => {
+            assert_eq!(rel.len(), before.len() + rows);
+            let grown = (rel.raw().len() - before.raw().len()) * 8;
+            assert!(
+                grown <= 8 * bytes.len(),
+                "{} frame bytes grew rel by {grown} bytes",
+                bytes.len()
+            );
+        }
+    }
 }
 
 proptest! {
@@ -117,65 +157,69 @@ proptest! {
     }
 
     #[test]
-    fn wire_round_trip_is_byte_identical(rel in arb_wire_relation(4, 60)) {
-        let mut buf = Vec::new();
-        wire::encode_relation(&rel, &mut buf);
-        let back = wire::decode_batch(&buf).expect("decode own encoding");
-        prop_assert_eq!(&back, &rel);
-        // Re-encoding the decoded relation must reproduce the bytes exactly.
-        let mut buf2 = Vec::new();
-        wire::encode_relation(&back, &mut buf2);
-        prop_assert_eq!(buf2, buf);
-    }
-
-    #[test]
-    fn vectored_round_trip_is_byte_identical(
+    fn wire_round_trip_is_byte_identical(
         rel in arb_wire_relation(4, 60),
         compressed in any::<bool>(),
     ) {
         let compressed = compressed && rel.arity() > 0;
-        let mut buf = Vec::new();
-        wire::encode_vectored(rel.arity(), rel.len(), rel.raw(), compressed, &mut buf);
+        let buf = encode(&rel, compressed);
         let mut back = Relation::new(rel.arity());
-        let n = wire::decode_vectored_into(&buf, &mut back).expect("decode own encoding");
+        let n = decode_into(&buf, &mut back).expect("decode own encoding");
         prop_assert_eq!(n, rel.len());
         prop_assert_eq!(&back, &rel);
         // Re-encoding the decoded relation reproduces the bytes exactly.
-        let mut buf2 = Vec::new();
-        wire::encode_vectored(back.arity(), back.len(), back.raw(), compressed, &mut buf2);
-        prop_assert_eq!(buf2, buf);
+        prop_assert_eq!(&encode(&back, compressed), &buf);
         // Uncompressed frames cost exactly what `frame_bytes` predicts;
-        // that arithmetic is what the analyzer's R411/R414 pre-flight
-        // and the `tx.bytes_raw` counter both lean on.
+        // that arithmetic is what the analyzer's R411/R414 pre-flight,
+        // the `tx.bytes_raw` counter and the fragment's relation length
+        // prefix all lean on.
         if !compressed {
             prop_assert_eq!(
                 buf.len() as u64,
-                wire::frame_bytes(parjoin_common::WireFormat::Vectored, rel.arity(), rel.len())
+                wire::frame_bytes(WireFormat::Vectored, rel.arity(), rel.len())
             );
         }
     }
 
     #[test]
-    fn vectored_decode_rejects_mutations(
+    fn wire_decode_into_appends(
+        a in arb_wire_relation(3, 20),
+        b in arb_wire_relation(3, 20),
+        compressed in any::<bool>(),
+    ) {
+        let mut acc = Relation::new(a.arity());
+        let n1 = decode_into(&encode(&a, compressed && a.arity() > 0), &mut acc)
+            .expect("first batch");
+        prop_assert_eq!(n1, a.len());
+        // Only meaningful when arities agree.
+        if b.arity() == a.arity() {
+            let n2 = decode_into(&encode(&b, compressed && b.arity() > 0), &mut acc)
+                .expect("second batch");
+            prop_assert_eq!(n2, b.len());
+            prop_assert_eq!(acc.len(), a.len() + b.len());
+        }
+    }
+
+    #[test]
+    fn wire_decode_rejects_mutations(
         rel in arb_wire_relation(3, 20),
         compressed in any::<bool>(),
         cut in any::<usize>(),
         flip in any::<u8>(),
     ) {
         let compressed = compressed && rel.arity() > 0;
-        let mut buf = Vec::new();
-        wire::encode_vectored(rel.arity(), rel.len(), rel.raw(), compressed, &mut buf);
+        let buf = encode(&rel, compressed);
         // Truncating anywhere strictly inside the frame must error, never
         // panic or decode short.
         let cut = cut % buf.len();
         let mut scratch = Relation::new(rel.arity());
-        prop_assert!(wire::decode_vectored_into(&buf[..cut], &mut scratch).is_err());
+        prop_assert!(decode_into(&buf[..cut], &mut scratch).is_err());
         // Unknown flag bits are a hard decode error (forward-compat fence).
         let unknown = flip | 0x02; // bit 1 is reserved
         let mut bad = buf.clone();
         bad[0] = unknown;
         let mut scratch = Relation::new(rel.arity());
-        prop_assert!(wire::decode_vectored_into(&bad, &mut scratch).is_err());
+        prop_assert!(decode_into(&bad, &mut scratch).is_err());
     }
 
     #[test]
@@ -202,27 +246,54 @@ proptest! {
             }
             rel.push_row(&row);
         }
-        let mut buf = Vec::new();
-        wire::encode_vectored(arity, rows, rel.raw(), true, &mut buf);
         let mut back = Relation::new(arity);
-        wire::decode_vectored_into(&buf, &mut back).expect("lossless");
+        decode_into(&encode(&rel, true), &mut back).expect("lossless");
         prop_assert_eq!(back, rel);
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(2048))]
+
+    #[test]
+    fn wire_decode_survives_arbitrary_bytes(
+        bytes in proptest::collection::vec(any::<u8>(), 0..=48),
+        arity in 0usize..=4,
+        compressed in any::<bool>(),
+    ) {
+        assert_decode_is_bounded(&bytes, arity);
+        // Steer the noise past the header so it reaches the payload
+        // decoders: right flag, right arity, the rest arbitrary.
+        let mut steered = vec![u8::from(compressed), arity as u8];
+        steered.extend_from_slice(&bytes);
+        assert_decode_is_bounded(&steered, arity);
     }
 
     #[test]
-    fn wire_decode_into_appends(a in arb_wire_relation(3, 20), b in arb_wire_relation(3, 20)) {
-        // Only meaningful when arities agree; coerce b onto a's arity.
-        let mut buf = Vec::new();
-        wire::encode_relation(&a, &mut buf);
-        let mut acc = Relation::new(a.arity());
-        let n1 = wire::decode_batch_into(&buf, &mut acc).expect("first batch");
-        prop_assert_eq!(n1, a.len());
-        if b.arity() == a.arity() {
-            let mut buf2 = Vec::new();
-            wire::encode_relation(&b, &mut buf2);
-            let n2 = wire::decode_batch_into(&buf2, &mut acc).expect("second batch");
-            prop_assert_eq!(n2, b.len());
-            prop_assert_eq!(acc.len(), a.len() + b.len());
+    fn wire_decode_survives_single_byte_mutations(
+        arity in arb_frame_arity(),
+        rows in 0usize..=6,
+        compressed in any::<bool>(),
+        seed in any::<u64>(),
+        at in any::<usize>(),
+        byte in any::<u8>(),
+    ) {
+        // Valid frames, compressed and not, of arity 0/1/3, with
+        // `u64::MAX` among the values (ten-byte varints, wrapping deltas).
+        let mut rel = Relation::new(arity);
+        if arity == 0 {
+            rel.push_nullary_rows(rows);
+        } else {
+            for i in 0..rows {
+                let row: Vec<u64> = (0..arity)
+                    .map(|c| if (i + c) % 2 == 0 { u64::MAX } else { hash::hash64(i as u64, seed) })
+                    .collect();
+                rel.push_row(&row);
+            }
         }
+        let mut frame = encode(&rel, compressed && arity > 0);
+        let at = at % frame.len();
+        frame[at] = byte;
+        assert_decode_is_bounded(&frame, arity);
     }
 }

@@ -5,8 +5,8 @@
 use crate::error::DistError;
 use crate::proto::{self, WorkerStats};
 use parjoin_common::wire::control::{self, FrameKind, DEFAULT_FRAME_LIMIT};
-use parjoin_common::wire::decode_batch_into;
-use parjoin_common::{Database, Relation};
+use parjoin_common::wire::decode_frame_into;
+use parjoin_common::{Database, Relation, WireFormat};
 use parjoin_engine::{plan_fragments, Cluster, JoinAlg, PlanOptions, ShuffleAlg};
 use parjoin_query::ConjunctiveQuery;
 use std::net::TcpStream;
@@ -218,9 +218,9 @@ impl RemoteCluster {
                 )?;
                 match kind {
                     FrameKind::OutputBatch => {
-                        decode_batch_into(&payload, &mut output).map_err(|e| {
-                            DistError::Protocol(format!("rank {rank} sent a bad batch: {e}"))
-                        })?;
+                        decode_frame_into(WireFormat::Vectored, &payload, &mut output).map_err(
+                            |e| DistError::Protocol(format!("rank {rank} sent a bad batch: {e}")),
+                        )?;
                     }
                     FrameKind::OutputDone => {
                         workers.push(proto::decode_done(rank, &payload)?);

@@ -5,7 +5,7 @@
 use crate::error::DistError;
 use crate::proto::{self, WorkerStats};
 use parjoin_common::wire::control::{self, FrameKind, DEFAULT_FRAME_LIMIT};
-use parjoin_common::wire::encode_batch;
+use parjoin_common::wire::encode_vectored;
 use parjoin_engine::{execute_fragment, Fragment};
 use parjoin_runtime::{HandshakeConfig, HostMesh};
 use std::net::{SocketAddr, TcpListener, TcpStream};
@@ -176,14 +176,14 @@ impl WorkerServer {
         if arity == 0 {
             if !outcome.output.is_empty() {
                 let mut body = Vec::new();
-                encode_batch(0, outcome.output.len(), &[], &mut body);
+                encode_vectored(0, outcome.output.len(), &[], false, &mut body);
                 control::write_frame(stream, FrameKind::OutputBatch, &body)?;
             }
         } else {
             let per_batch = (frag.batch_tuples as usize).max(1) * arity;
             for chunk in outcome.output.raw().chunks(per_batch) {
                 let mut body = Vec::new();
-                encode_batch(arity, chunk.len() / arity, chunk, &mut body);
+                encode_vectored(arity, chunk.len() / arity, chunk, false, &mut body);
                 control::write_frame(stream, FrameKind::OutputBatch, &body)?;
             }
         }

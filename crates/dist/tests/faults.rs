@@ -4,7 +4,7 @@
 //! watchdog thread; a scenario that wedges fails the test instead of
 //! wedging the suite.
 
-use parjoin_common::wire::control::{self, FrameKind};
+use parjoin_common::wire::control::{self, ControlError, FrameKind};
 use parjoin_dist::{proto, DistError, RemoteCluster, WorkerServer};
 use parjoin_engine::{Cluster, JoinAlg, PlanOptions, ShuffleAlg};
 use std::net::TcpListener;
@@ -103,6 +103,70 @@ fn worker_dies_between_hello_and_first_frame() {
             DistError::Control(_) | DistError::Io(_) | DistError::Timeout { .. }
         ),
         "expected a typed disconnect, got {err}"
+    );
+}
+
+/// Builds a frame as a PJCP version-1 peer would have sent it.
+fn version_1_frame(kind: FrameKind, payload: &[u8]) -> Vec<u8> {
+    let mut frame = Vec::new();
+    control::write_frame(&mut frame, kind, payload).expect("write");
+    frame[4..6].copy_from_slice(&1u16.to_le_bytes());
+    frame
+}
+
+/// PJCP version 2 changed the relation bodies inside `Fragment` and
+/// `OutputBatch`; a version-1 peer on either end of the control
+/// connection is refused by version, typed, before any payload is read.
+#[test]
+fn version_1_peers_are_refused_by_version() {
+    use std::io::Write;
+    let want = ControlError::UnsupportedVersion {
+        got: 1,
+        supported: 2,
+    };
+
+    // A version-1 worker announcing itself to this coordinator.
+    let err = watchdog(Duration::from_secs(10), || {
+        let listener = TcpListener::bind("127.0.0.1:0").expect("bind");
+        let addr = listener.local_addr().expect("addr").to_string();
+        let fake = std::thread::spawn(move || {
+            let (mut s, _) = listener.accept().expect("accept");
+            s.write_all(&version_1_frame(
+                FrameKind::Ready,
+                &proto::encode_ready("127.0.0.1:1"),
+            ))
+            .expect("ready");
+        });
+        let err = match RemoteCluster::connect(&[addr], Duration::from_secs(5)) {
+            Err(e) => e,
+            Ok(_) => panic!("a version-1 worker must not be admitted"),
+        };
+        fake.join().expect("fake worker");
+        err
+    });
+    assert!(
+        matches!(&err, DistError::Control(e) if *e == want),
+        "coordinator side: {err}"
+    );
+
+    // A version-1 coordinator shipping a fragment to this worker.
+    let err = watchdog(Duration::from_secs(10), || {
+        let server = WorkerServer::bind("127.0.0.1:0").expect("bind");
+        let addr = server.control_addr().expect("addr");
+        let serving = std::thread::spawn(move || server.serve());
+        let mut s = std::net::TcpStream::connect(addr).expect("connect");
+        let (kind, _) = control::read_frame(&mut s, control::DEFAULT_FRAME_LIMIT).expect("ready");
+        assert_eq!(kind, FrameKind::Ready);
+        s.write_all(&version_1_frame(FrameKind::Fragment, b"old fragment"))
+            .expect("fragment");
+        serving
+            .join()
+            .expect("worker thread")
+            .expect_err("a version-1 fragment must end the session")
+    });
+    assert!(
+        matches!(&err, DistError::Control(e) if *e == want),
+        "worker side: {err}"
     );
 }
 

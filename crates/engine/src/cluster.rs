@@ -40,10 +40,9 @@ pub struct Cluster {
     /// by `Local`. The analyzer pre-flights degenerate values.
     pub batch_tuples: usize,
     /// Frame encoding under the streaming transports; ignored by
-    /// `Local`. The vectored default writes batches scatter/gather from
-    /// borrowed slices; [`WireFormat::Varint`] is the legacy
-    /// owned-buffer encoding, kept readable for cross-version
-    /// round-trips — output is byte-identical either way.
+    /// `Local`. There is one ([`WireFormat`]): batches are written
+    /// scatter/gather from borrowed slices, and the same frame carries
+    /// fragment partitions and returned output over a mesh.
     pub wire_format: WireFormat,
 }
 

@@ -17,7 +17,7 @@
 //! The wire form rides inside a `Fragment` control frame of the PJCP
 //! protocol (`parjoin_common::wire::control`): little-endian fixed-width
 //! scalars, length-prefixed strings and lists, and relations encoded
-//! with the same batch codec the data plane uses. [`Fragment::decode`]
+//! with the same batch frame the data plane uses. [`Fragment::decode`]
 //! refuses truncated, malformed, or trailing-garbage payloads with
 //! typed [`ControlError`]s — and every decoded fragment is re-vetted by
 //! [`Fragment::preflight`] before a single tuple moves.
@@ -31,7 +31,7 @@ use crate::plans::{
 use crate::shuffle::Seam;
 use parjoin_analyze as analyze;
 use parjoin_common::wire::control::{self, ControlError, PayloadReader};
-use parjoin_common::wire::{decode_batch_into, encode_relation};
+use parjoin_common::wire::{decode_frame_into, encode_vectored, frame_bytes};
 use parjoin_common::{Relation, WireFormat};
 use parjoin_core::hypercube::HcConfig;
 use parjoin_query::{Atom, CmpOp, ConjunctiveQuery, Filter, Operand, Term, VarId};
@@ -136,10 +136,9 @@ fn cmp_op_from(code: u8) -> Result<CmpOp, ControlError> {
 
 fn put_relation(buf: &mut Vec<u8>, rel: &Relation) {
     control::put_u32(buf, rel.arity() as u32);
-    let mut body = Vec::new();
-    encode_relation(rel, &mut body);
-    control::put_u32(buf, body.len() as u32);
-    buf.extend_from_slice(&body);
+    let body_len = frame_bytes(WireFormat::Vectored, rel.arity(), rel.len());
+    control::put_u32(buf, body_len as u32);
+    encode_vectored(rel.arity(), rel.len(), rel.raw(), false, buf);
 }
 
 fn read_relation(r: &mut PayloadReader<'_>) -> Result<Relation, ControlError> {
@@ -147,7 +146,7 @@ fn read_relation(r: &mut PayloadReader<'_>) -> Result<Relation, ControlError> {
     let len = r.u32()? as usize;
     let body = r.take(len)?;
     let mut rel = Relation::new(arity);
-    decode_batch_into(body, &mut rel)
+    decode_frame_into(WireFormat::Vectored, body, &mut rel)
         .map_err(|e| ControlError::Malformed(format!("relation body: {e}")))?;
     Ok(rel)
 }
@@ -283,7 +282,6 @@ impl Fragment {
         control::put_u8(
             &mut buf,
             match self.wire_format {
-                WireFormat::Varint => 0,
                 WireFormat::Vectored => 1,
             },
         );
@@ -370,8 +368,8 @@ impl Fragment {
                 )))
             }
         };
+        // Tag 0 named the second codec PJCP version 1 still carried.
         let wire_format = match r.u8()? {
-            0 => WireFormat::Varint,
             1 => WireFormat::Vectored,
             other => {
                 return Err(ControlError::Malformed(format!(
@@ -857,6 +855,60 @@ mod tests {
         let mut bytes = frag.encode();
         bytes[16] = 99; // the shuffle-algorithm code
         let err = Fragment::decode(&bytes).unwrap_err();
+        assert!(
+            matches!(err, ControlError::Malformed(_)),
+            "want Malformed, got {err:?}"
+        );
+    }
+
+    #[test]
+    fn unknown_wire_format_tags_are_malformed() {
+        // Tag 0 was the second relation codec of PJCP version 1; tag 7
+        // never existed. Neither may be guessed at.
+        let frag = &fragments_for(ShuffleAlg::Regular, JoinAlg::Hash)[0];
+        for tag in [0u8, 7] {
+            let mut bytes = frag.encode();
+            assert_eq!(bytes[19], 1, "offset 19 is the wire-format tag");
+            bytes[19] = tag;
+            let err = Fragment::decode(&bytes).unwrap_err();
+            assert!(
+                matches!(&err, ControlError::Malformed(m) if m.contains("wire format")),
+                "tag {tag}: want Malformed, got {err:?}"
+            );
+        }
+    }
+
+    #[test]
+    fn relation_bodies_roundtrip_on_the_data_plane_frame() {
+        let mut nullary = Relation::new(0);
+        nullary.push_nullary_rows(5);
+        let edges = Relation::from_rows(2, [[1u64, u64::MAX], [0, 7]].iter());
+        for rel in [nullary, Relation::new(0), Relation::new(3), edges] {
+            let mut buf = Vec::new();
+            put_relation(&mut buf, &rel);
+            // arity, length prefix, then exactly one data-plane frame.
+            assert_eq!(
+                buf.len() as u64,
+                8 + frame_bytes(WireFormat::Vectored, rel.arity(), rel.len())
+            );
+            let mut r = PayloadReader::new(&buf);
+            let back = read_relation(&mut r).unwrap();
+            r.done().unwrap();
+            assert_eq!(back, rel);
+        }
+    }
+
+    #[test]
+    fn hostile_relation_body_is_malformed_not_an_allocation() {
+        // A compressed body claiming 2^42 rows behind an honest length
+        // prefix: the shared decoder must refuse it typed.
+        let mut body = vec![parjoin_common::wire::FLAG_COMPRESSED, 1];
+        parjoin_common::wire::write_varint(&mut body, 1 << 42);
+        let mut buf = Vec::new();
+        control::put_u32(&mut buf, 1);
+        control::put_u32(&mut buf, body.len() as u32);
+        buf.extend_from_slice(&body);
+        let err = read_relation(&mut PayloadReader::new(&buf)).unwrap_err();
         assert!(
             matches!(err, ControlError::Malformed(_)),
             "want Malformed, got {err:?}"

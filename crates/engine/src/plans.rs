@@ -151,14 +151,17 @@ pub struct PlanOptions {
     /// cache (plain [`SortedAtom::prepare`]). The default (`false`)
     /// prepare path serves sorted views from the process-wide
     /// [`SortCache`] and sorts misses with the intra-worker parallel
-    /// sort; both are byte-identical to the sequential path — this knob
-    /// exists so tests can assert exactly that, and as an escape hatch.
+    /// sort; both are byte-identical to the sequential path. One of the
+    /// three knobs of the *reference configuration* (`Local` transport +
+    /// `sequential_prepare` + `sequential_probe` + [`TrieLayout::Row`]),
+    /// the oracle the parity matrix and the e2e harness compare the
+    /// production path against; it has no other purpose.
     pub sequential_prepare: bool,
     /// Probe sequentially: run the Tributary leapfrog, the hash-join
     /// probe, and the semijoin single-threaded per worker instead of
     /// morsel-parallel ([`crate::probe`]). The morsel path is
-    /// byte-identical to this baseline — the A/B switch exists so tests
-    /// can assert exactly that, and as an escape hatch.
+    /// byte-identical to this baseline. Reference-configuration knob
+    /// (see [`PlanOptions::sequential_prepare`]).
     pub sequential_probe: bool,
     /// Override the per-worker probe thread count; `None` derives it
     /// from the host (`host_cores / workers`, at least 1). Ignored when
@@ -198,15 +201,16 @@ pub struct PlanOptions {
     pub trace_path: Option<PathBuf>,
     /// Trie representation for Tributary plans (default
     /// [`TrieLayout::Columnar`]). Output is byte-identical across
-    /// layouts — the `layout_parity` suite asserts exactly that; `Row`
-    /// remains as the A/B baseline and escape hatch.
+    /// layouts; `Row` is the reference-configuration layout (see
+    /// [`PlanOptions::sequential_prepare`]).
     pub trie_layout: TrieLayout,
     /// Compress shuffled batches on the wire (column-major delta+varint;
-    /// vectored format only, ignored by the legacy varint format and the
-    /// Local transport). Off by default; flipping it changes
-    /// `bytes_shuffled` but never the output —
+    /// ignored by the Local transport). Off by default; flipping it
+    /// changes `bytes_shuffled` but never the output —
     /// [`RunResult::bytes_shuffled_raw`] keeps the uncompressed
-    /// equivalent so the A/B ratio is always visible.
+    /// equivalent so the ratio is always visible (≈ 5× fewer bytes on
+    /// Q1's small ids at equal time). Not yet a rule: ROADMAP item 2
+    /// decides when it is on.
     pub wire_compression: bool,
 }
 

@@ -15,18 +15,14 @@
 //! thread per worker (`runtime.rx.threads` counts them). Decoded frames
 //! go back to the runtime's [`BufPool`] for the next batch.
 //!
-//! The send path depends on the [`WireFormat`]:
-//!
-//! * [`WireFormat::Vectored`] (the default) writes the stack header and
-//!   the borrowed row slice straight into the transport — zero owned
-//!   encode buffers, zero send-path copies counted on
-//!   `runtime.tx.copied_bytes`. With `compression` on, sorted shuffle
-//!   columns shrink via column-major delta+varint into a reused scratch
-//!   buffer, and `runtime.tx.bytes_raw` keeps the uncompressed-equivalent
-//!   tally for the A/B ratio.
-//! * [`WireFormat::Varint`] is the legacy owned-buffer encoding, kept
-//!   for cross-version round-trips; every frame it sends is counted on
-//!   `runtime.tx.copied_bytes`.
+//! The send path writes the frame's stack header and the borrowed row
+//! slice straight into the transport — no owned encode buffer per batch.
+//! With `compression` on, columns shrink via column-major delta+varint
+//! into a reused scratch buffer, and `runtime.tx.bytes_raw` keeps the
+//! uncompressed-equivalent tally for the ratio. A frame that arrives
+//! intact but does not decode is a typed [`RuntimeError`] and one count
+//! on `runtime.rx.decode_errors`, exactly like a frame the transport
+//! itself rejects.
 //!
 //! The drain thread accumulates arriving batches **per source** and the
 //! final partition concatenates sources in ascending order. Because each
@@ -51,7 +47,7 @@ pub struct ExchangeOpts {
     pub batch_tuples: usize,
     /// Frame encoding on the wire.
     pub format: WireFormat,
-    /// Delta+varint column compression (vectored format only).
+    /// Delta+varint column compression.
     pub compression: bool,
 }
 
@@ -71,9 +67,8 @@ pub struct WorkerOutcome {
 }
 
 /// Frames one pending batch and hands it to the transport, tallying
-/// `tx.{bytes,bytes_raw,copied_bytes,batches}`. Returns
-/// `(sent_bytes, raw_bytes)`. `scratch` is the worker's reused
-/// compression buffer.
+/// `tx.{bytes,bytes_raw,batches}`. Returns `(sent_bytes, raw_bytes)`.
+/// `scratch` is the worker's reused compression buffer.
 #[allow(clippy::too_many_arguments)]
 fn flush_batch(
     sender: &mut dyn BatchSender,
@@ -86,30 +81,16 @@ fn flush_batch(
     scratch: &mut Vec<u8>,
 ) -> Result<(u64, u64), RuntimeError> {
     let raw = wire::frame_bytes(opts.format, arity, rows);
-    let sent = match opts.format {
-        WireFormat::Varint => {
-            // Legacy path: materialize an owned encode buffer per frame.
-            // That allocation-and-copy is exactly what `tx.copied_bytes`
-            // measures (and what the vectored path avoids).
-            let mut buf = Vec::new();
-            wire::encode_batch(arity, rows, flat, &mut buf);
-            let len = buf.len() as u64;
-            obs.tx_copied_bytes.add(len);
-            sender.send(dest, buf)?;
-            len
-        }
-        WireFormat::Vectored => {
-            if opts.compression && arity > 0 {
-                scratch.clear();
-                wire::compress_columns(arity, rows, flat, scratch);
-                let header = wire::vectored_header(arity, rows, true);
-                sender.send_vectored(dest, header.as_bytes(), Payload::Bytes(scratch))?
-            } else {
-                let header = wire::vectored_header(arity, rows, false);
-                sender.send_vectored(dest, header.as_bytes(), Payload::Values(flat))?
-            }
-        }
+    let compressed = opts.compression && arity > 0;
+    let header = wire::vectored_header(arity, rows, compressed);
+    let payload = if compressed {
+        scratch.clear();
+        wire::compress_columns(arity, rows, flat, scratch);
+        Payload::Bytes(scratch)
+    } else {
+        Payload::Values(flat)
     };
+    let sent = sender.send_vectored(dest, header.as_bytes(), payload)?;
     obs.tx_bytes.add(sent);
     obs.tx_bytes_raw.add(raw);
     obs.tx_batches.inc();
@@ -163,8 +144,10 @@ pub fn run_worker(
                 bytes += frame.len() as u64;
                 drain_obs.rx_bytes.add(frame.len() as u64);
                 drain_obs.rx_batches.inc();
-                wire::decode_frame_into(format, &frame, &mut per_src[src])
-                    .map_err(|e| RuntimeError::Io(e.to_string()))?;
+                wire::decode_frame_into(format, &frame, &mut per_src[src]).map_err(|e| {
+                    drain_obs.rx_decode_errors.inc();
+                    RuntimeError::Io(format!("frame from worker {src}: {e}"))
+                })?;
                 // Decoded: recycle the buffer for the next frame.
                 drain_pool.release(frame);
             }

@@ -75,13 +75,10 @@ pub struct RuntimeConfig {
     /// Cap on every blocking receive, guarding against a hung peer
     /// deadlocking the mesh.
     pub io_timeout: Duration,
-    /// Frame encoding on the wire. The vectored default writes batches
-    /// scatter/gather from borrowed slices; [`WireFormat::Varint`] is
-    /// the legacy owned-buffer encoding, kept readable for
-    /// cross-version round-trips.
+    /// Frame encoding on the wire. There is one ([`WireFormat`]):
+    /// batches are written scatter/gather from borrowed slices.
     pub wire_format: WireFormat,
-    /// Delta+varint column compression on shuffled batches (vectored
-    /// format only; ignored under [`WireFormat::Varint`]).
+    /// Delta+varint column compression on shuffled batches.
     pub wire_compression: bool,
     /// Per-frame size limit streaming transports enforce on both sides.
     pub max_frame_bytes: u32,

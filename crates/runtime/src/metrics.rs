@@ -27,18 +27,15 @@ pub mod names {
     pub const TX_FLUSHES: &str = "runtime.tx.flushes";
     /// Nanoseconds drain threads spent blocked in `recv`.
     pub const RX_WAIT_NS: &str = "runtime.rx.wait_ns";
-    /// Frames rejected by a transport decoder (corrupt tag, oversized
-    /// length prefix, stream truncated mid-frame).
+    /// Frames rejected on the receive path: by a transport's stream
+    /// decoder (corrupt tag, oversized length prefix, stream truncated
+    /// mid-frame) or by the exchange's payload decoder (a frame that
+    /// arrived intact but is not a valid batch).
     pub const RX_DECODE_ERRORS: &str = "runtime.rx.decode_errors";
     /// Uncompressed-equivalent frame bytes sent — equals
     /// [`TX_BYTES`] when wire compression is off; the
     /// `bytes_raw / bytes` ratio is the compression win.
     pub const TX_BYTES_RAW: &str = "runtime.tx.bytes_raw";
-    /// Payload bytes copied into freshly allocated owned encode buffers
-    /// on the send path. The legacy varint format pays this for every
-    /// frame; the vectored format writes borrowed slices and keeps it
-    /// near zero — the bench's "bytes copied per shuffled tuple" metric.
-    pub const TX_COPIED_BYTES: &str = "runtime.tx.copied_bytes";
     /// Receive buffers handed out from the pool's free list.
     pub const BUF_REUSES: &str = "runtime.buf.reuses";
     /// Receive buffers freshly allocated because the free list was
@@ -69,8 +66,6 @@ pub struct RuntimeObs {
     pub rx_decode_errors: Counter,
     /// Uncompressed-equivalent bytes sent ([`names::TX_BYTES_RAW`]).
     pub tx_bytes_raw: Counter,
-    /// Send-path owned-buffer copy bytes ([`names::TX_COPIED_BYTES`]).
-    pub tx_copied_bytes: Counter,
     /// Pool free-list hits ([`names::BUF_REUSES`]).
     pub buf_reuses: Counter,
     /// Pool fresh allocations ([`names::BUF_ALLOCS`]).
@@ -94,7 +89,6 @@ impl RuntimeObs {
             rx_wait_ns: Counter::new(),
             rx_decode_errors: Counter::new(),
             tx_bytes_raw: Counter::new(),
-            tx_copied_bytes: Counter::new(),
             buf_reuses: Counter::new(),
             buf_allocs: Counter::new(),
             rx_threads: Counter::new(),
@@ -114,7 +108,6 @@ impl RuntimeObs {
             rx_wait_ns: registry.counter(names::RX_WAIT_NS),
             rx_decode_errors: registry.counter(names::RX_DECODE_ERRORS),
             tx_bytes_raw: registry.counter(names::TX_BYTES_RAW),
-            tx_copied_bytes: registry.counter(names::TX_COPIED_BYTES),
             buf_reuses: registry.counter(names::BUF_REUSES),
             buf_allocs: registry.counter(names::BUF_ALLOCS),
             rx_threads: registry.counter(names::RX_THREADS),

@@ -565,30 +565,13 @@ impl TcpSender {
 }
 
 impl BatchSender for TcpSender {
-    fn send(&mut self, dest: usize, frame: Vec<u8>) -> Result<(), RuntimeError> {
-        // Refuse a frame the peer would reject as corrupt. The length
-        // check also guarantees the u32 cast below is exact.
-        self.check_frame(frame.len() as u64)?;
-        let w = &mut self.senders[dest];
-        let write = (|| {
-            w.write_all(&[TAG_BATCH])?;
-            w.write_all(&(frame.len() as u32).to_le_bytes())?;
-            w.write_all(&frame)?;
-            // Flush per frame: batches are already sized for throughput,
-            // and prompt delivery keeps peer receive loops busy instead
-            // of stalling on buffered bytes.
-            w.flush()
-        })();
-        self.flushes.inc();
-        write.map_err(|e| RuntimeError::Disconnected(format!("write to worker {dest}: {e}")))
-    }
-
     fn send_vectored(
         &mut self,
         dest: usize,
         header: &[u8],
         payload: Payload<'_>,
     ) -> Result<u64, RuntimeError> {
+        // Refuse a frame the peer would reject as corrupt.
         let frame_len = header.len() + payload.wire_len();
         self.check_frame(frame_len as u64)?;
         let w = &mut self.senders[dest];
@@ -615,6 +598,9 @@ impl BatchSender for TcpSender {
                     }
                 }
             }
+            // Flush per frame: batches are already sized for throughput,
+            // and prompt delivery keeps peer receive loops busy instead
+            // of stalling on buffered bytes.
             w.flush()
         })();
         self.flushes.inc();
@@ -1085,7 +1071,8 @@ mod tests {
                 let mut seen = Vec::new();
                 for round in 0..2u8 {
                     let (mut tx, mut rx) = mesh.endpoint(&pool).expect("endpoint").split();
-                    tx.send(1 - rank, vec![round, rank as u8]).expect("send");
+                    tx.send_vectored(1 - rank, &[], Payload::Bytes(&[round, rank as u8]))
+                        .expect("send");
                     tx.finish().expect("finish");
                     drop(tx);
                     while let Some(msg) = rx.recv().expect("recv") {
@@ -1130,8 +1117,10 @@ mod tests {
 
         let ta = thread::spawn(move || {
             let (mut tx, mut rx) = a.split();
-            tx.send(1, vec![1, 2, 3]).expect("send");
-            tx.send(0, vec![7]).expect("self send");
+            tx.send_vectored(1, &[], Payload::Bytes(&[1, 2, 3]))
+                .expect("send");
+            tx.send_vectored(0, &[], Payload::Bytes(&[7]))
+                .expect("self send");
             tx.finish().expect("finish");
             drop(tx);
             let mut got = Vec::new();
@@ -1185,7 +1174,8 @@ mod tests {
             .mesh(1, 4, Duration::from_secs(10), &test_pool())
             .expect("mesh");
         let (mut tx, mut rx) = eps.into_iter().next().expect("endpoint").split();
-        tx.send(0, vec![1, 2]).expect("send");
+        tx.send_vectored(0, &[], Payload::Bytes(&[1, 2]))
+            .expect("send");
         tx.finish().expect("finish");
         drop(tx);
         while rx.recv().expect("recv").is_some() {}
@@ -1344,7 +1334,7 @@ mod tests {
             max_frame: MAX_FRAME_BYTES,
         };
         let frame = vec![0u8; MAX_FRAME_BYTES as usize + 1];
-        let err = sender.send(0, frame);
+        let err = sender.send_vectored(0, &[], Payload::Bytes(&frame));
         assert!(
             matches!(
                 err,

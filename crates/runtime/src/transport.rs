@@ -18,13 +18,11 @@
 //! here, readiness-polled nonblocking sockets for TCP), so the whole
 //! mesh costs one receive thread per worker — not one per peer.
 //!
-//! The send side has two shapes. [`BatchSender::send`] ships an owned,
-//! fully encoded frame (the legacy varint path). For the vectored wire
-//! format, [`BatchSender::send_vectored`] takes a small borrowed header
-//! plus a [`Payload`] borrowing the flat row slice straight from the
-//! relation arena — the scatter/gather form that lets streaming
-//! transports write rows without materializing an owned encode buffer
-//! per batch.
+//! The send side has one shape: [`BatchSender::send_vectored`] takes a
+//! small borrowed header plus a [`Payload`] borrowing the flat row slice
+//! straight from the relation arena — the scatter/gather form that lets
+//! streaming transports write rows without materializing an owned encode
+//! buffer per batch.
 
 use crate::error::RuntimeError;
 use crate::pool::BufPool;
@@ -136,17 +134,12 @@ impl Payload<'_> {
 /// side of every peer connection, which is what lets receivers detect a
 /// crashed peer instead of waiting forever.
 pub trait BatchSender: Send {
-    /// Sends one encoded batch to worker `dest`. Blocks when the
-    /// destination's buffer is full (backpressure).
-    ///
-    /// # Errors
-    /// [`RuntimeError::Disconnected`] if the destination is gone.
-    fn send(&mut self, dest: usize, frame: Vec<u8>) -> Result<(), RuntimeError>;
-
-    /// Sends one batch as `header ++ payload` without the caller
-    /// materializing an owned frame, returning the on-wire frame length
-    /// in bytes. Stream transports write both slices directly; channel
-    /// transports assemble the frame in a pooled buffer.
+    /// Sends one batch to worker `dest` as `header ++ payload` without
+    /// the caller materializing an owned frame, returning the on-wire
+    /// frame length in bytes. Blocks when the destination's buffer is
+    /// full (backpressure). Stream transports write both slices
+    /// directly; channel transports assemble the frame in a pooled
+    /// buffer.
     ///
     /// # Errors
     /// [`RuntimeError::Disconnected`] if the destination is gone;
@@ -194,8 +187,8 @@ pub(crate) fn idle_backoff(idle_rounds: u32) {
 }
 
 /// Appends `header ++ payload` to a frame buffer (the owned-frame
-/// assembly channel transports and tests share).
-pub(crate) fn assemble_frame(buf: &mut Vec<u8>, header: &[u8], payload: &Payload<'_>) {
+/// assembly of the channel transport).
+fn assemble_frame(buf: &mut Vec<u8>, header: &[u8], payload: &Payload<'_>) {
     buf.extend_from_slice(header);
     match payload {
         Payload::Values(values) => {
@@ -288,12 +281,6 @@ struct InProcessSender {
 }
 
 impl BatchSender for InProcessSender {
-    fn send(&mut self, dest: usize, frame: Vec<u8>) -> Result<(), RuntimeError> {
-        self.peers[dest]
-            .send(Some(frame))
-            .map_err(|_| RuntimeError::Disconnected(format!("worker {dest} inbox closed")))
-    }
-
     fn send_vectored(
         &mut self,
         dest: usize,
@@ -306,7 +293,9 @@ impl BatchSender for InProcessSender {
         let mut frame = self.pool.acquire();
         assemble_frame(&mut frame, header, &payload);
         let len = frame.len() as u64;
-        self.send(dest, frame)?;
+        self.peers[dest]
+            .send(Some(frame))
+            .map_err(|_| RuntimeError::Disconnected(format!("worker {dest} inbox closed")))?;
         Ok(len)
     }
 
@@ -432,7 +421,8 @@ mod tests {
 
         let ta = thread::spawn(move || {
             let (mut tx, mut rx) = a.split();
-            tx.send(1, vec![1, 2, 3]).expect("send");
+            tx.send_vectored(1, &[], Payload::Bytes(&[1, 2, 3]))
+                .expect("send");
             tx.finish().expect("finish");
             drop(tx);
             let mut got = Vec::new();
@@ -443,7 +433,8 @@ mod tests {
         });
         let tb = thread::spawn(move || {
             let (mut tx, mut rx) = b.split();
-            tx.send(0, vec![9]).expect("send");
+            tx.send_vectored(0, &[], Payload::Bytes(&[9]))
+                .expect("send");
             tx.finish().expect("finish");
             drop(tx);
             let mut got = Vec::new();

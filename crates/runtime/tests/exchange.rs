@@ -244,43 +244,55 @@ fn obs_counters_reconcile_with_shuffle_tallies() {
     }
 }
 
+/// A frame that passes the transport's length framing but is not a
+/// valid batch — here the nine-byte compressed row-count bomb — must
+/// surface from `run_worker` as a typed error and one count on
+/// `runtime.rx.decode_errors`: no panic, no 32 TiB allocation.
 #[test]
-fn both_wire_formats_match_local_and_count_copies_honestly() {
-    use parjoin_common::WireFormat;
+fn undecodable_frame_is_a_counted_typed_error() {
+    use parjoin_common::wire;
     use parjoin_obs::{Registry, TraceSink};
-    use parjoin_runtime::RuntimeObs;
-    let workers = 4;
-    let parts = make_parts(workers, 3, 900, 23);
-    let router = hash_router(workers, 5);
-    let local = run(TransportKind::Local, 128, &router, &parts);
-    for kind in streaming_kinds() {
-        for format in [WireFormat::Varint, WireFormat::Vectored] {
-            let reg = Registry::new();
-            let mut cfg = config(kind, workers, 128);
-            cfg.wire_format = format;
-            cfg.obs = RuntimeObs::on_registry(&reg, TraceSink::enabled());
-            let rt = Runtime::new(cfg).expect("runtime");
-            let out = rt
-                .shuffle(parts.clone(), Arc::clone(&router))
-                .expect("shuffle");
-            rt.shutdown().expect("shutdown");
-            assert_same_shuffle(&local, &out);
-            assert_eq!(out.bytes_sent, out.bytes_received, "{kind}/{format:?}");
-            let copied = reg.get("runtime.tx.copied_bytes").unwrap_or(u64::MAX);
-            match format {
-                // The legacy path materializes every frame in an owned
-                // encode buffer before handing it to the transport.
-                WireFormat::Varint => assert_eq!(
-                    copied, out.bytes_sent,
-                    "{kind}: varint copies every sent byte"
-                ),
-                // The vectored path writes straight from the arena slice.
-                WireFormat::Vectored => {
-                    assert_eq!(copied, 0, "{kind}: vectored sends copy nothing");
-                }
-            }
-        }
+    use parjoin_runtime::exchange::{run_worker, ExchangeOpts};
+    use parjoin_runtime::transport::{InProcess, Payload, Transport};
+    use parjoin_runtime::{BufPool, RuntimeError, RuntimeObs};
+
+    let mut bomb = vec![wire::FLAG_COMPRESSED, 1];
+    wire::write_varint(&mut bomb, 1 << 42);
+
+    let pool = Arc::new(BufPool::detached());
+    let mut eps = InProcess
+        .mesh(2, 4, Duration::from_secs(20), &pool)
+        .expect("mesh")
+        .into_iter();
+    let victim = eps.next().expect("endpoint 0");
+    let hostile = eps.next().expect("endpoint 1");
+
+    let peer = std::thread::spawn(move || {
+        let (mut tx, mut rx) = hostile.split();
+        tx.send_vectored(0, &bomb, Payload::Bytes(&[]))
+            .expect("send");
+        tx.finish().expect("finish");
+        drop(tx);
+        // Drain until our own stream ends or errors; outcome unused.
+        while let Ok(Some(_)) = rx.recv() {}
+    });
+
+    let reg = Registry::new();
+    let obs = RuntimeObs::on_registry(&reg, TraceSink::disabled());
+    let opts = ExchangeOpts {
+        batch_tuples: 16,
+        format: Default::default(),
+        compression: false,
+    };
+    let router = hash_router(2, 1);
+    let out = run_worker(0, &Relation::new(1), 2, opts, victim, &router, &obs, &pool);
+    peer.join().expect("hostile peer");
+    match out {
+        Err(RuntimeError::Io(msg)) => assert!(msg.contains("worker 1"), "names the source: {msg}"),
+        Err(other) => panic!("expected a decode error, got {other}"),
+        Ok(_) => panic!("the bomb frame decoded"),
     }
+    assert_eq!(reg.get("runtime.rx.decode_errors"), Some(1));
 }
 
 #[test]

@@ -1,171 +1,44 @@
-//! Trie-layout determinism: on every shuffle×join configuration of
-//! every paper query, the columnar level-segmented trie produces output
-//! byte-identical to the row-major sorted-array layout — sequentially
-//! and through the work-stealing morsel probe at 1, 2, and 4 threads.
-//!
-//! The row-layout baseline runs with `sequential_probe` and
-//! `sequential_prepare` (no caches, one thread): the most conservative
-//! reference there is. Everything the columnar path adds — the CSR trie,
-//! the chunk-wise gallop, morsel stealing, the SortCache + TrieCache
-//! layering — must be invisible in the raw output bytes.
+//! Parity slice — **the trie layout**: the production path on `Local`
+//! pinned to one probe thread — the columnar level-segmented CSR trie
+//! with its chunk-wise gallop and the SortCache + TrieCache layering,
+//! nothing parallel — against the reference configuration's row-major
+//! sorted arrays, Q1–Q8 × six configurations (`parity::check`). The
+//! 2- and 4-thread points of the same axis are `probe_parallel`'s.
 
+#[macro_use]
+mod parity;
+
+use parity::{db_for, production, reference, Production};
 use parjoin::prelude::*;
 
-fn all_configs() -> Vec<(ShuffleAlg, JoinAlg)> {
-    vec![
-        (ShuffleAlg::Regular, JoinAlg::Hash),
-        (ShuffleAlg::Regular, JoinAlg::Tributary),
-        (ShuffleAlg::Broadcast, JoinAlg::Hash),
-        (ShuffleAlg::Broadcast, JoinAlg::Tributary),
-        (ShuffleAlg::HyperCube, JoinAlg::Hash),
-        (ShuffleAlg::HyperCube, JoinAlg::Tributary),
-    ]
+fn check(spec: &QuerySpec) {
+    parity::check(spec, &[Production::local(Some(1))]);
 }
 
-fn run_layout(
-    spec: &QuerySpec,
-    db: &Database,
-    s: ShuffleAlg,
-    j: JoinAlg,
-    layout: TrieLayout,
-    probe_threads: Option<usize>,
-) -> RunResult {
-    let cluster = Cluster::new(4).with_seed(11);
-    let opts = PlanOptions {
-        collect_output: true,
-        trie_layout: layout,
-        sequential_probe: probe_threads.is_none(),
-        sequential_prepare: probe_threads.is_none(),
-        probe_threads,
-        ..Default::default()
-    };
-    run_config(&spec.query, db, &cluster, s, j, &opts).unwrap_or_else(|e| {
-        panic!(
-            "{} {s:?}/{j:?} ({layout:?}, probe_threads={probe_threads:?}): {e}",
-            spec.name
-        )
-    })
-}
-
-fn check_query_at(spec: &QuerySpec, scale: Scale) {
-    let db = scale.db_for(spec.dataset, 7);
-    for (s, j) in all_configs() {
-        let baseline = run_layout(spec, &db, s, j, TrieLayout::Row, None);
-        let base_out = baseline.output.as_ref().expect("collected");
-        for t in [None, Some(1usize), Some(2), Some(4)] {
-            let columnar = run_layout(spec, &db, s, j, TrieLayout::Columnar, t);
-            let col_out = columnar.output.as_ref().expect("collected");
-            assert_eq!(
-                base_out.arity(),
-                col_out.arity(),
-                "{} {s:?}/{j:?} t={t:?}: arity drifted between layouts",
-                spec.name
-            );
-            assert_eq!(
-                base_out.raw(),
-                col_out.raw(),
-                "{} {s:?}/{j:?} t={t:?}: columnar output not byte-identical to row layout",
-                spec.name
-            );
-            assert_eq!(
-                baseline.output_tuples, columnar.output_tuples,
-                "{} {s:?}/{j:?} t={t:?}: output counts drifted between layouts",
-                spec.name
-            );
-        }
-    }
-}
-
-fn check_query(spec: &QuerySpec) {
-    check_query_at(spec, Scale::tiny());
-}
-
-#[test]
-fn q1_triangles_columnar_identical() {
-    check_query(&parjoin::datagen::workloads::q1());
-}
-
-#[test]
-fn q2_cliques_columnar_identical() {
-    check_query(&parjoin::datagen::workloads::q2());
-}
-
-#[test]
-fn q3_cast_members_columnar_identical() {
-    check_query(&parjoin::datagen::workloads::q3());
-}
-
-#[test]
-fn q4_actor_pairs_columnar_identical() {
-    // Q4's regular-shuffle plan blows up combinatorially; use the same
-    // extra-small catalog as the configs_agree suite.
-    let scale = Scale {
-        twitter_nodes: 300,
-        twitter_m: 3,
-        freebase_performances: 250,
-    };
-    check_query_at(&parjoin::datagen::workloads::q4(), scale);
-}
-
-#[test]
-fn q5_rectangles_columnar_identical() {
-    check_query(&parjoin::datagen::workloads::q5());
-}
-
-#[test]
-fn q6_two_rings_columnar_identical() {
-    check_query(&parjoin::datagen::workloads::q6());
-}
-
-#[test]
-fn q7_oscar_winners_columnar_identical() {
-    check_query(&parjoin::datagen::workloads::q7());
-}
-
-#[test]
-fn q8_actor_director_columnar_identical() {
-    check_query(&parjoin::datagen::workloads::q8());
+parity_tests! { check;
+    q1_triangles_columnar_identical => q1,
+    q2_cliques_columnar_identical => q2,
+    q3_cast_members_columnar_identical => q3,
+    q4_actor_pairs_columnar_identical => q4,
+    q5_rectangles_columnar_identical => q5,
+    q6_two_rings_columnar_identical => q6,
+    q7_oscar_winners_columnar_identical => q7,
+    q8_actor_director_columnar_identical => q8,
 }
 
 #[test]
 fn columnar_runs_report_trie_cache_traffic() {
-    // A cache-touching Tributary config under the columnar layout must
-    // consult the TrieCache (sequential_prepare bypasses it, parallel
-    // prepare does not), and the row layout must never touch it.
+    // The columnar prepare consults the TrieCache; the row layout of the
+    // reference configuration must never touch it.
     let spec = parjoin::datagen::workloads::q1();
-    let db = Scale::tiny().db_for(spec.dataset, 7);
-    let cluster = Cluster::new(4).with_seed(11);
-    let opts = PlanOptions {
-        collect_output: true,
-        trie_layout: TrieLayout::Columnar,
-        ..Default::default()
-    };
-    let r = run_config(
-        &spec.query,
-        &db,
-        &cluster,
-        ShuffleAlg::HyperCube,
-        JoinAlg::Tributary,
-        &opts,
-    )
-    .expect("columnar HC_TJ");
+    let db = db_for(&spec);
+    let (s, j) = (ShuffleAlg::HyperCube, JoinAlg::Tributary);
+    let columnar = production(&spec, &db, s, j, Production::local(None));
     assert!(
-        r.trie_cache_hits + r.trie_cache_misses > 0,
+        columnar.trie_cache_hits + columnar.trie_cache_misses > 0,
         "columnar prepare recorded no trie-cache lookups"
     );
-    let row_opts = PlanOptions {
-        trie_layout: TrieLayout::Row,
-        ..opts
-    };
-    let row = run_config(
-        &spec.query,
-        &db,
-        &cluster,
-        ShuffleAlg::HyperCube,
-        JoinAlg::Tributary,
-        &row_opts,
-    )
-    .expect("row HC_TJ");
+    let row = reference(&spec, &db, s, j);
     assert_eq!(
         (row.trie_cache_hits, row.trie_cache_misses),
         (0, 0),

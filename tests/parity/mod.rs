@@ -1,0 +1,266 @@
+//! The reference-vs-production parity matrix, shared by the
+//! `sort_cache`, `layout_parity`, `probe_parallel`, `transports` and
+//! `wire_formats` suites — each runs one slice of it.
+//!
+//! The single claim: on every paper query under all six shuffle×join
+//! configurations, the production path's collected output is
+//! **byte-identical** to the reference configuration's — the backing
+//! buffers are compared raw, unsorted, so no row may move — and both
+//! shuffle the same number of tuples.
+//!
+//! * The **reference configuration** is `Local` + `sequential_prepare` +
+//!   `sequential_probe` + `TrieLayout::Row`, as the e2e harness's
+//!   `oracle.rs` defines it: no caches, no threads, no wire.
+//! * The **production path** is `PlanOptions::default()` — SortCache +
+//!   TrieCache, parallel radix sort, columnar tries, work-stealing
+//!   morsel probe — varied only along [`Production`]: where the bytes go
+//!   (`Local`, `InProcess`, `Tcp`), how many probe threads, and whether
+//!   frames are compressed.
+//!
+//! Every cell also pins the accounting each run must report about
+//! itself ([`assert_reference`], [`assert_production`]), so a slice
+//! checks its counters on all of Q1–Q8, not on one hand-picked query.
+#![allow(dead_code)]
+
+use parjoin::prelude::*;
+use std::fmt;
+
+/// The six shuffle×join configurations of the paper.
+pub const CONFIGS: [(ShuffleAlg, JoinAlg); 6] = [
+    (ShuffleAlg::Regular, JoinAlg::Hash),
+    (ShuffleAlg::Regular, JoinAlg::Tributary),
+    (ShuffleAlg::Broadcast, JoinAlg::Hash),
+    (ShuffleAlg::Broadcast, JoinAlg::Tributary),
+    (ShuffleAlg::HyperCube, JoinAlg::Hash),
+    (ShuffleAlg::HyperCube, JoinAlg::Tributary),
+];
+
+/// One point on the production side of the matrix.
+#[derive(Debug, Clone, Copy)]
+pub struct Production {
+    /// Where shuffled bytes go.
+    pub transport: TransportKind,
+    /// Pinned probe threads (`None`: whatever the host grants), so no
+    /// suite depends on how many cores CI happens to have.
+    pub probe_threads: Option<usize>,
+    /// `PlanOptions::wire_compression`.
+    pub compression: bool,
+}
+
+impl Production {
+    /// The `Local` transport at `probe_threads`.
+    pub const fn local(probe_threads: Option<usize>) -> Production {
+        Production {
+            transport: TransportKind::Local,
+            probe_threads,
+            compression: false,
+        }
+    }
+
+    /// A streaming transport at host-default probe threads.
+    pub const fn streaming(transport: TransportKind, compression: bool) -> Production {
+        Production {
+            transport,
+            probe_threads: None,
+            compression,
+        }
+    }
+}
+
+impl fmt::Display for Production {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        write!(f, "{}", self.transport)?;
+        if let Some(t) = self.probe_threads {
+            write!(f, " t={t}")?;
+        }
+        if self.compression {
+            write!(f, " +compression")?;
+        }
+        Ok(())
+    }
+}
+
+/// Four workers; a small batch size forces multi-batch streams even at
+/// tiny scale, exercising the flush path and not just the final partial
+/// batch.
+pub fn cluster(transport: TransportKind) -> Cluster {
+    Cluster::new(4)
+        .with_seed(11)
+        .with_transport(transport)
+        .with_batch_tuples(512)
+}
+
+/// The reference configuration's options.
+pub fn reference_opts() -> PlanOptions {
+    PlanOptions {
+        collect_output: true,
+        sequential_prepare: true,
+        sequential_probe: true,
+        trie_layout: TrieLayout::Row,
+        ..Default::default()
+    }
+}
+
+/// The production options at `p`.
+pub fn production_opts(p: Production) -> PlanOptions {
+    PlanOptions {
+        collect_output: true,
+        probe_threads: p.probe_threads,
+        wire_compression: p.compression,
+        ..Default::default()
+    }
+}
+
+/// The catalog a query's cells run on: tiny, except Q4, whose
+/// regular-shuffle plan blows up combinatorially and keeps the same
+/// extra-small catalog as the `configs_agree` suite.
+pub fn db_for(spec: &QuerySpec) -> Database {
+    let scale = if spec.name == "Q4" {
+        Scale {
+            twitter_nodes: 300,
+            twitter_m: 3,
+            freebase_performances: 250,
+        }
+    } else {
+        Scale::tiny()
+    };
+    scale.db_for(spec.dataset, 7)
+}
+
+/// Runs one configuration under the reference configuration.
+pub fn reference(spec: &QuerySpec, db: &Database, s: ShuffleAlg, j: JoinAlg) -> RunResult {
+    let cluster = cluster(TransportKind::Local);
+    run_config(&spec.query, db, &cluster, s, j, &reference_opts())
+        .unwrap_or_else(|e| panic!("{} {s:?}/{j:?} reference: {e}", spec.name))
+}
+
+/// Runs one configuration on the production path at `p`.
+pub fn production(
+    spec: &QuerySpec,
+    db: &Database,
+    s: ShuffleAlg,
+    j: JoinAlg,
+    p: Production,
+) -> RunResult {
+    let cluster = cluster(p.transport);
+    run_config(&spec.query, db, &cluster, s, j, &production_opts(p))
+        .unwrap_or_else(|e| panic!("{} {s:?}/{j:?} on {p}: {e}", spec.name))
+}
+
+/// True for the plans with a Tributary prepare phase (one-round TJ):
+/// the only ones that consult SortCache and TrieCache.
+pub fn prepares_tries(s: ShuffleAlg, j: JoinAlg) -> bool {
+    j == JoinAlg::Tributary && s != ShuffleAlg::Regular
+}
+
+/// The claim itself: same bytes, same arity, same counts.
+pub fn assert_parity(cell: &str, reference: &RunResult, run: &RunResult) {
+    let want = reference.output.as_ref().expect("collected");
+    let got = run.output.as_ref().expect("collected");
+    assert_eq!(want.arity(), got.arity(), "{cell}: arity drifted");
+    assert_eq!(
+        want.raw(),
+        got.raw(),
+        "{cell}: output not byte-identical to the reference configuration"
+    );
+    assert_eq!(
+        reference.output_tuples, run.output_tuples,
+        "{cell}: output counts drifted"
+    );
+    assert_eq!(
+        reference.tuples_shuffled, run.tuples_shuffled,
+        "{cell}: shuffled-tuple tallies drifted"
+    );
+}
+
+/// What a reference run reports about itself: one probe thread, no
+/// cache lookups of either kind, no bytes.
+pub fn assert_reference(cell: &str, r: &RunResult) {
+    assert_eq!(r.probe_threads, 1, "{cell}: sequential_probe is one thread");
+    assert!(r.probe_morsels >= 1, "{cell}: no probe morsels recorded");
+    assert_eq!(
+        (r.sort_cache_hits, r.sort_cache_misses),
+        (0, 0),
+        "{cell}: the reference must bypass the SortCache"
+    );
+    assert_eq!(
+        (r.trie_cache_hits, r.trie_cache_misses),
+        (0, 0),
+        "{cell}: the reference must bypass the TrieCache"
+    );
+    assert_eq!(r.bytes_shuffled, 0, "{cell}: Local moves no bytes");
+}
+
+/// What a production run reports about itself.
+pub fn assert_production(cell: &str, (s, j): (ShuffleAlg, JoinAlg), p: Production, r: &RunResult) {
+    assert!(r.probe_morsels >= 1, "{cell}: no probe morsels recorded");
+    if let Some(t) = p.probe_threads {
+        assert_eq!(
+            r.probe_threads, t as u64,
+            "{cell}: probe_threads must echo the override"
+        );
+    }
+    let sort_lookups = r.sort_cache_hits + r.sort_cache_misses;
+    let trie_lookups = r.trie_cache_hits + r.trie_cache_misses;
+    if prepares_tries(s, j) {
+        assert!(sort_lookups > 0, "{cell}: TJ prepare skipped the SortCache");
+        assert!(trie_lookups > 0, "{cell}: TJ prepare skipped the TrieCache");
+    } else {
+        assert_eq!(
+            (sort_lookups, trie_lookups),
+            (0, 0),
+            "{cell}: a plan without a TJ prepare phase touched a cache"
+        );
+    }
+    if !p.transport.is_streaming() {
+        assert_eq!(r.bytes_shuffled, 0, "{cell}: Local moves no bytes");
+        return;
+    }
+    assert!(
+        r.bytes_shuffled > 0 || r.tuples_shuffled == 0,
+        "{cell}: streaming moved tuples but no bytes"
+    );
+    if p.compression {
+        assert!(
+            r.bytes_shuffled_raw >= r.bytes_shuffled,
+            "{cell}: compression inflated the wire ({} raw < {} sent)",
+            r.bytes_shuffled_raw,
+            r.bytes_shuffled
+        );
+    } else {
+        assert_eq!(
+            r.bytes_shuffled_raw, r.bytes_shuffled,
+            "{cell}: raw tally must equal wire tally when compression is off"
+        );
+    }
+}
+
+/// One slice of the matrix: per configuration, one reference run, then
+/// the production path at every point of `axis`.
+pub fn check(spec: &QuerySpec, axis: &[Production]) {
+    let db = db_for(spec);
+    for (s, j) in CONFIGS {
+        let cell = format!("{} {s:?}/{j:?}", spec.name);
+        let oracle = reference(spec, &db, s, j);
+        assert_reference(&cell, &oracle);
+        for &p in axis {
+            let cell = format!("{cell} on {p}");
+            let run = production(spec, &db, s, j, p);
+            assert_parity(&cell, &oracle, &run);
+            assert_production(&cell, (s, j), p, &run);
+        }
+    }
+}
+
+/// Declares one `#[test]` per `name => query` pair, each handing that
+/// paper query (`q1` … `q8` of `datagen::workloads`) to `$check`.
+macro_rules! parity_tests {
+    ($check:path; $($name:ident => $query:ident),+ $(,)?) => {
+        $(
+            #[test]
+            fn $name() {
+                $check(&parjoin::datagen::workloads::$query());
+            }
+        )+
+    };
+}

@@ -1,141 +1,37 @@
-//! Probe-phase determinism: every shuffle×join configuration on every
-//! paper query produces byte-identical output whether local joins probe
-//! sequentially (`sequential_probe`) or through the morsel-parallel
-//! probe at 1, 2, or 4 threads (`probe_threads` override — the suite
-//! must not depend on how many cores the CI host happens to have).
+//! Parity slice — **the morsel-parallel probe**: the production path on
+//! `Local` at 2 and 4 probe threads (`probe_threads` override — the
+//! suite must not depend on how many cores the CI host happens to have;
+//! the 1-thread point is `layout_parity`'s) against the reference
+//! configuration's sequential probe, Q1–Q8 × six configurations
+//! (`parity::check`, which also pins the `probe_threads` echo).
 //!
-//! Byte-identical means exactly that: the collected outputs' backing
-//! buffers are compared raw, unsorted. The depth-0 leapfrog enumerates
-//! morsel value ranges in ascending order and hash-probe morsels scan
-//! contiguous row ranges in input order, so concatenating per-morsel
-//! buffers in morsel order must reproduce the sequential byte stream —
-//! no row may move.
+//! The depth-0 leapfrog enumerates morsel value ranges in ascending
+//! order and hash-probe morsels scan contiguous row ranges in input
+//! order, so concatenating per-morsel buffers in morsel order must
+//! reproduce the sequential byte stream.
 
+#[macro_use]
+mod parity;
+
+use parity::{cluster, db_for, production, production_opts, reference, reference_opts, Production};
 use parjoin::prelude::*;
 
-fn all_configs() -> Vec<(ShuffleAlg, JoinAlg)> {
-    vec![
-        (ShuffleAlg::Regular, JoinAlg::Hash),
-        (ShuffleAlg::Regular, JoinAlg::Tributary),
-        (ShuffleAlg::Broadcast, JoinAlg::Hash),
-        (ShuffleAlg::Broadcast, JoinAlg::Tributary),
-        (ShuffleAlg::HyperCube, JoinAlg::Hash),
-        (ShuffleAlg::HyperCube, JoinAlg::Tributary),
-    ]
+fn check(spec: &QuerySpec) {
+    parity::check(
+        spec,
+        &[Production::local(Some(2)), Production::local(Some(4))],
+    );
 }
 
-/// Runs a config with the probe either forced sequential or forced to
-/// `threads` probe threads (bypassing the host-core budget).
-fn run_with(
-    spec: &QuerySpec,
-    db: &Database,
-    s: ShuffleAlg,
-    j: JoinAlg,
-    probe_threads: Option<usize>,
-) -> RunResult {
-    let cluster = Cluster::new(4).with_seed(11);
-    let opts = PlanOptions {
-        collect_output: true,
-        sequential_probe: probe_threads.is_none(),
-        probe_threads,
-        ..Default::default()
-    };
-    run_config(&spec.query, db, &cluster, s, j, &opts).unwrap_or_else(|e| {
-        panic!(
-            "{} {s:?}/{j:?} (probe_threads={probe_threads:?}): {e}",
-            spec.name
-        )
-    })
-}
-
-fn check_query_at(spec: &QuerySpec, scale: Scale) {
-    let db = scale.db_for(spec.dataset, 7);
-    for (s, j) in all_configs() {
-        let baseline = run_with(spec, &db, s, j, None);
-        let base_out = baseline.output.as_ref().expect("collected");
-        assert_eq!(
-            baseline.probe_threads, 1,
-            "{} {s:?}/{j:?}: sequential_probe must report one probe thread",
-            spec.name
-        );
-        for t in [1usize, 2, 4] {
-            let parallel = run_with(spec, &db, s, j, Some(t));
-            let par_out = parallel.output.as_ref().expect("collected");
-            assert_eq!(
-                base_out.arity(),
-                par_out.arity(),
-                "{} {s:?}/{j:?} t={t}: arity drifted",
-                spec.name
-            );
-            assert_eq!(
-                base_out.raw(),
-                par_out.raw(),
-                "{} {s:?}/{j:?} t={t}: parallel probe output not byte-identical",
-                spec.name
-            );
-            assert_eq!(
-                baseline.output_tuples, parallel.output_tuples,
-                "{} {s:?}/{j:?} t={t}: output counts drifted",
-                spec.name
-            );
-            assert_eq!(
-                parallel.probe_threads, t as u64,
-                "{} {s:?}/{j:?}: probe_threads stat must echo the override",
-                spec.name
-            );
-        }
-    }
-}
-
-fn check_query(spec: &QuerySpec) {
-    check_query_at(spec, Scale::tiny());
-}
-
-#[test]
-fn q1_triangles_parallel_probe_identical() {
-    check_query(&parjoin::datagen::workloads::q1());
-}
-
-#[test]
-fn q2_cliques_parallel_probe_identical() {
-    check_query(&parjoin::datagen::workloads::q2());
-}
-
-#[test]
-fn q3_cast_members_parallel_probe_identical() {
-    check_query(&parjoin::datagen::workloads::q3());
-}
-
-#[test]
-fn q4_actor_pairs_parallel_probe_identical() {
-    // Q4's regular-shuffle plan blows up combinatorially; use the same
-    // extra-small catalog as the configs_agree suite.
-    let scale = Scale {
-        twitter_nodes: 300,
-        twitter_m: 3,
-        freebase_performances: 250,
-    };
-    check_query_at(&parjoin::datagen::workloads::q4(), scale);
-}
-
-#[test]
-fn q5_rectangles_parallel_probe_identical() {
-    check_query(&parjoin::datagen::workloads::q5());
-}
-
-#[test]
-fn q6_two_rings_parallel_probe_identical() {
-    check_query(&parjoin::datagen::workloads::q6());
-}
-
-#[test]
-fn q7_oscar_winners_parallel_probe_identical() {
-    check_query(&parjoin::datagen::workloads::q7());
-}
-
-#[test]
-fn q8_actor_director_parallel_probe_identical() {
-    check_query(&parjoin::datagen::workloads::q8());
+parity_tests! { check;
+    q1_triangles_parallel_probe_identical => q1,
+    q2_cliques_parallel_probe_identical => q2,
+    q3_cast_members_parallel_probe_identical => q3,
+    q4_actor_pairs_parallel_probe_identical => q4,
+    q5_rectangles_parallel_probe_identical => q5,
+    q6_two_rings_parallel_probe_identical => q6,
+    q7_oscar_winners_parallel_probe_identical => q7,
+    q8_actor_director_parallel_probe_identical => q8,
 }
 
 #[test]
@@ -143,14 +39,14 @@ fn probe_stats_count_morsels() {
     // Every probe operation counts at least one morsel, sequential or
     // not, so any plan that joins at all reports probe_morsels >= 1.
     let spec = parjoin::datagen::workloads::q1();
-    let db = Scale::tiny().db_for(spec.dataset, 7);
-    for (s, j) in all_configs() {
-        let r = run_with(&spec, &db, s, j, Some(2));
+    let db = db_for(&spec);
+    for (s, j) in parity::CONFIGS {
+        let r = production(&spec, &db, s, j, Production::local(Some(2)));
         assert!(
             r.probe_morsels >= 1,
             "{s:?}/{j:?}: no probe morsels recorded"
         );
-        let seq = run_with(&spec, &db, s, j, None);
+        let seq = reference(&spec, &db, s, j);
         assert!(
             seq.probe_morsels >= 1,
             "{s:?}/{j:?}: sequential probe recorded no morsels"
@@ -162,26 +58,16 @@ fn probe_stats_count_morsels() {
 fn semijoin_plan_parallel_probe_identical() {
     // The GYM semijoin plan has its own probe path (semijoin_parallel);
     // cover it separately from the six run_config plans.
+    use parjoin::engine::semijoin::run_semijoin_plan;
     let spec = parjoin::datagen::workloads::q3();
-    let db = Scale::tiny().db_for(spec.dataset, 7);
-    let cluster = Cluster::new(4).with_seed(11);
-    let base_opts = PlanOptions {
-        collect_output: true,
-        sequential_probe: true,
-        ..Default::default()
-    };
-    let baseline =
-        parjoin::engine::semijoin::run_semijoin_plan(&spec.query, &db, &cluster, &base_opts)
-            .expect("semijoin baseline");
+    let db = db_for(&spec);
+    let cluster = cluster(TransportKind::Local);
+    let baseline = run_semijoin_plan(&spec.query, &db, &cluster, &reference_opts())
+        .expect("semijoin baseline");
     for t in [1usize, 2, 4] {
-        let opts = PlanOptions {
-            collect_output: true,
-            probe_threads: Some(t),
-            ..Default::default()
-        };
+        let opts = production_opts(Production::local(Some(t)));
         let parallel =
-            parjoin::engine::semijoin::run_semijoin_plan(&spec.query, &db, &cluster, &opts)
-                .expect("semijoin parallel");
+            run_semijoin_plan(&spec.query, &db, &cluster, &opts).expect("semijoin parallel");
         assert_eq!(
             baseline.run.output.as_ref().expect("collected").raw(),
             parallel.run.output.as_ref().expect("collected").raw(),

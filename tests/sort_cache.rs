@@ -1,155 +1,47 @@
-//! Sort-pipeline correctness: every shuffle×join configuration on every
-//! paper query produces byte-identical output whether Tributary atoms
-//! are prepared through the default pipeline (process-wide sorted-view
-//! cache + intra-worker parallel radix sort) or the sequential baseline
-//! (`sequential_prepare`, plain per-atom comparator-path sorts) — and a
-//! repeated identical run reports sort-cache hits.
-//!
-//! Byte-identical means exactly that: the collected outputs' backing
-//! buffers are compared raw, unsorted. The radix sort, the chunked
-//! parallel sort, and cache reuse are all stable-equivalent to the
-//! serial sort, so no row may move.
+//! Parity slice — **the prepare pipeline**: the production path on
+//! `Local` at host-default probe threads (SortCache + TrieCache +
+//! parallel radix sort) against the reference configuration, Q1–Q8 × six
+//! configurations (`parity::check`), which also pins that the reference
+//! never consults a cache and that only one-round Tributary plans do.
+//! Plus what only a *pair* of production runs can show: a repeated
+//! identical run reports sort-cache hits.
 
+#[macro_use]
+mod parity;
+
+use parity::{db_for, production, Production};
 use parjoin::prelude::*;
 
-fn all_configs() -> Vec<(ShuffleAlg, JoinAlg)> {
-    vec![
-        (ShuffleAlg::Regular, JoinAlg::Hash),
-        (ShuffleAlg::Regular, JoinAlg::Tributary),
-        (ShuffleAlg::Broadcast, JoinAlg::Hash),
-        (ShuffleAlg::Broadcast, JoinAlg::Tributary),
-        (ShuffleAlg::HyperCube, JoinAlg::Hash),
-        (ShuffleAlg::HyperCube, JoinAlg::Tributary),
-    ]
+fn check(spec: &QuerySpec) {
+    parity::check(spec, &[Production::local(None)]);
 }
 
-fn run_with(
-    spec: &QuerySpec,
-    db: &Database,
-    s: ShuffleAlg,
-    j: JoinAlg,
-    sequential_prepare: bool,
-) -> RunResult {
-    let cluster = Cluster::new(4).with_seed(11);
-    let opts = PlanOptions {
-        collect_output: true,
-        sequential_prepare,
-        ..Default::default()
-    };
-    run_config(&spec.query, db, &cluster, s, j, &opts).unwrap_or_else(|e| {
-        panic!(
-            "{} {s:?}/{j:?} (sequential_prepare={sequential_prepare}): {e}",
-            spec.name
-        )
-    })
+parity_tests! { check;
+    q1_triangles_cached_prepare_identical => q1,
+    q2_cliques_cached_prepare_identical => q2,
+    q3_cast_members_cached_prepare_identical => q3,
+    q4_actor_pairs_cached_prepare_identical => q4,
+    q5_rectangles_cached_prepare_identical => q5,
+    q6_two_rings_cached_prepare_identical => q6,
+    q7_oscar_winners_cached_prepare_identical => q7,
+    q8_actor_director_cached_prepare_identical => q8,
 }
 
-fn check_query_at(spec: &QuerySpec, scale: Scale) {
-    let db = scale.db_for(spec.dataset, 7);
-    for (s, j) in all_configs() {
-        let baseline = run_with(spec, &db, s, j, true);
-        let cached = run_with(spec, &db, s, j, false);
-        let base_out = baseline.output.as_ref().expect("collected");
-        let cached_out = cached.output.as_ref().expect("collected");
-        assert_eq!(
-            base_out.arity(),
-            cached_out.arity(),
-            "{} {s:?}/{j:?}: arity drifted",
-            spec.name
-        );
-        assert_eq!(
-            base_out.raw(),
-            cached_out.raw(),
-            "{} {s:?}/{j:?}: cached/parallel prepare output not byte-identical",
-            spec.name
-        );
-        assert_eq!(
-            baseline.output_tuples, cached.output_tuples,
-            "{} {s:?}/{j:?}: output counts drifted",
-            spec.name
-        );
-        // The sequential baseline never consults the cache.
-        assert_eq!(
-            (baseline.sort_cache_hits, baseline.sort_cache_misses),
-            (0, 0),
-            "{} {s:?}/{j:?}: sequential_prepare must bypass the cache",
-            spec.name
-        );
-        // Only Tributary one-round plans have a prepare phase to count.
-        if j == JoinAlg::Tributary && s != ShuffleAlg::Regular {
-            assert!(
-                cached.sort_cache_hits + cached.sort_cache_misses > 0,
-                "{} {s:?}/{j:?}: TJ prepare recorded no cache lookups",
-                spec.name
-            );
-        } else {
-            assert_eq!(
-                (cached.sort_cache_hits, cached.sort_cache_misses),
-                (0, 0),
-                "{} {s:?}/{j:?}: non-TJ-prepare plan touched the cache",
-                spec.name
-            );
-        }
-    }
-}
-
-fn check_query(spec: &QuerySpec) {
-    check_query_at(spec, Scale::tiny());
-}
-
-#[test]
-fn q1_triangles_cached_prepare_identical() {
-    check_query(&parjoin::datagen::workloads::q1());
-}
-
-#[test]
-fn q2_cliques_cached_prepare_identical() {
-    check_query(&parjoin::datagen::workloads::q2());
-}
-
-#[test]
-fn q3_cast_members_cached_prepare_identical() {
-    check_query(&parjoin::datagen::workloads::q3());
-}
-
-#[test]
-fn q4_actor_pairs_cached_prepare_identical() {
-    // Q4's regular-shuffle plan blows up combinatorially; use the same
-    // extra-small catalog as the configs_agree suite.
-    let scale = Scale {
-        twitter_nodes: 300,
-        twitter_m: 3,
-        freebase_performances: 250,
-    };
-    check_query_at(&parjoin::datagen::workloads::q4(), scale);
-}
-
-#[test]
-fn q5_rectangles_cached_prepare_identical() {
-    check_query(&parjoin::datagen::workloads::q5());
-}
-
-#[test]
-fn q6_two_rings_cached_prepare_identical() {
-    check_query(&parjoin::datagen::workloads::q6());
-}
-
-#[test]
-fn q7_oscar_winners_cached_prepare_identical() {
-    check_query(&parjoin::datagen::workloads::q7());
-}
-
-#[test]
-fn q8_actor_director_cached_prepare_identical() {
-    check_query(&parjoin::datagen::workloads::q8());
+fn q1_br_tj() -> RunResult {
+    let spec = parjoin::datagen::workloads::q1();
+    production(
+        &spec,
+        &db_for(&spec),
+        ShuffleAlg::Broadcast,
+        JoinAlg::Tributary,
+        Production::local(None),
+    )
 }
 
 #[test]
 fn second_identical_run_hits_the_cache() {
-    let spec = parjoin::datagen::workloads::q1();
-    let db = Scale::tiny().db_for(spec.dataset, 7);
-    let first = run_with(&spec, &db, ShuffleAlg::Broadcast, JoinAlg::Tributary, false);
-    let second = run_with(&spec, &db, ShuffleAlg::Broadcast, JoinAlg::Tributary, false);
+    let first = q1_br_tj();
+    let second = q1_br_tj();
     assert_eq!(
         first.output.as_ref().expect("collected").raw(),
         second.output.as_ref().expect("collected").raw(),
@@ -172,9 +64,7 @@ fn second_identical_run_hits_the_cache() {
 
 #[test]
 fn prep_probe_breakdown_covers_local_join_cpu() {
-    let spec = parjoin::datagen::workloads::q1();
-    let db = Scale::tiny().db_for(spec.dataset, 7);
-    let r = run_with(&spec, &db, ShuffleAlg::Broadcast, JoinAlg::Tributary, false);
+    let r = q1_br_tj();
     let pp = r.prep_probe();
     assert_eq!(pp.prep, r.sort_cpu());
     assert_eq!(pp.probe, r.join_cpu());
