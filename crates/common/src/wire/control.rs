@@ -31,9 +31,11 @@ pub const MAGIC: [u8; 4] = *b"PJCP";
 /// Control protocol version this build speaks. Version 2 moved the
 /// relation bodies inside `Fragment` and `OutputBatch` payloads onto the
 /// parent module's one frame layout (version 1 used a second codec
-/// without the flags byte); a version-1 peer gets a typed
+/// without the flags byte); version 3 made the fragment's compression
+/// byte a flags byte that also carries `skew_resilient` and
+/// `group_count`. An older peer gets a typed
 /// [`ControlError::UnsupportedVersion`].
-pub const VERSION: u16 = 2;
+pub const VERSION: u16 = 3;
 
 /// Fixed size of the frame header: magic, version, kind, payload length.
 pub const HEADER_LEN: usize = 4 + 2 + 1 + 4;
@@ -305,6 +307,23 @@ impl<'a> PayloadReader<'a> {
                 self.buf.len() - self.pos
             ))),
         }
+    }
+
+    /// Reads the `u32` element count of a list whose elements encode to
+    /// at least `min_bytes` each.
+    ///
+    /// # Errors
+    /// [`ControlError::Malformed`] when the remaining payload cannot
+    /// hold that many: a length-prefix bomb dies before anything is sized.
+    pub fn count(&mut self, min_bytes: usize) -> Result<usize, ControlError> {
+        let n = self.u32()? as usize;
+        let remaining = self.buf.len() - self.pos;
+        if n.saturating_mul(min_bytes) > remaining {
+            return Err(ControlError::Malformed(format!(
+                "a list of {n} elements of {min_bytes}+ bytes each, but {remaining} bytes remain"
+            )));
+        }
+        Ok(n)
     }
 
     /// Reads a `u8`.

@@ -79,7 +79,8 @@ pub struct RemoteRun {
     /// The gathered output, rank-ascending (byte-identical to the
     /// `Transport::Local` gather order).
     pub output: Relation,
-    /// Total output tuples before any distinct step.
+    /// Total output tuples before any distinct step (groups, under
+    /// `PlanOptions::group_count`).
     pub output_tuples: u64,
     /// Per-worker stats, rank-ascending.
     pub workers: Vec<WorkerStats>,
@@ -205,8 +206,9 @@ impl RemoteCluster {
             control::write_frame(&mut link.stream, FrameKind::Fragment, &frag.encode())?;
         }
 
-        let head_arity = query.output_vars().len();
-        let mut output = Relation::new(head_arity);
+        // Under `group_count` every rank returns `(head…, count)` rows.
+        let arity = query.output_vars().len() + usize::from(opts.group_count);
+        let mut output = Relation::new(arity);
         let mut workers = Vec::with_capacity(self.links.len());
         for (rank, link) in self.links.iter_mut().enumerate() {
             loop {

@@ -106,32 +106,34 @@ fn worker_dies_between_hello_and_first_frame() {
     );
 }
 
-/// Builds a frame as a PJCP version-1 peer would have sent it.
-fn version_1_frame(kind: FrameKind, payload: &[u8]) -> Vec<u8> {
+/// Builds a frame as a PJCP version-2 peer would have sent it.
+fn version_2_frame(kind: FrameKind, payload: &[u8]) -> Vec<u8> {
     let mut frame = Vec::new();
     control::write_frame(&mut frame, kind, payload).expect("write");
-    frame[4..6].copy_from_slice(&1u16.to_le_bytes());
+    frame[4..6].copy_from_slice(&2u16.to_le_bytes());
     frame
 }
 
-/// PJCP version 2 changed the relation bodies inside `Fragment` and
-/// `OutputBatch`; a version-1 peer on either end of the control
-/// connection is refused by version, typed, before any payload is read.
+/// PJCP version 3 gave the fragment's flags byte two more bits
+/// (`skew_resilient`, `group_count`), which change how many exchange
+/// rounds a rank runs and what it returns; a version-2 peer on either
+/// end of the control connection is refused by version, typed, before
+/// any payload is read.
 #[test]
-fn version_1_peers_are_refused_by_version() {
+fn version_2_peers_are_refused_by_version() {
     use std::io::Write;
     let want = ControlError::UnsupportedVersion {
-        got: 1,
-        supported: 2,
+        got: 2,
+        supported: 3,
     };
 
-    // A version-1 worker announcing itself to this coordinator.
+    // A version-2 worker announcing itself to this coordinator.
     let err = watchdog(Duration::from_secs(10), || {
         let listener = TcpListener::bind("127.0.0.1:0").expect("bind");
         let addr = listener.local_addr().expect("addr").to_string();
         let fake = std::thread::spawn(move || {
             let (mut s, _) = listener.accept().expect("accept");
-            s.write_all(&version_1_frame(
+            s.write_all(&version_2_frame(
                 FrameKind::Ready,
                 &proto::encode_ready("127.0.0.1:1"),
             ))
@@ -139,7 +141,7 @@ fn version_1_peers_are_refused_by_version() {
         });
         let err = match RemoteCluster::connect(&[addr], Duration::from_secs(5)) {
             Err(e) => e,
-            Ok(_) => panic!("a version-1 worker must not be admitted"),
+            Ok(_) => panic!("a version-2 worker must not be admitted"),
         };
         fake.join().expect("fake worker");
         err
@@ -149,7 +151,7 @@ fn version_1_peers_are_refused_by_version() {
         "coordinator side: {err}"
     );
 
-    // A version-1 coordinator shipping a fragment to this worker.
+    // A version-2 coordinator shipping a fragment to this worker.
     let err = watchdog(Duration::from_secs(10), || {
         let server = WorkerServer::bind("127.0.0.1:0").expect("bind");
         let addr = server.control_addr().expect("addr");
@@ -157,12 +159,12 @@ fn version_1_peers_are_refused_by_version() {
         let mut s = std::net::TcpStream::connect(addr).expect("connect");
         let (kind, _) = control::read_frame(&mut s, control::DEFAULT_FRAME_LIMIT).expect("ready");
         assert_eq!(kind, FrameKind::Ready);
-        s.write_all(&version_1_frame(FrameKind::Fragment, b"old fragment"))
+        s.write_all(&version_2_frame(FrameKind::Fragment, b"old fragment"))
             .expect("fragment");
         serving
             .join()
             .expect("worker thread")
-            .expect_err("a version-1 fragment must end the session")
+            .expect_err("a version-2 fragment must end the session")
     });
     assert!(
         matches!(&err, DistError::Control(e) if *e == want),

@@ -254,6 +254,141 @@ fn distinct_output_matches_local() {
     }
 }
 
+/// Rows of `rel` as a sorted multiset.
+fn sorted_rows(rel: &parjoin_common::Relation) -> Vec<Vec<u64>> {
+    let mut rows: Vec<Vec<u64>> = rel.rows().map(<[u64]>::to_vec).collect();
+    rows.sort();
+    rows
+}
+
+/// The mesh refuses no data-path option: the heavy-hitter-resilient
+/// shuffle decides its heavy keys from all-gathered summaries, so four
+/// ranks that each see a quarter of the data route exactly like the
+/// Local run — same row multiset (the join is correct for *any* heavy
+/// set; rank-ascending gather order is the same too), same tuple
+/// tallies, and every rank runs the same number of exchange rounds,
+/// the summary rounds included.
+#[test]
+fn skew_resilient_matches_local_over_real_sockets() {
+    let spec = parjoin_datagen::workloads::q1();
+    // A ring with one celebrity: everyone follows node 0 and node 0
+    // follows 50 back, so y = 0 is well over a quarter of the first
+    // join's input and both heavy routes (spread, replicate) run.
+    let ring = (1..=200u64).map(|i| [i, i % 200 + 1]);
+    let fans = (1..=200u64).map(|i| [i, 0]);
+    let follows = (1..=50u64).map(|i| [0, i]);
+    let edges: Vec<[u64; 2]> = ring.chain(fans).chain(follows).collect();
+    let mut db = parjoin_common::Database::new();
+    db.insert("Twitter", parjoin_common::Relation::from_rows(2, &edges));
+    let cluster = Cluster::new(4).with_seed(11).with_batch_tuples(512);
+    let opts = PlanOptions {
+        collect_output: true,
+        skew_resilient: true,
+        ..Default::default()
+    };
+
+    let (addrs, handles) = spawn_workers(4);
+    let mut remote = RemoteCluster::connect(&addrs, Duration::from_secs(20)).expect("connect");
+    remote.reply_timeout = Some(Duration::from_secs(60));
+
+    for j in [JoinAlg::Hash, JoinAlg::Tributary] {
+        let s = ShuffleAlg::Regular;
+        let local = run_config(&spec.query, &db, &cluster, s, j, &opts).expect("local");
+        let replicated = |stats: &parjoin_common::ShuffleStats| {
+            stats.label == "Twitter ->skew-resilient" && stats.tuples_sent > edges.len() as u64
+        };
+        assert!(
+            local.shuffles.iter().any(replicated),
+            "RS/{j:?}: no heavy key found, the heavy routes never ran"
+        );
+        let run = remote
+            .run(&spec.query, &db, &cluster, s, j, &opts)
+            .unwrap_or_else(|e| panic!("remote RS/{j:?}: {e}"));
+        assert_eq!(
+            sorted_rows(local.output.as_ref().expect("collected")),
+            sorted_rows(&run.output),
+            "RS/{j:?}: row multiset drifted"
+        );
+        assert_eq!(local.output_tuples, run.output_tuples, "RS/{j:?}");
+        run.reconcile().unwrap_or_else(|e| panic!("RS/{j:?}: {e}"));
+        // Two join steps, each one summary all-gather and two data
+        // shuffles, on every rank.
+        assert!(
+            run.workers.iter().all(|w| w.rounds == 6),
+            "RS/{j:?}: rounds {:?}",
+            run.workers.iter().map(|w| w.rounds).collect::<Vec<_>>()
+        );
+        let sent: u64 = run.workers.iter().map(|w| w.tuples_sent).sum();
+        assert_eq!(local.tuples_shuffled, sent, "RS/{j:?}: tallies drifted");
+    }
+
+    remote.shutdown().expect("shutdown");
+    for h in handles {
+        h.join().expect("worker thread").expect("worker serve");
+    }
+}
+
+/// `group_count` over the mesh: each rank pre-aggregates its output,
+/// the combine is one more exchange round on the head columns, and the
+/// coordinator gathers `(head…, count)` rows — byte-identical to the
+/// Local run, with `output_tuples` the number of groups.
+#[test]
+fn group_count_matches_local_over_real_sockets() {
+    let query = parjoin_query::parser::parse(
+        "TrianglesPerNode(x) :- Twitter(x, y), Twitter(y, z), Twitter(z, x)",
+    )
+    .expect("parses");
+    let spec = parjoin_datagen::workloads::q1();
+    let db = parjoin_datagen::workloads::Scale::tiny().db_for(spec.dataset, 7);
+    let cluster = Cluster::new(4).with_seed(11).with_batch_tuples(512);
+    let opts = PlanOptions {
+        collect_output: true,
+        group_count: true,
+        ..Default::default()
+    };
+
+    let (addrs, handles) = spawn_workers(4);
+    let mut remote = RemoteCluster::connect(&addrs, Duration::from_secs(20)).expect("connect");
+    remote.reply_timeout = Some(Duration::from_secs(60));
+
+    for (s, j) in [
+        (ShuffleAlg::Regular, JoinAlg::Hash),
+        (ShuffleAlg::HyperCube, JoinAlg::Tributary),
+    ] {
+        let local = run_config(&query, &db, &cluster, s, j, &opts).expect("local");
+        let local_out = local.output.as_ref().expect("collected");
+        let run = remote
+            .run(&query, &db, &cluster, s, j, &opts)
+            .unwrap_or_else(|e| panic!("remote {s:?}/{j:?}: {e}"));
+        assert_eq!(run.output.arity(), 2, "{s:?}/{j:?}: (x, count)");
+        assert_eq!(
+            local_out.raw(),
+            run.output.raw(),
+            "{s:?}/{j:?}: groups not byte-identical to Local"
+        );
+        assert!(local_out.len() > 1, "{s:?}/{j:?}: a trivial grouping");
+        assert_eq!(
+            run.output_tuples,
+            local_out.len() as u64,
+            "{s:?}/{j:?}: output_tuples is the group count"
+        );
+        run.reconcile()
+            .unwrap_or_else(|e| panic!("{s:?}/{j:?}: {e}"));
+        let rounds = local.shuffles.len() as u32;
+        assert!(
+            run.workers.iter().all(|w| w.rounds == rounds),
+            "{s:?}/{j:?}: every rank runs the combine round"
+        );
+        let sent: u64 = run.workers.iter().map(|w| w.tuples_sent).sum();
+        assert_eq!(local.tuples_shuffled, sent, "{s:?}/{j:?}: tallies drifted");
+    }
+
+    remote.shutdown().expect("shutdown");
+    for h in handles {
+        h.join().expect("worker thread").expect("worker serve");
+    }
+}
+
 /// A refused fragment (unsupported option) leaves the session usable:
 /// the coordinator gets a typed `Worker` error, and the very next query
 /// on the same connections still runs and matches Local.
@@ -267,10 +402,8 @@ fn refusal_keeps_the_session_alive() {
     let mut remote = RemoteCluster::connect(&addrs, Duration::from_secs(20)).expect("connect");
     remote.reply_timeout = Some(Duration::from_secs(60));
 
-    // skew_resilient is coordinator-refused at planning time — exercise
-    // a worker-side refusal instead by shipping a fragment whose rank
-    // geometry the worker rejects: a mesh-width mismatch via a Cluster
-    // narrower than the connected mesh.
+    // A mesh-width mismatch: a Cluster narrower than the connected
+    // mesh is refused before any fragment ships.
     let narrow = Cluster::new(1).with_seed(11);
     let opts = PlanOptions {
         collect_output: true,

@@ -3,6 +3,11 @@
 use parjoin_common::Relation;
 use parjoin_query::VarId;
 
+/// Schema slot of a column that carries a count, not a query variable
+/// (the group-count combine and the skew summaries are shuffled as
+/// [`DistRel`]s too). Nothing looks the slot up.
+pub(crate) const AGGREGATE: VarId = VarId(u32::MAX);
+
 /// A horizontally partitioned relation whose columns are bound to query
 /// variables.
 #[derive(Debug, Clone)]

@@ -62,6 +62,12 @@ pub struct Fragment {
     pub wire_format: WireFormat,
     /// Compress shuffled batches on the wire.
     pub wire_compression: bool,
+    /// Regular-shuffle steps take the heavy-hitter-resilient route
+    /// ([`PlanOptions::skew_resilient`]).
+    pub skew_resilient: bool,
+    /// The output is `(head…, count)` groups, combined with one more
+    /// exchange round ([`PlanOptions::group_count`]).
+    pub group_count: bool,
     /// Tuples per exchange batch.
     pub batch_tuples: u32,
     /// Per-worker probe thread count (decided on the coordinator so a
@@ -95,6 +101,11 @@ pub struct Fragment {
     pub data_addrs: Vec<String>,
 }
 
+/// Bits of the fragment's flags byte; any other bit is refused.
+const FLAG_WIRE_COMPRESSION: u8 = 1;
+const FLAG_SKEW_RESILIENT: u8 = 1 << 1;
+const FLAG_GROUP_COUNT: u8 = 1 << 2;
+
 fn put_u32_list(buf: &mut Vec<u8>, vs: impl ExactSizeIterator<Item = u32>) {
     control::put_u32(buf, vs.len() as u32);
     for v in vs {
@@ -103,35 +114,68 @@ fn put_u32_list(buf: &mut Vec<u8>, vs: impl ExactSizeIterator<Item = u32>) {
 }
 
 fn read_u32_list(r: &mut PayloadReader<'_>) -> Result<Vec<u32>, ControlError> {
-    let n = r.u32()? as usize;
+    let n = r.count(4)?;
     (0..n).map(|_| r.u32()).collect()
 }
 
-fn cmp_op_code(op: CmpOp) -> u8 {
-    match op {
-        CmpOp::Lt => 0,
-        CmpOp::Le => 1,
-        CmpOp::Gt => 2,
-        CmpOp::Ge => 3,
-        CmpOp::Eq => 4,
-        CmpOp::Ne => 5,
-    }
+/// One-byte wire codes: an enum value's code is its index here.
+const SHUFFLES: [ShuffleAlg; 3] = [
+    ShuffleAlg::Regular,
+    ShuffleAlg::Broadcast,
+    ShuffleAlg::HyperCube,
+];
+const JOINS: [JoinAlg; 2] = [JoinAlg::Hash, JoinAlg::Tributary];
+const LAYOUTS: [TrieLayout; 2] = [TrieLayout::Row, TrieLayout::Columnar];
+const CMP_OPS: [CmpOp; 6] = [
+    CmpOp::Lt,
+    CmpOp::Le,
+    CmpOp::Gt,
+    CmpOp::Ge,
+    CmpOp::Eq,
+    CmpOp::Ne,
+];
+
+/// Writes `v`'s index in `known` (a value missing from its table gets a
+/// code every decoder refuses).
+fn put_code<T: PartialEq>(buf: &mut Vec<u8>, known: &[T], v: T) {
+    let code = known.iter().position(|k| *k == v);
+    control::put_u8(buf, code.map_or(u8::MAX, |c| c as u8));
 }
 
-fn cmp_op_from(code: u8) -> Result<CmpOp, ControlError> {
-    Ok(match code {
-        0 => CmpOp::Lt,
-        1 => CmpOp::Le,
-        2 => CmpOp::Gt,
-        3 => CmpOp::Ge,
-        4 => CmpOp::Eq,
-        5 => CmpOp::Ne,
-        other => {
-            return Err(ControlError::Malformed(format!(
-                "unknown comparison op code {other}"
-            )))
-        }
-    })
+/// Reads a one-byte code: `known[code]`, or a typed refusal.
+fn read_code<T: Copy>(
+    r: &mut PayloadReader<'_>,
+    what: &str,
+    known: &[T],
+) -> Result<T, ControlError> {
+    let code = r.u8()?;
+    let known = known.get(usize::from(code)).copied();
+    known.ok_or_else(|| ControlError::Malformed(format!("unknown {what} code {code}")))
+}
+
+/// A variable or a constant (an atom's term, a filter's right side):
+/// tag 0 or 1, then eight bytes.
+fn put_operand(buf: &mut Vec<u8>, x: Operand) {
+    let (tag, v) = match x {
+        Operand::Var(v) => (0, u64::from(v.0)),
+        Operand::Const(c) => (1, c),
+    };
+    control::put_u8(buf, tag);
+    control::put_u64(buf, v);
+}
+
+fn read_operand(r: &mut PayloadReader<'_>) -> Result<Operand, ControlError> {
+    let (tag, v) = (r.u8()?, r.u64()?);
+    match (tag, u32::try_from(v)) {
+        (0, Ok(id)) => Ok(Operand::Var(VarId(id))),
+        (0, Err(_)) => Err(ControlError::Malformed(format!(
+            "variable id {v} overflows u32"
+        ))),
+        (1, _) => Ok(Operand::Const(v)),
+        _ => Err(ControlError::Malformed(format!(
+            "unknown operand tag {tag}"
+        ))),
+    }
 }
 
 fn put_relation(buf: &mut Vec<u8>, rel: &Relation) {
@@ -165,81 +209,52 @@ impl Fragment {
             control::put_str(buf, &atom.relation);
             control::put_u32(buf, atom.terms.len() as u32);
             for t in &atom.terms {
-                match t {
-                    Term::Var(v) => {
-                        control::put_u8(buf, 0);
-                        control::put_u64(buf, u64::from(v.0));
-                    }
-                    Term::Const(c) => {
-                        control::put_u8(buf, 1);
-                        control::put_u64(buf, *c);
-                    }
-                }
+                put_operand(
+                    buf,
+                    match *t {
+                        Term::Var(v) => Operand::Var(v),
+                        Term::Const(c) => Operand::Const(c),
+                    },
+                );
             }
         }
         control::put_u32(buf, q.filters.len() as u32);
         for f in &q.filters {
             control::put_u32(buf, f.left.0);
-            control::put_u8(buf, cmp_op_code(f.op));
-            match f.right {
-                Operand::Var(v) => {
-                    control::put_u8(buf, 0);
-                    control::put_u64(buf, u64::from(v.0));
-                }
-                Operand::Const(c) => {
-                    control::put_u8(buf, 1);
-                    control::put_u64(buf, c);
-                }
-            }
+            put_code(buf, &CMP_OPS, f.op);
+            put_operand(buf, f.right);
         }
     }
 
     fn decode_query(r: &mut PayloadReader<'_>) -> Result<ConjunctiveQuery, ControlError> {
         let name = r.str()?;
-        let n_vars = r.u32()? as usize;
+        let n_vars = r.count(4)?;
         let var_names = (0..n_vars)
             .map(|_| r.str())
             .collect::<Result<Vec<_>, _>>()?;
         let head = read_u32_list(r)?.into_iter().map(VarId).collect();
-        let n_atoms = r.u32()? as usize;
-        let mut atoms = Vec::with_capacity(n_atoms);
+        // Every count is bounded by the bytes left to decode it from
+        // before anything is sized by it (`PayloadReader::count`).
+        let n_atoms = r.count(8)?;
+        let mut atoms = Vec::new();
         for _ in 0..n_atoms {
             let relation = r.str()?;
-            let n_terms = r.u32()? as usize;
-            let mut terms = Vec::with_capacity(n_terms);
+            let n_terms = r.count(9)?;
+            let mut terms = Vec::new();
             for _ in 0..n_terms {
-                let tag = r.u8()?;
-                let v = r.u64()?;
-                terms.push(match tag {
-                    0 => Term::Var(VarId(u32::try_from(v).map_err(|_| {
-                        ControlError::Malformed(format!("variable id {v} overflows u32"))
-                    })?)),
-                    1 => Term::Const(v),
-                    other => {
-                        return Err(ControlError::Malformed(format!("unknown term tag {other}")))
-                    }
+                terms.push(match read_operand(r)? {
+                    Operand::Var(v) => Term::Var(v),
+                    Operand::Const(c) => Term::Const(c),
                 });
             }
             atoms.push(Atom { relation, terms });
         }
-        let n_filters = r.u32()? as usize;
-        let mut filters = Vec::with_capacity(n_filters);
+        let n_filters = r.count(14)?;
+        let mut filters = Vec::new();
         for _ in 0..n_filters {
             let left = VarId(r.u32()?);
-            let op = cmp_op_from(r.u8()?)?;
-            let tag = r.u8()?;
-            let v = r.u64()?;
-            let right = match tag {
-                0 => Operand::Var(VarId(u32::try_from(v).map_err(|_| {
-                    ControlError::Malformed(format!("variable id {v} overflows u32"))
-                })?)),
-                1 => Operand::Const(v),
-                other => {
-                    return Err(ControlError::Malformed(format!(
-                        "unknown operand tag {other}"
-                    )))
-                }
-            };
+            let op = read_code(r, "comparison op", &CMP_OPS)?;
+            let right = read_operand(r)?;
             filters.push(Filter { left, op, right });
         }
         Ok(ConjunctiveQuery {
@@ -257,35 +272,22 @@ impl Fragment {
         control::put_u32(&mut buf, self.rank);
         control::put_u32(&mut buf, self.workers);
         control::put_u64(&mut buf, self.seed);
-        control::put_u8(
-            &mut buf,
-            match self.shuffle {
-                ShuffleAlg::Regular => 0,
-                ShuffleAlg::Broadcast => 1,
-                ShuffleAlg::HyperCube => 2,
-            },
-        );
-        control::put_u8(
-            &mut buf,
-            match self.join {
-                JoinAlg::Hash => 0,
-                JoinAlg::Tributary => 1,
-            },
-        );
-        control::put_u8(
-            &mut buf,
-            match self.trie_layout {
-                TrieLayout::Row => 0,
-                TrieLayout::Columnar => 1,
-            },
-        );
+        put_code(&mut buf, &SHUFFLES, self.shuffle);
+        put_code(&mut buf, &JOINS, self.join);
+        put_code(&mut buf, &LAYOUTS, self.trie_layout);
         control::put_u8(
             &mut buf,
             match self.wire_format {
                 WireFormat::Vectored => 1,
             },
         );
-        control::put_u8(&mut buf, u8::from(self.wire_compression));
+        let flag = |set: bool, bit: u8| if set { bit } else { 0 };
+        control::put_u8(
+            &mut buf,
+            flag(self.wire_compression, FLAG_WIRE_COMPRESSION)
+                | flag(self.skew_resilient, FLAG_SKEW_RESILIENT)
+                | flag(self.group_count, FLAG_GROUP_COUNT),
+        );
         control::put_u32(&mut buf, self.batch_tuples);
         control::put_u32(&mut buf, self.probe_threads);
         control::put_opt_u64(&mut buf, self.memory_budget);
@@ -334,40 +336,16 @@ impl Fragment {
     ///
     /// # Errors
     /// [`ControlError::Truncated`] / [`ControlError::Malformed`] on a
-    /// short payload, an unknown enum code, or trailing bytes.
+    /// short payload, an unknown enum code or flag bit, a list count the
+    /// remaining bytes cannot hold, or trailing bytes.
     pub fn decode(bytes: &[u8]) -> Result<Fragment, ControlError> {
         let mut r = PayloadReader::new(bytes);
         let rank = r.u32()?;
         let workers = r.u32()?;
         let seed = r.u64()?;
-        let shuffle = match r.u8()? {
-            0 => ShuffleAlg::Regular,
-            1 => ShuffleAlg::Broadcast,
-            2 => ShuffleAlg::HyperCube,
-            other => {
-                return Err(ControlError::Malformed(format!(
-                    "unknown shuffle code {other}"
-                )))
-            }
-        };
-        let join = match r.u8()? {
-            0 => JoinAlg::Hash,
-            1 => JoinAlg::Tributary,
-            other => {
-                return Err(ControlError::Malformed(format!(
-                    "unknown join code {other}"
-                )))
-            }
-        };
-        let trie_layout = match r.u8()? {
-            0 => TrieLayout::Row,
-            1 => TrieLayout::Columnar,
-            other => {
-                return Err(ControlError::Malformed(format!(
-                    "unknown trie layout code {other}"
-                )))
-            }
-        };
+        let shuffle = read_code(&mut r, "shuffle", &SHUFFLES)?;
+        let join = read_code(&mut r, "join", &JOINS)?;
+        let trie_layout = read_code(&mut r, "trie layout", &LAYOUTS)?;
         // Tag 0 named the second codec PJCP version 1 still carried.
         let wire_format = match r.u8()? {
             1 => WireFormat::Vectored,
@@ -377,15 +355,12 @@ impl Fragment {
                 )))
             }
         };
-        let wire_compression = match r.u8()? {
-            0 => false,
-            1 => true,
-            other => {
-                return Err(ControlError::Malformed(format!(
-                    "invalid bool byte {other}"
-                )))
-            }
-        };
+        let flags = r.u8()?;
+        if flags & !(FLAG_WIRE_COMPRESSION | FLAG_SKEW_RESILIENT | FLAG_GROUP_COUNT) != 0 {
+            return Err(ControlError::Malformed(format!(
+                "unknown fragment flag bits {flags:#010b}"
+            )));
+        }
         let batch_tuples = r.u32()?;
         let probe_threads = r.u32()?;
         let memory_budget = r.opt_u64()?;
@@ -398,53 +373,43 @@ impl Fragment {
             .into_iter()
             .map(|v| v as usize)
             .collect();
-        let tj_order = match r.u8()? {
-            0 => None,
-            1 => Some(read_u32_list(&mut r)?.into_iter().map(VarId).collect()),
-            other => {
-                return Err(ControlError::Malformed(format!(
-                    "invalid option tag {other} (expected 0 or 1)"
-                )))
-            }
+        let tj_order = if read_code(&mut r, "option tag", &[false, true])? {
+            Some(read_u32_list(&mut r)?.into_iter().map(VarId).collect())
+        } else {
+            None
         };
-        let hc_config = match r.u8()? {
-            0 => None,
-            1 => {
-                let k = r.u32()? as usize;
-                let mut vars = Vec::with_capacity(k);
-                let mut dims = Vec::with_capacity(k);
-                for _ in 0..k {
-                    vars.push(VarId(r.u32()?));
-                    let d = r.u32()? as usize;
-                    if d == 0 {
+        let hc_config = if read_code(&mut r, "option tag", &[false, true])? {
+            let k = r.count(8)?;
+            let (mut vars, mut dims) = (Vec::new(), Vec::new());
+            for _ in 0..k {
+                vars.push(VarId(r.u32()?));
+                dims.push(match r.u32()? {
+                    0 => {
                         return Err(ControlError::Malformed(
-                            "hypercube dimension of zero".to_string(),
-                        ));
+                            "hypercube dimension of zero".into(),
+                        ))
                     }
-                    dims.push(d);
-                }
-                Some(HcConfig::new(vars, dims))
+                    d => d as usize,
+                });
             }
-            other => {
-                return Err(ControlError::Malformed(format!(
-                    "invalid option tag {other} (expected 0 or 1)"
-                )))
-            }
+            Some(HcConfig::new(vars, dims))
+        } else {
+            None
         };
-        let n_cards = r.u32()? as usize;
+        let n_cards = r.count(8)?;
         let cards = (0..n_cards)
             .map(|_| r.u64())
             .collect::<Result<Vec<_>, _>>()?;
         let query = Self::decode_query(&mut r)?;
-        let n_atom_vars = r.u32()? as usize;
+        let n_atom_vars = r.count(4)?;
         let atom_vars = (0..n_atom_vars)
             .map(|_| Ok(read_u32_list(&mut r)?.into_iter().map(VarId).collect()))
             .collect::<Result<Vec<Vec<VarId>>, ControlError>>()?;
-        let n_parts = r.u32()? as usize;
+        let n_parts = r.count(8)?;
         let parts = (0..n_parts)
             .map(|_| read_relation(&mut r))
             .collect::<Result<Vec<_>, _>>()?;
-        let n_addrs = r.u32()? as usize;
+        let n_addrs = r.count(4)?;
         let data_addrs = (0..n_addrs)
             .map(|_| r.str())
             .collect::<Result<Vec<_>, _>>()?;
@@ -457,7 +422,9 @@ impl Fragment {
             join,
             trie_layout,
             wire_format,
-            wire_compression,
+            wire_compression: flags & FLAG_WIRE_COMPRESSION != 0,
+            skew_resilient: flags & FLAG_SKEW_RESILIENT != 0,
+            group_count: flags & FLAG_GROUP_COUNT != 0,
             batch_tuples,
             probe_threads,
             memory_budget,
@@ -569,11 +536,9 @@ impl Fragment {
 ///
 /// # Errors
 /// - [`EngineError::Unsupported`] for a mis-sized address list and for
-///   the plan options a mesh cannot run yet, each for its own reason:
-///   `skew_resilient` picks heavy keys from *global* key frequencies,
-///   which no single rank sees; `group_count` needs a fragment flag plus
-///   a combine round on the exchange seam; `trace_path` needs a channel
-///   that returns the ranks' spans to the coordinator (ROADMAP item 5).
+///   the one plan option a mesh cannot run yet: `trace_path` needs a
+///   channel that returns the ranks' spans to the coordinator (ROADMAP
+///   item 4's `Stats` frame).
 /// - [`EngineError::Resolve`] when the query references missing
 ///   relations.
 /// - [`EngineError::InvalidPlan`] when the analyzer or certifier
@@ -587,25 +552,12 @@ pub fn plan_fragments(
     opts: &PlanOptions,
     data_addrs: &[String],
 ) -> Result<Vec<Fragment>, EngineError> {
-    for (set, lacks) in [
-        (
-            opts.skew_resilient,
-            "skew_resilient: heavy keys are chosen from global key frequencies, which no \
-             single rank sees",
-        ),
-        (
-            opts.group_count,
-            "group_count: fragments carry no aggregation flag and the exchange seam has no \
-             combine round",
-        ),
-        (
-            opts.trace_path.is_some(),
-            "trace_path: workers have no channel to return their spans to the coordinator",
-        ),
-    ] {
-        if set {
-            return Err(EngineError::Unsupported(format!("over a mesh, {lacks}")));
-        }
+    if opts.trace_path.is_some() {
+        return Err(EngineError::Unsupported(
+            "over a mesh, trace_path: workers have no channel to return their spans to the \
+             coordinator"
+                .to_string(),
+        ));
     }
     if data_addrs.len() != cluster.workers {
         return Err(EngineError::Unsupported(format!(
@@ -633,6 +585,8 @@ pub fn plan_fragments(
             trie_layout: opts.trie_layout,
             wire_format: cluster.wire_format,
             wire_compression: opts.wire_compression,
+            skew_resilient: opts.skew_resilient,
+            group_count: opts.group_count,
             batch_tuples: cluster.batch_tuples as u32,
             probe_threads: plan.probe_threads as u32,
             memory_budget: cluster.memory_budget,
@@ -653,7 +607,8 @@ pub fn plan_fragments(
 /// What one rank produced by executing its fragment.
 #[derive(Debug)]
 pub struct RemoteOutcome {
-    /// This rank's partition of the output, projected to the head.
+    /// This rank's partition of the output, projected to the head — or,
+    /// under [`Fragment::group_count`], its `(head…, count)` groups.
     pub output: Relation,
     /// Tuples this rank sent across all exchange rounds.
     pub tuples_sent: u64,
@@ -702,6 +657,8 @@ pub fn execute_fragment(frag: &Fragment, mesh: &HostMesh) -> Result<RemoteOutcom
     let opts = PlanOptions {
         collect_output: true,
         trie_layout: frag.trie_layout,
+        skew_resilient: frag.skew_resilient,
+        group_count: frag.group_count,
         ..PlanOptions::default()
     };
     let plan = Plan {
@@ -918,25 +875,105 @@ mod tests {
     #[test]
     fn mesh_refusals_name_what_the_mesh_lacks() {
         let (q, db) = triangle_db();
-        let with = |set: fn(&mut PlanOptions)| {
-            let mut opts = PlanOptions::default();
-            set(&mut opts);
-            opts
+        let opts = PlanOptions {
+            trace_path: Some("trace.json".into()),
+            ..PlanOptions::default()
         };
-        for (opts, lacks) in [
-            (with(|o| o.skew_resilient = true), "global key frequencies"),
-            (with(|o| o.group_count = true), "combine round"),
-            (
-                with(|o| o.trace_path = Some("trace.json".into())),
-                "no channel to return their spans",
-            ),
+        let (s, j) = (ShuffleAlg::Regular, JoinAlg::Hash);
+        let err = plan_fragments(&q, &db, &Cluster::new(4), s, j, &opts, &addrs(4)).unwrap_err();
+        assert!(
+            matches!(&err, EngineError::Unsupported(m) if m.contains("no channel to return their spans")),
+            "want Unsupported naming the missing channel, got {err:?}"
+        );
+    }
+
+    #[test]
+    fn option_flags_ride_in_one_byte_and_unknown_bits_are_malformed() {
+        let (q, db) = triangle_db();
+        let (s, j) = (ShuffleAlg::Regular, JoinAlg::Hash);
+        let plain = fragments_for(s, j)[0].encode();
+        for (skew, group, compress) in [(true, false, false), (false, true, true)] {
+            let opts = PlanOptions {
+                skew_resilient: skew,
+                group_count: group,
+                wire_compression: compress,
+                ..PlanOptions::default()
+            };
+            let cluster = Cluster::new(4).with_seed(11);
+            let frag = plan_fragments(&q, &db, &cluster, s, j, &opts, &addrs(4))
+                .unwrap()
+                .remove(0);
+            let bytes = frag.encode();
+            assert_eq!(bytes.len(), plain.len(), "the flags cost no byte");
+            let back = Fragment::decode(&bytes).unwrap();
+            assert_eq!(
+                (back.skew_resilient, back.group_count, back.wire_compression),
+                (skew, group, compress)
+            );
+        }
+        let mut bytes = plain;
+        assert_eq!(bytes[20], 0, "offset 20 is the flags byte");
+        bytes[20] = 1 << 3;
+        let err = Fragment::decode(&bytes).unwrap_err();
+        assert!(
+            matches!(&err, ControlError::Malformed(m) if m.contains("flag bits")),
+            "want Malformed, got {err:?}"
+        );
+    }
+
+    /// The fixed-width head of a fragment payload up to and including
+    /// the `tj_order` option tag: 40 bytes, every list empty.
+    fn bomb_head() -> Vec<u8> {
+        let mut buf = Vec::new();
+        control::put_u32(&mut buf, 0); // rank
+        control::put_u32(&mut buf, 1); // workers
+        control::put_u64(&mut buf, 0); // seed
+        buf.extend_from_slice(&[0, 0, 0, 1, 0]); // shuffle, join, layout, format, flags
+        control::put_u32(&mut buf, 1); // batch_tuples
+        control::put_u32(&mut buf, 1); // probe_threads
+        buf.extend_from_slice(&[0, 0]); // no memory budget, no host cores
+        control::put_u32(&mut buf, 0); // join_order
+        control::put_u32(&mut buf, 0); // local_order
+        control::put_u8(&mut buf, 0); // no tj_order
+        buf
+    }
+
+    #[test]
+    fn length_prefix_bombs_are_malformed_not_allocations() {
+        // The 45-byte payload that aborted a worker: `hc_config` present
+        // with u32::MAX dimensions (two `Vec`s were sized by it).
+        let mut dims = bomb_head();
+        control::put_u8(&mut dims, 1);
+        control::put_u32(&mut dims, u32::MAX);
+        assert_eq!(dims.len(), 45);
+
+        // Its siblings sit in the query: atoms, terms, filters.
+        let mut query = bomb_head();
+        control::put_u8(&mut query, 0); // no hc_config
+        control::put_u32(&mut query, 0); // cards
+        control::put_str(&mut query, "Q");
+        control::put_u32(&mut query, 0); // var names
+        control::put_u32(&mut query, 0); // head
+        let mut atoms = query.clone();
+        control::put_u32(&mut atoms, u32::MAX);
+        let mut terms = query.clone();
+        control::put_u32(&mut terms, 1);
+        control::put_str(&mut terms, "R");
+        control::put_u32(&mut terms, u32::MAX);
+        let mut filters = query;
+        control::put_u32(&mut filters, 0); // atoms
+        control::put_u32(&mut filters, u32::MAX);
+
+        for (what, bytes) in [
+            ("dims", dims),
+            ("atoms", atoms),
+            ("terms", terms),
+            ("filters", filters),
         ] {
-            let (s, j) = (ShuffleAlg::Regular, JoinAlg::Hash);
-            let err =
-                plan_fragments(&q, &db, &Cluster::new(4), s, j, &opts, &addrs(4)).unwrap_err();
+            let err = Fragment::decode(&bytes).unwrap_err();
             assert!(
-                matches!(&err, EngineError::Unsupported(m) if m.contains(lacks)),
-                "want Unsupported naming `{lacks}`, got {err:?}"
+                matches!(&err, ControlError::Malformed(m) if m.contains("4294967295 elements")),
+                "{what}: want Malformed naming the count, got {err:?}"
             );
         }
     }

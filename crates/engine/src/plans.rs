@@ -21,7 +21,7 @@
 //! modeled, but shuffle volume and skew are reported exactly.
 
 use crate::cluster::Cluster;
-use crate::dist::DistRel;
+use crate::dist::{DistRel, AGGREGATE};
 use crate::error::EngineError;
 use crate::exec::{parallelism_warning, run_phase_traced};
 use crate::local::{hash_join, merge_join, SchemaRel};
@@ -137,15 +137,16 @@ pub struct PlanOptions {
     pub distinct_output: bool,
     /// Use the heavy-hitter-resilient shuffle for regular-shuffle steps
     /// (the paper's footnote 2): hot keys are spread on one side and
-    /// replicated on the other, bounding per-worker load. Only affects
-    /// `ShuffleAlg::Regular` plans.
+    /// replicated on the other, bounding per-worker load. Each step
+    /// first all-gathers bounded per-partition key summaries (one more
+    /// recorded shuffle and round), so every rank derives the same
+    /// heavy set. Only affects `ShuffleAlg::Regular` plans.
     pub skew_resilient: bool,
     /// Aggregate the output into `(head…, count)` groups — the paper's §1
     /// motivation is exactly this shape ("the frequencies of graphlets in
     /// the network"). Groups are pre-aggregated per worker, combined with
-    /// one extra hash shuffle on the head variables (counted in the
-    /// metrics), and the result replaces the projected output. The count
-    /// column is appended after the head columns.
+    /// one extra hash shuffle on the head columns (counted in the
+    /// metrics), and replace the projected output, count column last.
     pub group_count: bool,
     /// Prepare Tributary atoms serially and without the sorted-view
     /// cache (plain [`SortedAtom::prepare`]). The default (`false`)
@@ -209,7 +210,7 @@ pub struct PlanOptions {
     /// changes `bytes_shuffled` but never the output —
     /// [`RunResult::bytes_shuffled_raw`] keeps the uncompressed
     /// equivalent so the ratio is always visible (≈ 5× fewer bytes on
-    /// Q1's small ids at equal time). Not yet a rule: ROADMAP item 2
+    /// Q1's small ids at equal time). Not yet a rule: ROADMAP item 1
     /// decides when it is on.
     pub wire_compression: bool,
 }
@@ -746,7 +747,7 @@ impl RunResult {
         }
     }
 
-    fn absorb_shuffle(&mut self, s: ShuffleStats) {
+    pub(crate) fn absorb_shuffle(&mut self, s: ShuffleStats) {
         self.tuples_shuffled += s.tuples_sent;
         self.bytes_shuffled += s.bytes_sent;
         self.bytes_shuffled_raw += s.bytes_sent_raw;
@@ -943,56 +944,61 @@ pub fn run_config(
     opts: &PlanOptions,
 ) -> Result<RunResult, EngineError> {
     let obs = RunObs::new(opts.trace_path.is_some());
-    let mut result = run_config_with_obs(query, db, cluster, shuffle_alg, join_alg, opts, &obs)?;
-    obs.finalize(&mut result);
-    obs.write_trace(opts.trace_path.as_deref())?;
-    Ok(result)
-}
-
-/// [`run_config`] against a caller-owned [`RunObs`]. The caller finalizes
-/// (and exports) — this is how the semijoin plan shares one registry and
-/// one trace between its reduction passes and the final join.
-pub(crate) fn run_config_with_obs(
-    query: &ConjunctiveQuery,
-    db: &parjoin_common::Database,
-    cluster: &Cluster,
-    shuffle_alg: ShuffleAlg,
-    join_alg: JoinAlg,
-    opts: &PlanOptions,
-    obs: &RunObs,
-) -> Result<RunResult, EngineError> {
-    let plan = plan(query, db, cluster, shuffle_alg, join_alg, opts)?;
-    let (hits, misses) = plan.stats_lookups;
-    obs.registry.add(metric_names::STATS_CACHE_HITS, hits);
-    obs.registry.add(metric_names::STATS_CACHE_MISSES, misses);
-
-    // A streaming transport gets a live worker runtime for the plan's
-    // duration; Local (the degenerate case) needs none.
-    let rt: Option<Runtime> = if cluster.transport.is_streaming() {
-        Some(Runtime::new(RuntimeConfig {
-            workers: cluster.workers,
-            transport: cluster.transport,
-            batch_tuples: cluster.batch_tuples,
-            wire_format: cluster.wire_format,
-            wire_compression: opts.wire_compression,
-            obs: obs.runtime_obs(),
-            ..RuntimeConfig::default()
-        })?)
-    } else {
-        None
-    };
+    let rt = start_runtime(cluster, opts, &obs)?;
     let ex = Exec {
         query,
         cluster,
         opts,
         seam: &Seam::from(rt.as_ref()),
-        obs,
+        obs: &obs,
     };
-    let result = execute(&ex, plan)?;
+    let mut result = plan_and_execute(&ex, db, shuffle_alg, join_alg)?;
     if let Some(rt) = rt {
         rt.shutdown()?;
     }
+    obs.finalize(&mut result);
+    obs.write_trace(opts.trace_path.as_deref())?;
     Ok(result)
+}
+
+/// The worker runtime every shuffle of one plan streams through — the
+/// semijoin plan's reduction passes and final join included: live under
+/// a streaming transport, none under Local (the degenerate case).
+pub(crate) fn start_runtime(
+    cluster: &Cluster,
+    opts: &PlanOptions,
+    obs: &RunObs,
+) -> Result<Option<Runtime>, EngineError> {
+    if !cluster.transport.is_streaming() {
+        return Ok(None);
+    }
+    Ok(Some(Runtime::new(RuntimeConfig {
+        workers: cluster.workers,
+        transport: cluster.transport,
+        batch_tuples: cluster.batch_tuples,
+        wire_format: cluster.wire_format,
+        wire_compression: opts.wire_compression,
+        obs: obs.runtime_obs(),
+        ..RuntimeConfig::default()
+    })?))
+}
+
+/// [`plan`] then [`execute`] against a caller-owned seam and [`RunObs`]
+/// (the semijoin plan shares both with its reduction passes). The
+/// caller finalizes and exports.
+pub(crate) fn plan_and_execute(
+    ex: &Exec<'_>,
+    db: &parjoin_common::Database,
+    shuffle_alg: ShuffleAlg,
+    join_alg: JoinAlg,
+) -> Result<RunResult, EngineError> {
+    let plan = plan(ex.query, db, ex.cluster, shuffle_alg, join_alg, ex.opts)?;
+    let (hits, misses) = plan.stats_lookups;
+    ex.obs.registry.add(metric_names::STATS_CACHE_HITS, hits);
+    ex.obs
+        .registry
+        .add(metric_names::STATS_CACHE_MISSES, misses);
+    execute(ex, plan)
 }
 
 /// Every global decision of one shuffle×join plan, made once by
@@ -1368,17 +1374,23 @@ fn run_regular(
             .collect::<Vec<_>>()
             .join(",");
         let (cur_s, next_s, s1, s2) = if opts.skew_resilient && !shuffle_key.is_empty() {
-            let (ca, cb, sa, sb, _heavy) = shuffle::skew_resilient_pair(
+            let (cur_s, next_s, [summary, s1, s2]) = shuffle::skew_resilient_pair(
                 &cur,
                 &next,
                 &shuffle_key,
                 (&cur_label, next_label),
-                cluster.seed,
+                cluster,
                 // Keys above ~1x the average per-worker load are heavy;
                 // PRPD-style engines use similar small multiples.
                 1.0,
-            );
-            (ca, cb, sa, sb)
+                seam,
+            )?;
+            // The summary all-gather is a round of its own: routing
+            // waits for its outcome.
+            result.absorb_network(&[&summary], cluster.shuffle_tuple_cost);
+            result.absorb_shuffle(summary);
+            result.rounds += 1;
+            (cur_s, next_s, s1, s2)
         } else {
             let hash_on_key = |d: &DistRel, label: &str| {
                 shuffle::run_router(
@@ -1511,8 +1523,7 @@ fn run_regular(
         ));
     }
 
-    finish_output(ex, cur, result);
-    Ok(())
+    finish_output(ex, cur, result)
 }
 
 /// Per-worker tallies of one local multiway join, folded into the
@@ -1630,17 +1641,13 @@ fn run_one_round(
     }
 
     result.rounds += 1;
-    {
-        let stats: Vec<&ShuffleStats> = result.shuffles.iter().collect();
-        let mut net = RunResult::new(String::new(), hosted);
-        net.absorb_network(&stats, cluster.shuffle_tuple_cost);
-        result.wall += net.wall;
-        result.total_cpu += net.total_cpu;
-        for w in 0..hosted {
-            result.per_worker_busy[w] += net.per_worker_busy[w];
-            result.per_worker_net[w] += net.per_worker_net[w];
-        }
-    }
+    // The round's shuffles run as one parallel phase.
+    let shuffles = std::mem::take(&mut result.shuffles);
+    result.absorb_network(
+        &shuffles.iter().collect::<Vec<_>>(),
+        cluster.shuffle_tuple_cost,
+    );
+    result.shuffles = shuffles;
 
     // --- The local multiway join. ----------------------------------------
     let head = query.output_vars();
@@ -1883,14 +1890,13 @@ fn run_one_round(
         vars: head,
         parts: outputs,
     };
-    finish_output(ex, out, result);
-    Ok(())
+    finish_output(ex, out, result)
 }
 
 /// Projects to the head (RS path still carries the full schema), counts,
 /// and optionally gathers the output.
-fn finish_output(ex: &Exec<'_>, cur: DistRel, result: &mut RunResult) {
-    let (cluster, opts) = (ex.cluster, ex.opts);
+fn finish_output(ex: &Exec<'_>, cur: DistRel, result: &mut RunResult) -> Result<(), EngineError> {
+    let opts = ex.opts;
     // Output projection/aggregation/gathering is coordinator work: it
     // gets the coordinator lane, not a worker lane.
     let lane = ex.obs.trace.lane(COORDINATOR_LANE);
@@ -1906,75 +1912,73 @@ fn finish_output(ex: &Exec<'_>, cur: DistRel, result: &mut RunResult) {
     } else {
         cur
     };
-    if opts.group_count {
-        let grouped = group_count_output(cluster, &projected, result);
-        result.output_tuples = grouped.len() as u64;
-        if opts.collect_output {
-            result.output = Some(grouped);
-        }
-        return;
-    }
-    result.output_tuples = projected.total_len();
+    let out = if opts.group_count {
+        group_count_output(ex, &projected, result)?
+    } else {
+        projected
+    };
+    result.output_tuples = out.total_len();
     if opts.collect_output {
-        result.output = Some(projected.gather());
+        result.output = Some(out.gather());
     }
+    Ok(())
 }
 
-/// Pre-aggregates `(head…, count)` per worker, combines partial groups
-/// with one hash shuffle on the head values, and gathers the final
-/// groups. The combine shuffle is recorded in the run's metrics like any
-/// other.
-fn group_count_output(cluster: &Cluster, projected: &DistRel, result: &mut RunResult) -> Relation {
+/// Groups one partition on its first `head` columns: `(head…, count)`
+/// rows in key order. Rows wider than `head` already carry a partial
+/// count in the next column, which is summed; bare rows count 1.
+fn count_groups(part: &Relation, head: usize) -> Relation {
     use std::collections::BTreeMap;
-    let workers = cluster.workers;
-    let arity = projected.vars.len();
-    let seed = shuffle::join_key_seed(cluster.seed, &projected.vars);
-
-    // Local pre-aggregation (the classic combiner step: at most one row
-    // per distinct group leaves each worker).
-    let local: Vec<BTreeMap<Vec<parjoin_common::Value>, u64>> = projected
-        .parts
-        .iter()
-        .map(|p| {
-            let mut m = BTreeMap::new();
-            for row in p.rows() {
-                *m.entry(row.to_vec()).or_insert(0u64) += 1;
-            }
-            m
-        })
-        .collect();
-
-    // Route partial groups by hash of the group key.
-    let mut dest: Vec<BTreeMap<Vec<parjoin_common::Value>, u64>> = vec![BTreeMap::new(); workers];
-    let mut per_producer = vec![0u64; workers];
-    let mut per_consumer = vec![0u64; workers];
-    for (w, groups) in local.into_iter().enumerate() {
-        for (key, count) in groups {
-            let d = parjoin_common::hash::bucket_row(&key, seed, workers);
-            per_producer[w] += 1;
-            per_consumer[d] += 1;
-            *dest[d].entry(key).or_insert(0) += count;
-        }
+    let mut groups: BTreeMap<&[parjoin_common::Value], u64> = BTreeMap::new();
+    for row in part.rows() {
+        *groups.entry(&row[..head]).or_insert(0) += row.get(head).copied().unwrap_or(1);
     }
-    let stats =
-        parjoin_common::ShuffleStats::new("group-count combine", per_producer, per_consumer);
+    let mut flat = Vec::with_capacity(groups.len() * (head + 1));
+    for (key, count) in groups {
+        flat.extend_from_slice(key);
+        flat.push(count);
+    }
+    Relation::from_flat(head + 1, flat)
+}
+
+/// Pre-aggregates `(head…, count)` per hosted partition (the classic
+/// combiner step: at most one row per distinct group leaves each
+/// worker), combines the partial groups with one hash shuffle on the
+/// head columns, and merge-sums per destination. The combine shuffle is
+/// recorded in the run's metrics like any other.
+fn group_count_output(
+    ex: &Exec<'_>,
+    projected: &DistRel,
+    result: &mut RunResult,
+) -> Result<DistRel, EngineError> {
+    let cluster = ex.cluster;
+    let head = projected.vars.len();
+    let mut vars = projected.vars.clone();
+    vars.push(AGGREGATE);
+    let partial = DistRel {
+        vars,
+        parts: projected
+            .parts
+            .iter()
+            .map(|p| count_groups(p, head))
+            .collect(),
+    };
+    // Groups are placed by the head columns in head order.
+    let seed = shuffle::join_key_seed(cluster.seed, &projected.vars);
+    let (mut combined, stats) = shuffle::run_router(
+        &partial,
+        shuffle::regular_router((0..head).collect(), seed, cluster.workers),
+        "group-count combine",
+        ex.seam,
+    )?;
     result.rounds += 1;
     result.wall += cluster.round_latency;
     result.absorb_network(&[&stats], cluster.shuffle_tuple_cost);
     result.absorb_shuffle(stats);
-
-    // Gather the final groups (deterministic order: by worker, by key).
-    let mut out = Relation::new(arity + 1);
-    let mut row = Vec::with_capacity(arity + 1);
-    for groups in dest {
-        for (key, count) in groups {
-            row.clear();
-            row.extend_from_slice(&key);
-            row.push(count);
-            out.push_row(&row);
-        }
+    for part in &mut combined.parts {
+        *part = count_groups(part, head);
     }
-    out
+    Ok(combined)
 }
 
 #[cfg(test)]

@@ -19,10 +19,12 @@ use crate::dist::DistRel;
 use crate::error::EngineError;
 use crate::exec::run_phase_traced;
 use crate::local::SchemaRel;
-use crate::plans::{run_config_with_obs, JoinAlg, PlanOptions, RunObs, RunResult, ShuffleAlg};
+use crate::plans::{
+    plan_and_execute, start_runtime, Exec, JoinAlg, PlanOptions, RunObs, RunResult, ShuffleAlg,
+};
 use crate::probe;
-use crate::shuffle;
-use parjoin_common::Database;
+use crate::shuffle::{self, Seam};
+use parjoin_common::{Database, ShuffleStats};
 use parjoin_query::hypergraph::gyo_join_tree;
 use parjoin_query::{resolve_atoms, ConjunctiveQuery, VarId};
 
@@ -54,13 +56,8 @@ fn distributed_semijoin(
     label: &str,
     probe_threads: usize,
     obs: &RunObs,
-) -> (
-    DistRel,
-    parjoin_common::ShuffleStats,
-    parjoin_common::ShuffleStats,
-    u64,
-    u64,
-) {
+    seam: &Seam<'_>,
+) -> Result<(DistRel, ShuffleStats, ShuffleStats, u64, u64), EngineError> {
     let shared: Vec<VarId> = target
         .vars
         .iter()
@@ -81,10 +78,12 @@ fn distributed_semijoin(
     };
 
     // Shuffle both on the shared variables.
-    let (proj_s, stats_proj) =
-        shuffle::regular(&projected, &shared, format!("{label}: keys"), cluster.seed);
-    let (tgt_s, stats_tgt) =
-        shuffle::regular(target, &shared, format!("{label}: input"), cluster.seed);
+    let hash_on_shared = |d: &DistRel, what: &str| {
+        let router = shuffle::regular_router_for(&d.vars, &shared, cluster.seed, cluster.workers);
+        shuffle::run_router(d, router, format!("{label}: {what}"), seam)
+    };
+    let (proj_s, stats_proj) = hash_on_shared(&projected, "keys")?;
+    let (tgt_s, stats_tgt) = hash_on_shared(target, "input")?;
 
     // Local semijoin (morsel-parallel over the target's rows).
     let seed = cluster.seed;
@@ -112,7 +111,7 @@ fn distributed_semijoin(
         vars: target.vars.clone(),
         parts,
     };
-    (reduced, stats_proj, stats_tgt, morsels, steals)
+    Ok((reduced, stats_proj, stats_tgt, morsels, steals))
 }
 
 /// Runs the full semijoin plan on an acyclic query.
@@ -146,51 +145,41 @@ pub fn run_semijoin_plan(
     let mut sj_morsels = 0u64;
     let mut sj_steals = 0u64;
     let probe_threads = opts.effective_probe_threads(cluster.workers);
-    // One registry and one trace span the whole plan — reduction passes
-    // and final join — so the exported metrics and chrome trace cover the
+    // One runtime, one registry and one trace span the whole plan —
+    // reduction passes and final join — so every shuffle moves through
+    // the same seam and the exported metrics and chrome trace cover the
     // semijoin work too (the final join's legacy counters are folded into
     // `run` below, and we finalize after that fold).
     let obs = RunObs::new(opts.trace_path.is_some());
+    let rt = start_runtime(cluster, opts, &obs)?;
+    let seam = Seam::from(rt.as_ref());
 
-    // Bottom-up: children reduce parents.
-    for &a in &tree.bottom_up {
-        if let Some(p) = tree.parent[a] {
-            let (reduced, sp, st, morsels, steals) = distributed_semijoin(
-                &dists[p].clone(),
-                &dists[a],
-                cluster,
-                &format!("{} ⋉ {}", query.atoms[p].relation, query.atoms[a].relation),
-                probe_threads,
-                &obs,
-            );
-            projected_tuples += sp.tuples_sent;
-            input_tuples += st.tuples_sent;
-            sj_morsels += morsels;
-            sj_steals += steals;
-            sj_shuffles.push(sp);
-            sj_shuffles.push(st);
-            dists[p] = reduced;
-        }
-    }
-    // Top-down: parents reduce children.
-    for &a in &tree.top_down() {
-        for c in tree.children(a) {
-            let (reduced, sp, st, morsels, steals) = distributed_semijoin(
-                &dists[c].clone(),
-                &dists[a],
-                cluster,
-                &format!("{} ⋉ {}", query.atoms[c].relation, query.atoms[a].relation),
-                probe_threads,
-                &obs,
-            );
-            projected_tuples += sp.tuples_sent;
-            input_tuples += st.tuples_sent;
-            sj_morsels += morsels;
-            sj_steals += steals;
-            sj_shuffles.push(sp);
-            sj_shuffles.push(st);
-            dists[c] = reduced;
-        }
+    // Bottom-up, children reduce parents; then top-down, parents reduce
+    // children. Each step is `(target, reducer)`.
+    let bottom_up = tree
+        .bottom_up
+        .iter()
+        .filter_map(|&a| Some((tree.parent[a]?, a)));
+    let top_down = tree.top_down().into_iter();
+    let top_down = top_down.flat_map(|a| tree.children(a).into_iter().map(move |c| (c, a)));
+    for (target, reducer) in bottom_up.chain(top_down) {
+        let atoms = &query.atoms;
+        let (reduced, sp, st, morsels, steals) = distributed_semijoin(
+            &dists[target],
+            &dists[reducer],
+            cluster,
+            &format!("{} ⋉ {}", atoms[target].relation, atoms[reducer].relation),
+            probe_threads,
+            &obs,
+            &seam,
+        )?;
+        projected_tuples += sp.tuples_sent;
+        input_tuples += st.tuples_sent;
+        sj_morsels += morsels;
+        sj_steals += steals;
+        sj_shuffles.push(sp);
+        sj_shuffles.push(st);
+        dists[target] = reduced;
     }
     // Final join: run the RS_HJ plan over a database of reduced relations.
     // Atom names must be unique in the temporary catalog (self-joins reuse
@@ -214,16 +203,17 @@ pub fn run_semijoin_plan(
     let reduced_cards: Vec<u64> = dists.iter().map(|d| d.total_len()).collect();
     // Let run_config pick its fanout-aware greedy order over the reduced
     // relations.
-    let final_opts = opts.clone();
-    let mut run = run_config_with_obs(
-        &final_query,
-        &reduced_db,
+    let ex = Exec {
+        query: &final_query,
         cluster,
-        ShuffleAlg::Regular,
-        JoinAlg::Hash,
-        &final_opts,
-        &obs,
-    )?;
+        opts,
+        seam: &seam,
+        obs: &obs,
+    };
+    let mut run = plan_and_execute(&ex, &reduced_db, ShuffleAlg::Regular, JoinAlg::Hash)?;
+    if let Some(rt) = rt {
+        rt.shutdown()?;
+    }
 
     // Fold the semijoin shuffles into the run's totals; every semijoin
     // step is one extra communication round (two parallel shuffles) and
@@ -232,13 +222,16 @@ pub fn run_semijoin_plan(
     run.rounds += sj_rounds;
     run.wall += cluster.round_latency * sj_rounds;
     for pair in sj_shuffles.chunks(2) {
-        let refs: Vec<&parjoin_common::ShuffleStats> = pair.iter().collect();
+        let refs: Vec<&ShuffleStats> = pair.iter().collect();
         run.absorb_network(&refs, cluster.shuffle_tuple_cost);
     }
-    for s in sj_shuffles.into_iter().rev() {
-        run.tuples_shuffled += s.tuples_sent;
-        run.shuffles.insert(0, s);
+    // The semijoin shuffles ran first: tally them, then re-append the
+    // final join's (already tallied) ones.
+    let final_shuffles = std::mem::take(&mut run.shuffles);
+    for s in sj_shuffles {
+        run.absorb_shuffle(s);
     }
+    run.shuffles.extend(final_shuffles);
     run.probe_morsels += sj_morsels;
     run.probe_steals += sj_steals;
     run.config = "SJ_HJ".into();

@@ -8,7 +8,9 @@ use parjoin_engine::local::{hash_join, merge_join, semijoin, SchemaRel};
 use parjoin_engine::prepare::sorted_by_columns_parallel;
 use parjoin_engine::probe::morsel_bounds;
 use parjoin_engine::shuffle;
-use parjoin_engine::SortCache;
+use parjoin_engine::{
+    plan_fragments, Cluster, Fragment, JoinAlg, PlanOptions, ShuffleAlg, SortCache,
+};
 use parjoin_query::VarId;
 use proptest::prelude::*;
 use std::collections::BTreeMap;
@@ -29,6 +31,89 @@ fn multiset(rel: &Relation) -> BTreeMap<Vec<u64>, usize> {
         *m.entry(row.to_vec()).or_insert(0) += 1;
     }
     m
+}
+
+/// A valid rank-0 fragment payload per shuffle algorithm (a 12-edge
+/// triangle query on two ranks), `group_count` and `skew_resilient`
+/// set: the seeds the hostile-bytes properties mutate.
+fn valid_fragments() -> &'static [Vec<u8>] {
+    static FRAGS: std::sync::OnceLock<Vec<Vec<u8>>> = std::sync::OnceLock::new();
+    FRAGS.get_or_init(|| {
+        let q =
+            parjoin_query::parser::parse("T(x, z) :- R(x, y), S(y, z), U(z, x), x < 9").unwrap();
+        let edges: Vec<[u64; 2]> = (0..12u64).map(|i| [i, (i * 5 + 1) % 12]).collect();
+        let mut db = parjoin_common::Database::new();
+        for name in ["R", "S", "U"] {
+            db.insert(name, Relation::from_rows(2, edges.iter()));
+        }
+        let opts = PlanOptions {
+            skew_resilient: true,
+            group_count: true,
+            ..PlanOptions::default()
+        };
+        let addrs = ["127.0.0.1:1".to_string(), "127.0.0.1:2".to_string()];
+        [
+            ShuffleAlg::Regular,
+            ShuffleAlg::Broadcast,
+            ShuffleAlg::HyperCube,
+        ]
+        .into_iter()
+        .map(|s| {
+            let cluster = Cluster::new(2);
+            plan_fragments(&q, &db, &cluster, s, JoinAlg::Tributary, &opts, &addrs)
+                .unwrap()
+                .remove(0)
+                .encode()
+        })
+        .collect()
+    })
+}
+
+/// Decodes hostile `bytes` and pre-flights whatever decodes: both must
+/// return — no panic, and no abort on an allocation sized by a decoded
+/// count — and an accepted fragment is no larger than a small multiple
+/// of the bytes it came from (a compressed relation body may expand 8×).
+fn assert_fragment_decode_is_bounded(bytes: &[u8]) {
+    if let Ok(frag) = Fragment::decode(bytes) {
+        let decoded = frag.encode().len();
+        assert!(
+            decoded <= 8 * bytes.len(),
+            "{} payload bytes decoded to a {decoded}-byte fragment",
+            bytes.len()
+        );
+        let _ = frag.preflight();
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(2048))]
+
+    #[test]
+    fn fragment_decode_survives_arbitrary_bytes(
+        noise in proptest::collection::vec(any::<u8>(), 0..=64),
+        which in 0usize..3,
+        keep in any::<usize>(),
+    ) {
+        assert_fragment_decode_is_bounded(&noise);
+        // Steer the noise past the fixed-width head and into every list
+        // count: a valid prefix of arbitrary length, then the noise.
+        let valid = &valid_fragments()[which];
+        let mut steered = valid[..keep % valid.len()].to_vec();
+        steered.extend_from_slice(&noise);
+        assert_fragment_decode_is_bounded(&steered);
+    }
+
+    #[test]
+    fn fragment_decode_survives_single_byte_mutations(
+        which in 0usize..3,
+        at in any::<usize>(),
+        byte in any::<u8>(),
+    ) {
+        let mut bytes = valid_fragments()[which].clone();
+        let at = at % bytes.len();
+        bytes[at] = byte;
+        assert_fragment_decode_is_bounded(&bytes);
+    }
 }
 
 proptest! {

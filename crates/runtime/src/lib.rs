@@ -5,8 +5,8 @@
 //!
 //! A message-passing worker runtime for the parjoin engine. Each of the
 //! `p` simulated machines becomes a long-lived OS thread (an *actor*)
-//! that owns a named partition store and executes jobs sent over a
-//! control channel. Workers exchange tuples through a pluggable
+//! that executes jobs sent over a control channel. Workers exchange
+//! tuples through a pluggable
 //! [`Transport`](transport::Transport):
 //!
 //! * [`TransportKind::Local`] — the degenerate in-memory path: shuffles
@@ -24,10 +24,9 @@
 //!
 //! ## Worker lifecycle
 //!
-//! [`Runtime::new`] spawns the threads; [`Runtime::each`] runs a closure
-//! on every worker in parallel; [`Runtime::shuffle`] executes one
-//! exchange; [`Runtime::shutdown`] (or drop) closes the control channels
-//! and joins every thread.
+//! [`Runtime::new`] spawns the threads; [`Runtime::shuffle`] executes
+//! one exchange on them; [`Runtime::shutdown`] (or drop) closes the
+//! control channels and joins every thread.
 
 pub mod error;
 pub mod exchange;
@@ -43,7 +42,6 @@ pub use tcp::{HandshakeConfig, HostMesh};
 pub use transport::TransportKind;
 
 use parjoin_common::{Relation, Value, WireFormat};
-use std::collections::HashMap;
 use std::sync::mpsc::{channel, Sender};
 use std::sync::Arc;
 use std::thread::JoinHandle;
@@ -141,31 +139,8 @@ pub struct ShuffleOutcome {
     pub bytes_received: u64,
 }
 
-/// Per-worker state owned by the actor thread.
-pub struct WorkerCtx {
-    /// This worker's id in `0..p`.
-    pub id: usize,
-    store: HashMap<String, Relation>,
-}
-
-impl WorkerCtx {
-    /// Stores a named partition, replacing any previous one.
-    pub fn put(&mut self, name: impl Into<String>, rel: Relation) {
-        self.store.insert(name.into(), rel);
-    }
-
-    /// Borrows a named partition.
-    pub fn get(&self, name: &str) -> Option<&Relation> {
-        self.store.get(name)
-    }
-
-    /// Removes and returns a named partition.
-    pub fn take(&mut self, name: &str) -> Option<Relation> {
-        self.store.remove(name)
-    }
-}
-
-type Job = Box<dyn FnOnce(&mut WorkerCtx) + Send>;
+/// A job run on one actor thread; the argument is the worker's id.
+type Job = Box<dyn FnOnce(usize) + Send>;
 
 struct Worker {
     tx: Sender<Job>,
@@ -206,14 +181,10 @@ impl Runtime {
                 .name(format!("parjoin-worker-{id}"))
                 // xtask: allow(spawn)
                 .spawn(move || {
-                    let mut ctx = WorkerCtx {
-                        id,
-                        store: HashMap::new(),
-                    };
                     // The actor loop: run jobs until the runtime drops
                     // the control channel.
                     while let Ok(job) = rx.recv() {
-                        job(&mut ctx);
+                        job(id);
                     }
                 })
                 .map_err(|e| RuntimeError::Io(format!("spawning worker {id}: {e}")))?;
@@ -242,25 +213,6 @@ impl Runtime {
     /// Number of worker actors.
     pub fn workers(&self) -> usize {
         self.config.workers
-    }
-
-    /// Runs `f` on every worker in parallel; returns the results indexed
-    /// by worker id.
-    ///
-    /// # Errors
-    /// [`RuntimeError::Disconnected`] if a worker thread has died,
-    /// [`RuntimeError::Timeout`] if a result does not arrive within the
-    /// configured I/O timeout.
-    pub fn each<T, F>(&self, f: F) -> Result<Vec<T>, RuntimeError>
-    where
-        T: Send + 'static,
-        F: Fn(&mut WorkerCtx) -> T + Send + Sync + 'static,
-    {
-        let f = Arc::new(f);
-        self.run_jobs(|_| {
-            let f = Arc::clone(&f);
-            Box::new(move |ctx| f(ctx))
-        })
     }
 
     /// Executes one exchange: every worker routes its partition's rows
@@ -328,13 +280,13 @@ impl Runtime {
         let parts = Arc::new(parts);
         let outcomes = {
             let mut endpoints = endpoints.into_iter();
-            self.run_jobs(|id| {
+            self.run_jobs(|| {
                 let endpoint = endpoints.next();
                 let parts = Arc::clone(&parts);
                 let router = Arc::clone(router);
                 let obs = self.config.obs.clone();
                 let pool = Arc::clone(&self.pool);
-                Box::new(move |ctx: &mut WorkerCtx| {
+                Box::new(move |id: usize| {
                     let Some(endpoint) = endpoint else {
                         // A transport handing back fewer endpoints than
                         // workers is a contract violation, not a panic.
@@ -343,7 +295,7 @@ impl Runtime {
                         )));
                     };
                     exchange::run_worker(
-                        ctx.id,
+                        id,
                         &parts[id],
                         parts.len(),
                         opts,
@@ -376,24 +328,24 @@ impl Runtime {
         Ok(out)
     }
 
-    /// Dispatches one job per worker (built by `make`, which receives the
-    /// worker id) and collects their results in worker order.
+    /// Dispatches one job per worker (built by `make`; the job receives
+    /// its worker's id) and collects their results in worker order.
     fn run_jobs<T, M>(&self, mut make: M) -> Result<Vec<T>, RuntimeError>
     where
         T: Send + 'static,
-        M: FnMut(usize) -> Box<dyn FnOnce(&mut WorkerCtx) -> T + Send>,
+        M: FnMut() -> Box<dyn FnOnce(usize) -> T + Send>,
     {
         let (res_tx, res_rx) = channel::<(usize, T)>();
         for (id, worker) in self.workers.iter().enumerate() {
-            let job = make(id);
+            let job = make();
             let res_tx = res_tx.clone();
             worker
                 .tx
-                .send(Box::new(move |ctx| {
-                    let out = job(ctx);
+                .send(Box::new(move |id| {
+                    let out = job(id);
                     // The runtime may have given up (timeout) and dropped
                     // the receiver; nothing useful to do with `out` then.
-                    let _ = res_tx.send((ctx.id, out));
+                    let _ = res_tx.send((id, out));
                 }))
                 .map_err(|_| RuntimeError::Disconnected(format!("worker {id} thread is gone")))?;
         }

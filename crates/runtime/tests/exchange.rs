@@ -156,26 +156,6 @@ fn empty_partitions_shuffle_cleanly() {
 }
 
 #[test]
-fn each_runs_on_every_worker_and_store_persists() {
-    let rt = Runtime::new(config(TransportKind::InProcess, 4, 16)).expect("runtime");
-    let ids = rt
-        .each(|ctx| {
-            let mut rel = Relation::new(1);
-            rel.push_row(&[ctx.id as u64]);
-            ctx.put("mine", rel);
-            ctx.id
-        })
-        .expect("each");
-    assert_eq!(ids, vec![0, 1, 2, 3]);
-    // Partitions are owned by the actor: a later job sees them.
-    let kept = rt
-        .each(|ctx| ctx.get("mine").map(|r| r.value(0, 0)))
-        .expect("each");
-    assert_eq!(kept, vec![Some(0), Some(1), Some(2), Some(3)]);
-    rt.shutdown().expect("shutdown");
-}
-
-#[test]
 fn obs_counters_reconcile_with_shuffle_tallies() {
     use parjoin_obs::{Registry, TraceSink};
     use parjoin_runtime::RuntimeObs;

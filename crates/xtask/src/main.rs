@@ -18,7 +18,7 @@
 //!
 //! Besides the panic family, three concurrency lints guard the
 //! parallel-execution layer (the lines a data race or a leaked thread
-//! would hide in):
+//! would hide in) and one guards the decoders:
 //!
 //! * **ordering** — `Ordering::Relaxed` / `Ordering::SeqCst` outside
 //!   `crates/obs` (whose counters are relaxed by design). Relaxed is
@@ -30,14 +30,19 @@
 //! * **spawn** — a `spawn(` call not made through a scope handle named
 //!   `scope` (scoped threads are joined by their scope). Free-standing
 //!   handles must be joined or their detachment documented.
+//! * **capacity**, in the byte decoders ([`DECODERS`]) only — a
+//!   `with_capacity(` whose argument is not a literal or a named
+//!   constant: a count read off the wire, which lets a 45-byte payload
+//!   abort the process.
 //!
 //! A line may opt out with an `// xtask: allow(panic)` marker (covers
 //! `.unwrap()` and `panic!`), `// xtask: allow(expect)` (covers
 //! `.expect(`), `// xtask: allow(ordering)`, `// xtask:
-//! allow(channel-capacity)`, or `// xtask: allow(spawn)` on the same
-//! line or the line directly above — reserved for cases where the
-//! surrounding comment states the proof (e.g. why relaxed ordering is
-//! sound, or where the handle is joined).
+//! allow(channel-capacity)`, `// xtask: allow(spawn)`, or `// xtask:
+//! allow(capacity)` on the same line or the line directly above —
+//! reserved for cases where the surrounding comment states the proof
+//! (e.g. why relaxed ordering is sound, where the handle is joined, or
+//! what bounds the count).
 
 use std::fmt::Write as _;
 use std::path::{Path, PathBuf};
@@ -79,11 +84,10 @@ fn lint() -> ExitCode {
         let Ok(text) = std::fs::read_to_string(file) else {
             continue;
         };
-        let in_obs = file
-            .strip_prefix(&root)
-            .is_ok_and(|rel| rel.starts_with(Path::new("crates").join("obs")));
-        for v in scan_with(&text, in_obs) {
-            let rel = file.strip_prefix(&root).unwrap_or(file);
+        let rel = file.strip_prefix(&root).unwrap_or(file);
+        let in_obs = rel.starts_with(Path::new("crates").join("obs"));
+        let decoder = DECODERS.iter().any(|d| rel == Path::new(d));
+        for v in scan_with(&text, in_obs, decoder) {
             let _ = writeln!(report, "{}:{}: {}", rel.display(), v.line, v.what);
             violations += 1;
         }
@@ -134,30 +138,46 @@ struct Violation {
     what: &'static str,
 }
 
-/// [`scan_with`] outside the obs exemption — the common case, kept as
-/// the test-suite entry point.
+/// The files that decode a peer's bytes (the capacity lint's scope).
+const DECODERS: [&str; 4] = [
+    "crates/common/src/wire.rs",
+    "crates/common/src/wire/control.rs",
+    "crates/engine/src/fragment.rs",
+    "crates/dist/src/proto.rs",
+];
+
+/// [`scan_with`] for an ordinary file — the common case, kept as the
+/// test-suite entry point.
 #[cfg(test)]
 fn scan(text: &str) -> Vec<Violation> {
-    scan_with(text, false)
+    scan_with(text, false, false)
 }
+
+/// The opt-out markers, `// xtask: allow(<name>)`.
+const MARKERS: [&str; 6] = [
+    "xtask: allow(panic)",
+    "xtask: allow(expect)",
+    "xtask: allow(ordering)",
+    "xtask: allow(channel-capacity)",
+    "xtask: allow(spawn)",
+    "xtask: allow(capacity)",
+];
 
 /// Line-based scan of one file. Tracks `#[cfg(test)]` modules by brace
 /// depth and skips comment lines; string literals are not parsed (none
 /// of the banned tokens appear in the workspace's string data).
-/// `in_obs` exempts the file from the ordering lint: the observability
-/// crate's counters are relaxed atomics by design.
-fn scan_with(text: &str, in_obs: bool) -> Vec<Violation> {
+/// `in_obs` exempts the file from the ordering lint (the observability
+/// crate's counters are relaxed by design); `decoder` adds the capacity
+/// lint.
+fn scan_with(text: &str, in_obs: bool, decoder: bool) -> Vec<Violation> {
     let mut out = Vec::new();
     // Depth of the enclosing `#[cfg(test)]` block, if inside one.
     let mut depth: i64 = 0;
     let mut test_block_depth: Option<i64> = None;
     let mut pending_cfg_test = false;
 
-    let mut allow_panic_next = false;
-    let mut allow_expect_next = false;
-    let mut allow_ordering_next = false;
-    let mut allow_channel_next = false;
-    let mut allow_spawn_next = false;
+    // Per marker: set by a standalone marker line, spent by the next.
+    let mut allow_next = [false; MARKERS.len()];
     for (i, raw) in text.lines().enumerate() {
         let line = strip_comment(raw);
         let trimmed = line.trim();
@@ -170,82 +190,62 @@ fn scan_with(text: &str, in_obs: bool) -> Vec<Violation> {
             pending_cfg_test = false;
         }
 
-        let allow_panic =
-            std::mem::take(&mut allow_panic_next) || raw.contains("xtask: allow(panic)");
-        let allow_expect =
-            std::mem::take(&mut allow_expect_next) || raw.contains("xtask: allow(expect)");
-        let allow_ordering =
-            std::mem::take(&mut allow_ordering_next) || raw.contains("xtask: allow(ordering)");
-        let allow_channel = std::mem::take(&mut allow_channel_next)
-            || raw.contains("xtask: allow(channel-capacity)");
-        let allow_spawn =
-            std::mem::take(&mut allow_spawn_next) || raw.contains("xtask: allow(spawn)");
-        if raw.trim_start().starts_with("//") {
-            // A standalone marker line covers the next source line
-            // (rustfmt's preferred placement).
-            if raw.contains("xtask: allow(panic)") {
-                allow_panic_next = true;
-            }
-            if raw.contains("xtask: allow(expect)") {
-                allow_expect_next = true;
-            }
-            if raw.contains("xtask: allow(ordering)") {
-                allow_ordering_next = true;
-            }
-            if raw.contains("xtask: allow(channel-capacity)") {
-                allow_channel_next = true;
-            }
-            if raw.contains("xtask: allow(spawn)") {
-                allow_spawn_next = true;
-            }
+        // A standalone marker line covers the next source line
+        // (rustfmt's preferred placement).
+        let standalone = raw.trim_start().starts_with("//");
+        let mut allow = [false; MARKERS.len()];
+        for (m, marker) in MARKERS.iter().enumerate() {
+            let here = raw.contains(marker);
+            allow[m] = std::mem::replace(&mut allow_next[m], standalone && here) || here;
         }
 
         if test_block_depth.is_none() && !trimmed.is_empty() {
-            if !allow_panic {
-                if trimmed.contains(".unwrap()") {
-                    out.push(Violation {
-                        line: i + 1,
-                        what: "banned call to `.unwrap()`",
-                    });
+            let ordering =
+                trimmed.contains("Ordering::Relaxed") || trimmed.contains("Ordering::SeqCst");
+            // (index into MARKERS of the opt-out, the rule fires, report)
+            let rules = [
+                (
+                    0,
+                    trimmed.contains(".unwrap()"),
+                    "banned call to `.unwrap()`",
+                ),
+                (0, trimmed.contains("panic!("), "banned `panic!` invocation"),
+                // The leading dot keeps `#[expect(...)]` attributes and
+                // `.expect_err(` out of scope.
+                (
+                    1,
+                    trimmed.contains(".expect("),
+                    "banned call to `.expect(` (return a typed error instead)",
+                ),
+                (
+                    2,
+                    !in_obs && ordering,
+                    "atomic ordering outside crates/obs needs `// xtask: allow(ordering)` with a \
+                     justification",
+                ),
+                (
+                    3,
+                    literal_channel_capacity(trimmed),
+                    "bounded-channel capacity must be a named constant, not a literal (or \
+                     `// xtask: allow(channel-capacity)`)",
+                ),
+                (
+                    4,
+                    unscoped_spawn(trimmed),
+                    "spawned thread must be joined or its detachment documented \
+                     (`// xtask: allow(spawn)`)",
+                ),
+                (
+                    5,
+                    decoder && decoded_capacity(trimmed),
+                    "a decoder must not size an allocation by a decoded count: bound it by the \
+                     bytes that remain (or `// xtask: allow(capacity)`)",
+                ),
+            ];
+            for (marker, fires, what) in rules {
+                if fires && !allow[marker] {
+                    out.push(Violation { line: i + 1, what });
                 }
-                if trimmed.contains("panic!(") {
-                    out.push(Violation {
-                        line: i + 1,
-                        what: "banned `panic!` invocation",
-                    });
-                }
-            }
-            // The leading dot keeps `#[expect(...)]` attributes and
-            // `.expect_err(` out of scope.
-            if !allow_expect && trimmed.contains(".expect(") {
-                out.push(Violation {
-                    line: i + 1,
-                    what: "banned call to `.expect(` (return a typed error instead)",
-                });
-            }
-            if !in_obs
-                && !allow_ordering
-                && (trimmed.contains("Ordering::Relaxed") || trimmed.contains("Ordering::SeqCst"))
-            {
-                out.push(Violation {
-                    line: i + 1,
-                    what: "atomic ordering outside crates/obs needs `// xtask: allow(ordering)` \
-                           with a justification",
-                });
-            }
-            if !allow_channel && literal_channel_capacity(trimmed) {
-                out.push(Violation {
-                    line: i + 1,
-                    what: "bounded-channel capacity must be a named constant, not a literal \
-                           (or `// xtask: allow(channel-capacity)`)",
-                });
-            }
-            if !allow_spawn && unscoped_spawn(trimmed) {
-                out.push(Violation {
-                    line: i + 1,
-                    what: "spawned thread must be joined or its detachment documented \
-                           (`// xtask: allow(spawn)`)",
-                });
             }
         }
 
@@ -286,6 +286,22 @@ fn literal_channel_capacity(line: &str) -> bool {
         rest = after;
     }
     false
+}
+
+/// True when the line passes `with_capacity(` anything but an integer
+/// literal or a `SCREAMING_CASE` constant (or a path to one): in a
+/// decoder, anything else is computed from the bytes being decoded.
+fn decoded_capacity(line: &str) -> bool {
+    line.match_indices("with_capacity(").any(|(pos, call)| {
+        let args = &line[pos + call.len()..];
+        let arg = args.split([',', ')']).next().unwrap_or(args).trim();
+        let constant = |s: &str| {
+            !s.is_empty()
+                && s.chars()
+                    .all(|c| c.is_ascii_digit() || c == '_' || c.is_ascii_uppercase())
+        };
+        !constant(arg.rsplit("::").next().unwrap_or(arg))
+    })
 }
 
 /// True when the line spawns a thread outside a `std::thread::scope`
@@ -413,7 +429,10 @@ fn f(c: &AtomicU64) {
         assert_eq!(v.len(), 2, "Acquire and annotated lines pass");
         assert_eq!(v[0].line, 3);
         assert_eq!(v[1].line, 4);
-        assert!(scan_with(src, true).is_empty(), "obs crate is exempt");
+        assert!(
+            scan_with(src, true, false).is_empty(),
+            "obs crate is exempt"
+        );
     }
 
     #[test]
@@ -451,6 +470,26 @@ fn f() {
         assert_eq!(v.len(), 2, "scoped, annotated, and mid-word matches pass");
         assert_eq!(v[0].line, 5);
         assert_eq!(v[1].line, 6);
+    }
+
+    #[test]
+    fn capacity_lint_flags_decoded_counts_in_decoders_only() {
+        let src = "\
+fn decode(r: &mut Reader) {
+    let n = r.u32() as usize;
+    let mut atoms = Vec::with_capacity(n);
+    let mut body = Vec::with_capacity(rows * arity);
+    let mut head = Vec::with_capacity(16);
+    let mut frame = Vec::with_capacity(HEADER_LEN);
+    let mut pool = Vec::with_capacity(pool::DEFAULT_POOL_CAP);
+    // `count` bounded n by the bytes that remain. xtask: allow(capacity)
+    let mut terms = Vec::with_capacity(n);
+}
+";
+        let v = scan_with(src, false, true);
+        let lines: Vec<usize> = v.iter().map(|v| v.line).collect();
+        assert_eq!(lines, [3, 4], "literals, constants and marked lines pass");
+        assert!(scan(src).is_empty(), "other files may pre-size freely");
     }
 
     #[test]

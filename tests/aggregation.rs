@@ -1,5 +1,7 @@
 //! Group-count aggregation: the §1 graphlet-frequency use case.
 
+mod parity;
+
 use parjoin::prelude::*;
 
 fn q1_grouped_by_x() -> ConjunctiveQuery {
@@ -108,4 +110,35 @@ fn global_count_via_constant_free_group() {
         out.rows().all(|r| r[3] == 1),
         "full-head groups are singletons"
     );
+}
+
+#[test]
+fn combine_shuffle_streams_like_any_other_shuffle() {
+    // The combine round is a hash shuffle of `(head…, count)` rows: on
+    // a streaming transport it moves real bytes and the groups come out
+    // exactly as on Local.
+    let q = q1_grouped_by_x();
+    let db = Scale::tiny().twitter_db(3);
+    let opts = PlanOptions {
+        collect_output: true,
+        group_count: true,
+        ..Default::default()
+    };
+    for (s, j) in [
+        (ShuffleAlg::Regular, JoinAlg::Hash),
+        (ShuffleAlg::HyperCube, JoinAlg::Tributary),
+    ] {
+        let run = |transport| {
+            let cluster = Cluster::new(4).with_seed(5).with_transport(transport);
+            run_config(&q, &db, &cluster, s, j, &opts).expect("plan runs")
+        };
+        let local = run(TransportKind::Local);
+        let streamed = run(TransportKind::InProcess);
+        let cell = format!("TrianglesPerNode {s:?}/{j:?} on InProcess");
+        parity::assert_parity(&cell, &local, &streamed);
+        parity::assert_every_shuffle_streamed(&cell, &streamed);
+        let combine = streamed.shuffles.last().unwrap();
+        assert_eq!(combine.label, "group-count combine");
+        assert!(combine.bytes_sent > 0);
+    }
 }

@@ -20,7 +20,7 @@
 //! Every cell also pins the accounting each run must report about
 //! itself ([`assert_reference`], [`assert_production`]), so a slice
 //! checks its counters on all of Q1–Q8, not on one hand-picked query.
-#![allow(dead_code)]
+#![allow(dead_code, unused_macros)]
 
 use parjoin::prelude::*;
 use std::fmt;
@@ -233,6 +233,27 @@ pub fn assert_production(cell: &str, (s, j): (ShuffleAlg, JoinAlg), p: Productio
             "{cell}: raw tally must equal wire tally when compression is off"
         );
     }
+}
+
+/// What a run on a streaming transport owes every shuffle it records —
+/// the heavy-key summaries, the group-count combine and the semijoin
+/// reductions included: tuples moved means bytes moved, and the
+/// engine's byte total is exactly what the runtime put on the wire.
+pub fn assert_every_shuffle_streamed(cell: &str, r: &RunResult) {
+    for s in &r.shuffles {
+        assert!(
+            s.bytes_sent > 0 || s.tuples_sent == 0,
+            "{cell}: `{}` moved {} tuples and no bytes",
+            s.label,
+            s.tuples_sent
+        );
+    }
+    assert!(r.bytes_shuffled > 0, "{cell}: nothing was streamed");
+    assert_eq!(
+        r.metric("engine.bytes.shuffled"),
+        r.metric("runtime.tx.bytes"),
+        "{cell}: engine and runtime disagree on the bytes shuffled"
+    );
 }
 
 /// One slice of the matrix: per configuration, one reference run, then

@@ -74,4 +74,20 @@ fn semijoin_plan_parallel_probe_identical() {
             "semijoin t={t}: output not byte-identical"
         );
     }
+    // The reduction passes shuffle through the same runtime as the
+    // final join: on a streaming transport every one of them moves real
+    // bytes, and the reduced result is still the reference's.
+    let streamed = run_semijoin_plan(
+        &spec.query,
+        &db,
+        &parity::cluster(TransportKind::InProcess),
+        &production_opts(Production::streaming(TransportKind::InProcess, false)),
+    )
+    .expect("semijoin on InProcess");
+    parity::assert_parity("Q3 SJ_HJ on InProcess", &baseline.run, &streamed.run);
+    parity::assert_every_shuffle_streamed("Q3 SJ_HJ on InProcess", &streamed.run);
+    assert!(
+        streamed.run.shuffles[0].label.ends_with(": keys"),
+        "the first recorded shuffle is a reduction pass"
+    );
 }
