@@ -5,9 +5,9 @@
 //!
 //! The experiment harness that regenerates every table and figure of the
 //! paper's evaluation (see DESIGN.md §3 for the full index). Each
-//! experiment is a library function under [`experiments`] with a thin
-//! binary wrapper in `src/bin/`, so `all_experiments` can replay the
-//! whole evaluation in one run.
+//! experiment is a library function under [`experiments`]; the one
+//! `figures` binary replays the whole evaluation, or the experiments
+//! named on its command line.
 //!
 //! Scales are configurable (`--scale tiny|small|medium` or the `SCALE`
 //! env var); absolute numbers differ from the paper's 64-worker cluster,

@@ -1,5 +1,6 @@
 //! Property tests for the relation primitives.
 
+use parjoin_common::wire::control::{self, ControlError, FrameKind};
 use parjoin_common::{hash, sort, wire, Relation, WireFormat};
 use proptest::prelude::*;
 
@@ -295,5 +296,94 @@ proptest! {
         let at = at % frame.len();
         frame[at] = byte;
         assert_decode_is_bounded(&frame, arity);
+    }
+}
+
+/// Reads one control frame from hostile `bytes` under `limit`: the
+/// reader must return (never panic), and whatever it returns it sized
+/// from the declared length only after checking it against `limit`.
+fn assert_read_frame_is_bounded(bytes: &[u8], limit: u32) {
+    let mut stream = std::io::Cursor::new(bytes);
+    match control::read_frame(&mut stream, limit) {
+        Ok((_, payload)) => {
+            assert!(
+                payload.len() <= limit as usize,
+                "{} > {limit}",
+                payload.len()
+            );
+            let consumed = control::HEADER_LEN + payload.len();
+            assert_eq!(stream.position() as usize, consumed, "read past the frame");
+        }
+        Err(ControlError::Oversized { len, limit: l }) => assert!(len > limit && l == limit),
+        // Typed, and decided from the eleven header bytes alone.
+        Err(_) => assert!(stream.position() as usize <= bytes.len()),
+    }
+}
+
+fn control_frame(kind: FrameKind, payload: &[u8]) -> Vec<u8> {
+    let mut frame = Vec::new();
+    control::write_frame(&mut frame, kind, payload).expect("in-memory write");
+    frame
+}
+
+const FRAME_KINDS: [FrameKind; 6] = [
+    FrameKind::Ready,
+    FrameKind::Fragment,
+    FrameKind::OutputBatch,
+    FrameKind::OutputDone,
+    FrameKind::Error,
+    FrameKind::Shutdown,
+];
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(2048))]
+
+    #[test]
+    fn control_read_frame_survives_arbitrary_bytes(
+        bytes in proptest::collection::vec(any::<u8>(), 0..=48),
+        kind in 0usize..FRAME_KINDS.len(),
+        limit in 0u32..=64,
+    ) {
+        assert_read_frame_is_bounded(&bytes, limit);
+        // Steer the noise past magic, version and kind so it lands in
+        // the length prefix: a bomb dies as `Oversized`, unallocated.
+        let mut steered = control_frame(FRAME_KINDS[kind], &[]);
+        steered.truncate(control::HEADER_LEN - 4);
+        steered.extend_from_slice(&bytes);
+        assert_read_frame_is_bounded(&steered, limit);
+        if let Some(len) = bytes.first_chunk::<4>().map(|b| u32::from_le_bytes(*b)) {
+            let got = control::read_frame(&mut steered.as_slice(), limit);
+            prop_assert_eq!(
+                matches!(got, Err(ControlError::Oversized { .. })),
+                len > limit,
+                "declared {} under limit {}: {:?}", len, limit, got
+            );
+        }
+    }
+
+    #[test]
+    fn control_read_frame_stops_at_the_frame_and_survives_mutation(
+        payload in proptest::collection::vec(any::<u8>(), 0..=24),
+        noise in proptest::collection::vec(any::<u8>(), 0..=24),
+        kind in 0usize..FRAME_KINDS.len(),
+        at in any::<usize>(),
+        byte in any::<u8>(),
+    ) {
+        // A valid frame followed by noise reads back exactly, and the
+        // noise stays in the stream for the next read to refuse.
+        let kind = FRAME_KINDS[kind];
+        let mut bytes = control_frame(kind, &payload);
+        let frame_len = bytes.len();
+        bytes.extend_from_slice(&noise);
+        let mut stream = std::io::Cursor::new(bytes.as_slice());
+        let (got_kind, got) = control::read_frame(&mut stream, 64).expect("valid frame");
+        prop_assert_eq!((got_kind, got.as_slice()), (kind, payload.as_slice()));
+        prop_assert_eq!(stream.position() as usize, frame_len);
+        assert_read_frame_is_bounded(&noise, 64);
+
+        // One byte of the frame flipped: a frame or a typed refusal.
+        bytes[at % frame_len] = byte;
+        assert_read_frame_is_bounded(&bytes, 64);
+        assert_read_frame_is_bounded(&bytes[..frame_len], 8);
     }
 }

@@ -13,8 +13,10 @@
 //!
 //! Estimates (all in tuples):
 //!
-//! * **RS** — walk the fanout-greedy join order, estimating each
-//!   intermediate as `|cur| · |atom| / V(atom, key)`; network = inputs +
+//! * **RS** — walk the join order the executor will run
+//!   ([`plans::greedy_join_order`](crate::plans::greedy_join_order)'s,
+//!   tie-breaks included), estimating each intermediate as
+//!   `|cur| · |atom| / V(atom, key)`; network = inputs +
 //!   intermediates (each step reshuffles both); the busiest worker's
 //!   share of each shuffled relation is `1/p` inflated by a skew factor
 //!   estimated from the hashed key's hottest value.
@@ -25,7 +27,7 @@
 //!   replication volume.
 
 use crate::cluster::Cluster;
-use crate::plans::{JoinAlg, ShuffleAlg};
+use crate::plans::{greedy_order, JoinAlg, ShuffleAlg};
 use crate::statscache;
 use parjoin_analyze::{self as analyze, Diagnostic};
 use parjoin_common::Database;
@@ -43,6 +45,9 @@ pub struct Advice {
     /// Estimated cost (see [`PlanEstimate`]) per shuffle algorithm, in
     /// the order `[Regular, Broadcast, HyperCube]`.
     pub estimates: [PlanEstimate; 3],
+    /// The left-deep join order (atom indices) the `Regular` estimate
+    /// priced: the one a regular-shuffle plan of this query runs.
+    pub rs_join_order: Vec<usize>,
 }
 
 /// Cost estimate for one shuffle strategy.
@@ -86,48 +91,17 @@ impl AtomInfo {
     }
 }
 
-/// Estimates the regular-shuffle plan by walking a fanout-greedy order.
-fn estimate_rs(atoms: &[AtomInfo], workers: usize) -> PlanEstimate {
-    let n = atoms.len();
-    let mut remaining: Vec<usize> = (0..n).collect();
-    // Start from the smallest atom.
-    let first = *remaining
-        .iter()
-        .min_by(|&&a, &&b| atoms[a].card.total_cmp(&atoms[b].card))
-        // `remaining` starts as 0..atoms.len() and the query has atoms.
-        // xtask: allow(expect)
-        .expect("non-empty");
-    remaining.retain(|&i| i != first);
-    let mut bound: Vec<VarId> = atoms[first].vars.clone();
-    let mut cur_size = atoms[first].card;
+/// Estimates the regular-shuffle plan by walking `order`, the left-deep
+/// join order the executor runs.
+fn estimate_rs(atoms: &[AtomInfo], order: &[usize], workers: usize) -> PlanEstimate {
+    let first = &atoms[order[0]];
+    let mut bound: Vec<VarId> = first.vars.clone();
+    let mut cur_size = first.card;
 
     let mut network = cur_size;
     let mut max_worker = cur_size / workers as f64;
 
-    while !remaining.is_empty() {
-        // Fanout-greedy next atom, mirroring the executor.
-        let score = |i: usize| -> f64 {
-            let a = &atoms[i];
-            let shared: f64 = a
-                .vars
-                .iter()
-                .enumerate()
-                .filter(|(_, v)| bound.contains(v))
-                .map(|(c, _)| a.distinct[c])
-                .product();
-            if a.vars.iter().any(|v| bound.contains(v)) {
-                a.card / shared
-            } else {
-                f64::INFINITY
-            }
-        };
-        let next = *remaining
-            .iter()
-            .min_by(|&&a, &&b| score(a).total_cmp(&score(b)))
-            // The enclosing `while !remaining.is_empty()` guards this.
-            // xtask: allow(expect)
-            .expect("non-empty");
-        remaining.retain(|&i| i != next);
+    for &next in &order[1..] {
         let a = &atoms[next];
 
         // Shuffle both sides on (one of) the shared variables.
@@ -223,12 +197,20 @@ pub fn advise(query: &ConjunctiveQuery, db: &Database, cluster: &Cluster) -> Adv
         .zip(&stats)
         .map(|(a, s)| AtomInfo::new(&a.vars, s))
         .collect();
-    advise_from(query, &infos, cluster.workers)
+    let atom_vars: Vec<Vec<VarId>> = resolved.iter().map(|a| a.vars.clone()).collect();
+    let order = greedy_order(&atom_vars, &stats);
+    advise_from(query, &infos, order, cluster.workers)
 }
 
-/// The verdict, as arithmetic over the atoms' statistics.
-fn advise_from(query: &ConjunctiveQuery, infos: &[AtomInfo], workers: usize) -> Advice {
-    let rs = estimate_rs(infos, workers);
+/// The verdict, as arithmetic over the atoms' statistics and the
+/// regular-shuffle plan's join order.
+fn advise_from(
+    query: &ConjunctiveQuery,
+    infos: &[AtomInfo],
+    rs_join_order: Vec<usize>,
+    workers: usize,
+) -> Advice {
+    let rs = estimate_rs(infos, &rs_join_order, workers);
     let br = estimate_br(infos, workers);
     let hc = estimate_hc(query, infos, workers);
     let estimates = [rs, br, hc];
@@ -261,6 +243,7 @@ fn advise_from(query: &ConjunctiveQuery, infos: &[AtomInfo], workers: usize) -> 
         shuffle,
         join,
         estimates,
+        rs_join_order,
     }
 }
 
@@ -451,7 +434,12 @@ mod tests {
                 .iter()
                 .map(|a| atom_info_from_tuples(a.rel.as_ref(), &a.vars))
                 .collect();
-            let want = advise_from(&spec.query, &infos, cluster.workers);
+            let shapes: Vec<_> = resolved
+                .iter()
+                .map(|a| (a.vars.clone(), a.rel.as_ref()))
+                .collect();
+            let order = crate::plans::greedy_join_order(&shapes);
+            let want = advise_from(&spec.query, &infos, order, cluster.workers);
             // Twice: the first call may analyse, the second cannot.
             for _ in 0..2 {
                 let got = advise(&spec.query, &db, &cluster);

@@ -34,7 +34,10 @@ pub struct Cluster {
     /// How shuffles move tuples between workers. `Local` (default)
     /// replays the original in-memory loop; `InProcess`/`Tcp` stream
     /// encoded batches through the worker runtime, yielding real
-    /// `bytes_sent`/`bytes_received` tallies on every shuffle.
+    /// `bytes_sent`/`bytes_received` tallies on every shuffle. `Tcp` is
+    /// the multi-process mesh on loopback: every rank a
+    /// [`HostMesh`](parjoin_runtime::HostMesh) member, as in a
+    /// `parjoin-worker` process.
     pub transport: TransportKind,
     /// Rows per streamed batch under the streaming transports; ignored
     /// by `Local`. The analyzer pre-flights degenerate values.

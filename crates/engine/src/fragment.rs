@@ -36,9 +36,7 @@ use parjoin_common::{Relation, WireFormat};
 use parjoin_core::hypercube::HcConfig;
 use parjoin_query::{Atom, CmpOp, ConjunctiveQuery, Filter, Operand, Term, VarId};
 use parjoin_runtime::exchange::ExchangeOpts;
-use parjoin_runtime::pool::DEFAULT_POOL_CAP;
-use parjoin_runtime::{BufPool, HostMesh, TransportKind};
-use std::sync::Arc;
+use parjoin_runtime::{HostMesh, Runtime, TransportKind};
 use std::time::Duration;
 
 /// One rank's share of a distributed plan, self-contained and
@@ -682,24 +680,21 @@ pub fn execute_fragment(frag: &Fragment, mesh: &HostMesh) -> Result<RemoteOutcom
             })
             .collect(),
     };
-    let seam = Seam::Mesh {
-        mesh,
-        pool: Arc::new(BufPool::new(
-            DEFAULT_POOL_CAP,
-            mesh.obs.buf_reuses.clone(),
-            mesh.obs.buf_allocs.clone(),
-        )),
-        opts: ExchangeOpts {
+    // This process hosts one rank of the mesh; every shuffle is one
+    // exchange round on it.
+    let rt = Runtime::rank_of(
+        mesh.clone(),
+        ExchangeOpts {
             batch_tuples: cluster.batch_tuples,
             format: frag.wire_format,
             compression: frag.wire_compression,
         },
-    };
+    )?;
     let ex = Exec {
         query: &frag.query,
         cluster: &cluster,
         opts: &opts,
-        seam: &seam,
+        seam: &Seam::Stream(&rt),
         obs: &RunObs::new(false),
     };
     let result = plans::execute(&ex, plan)?;

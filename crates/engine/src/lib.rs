@@ -40,7 +40,8 @@
 //! [`TransportKind::Local`] (default) replays the original sequential
 //! in-memory loop, [`TransportKind::InProcess`] streams encoded batches
 //! over bounded channels between worker threads, and
-//! [`TransportKind::Tcp`] frames them over loopback sockets. Results are
+//! [`TransportKind::Tcp`] frames them over loopback sockets, every rank a
+//! [`HostMesh`](parjoin_runtime::HostMesh) member. Results are
 //! byte-identical across transports; the streaming ones add real
 //! `bytes_sent`/`bytes_received` to every
 //! [`ShuffleStats`](parjoin_common::ShuffleStats).
@@ -48,9 +49,9 @@
 //! A multi-process deployment runs the same executor: the coordinator
 //! slices one plan into per-rank [`Fragment`]s, and each worker process
 //! runs [`execute_fragment`] — [`plans`]' step sequence over the one
-//! partition it hosts, its shuffles going out over a
-//! [`HostMesh`](parjoin_runtime::HostMesh) instead of an in-process
-//! transport.
+//! partition it hosts, its shuffles going through a runtime that hosts
+//! that one rank of the workers' [`HostMesh`](parjoin_runtime::HostMesh)
+//! instead of all `p` ranks of an in-process one.
 
 pub mod advisor;
 mod cache;

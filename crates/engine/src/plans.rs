@@ -683,15 +683,18 @@ impl RunResult {
         self.per_worker_net.iter().sum()
     }
 
-    /// Charges per-tuple send/receive costs for a group of shuffles that
-    /// execute as one parallel phase; the slowest worker extends the
-    /// simulated wall-clock.
-    pub(crate) fn absorb_network(&mut self, stats: &[&ShuffleStats], tuple_cost: Duration) {
-        if tuple_cost.is_zero() || stats.is_empty() {
-            return;
-        }
-        let workers = self.per_worker_busy.len();
-        let mut per_worker = vec![0u64; workers];
+    /// Books one communication round, the only place a round is
+    /// counted: its shuffles execute as one parallel phase, so every
+    /// worker is charged `shuffle_tuple_cost` per tuple it sent or
+    /// received across all of them and the slowest worker extends the
+    /// simulated wall-clock; each shuffle is tallied and recorded; the
+    /// barrier costs one `round_latency`.
+    pub(crate) fn absorb_round(
+        &mut self,
+        stats: impl IntoIterator<Item = ShuffleStats>,
+        cluster: &Cluster,
+    ) {
+        let mut per_worker = vec![0u64; self.per_worker_busy.len()];
         for s in stats {
             for (w, &c) in s.per_producer.iter().enumerate() {
                 per_worker[w] += c;
@@ -699,16 +702,21 @@ impl RunResult {
             for (w, &c) in s.per_consumer.iter().enumerate() {
                 per_worker[w] += c;
             }
+            self.tuples_shuffled += s.tuples_sent;
+            self.bytes_shuffled += s.bytes_sent;
+            self.bytes_shuffled_raw += s.bytes_sent_raw;
+            self.shuffles.push(s);
         }
-        let mut max = Duration::ZERO;
+        let mut slowest = Duration::ZERO;
         for (w, &tuples) in per_worker.iter().enumerate() {
-            let cost = scale_duration(tuple_cost, tuples);
+            let cost = scale_duration(cluster.shuffle_tuple_cost, tuples);
             self.per_worker_busy[w] += cost;
             self.per_worker_net[w] += cost;
             self.total_cpu += cost;
-            max = max.max(cost);
+            slowest = slowest.max(cost);
         }
-        self.wall += max;
+        self.rounds += 1;
+        self.wall += slowest + cluster.round_latency;
     }
 
     /// Total sorting CPU (Table 5's "all sorts" row).
@@ -746,13 +754,6 @@ impl RunResult {
             }
         }
     }
-
-    pub(crate) fn absorb_shuffle(&mut self, s: ShuffleStats) {
-        self.tuples_shuffled += s.tuples_sent;
-        self.bytes_shuffled += s.bytes_sent;
-        self.bytes_shuffled_raw += s.bytes_sent_raw;
-        self.shuffles.push(s);
-    }
 }
 
 /// `d * times` in u64-tuple-count precision. `Duration`'s `Mul<u32>`
@@ -786,7 +787,7 @@ pub fn greedy_join_order(atoms: &[(Vec<VarId>, &Relation)]) -> Vec<usize> {
 }
 
 /// [`greedy_join_order`] as arithmetic over statistics already at hand.
-fn greedy_order(atom_vars: &[Vec<VarId>], stats: &[Arc<RelStats>]) -> Vec<usize> {
+pub(crate) fn greedy_order(atom_vars: &[Vec<VarId>], stats: &[Arc<RelStats>]) -> Vec<usize> {
     let n = atom_vars.len();
     let distinct = |i: usize, c: usize| stats[i].columns()[c].distinct.max(1) as f64;
     let card = |i: usize| stats[i].cardinality() as f64;
@@ -1266,8 +1267,6 @@ pub(crate) fn execute(ex: &Exec<'_>, mut plan: Plan) -> Result<RunResult, Engine
         }
     }
 
-    result.wall += ex.cluster.round_latency * result.rounds;
-
     if ex.opts.collect_output {
         if let Some(out) = result.output.take() {
             result.output = Some(if ex.opts.distinct_output {
@@ -1375,8 +1374,8 @@ fn run_regular(
             .join(",");
         let (cur_s, next_s, s1, s2) = if opts.skew_resilient && !shuffle_key.is_empty() {
             let (cur_s, next_s, [summary, s1, s2]) = shuffle::skew_resilient_pair(
-                &cur,
-                &next,
+                cur,
+                next,
                 &shuffle_key,
                 (&cur_label, next_label),
                 cluster,
@@ -1387,32 +1386,23 @@ fn run_regular(
             )?;
             // The summary all-gather is a round of its own: routing
             // waits for its outcome.
-            result.absorb_network(&[&summary], cluster.shuffle_tuple_cost);
-            result.absorb_shuffle(summary);
-            result.rounds += 1;
+            result.absorb_round([summary], cluster);
             (cur_s, next_s, s1, s2)
         } else {
-            let hash_on_key = |d: &DistRel, label: &str| {
-                shuffle::run_router(
-                    d,
-                    shuffle::regular_router_for(
-                        &d.vars,
-                        &shuffle_key,
-                        cluster.seed,
-                        cluster.workers,
-                    ),
-                    format!("{label} ->h({key_desc})"),
-                    seam,
-                )
+            let hash_on_key = |d: DistRel, label: &str| {
+                let router = shuffle::regular_router_for(
+                    &d.vars,
+                    &shuffle_key,
+                    cluster.seed,
+                    cluster.workers,
+                );
+                shuffle::run_router(d, router, format!("{label} ->h({key_desc})"), seam)
             };
-            let (cur_s, s1) = hash_on_key(&cur, &cur_label)?;
-            let (next_s, s2) = hash_on_key(&next, next_label)?;
+            let (cur_s, s1) = hash_on_key(cur, &cur_label)?;
+            let (next_s, s2) = hash_on_key(next, next_label)?;
             (cur_s, next_s, s1, s2)
         };
-        result.absorb_network(&[&s1, &s2], cluster.shuffle_tuple_cost);
-        result.absorb_shuffle(s1);
-        result.absorb_shuffle(s2);
-        result.rounds += 1;
+        result.absorb_round([s1, s2], cluster);
 
         // Certify mode replaces the sampled co-location assert: the
         // R420 certificate proves co-location for *all* valuations, so
@@ -1575,6 +1565,7 @@ fn run_one_round(
     };
 
     // --- The single communication round. --------------------------------
+    let mut round = Vec::with_capacity(seeded.len());
     let shuffled: Vec<DistRel> = match shuffle_alg {
         ShuffleAlg::Broadcast => {
             // The plan rooted `local_order` at the atom that stays
@@ -1586,12 +1577,12 @@ fn run_one_round(
                     out.push(d); // stays partitioned, nothing sent
                 } else {
                     let (bc, stats) = shuffle::run_router(
-                        &d,
+                        d,
                         shuffle::broadcast_router(cluster.workers),
                         format!("Broadcast {}", query.atoms[i].relation),
                         seam,
                     )?;
-                    result.absorb_shuffle(stats);
+                    round.push(stats);
                     out.push(bc);
                 }
             }
@@ -1612,13 +1603,10 @@ fn run_one_round(
             }
             let mut out = Vec::with_capacity(seeded.len());
             for (i, d) in seeded.into_iter().enumerate() {
-                let (hc, stats) = shuffle::run_router(
-                    &d,
-                    shuffle::hypercube_router_for(&d.vars, &config, cluster.seed),
-                    format!("HCS {}", query.atoms[i].relation),
-                    seam,
-                )?;
-                result.absorb_shuffle(stats);
+                let router = shuffle::hypercube_router_for(&d.vars, &config, cluster.seed);
+                let label = format!("HCS {}", query.atoms[i].relation);
+                let (hc, stats) = shuffle::run_router(d, router, label, seam)?;
+                round.push(stats);
                 out.push(hc);
             }
             result.hc_config = Some(config);
@@ -1640,14 +1628,7 @@ fn run_one_round(
         );
     }
 
-    result.rounds += 1;
-    // The round's shuffles run as one parallel phase.
-    let shuffles = std::mem::take(&mut result.shuffles);
-    result.absorb_network(
-        &shuffles.iter().collect::<Vec<_>>(),
-        cluster.shuffle_tuple_cost,
-    );
-    result.shuffles = shuffles;
+    result.absorb_round(round, cluster);
 
     // --- The local multiway join. ----------------------------------------
     let head = query.output_vars();
@@ -1966,15 +1947,12 @@ fn group_count_output(
     // Groups are placed by the head columns in head order.
     let seed = shuffle::join_key_seed(cluster.seed, &projected.vars);
     let (mut combined, stats) = shuffle::run_router(
-        &partial,
+        partial,
         shuffle::regular_router((0..head).collect(), seed, cluster.workers),
         "group-count combine",
         ex.seam,
     )?;
-    result.rounds += 1;
-    result.wall += cluster.round_latency;
-    result.absorb_network(&[&stats], cluster.shuffle_tuple_cost);
-    result.absorb_shuffle(stats);
+    result.absorb_round([stats], cluster);
     for part in &mut combined.parts {
         *part = count_groups(part, head);
     }
@@ -2059,12 +2037,16 @@ mod tests {
     }
 
     #[test]
-    fn absorb_network_charges_full_tuple_counts() {
+    fn absorb_round_charges_full_tuple_counts_and_one_latency() {
         let mut r = RunResult::new("t".into(), 1);
         let stats = ShuffleStats::new("s", vec![5_000_000_000], vec![0]);
-        r.absorb_network(&[&stats], Duration::from_nanos(1));
+        let cluster = Cluster::new(1)
+            .with_shuffle_tuple_cost(Duration::from_nanos(1))
+            .with_round_latency(Duration::from_secs(2));
+        r.absorb_round([stats], &cluster);
         assert_eq!(r.per_worker_net[0], Duration::from_secs(5));
-        assert_eq!(r.wall, Duration::from_secs(5));
+        assert_eq!(r.wall, Duration::from_secs(7));
+        assert_eq!((r.rounds, r.shuffles.len()), (1, 1));
     }
 
     #[test]

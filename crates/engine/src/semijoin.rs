@@ -44,13 +44,13 @@ pub struct SemijoinResult {
     pub reduced_cards: Vec<u64>,
 }
 
-/// One distributed semijoin step: reduce `target` by `reducer` on their
-/// shared variables. Returns the reduced relation, the two shuffle stats
+/// One distributed semijoin step: reduce `target` (consumed by its
+/// shuffle) by `reducer` on their shared variables. Returns the reduced relation, the two shuffle stats
 /// (projection, input), and the probe morsels and steals executed across
 /// workers (the local semijoin filter runs morsel-parallel with work
 /// stealing; see [`crate::probe`]).
 fn distributed_semijoin(
-    target: &DistRel,
+    target: DistRel,
     reducer: &DistRel,
     cluster: &Cluster,
     label: &str,
@@ -78,11 +78,11 @@ fn distributed_semijoin(
     };
 
     // Shuffle both on the shared variables.
-    let hash_on_shared = |d: &DistRel, what: &str| {
+    let hash_on_shared = |d: DistRel, what: &str| {
         let router = shuffle::regular_router_for(&d.vars, &shared, cluster.seed, cluster.workers);
         shuffle::run_router(d, router, format!("{label}: {what}"), seam)
     };
-    let (proj_s, stats_proj) = hash_on_shared(&projected, "keys")?;
+    let (proj_s, stats_proj) = hash_on_shared(projected, "keys")?;
     let (tgt_s, stats_tgt) = hash_on_shared(target, "input")?;
 
     // Local semijoin (morsel-parallel over the target's rows).
@@ -108,7 +108,7 @@ fn distributed_semijoin(
         steals += st;
     }
     let reduced = DistRel {
-        vars: target.vars.clone(),
+        vars: tgt_s.vars,
         parts,
     };
     Ok((reduced, stats_proj, stats_tgt, morsels, steals))
@@ -139,7 +139,7 @@ pub fn run_semijoin_plan(
         .map(|a| DistRel::round_robin(&a.rel, a.vars.clone(), cluster.workers))
         .collect();
 
-    let mut sj_shuffles = Vec::new();
+    let mut sj_rounds = Vec::new();
     let mut projected_tuples = 0u64;
     let mut input_tuples = 0u64;
     let mut sj_morsels = 0u64;
@@ -164,8 +164,9 @@ pub fn run_semijoin_plan(
     let top_down = top_down.flat_map(|a| tree.children(a).into_iter().map(move |c| (c, a)));
     for (target, reducer) in bottom_up.chain(top_down) {
         let atoms = &query.atoms;
+        let unreduced = std::mem::replace(&mut dists[target], DistRel::empty(Vec::new(), 0));
         let (reduced, sp, st, morsels, steals) = distributed_semijoin(
-            &dists[target],
+            unreduced,
             &dists[reducer],
             cluster,
             &format!("{} ⋉ {}", atoms[target].relation, atoms[reducer].relation),
@@ -177,8 +178,7 @@ pub fn run_semijoin_plan(
         input_tuples += st.tuples_sent;
         sj_morsels += morsels;
         sj_steals += steals;
-        sj_shuffles.push(sp);
-        sj_shuffles.push(st);
+        sj_rounds.push([sp, st]);
         dists[target] = reduced;
     }
     // Final join: run the RS_HJ plan over a database of reduced relations.
@@ -215,21 +215,12 @@ pub fn run_semijoin_plan(
         rt.shutdown()?;
     }
 
-    // Fold the semijoin shuffles into the run's totals; every semijoin
-    // step is one extra communication round (two parallel shuffles) and
-    // its send/receive volume is charged per tuple like any other phase.
-    let sj_rounds = (sj_shuffles.len() / 2) as u32;
-    run.rounds += sj_rounds;
-    run.wall += cluster.round_latency * sj_rounds;
-    for pair in sj_shuffles.chunks(2) {
-        let refs: Vec<&ShuffleStats> = pair.iter().collect();
-        run.absorb_network(&refs, cluster.shuffle_tuple_cost);
-    }
-    // The semijoin shuffles ran first: tally them, then re-append the
-    // final join's (already tallied) ones.
+    // Fold the semijoin steps into the run's totals: each is one extra
+    // communication round of two parallel shuffles. They ran first, so
+    // the final join's (already tallied) shuffles are re-appended after.
     let final_shuffles = std::mem::take(&mut run.shuffles);
-    for s in sj_shuffles {
-        run.absorb_shuffle(s);
+    for round in sj_rounds {
+        run.absorb_round(round, cluster);
     }
     run.shuffles.extend(final_shuffles);
     run.probe_morsels += sj_morsels;

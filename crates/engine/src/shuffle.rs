@@ -11,14 +11,13 @@
 //!
 //! Every shuffle in the engine is a [`Router`] closure (row →
 //! destination set) handed to [`run_router`], which runs it over the
-//! *hosted* partitions through a `Seam` — the one place where an
-//! in-process run and a mesh rank differ. `Local` is the
-//! sequential loop (byte-for-byte the original simulator, zero bytes
-//! moved), `Runtime` streams encoded batches between the `p` worker
-//! actors of this process, and `Mesh` is one exchange round of a
-//! multi-process [`HostMesh`] on which this process hosts a single
-//! rank. Row order of the output partitions is identical on all three,
-//! so results are byte-identical across transports and processes.
+//! *hosted* partitions through a `Seam`. `Local` is the sequential loop
+//! (byte-for-byte the original simulator, zero bytes moved); `Stream` is
+//! one exchange round between the ranks of a [`Runtime`] — all `p` of
+//! them when the run is in-process, the one rank of a multi-process
+//! mesh this process hosts otherwise, the same code either way. Row
+//! order of the output partitions is identical on both, so results are
+//! byte-identical across transports and processes.
 
 use crate::cluster::Cluster;
 use crate::dist::{DistRel, AGGREGATE};
@@ -26,8 +25,7 @@ use crate::error::EngineError;
 use parjoin_common::{hash, Relation, ShuffleStats, Value};
 use parjoin_core::hypercube::HcConfig;
 use parjoin_query::VarId;
-use parjoin_runtime::exchange::{self, ExchangeOpts};
-use parjoin_runtime::{local_shuffle, BufPool, HostMesh, Router, Runtime, ShuffleOutcome};
+use parjoin_runtime::{local_shuffle, Router, Runtime, ShuffleOutcome};
 use std::collections::{BTreeMap, HashMap};
 use std::sync::Arc;
 
@@ -35,24 +33,15 @@ use std::sync::Arc;
 pub(crate) enum Seam<'a> {
     /// The sequential in-memory loop over all `p` hosted partitions.
     Local,
-    /// The worker runtime's streaming transport between all `p` hosted
-    /// partitions.
-    Runtime(&'a Runtime),
-    /// One exchange round per shuffle on a multi-process mesh; this
-    /// process hosts only its own rank's partition.
-    Mesh {
-        /// The joined mesh (rank, address book, counters).
-        mesh: &'a HostMesh,
-        /// Frame buffers recycled across the plan's rounds.
-        pool: Arc<BufPool>,
-        /// Batch size and framing of the exchange.
-        opts: ExchangeOpts,
-    },
+    /// A streaming exchange between the ranks of a mesh, of which this
+    /// process hosts the runtime's: all `p`, or one rank of a
+    /// multi-process mesh.
+    Stream(&'a Runtime),
 }
 
 impl<'a> From<Option<&'a Runtime>> for Seam<'a> {
     fn from(rt: Option<&'a Runtime>) -> Self {
-        rt.map_or(Seam::Local, Seam::Runtime)
+        rt.map_or(Seam::Local, Seam::Stream)
     }
 }
 
@@ -60,8 +49,8 @@ impl Seam<'_> {
     /// Global rank of hosted partition 0 (errors name global ranks).
     pub(crate) fn first_rank(&self) -> usize {
         match self {
-            Seam::Local | Seam::Runtime(_) => 0,
-            Seam::Mesh { mesh, .. } => mesh.rank(),
+            Seam::Local => 0,
+            Seam::Stream(rt) => rt.first_rank(),
         }
     }
 }
@@ -75,47 +64,41 @@ pub fn join_key_seed(base: u64, on: &[VarId]) -> u64 {
 }
 
 /// Runs `router` over `input`'s hosted partitions through `seam` and
-/// packages the outcome as the engine's types.
+/// packages the outcome as the engine's types. A streaming seam consumes
+/// the partitions: each rank owns the one it routes.
 pub(crate) fn run_router(
-    input: &DistRel,
+    input: DistRel,
     router: Router,
     label: impl Into<String>,
     seam: &Seam<'_>,
 ) -> Result<(DistRel, ShuffleStats), EngineError> {
     let outcome = match seam {
         Seam::Local => local_shuffle(&input.parts, &router),
-        Seam::Runtime(rt) => rt.shuffle(input.parts.clone(), router)?,
-        Seam::Mesh { mesh, pool, opts } => {
-            let [part] = input.parts.as_slice() else {
-                return Err(EngineError::Unsupported(format!(
-                    "a mesh rank hosts one partition per relation, got {}",
-                    input.parts.len()
-                )));
-            };
-            // A fresh endpoint per round: the mesh's round-sync contract
-            // guarantees rounds never interleave, and the per-source
-            // ascending drain reproduces the Local loop's row order.
-            let endpoint = mesh.endpoint(pool)?;
-            let w = exchange::run_worker(
-                mesh.rank(),
-                part,
-                mesh.workers(),
-                *opts,
-                endpoint,
-                &router,
-                &mesh.obs,
-                pool,
-            )?;
-            ShuffleOutcome {
-                per_producer: vec![w.sent_tuples],
-                per_consumer: vec![w.received.len() as u64],
-                bytes_sent: w.bytes_sent,
-                bytes_sent_raw: w.bytes_sent_raw,
-                bytes_received: w.bytes_received,
-                parts: vec![w.received],
-            }
-        }
+        Seam::Stream(rt) => rt.shuffle(input.parts, router)?,
     };
+    Ok(package(input.vars, outcome, label))
+}
+
+/// The in-memory seam over a borrowed relation: no error source, and
+/// nothing to consume.
+fn run_local(
+    input: &DistRel,
+    router: &Router,
+    label: impl Into<String>,
+) -> (DistRel, ShuffleStats) {
+    package(
+        input.vars.clone(),
+        local_shuffle(&input.parts, router),
+        label,
+    )
+}
+
+/// A shuffle outcome as the engine's types.
+fn package(
+    vars: Vec<VarId>,
+    outcome: ShuffleOutcome,
+    label: impl Into<String>,
+) -> (DistRel, ShuffleStats) {
     let stats = ShuffleStats::new(label, outcome.per_producer, outcome.per_consumer)
         .with_bytes(outcome.bytes_sent, outcome.bytes_received)
         .with_raw_bytes(outcome.bytes_sent_raw);
@@ -123,19 +106,13 @@ pub(crate) fn run_router(
     // An all-empty input (or, on a mesh rank, nothing received) leaves
     // no partition to read the arity from; restore the schema arity so
     // downstream joins see the right column count.
-    let arity = input.vars.len();
+    let arity = vars.len();
     for p in &mut parts {
         if p.is_empty() && p.arity() != arity {
             *p = Relation::new(arity);
         }
     }
-    Ok((
-        DistRel {
-            vars: input.vars.clone(),
-            parts,
-        },
-        stats,
-    ))
+    (DistRel { vars, parts }, stats)
 }
 
 /// Key columns / hypercube dimensions a router handles in a stack
@@ -223,9 +200,8 @@ pub fn regular(
     label: impl Into<String>,
     base_seed: u64,
 ) -> (DistRel, ShuffleStats) {
-    // With no transport (`None`) the in-memory path has no error
-    // source. xtask: allow(expect)
-    regular_via(input, on, label, base_seed, None).expect("local shuffle cannot fail")
+    let router = regular_router_for(&input.vars, on, base_seed, input.workers());
+    run_local(input, &router, label)
 }
 
 /// [`regular`], executed on `rt`'s transport when one is given.
@@ -239,20 +215,17 @@ pub fn regular_via(
     base_seed: u64,
     rt: Option<&Runtime>,
 ) -> Result<(DistRel, ShuffleStats), EngineError> {
-    let workers = input.workers();
-    run_router(
-        input,
-        regular_router_for(&input.vars, on, base_seed, workers),
-        label,
-        &Seam::from(rt),
-    )
+    let router = regular_router_for(&input.vars, on, base_seed, input.workers());
+    match rt {
+        None => Ok(run_local(input, &router, label)),
+        // The caller keeps its relation; the exchange consumes a copy.
+        Some(rt) => run_router(input.clone(), router, label, &Seam::Stream(rt)),
+    }
 }
 
 /// Broadcast shuffle: every worker receives the full relation.
 pub fn broadcast(input: &DistRel, label: impl Into<String>) -> (DistRel, ShuffleStats) {
-    let router = broadcast_router(input.workers());
-    // The in-memory seam has no error source. xtask: allow(expect)
-    run_router(input, router, label, &Seam::Local).expect("local shuffle cannot fail")
+    run_local(input, &broadcast_router(input.workers()), label)
 }
 
 /// HyperCube shuffle: each tuple is sent to every cell of the hypercube
@@ -275,9 +248,11 @@ pub fn hypercube(
         "configuration has {} cells but only {workers} workers",
         config.num_cells()
     );
-    let router = hypercube_router_for(&input.vars, config, base_seed);
-    // The in-memory seam has no error source. xtask: allow(expect)
-    run_router(input, router, label, &Seam::Local).expect("local shuffle cannot fail")
+    run_local(
+        input,
+        &hypercube_router_for(&input.vars, config, base_seed),
+        label,
+    )
 }
 
 /// The [`Router`] of the HyperCube shuffle: hash the pinned dimensions,
@@ -337,8 +312,8 @@ fn hypercube_router(config: HcConfig, pinned: Vec<Option<usize>>, seeds: Vec<u64
 /// # Errors
 /// [`EngineError::Transport`] if an exchange fails.
 pub(crate) fn skew_resilient_pair(
-    a: &DistRel,
-    b: &DistRel,
+    a: DistRel,
+    b: DistRel,
     on: &[VarId],
     labels: (&str, &str),
     cluster: &Cluster,
@@ -357,7 +332,7 @@ pub(crate) fn skew_resilient_pair(
             .collect(),
     };
     let (gathered, summary) = run_router(
-        &summaries,
+        summaries,
         broadcast_router(workers),
         format!("{} ⋈ {}: heavy-key summary", labels.0, labels.1),
         seam,
@@ -365,7 +340,7 @@ pub(crate) fn skew_resilient_pair(
     // Every hosted partition received the same rows; any one decides.
     let heavy = Arc::new(heavy_keys(&gathered.parts[0], factor, workers));
 
-    let route = |input: &DistRel, cols: Vec<usize>, label: &str, spread_when: bool| {
+    let route = |input: DistRel, cols: Vec<usize>, label: &str, spread_when: bool| {
         run_router(
             input,
             skew_router(cols, seed, workers, Arc::clone(&heavy), spread_when),
@@ -650,8 +625,7 @@ mod tests {
         let db = DistRel::round_robin(&b, vec![v(1), v(2)], 8);
         let cluster = Cluster::new(8).with_seed(3);
         let (oa, ob, [summary, sa, sb]) =
-            skew_resilient_pair(&da, &db, &[v(1)], ("A", "B"), &cluster, 2.0, &Seam::Local)
-                .unwrap();
+            skew_resilient_pair(da, db, &[v(1)], ("A", "B"), &cluster, 2.0, &Seam::Local).unwrap();
         // The decision round is a recorded broadcast of bounded
         // summaries: every partition's totals row and its one candidate.
         assert_eq!(summary.label, "A ⋈ B: heavy-key summary");
@@ -689,9 +663,16 @@ mod tests {
         let db2 = DistRel::round_robin(&rel, vec![v(1), v(2)], 4);
         // Absurdly high threshold: nothing is heavy.
         let cluster = Cluster::new(4).with_seed(9);
-        let (oa, _ob, [summary, sa, _sb]) =
-            skew_resilient_pair(&da, &db2, &[v(1)], ("A", "B"), &cluster, 1e9, &Seam::Local)
-                .unwrap();
+        let (oa, _ob, [summary, sa, _sb]) = skew_resilient_pair(
+            da.clone(),
+            db2,
+            &[v(1)],
+            ("A", "B"),
+            &cluster,
+            1e9,
+            &Seam::Local,
+        )
+        .unwrap();
         // Nothing is even a candidate: the summaries are totals rows.
         assert_eq!(summary.tuples_sent, 4 * 4);
         let (ra, rs) = regular(&da, &[v(1)], "A", 9);

@@ -10,12 +10,18 @@
 //! oracles. The sweep runs once on an empty [`StatsCache`] and once on
 //! the cache it left behind.
 //!
+//! The advisor prices the regular-shuffle plan along that same greedy
+//! order — the sweep checks [`Advice::rs_join_order`](parjoin_engine::Advice)
+//! against the planned one and pins Q1–Q8's verdicts — and the tied
+//! query at the end is one where a second, tie-break-free walk used to
+//! price an order the executor does not run.
+//!
 //! This file holds a single `#[test]` on purpose: integration-test
 //! binaries run per-process, so nothing else touches the global cache
 //! while its counters are compared. (The advisor's parity test lives
 //! beside its private estimate functions, in `advisor.rs`.)
 
-use parjoin_common::Relation;
+use parjoin_common::{Database, Relation};
 use parjoin_core::order::{best_order, OrderCostModel};
 use parjoin_datagen::{all_queries, Scale};
 use parjoin_engine::plans::greedy_join_order;
@@ -32,6 +38,83 @@ const SIX_CONFIGS: [(ShuffleAlg, JoinAlg); 6] = [
     (ShuffleAlg::HyperCube, JoinAlg::Hash),
     (ShuffleAlg::HyperCube, JoinAlg::Tributary),
 ];
+
+/// Q1–Q8 at tiny scale (seed 42, 4 workers): the advisor's verdict and
+/// its regular-shuffle estimate (network tuples, busiest worker), as
+/// recorded before the estimate walked the planner's own order.
+const ADVICE: [(&str, ShuffleAlg, JoinAlg, f64, f64); 8] = [
+    (
+        "Q1",
+        ShuffleAlg::HyperCube,
+        JoinAlg::Tributary,
+        6179.418685121107,
+        3545.418685121107,
+    ),
+    (
+        "Q2",
+        ShuffleAlg::HyperCube,
+        JoinAlg::Tributary,
+        8930.819982674515,
+        3545.418685121107,
+    ),
+    (
+        "Q3",
+        ShuffleAlg::Regular,
+        JoinAlg::Hash,
+        12385.182734124794,
+        2049.75854214123,
+    ),
+    (
+        "Q4",
+        ShuffleAlg::HyperCube,
+        JoinAlg::Tributary,
+        409658.06698802934,
+        258520.17177162843,
+    ),
+    (
+        "Q5",
+        ShuffleAlg::HyperCube,
+        JoinAlg::Tributary,
+        15161.202787322947,
+        8981.78410220184,
+    ),
+    (
+        "Q6",
+        ShuffleAlg::HyperCube,
+        JoinAlg::Tributary,
+        8051.872724048683,
+        3545.418685121107,
+    ),
+    (
+        "Q7",
+        ShuffleAlg::HyperCube,
+        JoinAlg::Tributary,
+        432.0,
+        171.0,
+    ),
+    (
+        "Q8",
+        ShuffleAlg::HyperCube,
+        JoinAlg::Tributary,
+        54675.41354956093,
+        34790.654539357165,
+    ),
+];
+
+/// `A(x, y)`, `C(y, w)`, `B(y, z)`: after `A`, both extensions have
+/// fanout 2.0 (`C` 8 rows over 4 keys, `B` 4 rows over 2), so the
+/// planner's cardinality tie-break picks `B`, the later atom.
+fn tied_fanouts() -> (parjoin_query::ConjunctiveQuery, Database) {
+    let q =
+        parjoin_query::parser::parse("T(x, w, z) :- A(x, y), C(y, w), B(y, z)").expect("parses");
+    let mut db = Database::new();
+    db.insert("A", Relation::from_rows(2, [[0u64, 0], [1, 1]].iter()));
+    let c: Vec<[u64; 2]> = (0..8).map(|i| [i / 2, i]).collect();
+    db.insert("C", Relation::from_rows(2, c.iter()));
+    let b: Vec<[u64; 2]> = (0..4).map(|i| [i / 2, i]).collect();
+    db.insert("B", Relation::from_rows(2, b.iter()));
+    (q, db)
+}
 
 /// The greedy join order as the engine computed it from the tuples.
 fn oracle_greedy(atoms: &[(Vec<VarId>, &Relation)]) -> Vec<usize> {
@@ -183,6 +266,22 @@ fn plans_from_cached_stats_decide_what_plans_from_tuples_decided() {
             } else {
                 assert_eq!(verdict, advice_cold.remove(0), "{}: advice", spec.name);
             }
+            // The regular-shuffle estimate prices the order a regular
+            // plan runs, and doing so changed no verdict.
+            assert_eq!(
+                a.rs_join_order, want_join,
+                "{pass} {}: priced order",
+                spec.name
+            );
+            let rs = a.estimates[0];
+            let got = (
+                spec.name,
+                a.shuffle,
+                a.join,
+                rs.network_tuples,
+                rs.max_worker_tuples,
+            );
+            assert!(ADVICE.contains(&got), "{pass}: advice moved: {got:?}");
 
             // The cached numbers are the integers the old per-query
             // kernel (`AtomStats`: one project-sort-dedup per column
@@ -201,6 +300,18 @@ fn plans_from_cached_stats_decide_what_plans_from_tuples_decided() {
                 }
             }
         }
+        let (q, db) = tied_fanouts();
+        let a = advise(&q, &db, &cluster);
+        let (s, j) = (ShuffleAlg::Regular, JoinAlg::Hash);
+        let frags = plan_fragments(&q, &db, &cluster, s, j, &PlanOptions::default(), &addrs)
+            .expect("plans");
+        assert_eq!(
+            frags[0].join_order,
+            [0, 2, 1],
+            "{pass}: cardinality breaks the tie"
+        );
+        assert_eq!(a.rs_join_order, frags[0].join_order, "{pass}: tied fanouts");
+
         let after = cache.stats();
         if pass == "cold" {
             assert!(after.misses > 0, "an empty cache must analyse");

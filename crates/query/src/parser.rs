@@ -208,21 +208,9 @@ pub fn parse(src: &str) -> Result<ConjunctiveQuery, ParseError> {
     }
 
     builder.head(head);
-    let q = builder_finish(builder)?;
-    Ok(q)
-}
-
-fn builder_finish(b: QueryBuilder) -> Result<ConjunctiveQuery, ParseError> {
-    // QueryBuilder::build panics on invalid queries (programming errors);
-    // parsed text is user input, so surface a Result instead.
-    let q = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| b.build()));
-    q.map_err(|payload| {
-        let msg = payload
-            .downcast_ref::<String>()
-            .cloned()
-            .unwrap_or_else(|| "invalid query".to_string());
-        ParseError { at: 0, msg }
-    })
+    // Parsed text is user input: an invalid query is an error, not the
+    // panic `QueryBuilder::build` reserves for queries written in code.
+    builder.try_build().map_err(|msg| ParseError { at: 0, msg })
 }
 
 #[cfg(test)]

@@ -399,12 +399,13 @@ impl QueryBuilder {
         self
     }
 
-    /// Finishes the query.
+    /// Finishes the query — the form for queries built from outside
+    /// input (the Datalog parser's).
     ///
-    /// # Panics
-    /// Panics if the query fails [`ConjunctiveQuery::validate`] — builder
-    /// misuse is a programming error.
-    pub fn build(self) -> ConjunctiveQuery {
+    /// # Errors
+    /// The first violation [`ConjunctiveQuery::validate`] finds, prefixed
+    /// with the query's name.
+    pub fn try_build(self) -> Result<ConjunctiveQuery, String> {
         let q = ConjunctiveQuery {
             name: self.name,
             head: self.head,
@@ -412,10 +413,20 @@ impl QueryBuilder {
             filters: self.filters,
             var_names: self.var_names,
         };
-        if let Err(e) = q.validate() {
-            panic!("invalid query `{}`: {e}", q.name); // xtask: allow(panic)
+        match q.validate() {
+            Ok(()) => Ok(q),
+            Err(e) => Err(format!("invalid query `{}`: {e}", q.name)),
         }
-        q
+    }
+
+    /// Finishes a query written in code.
+    ///
+    /// # Panics
+    /// Panics if the query fails [`ConjunctiveQuery::validate`] — builder
+    /// misuse is a programming error.
+    pub fn build(self) -> ConjunctiveQuery {
+        // xtask: allow(panic)
+        self.try_build().unwrap_or_else(|e| panic!("{e}"))
     }
 }
 
@@ -460,6 +471,22 @@ mod tests {
         b.head([y]);
         let q = b.build();
         assert_eq!(q.output_vars(), vec![VarId(1)]);
+    }
+
+    #[test]
+    fn try_build_reports_what_build_panics_with() {
+        let mut b = QueryBuilder::new("Q");
+        let (x, ghost) = (b.var("x"), b.var("ghost"));
+        b.atom("R", [x]);
+        b.head([x, ghost]);
+        let err = b.try_build().unwrap_err();
+        assert!(err.starts_with("invalid query `Q`: "), "{err}");
+        assert!(err.contains("ghost"), "{err}");
+
+        let mut ok = QueryBuilder::new("Q");
+        let x = ok.var("x");
+        ok.atom("R", [x]);
+        assert_eq!(ok.try_build().unwrap().atoms.len(), 1);
     }
 
     #[test]

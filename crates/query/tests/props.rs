@@ -67,3 +67,70 @@ proptest! {
         }
     }
 }
+
+/// What hostile query text is made of: every token the grammar knows,
+/// plus multi-byte characters of two, three and four bytes (the parser
+/// walks bytes, so each one is a chance to slice inside a character).
+const PALETTE: [&str; 24] = [
+    "Q",
+    "R1",
+    "x",
+    "y_2",
+    "_",
+    "7",
+    "18446744073709551616",
+    "(",
+    ")",
+    ",",
+    ":-",
+    ".",
+    "<",
+    "<=",
+    ">",
+    ">=",
+    "!=",
+    "=",
+    " ",
+    "\n",
+    "é",
+    "→",
+    "⋈",
+    "𝔘",
+];
+
+fn arb_text() -> impl Strategy<Value = String> {
+    proptest::collection::vec(0usize..PALETTE.len(), 0..=24)
+        .prop_map(|picks| picks.into_iter().map(|i| PALETTE[i]).collect())
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(2048))]
+
+    /// Arbitrary UTF-8 is a query or a typed error whose offset points
+    /// into the text — never a panic.
+    #[test]
+    fn parse_survives_arbitrary_text(text in arb_text()) {
+        if let Err(e) = parser::parse(&text) {
+            prop_assert!(e.at <= text.len(), "offset {} past `{text}`", e.at);
+        }
+    }
+
+    /// A valid query with one multi-byte character spliced in at every
+    /// character offset in turn, and with every prefix of it.
+    #[test]
+    fn parse_survives_multibyte_splices_and_truncation(
+        q in arb_query(),
+        pick in 20usize..PALETTE.len(),
+    ) {
+        let text = format!("{q}");
+        for (at, _) in text.char_indices().chain([(text.len(), ' ')]) {
+            let spliced = format!("{}{}{}", &text[..at], PALETTE[pick], &text[at..]);
+            if let Ok(parsed) = parser::parse(&spliced) {
+                prop_assert!(parsed.validate().is_ok(), "`{spliced}` parsed to an invalid query");
+            }
+            if let Ok(parsed) = parser::parse(&text[..at]) {
+                prop_assert!(parsed.validate().is_ok(), "`{}` parsed to an invalid query", &text[..at]);
+            }
+        }
+    }
+}

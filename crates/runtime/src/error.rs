@@ -50,8 +50,8 @@ pub enum RuntimeError {
         /// The encoded batch size that was rejected.
         bytes: u64,
         /// The per-frame ceiling in force when the frame was rejected —
-        /// the runtime's configured `max_frame_bytes`, not a compile-time
-        /// constant, so the message names the limit the user can raise.
+        /// the sending mesh member's `max_frame`, so the message names
+        /// the limit a deployment can raise.
         limit: u64,
     },
 }
@@ -79,7 +79,7 @@ impl fmt::Display for RuntimeError {
             RuntimeError::FrameTooLarge { bytes, limit } => write!(
                 f,
                 "frame of {bytes} bytes exceeds the configured {limit}-byte frame limit; \
-                 lower batch_tuples (or raise max_frame_bytes) so encoded batches fit one frame"
+                 lower batch_tuples (or raise HostMesh::max_frame) so encoded batches fit one frame"
             ),
         }
     }
@@ -127,6 +127,6 @@ mod tests {
             msg.contains("configured 1024-byte frame limit"),
             "names the limit actually in force: {msg}"
         );
-        assert!(msg.contains("max_frame_bytes"), "names the knob: {msg}");
+        assert!(msg.contains("max_frame"), "names the knob: {msg}");
     }
 }

@@ -3,20 +3,25 @@
 
 //! # parjoin-runtime
 //!
-//! A message-passing worker runtime for the parjoin engine. Each of the
-//! `p` simulated machines becomes a long-lived OS thread (an *actor*)
-//! that executes jobs sent over a control channel. Workers exchange
-//! tuples through a pluggable
-//! [`Transport`](transport::Transport):
+//! A message-passing worker runtime for the parjoin engine. A
+//! [`Runtime`] is *the ranks of one exchange mesh that this process
+//! hosts*: [`Runtime::new`] hosts all `p` of them, each a long-lived OS
+//! thread (an *actor*) that executes jobs sent over a control channel;
+//! [`Runtime::rank_of`] hosts the one rank of a multi-process
+//! [`HostMesh`] member. Either way every hosted rank runs the same
+//! [`exchange::run_worker`] per shuffle; what differs is only how a rank
+//! gets the round's [`Endpoint`](transport::Endpoint):
 //!
 //! * [`TransportKind::Local`] — the degenerate in-memory path: shuffles
 //!   run as a sequential loop, exactly reproducing the original
 //!   simulator (same tallies, same row order, zero bytes moved).
 //! * [`TransportKind::InProcess`] — bounded `mpsc` channels between the
-//!   worker threads; full streaming protocol, backpressure from the
-//!   channel bound.
-//! * [`TransportKind::Tcp`] — length-prefixed frames over loopback
-//!   sockets.
+//!   rank threads ([`transport::in_process_mesh`]); full streaming
+//!   protocol, backpressure from the channel bound.
+//! * [`TransportKind::Tcp`] — length-prefixed frames over sockets: every
+//!   rank is a [`HostMesh`] member and forms its own endpoint. In
+//!   process the `p` members are bound on loopback once, in
+//!   [`Runtime::new`]; across processes each worker brings its own.
 //!
 //! Shuffles stream fixed-size batches (`batch_tuples` rows each) in the
 //! compact [`parjoin_common::wire`] encoding, so byte tallies are real
@@ -26,7 +31,9 @@
 //!
 //! [`Runtime::new`] spawns the threads; [`Runtime::shuffle`] executes
 //! one exchange on them; [`Runtime::shutdown`] (or drop) closes the
-//! control channels and joins every thread.
+//! control channels and joins every thread. A runtime hosting a single
+//! rank spawns none: with no in-process peer to run beside, the rank's
+//! side of the exchange runs on the calling thread.
 
 pub mod error;
 pub mod exchange;
@@ -42,8 +49,8 @@ pub use tcp::{HandshakeConfig, HostMesh};
 pub use transport::TransportKind;
 
 use parjoin_common::{Relation, Value, WireFormat};
-use std::sync::mpsc::{channel, Sender};
-use std::sync::Arc;
+use std::sync::mpsc::{channel, RecvTimeoutError, Sender};
+use std::sync::{Arc, OnceLock};
 use std::thread::JoinHandle;
 use std::time::Duration;
 
@@ -71,26 +78,14 @@ pub struct RuntimeConfig {
     /// backpressure window.
     pub channel_depth: usize,
     /// Cap on every blocking receive, guarding against a hung peer
-    /// deadlocking the mesh.
+    /// deadlocking the mesh (a TCP member's
+    /// [`HostMesh::recv_timeout`]).
     pub io_timeout: Duration,
     /// Frame encoding on the wire. There is one ([`WireFormat`]):
     /// batches are written scatter/gather from borrowed slices.
     pub wire_format: WireFormat,
     /// Delta+varint column compression on shuffled batches.
     pub wire_compression: bool,
-    /// Per-frame size limit streaming transports enforce on both sides.
-    pub max_frame_bytes: u32,
-    /// Dial attempts per peer during TCP mesh formation before the
-    /// connect is declared dead (backoff between attempts doubles from
-    /// 1 ms up to `connect_backoff_cap`).
-    pub connect_attempts: u32,
-    /// Ceiling on the exponential dial backoff during mesh formation.
-    pub connect_backoff_cap: Duration,
-    /// Deadline for the accept-plus-hello phase of TCP mesh formation;
-    /// a peer that connects but never announces itself surfaces as
-    /// [`RuntimeError::HandshakeTimeout`](error::RuntimeError::HandshakeTimeout)
-    /// once this expires.
-    pub handshake_timeout: Duration,
     /// Observability bundle the exchange and transports report into
     /// (bytes, batches, flushes, receive waits, decode errors, and the
     /// per-worker `shuffle` trace spans). Detached by default.
@@ -112,10 +107,6 @@ impl Default for RuntimeConfig {
             io_timeout: Duration::from_secs(30),
             wire_format: WireFormat::default(),
             wire_compression: false,
-            max_frame_bytes: transport::MAX_FRAME_BYTES,
-            connect_attempts: 10,
-            connect_backoff_cap: Duration::from_millis(128),
-            handshake_timeout: Duration::from_secs(10),
             obs: RuntimeObs::detached(),
         }
     }
@@ -139,42 +130,104 @@ pub struct ShuffleOutcome {
     pub bytes_received: u64,
 }
 
-/// A job run on one actor thread; the argument is the worker's id.
-type Job = Box<dyn FnOnce(usize) + Send>;
+/// A job run on one actor thread.
+type Job = Box<dyn FnOnce() + Send>;
+
+/// How one hosted rank gets a round's endpoint.
+type Link = Box<dyn FnOnce() -> Result<Box<dyn transport::Endpoint>, RuntimeError> + Send>;
+
+/// One hosted rank's side of one shuffle round, ready to run.
+type RankJob = Box<dyn FnOnce() -> Result<exchange::WorkerOutcome, RuntimeError> + Send>;
 
 struct Worker {
     tx: Sender<Job>,
     handle: Option<JoinHandle<()>>,
 }
 
-/// The worker-actor runtime.
+/// The worker-actor runtime: the ranks `first_rank..first_rank + hosted`
+/// of a `config.workers`-wide exchange mesh.
 pub struct Runtime {
     config: RuntimeConfig,
-    workers: Vec<Worker>,
+    first_rank: usize,
+    hosted: usize,
+    /// Under [`TransportKind::Tcp`], hosted rank `i`'s mesh membership.
+    members: Vec<Arc<HostMesh>>,
+    /// One actor per hosted rank; none when a single rank is hosted.
+    actors: Vec<Worker>,
+    /// The first rank whose actor died mid-job (a panicking router).
+    dead: OnceLock<usize>,
     /// Recycled receive buffers shared by every shuffle this runtime
     /// runs; hand-outs tally on `runtime.buf.{reuses,allocs}`.
     pool: Arc<BufPool>,
 }
 
 impl Runtime {
-    /// Spawns `config.workers` actor threads.
+    /// Hosts every rank of a `config.workers`-wide mesh: spawns the
+    /// actor threads and, under [`TransportKind::Tcp`], binds the ranks'
+    /// loopback [`HostMesh`] members.
     ///
     /// # Errors
     /// [`RuntimeError::Config`] on zero workers or zero `batch_tuples`;
-    /// [`RuntimeError::Io`] if thread spawning fails.
+    /// [`RuntimeError::Io`] if thread spawning or a loopback bind fails.
     pub fn new(config: RuntimeConfig) -> Result<Self, RuntimeError> {
         if config.workers == 0 {
             return Err(RuntimeError::Config(
                 "runtime needs at least one worker".into(),
             ));
         }
+        let mut members = Vec::new();
+        if config.transport == TransportKind::Tcp {
+            for mut member in HostMesh::loopback(config.workers)? {
+                member.obs = config.obs.clone();
+                member.recv_timeout = config.io_timeout;
+                members.push(member);
+            }
+        }
+        Runtime::hosting(0, config.workers, members, config)
+    }
+
+    /// Hosts the one rank of a joined multi-process mesh `member`; the
+    /// exchange streams `opts`-shaped batches and reports into the
+    /// member's own counters.
+    ///
+    /// # Errors
+    /// [`RuntimeError::Config`] on an unjoined member or zero
+    /// `batch_tuples`.
+    pub fn rank_of(member: HostMesh, opts: exchange::ExchangeOpts) -> Result<Self, RuntimeError> {
+        if member.workers() == 0 {
+            return Err(RuntimeError::Config(
+                "Runtime::rank_of() before join(): the peer address book is empty".into(),
+            ));
+        }
+        let config = RuntimeConfig {
+            workers: member.workers(),
+            transport: TransportKind::Tcp,
+            batch_tuples: opts.batch_tuples,
+            wire_format: opts.format,
+            wire_compression: opts.compression,
+            io_timeout: member.recv_timeout,
+            obs: member.obs.clone(),
+            ..RuntimeConfig::default()
+        };
+        Runtime::hosting(member.rank(), 1, vec![member], config)
+    }
+
+    fn hosting(
+        first_rank: usize,
+        hosted: usize,
+        members: Vec<HostMesh>,
+        config: RuntimeConfig,
+    ) -> Result<Self, RuntimeError> {
         if config.batch_tuples == 0 {
             return Err(RuntimeError::Config(
                 "batch_tuples must be at least 1 (a zero-row batch can never flush)".into(),
             ));
         }
-        let mut workers = Vec::with_capacity(config.workers);
-        for id in 0..config.workers {
+        // A lone rank has no in-process peer to run beside: its side of
+        // an exchange runs on the calling thread.
+        let threads = if hosted > 1 { hosted } else { 0 };
+        let mut actors = Vec::with_capacity(threads);
+        for id in first_rank..first_rank + threads {
             let (tx, rx) = channel::<Job>();
             // The handle is kept in `Worker` and joined by `shutdown`.
             let handle = std::thread::Builder::new()
@@ -184,11 +237,11 @@ impl Runtime {
                     // The actor loop: run jobs until the runtime drops
                     // the control channel.
                     while let Ok(job) = rx.recv() {
-                        job(id);
+                        job();
                     }
                 })
                 .map_err(|e| RuntimeError::Io(format!("spawning worker {id}: {e}")))?;
-            workers.push(Worker {
+            actors.push(Worker {
                 tx,
                 handle: Some(handle),
             });
@@ -200,30 +253,29 @@ impl Runtime {
         ));
         Ok(Runtime {
             config,
-            workers,
+            first_rank,
+            hosted,
+            members: members.into_iter().map(Arc::new).collect(),
+            actors,
+            dead: OnceLock::new(),
             pool,
         })
     }
 
-    /// The runtime's configuration.
-    pub fn config(&self) -> &RuntimeConfig {
-        &self.config
+    /// Global rank of hosted partition 0.
+    pub fn first_rank(&self) -> usize {
+        self.first_rank
     }
 
-    /// Number of worker actors.
-    pub fn workers(&self) -> usize {
-        self.config.workers
-    }
-
-    /// Executes one exchange: every worker routes its partition's rows
-    /// through `router` and the runtime returns the repartitioned data
-    /// plus the paper's per-producer/per-consumer tallies and real byte
-    /// counts.
+    /// Executes one exchange: every hosted rank routes its partition's
+    /// rows through `router` and the runtime returns the repartitioned
+    /// data plus the paper's per-producer/per-consumer tallies and real
+    /// byte counts, all indexed by hosted partition.
     ///
-    /// `parts[i]` is worker `i`'s input partition; `parts.len()` must
-    /// equal the worker count. Row order of the output partitions is
-    /// deterministic and identical across all transports (sources are
-    /// concatenated in ascending order).
+    /// `parts[i]` is hosted rank `i`'s input partition, consumed by the
+    /// exchange. Row order of the output partitions is deterministic and
+    /// identical across all transports (sources are concatenated in
+    /// ascending order).
     ///
     /// # Errors
     /// Transport failures (peer death, timeouts, wire corruption) and
@@ -233,91 +285,59 @@ impl Runtime {
         parts: Vec<Relation>,
         router: Router,
     ) -> Result<ShuffleOutcome, RuntimeError> {
-        let p = self.config.workers;
-        if parts.len() != p {
+        let hosted = self.hosted;
+        if parts.len() != hosted {
             return Err(RuntimeError::Config(format!(
-                "shuffle got {} partitions for {p} workers",
+                "shuffle got {} partitions for {hosted} hosted rank(s)",
                 parts.len()
             )));
         }
-        match self.config.transport {
-            TransportKind::Local => Ok(local_shuffle(&parts, &router)),
+        let config = &self.config;
+        let width = config.workers;
+        // How each hosted rank gets this round's endpoint: the channel
+        // mesh is built whole and dealt out; a TCP member forms its own
+        // on its rank's thread, concurrently with its peers.
+        let links: Vec<Link> = match config.transport {
+            TransportKind::Local => return Ok(local_shuffle(&parts, &router)),
             TransportKind::InProcess => {
-                self.streaming_shuffle(parts, &router, &transport::InProcess)
+                let (depth, timeout) = (config.channel_depth, config.io_timeout);
+                transport::in_process_mesh(width, depth, timeout, &self.pool)
+                    .into_iter()
+                    .map(|endpoint| Box::new(move || Ok(endpoint)) as Link)
+                    .collect()
             }
-            TransportKind::Tcp => {
-                let transport = tcp::Tcp::with_obs(self.config.obs.clone())
-                    .with_frame_limit(self.config.max_frame_bytes)
-                    .with_handshake(tcp::HandshakeConfig {
-                        connect_attempts: self.config.connect_attempts,
-                        backoff_cap: self.config.connect_backoff_cap,
-                        handshake_timeout: self.config.handshake_timeout,
-                        ..tcp::HandshakeConfig::default()
-                    });
-                self.streaming_shuffle(parts, &router, &transport)
-            }
-        }
-    }
-
-    fn streaming_shuffle(
-        &self,
-        parts: Vec<Relation>,
-        router: &Router,
-        transport: &dyn transport::Transport,
-    ) -> Result<ShuffleOutcome, RuntimeError> {
-        let p = self.config.workers;
-        let opts = exchange::ExchangeOpts {
-            batch_tuples: self.config.batch_tuples,
-            format: self.config.wire_format,
-            compression: self.config.wire_compression,
-        };
-        let endpoints = transport.mesh(
-            p,
-            self.config.channel_depth,
-            self.config.io_timeout,
-            &self.pool,
-        )?;
-        let parts = Arc::new(parts);
-        let outcomes = {
-            let mut endpoints = endpoints.into_iter();
-            self.run_jobs(|| {
-                let endpoint = endpoints.next();
-                let parts = Arc::clone(&parts);
-                let router = Arc::clone(router);
-                let obs = self.config.obs.clone();
-                let pool = Arc::clone(&self.pool);
-                Box::new(move |id: usize| {
-                    let Some(endpoint) = endpoint else {
-                        // A transport handing back fewer endpoints than
-                        // workers is a contract violation, not a panic.
-                        return Err(RuntimeError::Config(format!(
-                            "transport returned no endpoint for worker {id}"
-                        )));
-                    };
-                    exchange::run_worker(
-                        id,
-                        &parts[id],
-                        parts.len(),
-                        opts,
-                        endpoint,
-                        &router,
-                        &obs,
-                        &pool,
-                    )
+            TransportKind::Tcp => (self.members.iter())
+                .map(|member| {
+                    let (member, pool) = (Arc::clone(member), Arc::clone(&self.pool));
+                    Box::new(move || member.endpoint(&pool)) as Link
                 })
-            })?
+                .collect(),
         };
+        let opts = exchange::ExchangeOpts {
+            batch_tuples: config.batch_tuples,
+            format: config.wire_format,
+            compression: config.wire_compression,
+        };
+        let jobs = (self.first_rank..).zip(parts).zip(links);
+        let jobs = jobs.map(|((rank, part), link)| {
+            let router = Arc::clone(&router);
+            let obs = config.obs.clone();
+            let pool = Arc::clone(&self.pool);
+            Box::new(move || {
+                exchange::run_worker(rank, &part, width, opts, link()?, &router, &obs, &pool)
+            }) as RankJob
+        });
+        let outcomes = self.run_jobs(jobs.collect())?;
 
         let mut out = ShuffleOutcome {
-            parts: Vec::with_capacity(p),
-            per_producer: Vec::with_capacity(p),
-            per_consumer: Vec::with_capacity(p),
+            parts: Vec::with_capacity(hosted),
+            per_producer: Vec::with_capacity(hosted),
+            per_consumer: Vec::with_capacity(hosted),
             bytes_sent: 0,
             bytes_sent_raw: 0,
             bytes_received: 0,
         };
         for worker in outcomes {
-            let worker = worker?;
             out.per_producer.push(worker.sent_tuples);
             out.per_consumer.push(worker.received.len() as u64);
             out.bytes_sent += worker.bytes_sent;
@@ -328,52 +348,56 @@ impl Runtime {
         Ok(out)
     }
 
-    /// Dispatches one job per worker (built by `make`; the job receives
-    /// its worker's id) and collects their results in worker order.
-    fn run_jobs<T, M>(&self, mut make: M) -> Result<Vec<T>, RuntimeError>
-    where
-        T: Send + 'static,
-        M: FnMut() -> Box<dyn FnOnce(usize) -> T + Send>,
-    {
-        let (res_tx, res_rx) = channel::<(usize, T)>();
-        for (id, worker) in self.workers.iter().enumerate() {
-            let job = make();
+    /// Runs one job per hosted rank — on the rank's actor, or right here
+    /// when a lone rank has none — and collects their outcomes in rank
+    /// order.
+    fn run_jobs(&self, jobs: Vec<RankJob>) -> Result<Vec<exchange::WorkerOutcome>, RuntimeError> {
+        if self.actors.is_empty() {
+            return jobs.into_iter().map(|job| job()).collect();
+        }
+        let gone =
+            |rank: usize| RuntimeError::Disconnected(format!("worker {rank} thread is gone"));
+        // A rank that died in an earlier round would leave the peers
+        // dispatched before it waiting out the handshake deadline:
+        // refuse the round before any of them starts.
+        if let Some(&rank) = self.dead.get() {
+            return Err(gone(rank));
+        }
+        let (res_tx, res_rx) = channel();
+        for ((i, job), actor) in jobs.into_iter().enumerate().zip(&self.actors) {
             let res_tx = res_tx.clone();
-            worker
-                .tx
-                .send(Box::new(move |id| {
-                    let out = job(id);
-                    // The runtime may have given up (timeout) and dropped
-                    // the receiver; nothing useful to do with `out` then.
-                    let _ = res_tx.send((id, out));
-                }))
-                .map_err(|_| RuntimeError::Disconnected(format!("worker {id} thread is gone")))?;
+            let job = Box::new(move || {
+                let out = job();
+                // The runtime may have given up (timeout) and dropped
+                // the receiver; nothing useful to do with `out` then.
+                let _ = res_tx.send((i, out));
+            });
+            actor.tx.send(job).map_err(|_| gone(self.first_rank + i))?;
         }
         drop(res_tx);
-        let mut slots: Vec<Option<T>> = (0..self.workers.len()).map(|_| None).collect();
-        for _ in 0..self.workers.len() {
-            let (id, value) = res_rx
-                .recv_timeout(self.config.io_timeout)
-                .map_err(|e| match e {
-                    std::sync::mpsc::RecvTimeoutError::Timeout => RuntimeError::Timeout(format!(
+        let mut slots: Vec<_> = (0..self.actors.len()).map(|_| None).collect();
+        for _ in 0..self.actors.len() {
+            match res_rx.recv_timeout(self.config.io_timeout) {
+                Ok((i, value)) => slots[i] = Some(value),
+                Err(RecvTimeoutError::Timeout) => {
+                    return Err(RuntimeError::Timeout(format!(
                         "worker result missing after {:?}",
                         self.config.io_timeout
-                    )),
-                    std::sync::mpsc::RecvTimeoutError::Disconnected => {
-                        RuntimeError::Disconnected("a worker died mid-job".into())
-                    }
-                })?;
-            slots[id] = Some(value);
+                    )))
+                }
+                // Every job is done or dropped, so a rank without a
+                // result panicked in its job and took its actor with it.
+                Err(RecvTimeoutError::Disconnected) => break,
+            }
         }
-        slots
-            .into_iter()
-            .enumerate()
-            .map(|(id, slot)| {
-                slot.ok_or_else(|| {
-                    RuntimeError::Disconnected(format!("worker {id} returned no result"))
-                })
-            })
-            .collect()
+        // A dead rank is the cause; its peers' errors are its symptoms.
+        if let Some(i) = slots.iter().position(Option::is_none) {
+            let rank = *self.dead.get_or_init(|| self.first_rank + i);
+            return Err(RuntimeError::Disconnected(format!(
+                "worker {rank} died mid-job"
+            )));
+        }
+        slots.into_iter().flatten().collect()
     }
 
     /// Closes every control channel and joins the worker threads.
@@ -386,15 +410,15 @@ impl Runtime {
 
     fn join_all(&mut self) -> Result<(), RuntimeError> {
         // Dropping the senders ends each actor loop.
-        for worker in &mut self.workers {
+        for actor in &mut self.actors {
             let (dead_tx, _) = channel::<Job>();
-            worker.tx = dead_tx;
+            actor.tx = dead_tx;
         }
         let mut first_panic = None;
-        for (id, worker) in self.workers.iter_mut().enumerate() {
-            if let Some(handle) = worker.handle.take() {
+        for (i, actor) in self.actors.iter_mut().enumerate() {
+            if let Some(handle) = actor.handle.take() {
                 if handle.join().is_err() && first_panic.is_none() {
-                    first_panic = Some(id);
+                    first_panic = Some(self.first_rank + i);
                 }
             }
         }

@@ -1,16 +1,22 @@
-//! Loopback TCP transport.
+//! The TCP mesh: [`HostMesh`], one rank's membership.
+//!
+//! There is one mesh implementation. A worker process holds one
+//! `HostMesh`; an in-process runtime under
+//! [`TransportKind::Tcp`](crate::TransportKind) holds `p` of them on
+//! loopback ([`HostMesh::loopback`]), one per rank, each forming its own
+//! endpoint on its rank's thread — so both run the same dial / hello /
+//! accept sequence, deadlines and round synchronization.
 //!
 //! Wire protocol per connection, after a 4-byte little-endian *hello*
-//! carrying the sender's worker id:
+//! carrying the sender's rank:
 //!
 //! ```text
 //! frame := 0x00  u32-LE payload length  payload   (one encoded batch)
 //!        | 0x01                                   (end-of-stream)
 //! ```
 //!
-//! The mesh is `p × p` directed connections over `127.0.0.1` (self-loops
-//! included, so byte accounting matches the in-process transport
-//! exactly). The receive side is an **event loop**: each worker's
+//! The mesh is `p × p` directed connections (self-loops included, so
+//! byte accounting matches the in-process transport exactly). The receive side is an **event loop**: each worker's
 //! receiver owns all `p` incoming sockets in nonblocking mode and
 //! round-robin polls them through a per-connection framing state machine
 //! ([`Stage`]), so an N-node mesh costs one receive thread per worker —
@@ -37,7 +43,7 @@ use crate::error::RuntimeError;
 use crate::metrics::RuntimeObs;
 use crate::pool::BufPool;
 pub use crate::transport::MAX_FRAME_BYTES;
-use crate::transport::{BatchReceiver, BatchSender, Endpoint, Payload, Transport};
+use crate::transport::{BatchReceiver, BatchSender, Endpoint, Payload};
 use parjoin_obs::Counter;
 use std::io::{BufWriter, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
@@ -54,10 +60,10 @@ const SEND_CHUNK_VALUES: usize = 1024;
 /// Retry and deadline policy for mesh formation: how hard each worker
 /// dials its peers and how long the accept side waits for hellos.
 ///
-/// Threaded down from [`RuntimeConfig`](crate::RuntimeConfig) so a
-/// deployment can tune formation patience without recompiling; the
-/// defaults suit loopback meshes where listeners are bound microseconds
-/// before the first dial.
+/// A deployment tunes formation patience per member through
+/// [`HostMesh::handshake`]; the defaults suit loopback meshes where
+/// listeners are bound microseconds before the first dial, and are what
+/// an in-process runtime uses.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct HandshakeConfig {
     /// Dial attempts per peer before the connect is declared dead.
@@ -267,133 +273,21 @@ fn check_mesh_width(workers: usize) -> Result<u32, RuntimeError> {
     })
 }
 
-/// Loopback-socket transport. Carries the observability bundle whose
-/// counters the senders (flushes) and receive loops (decode errors)
-/// report into; the default bundle is detached.
-pub struct Tcp {
-    /// Counter handles for transport-level tallies.
-    pub obs: RuntimeObs,
-    /// Per-frame size limit senders enforce and receivers reject above.
-    pub max_frame: u32,
-    /// Dial-retry and hello-deadline policy for mesh formation.
-    pub handshake: HandshakeConfig,
-}
-
-impl Default for Tcp {
-    fn default() -> Tcp {
-        Tcp {
-            obs: RuntimeObs::default(),
-            max_frame: MAX_FRAME_BYTES,
-            handshake: HandshakeConfig::default(),
-        }
-    }
-}
-
-impl Tcp {
-    /// A transport reporting into `obs`, with the default frame limit.
-    pub fn with_obs(obs: RuntimeObs) -> Tcp {
-        Tcp {
-            obs,
-            max_frame: MAX_FRAME_BYTES,
-            handshake: HandshakeConfig::default(),
-        }
-    }
-
-    /// Overrides the per-frame size limit.
-    pub fn with_frame_limit(mut self, max_frame: u32) -> Tcp {
-        self.max_frame = max_frame;
-        self
-    }
-
-    /// Overrides the mesh-formation handshake policy.
-    pub fn with_handshake(mut self, handshake: HandshakeConfig) -> Tcp {
-        self.handshake = handshake;
-        self
-    }
-}
-
-impl Transport for Tcp {
-    fn mesh(
-        &self,
-        workers: usize,
-        depth: usize,
-        timeout: Duration,
-        pool: &Arc<BufPool>,
-    ) -> Result<Vec<Box<dyn Endpoint>>, RuntimeError> {
-        let io = |e: std::io::Error| RuntimeError::Io(e.to_string());
-        check_mesh_width(workers)?;
-        // The event-loop receiver needs no bounded inbox; `depth` only
-        // shapes the channel transports. TCP's window is the socket
-        // buffer itself.
-        let _ = depth;
-
-        // One listener per worker on an ephemeral loopback port.
-        let mut listeners = Vec::with_capacity(workers);
-        let mut addrs = Vec::with_capacity(workers);
-        for _ in 0..workers {
-            let listener = TcpListener::bind("127.0.0.1:0").map_err(io)?;
-            addrs.push(listener.local_addr().map_err(io)?);
-            listeners.push(listener);
-        }
-
-        // Outgoing side: worker i dials every destination and announces
-        // itself with the hello frame. The kernel backlog holds these
-        // until the accept loop below runs. The `as u32` cast is exact:
-        // `check_mesh_width` proved every id fits.
-        let mut outgoing: Vec<Vec<BufWriter<TcpStream>>> = Vec::with_capacity(workers);
-        for src in 0..workers {
-            let mut conns = Vec::with_capacity(workers);
-            for &addr in &addrs {
-                let stream = connect_with_retry(addr, &self.handshake)?;
-                stream.set_nodelay(true).map_err(io)?;
-                let mut writer = BufWriter::new(stream);
-                writer.write_all(&(src as u32).to_le_bytes()).map_err(io)?;
-                writer.flush().map_err(io)?;
-                conns.push(writer);
-            }
-            outgoing.push(conns);
-        }
-
-        // Incoming side: accept the p connections aimed at each worker,
-        // learn who is on the other end from its hello (read under the
-        // handshake deadline, with duplicate-id rejection), then hand
-        // the nonblocking socket to the worker's demux receive loop.
-        let mut endpoints: Vec<Box<dyn Endpoint>> = Vec::with_capacity(workers);
-        for (listener, senders) in listeners.into_iter().zip(outgoing) {
-            let conns = accept_hellos(
-                &listener,
-                workers,
-                workers,
-                self.handshake.handshake_timeout,
-            )?;
-            endpoints.push(Box::new(TcpEndpoint {
-                senders,
-                conns,
-                timeout,
-                obs: self.obs.clone(),
-                pool: Arc::clone(pool),
-                max_frame: self.max_frame,
-            }));
-        }
-        Ok(endpoints)
-    }
-}
-
-/// One process's standing membership in a multi-host data mesh: a
-/// persistent listener for this rank plus the address book of every
-/// rank's listener, forming one fresh `p × p` endpoint per shuffle
-/// round.
+/// One rank's standing membership in a data mesh: a persistent listener
+/// for this rank plus the address book of every rank's listener, forming
+/// one fresh `p × p` endpoint per shuffle round.
 ///
-/// This is the loopback mesh generalized to arbitrary host lists: where
-/// [`Tcp::mesh`] builds all `p` endpoints inside one process, a
-/// `HostMesh` lives inside a single worker process and produces only
-/// that rank's endpoint, dialing real peers from the configured list.
+/// A member produces only its own rank's endpoint, dialing its peers
+/// from the address book — other processes on a host list, or the other
+/// ranks of this process on loopback. Cloning is cheap and yields a
+/// second handle on the same listener, address book and counters.
 /// Round synchronization needs no extra protocol: a rank dials round
 /// `k + 1` only after draining every round-`k` end-of-stream marker,
 /// which its peers send only after completing their own round-`k`
 /// formation — so a listener's backlog never mixes rounds.
+#[derive(Clone)]
 pub struct HostMesh {
-    listener: TcpListener,
+    listener: Arc<TcpListener>,
     rank: usize,
     peers: Vec<SocketAddr>,
     /// Counter bundle the per-round endpoints report into.
@@ -419,7 +313,7 @@ impl HostMesh {
         let listener =
             TcpListener::bind(addr).map_err(|e| RuntimeError::Io(format!("bind {addr}: {e}")))?;
         Ok(HostMesh {
-            listener,
+            listener: Arc::new(listener),
             rank: 0,
             peers: Vec::new(),
             obs: RuntimeObs::default(),
@@ -427,6 +321,27 @@ impl HostMesh {
             handshake: HandshakeConfig::default(),
             recv_timeout: Duration::from_secs(30),
         })
+    }
+
+    /// A whole `workers`-rank mesh on loopback, bound and joined: member
+    /// `r` is rank `r`. Each member must form its round endpoints on a
+    /// thread of its own ([`endpoint`](Self::endpoint)).
+    ///
+    /// # Errors
+    /// [`RuntimeError::Io`] when a bind fails, [`RuntimeError::Config`]
+    /// when the mesh is wider than the wire protocol's `u32` hello.
+    pub fn loopback(workers: usize) -> Result<Vec<HostMesh>, RuntimeError> {
+        let mut members = (0..workers)
+            .map(|_| HostMesh::bind("127.0.0.1:0"))
+            .collect::<Result<Vec<_>, _>>()?;
+        let peers = members
+            .iter()
+            .map(HostMesh::local_addr)
+            .collect::<Result<Vec<_>, _>>()?;
+        for (rank, member) in members.iter_mut().enumerate() {
+            member.join(rank, peers.clone())?;
+        }
+        Ok(members)
     }
 
     /// The address this mesh member's listener actually bound — what a
@@ -891,6 +806,12 @@ mod tests {
         Arc::new(BufPool::detached())
     }
 
+    /// A one-rank mesh: the self-loop is a real socket pair.
+    fn lone_member() -> HostMesh {
+        let mut members = HostMesh::loopback(1).expect("mesh");
+        members.pop().expect("rank 0")
+    }
+
     /// A handshake policy with short waits for fault-injection tests.
     fn fast_handshake(attempts: u32, timeout: Duration) -> HandshakeConfig {
         HandshakeConfig {
@@ -1056,14 +977,9 @@ mod tests {
         // (formation requires all ranks dialing concurrently), exchange
         // one frame each way per round, across two rounds on the same
         // persistent listeners.
-        let mut m0 = HostMesh::bind("127.0.0.1:0").expect("bind 0");
-        let mut m1 = HostMesh::bind("127.0.0.1:0").expect("bind 1");
-        let peers = vec![
-            m0.local_addr().expect("addr 0"),
-            m1.local_addr().expect("addr 1"),
-        ];
-        m0.join(0, peers.clone()).expect("join 0");
-        m1.join(1, peers).expect("join 1");
+        let mut members = HostMesh::loopback(2).expect("mesh").into_iter();
+        let m0 = members.next().expect("rank 0");
+        let m1 = members.next().expect("rank 1");
 
         let run = |mesh: HostMesh, rank: usize| {
             thread::spawn(move || {
@@ -1107,49 +1023,8 @@ mod tests {
     }
 
     #[test]
-    fn tcp_mesh_round_trips_frames() {
-        let eps = Tcp::default()
-            .mesh(2, 4, Duration::from_secs(10), &test_pool())
-            .expect("mesh");
-        let mut eps = eps.into_iter();
-        let a = eps.next().expect("endpoint 0");
-        let b = eps.next().expect("endpoint 1");
-
-        let ta = thread::spawn(move || {
-            let (mut tx, mut rx) = a.split();
-            tx.send_vectored(1, &[], Payload::Bytes(&[1, 2, 3]))
-                .expect("send");
-            tx.send_vectored(0, &[], Payload::Bytes(&[7]))
-                .expect("self send");
-            tx.finish().expect("finish");
-            drop(tx);
-            let mut got = Vec::new();
-            while let Some(msg) = rx.recv().expect("recv") {
-                got.push(msg);
-            }
-            got.sort();
-            got
-        });
-        let tb = thread::spawn(move || {
-            let (mut tx, mut rx) = b.split();
-            tx.finish().expect("finish");
-            drop(tx);
-            let mut got = Vec::new();
-            while let Some(msg) = rx.recv().expect("recv") {
-                got.push(msg);
-            }
-            got
-        });
-        assert_eq!(ta.join().expect("worker 0"), vec![(0, vec![7])]);
-        assert_eq!(tb.join().expect("worker 1"), vec![(0, vec![1, 2, 3])]);
-    }
-
-    #[test]
     fn vectored_send_round_trips() {
-        let eps = Tcp::default()
-            .mesh(1, 4, Duration::from_secs(10), &test_pool())
-            .expect("mesh");
-        let (mut tx, mut rx) = eps.into_iter().next().expect("endpoint").split();
+        let (mut tx, mut rx) = lone_member().endpoint(&test_pool()).expect("mesh").split();
         let values = [5u64, u64::MAX, 0];
         let len = tx
             .send_vectored(0, &[0xAB, 0xCD], Payload::Values(&values))
@@ -1169,11 +1044,9 @@ mod tests {
 
     #[test]
     fn mesh_counts_flushes() {
-        let obs = RuntimeObs::detached();
-        let eps = Tcp::with_obs(obs.clone())
-            .mesh(1, 4, Duration::from_secs(10), &test_pool())
-            .expect("mesh");
-        let (mut tx, mut rx) = eps.into_iter().next().expect("endpoint").split();
+        let mesh = lone_member();
+        let obs = mesh.obs.clone();
+        let (mut tx, mut rx) = mesh.endpoint(&test_pool()).expect("mesh").split();
         tx.send_vectored(0, &[], Payload::Bytes(&[1, 2]))
             .expect("send");
         tx.finish().expect("finish");
@@ -1371,27 +1244,24 @@ mod tests {
 
     #[test]
     fn peer_death_mid_stream_is_a_prompt_disconnect_not_a_hang() {
-        // End-to-end: on a live 2-worker mesh, worker 0's sender drops
+        // End-to-end: on a live 2-rank mesh, rank 0's sender drops
         // without ever writing end-of-stream (the "peer died" shape).
         // Worker 0's receiver must fail with Disconnected well before
         // the 30-second mesh timeout — never hang waiting it out.
-        let eps = Tcp::default()
-            .mesh(2, 4, Duration::from_secs(30), &test_pool())
-            .expect("mesh");
-        let mut eps = eps.into_iter();
-        let a = eps.next().expect("endpoint 0");
-        let b = eps.next().expect("endpoint 1");
+        let mut members = HostMesh::loopback(2).expect("mesh").into_iter();
+        let a = members.next().expect("rank 0");
+        let b = members.next().expect("rank 1");
 
         let peer = thread::spawn(move || {
-            let (mut tx, mut rx) = b.split();
+            let (mut tx, mut rx) = b.endpoint(&test_pool()).expect("endpoint 1").split();
             tx.finish().expect("finish");
             drop(tx);
             // Drain until our own stream ends or errors; outcome unused.
             while let Ok(Some(_)) = rx.recv() {}
         });
 
+        let (tx_a, mut rx_a) = a.endpoint(&test_pool()).expect("endpoint 0").split();
         let start = std::time::Instant::now();
-        let (tx_a, mut rx_a) = a.split();
         drop(tx_a); // dies without end-of-stream
         let err = rx_a.recv();
         assert!(

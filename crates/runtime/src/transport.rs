@@ -1,10 +1,13 @@
-//! The transport abstraction and the in-process implementation.
+//! The endpoint abstraction and the in-process implementation.
 //!
-//! A [`Transport`] builds a full point-to-point *mesh* over `p` workers:
-//! one [`Endpoint`] per worker, each able to send opaque frames to every
+//! A shuffle round runs over a full point-to-point *mesh* of `p` ranks:
+//! one [`Endpoint`] per rank, each able to send opaque frames to every
 //! peer (itself included — self-traffic flows through the same path so
 //! accounting is uniform) and to receive `(source, frame)` pairs until
-//! every peer has signalled end-of-stream.
+//! every peer has signalled end-of-stream. There are two ways to form
+//! one: [`in_process_mesh`] builds all `p` channel endpoints at once,
+//! and each member of a [`HostMesh`](crate::HostMesh) forms its own over
+//! TCP.
 //!
 //! Endpoints split into independent sender and receiver halves so a
 //! worker can drain its inbox from a second thread while its main loop
@@ -32,9 +35,8 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 /// Sanity cap on a single frame (64 MiB): a larger length prefix means a
-/// corrupt or hostile stream, not a real batch. This is the *default*
-/// limit; [`RuntimeConfig::max_frame_bytes`](crate::RuntimeConfig)
-/// overrides it per runtime.
+/// corrupt or hostile stream, not a real batch. A deployment lowers it
+/// per mesh member through [`HostMesh::max_frame`](crate::HostMesh).
 pub const MAX_FRAME_BYTES: u32 = 64 << 20;
 
 /// Consecutive empty polls a demux receive loop spins (yielding) before
@@ -58,7 +60,10 @@ pub enum TransportKind {
     /// Bounded `mpsc` channels between worker threads; frames are moved,
     /// never copied. Backpressure comes from the channel bound.
     InProcess,
-    /// Length-prefixed framed batches over loopback TCP sockets.
+    /// Length-prefixed framed batches over TCP sockets. In process this
+    /// is `p` [`HostMesh`](crate::HostMesh) members on loopback, one per
+    /// rank — the same formation, handshake and round synchronization a
+    /// multi-process deployment runs.
     Tcp,
 }
 
@@ -78,27 +83,6 @@ impl std::fmt::Display for TransportKind {
             TransportKind::Tcp => write!(f, "tcp"),
         }
     }
-}
-
-/// A mesh factory: builds `workers` connected endpoints.
-pub trait Transport {
-    /// Creates the full mesh. Endpoint `i` is handed to worker `i`.
-    ///
-    /// `depth` bounds each directed pair's in-flight frames (the
-    /// backpressure window); `timeout` caps how long a receiver waits
-    /// without progress; `pool` recycles frame buffers across the mesh
-    /// so steady-state shuffles stop allocating per frame.
-    ///
-    /// # Errors
-    /// Transport-specific setup failures (e.g. a TCP bind or connect
-    /// that keeps failing after retries).
-    fn mesh(
-        &self,
-        workers: usize,
-        depth: usize,
-        timeout: Duration,
-        pool: &Arc<BufPool>,
-    ) -> Result<Vec<Box<dyn Endpoint>>, RuntimeError>;
 }
 
 /// One worker's attachment to the mesh.
@@ -205,44 +189,43 @@ fn assemble_frame(buf: &mut Vec<u8>, header: &[u8], payload: &Payload<'_>) {
 /// which per-pair channel carried the message.
 type PairMsg = Option<Vec<u8>>;
 
-/// Bounded-channel transport between threads of this process: one
+/// The bounded-channel mesh between threads of this process: one
 /// `sync_channel` per *directed pair*, demultiplexed by a select-style
-/// poll loop on the receive side.
-pub struct InProcess;
-
-impl Transport for InProcess {
-    fn mesh(
-        &self,
-        workers: usize,
-        depth: usize,
-        timeout: Duration,
-        pool: &Arc<BufPool>,
-    ) -> Result<Vec<Box<dyn Endpoint>>, RuntimeError> {
-        // chans[src][dst]: the directed channel from src to dst. Built
-        // column-wise so endpoint `i` can collect its receive column
-        // (from every src) and its send row (to every dst).
-        let mut txs: Vec<Vec<SyncSender<PairMsg>>> = (0..workers).map(|_| Vec::new()).collect();
-        let mut rx_cols: Vec<Vec<Receiver<PairMsg>>> = (0..workers).map(|_| Vec::new()).collect();
-        for src_txs in txs.iter_mut() {
-            for rx_col in rx_cols.iter_mut() {
-                let (tx, rx) = sync_channel(depth.max(1));
-                src_txs.push(tx);
-                rx_col.push(rx);
-            }
+/// poll loop on the receive side. Endpoint `i` is rank `i`'s.
+///
+/// `depth` bounds each directed pair's in-flight frames (the
+/// backpressure window); `timeout` caps how long a receiver waits
+/// without progress; `pool` recycles frame buffers across the mesh so
+/// steady-state shuffles stop allocating per frame.
+pub fn in_process_mesh(
+    workers: usize,
+    depth: usize,
+    timeout: Duration,
+    pool: &Arc<BufPool>,
+) -> Vec<Box<dyn Endpoint>> {
+    // chans[src][dst]: the directed channel from src to dst. Built
+    // column-wise so endpoint `i` can collect its receive column (from
+    // every src) and its send row (to every dst).
+    let mut txs: Vec<Vec<SyncSender<PairMsg>>> = (0..workers).map(|_| Vec::new()).collect();
+    let mut rx_cols: Vec<Vec<Receiver<PairMsg>>> = (0..workers).map(|_| Vec::new()).collect();
+    for src_txs in txs.iter_mut() {
+        for rx_col in rx_cols.iter_mut() {
+            let (tx, rx) = sync_channel(depth.max(1));
+            src_txs.push(tx);
+            rx_col.push(rx);
         }
-        Ok(txs
-            .into_iter()
-            .zip(rx_cols)
-            .map(|(peers, rxs)| {
-                Box::new(InProcessEndpoint {
-                    peers,
-                    rxs,
-                    timeout,
-                    pool: Arc::clone(pool),
-                }) as Box<dyn Endpoint>
-            })
-            .collect())
     }
+    txs.into_iter()
+        .zip(rx_cols)
+        .map(|(peers, rxs)| {
+            Box::new(InProcessEndpoint {
+                peers,
+                rxs,
+                timeout,
+                pool: Arc::clone(pool),
+            }) as Box<dyn Endpoint>
+        })
+        .collect()
 }
 
 struct InProcessEndpoint {
@@ -412,9 +395,7 @@ mod tests {
 
     #[test]
     fn in_process_mesh_round_trips_frames() {
-        let eps = InProcess
-            .mesh(2, 4, Duration::from_secs(5), &test_pool())
-            .expect("mesh");
+        let eps = in_process_mesh(2, 4, Duration::from_secs(5), &test_pool());
         let mut eps = eps.into_iter();
         let a = eps.next().expect("endpoint 0");
         let b = eps.next().expect("endpoint 1");
@@ -451,9 +432,7 @@ mod tests {
 
     #[test]
     fn receiver_errors_when_peer_drops_without_eos() {
-        let eps = InProcess
-            .mesh(2, 4, Duration::from_secs(5), &test_pool())
-            .expect("mesh");
+        let eps = in_process_mesh(2, 4, Duration::from_secs(5), &test_pool());
         let mut eps = eps.into_iter();
         let a = eps.next().expect("endpoint 0");
         let b = eps.next().expect("endpoint 1");
@@ -467,9 +446,7 @@ mod tests {
     #[test]
     fn vectored_send_assembles_header_and_payload() {
         let pool = test_pool();
-        let eps = InProcess
-            .mesh(1, 4, Duration::from_secs(5), &pool)
-            .expect("mesh");
+        let eps = in_process_mesh(1, 4, Duration::from_secs(5), &pool);
         let (mut tx, mut rx) = eps.into_iter().next().expect("endpoint").split();
         let values = [1u64, u64::MAX];
         let len = tx
@@ -490,9 +467,7 @@ mod tests {
     #[test]
     fn vectored_send_reuses_pooled_buffers() {
         let pool = test_pool();
-        let eps = InProcess
-            .mesh(1, 4, Duration::from_secs(5), &pool)
-            .expect("mesh");
+        let eps = in_process_mesh(1, 4, Duration::from_secs(5), &pool);
         let (mut tx, mut rx) = eps.into_iter().next().expect("endpoint").split();
         for _ in 0..3 {
             tx.send_vectored(0, &[1], Payload::Bytes(&[2, 3]))

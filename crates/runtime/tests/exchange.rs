@@ -233,17 +233,14 @@ fn undecodable_frame_is_a_counted_typed_error() {
     use parjoin_common::wire;
     use parjoin_obs::{Registry, TraceSink};
     use parjoin_runtime::exchange::{run_worker, ExchangeOpts};
-    use parjoin_runtime::transport::{InProcess, Payload, Transport};
+    use parjoin_runtime::transport::{in_process_mesh, Payload};
     use parjoin_runtime::{BufPool, RuntimeError, RuntimeObs};
 
     let mut bomb = vec![wire::FLAG_COMPRESSED, 1];
     wire::write_varint(&mut bomb, 1 << 42);
 
     let pool = Arc::new(BufPool::detached());
-    let mut eps = InProcess
-        .mesh(2, 4, Duration::from_secs(20), &pool)
-        .expect("mesh")
-        .into_iter();
+    let mut eps = in_process_mesh(2, 4, Duration::from_secs(20), &pool).into_iter();
     let victim = eps.next().expect("endpoint 0");
     let hostile = eps.next().expect("endpoint 1");
 
@@ -273,6 +270,44 @@ fn undecodable_frame_is_a_counted_typed_error() {
         Ok(_) => panic!("the bomb frame decoded"),
     }
     assert_eq!(reg.get("runtime.rx.decode_errors"), Some(1));
+}
+
+/// A router that panics on one rank kills that rank's actor mid-round.
+/// Its peers see its streams end without end-of-stream and fail typed;
+/// the caller gets a typed error well inside `io_timeout` — no hang, no
+/// peer left blocked — the runtime refuses further shuffles, and
+/// `shutdown()` names the rank that died.
+#[test]
+fn panicking_router_is_a_typed_error_not_a_hang() {
+    use parjoin_runtime::RuntimeError;
+    let workers = 4;
+    let parts = make_parts(workers, 2, 2000, 23);
+    for kind in streaming_kinds() {
+        let router: Router = Arc::new(move |w, row, dests| {
+            assert!(w != 2 || row[0] % 7 != 3, "injected router fault on rank 2");
+            dests.push(hash::bucket(row[0], 5, workers));
+        });
+        let rt = Runtime::new(config(kind, workers, 64)).expect("runtime");
+        let start = std::time::Instant::now();
+        let err = rt.shuffle(parts.clone(), Arc::clone(&router));
+        assert!(
+            matches!(err, Err(RuntimeError::Disconnected(ref m)) if m.contains("worker 2")),
+            "{kind}: expected a typed error naming the dead rank, got {err:?}"
+        );
+        assert!(
+            start.elapsed() < Duration::from_secs(10),
+            "{kind}: must not wait out the 20 s io_timeout"
+        );
+        let again = rt.shuffle(parts.clone(), hash_router(workers, 5));
+        assert!(
+            matches!(again, Err(RuntimeError::Disconnected(ref m)) if m.contains("worker 2")),
+            "{kind}: a runtime with a dead rank refuses the next round: {again:?}"
+        );
+        match rt.shutdown() {
+            Err(RuntimeError::Io(msg)) => assert!(msg.contains("worker 2"), "{kind}: {msg}"),
+            other => panic!("{kind}: shutdown must name the dead rank, got {other:?}"),
+        }
+    }
 }
 
 #[test]

@@ -97,6 +97,55 @@ fn combine_shuffle_is_accounted() {
 }
 
 #[test]
+fn every_round_pays_round_latency_exactly_once() {
+    // With a one-hour barrier the wall reads the round count directly.
+    // The combine round used to be charged twice: by the combine itself
+    // and again by the executor's trailing `round_latency * rounds`.
+    const HOUR: std::time::Duration = std::time::Duration::from_secs(3600);
+    let db = Scale::tiny().twitter_db(3);
+    let cluster = Cluster::new(4).with_seed(5).with_round_latency(HOUR);
+    let check = |what: &str, r: &RunResult, rounds: u32| {
+        assert_eq!(r.rounds, rounds, "{what}");
+        assert!(
+            HOUR * rounds <= r.wall && r.wall < HOUR * (rounds + 1),
+            "{what}: {rounds} round(s) but wall {:?}",
+            r.wall
+        );
+    };
+    let q = q1_grouped_by_x();
+    let (hc, tj, rs, hj) = (
+        ShuffleAlg::HyperCube,
+        JoinAlg::Tributary,
+        ShuffleAlg::Regular,
+        JoinAlg::Hash,
+    );
+    let run = |s, j, opts: PlanOptions| run_config(&q, &db, &cluster, s, j, &opts).unwrap();
+    check("HC_TJ", &run(hc, tj, PlanOptions::default()), 1);
+    let grouped = PlanOptions {
+        group_count: true,
+        ..Default::default()
+    };
+    check("HC_TJ + group_count", &run(hc, tj, grouped.clone()), 2);
+    check("RS_HJ", &run(rs, hj, PlanOptions::default()), 2);
+    check("RS_HJ + group_count", &run(rs, hj, grouped), 3);
+    let skew = PlanOptions {
+        skew_resilient: true,
+        ..Default::default()
+    };
+    // Each join step adds its heavy-key summary round.
+    check("RS_HJ + skew_resilient", &run(rs, hj, skew), 4);
+
+    // Semijoin plan on a path: two reductions up, two down, then the
+    // final join's two steps.
+    let plain = PlanOptions::default();
+    let path =
+        parjoin::query::parser::parse("P(x, w) :- Twitter(x, y), Twitter(y, z), Twitter(z, w)")
+            .unwrap();
+    let sj = parjoin::engine::semijoin::run_semijoin_plan(&path, &db, &cluster, &plain).unwrap();
+    check("SJ_HJ", &sj.run, 6);
+}
+
+#[test]
 fn global_count_via_constant_free_group() {
     // Grouping on the full head degenerates gracefully: every distinct
     // assignment is its own group of size 1 for a full CQ over set data.
