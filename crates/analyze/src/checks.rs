@@ -541,8 +541,7 @@ pub fn check_sort_cache(spec: &PlanSpec<'_>, out: &mut Vec<Diagnostic>) {
 /// exchange's send path uses ([`parjoin_common::wire::frame_bytes`]), so
 /// estimate and actual agree exactly for full batches (the regression
 /// suite pins them within 10% end-to-end, partial final batches
-/// included). Compression can only shrink a frame below this, never
-/// grow it — the raw-payload fallback bounds every compressed frame.
+/// included).
 pub fn estimated_frame_bytes(spec: &PlanSpec<'_>, batch: u64) -> u64 {
     let max_arity = spec.atom_vars().iter().map(Vec::len).max().unwrap_or(0);
     parjoin_common::wire::frame_bytes(spec.wire_format, max_arity, batch as usize)

@@ -132,23 +132,6 @@ impl Relation {
         self.rows += n;
     }
 
-    /// Appends whole rows from a flat row-major buffer.
-    ///
-    /// # Panics
-    /// Panics if the relation is nullary (use
-    /// [`Relation::push_nullary_rows`]) or `flat.len()` is not a
-    /// multiple of the arity.
-    pub fn push_rows_flat(&mut self, flat: &[Value]) {
-        assert!(self.arity > 0, "push_rows_flat on a nullary relation");
-        assert_eq!(
-            flat.len() % self.arity,
-            0,
-            "buffer length not a row multiple"
-        );
-        self.data.extend_from_slice(flat);
-        self.rows += flat.len() / self.arity;
-    }
-
     /// Appends `rows` rows decoded from row-major little-endian `u64`
     /// words — the wire format's fixed-width payload — without an
     /// intermediate row buffer.

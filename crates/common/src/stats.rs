@@ -38,11 +38,6 @@ pub struct ShuffleStats {
     /// framing overhead excluded, so `InProcess` and `Tcp` report the
     /// same number for the same shuffle).
     pub bytes_sent: u64,
-    /// Uncompressed-equivalent bytes of the sent batches. Equals
-    /// [`bytes_sent`](Self::bytes_sent) unless wire compression shrank
-    /// the frames; the `bytes_sent_raw / bytes_sent` ratio is the
-    /// compression win for this shuffle.
-    pub bytes_sent_raw: u64,
     /// Encoded batch bytes drained from the wire by all consumers.
     pub bytes_received: u64,
 }
@@ -57,7 +52,6 @@ impl ShuffleStats {
             per_producer,
             per_consumer,
             bytes_sent: 0,
-            bytes_sent_raw: 0,
             bytes_received: 0,
         }
     }
@@ -67,13 +61,6 @@ impl ShuffleStats {
     pub fn with_bytes(mut self, sent: u64, received: u64) -> Self {
         self.bytes_sent = sent;
         self.bytes_received = received;
-        self
-    }
-
-    /// Attaches the uncompressed-equivalent byte tally (builder style).
-    #[must_use]
-    pub fn with_raw_bytes(mut self, raw: u64) -> Self {
-        self.bytes_sent_raw = raw;
         self
     }
 

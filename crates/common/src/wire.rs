@@ -4,33 +4,30 @@
 //! same frame: the streaming exchange's batches, the partitions inside a
 //! plan fragment and the `OutputBatch`es a worker returns to its
 //! coordinator. One encoder ([`encode_vectored`]), one decoder
-//! ([`decode_frame_into`]), one hostile-byte surface:
+//! ([`decode_frame_into`]), one payload, one hostile-byte surface:
 //!
 //! ```text
 //! flags  varint(arity)  varint(row_count)  payload
-//! payload (raw):        row_count × arity × u64-LE values
-//! payload (compressed): per column, varint-zigzag deltas (column-major)
+//! payload:              row_count × arity × u64-LE values
 //! ```
 //!
-//! The one-byte flags field leads so receivers can dispatch before the
-//! counts, and the raw payload is the sender's flat row-major value
-//! slice verbatim. The layout exists for scatter/gather sends: the
-//! header fits a [`VECTORED_HEADER_MAX`]-byte stack buffer
-//! ([`vectored_header`]) and the raw payload *is* the relation arena's
-//! `&[u64]` slice as little-endian words, so a streaming sender writes
-//! two borrowed slices and never materializes an owned encode buffer.
-//! The optional compression (flag bit [`FLAG_COMPRESSED`]) delta-encodes
-//! each column with zigzag varints — small ids and sorted shuffle
-//! columns collapse to runs of one-byte deltas; arbitrary data still
-//! round-trips via wrapping arithmetic. A receiver decodes by flag, so
-//! the decoder must be safe against either payload whether or not
-//! compression was asked for.
+//! The payload is the sender's flat row-major value slice verbatim. The
+//! layout exists for scatter/gather sends: the header fits a
+//! [`VECTORED_HEADER_MAX`]-byte stack buffer ([`vectored_header`]) and
+//! the payload *is* the relation arena's `&[u64]` slice as little-endian
+//! words, so a streaming sender writes two borrowed slices and never
+//! materializes an owned encode buffer. The one-byte flags field leads
+//! so a future payload kind is a new bit a receiver can refuse before
+//! reading the counts; this build defines none, so any set bit is a
+//! decode error.
 //!
 //! Header counts use LEB128 varints (batches are usually small, so their
-//! counts fit in one or two bytes) while raw column values stay fixed
+//! counts fit in one or two bytes) while column values stay fixed
 //! eight-byte little-endian words: values are dictionary-encoded ids
-//! spread across the full `u64` range, where varint encoding would cost
-//! more than it saves, and fixed-width decode is a straight `memcpy`.
+//! spread across the full `u64` range, and fixed-width decode is a
+//! straight `memcpy`. Every frame's size is therefore exactly
+//! [`frame_bytes`] — the one number the analyzer's pre-flight, the
+//! exchange's byte tallies and the fragment's length prefixes all use.
 //!
 //! A frame is self-delimiting only via its header — the caller frames
 //! batches on the transport (length prefix for TCP and control frames,
@@ -101,7 +98,7 @@ pub fn read_varint(bytes: &[u8], pos: &mut usize) -> Result<u64, WireError> {
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum WireFormat {
     /// Scatter/gather layout: `flags varint(arity) varint(rows)` header
-    /// plus the borrowed flat row slice (optionally column-compressed).
+    /// plus the borrowed flat row slice.
     #[default]
     Vectored,
 }
@@ -113,14 +110,6 @@ impl fmt::Display for WireFormat {
         }
     }
 }
-
-/// Vectored-frame flag bit: the payload is column-major delta+zigzag
-/// varints instead of raw little-endian words.
-pub const FLAG_COMPRESSED: u8 = 0x01;
-
-/// Flag bits a decoder understands; anything else is a decode error (a
-/// future format revision, or corruption).
-const KNOWN_FLAGS: u8 = FLAG_COMPRESSED;
 
 /// Upper bound on an encoded vectored header: the flags byte plus two
 /// ten-byte varints.
@@ -144,10 +133,9 @@ impl VectoredHeader {
 }
 
 /// Encodes the `flags · varint(arity) · varint(rows)` header of a
-/// vectored frame.
-pub fn vectored_header(arity: usize, rows: usize, compressed: bool) -> VectoredHeader {
+/// vectored frame (no flag is defined, so the flags byte is zero).
+pub fn vectored_header(arity: usize, rows: usize) -> VectoredHeader {
     let mut buf = [0u8; VECTORED_HEADER_MAX];
-    buf[0] = if compressed { FLAG_COMPRESSED } else { 0 };
     let mut len = 1usize;
     for mut v in [arity as u64, rows as u64] {
         loop {
@@ -174,9 +162,9 @@ pub fn varint_len(v: u64) -> usize {
     }
 }
 
-/// Exact on-wire size of an uncompressed frame under `format`. The
-/// analyzer's per-frame pre-flight and the `runtime.tx.bytes_raw`
-/// accounting both use this — keep it in lockstep with the encoder
+/// Exact on-wire size of a frame under `format`. The analyzer's
+/// per-frame pre-flight and the fragment's relation length prefix both
+/// use this — keep it in lockstep with the encoder
 /// (`common/tests/props.rs` pins estimate == actual).
 pub fn frame_bytes(format: WireFormat, arity: usize, rows: usize) -> u64 {
     match format {
@@ -188,75 +176,18 @@ pub fn frame_bytes(format: WireFormat, arity: usize, rows: usize) -> u64 {
     }
 }
 
-fn zigzag(v: i64) -> u64 {
-    ((v << 1) ^ (v >> 63)) as u64
-}
-
-fn unzigzag(v: u64) -> i64 {
-    ((v >> 1) as i64) ^ -((v & 1) as i64)
-}
-
-/// Encodes `rows × arity` row-major values as the compressed vectored
-/// payload: column-major, each column a chain of zigzag varint deltas
-/// from the previous row's value (first row deltas from zero), appended
-/// to `out`.
-///
-/// # Panics
-/// Panics if `flat.len() != rows * arity`.
-pub fn compress_columns(arity: usize, rows: usize, flat: &[Value], out: &mut Vec<u8>) {
-    assert_eq!(flat.len(), rows * arity, "flat buffer is not rows × arity");
-    for c in 0..arity {
-        let mut prev: u64 = 0;
-        for r in 0..rows {
-            let v = flat[r * arity + c];
-            write_varint(out, zigzag(v.wrapping_sub(prev) as i64));
-            prev = v;
-        }
-    }
-}
-
-/// Decodes a compressed payload back into a row-major flat buffer,
-/// advancing `pos` past the varints consumed.
-///
-/// `rows` comes straight from a peer's header, so nothing is allocated
-/// until it is bounded: every compressed value occupies at least one
-/// byte, hence `rows × arity` can never exceed the bytes that remain.
-fn decompress_columns(
-    arity: usize,
-    rows: usize,
-    bytes: &[u8],
-    pos: &mut usize,
-) -> Result<Vec<Value>, WireError> {
-    let values = rows
-        .checked_mul(arity)
-        .ok_or_else(|| WireError("batch size overflow".into()))?;
-    let remaining = bytes.len() - *pos;
-    if values > remaining {
-        return Err(WireError(format!(
-            "compressed payload is {remaining} bytes, too short for {rows} rows × {arity} cols"
-        )));
-    }
-    let mut flat = vec![0u64; values];
-    for c in 0..arity {
-        let mut prev: u64 = 0;
-        for r in 0..rows {
-            let delta = unzigzag(read_varint(bytes, pos)?);
-            let v = prev.wrapping_add(delta as u64);
-            flat[r * arity + c] = v;
-            prev = v;
-        }
-    }
-    Ok(flat)
-}
-
 /// Encodes one frame (header + payload), appending to `out`: the
 /// relation-batch encoder. Fragment partitions and coordinator
 /// `OutputBatch`es are built with it; the streaming exchange puts the
 /// same bytes on the wire without the owned buffer, by handing
 /// [`vectored_header`] and the flat slice to the transport separately.
 ///
+/// A frame has one payload, so `compressed` must be `false`; the
+/// argument stays because the e2e benchmark harness
+/// (`crates/bench/src/bin/e2e`) still passes it.
+///
 /// # Panics
-/// Panics if `flat.len() != rows * arity`.
+/// Panics if `compressed` is set or `flat.len() != rows * arity`.
 pub fn encode_vectored(
     arity: usize,
     rows: usize,
@@ -264,29 +195,24 @@ pub fn encode_vectored(
     compressed: bool,
     out: &mut Vec<u8>,
 ) {
+    assert!(!compressed, "the wire frame has no compressed payload");
     assert_eq!(flat.len(), rows * arity, "flat buffer is not rows × arity");
-    let header = vectored_header(arity, rows, compressed);
-    out.extend_from_slice(header.as_bytes());
-    if compressed {
-        compress_columns(arity, rows, flat, out);
-    } else {
-        out.reserve(flat.len() * 8);
-        for &v in flat {
-            out.extend_from_slice(&v.to_le_bytes());
-        }
+    out.extend_from_slice(vectored_header(arity, rows).as_bytes());
+    out.reserve(flat.len() * 8);
+    for &v in flat {
+        out.extend_from_slice(&v.to_le_bytes());
     }
 }
 
 /// Decodes one frame under `format`, appending its rows to `rel`: the
-/// relation-batch decoder. The payload kind is read from the frame's
-/// flags, not from any configuration, so arbitrary bytes must (and do)
-/// fail typed without panicking or allocating more than
-/// `8 × bytes.len()` bytes.
+/// relation-batch decoder. The bytes come from a peer, so arbitrary
+/// input must (and does) fail typed without panicking or allocating
+/// more than `8 × bytes.len()` bytes.
 ///
 /// Returns the number of rows appended.
 ///
 /// # Errors
-/// Returns [`WireError`] on unknown flag bits, a malformed header, a
+/// Returns [`WireError`] on any set flag bit, a malformed header, a
 /// truncated or over-long payload, a row count the payload cannot back,
 /// or a batch arity that disagrees with `rel`.
 pub fn decode_frame_into(
@@ -298,12 +224,11 @@ pub fn decode_frame_into(
     let Some(&flags) = bytes.first() else {
         return Err(WireError("empty vectored frame".into()));
     };
-    if flags & !KNOWN_FLAGS != 0 {
+    if flags != 0 {
         return Err(WireError(format!(
             "unknown vectored flag bits in {flags:#04x}"
         )));
     }
-    let compressed = flags & FLAG_COMPRESSED != 0;
     let mut pos = 1usize;
     let arity = read_varint(bytes, &mut pos)?;
     let rows = read_varint(bytes, &mut pos)?;
@@ -326,17 +251,6 @@ pub fn decode_frame_into(
             return Err(WireError("nullary row count overflow".into()));
         }
         rel.push_nullary_rows(rows);
-        return Ok(rows);
-    }
-    if compressed {
-        let flat = decompress_columns(arity, rows, bytes, &mut pos)?;
-        if pos != bytes.len() {
-            return Err(WireError(format!(
-                "compressed payload has {} trailing bytes",
-                bytes.len() - pos
-            )));
-        }
-        rel.push_rows_flat(&flat);
         return Ok(rows);
     }
     let expect = rows
@@ -384,9 +298,9 @@ mod tests {
         assert!(read_varint(&buf, &mut pos).is_err());
     }
 
-    fn vectored_round_trip(rel: &Relation, compressed: bool) -> Relation {
+    fn vectored_round_trip(rel: &Relation) -> Relation {
         let mut buf = Vec::new();
-        encode_vectored(rel.arity(), rel.len(), rel.raw(), compressed, &mut buf);
+        encode_vectored(rel.arity(), rel.len(), rel.raw(), false, &mut buf);
         let mut back = Relation::new(rel.arity());
         let n = decode_frame_into(WireFormat::Vectored, &buf, &mut back).unwrap();
         assert_eq!(n, rel.len());
@@ -396,31 +310,23 @@ mod tests {
     #[test]
     fn vectored_raw_round_trips() {
         let rel = Relation::from_rows(3, [[1u64, 2, 3], [u64::MAX, 0, 7]].iter());
-        assert_eq!(vectored_round_trip(&rel, false), rel);
-    }
-
-    #[test]
-    fn vectored_compressed_round_trips() {
-        let rel = Relation::from_rows(2, [[1u64, 9], [2, 5], [2, u64::MAX], [1_000_000, 0]].iter());
-        assert_eq!(vectored_round_trip(&rel, true), rel);
+        assert_eq!(vectored_round_trip(&rel), rel);
     }
 
     #[test]
     fn vectored_empty_and_nullary_round_trip() {
-        for compressed in [false, true] {
-            let empty = Relation::new(4);
-            assert_eq!(vectored_round_trip(&empty, compressed).len(), 0);
-            let mut nullary = Relation::new(0);
-            nullary.push_nullary_rows(5);
-            let back = vectored_round_trip(&nullary, compressed);
-            assert_eq!((back.arity(), back.len()), (0, 5));
-        }
+        let empty = Relation::new(4);
+        assert_eq!(vectored_round_trip(&empty).len(), 0);
+        let mut nullary = Relation::new(0);
+        nullary.push_nullary_rows(5);
+        let back = vectored_round_trip(&nullary);
+        assert_eq!((back.arity(), back.len()), (0, 5));
     }
 
     #[test]
     fn vectored_header_matches_estimator() {
         for (arity, rows) in [(0usize, 0usize), (1, 1), (3, 127), (3, 128), (9, 100_000)] {
-            let h = vectored_header(arity, rows, false);
+            let h = vectored_header(arity, rows);
             assert_eq!(
                 h.as_bytes().len() as u64 + (rows as u64) * (arity as u64) * 8,
                 frame_bytes(WireFormat::Vectored, arity, rows),
@@ -439,28 +345,33 @@ mod tests {
     }
 
     #[test]
-    fn unknown_flag_bits_rejected() {
+    fn every_flag_bit_is_rejected() {
         let rel = Relation::from_rows(1, [[7u64]].iter());
         let mut buf = Vec::new();
         encode_vectored(1, 1, rel.raw(), false, &mut buf);
-        buf[0] |= 0x40;
-        let mut out = Relation::new(1);
-        assert!(decode_frame_into(WireFormat::Vectored, &buf, &mut out).is_err());
+        for bit in 0..8 {
+            let mut flagged = buf.clone();
+            flagged[0] = 1 << bit;
+            let mut out = Relation::new(1);
+            assert!(
+                decode_frame_into(WireFormat::Vectored, &flagged, &mut out).is_err(),
+                "flag bit {bit} decoded"
+            );
+            assert!(out.is_empty());
+        }
     }
 
     #[test]
     fn vectored_truncation_rejected_at_every_cut() {
         let rel = Relation::from_rows(2, [[300u64, 2], [3, 400]].iter());
-        for compressed in [false, true] {
-            let mut buf = Vec::new();
-            encode_vectored(2, 2, rel.raw(), compressed, &mut buf);
-            for cut in 0..buf.len() {
-                let mut out = Relation::new(2);
-                assert!(
-                    decode_frame_into(WireFormat::Vectored, &buf[..cut], &mut out).is_err(),
-                    "cut at {cut} (compressed={compressed}) decoded"
-                );
-            }
+        let mut buf = Vec::new();
+        encode_vectored(2, 2, rel.raw(), false, &mut buf);
+        for cut in 0..buf.len() {
+            let mut out = Relation::new(2);
+            assert!(
+                decode_frame_into(WireFormat::Vectored, &buf[..cut], &mut out).is_err(),
+                "cut at {cut} decoded"
+            );
         }
     }
 
@@ -473,11 +384,12 @@ mod tests {
         assert!(decode_frame_into(WireFormat::Vectored, &buf, &mut wrong).is_err());
     }
 
-    /// `01 01 <varint 2^42>`: a nine-byte compressed frame claiming 2^42
-    /// one-column rows. Used to `vec![0; 2^42]` (32 TiB) and abort.
+    /// `00 01 <varint 2^42>`: a nine-byte frame claiming 2^42 one-column
+    /// rows and carrying none. The payload-length check refuses it
+    /// before anything is sized by the count.
     #[test]
-    fn compressed_row_count_bomb_is_a_typed_error() {
-        let mut frame = vec![FLAG_COMPRESSED, 1];
+    fn row_count_bomb_is_a_typed_error() {
+        let mut frame = vec![0, 1];
         write_varint(&mut frame, 1 << 42);
         assert_eq!(frame.len(), 9);
         let mut out = Relation::new(1);
@@ -486,12 +398,11 @@ mod tests {
         assert!(out.is_empty());
     }
 
-    /// Arity 4 with `u64::MAX / 4 + 2` rows: `rows × arity` wraps to 4 in
-    /// release (index out of bounds while filling) and overflows the
-    /// multiply in debug.
+    /// Arity 4 with `u64::MAX / 4 + 2` rows: `rows × arity × 8` must be a
+    /// checked multiply, not a wrap to a small payload size.
     #[test]
-    fn compressed_row_count_overflow_is_a_typed_error() {
-        let mut frame = vec![FLAG_COMPRESSED, 4];
+    fn row_count_overflow_is_a_typed_error() {
+        let mut frame = vec![0, 4];
         write_varint(&mut frame, u64::MAX / 4 + 2);
         frame.extend_from_slice(&[0u8; 64]);
         let mut out = Relation::new(4);
@@ -508,20 +419,5 @@ mod tests {
         out.push_nullary_rows(1);
         assert!(decode_frame_into(WireFormat::Vectored, &frame, &mut out).is_err());
         assert_eq!(out.len(), 1);
-    }
-
-    #[test]
-    fn compression_shrinks_sorted_columns() {
-        let rel = Relation::from_rows(2, (0..4096u64).map(|i| [i, i * 2]));
-        let mut raw = Vec::new();
-        encode_vectored(2, rel.len(), rel.raw(), false, &mut raw);
-        let mut packed = Vec::new();
-        encode_vectored(2, rel.len(), rel.raw(), true, &mut packed);
-        assert!(
-            raw.len() as f64 / packed.len() as f64 >= 1.5,
-            "sorted columns should compress ≥1.5×: {} vs {}",
-            raw.len(),
-            packed.len()
-        );
     }
 }

@@ -31,10 +31,9 @@ pub const MAGIC: [u8; 4] = *b"PJCP";
 /// Control protocol version this build speaks. Version 2 moved the
 /// relation bodies inside `Fragment` and `OutputBatch` payloads onto the
 /// parent module's one frame layout (version 1 used a second codec
-/// without the flags byte); version 3 made the fragment's compression
-/// byte a flags byte that also carries `skew_resilient` and
-/// `group_count`. An older peer gets a typed
-/// [`ControlError::UnsupportedVersion`].
+/// without the flags byte); version 3 made the fragment's one option
+/// byte a flags byte carrying `skew_resilient` and `group_count`. An
+/// older peer gets a typed [`ControlError::UnsupportedVersion`].
 pub const VERSION: u16 = 3;
 
 /// Fixed size of the frame header: magic, version, kind, payload length.

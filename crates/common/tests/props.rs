@@ -53,9 +53,9 @@ fn arb_frame_arity() -> impl Strategy<Value = usize> {
     (0usize..3).prop_map(|i| [0, 1, 3][i])
 }
 
-fn encode(rel: &Relation, compressed: bool) -> Vec<u8> {
+fn encode(rel: &Relation) -> Vec<u8> {
     let mut buf = Vec::new();
-    wire::encode_vectored(rel.arity(), rel.len(), rel.raw(), compressed, &mut buf);
+    wire::encode_vectored(rel.arity(), rel.len(), rel.raw(), false, &mut buf);
     buf
 }
 
@@ -158,44 +158,34 @@ proptest! {
     }
 
     #[test]
-    fn wire_round_trip_is_byte_identical(
-        rel in arb_wire_relation(4, 60),
-        compressed in any::<bool>(),
-    ) {
-        let compressed = compressed && rel.arity() > 0;
-        let buf = encode(&rel, compressed);
+    fn wire_round_trip_is_byte_identical(rel in arb_wire_relation(4, 60)) {
+        let buf = encode(&rel);
         let mut back = Relation::new(rel.arity());
         let n = decode_into(&buf, &mut back).expect("decode own encoding");
         prop_assert_eq!(n, rel.len());
         prop_assert_eq!(&back, &rel);
         // Re-encoding the decoded relation reproduces the bytes exactly.
-        prop_assert_eq!(&encode(&back, compressed), &buf);
-        // Uncompressed frames cost exactly what `frame_bytes` predicts;
-        // that arithmetic is what the analyzer's R411/R414 pre-flight,
-        // the `tx.bytes_raw` counter and the fragment's relation length
-        // prefix all lean on.
-        if !compressed {
-            prop_assert_eq!(
-                buf.len() as u64,
-                wire::frame_bytes(WireFormat::Vectored, rel.arity(), rel.len())
-            );
-        }
+        prop_assert_eq!(&encode(&back), &buf);
+        // Every frame costs exactly what `frame_bytes` predicts; that
+        // arithmetic is what the analyzer's R411/R414 pre-flight and the
+        // fragment's relation length prefix lean on.
+        prop_assert_eq!(
+            buf.len() as u64,
+            wire::frame_bytes(WireFormat::Vectored, rel.arity(), rel.len())
+        );
     }
 
     #[test]
     fn wire_decode_into_appends(
         a in arb_wire_relation(3, 20),
         b in arb_wire_relation(3, 20),
-        compressed in any::<bool>(),
     ) {
         let mut acc = Relation::new(a.arity());
-        let n1 = decode_into(&encode(&a, compressed && a.arity() > 0), &mut acc)
-            .expect("first batch");
+        let n1 = decode_into(&encode(&a), &mut acc).expect("first batch");
         prop_assert_eq!(n1, a.len());
         // Only meaningful when arities agree.
         if b.arity() == a.arity() {
-            let n2 = decode_into(&encode(&b, compressed && b.arity() > 0), &mut acc)
-                .expect("second batch");
+            let n2 = decode_into(&encode(&b), &mut acc).expect("second batch");
             prop_assert_eq!(n2, b.len());
             prop_assert_eq!(acc.len(), a.len() + b.len());
         }
@@ -204,52 +194,21 @@ proptest! {
     #[test]
     fn wire_decode_rejects_mutations(
         rel in arb_wire_relation(3, 20),
-        compressed in any::<bool>(),
         cut in any::<usize>(),
         flip in any::<u8>(),
     ) {
-        let compressed = compressed && rel.arity() > 0;
-        let buf = encode(&rel, compressed);
+        let buf = encode(&rel);
         // Truncating anywhere strictly inside the frame must error, never
         // panic or decode short.
         let cut = cut % buf.len();
         let mut scratch = Relation::new(rel.arity());
         prop_assert!(decode_into(&buf[..cut], &mut scratch).is_err());
-        // Unknown flag bits are a hard decode error (forward-compat fence).
-        let unknown = flip | 0x02; // bit 1 is reserved
+        // Every flag bit is unknown, hence a hard decode error
+        // (forward-compat fence).
         let mut bad = buf.clone();
-        bad[0] = unknown;
+        bad[0] = flip.max(1);
         let mut scratch = Relation::new(rel.arity());
         prop_assert!(decode_into(&bad, &mut scratch).is_err());
-    }
-
-    #[test]
-    fn compression_is_lossless_on_adversarial_columns(
-        arity in 1usize..=3,
-        rows in 0usize..=64,
-        mode in 0u8..3,
-        seed in any::<u64>(),
-    ) {
-        // Sorted runs, constant columns, and full-range noise — the delta
-        // coder must round-trip all of them (wrapping arithmetic covers
-        // negative and overflowing deltas).
-        let mut rel = Relation::new(arity);
-        let mut row = vec![0u64; arity];
-        for i in 0..rows {
-            for (c, v) in row.iter_mut().enumerate() {
-                *v = match mode {
-                    0 => i as u64 * (c as u64 + 1),              // sorted runs
-                    1 => seed,                                   // constant
-                    _ => seed
-                        .wrapping_mul(6_364_136_223_846_793_005)
-                        .wrapping_add(i as u64 ^ (c as u64) << 32), // noise
-                };
-            }
-            rel.push_row(&row);
-        }
-        let mut back = Relation::new(arity);
-        decode_into(&encode(&rel, true), &mut back).expect("lossless");
-        prop_assert_eq!(back, rel);
     }
 }
 
@@ -260,12 +219,11 @@ proptest! {
     fn wire_decode_survives_arbitrary_bytes(
         bytes in proptest::collection::vec(any::<u8>(), 0..=48),
         arity in 0usize..=4,
-        compressed in any::<bool>(),
     ) {
         assert_decode_is_bounded(&bytes, arity);
         // Steer the noise past the header so it reaches the payload
-        // decoders: right flag, right arity, the rest arbitrary.
-        let mut steered = vec![u8::from(compressed), arity as u8];
+        // decoder: no flag, right arity, the rest arbitrary.
+        let mut steered = vec![0, arity as u8];
         steered.extend_from_slice(&bytes);
         assert_decode_is_bounded(&steered, arity);
     }
@@ -274,13 +232,11 @@ proptest! {
     fn wire_decode_survives_single_byte_mutations(
         arity in arb_frame_arity(),
         rows in 0usize..=6,
-        compressed in any::<bool>(),
         seed in any::<u64>(),
         at in any::<usize>(),
         byte in any::<u8>(),
     ) {
-        // Valid frames, compressed and not, of arity 0/1/3, with
-        // `u64::MAX` among the values (ten-byte varints, wrapping deltas).
+        // Valid frames of arity 0/1/3, with `u64::MAX` among the values.
         let mut rel = Relation::new(arity);
         if arity == 0 {
             rel.push_nullary_rows(rows);
@@ -292,7 +248,7 @@ proptest! {
                 rel.push_row(&row);
             }
         }
-        let mut frame = encode(&rel, compressed && arity > 0);
+        let mut frame = encode(&rel);
         let at = at % frame.len();
         frame[at] = byte;
         assert_decode_is_bounded(&frame, arity);

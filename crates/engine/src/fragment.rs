@@ -58,8 +58,6 @@ pub struct Fragment {
     pub trie_layout: TrieLayout,
     /// Batch encoding for the data-plane exchange.
     pub wire_format: WireFormat,
-    /// Compress shuffled batches on the wire.
-    pub wire_compression: bool,
     /// Regular-shuffle steps take the heavy-hitter-resilient route
     /// ([`PlanOptions::skew_resilient`]).
     pub skew_resilient: bool,
@@ -99,8 +97,9 @@ pub struct Fragment {
     pub data_addrs: Vec<String>,
 }
 
-/// Bits of the fragment's flags byte; any other bit is refused.
-const FLAG_WIRE_COMPRESSION: u8 = 1;
+/// Bits of the fragment's flags byte; any other bit is refused. Bit 0
+/// requested wire compression, which no longer exists: a peer built
+/// with it that sets the bit gets a typed refusal, not a misread plan.
 const FLAG_SKEW_RESILIENT: u8 = 1 << 1;
 const FLAG_GROUP_COUNT: u8 = 1 << 2;
 
@@ -282,8 +281,7 @@ impl Fragment {
         let flag = |set: bool, bit: u8| if set { bit } else { 0 };
         control::put_u8(
             &mut buf,
-            flag(self.wire_compression, FLAG_WIRE_COMPRESSION)
-                | flag(self.skew_resilient, FLAG_SKEW_RESILIENT)
+            flag(self.skew_resilient, FLAG_SKEW_RESILIENT)
                 | flag(self.group_count, FLAG_GROUP_COUNT),
         );
         control::put_u32(&mut buf, self.batch_tuples);
@@ -354,7 +352,7 @@ impl Fragment {
             }
         };
         let flags = r.u8()?;
-        if flags & !(FLAG_WIRE_COMPRESSION | FLAG_SKEW_RESILIENT | FLAG_GROUP_COUNT) != 0 {
+        if flags & !(FLAG_SKEW_RESILIENT | FLAG_GROUP_COUNT) != 0 {
             return Err(ControlError::Malformed(format!(
                 "unknown fragment flag bits {flags:#010b}"
             )));
@@ -420,7 +418,6 @@ impl Fragment {
             join,
             trie_layout,
             wire_format,
-            wire_compression: flags & FLAG_WIRE_COMPRESSION != 0,
             skew_resilient: flags & FLAG_SKEW_RESILIENT != 0,
             group_count: flags & FLAG_GROUP_COUNT != 0,
             batch_tuples,
@@ -582,7 +579,6 @@ pub fn plan_fragments(
             join: join_alg,
             trie_layout: opts.trie_layout,
             wire_format: cluster.wire_format,
-            wire_compression: opts.wire_compression,
             skew_resilient: opts.skew_resilient,
             group_count: opts.group_count,
             batch_tuples: cluster.batch_tuples as u32,
@@ -687,7 +683,6 @@ pub fn execute_fragment(frag: &Fragment, mesh: &HostMesh) -> Result<RemoteOutcom
         ExchangeOpts {
             batch_tuples: cluster.batch_tuples,
             format: frag.wire_format,
-            compression: frag.wire_compression,
         },
     )?;
     let ex = Exec {
@@ -852,9 +847,9 @@ mod tests {
 
     #[test]
     fn hostile_relation_body_is_malformed_not_an_allocation() {
-        // A compressed body claiming 2^42 rows behind an honest length
-        // prefix: the shared decoder must refuse it typed.
-        let mut body = vec![parjoin_common::wire::FLAG_COMPRESSED, 1];
+        // A body claiming 2^42 rows behind an honest length prefix: the
+        // shared decoder must refuse it typed.
+        let mut body = vec![0, 1];
         parjoin_common::wire::write_varint(&mut body, 1 << 42);
         let mut buf = Vec::new();
         control::put_u32(&mut buf, 1);
@@ -887,11 +882,10 @@ mod tests {
         let (q, db) = triangle_db();
         let (s, j) = (ShuffleAlg::Regular, JoinAlg::Hash);
         let plain = fragments_for(s, j)[0].encode();
-        for (skew, group, compress) in [(true, false, false), (false, true, true)] {
+        for (skew, group) in [(true, false), (false, true), (true, true)] {
             let opts = PlanOptions {
                 skew_resilient: skew,
                 group_count: group,
-                wire_compression: compress,
                 ..PlanOptions::default()
             };
             let cluster = Cluster::new(4).with_seed(11);
@@ -901,19 +895,19 @@ mod tests {
             let bytes = frag.encode();
             assert_eq!(bytes.len(), plain.len(), "the flags cost no byte");
             let back = Fragment::decode(&bytes).unwrap();
-            assert_eq!(
-                (back.skew_resilient, back.group_count, back.wire_compression),
-                (skew, group, compress)
+            assert_eq!((back.skew_resilient, back.group_count), (skew, group));
+        }
+        assert_eq!(plain[20], 0, "offset 20 is the flags byte");
+        // Bit 0 (the retired compression request) and bits above 2.
+        for bit in [0, 3, 7] {
+            let mut bytes = plain.clone();
+            bytes[20] = 1 << bit;
+            let err = Fragment::decode(&bytes).unwrap_err();
+            assert!(
+                matches!(&err, ControlError::Malformed(m) if m.contains("flag bits")),
+                "bit {bit}: want Malformed, got {err:?}"
             );
         }
-        let mut bytes = plain;
-        assert_eq!(bytes[20], 0, "offset 20 is the flags byte");
-        bytes[20] = 1 << 3;
-        let err = Fragment::decode(&bytes).unwrap_err();
-        assert!(
-            matches!(&err, ControlError::Malformed(m) if m.contains("flag bits")),
-            "want Malformed, got {err:?}"
-        );
     }
 
     /// The fixed-width head of a fragment payload up to and including

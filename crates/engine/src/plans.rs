@@ -205,14 +205,6 @@ pub struct PlanOptions {
     /// layouts; `Row` is the reference-configuration layout (see
     /// [`PlanOptions::sequential_prepare`]).
     pub trie_layout: TrieLayout,
-    /// Compress shuffled batches on the wire (column-major delta+varint;
-    /// ignored by the Local transport). Off by default; flipping it
-    /// changes `bytes_shuffled` but never the output —
-    /// [`RunResult::bytes_shuffled_raw`] keeps the uncompressed
-    /// equivalent so the ratio is always visible (≈ 5× fewer bytes on
-    /// Q1's small ids at equal time). Not yet a rule: ROADMAP item 1
-    /// decides when it is on.
-    pub wire_compression: bool,
 }
 
 impl PlanOptions {
@@ -245,12 +237,6 @@ pub struct RunResult {
     /// transport (nothing is encoded); real payload bytes under the
     /// streaming transports, identical for InProcess and Tcp.
     pub bytes_shuffled: u64,
-    /// Uncompressed-equivalent bytes of the shuffled batches — equals
-    /// [`bytes_shuffled`](Self::bytes_shuffled) unless
-    /// [`PlanOptions::wire_compression`] shrank the frames; under a
-    /// streaming transport it reconciles exactly with
-    /// `runtime.tx.bytes_raw`.
-    pub bytes_shuffled_raw: u64,
     /// Per-shuffle metrics (Tables 2–4).
     pub shuffles: Vec<ShuffleStats>,
     /// Number of result tuples (bag semantics over the head projection).
@@ -346,8 +332,6 @@ pub mod metric_names {
     pub const TUPLES_SHUFFLED: &str = "engine.tuples.shuffled";
     /// Mirror of [`RunResult::bytes_shuffled`](super::RunResult).
     pub const BYTES_SHUFFLED: &str = "engine.bytes.shuffled";
-    /// Mirror of [`RunResult::bytes_shuffled_raw`](super::RunResult).
-    pub const BYTES_SHUFFLED_RAW: &str = "engine.bytes.shuffled_raw";
     /// Mirror of [`RunResult::output_tuples`](super::RunResult).
     pub const OUTPUT_TUPLES: &str = "engine.output.tuples";
     /// Mirror of [`RunResult::rounds`](super::RunResult).
@@ -436,7 +420,6 @@ impl RunObs {
         let reg = &self.registry;
         reg.add(metric_names::TUPLES_SHUFFLED, result.tuples_shuffled);
         reg.add(metric_names::BYTES_SHUFFLED, result.bytes_shuffled);
-        reg.add(metric_names::BYTES_SHUFFLED_RAW, result.bytes_shuffled_raw);
         reg.add(metric_names::OUTPUT_TUPLES, result.output_tuples);
         reg.add(metric_names::ROUNDS, u64::from(result.rounds));
         reg.add(metric_names::SHUFFLES, result.shuffles.len() as u64);
@@ -519,7 +502,6 @@ impl RunResult {
             total_cpu: Duration::ZERO,
             tuples_shuffled: 0,
             bytes_shuffled: 0,
-            bytes_shuffled_raw: 0,
             shuffles: Vec::new(),
             output_tuples: 0,
             output: None,
@@ -572,14 +554,9 @@ impl RunResult {
             "wall {:?}   cpu {:?}   rounds {}   output {} tuples",
             self.wall, self.total_cpu, self.rounds, self.output_tuples
         );
-        let compression = if self.bytes_shuffled_raw != self.bytes_shuffled {
-            format!(", {} raw", self.bytes_shuffled_raw)
-        } else {
-            String::new()
-        };
         let _ = writeln!(
             s,
-            "shuffled {} tuples ({} bytes{compression}) over {} shuffle(s)",
+            "shuffled {} tuples ({} bytes) over {} shuffle(s)",
             self.tuples_shuffled,
             self.bytes_shuffled,
             self.shuffles.len()
@@ -704,7 +681,6 @@ impl RunResult {
             }
             self.tuples_shuffled += s.tuples_sent;
             self.bytes_shuffled += s.bytes_sent;
-            self.bytes_shuffled_raw += s.bytes_sent_raw;
             self.shuffles.push(s);
         }
         let mut slowest = Duration::ZERO;
@@ -945,7 +921,7 @@ pub fn run_config(
     opts: &PlanOptions,
 ) -> Result<RunResult, EngineError> {
     let obs = RunObs::new(opts.trace_path.is_some());
-    let rt = start_runtime(cluster, opts, &obs)?;
+    let rt = start_runtime(cluster, &obs)?;
     let ex = Exec {
         query,
         cluster,
@@ -967,7 +943,6 @@ pub fn run_config(
 /// a streaming transport, none under Local (the degenerate case).
 pub(crate) fn start_runtime(
     cluster: &Cluster,
-    opts: &PlanOptions,
     obs: &RunObs,
 ) -> Result<Option<Runtime>, EngineError> {
     if !cluster.transport.is_streaming() {
@@ -978,7 +953,6 @@ pub(crate) fn start_runtime(
         transport: cluster.transport,
         batch_tuples: cluster.batch_tuples,
         wire_format: cluster.wire_format,
-        wire_compression: opts.wire_compression,
         obs: obs.runtime_obs(),
         ..RuntimeConfig::default()
     })?))

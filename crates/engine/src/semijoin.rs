@@ -151,7 +151,7 @@ pub fn run_semijoin_plan(
     // semijoin work too (the final join's legacy counters are folded into
     // `run` below, and we finalize after that fold).
     let obs = RunObs::new(opts.trace_path.is_some());
-    let rt = start_runtime(cluster, opts, &obs)?;
+    let rt = start_runtime(cluster, &obs)?;
     let seam = Seam::from(rt.as_ref());
 
     // Bottom-up, children reduce parents; then top-down, parents reduce

@@ -100,8 +100,7 @@ fn package(
     label: impl Into<String>,
 ) -> (DistRel, ShuffleStats) {
     let stats = ShuffleStats::new(label, outcome.per_producer, outcome.per_consumer)
-        .with_bytes(outcome.bytes_sent, outcome.bytes_received)
-        .with_raw_bytes(outcome.bytes_sent_raw);
+        .with_bytes(outcome.bytes_sent, outcome.bytes_received);
     let mut parts = outcome.parts;
     // An all-empty input (or, on a mesh rank, nothing received) leaves
     // no partition to read the arity from; restore the schema arity so

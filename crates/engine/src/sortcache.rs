@@ -244,7 +244,7 @@ mod tests {
             cache.get_or_sort_certified(&rel, &[0, 1], None, prov("Q1", "hA(v0)/4"), sorted);
         assert_eq!((l1, c1), (Lookup::Miss, false));
         // Same content, same route, *different query*: the certified
-        // cross-query hit the transfer machinery promises.
+        // cross-query hit route certification promises.
         let (_, l2, c2) =
             cache.get_or_sort_certified(&rel, &[0, 1], None, prov("Q2", "hA(v0)/4"), sorted);
         assert_eq!((l2, c2), (Lookup::Hit, true));

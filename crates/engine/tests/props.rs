@@ -72,7 +72,7 @@ fn valid_fragments() -> &'static [Vec<u8>] {
 /// Decodes hostile `bytes` and pre-flights whatever decodes: both must
 /// return — no panic, and no abort on an allocation sized by a decoded
 /// count — and an accepted fragment is no larger than a small multiple
-/// of the bytes it came from (a compressed relation body may expand 8×).
+/// of the bytes it came from.
 fn assert_fragment_decode_is_bounded(bytes: &[u8]) {
     if let Ok(frag) = Fragment::decode(bytes) {
         let decoded = frag.encode().len();

@@ -16,13 +16,11 @@
 //! go back to the runtime's [`BufPool`] for the next batch.
 //!
 //! The send path writes the frame's stack header and the borrowed row
-//! slice straight into the transport — no owned encode buffer per batch.
-//! With `compression` on, columns shrink via column-major delta+varint
-//! into a reused scratch buffer, and `runtime.tx.bytes_raw` keeps the
-//! uncompressed-equivalent tally for the ratio. A frame that arrives
-//! intact but does not decode is a typed [`RuntimeError`] and one count
-//! on `runtime.rx.decode_errors`, exactly like a frame the transport
-//! itself rejects.
+//! slice straight into the transport — no owned encode buffer per batch,
+//! and the bytes it tallies are the bytes on the wire. A frame that
+//! arrives intact but does not decode is a typed [`RuntimeError`] and
+//! one count on `runtime.rx.decode_errors`, exactly like a frame the
+//! transport itself rejects.
 //!
 //! The drain thread accumulates arriving batches **per source** and the
 //! final partition concatenates sources in ascending order. Because each
@@ -34,7 +32,7 @@
 use crate::error::RuntimeError;
 use crate::metrics::RuntimeObs;
 use crate::pool::BufPool;
-use crate::transport::{BatchSender, Endpoint, Payload};
+use crate::transport::{BatchSender, Endpoint};
 use crate::Router;
 use parjoin_common::{wire, Relation, Value, WireFormat};
 use std::sync::Arc;
@@ -47,8 +45,6 @@ pub struct ExchangeOpts {
     pub batch_tuples: usize,
     /// Frame encoding on the wire.
     pub format: WireFormat,
-    /// Delta+varint column compression.
-    pub compression: bool,
 }
 
 /// One worker's tallies from a streaming shuffle.
@@ -59,42 +55,25 @@ pub struct WorkerOutcome {
     pub sent_tuples: u64,
     /// Encoded batch bytes this worker sent.
     pub bytes_sent: u64,
-    /// Uncompressed-equivalent bytes of those batches (equals
-    /// `bytes_sent` unless compression shrank the frames).
-    pub bytes_sent_raw: u64,
     /// Encoded batch bytes this worker received.
     pub bytes_received: u64,
 }
 
 /// Frames one pending batch and hands it to the transport, tallying
-/// `tx.{bytes,bytes_raw,batches}`. Returns `(sent_bytes, raw_bytes)`.
-/// `scratch` is the worker's reused compression buffer.
-#[allow(clippy::too_many_arguments)]
+/// `tx.{bytes,batches}`. Returns the bytes sent.
 fn flush_batch(
     sender: &mut dyn BatchSender,
     dest: usize,
     arity: usize,
     rows: usize,
     flat: &[Value],
-    opts: ExchangeOpts,
     obs: &RuntimeObs,
-    scratch: &mut Vec<u8>,
-) -> Result<(u64, u64), RuntimeError> {
-    let raw = wire::frame_bytes(opts.format, arity, rows);
-    let compressed = opts.compression && arity > 0;
-    let header = wire::vectored_header(arity, rows, compressed);
-    let payload = if compressed {
-        scratch.clear();
-        wire::compress_columns(arity, rows, flat, scratch);
-        Payload::Bytes(scratch)
-    } else {
-        Payload::Values(flat)
-    };
-    let sent = sender.send_vectored(dest, header.as_bytes(), payload)?;
+) -> Result<u64, RuntimeError> {
+    let header = wire::vectored_header(arity, rows);
+    let sent = sender.send_vectored(dest, header.as_bytes(), flat)?;
     obs.tx_bytes.add(sent);
-    obs.tx_bytes_raw.add(raw);
     obs.tx_batches.inc();
-    Ok((sent, raw))
+    Ok(sent)
 }
 
 /// Runs one worker's side of the exchange to completion.
@@ -158,10 +137,8 @@ pub fn run_worker(
     // Send side: route, batch, stream.
     let mut pending: Vec<(Vec<Value>, usize)> = (0..workers).map(|_| (Vec::new(), 0)).collect();
     let mut dests: Vec<usize> = Vec::with_capacity(workers);
-    let mut scratch: Vec<u8> = Vec::new();
     let mut sent_tuples = 0u64;
     let mut bytes_sent = 0u64;
-    let mut bytes_sent_raw = 0u64;
     let send_result = (|| -> Result<(), RuntimeError> {
         for row in part.rows() {
             dests.clear();
@@ -172,10 +149,7 @@ pub fn run_worker(
                 flat.extend_from_slice(row);
                 *rows += 1;
                 if *rows >= opts.batch_tuples {
-                    let (sent, raw) =
-                        flush_batch(&mut *sender, d, arity, *rows, flat, opts, obs, &mut scratch)?;
-                    bytes_sent += sent;
-                    bytes_sent_raw += raw;
+                    bytes_sent += flush_batch(&mut *sender, d, arity, *rows, flat, obs)?;
                     flat.clear();
                     *rows = 0;
                 }
@@ -183,10 +157,7 @@ pub fn run_worker(
         }
         for (d, (flat, rows)) in pending.iter_mut().enumerate() {
             if *rows > 0 {
-                let (sent, raw) =
-                    flush_batch(&mut *sender, d, arity, *rows, flat, opts, obs, &mut scratch)?;
-                bytes_sent += sent;
-                bytes_sent_raw += raw;
+                bytes_sent += flush_batch(&mut *sender, d, arity, *rows, flat, obs)?;
                 flat.clear();
                 *rows = 0;
             }
@@ -212,7 +183,6 @@ pub fn run_worker(
         received,
         sent_tuples,
         bytes_sent,
-        bytes_sent_raw,
         bytes_received,
     })
 }

@@ -84,8 +84,6 @@ pub struct RuntimeConfig {
     /// Frame encoding on the wire. There is one ([`WireFormat`]):
     /// batches are written scatter/gather from borrowed slices.
     pub wire_format: WireFormat,
-    /// Delta+varint column compression on shuffled batches.
-    pub wire_compression: bool,
     /// Observability bundle the exchange and transports report into
     /// (bytes, batches, flushes, receive waits, decode errors, and the
     /// per-worker `shuffle` trace spans). Detached by default.
@@ -106,7 +104,6 @@ impl Default for RuntimeConfig {
             channel_depth: 8,
             io_timeout: Duration::from_secs(30),
             wire_format: WireFormat::default(),
-            wire_compression: false,
             obs: RuntimeObs::detached(),
         }
     }
@@ -123,9 +120,6 @@ pub struct ShuffleOutcome {
     pub per_consumer: Vec<u64>,
     /// Total encoded batch bytes sent (0 under [`TransportKind::Local`]).
     pub bytes_sent: u64,
-    /// Uncompressed-equivalent bytes of the sent batches — equals
-    /// `bytes_sent` unless wire compression shrank the frames.
-    pub bytes_sent_raw: u64,
     /// Total encoded batch bytes received.
     pub bytes_received: u64,
 }
@@ -204,7 +198,6 @@ impl Runtime {
             transport: TransportKind::Tcp,
             batch_tuples: opts.batch_tuples,
             wire_format: opts.format,
-            wire_compression: opts.compression,
             io_timeout: member.recv_timeout,
             obs: member.obs.clone(),
             ..RuntimeConfig::default()
@@ -316,7 +309,6 @@ impl Runtime {
         let opts = exchange::ExchangeOpts {
             batch_tuples: config.batch_tuples,
             format: config.wire_format,
-            compression: config.wire_compression,
         };
         let jobs = (self.first_rank..).zip(parts).zip(links);
         let jobs = jobs.map(|((rank, part), link)| {
@@ -334,14 +326,12 @@ impl Runtime {
             per_producer: Vec::with_capacity(hosted),
             per_consumer: Vec::with_capacity(hosted),
             bytes_sent: 0,
-            bytes_sent_raw: 0,
             bytes_received: 0,
         };
         for worker in outcomes {
             out.per_producer.push(worker.sent_tuples);
             out.per_consumer.push(worker.received.len() as u64);
             out.bytes_sent += worker.bytes_sent;
-            out.bytes_sent_raw += worker.bytes_sent_raw;
             out.bytes_received += worker.bytes_received;
             out.parts.push(worker.received);
         }
@@ -465,7 +455,6 @@ pub fn local_shuffle(parts: &[Relation], router: &Router) -> ShuffleOutcome {
         per_producer,
         per_consumer,
         bytes_sent: 0,
-        bytes_sent_raw: 0,
         bytes_received: 0,
     }
 }

@@ -32,10 +32,6 @@ pub mod names {
     /// mid-frame) or by the exchange's payload decoder (a frame that
     /// arrived intact but is not a valid batch).
     pub const RX_DECODE_ERRORS: &str = "runtime.rx.decode_errors";
-    /// Uncompressed-equivalent frame bytes sent — equals
-    /// [`TX_BYTES`] when wire compression is off; the
-    /// `bytes_raw / bytes` ratio is the compression win.
-    pub const TX_BYTES_RAW: &str = "runtime.tx.bytes_raw";
     /// Receive buffers handed out from the pool's free list.
     pub const BUF_REUSES: &str = "runtime.buf.reuses";
     /// Receive buffers freshly allocated because the free list was
@@ -64,8 +60,6 @@ pub struct RuntimeObs {
     pub rx_wait_ns: Counter,
     /// Decoder rejections ([`names::RX_DECODE_ERRORS`]).
     pub rx_decode_errors: Counter,
-    /// Uncompressed-equivalent bytes sent ([`names::TX_BYTES_RAW`]).
-    pub tx_bytes_raw: Counter,
     /// Pool free-list hits ([`names::BUF_REUSES`]).
     pub buf_reuses: Counter,
     /// Pool fresh allocations ([`names::BUF_ALLOCS`]).
@@ -88,7 +82,6 @@ impl RuntimeObs {
             tx_flushes: Counter::new(),
             rx_wait_ns: Counter::new(),
             rx_decode_errors: Counter::new(),
-            tx_bytes_raw: Counter::new(),
             buf_reuses: Counter::new(),
             buf_allocs: Counter::new(),
             rx_threads: Counter::new(),
@@ -107,7 +100,6 @@ impl RuntimeObs {
             tx_flushes: registry.counter(names::TX_FLUSHES),
             rx_wait_ns: registry.counter(names::RX_WAIT_NS),
             rx_decode_errors: registry.counter(names::RX_DECODE_ERRORS),
-            tx_bytes_raw: registry.counter(names::TX_BYTES_RAW),
             buf_reuses: registry.counter(names::BUF_REUSES),
             buf_allocs: registry.counter(names::BUF_ALLOCS),
             rx_threads: registry.counter(names::RX_THREADS),

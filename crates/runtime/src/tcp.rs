@@ -43,7 +43,8 @@ use crate::error::RuntimeError;
 use crate::metrics::RuntimeObs;
 use crate::pool::BufPool;
 pub use crate::transport::MAX_FRAME_BYTES;
-use crate::transport::{BatchReceiver, BatchSender, Endpoint, Payload};
+use crate::transport::{BatchReceiver, BatchSender, Endpoint};
+use parjoin_common::Value;
 use parjoin_obs::Counter;
 use std::io::{BufWriter, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
@@ -484,10 +485,10 @@ impl BatchSender for TcpSender {
         &mut self,
         dest: usize,
         header: &[u8],
-        payload: Payload<'_>,
+        values: &[Value],
     ) -> Result<u64, RuntimeError> {
         // Refuse a frame the peer would reject as corrupt.
-        let frame_len = header.len() + payload.wire_len();
+        let frame_len = header.len() + values.len() * 8;
         self.check_frame(frame_len as u64)?;
         let w = &mut self.senders[dest];
         let write = (|| {
@@ -497,21 +498,15 @@ impl BatchSender for TcpSender {
             prefix[1..5].copy_from_slice(&(frame_len as u32).to_le_bytes());
             w.write_all(&prefix)?;
             w.write_all(header)?;
-            match payload {
-                Payload::Bytes(bytes) => w.write_all(bytes)?,
-                Payload::Values(values) => {
-                    // The workspace forbids unsafe, so the arena slice
-                    // cannot be reinterpreted as bytes in place; stream
-                    // it through a stack chunk instead — constant
-                    // memory, no per-frame allocation.
-                    let mut chunk = [0u8; SEND_CHUNK_VALUES * 8];
-                    for run in values.chunks(SEND_CHUNK_VALUES) {
-                        for (i, &v) in run.iter().enumerate() {
-                            chunk[i * 8..(i + 1) * 8].copy_from_slice(&v.to_le_bytes());
-                        }
-                        w.write_all(&chunk[..run.len() * 8])?;
-                    }
+            // The workspace forbids unsafe, so the arena slice cannot be
+            // reinterpreted as bytes in place; stream it through a stack
+            // chunk instead — constant memory, no per-frame allocation.
+            let mut chunk = [0u8; SEND_CHUNK_VALUES * 8];
+            for run in values.chunks(SEND_CHUNK_VALUES) {
+                for (i, &v) in run.iter().enumerate() {
+                    chunk[i * 8..(i + 1) * 8].copy_from_slice(&v.to_le_bytes());
                 }
+                w.write_all(&chunk[..run.len() * 8])?;
             }
             // Flush per frame: batches are already sized for throughput,
             // and prompt delivery keeps peer receive loops busy instead
@@ -987,7 +982,7 @@ mod tests {
                 let mut seen = Vec::new();
                 for round in 0..2u8 {
                     let (mut tx, mut rx) = mesh.endpoint(&pool).expect("endpoint").split();
-                    tx.send_vectored(1 - rank, &[], Payload::Bytes(&[round, rank as u8]))
+                    tx.send_vectored(1 - rank, &[round, rank as u8], &[])
                         .expect("send");
                     tx.finish().expect("finish");
                     drop(tx);
@@ -1026,9 +1021,7 @@ mod tests {
     fn vectored_send_round_trips() {
         let (mut tx, mut rx) = lone_member().endpoint(&test_pool()).expect("mesh").split();
         let values = [5u64, u64::MAX, 0];
-        let len = tx
-            .send_vectored(0, &[0xAB, 0xCD], Payload::Values(&values))
-            .expect("send");
+        let len = tx.send_vectored(0, &[0xAB, 0xCD], &values).expect("send");
         assert_eq!(len, 2 + 24);
         tx.finish().expect("finish");
         drop(tx);
@@ -1047,8 +1040,7 @@ mod tests {
         let mesh = lone_member();
         let obs = mesh.obs.clone();
         let (mut tx, mut rx) = mesh.endpoint(&test_pool()).expect("mesh").split();
-        tx.send_vectored(0, &[], Payload::Bytes(&[1, 2]))
-            .expect("send");
+        tx.send_vectored(0, &[1, 2], &[]).expect("send");
         tx.finish().expect("finish");
         drop(tx);
         while rx.recv().expect("recv").is_some() {}
@@ -1207,7 +1199,7 @@ mod tests {
             max_frame: MAX_FRAME_BYTES,
         };
         let frame = vec![0u8; MAX_FRAME_BYTES as usize + 1];
-        let err = sender.send_vectored(0, &[], Payload::Bytes(&frame));
+        let err = sender.send_vectored(0, &frame, &[]);
         assert!(
             matches!(
                 err,
@@ -1229,7 +1221,7 @@ mod tests {
             max_frame: 16,
         };
         let values = [0u64; 4]; // 32 payload bytes + header > 16
-        let err = sender.send_vectored(0, &[0, 1, 2], Payload::Values(&values));
+        let err = sender.send_vectored(0, &[0, 1, 2], &values);
         assert!(
             matches!(
                 err,

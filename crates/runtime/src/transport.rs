@@ -22,10 +22,10 @@
 //! mesh costs one receive thread per worker — not one per peer.
 //!
 //! The send side has one shape: [`BatchSender::send_vectored`] takes a
-//! small borrowed header plus a [`Payload`] borrowing the flat row slice
-//! straight from the relation arena — the scatter/gather form that lets
-//! streaming transports write rows without materializing an owned encode
-//! buffer per batch.
+//! small borrowed header plus the flat row slice borrowed straight from
+//! the relation arena — the scatter/gather form that lets streaming
+//! transports write rows without materializing an owned encode buffer
+//! per batch.
 
 use crate::error::RuntimeError;
 use crate::pool::BufPool;
@@ -91,36 +91,15 @@ pub trait Endpoint: Send {
     fn split(self: Box<Self>) -> (Box<dyn BatchSender>, Box<dyn BatchReceiver>);
 }
 
-/// The payload of a vectored send: what follows the frame header on the
-/// wire.
-pub enum Payload<'a> {
-    /// The flat row-major value slice, borrowed straight from the
-    /// relation arena; transports write it as little-endian words.
-    Values(&'a [Value]),
-    /// Already-encoded payload bytes (the compressed form), borrowed
-    /// from the sender's reusable scratch buffer.
-    Bytes(&'a [u8]),
-}
-
-impl Payload<'_> {
-    /// On-wire byte length of this payload.
-    pub fn wire_len(&self) -> usize {
-        match self {
-            Payload::Values(v) => v.len() * 8,
-            Payload::Bytes(b) => b.len(),
-        }
-    }
-}
-
 /// The sending half of an endpoint.
 ///
 /// Dropping the sender (after [`finish`](Self::finish)) releases its
 /// side of every peer connection, which is what lets receivers detect a
 /// crashed peer instead of waiting forever.
 pub trait BatchSender: Send {
-    /// Sends one batch to worker `dest` as `header ++ payload` without
-    /// the caller materializing an owned frame, returning the on-wire
-    /// frame length in bytes. Blocks when the destination's buffer is
+    /// Sends one batch to worker `dest` as `header` followed by `values`
+    /// as little-endian words, without the caller materializing an owned
+    /// frame, returning the on-wire frame length in bytes. Blocks when the destination's buffer is
     /// full (backpressure). Stream transports write both slices
     /// directly; channel transports assemble the frame in a pooled
     /// buffer.
@@ -133,7 +112,7 @@ pub trait BatchSender: Send {
         &mut self,
         dest: usize,
         header: &[u8],
-        payload: Payload<'_>,
+        values: &[Value],
     ) -> Result<u64, RuntimeError>;
 
     /// Signals end-of-stream to every peer and flushes buffered writes.
@@ -170,18 +149,13 @@ pub(crate) fn idle_backoff(idle_rounds: u32) {
     }
 }
 
-/// Appends `header ++ payload` to a frame buffer (the owned-frame
-/// assembly of the channel transport).
-fn assemble_frame(buf: &mut Vec<u8>, header: &[u8], payload: &Payload<'_>) {
+/// Appends `header` and `values` as little-endian words to a frame
+/// buffer (the owned-frame assembly of the channel transport).
+fn assemble_frame(buf: &mut Vec<u8>, header: &[u8], values: &[Value]) {
     buf.extend_from_slice(header);
-    match payload {
-        Payload::Values(values) => {
-            buf.reserve(values.len() * 8);
-            for &v in *values {
-                buf.extend_from_slice(&v.to_le_bytes());
-            }
-        }
-        Payload::Bytes(bytes) => buf.extend_from_slice(bytes),
+    buf.reserve(values.len() * 8);
+    for &v in values {
+        buf.extend_from_slice(&v.to_le_bytes());
     }
 }
 
@@ -268,13 +242,13 @@ impl BatchSender for InProcessSender {
         &mut self,
         dest: usize,
         header: &[u8],
-        payload: Payload<'_>,
+        values: &[Value],
     ) -> Result<u64, RuntimeError> {
         // Channels ship owned messages, so the frame is assembled — but
         // in a pooled buffer that the receive side recycles, so steady
         // state allocates nothing.
         let mut frame = self.pool.acquire();
-        assemble_frame(&mut frame, header, &payload);
+        assemble_frame(&mut frame, header, values);
         let len = frame.len() as u64;
         self.peers[dest]
             .send(Some(frame))
@@ -402,8 +376,7 @@ mod tests {
 
         let ta = thread::spawn(move || {
             let (mut tx, mut rx) = a.split();
-            tx.send_vectored(1, &[], Payload::Bytes(&[1, 2, 3]))
-                .expect("send");
+            tx.send_vectored(1, &[1, 2, 3], &[]).expect("send");
             tx.finish().expect("finish");
             drop(tx);
             let mut got = Vec::new();
@@ -414,8 +387,7 @@ mod tests {
         });
         let tb = thread::spawn(move || {
             let (mut tx, mut rx) = b.split();
-            tx.send_vectored(0, &[], Payload::Bytes(&[9]))
-                .expect("send");
+            tx.send_vectored(0, &[9], &[]).expect("send");
             tx.finish().expect("finish");
             drop(tx);
             let mut got = Vec::new();
@@ -449,9 +421,7 @@ mod tests {
         let eps = in_process_mesh(1, 4, Duration::from_secs(5), &pool);
         let (mut tx, mut rx) = eps.into_iter().next().expect("endpoint").split();
         let values = [1u64, u64::MAX];
-        let len = tx
-            .send_vectored(0, &[0xAA, 0xBB], Payload::Values(&values))
-            .expect("send");
+        let len = tx.send_vectored(0, &[0xAA, 0xBB], &values).expect("send");
         assert_eq!(len, 2 + 16);
         tx.finish().expect("finish");
         drop(tx);
@@ -470,8 +440,7 @@ mod tests {
         let eps = in_process_mesh(1, 4, Duration::from_secs(5), &pool);
         let (mut tx, mut rx) = eps.into_iter().next().expect("endpoint").split();
         for _ in 0..3 {
-            tx.send_vectored(0, &[1], Payload::Bytes(&[2, 3]))
-                .expect("send");
+            tx.send_vectored(0, &[1, 2, 3], &[]).expect("send");
             let (_, frame) = rx.recv().expect("recv").expect("frame");
             pool.release(frame); // what the exchange drain does post-decode
         }

@@ -186,14 +186,6 @@ fn obs_counters_reconcile_with_shuffle_tallies() {
         );
         assert!(reg.get("runtime.tx.batches") > Some(0), "{kind}");
         assert_eq!(reg.get("runtime.rx.decode_errors"), Some(0), "{kind}");
-        // With compression off the raw (uncompressed-equivalent) tally
-        // equals the on-wire tally, both as a counter and on the outcome.
-        assert_eq!(
-            reg.get("runtime.tx.bytes_raw"),
-            Some(out.bytes_sent),
-            "{kind}: raw == sent when compression is off"
-        );
-        assert_eq!(out.bytes_sent_raw, out.bytes_sent, "{kind}");
         // The event-loop demux runs exactly one receive thread per worker
         // (the old design spawned one per peer: workers * workers).
         assert_eq!(
@@ -225,18 +217,19 @@ fn obs_counters_reconcile_with_shuffle_tallies() {
 }
 
 /// A frame that passes the transport's length framing but is not a
-/// valid batch — here the nine-byte compressed row-count bomb — must
-/// surface from `run_worker` as a typed error and one count on
-/// `runtime.rx.decode_errors`: no panic, no 32 TiB allocation.
+/// valid batch — here a nine-byte header claiming 2^42 rows and
+/// carrying none — must surface from `run_worker` as a typed error and
+/// one count on `runtime.rx.decode_errors`: no panic, no 32 TiB
+/// allocation.
 #[test]
 fn undecodable_frame_is_a_counted_typed_error() {
     use parjoin_common::wire;
     use parjoin_obs::{Registry, TraceSink};
     use parjoin_runtime::exchange::{run_worker, ExchangeOpts};
-    use parjoin_runtime::transport::{in_process_mesh, Payload};
+    use parjoin_runtime::transport::in_process_mesh;
     use parjoin_runtime::{BufPool, RuntimeError, RuntimeObs};
 
-    let mut bomb = vec![wire::FLAG_COMPRESSED, 1];
+    let mut bomb = vec![0, 1];
     wire::write_varint(&mut bomb, 1 << 42);
 
     let pool = Arc::new(BufPool::detached());
@@ -246,8 +239,7 @@ fn undecodable_frame_is_a_counted_typed_error() {
 
     let peer = std::thread::spawn(move || {
         let (mut tx, mut rx) = hostile.split();
-        tx.send_vectored(0, &bomb, Payload::Bytes(&[]))
-            .expect("send");
+        tx.send_vectored(0, &bomb, &[]).expect("send");
         tx.finish().expect("finish");
         drop(tx);
         // Drain until our own stream ends or errors; outcome unused.
@@ -259,7 +251,6 @@ fn undecodable_frame_is_a_counted_typed_error() {
     let opts = ExchangeOpts {
         batch_tuples: 16,
         format: Default::default(),
-        compression: false,
     };
     let router = hash_router(2, 1);
     let out = run_worker(0, &Relation::new(1), 2, opts, victim, &router, &obs, &pool);
@@ -343,64 +334,6 @@ fn buffer_pool_recycles_frames_across_sequential_shuffles() {
             allocs + reuses,
             reg.get("runtime.tx.batches").unwrap_or(u64::MAX),
             "{kind}: pool traffic reconciles with batch count"
-        );
-    }
-}
-
-/// Partitions whose columns are sorted runs — the shape a shuffle of a
-/// sorted relation produces, and the case delta+varint compression is
-/// built for.
-fn make_sorted_parts(workers: usize, rows: usize) -> Vec<Relation> {
-    let mut parts: Vec<Relation> = (0..workers).map(|_| Relation::new(2)).collect();
-    for i in 0..rows {
-        let v = i as u64;
-        parts[i % workers].push_row(&[v, v * 3]);
-    }
-    parts
-}
-
-#[test]
-fn compression_shrinks_sorted_shuffles_without_changing_results() {
-    use parjoin_obs::{Registry, TraceSink};
-    use parjoin_runtime::RuntimeObs;
-    let workers = 4;
-    let parts = make_sorted_parts(workers, 8000);
-    // Range-partition so each destination receives contiguous sorted
-    // runs (hash-partitioning would shred the deltas).
-    let router: Router = Arc::new(move |_w, row, dests| {
-        dests.push((row[0] as usize * workers / 8000).min(workers - 1));
-    });
-    let local = run(TransportKind::Local, 1024, &router, &parts);
-    for kind in streaming_kinds() {
-        let raw = run(kind, 1024, &router, &parts);
-        assert_same_shuffle(&local, &raw);
-
-        let reg = Registry::new();
-        let mut cfg = config(kind, workers, 1024);
-        cfg.wire_compression = true;
-        cfg.obs = RuntimeObs::on_registry(&reg, TraceSink::enabled());
-        let rt = Runtime::new(cfg).expect("runtime");
-        let packed = rt
-            .shuffle(parts.clone(), Arc::clone(&router))
-            .expect("shuffle");
-        rt.shutdown().expect("shutdown");
-        assert_same_shuffle(&local, &packed);
-        assert_eq!(packed.bytes_sent, packed.bytes_received, "{kind}");
-        // The raw tally is what the frames would have cost uncompressed;
-        // sorted columns must shrink at least 1.5x.
-        assert_eq!(packed.bytes_sent_raw, raw.bytes_sent, "{kind}");
-        assert_eq!(
-            reg.get("runtime.tx.bytes_raw"),
-            Some(packed.bytes_sent_raw),
-            "{kind}"
-        );
-        let ratio = packed.bytes_sent_raw as f64 / packed.bytes_sent as f64;
-        assert!(
-            ratio >= 1.5,
-            "{kind}: sorted columns should compress >= 1.5x, got {ratio:.2}x \
-             ({} raw vs {} sent)",
-            packed.bytes_sent_raw,
-            packed.bytes_sent
         );
     }
 }

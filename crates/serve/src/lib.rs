@@ -89,7 +89,7 @@ pub struct ServeMetrics {
     /// SortCache misses aggregated over every completed query.
     pub sortcache_misses: &'static str,
     /// Certified (route-proved) SortCache hits aggregated over every
-    /// completed query — the certified-transfer reuse rate under
+    /// completed query — the certified cross-query reuse rate under
     /// sustained traffic.
     pub sortcache_certified: &'static str,
     /// TrieCache hits aggregated over every completed query (columnar

@@ -14,8 +14,8 @@
 //! * The **production path** is `PlanOptions::default()` — SortCache +
 //!   TrieCache, parallel radix sort, columnar tries, work-stealing
 //!   morsel probe — varied only along [`Production`]: where the bytes go
-//!   (`Local`, `InProcess`, `Tcp`), how many probe threads, and whether
-//!   frames are compressed.
+//!   (`Local`, `InProcess`, `Tcp`), how many probe threads, and how many
+//!   tuples ride in one frame.
 //!
 //! Every cell also pins the accounting each run must report about
 //! itself ([`assert_reference`], [`assert_production`]), so a slice
@@ -43,9 +43,14 @@ pub struct Production {
     /// Pinned probe threads (`None`: whatever the host grants), so no
     /// suite depends on how many cores CI happens to have.
     pub probe_threads: Option<usize>,
-    /// `PlanOptions::wire_compression`.
-    pub compression: bool,
+    /// `Cluster::batch_tuples`: rows per streamed frame.
+    pub batch_tuples: usize,
 }
+
+/// Rows per frame unless a slice says otherwise: small enough that even
+/// tiny-scale shuffles stream several frames per directed pair, so the
+/// flush path runs and not just the final partial batch.
+pub const BATCH_TUPLES: usize = 512;
 
 impl Production {
     /// The `Local` transport at `probe_threads`.
@@ -53,16 +58,21 @@ impl Production {
         Production {
             transport: TransportKind::Local,
             probe_threads,
-            compression: false,
+            batch_tuples: BATCH_TUPLES,
         }
     }
 
     /// A streaming transport at host-default probe threads.
-    pub const fn streaming(transport: TransportKind, compression: bool) -> Production {
+    pub const fn streaming(transport: TransportKind) -> Production {
+        Production::framed(transport, BATCH_TUPLES)
+    }
+
+    /// A streaming transport at `batch_tuples` rows per frame.
+    pub const fn framed(transport: TransportKind, batch_tuples: usize) -> Production {
         Production {
             transport,
             probe_threads: None,
-            compression,
+            batch_tuples,
         }
     }
 }
@@ -73,21 +83,19 @@ impl fmt::Display for Production {
         if let Some(t) = self.probe_threads {
             write!(f, " t={t}")?;
         }
-        if self.compression {
-            write!(f, " +compression")?;
+        if self.batch_tuples != BATCH_TUPLES {
+            write!(f, " batch={}", self.batch_tuples)?;
         }
         Ok(())
     }
 }
 
-/// Four workers; a small batch size forces multi-batch streams even at
-/// tiny scale, exercising the flush path and not just the final partial
-/// batch.
+/// Four workers at [`BATCH_TUPLES`] rows per frame.
 pub fn cluster(transport: TransportKind) -> Cluster {
     Cluster::new(4)
         .with_seed(11)
         .with_transport(transport)
-        .with_batch_tuples(512)
+        .with_batch_tuples(BATCH_TUPLES)
 }
 
 /// The reference configuration's options.
@@ -106,7 +114,6 @@ pub fn production_opts(p: Production) -> PlanOptions {
     PlanOptions {
         collect_output: true,
         probe_threads: p.probe_threads,
-        wire_compression: p.compression,
         ..Default::default()
     }
 }
@@ -142,7 +149,7 @@ pub fn production(
     j: JoinAlg,
     p: Production,
 ) -> RunResult {
-    let cluster = cluster(p.transport);
+    let cluster = cluster(p.transport).with_batch_tuples(p.batch_tuples);
     run_config(&spec.query, db, &cluster, s, j, &production_opts(p))
         .unwrap_or_else(|e| panic!("{} {s:?}/{j:?} on {p}: {e}", spec.name))
 }
@@ -220,17 +227,20 @@ pub fn assert_production(cell: &str, (s, j): (ShuffleAlg, JoinAlg), p: Productio
         r.bytes_shuffled > 0 || r.tuples_shuffled == 0,
         "{cell}: streaming moved tuples but no bytes"
     );
-    if p.compression {
-        assert!(
-            r.bytes_shuffled_raw >= r.bytes_shuffled,
-            "{cell}: compression inflated the wire ({} raw < {} sent)",
-            r.bytes_shuffled_raw,
-            r.bytes_shuffled
-        );
-    } else {
+    // One byte ledger: the bytes the engine reports are the bytes the
+    // runtime put on the wire and took off it.
+    for counter in ["runtime.tx.bytes", "runtime.rx.bytes"] {
         assert_eq!(
-            r.bytes_shuffled_raw, r.bytes_shuffled,
-            "{cell}: raw tally must equal wire tally when compression is off"
+            r.metric(counter),
+            Some(r.bytes_shuffled),
+            "{cell}: {counter} disagrees with bytes_shuffled"
+        );
+    }
+    if p.batch_tuples == 1 {
+        assert_eq!(
+            r.metric("runtime.tx.batches"),
+            Some(r.tuples_shuffled),
+            "{cell}: one tuple per frame means one frame per shuffled tuple"
         );
     }
 }

@@ -81,7 +81,7 @@ fn semijoin_plan_parallel_probe_identical() {
         &spec.query,
         &db,
         &parity::cluster(TransportKind::InProcess),
-        &production_opts(Production::streaming(TransportKind::InProcess, false)),
+        &production_opts(Production::streaming(TransportKind::InProcess)),
     )
     .expect("semijoin on InProcess");
     parity::assert_parity("Q3 SJ_HJ on InProcess", &baseline.run, &streamed.run);

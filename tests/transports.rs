@@ -1,8 +1,8 @@
 //! Parity slice — **the streaming transports**: the production path
-//! over `InProcess` channels and loopback `Tcp`, uncompressed, against
-//! the reference configuration on `Local`, Q1–Q8 × six configurations
-//! (`parity::check`, which also pins `bytes_shuffled_raw ==
-//! bytes_shuffled` and that moved tuples mean moved bytes).
+//! over `InProcess` channels and loopback `Tcp` against the reference
+//! configuration on `Local`, Q1–Q8 × six configurations
+//! (`parity::check`, which also pins that moved tuples mean moved bytes
+//! and that the runtime's byte counters are `bytes_shuffled`).
 //!
 //! The streaming exchange accumulates batches per source and
 //! concatenates sources in ascending order, so it reproduces the Local
@@ -15,8 +15,8 @@ use parity::{db_for, production, reference, Production};
 use parjoin::prelude::*;
 
 const STREAMING: [Production; 2] = [
-    Production::streaming(TransportKind::InProcess, false),
-    Production::streaming(TransportKind::Tcp, false),
+    Production::streaming(TransportKind::InProcess),
+    Production::streaming(TransportKind::Tcp),
 ];
 
 fn check(spec: &QuerySpec) {

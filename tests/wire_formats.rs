@@ -1,8 +1,9 @@
 //! Parity slice — **the wire**: the production path over both streaming
-//! transports with `wire_compression` on (column-major delta+varint
-//! frames) against the reference configuration, Q1–Q8 × six
-//! configurations (`parity::check`, which also pins `bytes_shuffled_raw
-//! >= bytes_shuffled`); the uncompressed points of the same axis are
+//! transports with one tuple per frame — the header, the pool and the
+//! decoder at their busiest — against the reference configuration,
+//! Q1–Q8 × six configurations (`parity::check`, which also pins that the
+//! runtime sent one frame per shuffled tuple and that its byte counters
+//! are `bytes_shuffled`); the 512-row points of the same axis are
 //! `transports`'. There is one frame layout, so there is no format axis.
 //!
 //! And the analyzer's per-frame estimate — the arithmetic behind the
@@ -19,8 +20,8 @@ fn check(spec: &QuerySpec) {
     parity::check(
         spec,
         &[
-            Production::streaming(TransportKind::InProcess, true),
-            Production::streaming(TransportKind::Tcp, true),
+            Production::framed(TransportKind::InProcess, 1),
+            Production::framed(TransportKind::Tcp, 1),
         ],
     );
 }
