@@ -42,7 +42,9 @@
 //!   The [`transfer`] module extends the decision across queries:
 //!   whether one query's shuffled placement is certified
 //!   parallel-correct for a follow-up query (R424/R425), which backs
-//!   zero-communication plan reuse and certified sort-cache hits.
+//!   zero-communication plan reuse. The engine's caches need none of
+//!   this: a sorted view or trie is a function of one worker's fragment
+//!   content, so they key on that content alone.
 //!
 //! Errors mean "the engine must refuse to run this"; warnings ride
 //! along with the result. The engine converts its plan types into a

@@ -111,36 +111,6 @@ impl Policy {
         self.dims.iter().product()
     }
 
-    /// A canonical string describing how atom `i`'s facts are placed.
-    /// Two equal signatures denote the *same placement function*: equal
-    /// content shuffled under equal signatures lands identically on
-    /// every worker. The engine's sort cache uses this to certify
-    /// cross-query reuse of shuffled fragments.
-    pub fn route_signature(&self, atom: usize) -> String {
-        match &self.routes[atom] {
-            AtomRoute::Stationary => "stationary".to_string(),
-            AtomRoute::Routed(pins) => {
-                let parts: Vec<String> = self
-                    .dims
-                    .iter()
-                    .zip(pins)
-                    .map(|(&extent, pin)| match pin {
-                        Pin::Free => format!("free/{extent}"),
-                        Pin::Hash {
-                            var,
-                            channel,
-                            family,
-                        } => {
-                            format!("h{family:?}(v{},{channel:#x})/{extent}", var.0)
-                        }
-                        Pin::Const { channel } => format!("const({channel:#x})/{extent}"),
-                    })
-                    .collect();
-                parts.join("|")
-            }
-        }
-    }
-
     /// Structural validation: every routed atom needs one pin per
     /// dimension, pinned variables must belong to the atom (the engine
     /// computes coordinates from the atom's own columns), and extents
@@ -880,10 +850,8 @@ pub fn push_negative_verdict(
 /// Explicit certification mode (the engine's `certify` plan option):
 /// certifies every unit of the plan's policy and returns either a
 /// single [`DiagCode::PolicyCertified`] info diagnostic carrying the
-/// proof certificate, or the negative diagnostics. Also returns the
-/// derived [`PlannedPolicy`] so the engine can stamp shuffled fragments
-/// with their route signatures.
-pub fn certify_spec(spec: &PlanSpec<'_>) -> (Option<PlannedPolicy>, Vec<Diagnostic>) {
+/// proof certificate, or the negative diagnostics.
+pub fn certify_spec(spec: &PlanSpec<'_>) -> Vec<Diagnostic> {
     let mut out = Vec::new();
     let Some(planned) = planned_policy(spec) else {
         out.push(
@@ -894,7 +862,7 @@ pub fn certify_spec(spec: &PlanSpec<'_>) -> (Option<PlannedPolicy>, Vec<Diagnost
             )
             .with("shuffle", format!("{:?}", spec.shuffle)),
         );
-        return (None, out);
+        return out;
     };
     let names = spec_names(spec);
     let mut cert = Diagnostic::info(
@@ -924,7 +892,7 @@ pub fn certify_spec(spec: &PlanSpec<'_>) -> (Option<PlannedPolicy>, Vec<Diagnost
     if all_certified {
         out.push(cert);
     }
-    (Some(planned), out)
+    out
 }
 
 #[cfg(test)]
@@ -1156,31 +1124,10 @@ mod tests {
             let spec = PlanSpec::new(&q, 8, shuffle, JoinKind::Hash)
                 .with_cards(vec![100, 100, 100])
                 .with_seed(1234);
-            let (planned, diags) = certify_spec(&spec);
-            assert!(planned.is_some());
+            let diags = certify_spec(&spec);
             assert_eq!(diags.len(), 1, "{shuffle:?}: {diags:?}");
             assert_eq!(diags[0].code, DiagCode::PolicyCertified);
             assert_eq!(diags[0].code.code(), "R420");
         }
-    }
-
-    #[test]
-    fn route_signature_distinguishes_placements() {
-        let q = triangle();
-        let av = triangle_atom_vars();
-        let config = HcConfig::new(q.all_vars(), vec![2, 2, 2]);
-        let a = hypercube_policy(&av, &config, 42);
-        let b = hypercube_policy(&av, &config, 43);
-        assert_eq!(a.route_signature(0), a.route_signature(0));
-        assert_ne!(
-            a.route_signature(0),
-            b.route_signature(0),
-            "different seeds are different placements"
-        );
-        assert_ne!(
-            a.route_signature(0),
-            a.route_signature(1),
-            "different pin sets are different placements"
-        );
     }
 }

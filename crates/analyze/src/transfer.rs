@@ -23,8 +23,7 @@
 //!    counterexample valuation.
 //!
 //! The engine's advisor uses this to keep a follow-up query on the
-//! previous query's distribution, and the sort cache uses the same
-//! route-signature machinery to certify cross-query view reuse.
+//! previous query's distribution.
 
 use crate::diagnostic::{DiagCode, Diagnostic};
 use crate::policy::{certify, AtomRoute, Certificate, Counterexample, Pin, Policy, Verdict};

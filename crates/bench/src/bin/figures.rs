@@ -29,7 +29,7 @@ fn six(title: &str, spec: &QuerySpec, s: &Settings, budget: Option<u64>, json: O
 enum Figure {
     /// A query under all six shuffle × join configurations.
     Six(&'static str, fn() -> QuerySpec),
-    /// Figure 9: [`Six`](Figure::Six) under a per-worker memory budget
+    /// Figure 9: [`Six`] under a per-worker memory budget
     /// RS_TJ FAILs on, as in the paper.
     Fig09,
     /// Anything else.

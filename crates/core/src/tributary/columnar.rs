@@ -50,7 +50,7 @@ const GALLOP_CHUNK: usize = 32;
 /// 2. *branch-free halving* — the bracket shrinks by conditional-move
 ///    style arithmetic (`lo += (key < v) as usize * half`), no
 ///    hard-to-predict compare-and-jump;
-/// 3. *chunk count* — once the bracket fits [`GALLOP_CHUNK`], the answer
+/// 3. *chunk count* — once the bracket fits `GALLOP_CHUNK`, the answer
 ///    is `lo` plus the number of keys `< v` in the window, a
 ///    fixed-shape compare-and-sum the autovectorizer turns into SIMD.
 #[inline]

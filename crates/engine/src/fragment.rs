@@ -28,6 +28,7 @@ use crate::error::EngineError;
 use crate::plans::{
     self, check_order, Exec, JoinAlg, Plan, PlanOptions, RunObs, ShuffleAlg, TrieLayout,
 };
+use crate::probe;
 use crate::shuffle::Seam;
 use parjoin_analyze as analyze;
 use parjoin_common::wire::control::{self, ControlError, PayloadReader};
@@ -469,7 +470,8 @@ impl Fragment {
     /// [`EngineError::Unsupported`] when the fragment's geometry is
     /// inconsistent (rank out of range, address list of the wrong
     /// width, atom lists out of alignment), its local join order is not
-    /// a permutation of the atoms, or it lacks the Tributary order or
+    /// a permutation of the atoms, its probe thread count is 0 or above
+    /// [`probe::MAX_PROBE_THREADS`], or it lacks the Tributary order or
     /// HyperCube shares its configuration needs.
     pub fn preflight(&self) -> Result<(), EngineError> {
         if self.rank >= self.workers {
@@ -507,6 +509,7 @@ impl Fragment {
         // The analyzer vets `join_order`; `local_order` is not part of
         // its spec, and the executor indexes the atoms with it.
         check_order("local join order", &self.local_order, atoms)?;
+        checked_probe_threads(self.probe_threads)?;
         let one_round = self.shuffle != ShuffleAlg::Regular;
         if one_round && self.join == JoinAlg::Tributary && self.tj_order.is_none() {
             return Err(EngineError::Unsupported(
@@ -520,6 +523,19 @@ impl Fragment {
         }
         analyze::preflight(&self.plan_spec()).map_err(EngineError::InvalidPlan)?;
         Ok(())
+    }
+}
+
+/// A shipped probe thread count, refused outside
+/// `1..=`[`probe::MAX_PROBE_THREADS`]: the executor spawns up to that
+/// many threads per join and derives its morsel count from it.
+fn checked_probe_threads(n: u32) -> Result<usize, EngineError> {
+    match usize::try_from(n) {
+        Ok(t @ 1..=probe::MAX_PROBE_THREADS) => Ok(t),
+        _ => Err(EngineError::Unsupported(format!(
+            "fragment asks for {n} probe threads; a worker runs 1 to {}",
+            probe::MAX_PROBE_THREADS
+        ))),
     }
 }
 
@@ -662,9 +678,8 @@ pub fn execute_fragment(frag: &Fragment, mesh: &HostMesh) -> Result<RemoteOutcom
         local_order: frag.local_order.clone(),
         tj_order: frag.tj_order.clone(),
         hc_config: frag.hc_config.clone(),
-        probe_threads: frag.probe_threads as usize,
+        probe_threads: checked_probe_threads(frag.probe_threads)?,
         diagnostics: Vec::new(),
-        route_sigs: None,
         stats_lookups: (0, 0),
         seeded: frag
             .atom_vars
@@ -1024,6 +1039,15 @@ mod tests {
         let mut frag = single_rank_fragment(ShuffleAlg::HyperCube, JoinAlg::Tributary);
         frag.hc_config = None;
         assert_refused(&frag, "missing hc_config");
+    }
+
+    #[test]
+    fn probe_threads_must_be_bounded() {
+        for hostile in [0, u32::MAX] {
+            let mut frag = single_rank_fragment(ShuffleAlg::HyperCube, JoinAlg::Tributary);
+            frag.probe_threads = hostile;
+            assert_refused(&frag, &format!("probe_threads {hostile}"));
+        }
     }
 
     #[test]

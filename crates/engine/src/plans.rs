@@ -28,7 +28,7 @@ use crate::local::{hash_join, merge_join, SchemaRel};
 use crate::prepare;
 use crate::probe;
 use crate::shuffle::{self, Seam};
-use crate::sortcache::{Lookup, Provenance, SortCache};
+use crate::sortcache::{Lookup, SortCache};
 use crate::statscache::{self, QueryStats};
 use crate::triecache::TrieCache;
 use parjoin_analyze::{self as analyze, Diagnostic};
@@ -113,7 +113,7 @@ pub enum TrieLayout {
     /// Columnar level-segmented tries (`ColumnarTrie`): per-level
     /// contiguous key arrays + CSR child offsets, branch-free chunked
     /// galloping, and cross-query reuse through the process-wide
-    /// [`TrieCache`](crate::TrieCache). Byte-identical output to `Row`.
+    /// [`TrieCache`]. Byte-identical output to `Row`.
     #[default]
     Columnar,
 }
@@ -165,7 +165,8 @@ pub struct PlanOptions {
     /// (see [`PlanOptions::sequential_prepare`]).
     pub sequential_probe: bool,
     /// Override the per-worker probe thread count; `None` derives it
-    /// from the host (`host_cores / workers`, at least 1). Ignored when
+    /// from the host (`host_cores / workers`, at least 1); either way it
+    /// is clamped to [`probe::MAX_PROBE_THREADS`]. Ignored when
     /// [`PlanOptions::sequential_probe`] is set. Mainly for tests and
     /// benchmarks that must exercise a fixed thread count regardless of
     /// the machine they run on.
@@ -176,23 +177,12 @@ pub struct PlanOptions {
     /// explicit policy and statically *proves* it parallel-correct,
     /// attaching the R420 proof certificate (per-dimension hash-agreement
     /// obligations) to [`RunResult::diagnostics`] — or refuses to run
-    /// with a concrete R421 counterexample valuation. This replaces the
-    /// sampled co-location asserts of the `strict-invariants` feature
-    /// (which are skipped when certifying: the proof covers *all*
-    /// valuations, the samples only the shuffled ones) and additionally
-    /// upgrades Tributary sort-cache lookups to *certified* hits keyed
-    /// by the placement's route signature.
+    /// with a concrete R421 counterexample valuation. A run carrying the
+    /// certificate skips the sampled co-location asserts of the
+    /// `strict-invariants` feature: the proof covers *all* valuations,
+    /// the samples only the shuffled ones. Certify mode attaches a proof
+    /// and nothing else; cache lookups are the same with or without it.
     pub certify: bool,
-    /// Provenance stamp for SortCache entries this run creates; `None`
-    /// stamps views with the query's own name. A serving catalog sets
-    /// this to a catalog-aware tag (e.g. `catalog@v3/Q1`) so cached
-    /// sorted views are traceable to the resident-relation epoch that
-    /// produced them — a relation reloaded under the same name gets a
-    /// new fingerprint *and* a new stamp, keeping cache forensics honest
-    /// under sustained traffic. The stamp never affects hit/miss
-    /// decisions (those key on content fingerprint + columns, plus the
-    /// route signature for certified hits).
-    pub provenance: Option<String>,
     /// Write a chrome://tracing / Perfetto-loadable JSON trace of the run
     /// to this path. Tracing is enabled **only** when this is set; with
     /// `None` the span machinery stays disabled and costs nothing on the
@@ -209,14 +199,14 @@ pub struct PlanOptions {
 
 impl PlanOptions {
     /// The per-worker probe thread count this plan will use on `workers`
-    /// simulated workers.
+    /// simulated workers, at most [`probe::MAX_PROBE_THREADS`].
     pub fn effective_probe_threads(&self, workers: usize) -> usize {
         if self.sequential_probe {
             1
         } else {
             self.probe_threads
                 .unwrap_or_else(|| probe::probe_threads_for_host(workers))
-                .max(1)
+                .clamp(1, probe::MAX_PROBE_THREADS)
         }
     }
 }
@@ -267,12 +257,6 @@ pub struct RunResult {
     pub sort_cache_hits: u64,
     /// Tributary prepare lookups that sorted fresh during this run.
     pub sort_cache_misses: u64,
-    /// Subset of [`RunResult::sort_cache_hits`](Self::sort_cache_hits)
-    /// served under a *certified* route-signature match (only possible
-    /// with [`PlanOptions::certify`]): the cached view's placement
-    /// function was proved identical to this plan's, so the hit is sound
-    /// on every worker, not assumed from one fragment's content match.
-    pub sort_cache_certified_hits: u64,
     /// Process-wide [`SortCache`] evictions that happened *during this
     /// run* (the cumulative counter's delta between run start and
     /// finish). Non-zero values under sustained traffic mean the
@@ -298,29 +282,24 @@ pub struct RunResult {
     /// skewed and the stealer rebalanced it.
     pub probe_steals: u64,
     /// Columnar trie prepare lookups served from the process-wide
-    /// [`TrieCache`](crate::TrieCache) during this run (always 0 on the
-    /// [`TrieLayout::Row`] path, which has no trie to cache).
+    /// [`TrieCache`] during this run (always 0 on the [`TrieLayout::Row`]
+    /// path, which has no trie to cache).
     pub trie_cache_hits: u64,
     /// Columnar trie prepare lookups that built the trie fresh.
     pub trie_cache_misses: u64,
-    /// Subset of [`RunResult::trie_cache_hits`](Self::trie_cache_hits)
-    /// served under a *certified* route-signature match — same contract
-    /// as [`RunResult::sort_cache_certified_hits`](Self::sort_cache_certified_hits),
-    /// applied to whole prepared tries.
-    pub trie_cache_certified_hits: u64,
-    /// Process-wide [`TrieCache`](crate::TrieCache) evictions during
-    /// this run (cumulative counter delta, like
+    /// Process-wide [`TrieCache`] evictions during this run (cumulative
+    /// counter delta, like
     /// [`RunResult::sort_cache_evictions`](Self::sort_cache_evictions)).
     pub trie_cache_evictions: u64,
-    /// Bytes resident in the process-wide
-    /// [`TrieCache`](crate::TrieCache) when the run finished (a gauge).
+    /// Bytes resident in the process-wide [`TrieCache`] when the run
+    /// finished (a gauge).
     pub trie_cache_resident_bytes: u64,
     /// Name-sorted snapshot of the run's metrics registry: the
     /// `runtime.*` transport counters plus `engine.*` mirrors of the
     /// legacy fields above (see [`metric_names`]). The mirrors reconcile
-    /// exactly — e.g. `engine.bytes.shuffled` equals [`bytes_shuffled`]
-    /// (self.bytes_shuffled), and under a streaming transport both equal
-    /// `runtime.tx.bytes`.
+    /// exactly — e.g. `engine.bytes.shuffled` equals
+    /// [`bytes_shuffled`](Self::bytes_shuffled), and under a streaming
+    /// transport both equal `runtime.tx.bytes`.
     pub metrics: Vec<(String, u64)>,
 }
 
@@ -342,8 +321,6 @@ pub mod metric_names {
     pub const SORT_CACHE_HITS: &str = "engine.sortcache.hits";
     /// Mirror of [`RunResult::sort_cache_misses`](super::RunResult).
     pub const SORT_CACHE_MISSES: &str = "engine.sortcache.misses";
-    /// Mirror of [`RunResult::sort_cache_certified_hits`](super::RunResult).
-    pub const SORT_CACHE_CERTIFIED: &str = "engine.sortcache.certified_hits";
     /// Mirror of [`RunResult::sort_cache_evictions`](super::RunResult):
     /// process-wide cache evictions during this run.
     pub const SORT_CACHE_EVICTIONS: &str = "engine.sortcache.evictions";
@@ -360,8 +337,6 @@ pub mod metric_names {
     pub const TRIE_CACHE_HITS: &str = "engine.triecache.hits";
     /// Mirror of [`RunResult::trie_cache_misses`](super::RunResult).
     pub const TRIE_CACHE_MISSES: &str = "engine.triecache.misses";
-    /// Mirror of [`RunResult::trie_cache_certified_hits`](super::RunResult).
-    pub const TRIE_CACHE_CERTIFIED: &str = "engine.triecache.certified_hits";
     /// Mirror of [`RunResult::trie_cache_evictions`](super::RunResult):
     /// process-wide trie-cache evictions during this run.
     pub const TRIE_CACHE_EVICTIONS: &str = "engine.triecache.evictions";
@@ -425,10 +400,6 @@ impl RunObs {
         reg.add(metric_names::SHUFFLES, result.shuffles.len() as u64);
         reg.add(metric_names::SORT_CACHE_HITS, result.sort_cache_hits);
         reg.add(metric_names::SORT_CACHE_MISSES, result.sort_cache_misses);
-        reg.add(
-            metric_names::SORT_CACHE_CERTIFIED,
-            result.sort_cache_certified_hits,
-        );
         let cache = SortCache::global().stats();
         result.sort_cache_evictions = cache.evictions.saturating_sub(self.evictions_at_start);
         result.sort_cache_resident_bytes = cache.resident_bytes;
@@ -442,10 +413,6 @@ impl RunObs {
         );
         reg.add(metric_names::TRIE_CACHE_HITS, result.trie_cache_hits);
         reg.add(metric_names::TRIE_CACHE_MISSES, result.trie_cache_misses);
-        reg.add(
-            metric_names::TRIE_CACHE_CERTIFIED,
-            result.trie_cache_certified_hits,
-        );
         let trie = TrieCache::global().stats();
         result.trie_cache_evictions = trie.evictions.saturating_sub(self.trie_evictions_at_start);
         result.trie_cache_resident_bytes = trie.resident_bytes;
@@ -515,7 +482,6 @@ impl RunResult {
             diagnostics: Vec::new(),
             sort_cache_hits: 0,
             sort_cache_misses: 0,
-            sort_cache_certified_hits: 0,
             sort_cache_evictions: 0,
             sort_cache_resident_bytes: 0,
             probe_threads: 1,
@@ -523,7 +489,6 @@ impl RunResult {
             probe_steals: 0,
             trie_cache_hits: 0,
             trie_cache_misses: 0,
-            trie_cache_certified_hits: 0,
             trie_cache_evictions: 0,
             trie_cache_resident_bytes: 0,
             metrics: Vec::new(),
@@ -563,9 +528,8 @@ impl RunResult {
         );
         let _ = writeln!(
             s,
-            "sort-cache {} hit(s) ({} certified) / {} miss(es)   probe {} thread(s), {} morsel(s), {} steal(s)",
+            "sort-cache {} hit(s) / {} miss(es)   probe {} thread(s), {} morsel(s), {} steal(s)",
             self.sort_cache_hits,
-            self.sort_cache_certified_hits,
             self.sort_cache_misses,
             self.probe_threads,
             self.probe_morsels,
@@ -573,8 +537,8 @@ impl RunResult {
         );
         let _ = writeln!(
             s,
-            "trie-cache {} hit(s) ({} certified) / {} miss(es)",
-            self.trie_cache_hits, self.trie_cache_certified_hits, self.trie_cache_misses
+            "trie-cache {} hit(s) / {} miss(es)",
+            self.trie_cache_hits, self.trie_cache_misses
         );
         let _ = writeln!(
             s,
@@ -1000,8 +964,6 @@ pub(crate) struct Plan {
     /// Analyzer warnings and, under [`PlanOptions::certify`], the R420
     /// certificate.
     pub(crate) diagnostics: Vec<Diagnostic>,
-    /// Per-atom route signatures of a certified one-round placement.
-    pub(crate) route_sigs: Option<Vec<String>>,
     /// `(hits, misses)` of the planner's [`StatsCache`](crate::StatsCache)
     /// lookups; zero for a plan rebuilt from a shipped fragment.
     pub(crate) stats_lookups: (u64, u64),
@@ -1075,11 +1037,9 @@ pub(crate) fn plan(
 
     // Certify mode: statically prove the plan's distribution policy
     // parallel-correct (R420) or refuse to run with a concrete
-    // counterexample valuation (R421). One-round plans additionally get
-    // the per-atom route signatures of the certified placement, which
-    // upgrade Tributary sort-cache lookups to certified hits.
-    let route_sigs: Option<Vec<String>> = if opts.certify {
-        let (planned, mut cert_diags) = analyze::certify_spec(&spec);
+    // counterexample valuation (R421).
+    if opts.certify {
+        let mut cert_diags = analyze::certify_spec(&spec);
         if analyze::has_errors(&cert_diags) {
             return Err(EngineError::InvalidPlan(cert_diags));
         }
@@ -1101,17 +1061,8 @@ pub(crate) fn plan(
                 }
             }
         }
-        let sigs = planned.as_ref().filter(|p| p.units.len() == 1).map(|p| {
-            let unit = &p.units[0];
-            (0..unit.atom_vars.len())
-                .map(|i| unit.policy.route_signature(i))
-                .collect()
-        });
         diagnostics.extend(cert_diags);
-        sigs
-    } else {
-        None
-    };
+    }
     analyze::sort_diagnostics(&mut diagnostics);
 
     // Tributary global variable order, cost-model optimized once on the
@@ -1190,7 +1141,6 @@ pub(crate) fn plan(
         hc_config,
         probe_threads: opts.effective_probe_threads(cluster.workers),
         diagnostics,
-        route_sigs,
         stats_lookups: stats.get().map_or((0, 0), |s| (s.hits, s.misses)),
         seeded,
     })
@@ -1378,11 +1328,9 @@ fn run_regular(
         };
         result.absorb_round([s1, s2], cluster);
 
-        // Certify mode replaces the sampled co-location assert: the
-        // R420 certificate proves co-location for *all* valuations, so
-        // re-checking a sample of shuffled tuples adds nothing.
+        // An attached R420 certificate replaces the sampled assert.
         #[cfg(feature = "strict-invariants")]
-        if !opts.certify {
+        if !crate::strict::certified(&result.diagnostics) {
             crate::strict::assert_colocated(&cur_s, &next_s, &shuffle_key, "regular shuffle");
         }
 
@@ -1498,10 +1446,8 @@ struct JoinTally {
     sort_time: Duration,
     sort_cache_hits: u64,
     sort_cache_misses: u64,
-    sort_cache_certified: u64,
     trie_cache_hits: u64,
     trie_cache_misses: u64,
-    trie_cache_certified: u64,
     morsels: u64,
     steals: u64,
 }
@@ -1522,11 +1468,9 @@ fn run_one_round(
         tj_order,
         hc_config,
         probe_threads,
-        route_sigs,
         seeded,
         ..
     } = plan;
-    let route_sigs = route_sigs.as_deref();
     let hosted = result.per_worker_busy.len();
     check_order("local join order", &local_order, seeded.len())?;
     let tj_order = match (join_alg, tj_order) {
@@ -1589,10 +1533,9 @@ fn run_one_round(
         ShuffleAlg::Regular => unreachable!("handled by run_regular"),
     };
 
-    // Certify mode replaces the sampled co-location assert with the
-    // static R420 proof (see `PlanOptions::certify`).
+    // An attached R420 certificate replaces the sampled assert.
     #[cfg(feature = "strict-invariants")]
-    if route_sigs.is_none() {
+    if !crate::strict::certified(&result.diagnostics) {
         crate::strict::assert_all_colocated(
             &shuffled,
             match shuffle_alg {
@@ -1672,40 +1615,17 @@ fn run_one_round(
                         (t as usize).saturating_mul(cols.len().max(1) * std::mem::size_of::<u64>())
                     })
                 };
-                // With a certified policy, hits require a route-signature
-                // match — the cached view's placement is *proved*
-                // identical to this plan's, not assumed from one
-                // fragment's content (see
-                // `SortCache::get_or_sort_certified`). The same stamp
-                // certifies the TrieCache entry layered on top.
-                let prov_for = |i: usize| {
-                    route_sigs.and_then(|s| s.get(i)).map(|sig| Provenance {
-                        query: opts
-                            .provenance
-                            .clone()
-                            .unwrap_or_else(|| query.name.clone()),
-                        route: sig.clone(),
-                    })
-                };
                 // Both cache layers key by the *base* fragment's content
                 // fingerprint — computed once here, reused by both.
                 let cached_view = |tally: &mut JoinTally,
                                    fp: u128,
                                    r: &Relation,
-                                   cols: &[usize],
-                                   prov: Option<Provenance>| {
+                                   cols: &[usize]| {
                     let sort = |r: &Relation, cols: &[usize]| {
                         prepare::sorted_by_columns_parallel(r, cols, prep_threads)
                     };
-                    let (view, lookup, cert) = SortCache::global().get_or_sort_keyed(
-                        fp,
-                        r,
-                        cols,
-                        entry_cap(cols),
-                        prov,
-                        sort,
-                    );
-                    tally.sort_cache_certified += u64::from(cert);
+                    let (view, lookup) =
+                        SortCache::global().get_or_sort_keyed(fp, r, cols, entry_cap(cols), sort);
                     match lookup {
                         Lookup::Hit => tally.sort_cache_hits += 1,
                         Lookup::Miss => tally.sort_cache_misses += 1,
@@ -1718,19 +1638,12 @@ fn run_one_round(
                     TrieLayout::Row => {
                         let prepared: Vec<SortedAtom> = locals
                             .iter()
-                            .enumerate()
-                            .map(|(i, l)| {
+                            .map(|l| {
                                 if opts.sequential_prepare {
                                     SortedAtom::prepare(&l.rel, &l.vars, order)
                                 } else {
                                     SortedAtom::prepare_with(&l.rel, &l.vars, order, |r, cols| {
-                                        cached_view(
-                                            &mut tally,
-                                            r.fingerprint(),
-                                            r,
-                                            cols,
-                                            prov_for(i),
-                                        )
+                                        cached_view(&mut tally, r.fingerprint(), r, cols)
                                     })
                                 }
                             })
@@ -1754,38 +1667,28 @@ fn run_one_round(
                     TrieLayout::Columnar => {
                         let prepared: Vec<ColumnarAtom> = locals
                             .iter()
-                            .enumerate()
-                            .map(|(i, l)| {
+                            .map(|l| {
                                 if opts.sequential_prepare {
                                     ColumnarAtom::prepare(&l.rel, &l.vars, order)
                                 } else {
                                     ColumnarAtom::prepare_with(&l.rel, &l.vars, order, |r, cols| {
                                         let fp = r.fingerprint();
-                                        let prov = prov_for(i);
                                         // SortCache first — the sorted
                                         // view stays shared with row-
                                         // layout and merge-join
                                         // consumers of the same
                                         // fragment…
-                                        let view =
-                                            cached_view(&mut tally, fp, r, cols, prov.clone());
+                                        let view = cached_view(&mut tally, fp, r, cols);
                                         // …then the TrieCache layered
                                         // on top, reusing the whole
                                         // prepared trie across queries
-                                        // under the same key
-                                        // discipline.
-                                        let cap = entry_cap(cols);
-                                        let build = || ColumnarTrie::build(&view);
-                                        let (trie, lookup, cert) = match prov {
-                                            Some(p) => TrieCache::global()
-                                                .get_or_build_certified(fp, cols, cap, p, build),
-                                            None => {
-                                                let (t, l) = TrieCache::global()
-                                                    .get_or_build(fp, cols, cap, build);
-                                                (t, l, false)
-                                            }
-                                        };
-                                        tally.trie_cache_certified += u64::from(cert);
+                                        // under the same key.
+                                        let (trie, lookup) = TrieCache::global().get_or_build(
+                                            fp,
+                                            cols,
+                                            entry_cap(cols),
+                                            || ColumnarTrie::build(&view),
+                                        );
                                         match lookup {
                                             Lookup::Hit => tally.trie_cache_hits += 1,
                                             Lookup::Miss => tally.trie_cache_misses += 1,
@@ -1834,10 +1737,8 @@ fn run_one_round(
         sort_times.push(t.sort_time);
         result.sort_cache_hits += t.sort_cache_hits;
         result.sort_cache_misses += t.sort_cache_misses;
-        result.sort_cache_certified_hits += t.sort_cache_certified;
         result.trie_cache_hits += t.trie_cache_hits;
         result.trie_cache_misses += t.trie_cache_misses;
-        result.trie_cache_certified_hits += t.trie_cache_certified;
     }
     result.absorb_phase(&phase.busy, Some(&sort_times));
 

@@ -6,7 +6,7 @@
 //! claims those cores: each worker's sort is split into
 //! `host_cores / workers` chunks, chunk-sorted concurrently with the
 //! kernels in [`parjoin_common::sort`], and merged pairwise with the
-//! galloping [`merge_runs`](parjoin_common::sort::merge_runs).
+//! galloping [`merge_runs`].
 //!
 //! When `workers ≥ cores` every core already carries a worker's own
 //! sort, so [`prepare_threads`] returns 1 and the serial path runs —

@@ -14,7 +14,7 @@
 //!   [`Tributary::run_range`]. The probe is generic over
 //!   [`ProbeAtom`] — any trie layout that can donate a sorted split
 //!   domain (row-major [`SortedAtom`] or columnar
-//!   [`ColumnarAtom`](parjoin_core::tributary::ColumnarAtom)).
+//!   [`ColumnarAtom`]).
 //! * **Hash join / semijoin** — the probe (resp. filtered) side is cut
 //!   into contiguous row ranges over a shared read-only
 //!   [`JoinTable`](crate::local::JoinTable).
@@ -66,6 +66,11 @@ pub const MORSEL_TARGET_ROWS: usize = 2048;
 /// dispatch overhead on huge inputs.
 pub const MAX_MORSELS_PER_THREAD: usize = 32;
 
+/// Most probe threads one worker may run. A shipped fragment's count is
+/// outside input and is refused above this; an in-process override is
+/// clamped to it.
+pub const MAX_PROBE_THREADS: usize = 1024;
+
 /// Probe threads available to each worker of a phase: identical to the
 /// prepare-phase rule (`host_cores / workers`, at least 1) — both phases
 /// draw from the same pool of leftover cores.
@@ -81,9 +86,8 @@ pub fn probe_threads_for_host(workers: usize) -> usize {
 /// A trie layout the morsel scheduler can split: exposes the sorted
 /// first-level key domain that [`morsel_bounds_by`] samples. Implemented
 /// by the row-major [`SortedAtom`] (level 0 = first column of the sorted
-/// relation, duplicates included) and the columnar
-/// [`ColumnarAtom`](parjoin_core::tributary::ColumnarAtom) (level 0 =
-/// deduplicated key array).
+/// relation, duplicates included) and the columnar [`ColumnarAtom`]
+/// (level 0 = deduplicated key array).
 pub trait ProbeAtom: TrieAtom + Sync {
     /// Rows of the underlying relation (duplicates included) — what the
     /// [`MORSEL_MIN_ROWS`] gate and the adaptive morsel count compare
@@ -131,7 +135,10 @@ pub fn morsel_bounds_by<K: Fn(usize) -> Value>(
     key_at: K,
     target: usize,
 ) -> Vec<(Value, Option<Value>)> {
-    if len == 0 || target <= 1 {
+    // Above `len` the sampled positions are already every index, so
+    // clamping changes no bound and keeps the loop linear in `len`.
+    let target = target.min(len);
+    if target <= 1 {
         return vec![(0, None)];
     }
     let min = key_at(0);
@@ -418,6 +425,22 @@ mod tests {
         let mut r = Relation::from_rows(2, rows.iter());
         r.sort_lex();
         r
+    }
+
+    #[test]
+    fn oversized_target_samples_each_key_at_most_once() {
+        let keys: Vec<Value> = (0..500u64).map(|i| i / 3).collect();
+        let calls = std::cell::Cell::new(0usize);
+        let key_at = |k: usize| {
+            calls.set(calls.get() + 1);
+            keys[k]
+        };
+        let bounds = morsel_bounds_by(keys.len(), key_at, usize::MAX);
+        assert!(calls.get() <= keys.len(), "{} key reads", calls.get());
+        assert_eq!(
+            bounds,
+            morsel_bounds_by(keys.len(), |k| keys[k], keys.len())
+        );
     }
 
     #[test]

@@ -87,16 +87,20 @@ fn distributed_semijoin(
 
     // Local semijoin (morsel-parallel over the target's rows).
     let seed = cluster.seed;
+    // Both sides' partitions go to their worker by move.
+    let side = |vars: &[VarId], rel| SchemaRel {
+        vars: vars.to_vec(),
+        rel,
+    };
+    let sides: Vec<(SchemaRel, SchemaRel)> = tgt_s
+        .parts
+        .into_iter()
+        .zip(proj_s.parts)
+        .map(|(t, r)| (side(&tgt_s.vars, t), side(&proj_s.vars, r)))
+        .collect();
     let phase = run_phase_traced(cluster.workers, &obs.trace, "semijoin", |w, _lane| {
-        let t = SchemaRel {
-            vars: tgt_s.vars.clone(),
-            rel: tgt_s.parts[w].clone(),
-        };
-        let r = SchemaRel {
-            vars: proj_s.vars.clone(),
-            rel: proj_s.parts[w].clone(),
-        };
-        let (reduced, morsels, steals) = probe::semijoin_parallel(&t, &r, seed, probe_threads);
+        let (t, r) = &sides[w];
+        let (reduced, morsels, steals) = probe::semijoin_parallel(t, r, seed, probe_threads);
         (reduced.rel, morsels, steals)
     });
     let mut parts = Vec::with_capacity(cluster.workers);

@@ -10,7 +10,7 @@
 //! worker (Table 2 charges the full 1,114,289 tuples for `R(x,y) ->h(y)`).
 //!
 //! Every shuffle in the engine is a [`Router`] closure (row →
-//! destination set) handed to [`run_router`], which runs it over the
+//! destination set) handed to `run_router`, which runs it over the
 //! *hosted* partitions through a `Seam`. `Local` is the sequential loop
 //! (byte-for-byte the original simulator, zero bytes moved); `Stream` is
 //! one exchange round between the ranks of a [`Runtime`] — all `p` of

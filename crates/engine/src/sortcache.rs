@@ -7,11 +7,10 @@
 //! time (paper Table 5). Entries are keyed by the relation's 128-bit
 //! content fingerprint plus the column permutation, so a cache hit is a
 //! *content* match: mutating or regenerating a relation changes its
-//! fingerprint and naturally invalidates stale views. Certified
-//! entries (see [`SortCache::get_or_sort_certified`]) additionally key
-//! by their route signature, so views proved under different placement
-//! functions coexist instead of evicting each other — what keeps the
-//! hit rate of a mixed served query stream from collapsing.
+//! fingerprint and naturally invalidates stale views. The key carries
+//! nothing else: a sorted view is a pure function of the fragment's
+//! bytes and the column order, whichever query or placement produced
+//! the fragment (see the crate's `cache` module).
 //!
 //! The cache is a process-wide singleton (simulated workers are threads
 //! of one process, so "worker-level" and "process-wide" coincide here)
@@ -22,12 +21,12 @@
 //! (see [`SortCache::get_or_sort`]).
 //!
 //! The lookup/eviction machinery itself lives in
-//! [`crate::cache::KeyedCache`], shared with the columnar
+//! the crate's `KeyedCache`, shared with the columnar
 //! [`TrieCache`](crate::TrieCache) that layers on top of this cache on
 //! the columnar probe path.
 
 use crate::cache::KeyedCache;
-pub use crate::cache::{CacheStats, Lookup, Provenance};
+pub use crate::cache::{CacheStats, Lookup};
 use parjoin_common::Relation;
 use std::sync::{Arc, OnceLock};
 
@@ -75,41 +74,7 @@ impl SortCache {
     where
         F: FnOnce(&Relation, &[usize]) -> Relation,
     {
-        let (view, lookup, _) =
-            self.get_or_sort_keyed(rel.fingerprint(), rel, cols, max_entry_bytes, None, sort);
-        (view, lookup)
-    }
-
-    /// [`SortCache::get_or_sort`] with a *certified* hit condition: the
-    /// cached view is served only when the stored [`Provenance`]'s route
-    /// signature equals `prov.route` — i.e. when the placement function
-    /// that shuffled the cached fragment is provably the same one that
-    /// would shuffle this request, so *every* worker's fragment matches,
-    /// not just the one whose content fingerprint happened to agree.
-    /// Matching content under a different or unknown route is counted
-    /// as a route reject and re-sorted fresh into the requested route's
-    /// own cache slot — certified entries are keyed per route, so
-    /// concurrent routes never evict each other's stamps. The third
-    /// return is `true` exactly on a certified hit.
-    pub fn get_or_sort_certified<F>(
-        &self,
-        rel: &Relation,
-        cols: &[usize],
-        max_entry_bytes: Option<usize>,
-        prov: Provenance,
-        sort: F,
-    ) -> (Arc<Relation>, Lookup, bool)
-    where
-        F: FnOnce(&Relation, &[usize]) -> Relation,
-    {
-        self.get_or_sort_keyed(
-            rel.fingerprint(),
-            rel,
-            cols,
-            max_entry_bytes,
-            Some(prov),
-            sort,
-        )
+        self.get_or_sort_keyed(rel.fingerprint(), rel, cols, max_entry_bytes, sort)
     }
 
     /// Lookup with a caller-supplied fingerprint, so layered caches (the
@@ -121,27 +86,18 @@ impl SortCache {
         rel: &Relation,
         cols: &[usize],
         max_entry_bytes: Option<usize>,
-        prov: Option<Provenance>,
         sort: F,
-    ) -> (Arc<Relation>, Lookup, bool)
+    ) -> (Arc<Relation>, Lookup)
     where
         F: FnOnce(&Relation, &[usize]) -> Relation,
     {
         self.cache
-            .lookup_or_build(fp, cols, max_entry_bytes, prov, || sort(rel, cols))
+            .lookup_or_build(fp, cols, max_entry_bytes, || sort(rel, cols))
     }
 
     /// Cumulative counters since process start (or [`SortCache::clear`]).
     pub fn stats(&self) -> CacheStats {
         self.cache.stats()
-    }
-
-    /// Provenance stamps of the resident *certified* entries, sorted by
-    /// (route, query) — which queries' runs left which placement
-    /// functions' views behind. Introspection only; hits never consult
-    /// the query name.
-    pub fn resident_provenance(&self) -> Vec<Provenance> {
-        self.cache.resident_provenance()
     }
 
     /// Drops every entry and resets the counters.
@@ -227,61 +183,6 @@ mod tests {
         let (_, l2) = cache.get_or_sort(&rel, &[0, 1], Some(8), sorted);
         assert_eq!((l1, l2), (Lookup::Miss, Lookup::Miss), "view over budget");
         assert_eq!(cache.stats().entries, 0);
-    }
-
-    fn prov(query: &str, route: &str) -> Provenance {
-        Provenance {
-            query: query.to_string(),
-            route: route.to_string(),
-        }
-    }
-
-    #[test]
-    fn certified_hit_requires_matching_route() {
-        let cache = SortCache::with_capacity(1 << 20);
-        let rel = sample(7);
-        let (_, l1, c1) =
-            cache.get_or_sort_certified(&rel, &[0, 1], None, prov("Q1", "hA(v0)/4"), sorted);
-        assert_eq!((l1, c1), (Lookup::Miss, false));
-        // Same content, same route, *different query*: the certified
-        // cross-query hit route certification promises.
-        let (_, l2, c2) =
-            cache.get_or_sort_certified(&rel, &[0, 1], None, prov("Q2", "hA(v0)/4"), sorted);
-        assert_eq!((l2, c2), (Lookup::Hit, true));
-        // Same content but a different placement function: refused.
-        let (_, l3, c3) =
-            cache.get_or_sort_certified(&rel, &[0, 1], None, prov("Q3", "hB(v0)/4"), sorted);
-        assert_eq!((l3, c3), (Lookup::Miss, false));
-        let s = cache.stats();
-        assert_eq!(s.certified_hits, 1);
-        assert_eq!(s.route_rejects, 1);
-        // The reject inserted the view under its own route key, so the
-        // new route now hits…
-        let (_, l4, c4) =
-            cache.get_or_sort_certified(&rel, &[0, 1], None, prov("Q4", "hB(v0)/4"), sorted);
-        assert_eq!((l4, c4), (Lookup::Hit, true));
-        // …and the original route's entry survived alongside it: routes
-        // never evict each other's stamps.
-        let (_, l5, c5) =
-            cache.get_or_sort_certified(&rel, &[0, 1], None, prov("Q5", "hA(v0)/4"), sorted);
-        assert_eq!((l5, c5), (Lookup::Hit, true));
-        assert_eq!(cache.stats().entries, 2);
-        // The stamps record the runs that *inserted* each route's view.
-        let stamps = cache.resident_provenance();
-        assert_eq!(stamps, vec![prov("Q1", "hA(v0)/4"), prov("Q3", "hB(v0)/4")]);
-    }
-
-    #[test]
-    fn certified_lookup_rejects_unstamped_entries() {
-        let cache = SortCache::with_capacity(1 << 20);
-        let rel = sample(8);
-        // Inserted through the uncertified path: no provenance stamp.
-        cache.get_or_sort(&rel, &[0, 1], None, sorted);
-        let (_, l, c) = cache.get_or_sort_certified(&rel, &[0, 1], None, prov("Q1", "r"), sorted);
-        assert_eq!((l, c), (Lookup::Miss, false), "unknown route must not hit");
-        // Uncertified lookups still hit the (now stamped) entry.
-        let (_, l2) = cache.get_or_sort(&rel, &[0, 1], None, sorted);
-        assert_eq!(l2, Lookup::Hit);
     }
 
     #[test]

@@ -55,12 +55,8 @@ impl StatsCache {
     /// first time this content is seen. A serving catalog calls this at
     /// load time so no query pays for the analysis.
     pub fn get_or_compute(&self, rel: &Relation) -> (Arc<RelStats>, Lookup) {
-        let (stats, lookup, _) =
-            self.cache
-                .lookup_or_build(rel.fingerprint(), &[], None, None, || {
-                    RelStats::compute(rel)
-                });
-        (stats, lookup)
+        self.cache
+            .lookup_or_build(rel.fingerprint(), &[], None, || RelStats::compute(rel))
     }
 
     /// Cumulative counters since process start (or [`StatsCache::clear`]).

@@ -10,8 +10,18 @@
 //! plan) is broken.
 
 use crate::dist::DistRel;
+use parjoin_analyze::{DiagCode, Diagnostic};
 use parjoin_common::Value;
 use parjoin_query::VarId;
+
+/// Whether a run's diagnostics carry the R420 certificate. Such a run
+/// skips the sampled co-location asserts: the proof covers *all*
+/// valuations, the samples only the shuffled ones.
+pub(crate) fn certified(diagnostics: &[Diagnostic]) -> bool {
+    diagnostics
+        .iter()
+        .any(|d| d.code == DiagCode::PolicyCertified)
+}
 
 /// Rows sampled from each side of a co-location check.
 const SAMPLE_PER_SIDE: usize = 32;

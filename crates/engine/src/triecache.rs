@@ -7,10 +7,8 @@
 //! it was built from: the build is a deterministic function of
 //! `(relation content, column permutation)`. The TrieCache therefore
 //! layers on top of the SortCache with the *same key discipline* —
-//! `(base-relation fingerprint, cols, optional route signature)` — so a
-//! served query stream reuses whole tries, not just sorted views, while
-//! PR 6's route-signature certification and PR 7's `catalog@v{n}`
-//! provenance stamps carry over unchanged.
+//! `(base-relation fingerprint, cols)`, a hit on equality — so a served
+//! query stream reuses whole tries, not just sorted views.
 //!
 //! Keying by the *base* relation's fingerprint (not the sorted view's)
 //! is sound precisely because the sorted view is itself deterministic
@@ -18,12 +16,12 @@
 //! computation serves both cache layers on a miss.
 //!
 //! Same policy as the SortCache (both wrap
-//! [`crate::cache::KeyedCache`]): process-wide singleton, LRU eviction
-//! under a byte capacity, per-route certified entries, build outside
-//! the lock, and a per-run `max_entry_bytes` budget cap.
+//! the crate's `KeyedCache`): process-wide singleton, LRU eviction
+//! under a byte capacity, build outside the lock, and a per-run
+//! `max_entry_bytes` budget cap.
 
 use crate::cache::KeyedCache;
-pub use crate::cache::{CacheStats, Lookup, Provenance};
+pub use crate::cache::{CacheStats, Lookup};
 use parjoin_core::tributary::ColumnarTrie;
 use std::sync::{Arc, OnceLock};
 
@@ -32,7 +30,7 @@ use std::sync::{Arc, OnceLock};
 pub const DEFAULT_CAPACITY_BYTES: usize = crate::sortcache::DEFAULT_CAPACITY_BYTES;
 
 /// An LRU cache mapping `(base-relation fingerprint, column
-/// permutation, optional route)` to prepared [`ColumnarTrie`]s. See the
+/// permutation)` to prepared [`ColumnarTrie`]s. See the
 /// module docs for why the base fingerprint is the right key.
 pub struct TrieCache {
     cache: KeyedCache<ColumnarTrie>,
@@ -54,7 +52,7 @@ impl TrieCache {
 
     /// Returns the prepared trie for the base relation whose content
     /// fingerprint is `fp` permuted by `cols`, building it via `build`
-    /// on a miss. Uncertified: identical content under any route hits.
+    /// on a miss.
     ///
     /// `max_entry_bytes` caps the size of any *inserted* trie — pass the
     /// run's memory budget, as with
@@ -69,41 +67,12 @@ impl TrieCache {
     where
         F: FnOnce() -> ColumnarTrie,
     {
-        let (trie, lookup, _) = self
-            .cache
-            .lookup_or_build(fp, cols, max_entry_bytes, None, build);
-        (trie, lookup)
-    }
-
-    /// [`TrieCache::get_or_build`] with the certified hit condition of
-    /// [`SortCache::get_or_sort_certified`](crate::SortCache::get_or_sort_certified):
-    /// the cached trie is served only under an equal route signature;
-    /// entries are keyed per route. The third return is `true` exactly
-    /// on a certified hit.
-    pub fn get_or_build_certified<F>(
-        &self,
-        fp: u128,
-        cols: &[usize],
-        max_entry_bytes: Option<usize>,
-        prov: Provenance,
-        build: F,
-    ) -> (Arc<ColumnarTrie>, Lookup, bool)
-    where
-        F: FnOnce() -> ColumnarTrie,
-    {
-        self.cache
-            .lookup_or_build(fp, cols, max_entry_bytes, Some(prov), build)
+        self.cache.lookup_or_build(fp, cols, max_entry_bytes, build)
     }
 
     /// Cumulative counters since process start (or [`TrieCache::clear`]).
     pub fn stats(&self) -> CacheStats {
         self.cache.stats()
-    }
-
-    /// Provenance stamps of the resident *certified* entries, sorted by
-    /// (route, query).
-    pub fn resident_provenance(&self) -> Vec<Provenance> {
-        self.cache.resident_provenance()
     }
 
     /// Drops every entry and resets the counters.
@@ -152,49 +121,6 @@ mod tests {
         cache.get_or_build(b.fingerprint(), &[0, 1], None, build_for(&b, &[0, 1]));
         let s = cache.stats();
         assert_eq!((s.entries, s.hits, s.misses), (3, 0, 3));
-    }
-
-    #[test]
-    fn certified_hits_follow_route_keys() {
-        let prov = |q: &str, route: &str| Provenance {
-            query: q.to_string(),
-            route: route.to_string(),
-        };
-        let cache = TrieCache::with_capacity(1 << 20);
-        let rel = sample(4);
-        let fp = rel.fingerprint();
-        let (_, l1, c1) = cache.get_or_build_certified(
-            fp,
-            &[0, 1],
-            None,
-            prov("Q1", "hA(v0)/4"),
-            build_for(&rel, &[0, 1]),
-        );
-        assert_eq!((l1, c1), (Lookup::Miss, false));
-        // Same route, different query: certified cross-query hit.
-        let (_, l2, c2) = cache.get_or_build_certified(
-            fp,
-            &[0, 1],
-            None,
-            prov("Q2", "hA(v0)/4"),
-            build_for(&rel, &[0, 1]),
-        );
-        assert_eq!((l2, c2), (Lookup::Hit, true));
-        // Different route: refused, rebuilt under its own key.
-        let (_, l3, c3) = cache.get_or_build_certified(
-            fp,
-            &[0, 1],
-            None,
-            prov("Q3", "hB(v0)/4"),
-            build_for(&rel, &[0, 1]),
-        );
-        assert_eq!((l3, c3), (Lookup::Miss, false));
-        let s = cache.stats();
-        assert_eq!(s.certified_hits, 1);
-        assert_eq!(s.route_rejects, 1);
-        assert_eq!(s.entries, 2);
-        let stamps = cache.resident_provenance();
-        assert_eq!(stamps, vec![prov("Q1", "hA(v0)/4"), prov("Q3", "hB(v0)/4")]);
     }
 
     #[test]

@@ -19,7 +19,7 @@
 //! byte accounting matches the in-process transport exactly). The receive side is an **event loop**: each worker's
 //! receiver owns all `p` incoming sockets in nonblocking mode and
 //! round-robin polls them through a per-connection framing state machine
-//! ([`Stage`]), so an N-node mesh costs one receive thread per worker —
+//! (`Stage`), so an N-node mesh costs one receive thread per worker —
 //! not the one-reader-thread-per-peer design this replaced.
 //! Backpressure is TCP flow control: a receiver that stops polling lets
 //! socket buffers fill until the sender's blocking `write` stalls.

@@ -16,10 +16,10 @@
 //! cache is keyed by content, so a reload under the same name simply
 //! analyses the new content; nothing needs invalidating.
 //!
-//! Every mutation bumps a version counter. The version is woven into
-//! the SortCache provenance stamp (`catalog@v3/Q1`) the session layer
-//! puts on sorted views, so a cache entry is always traceable to the
-//! catalog epoch that produced it.
+//! Every mutation bumps a version counter, and each query's outcome
+//! reports the version its snapshot was taken at. The engine's sort
+//! and trie caches need no version: like the StatsCache they key by
+//! content, so a reload never meets a view of the relation it replaced.
 
 use parjoin_common::{Database, Relation};
 use parjoin_engine::StatsCache;
@@ -160,12 +160,6 @@ impl Catalog {
             version: inner.version,
         }
     }
-
-    /// The provenance stamp for SortCache entries created by queries
-    /// running against `snapshot`: `catalog@v{version}/{query_name}`.
-    pub fn provenance(snapshot: &CatalogSnapshot, query_name: &str) -> String {
-        format!("catalog@v{}/{}", snapshot.version, query_name)
-    }
 }
 
 #[cfg(test)]
@@ -232,13 +226,5 @@ mod tests {
             Arc::ptr_eq(&shared, &resident),
             "load_db shares, not copies"
         );
-    }
-
-    #[test]
-    fn provenance_stamp_carries_version_and_name() {
-        let cat = Catalog::new();
-        cat.load("R", rel(1));
-        let snap = cat.snapshot();
-        assert_eq!(Catalog::provenance(&snap, "Q1"), "catalog@v1/Q1");
     }
 }

@@ -10,10 +10,10 @@
 //! * **Resident catalog** ([`catalog::Catalog`]) — named relations
 //!   loaded once and shared as `Arc<Relation>` across every query.
 //!   Queries run against immutable snapshots; loads/drops build the
-//!   next version without disturbing runs in flight. The catalog
-//!   version is stamped into SortCache provenance
-//!   (`catalog@v3/Triangle`), keeping cached sorted views traceable to
-//!   the epoch that produced them.
+//!   next version without disturbing runs in flight. A relation
+//!   reloaded under the same name has new content, hence a new
+//!   fingerprint, so the engine's caches can never serve it a view of
+//!   the old one.
 //! * **Sessions** ([`session::Session`]) — parse → bind-against-catalog
 //!   → analyze → advise → execute, reusing `parjoin-query`'s Datalog
 //!   parser, the `Q110`/`Q111` catalog-bind diagnostics, the engine's
@@ -88,18 +88,11 @@ pub struct ServeMetrics {
     pub sortcache_hits: &'static str,
     /// SortCache misses aggregated over every completed query.
     pub sortcache_misses: &'static str,
-    /// Certified (route-proved) SortCache hits aggregated over every
-    /// completed query — the certified cross-query reuse rate under
-    /// sustained traffic.
-    pub sortcache_certified: &'static str,
     /// TrieCache hits aggregated over every completed query (columnar
     /// layout only; zero on row-layout streams).
     pub triecache_hits: &'static str,
     /// TrieCache misses aggregated over every completed query.
     pub triecache_misses: &'static str,
-    /// Certified (route-proved) TrieCache hits aggregated over every
-    /// completed query.
-    pub triecache_certified: &'static str,
 }
 
 /// The counter names (`serve.*` namespace).
@@ -117,10 +110,8 @@ pub const SERVE_METRICS: ServeMetrics = ServeMetrics {
     latency_micros: "serve.latency.micros",
     sortcache_hits: "serve.sortcache.hits",
     sortcache_misses: "serve.sortcache.misses",
-    sortcache_certified: "serve.sortcache.certified_hits",
     triecache_hits: "serve.triecache.hits",
     triecache_misses: "serve.triecache.misses",
-    triecache_certified: "serve.triecache.certified_hits",
 };
 
 /// Server-wide knobs.

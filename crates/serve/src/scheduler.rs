@@ -1,7 +1,7 @@
 //! The concurrent query scheduler: a bounded run queue drained by a
 //! fixed executor pool.
 //!
-//! Admission control is the bounded `sync_channel`: [`Scheduler::submit`]
+//! Admission control is the bounded `sync_channel`: `Scheduler::submit`
 //! uses `try_send`, so a full queue rejects *immediately* with the typed
 //! [`ServeError::QueueFull`] instead of blocking the session thread or
 //! buffering unboundedly — under overload the server sheds work at the
@@ -9,7 +9,7 @@
 //!
 //! Shutdown is graceful by construction: dropping the sender closes the
 //! channel, executors drain every job already admitted, then their
-//! `recv` errors and they exit; [`Scheduler::shutdown`] joins them all.
+//! `recv` errors and they exit; `Scheduler::shutdown` joins them all.
 //! A query that got a ticket always gets an answer.
 
 use crate::error::ServeError;

@@ -14,16 +14,15 @@
 //!    queue ([`ServeError::SessionLimit`] / [`ServeError::QueueFull`]).
 //! 4. **advise + execute** — on an executor: the advisor picks the
 //!    shuffle × join config (unless the session pinned one), and
-//!    `run_config` runs it against the snapshot with a catalog-aware
-//!    SortCache provenance stamp. The analyzer's diagnostics and the
-//!    per-phase metrics ride back on the [`RunResult`] inside the
-//!    [`QueryOutcome`].
+//!    `run_config` runs it against the snapshot with the same
+//!    [`PlanOptions`] [`batch_run`] builds. The analyzer's diagnostics
+//!    and the per-phase metrics ride back on the [`RunResult`] inside
+//!    the [`QueryOutcome`].
 //!
 //! Submissions return a [`Ticket`] immediately; [`Ticket::wait`] blocks
 //! for the outcome. Queries of one session (and of different sessions)
 //! execute concurrently up to the pool width and their admission caps.
 
-use crate::catalog::Catalog;
 use crate::error::ServeError;
 use crate::server_core::ServerCore;
 use crate::SERVE_METRICS;
@@ -62,8 +61,8 @@ impl ConfigChoice {
 }
 
 /// Per-session knobs. [`Default`] matches the batch test harness:
-/// collected, non-distinct output, certify mode on (certified SortCache
-/// hits across repeated queries are the point of serving).
+/// collected, non-distinct output, certify mode on (every served plan
+/// carries its R420 parallel-correctness proof).
 #[derive(Debug, Clone)]
 pub struct SessionConfig {
     /// Config selection (advisor by default).
@@ -74,7 +73,8 @@ pub struct SessionConfig {
     /// Deduplicate the collected output (set semantics).
     pub distinct_output: bool,
     /// Run in certify mode: plans carry the R420 parallel-correctness
-    /// proof and SortCache hits across queries are route-certified.
+    /// proof, or are refused with an R421 counterexample. Caching is the
+    /// same either way: repeated queries hit on content.
     pub certify: bool,
     /// Per-session in-flight cap override; `None` uses the server's
     /// `session_cap`.
@@ -97,12 +97,11 @@ impl Default for SessionConfig {
 /// to the serving layer, public to its tests and benches via
 /// [`batch_run`]) so served executions and their batch baselines can
 /// never drift apart.
-fn plan_options(cfg: &SessionConfig, provenance: Option<String>) -> PlanOptions {
+fn plan_options(cfg: &SessionConfig) -> PlanOptions {
     PlanOptions {
         collect_output: cfg.collect_output,
         distinct_output: cfg.distinct_output,
         certify: cfg.certify,
-        provenance,
         ..PlanOptions::default()
     }
 }
@@ -134,7 +133,7 @@ pub fn batch_run(
     cfg: &SessionConfig,
 ) -> Result<RunResult, parjoin_engine::EngineError> {
     let (shuffle, join) = resolve_choice(cfg.choice, query, db, cluster);
-    run_config(query, db, cluster, shuffle, join, &plan_options(cfg, None))
+    run_config(query, db, cluster, shuffle, join, &plan_options(cfg))
 }
 
 /// Everything a completed query hands back.
@@ -257,23 +256,14 @@ fn execute(
 ) -> Result<QueryOutcome, ServeError> {
     let cluster = core.cluster();
     let (shuffle, join) = resolve_choice(cfg.choice, &query, &snapshot.db, &cluster);
-    let provenance = Catalog::provenance(snapshot, &query.name);
-    let opts = plan_options(cfg, Some(provenance));
+    let opts = plan_options(cfg);
     let result = run_config(&query, &snapshot.db, &cluster, shuffle, join, &opts)
         .map_err(ServeError::Engine)?;
     let reg = &core.registry;
     reg.add(SERVE_METRICS.sortcache_hits, result.sort_cache_hits);
     reg.add(SERVE_METRICS.sortcache_misses, result.sort_cache_misses);
-    reg.add(
-        SERVE_METRICS.sortcache_certified,
-        result.sort_cache_certified_hits,
-    );
     reg.add(SERVE_METRICS.triecache_hits, result.trie_cache_hits);
     reg.add(SERVE_METRICS.triecache_misses, result.trie_cache_misses);
-    reg.add(
-        SERVE_METRICS.triecache_certified,
-        result.trie_cache_certified_hits,
-    );
     let latency = submitted.elapsed();
     reg.add(
         SERVE_METRICS.latency_micros,

@@ -273,62 +273,53 @@ fn session_cap_rejects_with_typed_error() {
 }
 
 #[test]
-fn repeat_queries_warm_the_trie_cache_with_certified_provenance() {
+fn repeat_queries_warm_both_caches() {
     let server = start_loaded_server();
     // Pin a Tributary config: the columnar probe path is what populates
-    // the TrieCache (hash joins never touch it).
+    // the SortCache and the TrieCache (hash joins touch neither).
     let session = server.session(SessionConfig {
         choice: ConfigChoice::parse("HC_TJ").expect("known config"),
         ..SessionConfig::default()
     });
-    let first = session
-        .submit_named("Q1")
-        .expect("admitted")
-        .wait()
-        .expect("completes");
-    let second = session
-        .submit_named("Q1")
-        .expect("admitted")
-        .wait()
-        .expect("completes");
+    let run = || {
+        session
+            .submit_named("Q1")
+            .expect("admitted")
+            .wait()
+            .expect("completes")
+            .result
+    };
+    let first = run();
+    let second = run();
     assert_eq!(
-        first.result.output.as_ref().expect("collected").raw(),
-        second.result.output.as_ref().expect("collected").raw(),
+        first.output.as_ref().expect("collected").raw(),
+        second.output.as_ref().expect("collected").raw(),
         "warm run must be byte-identical to the cold run"
     );
-    // The repeat reuses whole prepared tries: every per-atom lookup of
-    // the warm run hits, none misses.
+    // The repeat reuses every sorted view and whole prepared trie: each
+    // per-atom lookup of the warm run hits, none misses.
     assert!(
-        second.result.trie_cache_hits > 0,
-        "warm run must hit the TrieCache, got {:?}",
-        second.result
+        second.sort_cache_hits > 0 && second.trie_cache_hits > 0,
+        "warm run must hit both caches, got {second:?}"
     );
     assert_eq!(
-        second.result.trie_cache_misses, 0,
-        "warm run must not rebuild any trie"
+        (second.sort_cache_misses, second.trie_cache_misses),
+        (0, 0),
+        "warm run must not re-sort or rebuild anything"
     );
-    // Certify mode is on (the session default): the hits are
-    // route-proved, not content-assumed, and the resident entries carry
-    // the catalog-versioned provenance stamps.
-    assert!(
-        second.result.trie_cache_certified_hits > 0,
-        "warm hits must be route-certified under certify mode"
-    );
-    let stamps = parjoin_engine::TrieCache::global().resident_provenance();
-    assert!(
-        stamps.iter().any(|p| p.query.starts_with("catalog@v")),
-        "resident certified tries must carry catalog provenance, got {stamps:?}"
-    );
-    // The serve-level counters mirror the per-run tallies.
-    assert!(
-        server.metric("serve.triecache.hits").unwrap_or(0) >= second.result.trie_cache_hits,
-        "serve.triecache.hits must aggregate the per-run hits"
-    );
-    assert!(
-        server.metric("serve.triecache.certified_hits").unwrap_or(0)
-            >= second.result.trie_cache_certified_hits,
-        "serve.triecache.certified_hits must aggregate the per-run certified hits"
-    );
+    // The serve-level counters aggregate the per-run tallies.
+    for (name, per_run) in [
+        (
+            "serve.sortcache.hits",
+            first.sort_cache_hits + second.sort_cache_hits,
+        ),
+        (
+            "serve.triecache.hits",
+            first.trie_cache_hits + second.trie_cache_hits,
+        ),
+    ] {
+        assert_eq!(server.metric(name), Some(per_run), "{name}");
+    }
     server.shutdown();
 }
 

@@ -4,12 +4,14 @@
 //! configurations (`parity::check`), which also pins that the reference
 //! never consults a cache and that only one-round Tributary plans do.
 //! Plus what only a *pair* of production runs can show: a repeated
-//! identical run reports sort-cache hits.
+//! identical run reports sort-cache hits, and a hit depends on content
+//! and columns only — not on whether either run was certified.
 
 #[macro_use]
 mod parity;
 
 use parity::{db_for, production, Production};
+use parjoin::engine::DiagCode;
 use parjoin::prelude::*;
 
 fn check(spec: &QuerySpec) {
@@ -59,6 +61,49 @@ fn second_identical_run_hits_the_cache() {
     assert!(
         second.sort_cache_hits >= first.sort_cache_hits,
         "cache hits regressed between identical runs"
+    );
+}
+
+#[test]
+fn certified_run_hits_what_an_uncertified_run_cached() {
+    let spec = parjoin::datagen::workloads::q1();
+    let db = db_for(&spec);
+    let cluster = parity::cluster(TransportKind::Local);
+    let run = |opts: &PlanOptions| {
+        run_config(
+            &spec.query,
+            &db,
+            &cluster,
+            ShuffleAlg::HyperCube,
+            JoinAlg::Tributary,
+            opts,
+        )
+        .unwrap_or_else(|e| panic!("Q1 HC_TJ: {e}"))
+    };
+    run(&PlanOptions::default());
+    let certified = run(&PlanOptions {
+        certify: true,
+        ..PlanOptions::default()
+    });
+    // Same fragments, same column orders: every sorted view and trie
+    // the uncertified run left behind serves the certified one.
+    assert!(
+        certified.sort_cache_hits > 0 && certified.trie_cache_hits > 0,
+        "{}",
+        certified.report()
+    );
+    assert_eq!(
+        (certified.sort_cache_misses, certified.trie_cache_misses),
+        (0, 0),
+        "{}",
+        certified.report()
+    );
+    assert!(
+        certified
+            .diagnostics
+            .iter()
+            .any(|d| d.code == DiagCode::PolicyCertified),
+        "certify mode still attaches R420"
     );
 }
 
