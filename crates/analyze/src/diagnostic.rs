@@ -11,9 +11,9 @@ use std::fmt;
 /// How bad a finding is.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 pub enum Severity {
-    /// Not a problem at all: a positive fact worth surfacing, such as a
-    /// parallel-correctness proof certificate attached in `certify`
-    /// mode.
+    /// Not a problem at all: a positive fact worth surfacing — the
+    /// parallel-correctness proof certificate (R420) every certified
+    /// plan carries.
     Info,
     /// The plan will run and produce correct results, but something is
     /// off — wasted workers, a cartesian blow-up, a predicted memory
@@ -36,10 +36,16 @@ impl fmt::Display for Severity {
 
 /// Stable diagnostic codes, grouped by check family:
 ///
-/// * `Q…` — query shape (well-formedness of the query itself),
-/// * `P…` — plan shape (join order, Tributary order),
-/// * `C…` — parallel-correctness of the shuffle policy,
-/// * `R…` — resource pre-flight.
+/// * `Q1xx` — query shape (well-formedness of the query itself, and
+///   the serving layer's catalog bind),
+/// * `P2xx` — plan shape (join order, Tributary order),
+/// * `C3xx` — HyperCube configuration and broadcast shape,
+/// * `R4xx` — resource pre-flight (`R40x`–`R41x`) and the
+///   parallel-correctness certificate of the plan's distribution
+///   policy (`R420`–`R423`).
+///
+/// DESIGN.md §9 tabulates every code with its severity and the pass
+/// that emits it.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum DiagCode {
     /// The query fails its own structural validation (no atoms, var id
@@ -146,8 +152,9 @@ pub enum DiagCode {
     /// The distribution policy is statically *proved* parallel-correct
     /// (in the sense of Ameloot et al.): for every valuation of the
     /// query's variables, some worker receives every fact the valuation
-    /// needs. Emitted only in `certify` mode; carries the per-dimension
-    /// proof obligations as context.
+    /// needs. The pre-flight's policy pass attaches it to every plan it
+    /// certifies, carrying one `proof[k]` entry per communication round
+    /// with that round's per-dimension proof obligations.
     PolicyCertified,
     /// The distribution policy is **not** parallel-correct: the attached
     /// context carries a concrete counterexample valuation whose
@@ -163,16 +170,6 @@ pub enum DiagCode {
     /// atom does not contain, a pin vector of the wrong length, a
     /// zero-extent dimension): it describes no executable routing.
     PolicyMalformed,
-    /// A previously certified policy *transfers*: the query inherits a
-    /// prior query's shuffled placement (matched per relation), and
-    /// that placement is parallel-correct for this query too. Cache or
-    /// placement reuse across the two queries is certified.
-    PolicyTransferred,
-    /// The transfer check failed: the prior query's placement either
-    /// does not determine a routing for this query (a relation it never
-    /// shuffled, or conflicting routes) or is provably not
-    /// parallel-correct for it. Cross-query reuse must re-shuffle.
-    PolicyNotTransferable,
 }
 
 impl DiagCode {
@@ -209,8 +206,6 @@ impl DiagCode {
             DiagCode::PolicyCounterexample => "R421",
             DiagCode::PolicyUnproven => "R422",
             DiagCode::PolicyMalformed => "R423",
-            DiagCode::PolicyTransferred => "R424",
-            DiagCode::PolicyNotTransferable => "R425",
         }
     }
 }

@@ -32,23 +32,25 @@
 //! * **Resource pre-flight** ([`checks::check_resources`]): a
 //!   shuffle-specific per-worker load estimate is compared against the
 //!   cluster memory budget, turning a guaranteed mid-flight
-//!   `MemoryBudget` abort into an upfront warning.
-//! * **Parallel-correctness certification** ([`policy`], [`transfer`]):
-//!   every plan's shuffle strategy is modeled as an explicit
-//!   distribution policy over a worker grid and *decided* — either
-//!   proved parallel-correct (a certificate listing the per-dimension
-//!   hash-agreement obligations, attached in `certify` mode as R420) or
-//!   refuted with a minimal concrete counterexample valuation (R421).
-//!   The [`transfer`] module extends the decision across queries:
-//!   whether one query's shuffled placement is certified
-//!   parallel-correct for a follow-up query (R424/R425), which backs
-//!   zero-communication plan reuse. The engine's caches need none of
-//!   this: a sorted view or trie is a function of one worker's fragment
-//!   content, so they key on that content alone.
+//!   `MemoryBudget` abort into an upfront warning;
+//!   [`checks::check_sort_cache`], [`checks::check_probe_parallelism`]
+//!   and [`checks::check_runtime`] do the same for the sorted working
+//!   set, the intra-worker thread count and the streaming batch and
+//!   frame sizes.
+//! * **Parallel-correctness certification** ([`policy`]): every plan's
+//!   shuffle strategy is modeled as an explicit distribution policy over
+//!   a worker grid and *decided* once, in the pre-flight — either proved
+//!   parallel-correct, which attaches the R420 proof certificate (the
+//!   per-round, per-dimension hash-agreement obligations) to the plan's
+//!   diagnostics, or refuted with a minimal concrete counterexample
+//!   valuation (R421), which refuses the plan. The engine's caches need
+//!   none of this: a sorted view or trie is a function of one worker's
+//!   fragment content, so they key on that content alone.
 //!
-//! Errors mean "the engine must refuse to run this"; warnings ride
-//! along with the result. The engine converts its plan types into a
-//! [`PlanSpec`] and calls [`analyze`] at the top of `run_config`.
+//! Errors mean "the engine must refuse to run this"; warnings and the
+//! R420 certificate ride along with the result. The engine converts its
+//! plan types into a [`PlanSpec`] and calls [`preflight`] at the top of
+//! `run_config`.
 //! Diagnostics are returned in a canonical deterministic order (by
 //! code, then site) regardless of pass execution order.
 
@@ -57,18 +59,16 @@ pub mod checks;
 pub mod diagnostic;
 pub mod policy;
 pub mod spec;
-pub mod transfer;
 
 pub use bind::bind_against_catalog;
 pub use checks::estimated_frame_bytes;
 pub use diagnostic::{has_errors, sort_diagnostics, DiagCode, Diagnostic, Severity};
-pub use policy::{certify, certify_spec, planned_policy, Policy, Verdict};
+pub use policy::{certify, Policy, Verdict};
 pub use spec::{JoinKind, PlanSpec, ShuffleKind};
-pub use transfer::{transfers, TransferVerdict};
 
 /// Runs every analysis pass over the plan and returns the combined
-/// findings (errors and warnings, sorted canonically by code then
-/// site).
+/// findings (errors, warnings and — for a certified plan — the R420
+/// certificate, sorted canonically by code then site).
 pub fn analyze(spec: &PlanSpec<'_>) -> Vec<Diagnostic> {
     let mut out = Vec::new();
     checks::check_query(spec, &mut out);
@@ -128,7 +128,11 @@ mod tests {
                 vec![VarId(0), VarId(1), VarId(2)],
                 vec![2, 2, 2],
             ));
-        assert_eq!(analyze(&spec), Vec::new());
+        // Nothing but the certificate: one R420 info, no finding.
+        let diags = analyze(&spec);
+        assert_eq!(diags.len(), 1, "{diags:?}");
+        assert_eq!(diags[0].code, DiagCode::PolicyCertified);
+        assert_eq!(diags[0].severity, Severity::Info);
     }
 
     #[test]

@@ -28,9 +28,9 @@
 //!   cell. Found counterexamples are real: replaying the engine's
 //!   routing on them drops join results.
 //!
-//! The analyzer runs [`check`] as a standard pass (silent on correct
-//! policies); the engine's `certify` plan option calls [`certify_spec`]
-//! to attach the full R420 proof certificate to the run's diagnostics.
+//! The analyzer runs [`check`] as a standard pass of every pre-flight:
+//! a certified plan carries the R420 proof certificate on its
+//! diagnostics, a refuted one is refused with the counterexample.
 
 use crate::diagnostic::{DiagCode, Diagnostic};
 use crate::spec::{PlanSpec, ShuffleKind};
@@ -650,23 +650,23 @@ pub fn hypercube_policy(atom_vars: &[Vec<VarId>], config: &HcConfig, base_seed: 
 /// the policy of its communication round. Regular plans produce one
 /// unit per binary join step; one-round plans produce a single unit.
 #[derive(Debug, Clone)]
-pub struct Unit {
+pub(crate) struct Unit {
     /// Human-readable step description.
-    pub label: String,
+    pub(crate) label: String,
     /// Variable lists of the unit's atoms.
-    pub atom_vars: Vec<Vec<VarId>>,
+    pub(crate) atom_vars: Vec<Vec<VarId>>,
     /// The round's distribution policy.
-    pub policy: Policy,
+    pub(crate) policy: Policy,
 }
 
 /// The full distribution policy of a plan: one [`Unit`] per
 /// communication round.
 #[derive(Debug, Clone)]
-pub struct PlannedPolicy {
+pub(crate) struct PlannedPolicy {
     /// Overall policy description.
-    pub label: String,
+    pub(crate) label: String,
     /// The rounds, in execution order.
-    pub units: Vec<Unit>,
+    pub(crate) units: Vec<Unit>,
 }
 
 /// Derives the plan's distribution policy from a [`PlanSpec`], mirroring
@@ -677,7 +677,7 @@ pub struct PlannedPolicy {
 /// when the policy is not derivable from the spec alone (a HyperCube
 /// plan with neither an explicit config nor cardinalities, an oversized
 /// config, or a malformed join order — other passes reject those).
-pub fn planned_policy(spec: &PlanSpec<'_>) -> Option<PlannedPolicy> {
+pub(crate) fn planned_policy(spec: &PlanSpec<'_>) -> Option<PlannedPolicy> {
     let atom_vars = spec.atom_vars();
     let n = atom_vars.len();
     if n == 0 {
@@ -779,90 +779,16 @@ fn spec_names(spec: &PlanSpec<'_>) -> Vec<String> {
         .collect()
 }
 
-/// Analyzer pass: derives the plan's policy and emits diagnostics only
-/// for *negative* verdicts (counterexample, unproven, malformed) — a
-/// certified policy stays silent, so clean plans keep producing zero
-/// diagnostics. The engine's own plan shapes always certify; this pass
-/// guards future policy constructors and hand-built specs.
+/// Analyzer pass: derives the plan's policy and certifies every unit.
+/// A certified plan gets one [`DiagCode::PolicyCertified`] info
+/// diagnostic carrying the proof certificate (one `proof[k]` entry per
+/// unit); a unit that fails emits its negative verdict (R421–R423)
+/// instead. Silent when the policy is not derivable from the spec —
+/// the passes that reject such a spec (missing cardinalities, an
+/// oversized configuration, a malformed join order) speak for it.
 pub fn check(spec: &PlanSpec<'_>, out: &mut Vec<Diagnostic>) {
     let Some(planned) = planned_policy(spec) else {
         return;
-    };
-    let names = spec_names(spec);
-    for unit in &planned.units {
-        push_negative_verdict(
-            certify(&unit.atom_vars, &unit.policy, Some(&names)),
-            &unit.label,
-            Some(&names),
-            out,
-        );
-    }
-}
-
-/// Converts a negative [`Verdict`] into diagnostics; certified verdicts
-/// emit nothing. Returns `true` when the verdict was certified.
-pub fn push_negative_verdict(
-    verdict: Verdict,
-    unit_label: &str,
-    names: Option<&[String]>,
-    out: &mut Vec<Diagnostic>,
-) -> bool {
-    match verdict {
-        Verdict::Certified(_) => true,
-        Verdict::Refuted(cex) => {
-            let mut d = Diagnostic::error(
-                DiagCode::PolicyCounterexample,
-                format!(
-                    "distribution policy is not parallel-correct: valuation \
-                     [{}] places facts on disjoint workers",
-                    cex.valuation_string(names)
-                ),
-            )
-            .with("unit", unit_label)
-            .with("valuation", cex.valuation_string(names))
-            .with("why", &cex.why);
-            for dest in &cex.atom_dests {
-                d = d.with("dest", dest);
-            }
-            out.push(d);
-            false
-        }
-        Verdict::Unproven { why } => {
-            out.push(
-                Diagnostic::warning(
-                    DiagCode::PolicyUnproven,
-                    "distribution policy failed the symbolic parallel-correctness \
-                     criterion and no concrete counterexample was found within the \
-                     search budget; the plan is not certified",
-                )
-                .with("unit", unit_label)
-                .with("why", why),
-            );
-            false
-        }
-        Verdict::Malformed(diags) => {
-            out.extend(diags);
-            false
-        }
-    }
-}
-
-/// Explicit certification mode (the engine's `certify` plan option):
-/// certifies every unit of the plan's policy and returns either a
-/// single [`DiagCode::PolicyCertified`] info diagnostic carrying the
-/// proof certificate, or the negative diagnostics.
-pub fn certify_spec(spec: &PlanSpec<'_>) -> Vec<Diagnostic> {
-    let mut out = Vec::new();
-    let Some(planned) = planned_policy(spec) else {
-        out.push(
-            Diagnostic::warning(
-                DiagCode::PolicyUnproven,
-                "plan policy is not derivable from the spec (missing cardinalities \
-                 or configuration); nothing to certify",
-            )
-            .with("shuffle", format!("{:?}", spec.shuffle)),
-        );
-        return out;
     };
     let names = spec_names(spec);
     let mut cert = Diagnostic::info(
@@ -885,14 +811,56 @@ pub fn certify_spec(spec: &PlanSpec<'_>) -> Vec<Diagnostic> {
             }
             other => {
                 all_certified = false;
-                push_negative_verdict(other, &unit.label, Some(&names), &mut out);
+                push_negative_verdict(other, &unit.label, Some(&names), out);
             }
         }
     }
     if all_certified {
         out.push(cert);
     }
-    out
+}
+
+/// Converts a negative [`Verdict`] into diagnostics; a certified
+/// verdict emits nothing.
+pub(crate) fn push_negative_verdict(
+    verdict: Verdict,
+    unit_label: &str,
+    names: Option<&[String]>,
+    out: &mut Vec<Diagnostic>,
+) {
+    match verdict {
+        Verdict::Certified(_) => {}
+        Verdict::Refuted(cex) => {
+            let mut d = Diagnostic::error(
+                DiagCode::PolicyCounterexample,
+                format!(
+                    "distribution policy is not parallel-correct: valuation \
+                     [{}] places facts on disjoint workers",
+                    cex.valuation_string(names)
+                ),
+            )
+            .with("unit", unit_label)
+            .with("valuation", cex.valuation_string(names))
+            .with("why", &cex.why);
+            for dest in &cex.atom_dests {
+                d = d.with("dest", dest);
+            }
+            out.push(d);
+        }
+        Verdict::Unproven { why } => {
+            out.push(
+                Diagnostic::warning(
+                    DiagCode::PolicyUnproven,
+                    "distribution policy failed the symbolic parallel-correctness \
+                     criterion and no concrete counterexample was found within the \
+                     search budget; the plan is not certified",
+                )
+                .with("unit", unit_label)
+                .with("why", why),
+            );
+        }
+        Verdict::Malformed(diags) => out.extend(diags),
+    }
 }
 
 #[cfg(test)]
@@ -1114,7 +1082,7 @@ mod tests {
     }
 
     #[test]
-    fn certify_spec_emits_r420_for_all_shuffles() {
+    fn preflight_emits_r420_for_all_shuffles() {
         let q = triangle();
         for shuffle in [
             ShuffleKind::Regular,
@@ -1124,10 +1092,39 @@ mod tests {
             let spec = PlanSpec::new(&q, 8, shuffle, JoinKind::Hash)
                 .with_cards(vec![100, 100, 100])
                 .with_seed(1234);
-            let diags = certify_spec(&spec);
-            assert_eq!(diags.len(), 1, "{shuffle:?}: {diags:?}");
-            assert_eq!(diags[0].code, DiagCode::PolicyCertified);
-            assert_eq!(diags[0].code.code(), "R420");
+            let certs: Vec<Diagnostic> = crate::analyze(&spec)
+                .into_iter()
+                .filter(|d| d.code.code().starts_with("R42"))
+                .collect();
+            assert_eq!(certs.len(), 1, "{shuffle:?}: {certs:?}");
+            assert_eq!(certs[0].code, DiagCode::PolicyCertified);
+            assert_eq!(certs[0].code.code(), "R420");
+            let units = planned_policy(&spec).expect("derivable").units.len();
+            for k in 0..units {
+                assert!(
+                    certs[0].context_value(&format!("proof[{k}]")).is_some(),
+                    "{shuffle:?}: proof[{k}] missing: {certs:?}"
+                );
+            }
         }
+    }
+
+    #[test]
+    fn refuted_verdict_renders_as_r421() {
+        let x = VarId(0);
+        let av = vec![vec![x, VarId(1)], vec![x, VarId(2)]];
+        let mut policy = regular_step_policy(Some(x), 8, 1);
+        policy.routes[1] = AtomRoute::Routed(vec![Pin::Hash {
+            var: x,
+            channel: hash::key_seed(2, &[0]),
+            family: Family::KeyRow,
+        }]);
+        let mut out = Vec::new();
+        push_negative_verdict(certify(&av, &policy, None), "step 1", None, &mut out);
+        assert!(
+            out.iter().any(|d| d.code == DiagCode::PolicyCounterexample
+                && d.context_value("valuation").is_some()),
+            "{out:?}"
+        );
     }
 }

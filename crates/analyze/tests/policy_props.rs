@@ -1,7 +1,6 @@
 //! Property tests for the parallel-correctness certifier: the symbolic
-//! verdicts of [`parjoin_analyze::policy::certify`] and
-//! [`parjoin_analyze::transfer::transfers`] are checked against a
-//! brute-force oracle that enumerates *every* valuation over a tiny
+//! verdicts of [`parjoin_analyze::policy::certify`] are checked against
+//! a brute-force oracle that enumerates *every* valuation over a tiny
 //! value domain and routes each fact through the engine's actual hash
 //! functions (`parjoin_common::hash`).
 //!
@@ -13,9 +12,8 @@
 //! stationary fragment sits on one adversarially chosen cell.
 
 use parjoin_analyze::policy::{certify, AtomRoute, Family, Pin, Policy, Verdict};
-use parjoin_analyze::transfer::{induce_policy, transfers, TransferVerdict};
 use parjoin_common::hash;
-use parjoin_query::{ConjunctiveQuery, QueryBuilder, VarId};
+use parjoin_query::VarId;
 use proptest::prelude::*;
 
 /// Deterministic cursor over a vector of random words; all structure
@@ -244,30 +242,6 @@ fn check_verdict_against_oracle(atom_vars: &[Vec<VarId>], policy: &Policy) {
     }
 }
 
-/// Builds a [`ConjunctiveQuery`] from relation indices + variable lists
-/// (relation `k` is named `R<k>`), for the transfer property.
-fn build_query(name: &str, shape: &[(u64, Vec<VarId>)]) -> ConjunctiveQuery {
-    let mut b = QueryBuilder::new(name);
-    // Declare only the variables the shape actually uses (the builder
-    // rejects declared-but-unused variables); `var` dedupes by name, so
-    // equal ids map to one variable.
-    for (rel, vs) in shape {
-        let vars: Vec<VarId> = vs.iter().map(|v| b.var(&format!("x{}", v.0))).collect();
-        b.atom(&format!("R{rel}"), vars);
-    }
-    b.build()
-}
-
-/// A generated query shape for the transfer property: atoms over two
-/// relation names so prev and next usually share (and often re-share)
-/// relations.
-fn gen_shape(d: &mut Draw) -> Vec<(u64, Vec<VarId>)> {
-    gen_atom_vars(d)
-        .into_iter()
-        .map(|vars| (d.below(2), vars))
-        .collect()
-}
-
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(512))]
 
@@ -277,49 +251,5 @@ proptest! {
         let atom_vars = gen_atom_vars(&mut d);
         let policy = gen_policy(&atom_vars, &mut d);
         check_verdict_against_oracle(&atom_vars, &policy);
-    }
-
-    #[test]
-    fn transfer_verdicts_match_brute_force(words in proptest::collection::vec(any::<u64>(), 32)) {
-        let mut d = Draw::new(&words);
-        let prev_shape = gen_shape(&mut d);
-        let next_shape = gen_shape(&mut d);
-        let prev = build_query("Prev", &prev_shape);
-        let next = build_query("Next", &next_shape);
-        let prev_atom_vars: Vec<Vec<VarId>> =
-            prev.atoms.iter().map(|a| a.vars()).collect();
-        let policy = gen_policy(&prev_atom_vars, &mut d);
-
-        let next_atom_vars: Vec<Vec<VarId>> =
-            next.atoms.iter().map(|a| a.vars()).collect();
-        match transfers(&prev, &policy, &next) {
-            TransferVerdict::Transfers(cert) => {
-                // The induced placement must exist and concretely
-                // co-locate every valuation of the next query.
-                let induced = induce_policy(&prev, &policy, &next)
-                    .unwrap_or_else(|e| panic!("transfers but not derivable: {e}"));
-                for_each_valuation(&all_vars(&next_atom_vars), 3, |value_of| {
-                    prop_assert!(
-                        oracle_colocated(&induced, value_of),
-                        "transferred policy fails concretely: {induced:?} cert={cert:?}"
-                    );
-                });
-            }
-            TransferVerdict::Refuted(cex) => {
-                let induced = induce_policy(&prev, &policy, &next)
-                    .unwrap_or_else(|e| panic!("refuted but not derivable: {e}"));
-                let value_of = |v: VarId| {
-                    cex.valuation
-                        .iter()
-                        .find(|(x, _)| *x == v)
-                        .map_or(0, |(_, val)| *val)
-                };
-                prop_assert!(
-                    !oracle_colocated(&induced, &value_of),
-                    "transfer counterexample does not refute: {induced:?} cex={cex:?}"
-                );
-            }
-            TransferVerdict::Unproven(_) | TransferVerdict::NotDerivable(_) => {}
-        }
     }
 }

@@ -161,7 +161,10 @@ impl WorkerServer {
         let rx_bytes0 = self.mesh.obs.rx_bytes.get();
         let tx_batches0 = self.mesh.obs.tx_batches.get();
         let rx_batches0 = self.mesh.obs.rx_batches.get();
-        let outcome = match execute_fragment(&frag, &self.mesh) {
+        // The executor takes the fragment by value (its partitions move
+        // into the plan); keep what the reply needs.
+        let (rank, batch_tuples) = (frag.rank as usize, frag.batch_tuples as usize);
+        let outcome = match execute_fragment(frag, &self.mesh) {
             Ok(o) => o,
             Err(e) => {
                 // Report before tearing down so the coordinator gets a
@@ -180,7 +183,7 @@ impl WorkerServer {
                 control::write_frame(stream, FrameKind::OutputBatch, &body)?;
             }
         } else {
-            let per_batch = (frag.batch_tuples as usize).max(1) * arity;
+            let per_batch = batch_tuples.max(1) * arity;
             for chunk in outcome.output.raw().chunks(per_batch) {
                 let mut body = Vec::new();
                 encode_vectored(arity, chunk.len() / arity, chunk, false, &mut body);
@@ -188,7 +191,7 @@ impl WorkerServer {
             }
         }
         let stats = WorkerStats {
-            rank: frag.rank as usize,
+            rank,
             output_tuples: outcome.output.len() as u64,
             tuples_sent: outcome.tuples_sent,
             rounds: outcome.rounds,

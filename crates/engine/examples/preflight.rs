@@ -70,7 +70,7 @@ fn main() {
     ) {
         Ok(r) => {
             println!(
-                "valid plan ran: {} output tuples, {} warnings",
+                "valid plan ran: {} output tuples, {} diagnostics",
                 r.output_tuples,
                 r.diagnostics.len()
             );

@@ -29,9 +29,8 @@
 use crate::cluster::Cluster;
 use crate::plans::{greedy_order, JoinAlg, ShuffleAlg};
 use crate::statscache;
-use parjoin_analyze::{self as analyze, Diagnostic};
 use parjoin_common::Database;
-use parjoin_core::hypercube::{AtomShape, HcConfig, ShareProblem};
+use parjoin_core::hypercube::{AtomShape, ShareProblem};
 use parjoin_core::order::RelStats;
 use parjoin_query::{resolve_atoms, ConjunctiveQuery, VarId};
 
@@ -247,113 +246,6 @@ fn advise_from(
     }
 }
 
-/// [`advise`] extended with a certified-transfer check against a
-/// previous query's placement (see [`advise_followup`]).
-#[derive(Debug, Clone)]
-pub struct Followup {
-    /// The chosen configuration (possibly the previous query's, when
-    /// its placement transfers and is not badly suboptimal).
-    pub advice: Advice,
-    /// `Some(policy label)` when the previous query's placement was
-    /// *certified* parallel-correct for this query and the advisor
-    /// chose to reuse it — the follow-up can then skip re-shuffling
-    /// the shared relations entirely.
-    pub transferred: Option<String>,
-    /// The transfer check's R424/R425 diagnostics (empty when the
-    /// previous plan left no persistent placement to inherit).
-    pub diagnostics: Vec<Diagnostic>,
-}
-
-/// The distribution policy a one-round plan of `prev` left behind, or
-/// `None` when nothing persistent remains: regular plans re-partition
-/// at every step on keys of *that* query's join order, so their final
-/// placement is an intermediate's, not the base relations'.
-fn one_round_policy(
-    prev: &ConjunctiveQuery,
-    prev_shuffle: ShuffleAlg,
-    prev_hc_config: Option<&HcConfig>,
-    db: &Database,
-    cluster: &Cluster,
-) -> Option<analyze::Policy> {
-    let kind = match prev_shuffle {
-        ShuffleAlg::Regular => return None,
-        ShuffleAlg::Broadcast => analyze::ShuffleKind::Broadcast,
-        ShuffleAlg::HyperCube => analyze::ShuffleKind::HyperCube,
-    };
-    let (resolved, _) = resolve_atoms(prev, db).ok()?;
-    let cards: Vec<u64> = resolved.iter().map(|a| a.len() as u64).collect();
-    let mut spec =
-        analyze::PlanSpec::new(prev, cluster.workers, kind, analyze::JoinKind::Tributary)
-            .with_cards(cards)
-            .with_seed(cluster.seed);
-    if let Some(c) = prev_hc_config {
-        spec = spec.with_hc_config(c.clone());
-    }
-    let planned = analyze::planned_policy(&spec)?;
-    let [unit] = &planned.units[..] else {
-        return None;
-    };
-    Some(unit.policy.clone())
-}
-
-/// [`advise`] for a follow-up query, given the plan the *previous*
-/// query ran (its shuffle strategy and, for HyperCube plans, the share
-/// configuration actually used — [`crate::RunResult::hc_config`]).
-///
-/// When the previous plan's placement is statically certified
-/// parallel-correct for `query` ([`analyze::transfer`], diagnostic
-/// R424) *and* that strategy's own cost estimate is within 2× of the
-/// best fresh plan, the advisor keeps the previous configuration —
-/// answering the follow-up on the data where it already sits beats a
-/// re-shuffle unless the inherited plan is badly suboptimal. In every
-/// other case the verdict is exactly [`advise`]'s, with the transfer
-/// counterexample or non-derivability reason carried in
-/// [`Followup::diagnostics`] (R425).
-///
-/// # Panics
-/// Panics if `query` does not resolve against `db` (missing relations);
-/// an unresolvable `prev` yields a fresh-plan verdict instead.
-pub fn advise_followup(
-    prev: &ConjunctiveQuery,
-    prev_shuffle: ShuffleAlg,
-    prev_hc_config: Option<&HcConfig>,
-    query: &ConjunctiveQuery,
-    db: &Database,
-    cluster: &Cluster,
-) -> Followup {
-    let mut advice = advise(query, db, cluster);
-    let mut diagnostics = Vec::new();
-    let mut transferred = None;
-    if let Some(policy) = one_round_policy(prev, prev_shuffle, prev_hc_config, db, cluster) {
-        let certified =
-            analyze::transfer::transfer_diagnostics(prev, &policy, query, &mut diagnostics);
-        if certified {
-            let workers = cluster.workers;
-            let idx = match prev_shuffle {
-                ShuffleAlg::Regular => 0,
-                ShuffleAlg::Broadcast => 1,
-                ShuffleAlg::HyperCube => 2,
-            };
-            let prev_cost = advice.estimates[idx].cost(workers);
-            let best_cost = advice
-                .estimates
-                .iter()
-                .map(|e| e.cost(workers))
-                .fold(f64::INFINITY, f64::min);
-            if prev_cost <= 2.0 * best_cost {
-                advice.shuffle = prev_shuffle;
-                advice.join = JoinAlg::Tributary;
-                transferred = Some(policy.label.clone());
-            }
-        }
-    }
-    Followup {
-        advice,
-        transferred,
-        diagnostics,
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -463,74 +355,6 @@ mod tests {
                 assert!(e.max_worker_tuples.is_finite() && e.max_worker_tuples >= 0.0);
             }
         }
-    }
-
-    /// ActorPerform(a,p) ⋈ PerformFilm(p,f): each relation occurs once,
-    /// so a one-round placement unambiguously determines each
-    /// relation's routing.
-    fn path_query(name: &str) -> ConjunctiveQuery {
-        let mut b = parjoin_query::QueryBuilder::new(name);
-        let (a, p, f) = (b.var("a"), b.var("p"), b.var("f"));
-        b.atom("ActorPerform", [a, p]).atom("PerformFilm", [p, f]);
-        b.build()
-    }
-
-    #[test]
-    fn followup_reuses_certified_hypercube_placement() {
-        // Re-running an isomorphic pattern query over an existing
-        // placement (the paper's graphlet-counting setting): the HC
-        // placement transfers, so the advisor keeps it.
-        let db = Scale::small().freebase_db(42);
-        let cluster = Cluster::new(64);
-        let prev = path_query("P1");
-        let next = path_query("P2");
-        let f = advise_followup(&prev, ShuffleAlg::HyperCube, None, &next, &db, &cluster);
-        assert!(
-            f.diagnostics.iter().any(|d| d.code.code() == "R424"),
-            "{:?}",
-            f.diagnostics
-        );
-        assert!(f.transferred.is_some(), "{:?}", f.advice.estimates);
-        assert_eq!(f.advice.shuffle, ShuffleAlg::HyperCube);
-    }
-
-    #[test]
-    fn followup_after_regular_plan_starts_fresh() {
-        // Regular plans leave only intermediate placements behind;
-        // there is nothing to transfer and no diagnostics to emit.
-        let spec = workloads::q3();
-        let db = Scale::small().freebase_db(42);
-        let cluster = Cluster::new(64);
-        let f = advise_followup(
-            &spec.query,
-            ShuffleAlg::Regular,
-            None,
-            &spec.query,
-            &db,
-            &cluster,
-        );
-        assert!(f.transferred.is_none());
-        assert!(f.diagnostics.is_empty());
-    }
-
-    #[test]
-    fn followup_flags_non_transferable_placement() {
-        // The path placement pins the share dimension on *its* join
-        // variable; Q3 joins the same relations through different
-        // variables per atom, so the inherited routing is not
-        // parallel-correct for it — the advisor reports R425 and the
-        // follow-up re-shuffles.
-        let prev = path_query("P1");
-        let q3 = workloads::q3();
-        let db = Scale::small().freebase_db(42);
-        let cluster = Cluster::new(64);
-        let f = advise_followup(&prev, ShuffleAlg::HyperCube, None, &q3.query, &db, &cluster);
-        assert!(f.transferred.is_none());
-        assert!(
-            f.diagnostics.iter().any(|d| d.code.code() == "R425"),
-            "{:?}",
-            f.diagnostics
-        );
     }
 
     #[test]

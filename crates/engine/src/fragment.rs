@@ -552,8 +552,8 @@ fn checked_probe_threads(n: u32) -> Result<usize, EngineError> {
 ///   item 4's `Stats` frame).
 /// - [`EngineError::Resolve`] when the query references missing
 ///   relations.
-/// - [`EngineError::InvalidPlan`] when the analyzer or certifier
-///   refuses the plan.
+/// - [`EngineError::InvalidPlan`] when the analyzer refuses the plan
+///   (a policy counterexample included).
 pub fn plan_fragments(
     query: &ConjunctiveQuery,
     db: &parjoin_common::Database,
@@ -628,7 +628,7 @@ pub struct RemoteOutcome {
 
 /// Executes `frag` on an already-joined `mesh` and returns this rank's
 /// output partition: the fragment's decisions and its one partition per
-/// atom go through the same executor `run_config` uses, with every
+/// atom (moved, not copied) go through the same executor `run_config` uses, with every
 /// shuffle one exchange round on the mesh. The rank therefore prepares
 /// through the process-wide sort and trie caches like any in-process
 /// worker.
@@ -642,7 +642,7 @@ pub struct RemoteOutcome {
 /// - [`EngineError::InvalidPlan`] / [`EngineError::Unsupported`] on
 ///   malformed fragments (callers normally run
 ///   [`Fragment::preflight`] first).
-pub fn execute_fragment(frag: &Fragment, mesh: &HostMesh) -> Result<RemoteOutcome, EngineError> {
+pub fn execute_fragment(frag: Fragment, mesh: &HostMesh) -> Result<RemoteOutcome, EngineError> {
     if mesh.workers() != frag.workers as usize || mesh.rank() != frag.rank as usize {
         return Err(EngineError::Unsupported(format!(
             "fragment addressed to rank {}/{} but the mesh is rank {}/{}",
@@ -674,20 +674,20 @@ pub fn execute_fragment(frag: &Fragment, mesh: &HostMesh) -> Result<RemoteOutcom
     let plan = Plan {
         shuffle: frag.shuffle,
         join: frag.join,
-        join_order: frag.join_order.clone(),
-        local_order: frag.local_order.clone(),
-        tj_order: frag.tj_order.clone(),
-        hc_config: frag.hc_config.clone(),
+        join_order: frag.join_order,
+        local_order: frag.local_order,
+        tj_order: frag.tj_order,
+        hc_config: frag.hc_config,
         probe_threads: checked_probe_threads(frag.probe_threads)?,
         diagnostics: Vec::new(),
         stats_lookups: (0, 0),
         seeded: frag
             .atom_vars
-            .iter()
-            .zip(&frag.parts)
+            .into_iter()
+            .zip(frag.parts)
             .map(|(vars, part)| DistRel {
-                vars: vars.clone(),
-                parts: vec![part.clone()],
+                vars,
+                parts: vec![part],
             })
             .collect(),
     };
@@ -994,7 +994,7 @@ mod tests {
         let mut mesh = HostMesh::bind("127.0.0.1:0").unwrap();
         let addr = mesh.local_addr().unwrap();
         mesh.join(0, vec![addr]).unwrap();
-        let err = execute_fragment(frag, &mesh).unwrap_err();
+        let err = execute_fragment(frag.clone(), &mesh).unwrap_err();
         assert!(
             matches!(err, EngineError::Unsupported(_)),
             "{why}: executor gave {err:?}"

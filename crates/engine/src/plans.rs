@@ -36,10 +36,11 @@ use parjoin_common::{Relation, ShuffleStats};
 use parjoin_core::hypercube::{HcConfig, ShareProblem};
 use parjoin_core::order::{best_order_seeded, OrderCostModel, RelStats, MAX_SUBSET_ARITY};
 use parjoin_core::tributary::{ColumnarAtom, ColumnarTrie, SortedAtom, Tributary};
-use parjoin_obs::{Registry, TraceSink, COORDINATOR_LANE};
+use parjoin_obs::{Lane, Registry, TraceSink, COORDINATOR_LANE};
 use parjoin_query::resolve::split_filters;
 use parjoin_query::{resolve_atoms, ConjunctiveQuery, Filter, VarId};
 use parjoin_runtime::{Runtime, RuntimeConfig, RuntimeObs};
+use std::borrow::Cow;
 use std::fmt::Write as _;
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
@@ -171,18 +172,6 @@ pub struct PlanOptions {
     /// benchmarks that must exercise a fixed thread count regardless of
     /// the machine they run on.
     pub probe_threads: Option<usize>,
-    /// Certify the plan's distribution policy before running: the
-    /// pre-flight analyzer models the shuffle strategy (regular steps,
-    /// broadcast, or the actual HyperCube share assignment) as an
-    /// explicit policy and statically *proves* it parallel-correct,
-    /// attaching the R420 proof certificate (per-dimension hash-agreement
-    /// obligations) to [`RunResult::diagnostics`] — or refuses to run
-    /// with a concrete R421 counterexample valuation. A run carrying the
-    /// certificate skips the sampled co-location asserts of the
-    /// `strict-invariants` feature: the proof covers *all* valuations,
-    /// the samples only the shuffled ones. Certify mode attaches a proof
-    /// and nothing else; cache lookups are the same with or without it.
-    pub certify: bool,
     /// Write a chrome://tracing / Perfetto-loadable JSON trace of the run
     /// to this path. Tracing is enabled **only** when this is set; with
     /// `None` the span machinery stays disabled and costs nothing on the
@@ -248,9 +237,9 @@ pub struct RunResult {
     /// Per-worker time charged for shuffle send/receive (part of
     /// `per_worker_busy`).
     pub per_worker_net: Vec<Duration>,
-    /// Warnings the pre-flight analyzer attached to this plan (plans
-    /// with analyzer *errors* never run; see
-    /// [`EngineError::InvalidPlan`]).
+    /// Warnings and the R420 parallel-correctness certificate the
+    /// pre-flight analyzer attached to this plan (plans with analyzer
+    /// *errors* never run; see [`EngineError::InvalidPlan`]).
     pub diagnostics: Vec<Diagnostic>,
     /// Tributary prepare lookups served from the sorted-view cache
     /// during this run.
@@ -961,8 +950,7 @@ pub(crate) struct Plan {
     pub(crate) hc_config: Option<HcConfig>,
     /// Per-worker probe threads.
     pub(crate) probe_threads: usize,
-    /// Analyzer warnings and, under [`PlanOptions::certify`], the R420
-    /// certificate.
+    /// Analyzer warnings and the R420 certificate.
     pub(crate) diagnostics: Vec<Diagnostic>,
     /// `(hits, misses)` of the planner's [`StatsCache`](crate::StatsCache)
     /// lookups; zero for a plan rebuilt from a shipped fragment.
@@ -973,17 +961,17 @@ pub(crate) struct Plan {
 }
 
 /// Plans `query` under the given configuration: resolves the atoms,
-/// picks the effective join order, runs the pre-flight analyzer (and,
-/// with [`PlanOptions::certify`], the policy certifier) on it, seeds the
+/// picks the effective join order, runs the pre-flight analyzer (whose
+/// policy pass certifies the plan parallel-correct) on it, seeds the
 /// base relations round-robin, and derives the Tributary variable
 /// order, the broadcast root and the HyperCube shares.
 ///
 /// # Errors
 /// [`EngineError::Resolve`] for catalog mismatches,
-/// [`EngineError::InvalidPlan`] when the analyzer or the certifier
-/// refuses the plan, [`EngineError::Unsupported`] when a one-round
-/// Tributary plan needs the order optimiser over an atom wider than
-/// [`MAX_SUBSET_ARITY`].
+/// [`EngineError::InvalidPlan`] when the analyzer refuses the plan (a
+/// policy counterexample included), [`EngineError::Unsupported`] when a
+/// one-round Tributary plan needs the order optimiser over an atom wider
+/// than [`MAX_SUBSET_ARITY`].
 pub(crate) fn plan(
     query: &ConjunctiveQuery,
     db: &parjoin_common::Database,
@@ -1007,9 +995,10 @@ pub(crate) fn plan(
         .unwrap_or_else(|| greedy_order(&atom_vars, &rel_stats().stats));
 
     // Pre-flight static analysis: refuse to run plans the analyzer
-    // proves broken (instead of panicking mid-flight); carry warnings
-    // through on the result. The *effective* join order — explicit or
-    // greedy — is what gets vetted.
+    // proves broken (instead of panicking mid-flight), a policy
+    // counterexample included; carry warnings and the R420
+    // parallel-correctness certificate through on the result. The
+    // *effective* join order — explicit or greedy — is what gets vetted.
     let spec = analyze::PlanSpec {
         query,
         cards: cards.clone(),
@@ -1034,34 +1023,23 @@ pub(crate) fn plan(
     };
     let mut diagnostics = analyze::preflight(&spec).map_err(EngineError::InvalidPlan)?;
     diagnostics.extend(parallelism_warning());
-
-    // Certify mode: statically prove the plan's distribution policy
-    // parallel-correct (R420) or refuse to run with a concrete
-    // counterexample valuation (R421).
-    if opts.certify {
-        let mut cert_diags = analyze::certify_spec(&spec);
-        if analyze::has_errors(&cert_diags) {
-            return Err(EngineError::InvalidPlan(cert_diags));
-        }
-        if opts.skew_resilient && shuffle_alg == ShuffleAlg::Regular {
-            // The certificate covers the plain hash route. The PRPD
-            // fallback the skew_resilient knob adds for heavy keys
-            // (spread one side, replicate the other) preserves
-            // co-location by construction, so the verdict stands; the
-            // note keeps the certificate honest about what it models.
-            for d in &mut cert_diags {
-                if d.code == analyze::DiagCode::PolicyCertified {
-                    d.context.push((
-                        "note".to_string(),
-                        "skew_resilient: heavy keys take the PRPD spread/replicate \
-                         route, which co-locates every joining pair by construction; \
-                         the hash-route proof covers light keys"
-                            .to_string(),
-                    ));
-                }
+    if opts.skew_resilient && shuffle_alg == ShuffleAlg::Regular {
+        // The certificate covers the plain hash route. The PRPD
+        // fallback the skew_resilient knob adds for heavy keys (spread
+        // one side, replicate the other) preserves co-location by
+        // construction, so the verdict stands; the note keeps the
+        // certificate honest about what it models.
+        for d in &mut diagnostics {
+            if d.code == analyze::DiagCode::PolicyCertified {
+                d.context.push((
+                    "note".to_string(),
+                    "skew_resilient: heavy keys take the PRPD spread/replicate \
+                     route, which co-locates every joining pair by construction; \
+                     the hash-route proof covers light keys"
+                        .to_string(),
+                ));
             }
         }
-        diagnostics.extend(cert_diags);
     }
     analyze::sort_diagnostics(&mut diagnostics);
 
@@ -1328,11 +1306,8 @@ fn run_regular(
         };
         result.absorb_round([s1, s2], cluster);
 
-        // An attached R420 certificate replaces the sampled assert.
         #[cfg(feature = "strict-invariants")]
-        if !crate::strict::certified(&result.diagnostics) {
-            crate::strict::assert_colocated(&cur_s, &next_s, &shuffle_key, "regular shuffle");
-        }
+        crate::strict::assert_colocated(&cur_s, &next_s, &shuffle_key, "regular shuffle");
 
         // Per-worker binary join.
         let out_schema = {
@@ -1452,6 +1427,45 @@ struct JoinTally {
     steals: u64,
 }
 
+/// What every worker's Tributary local join shares, whatever the trie
+/// layout.
+struct TjProbe<'a> {
+    order: &'a [VarId],
+    filters: &'a [Filter],
+    num_vars: usize,
+    head: &'a [VarId],
+    threads: usize,
+}
+
+impl TjProbe<'_> {
+    /// One worker's Tributary local join over atoms of layout `A`:
+    /// prepares every local atom with `prepare` (timed into
+    /// `tally.sort_time`), runs the layout's `strict_check` on each
+    /// prepared atom when `strict-invariants` is on, then probes.
+    fn run<A: probe::ProbeAtom>(
+        &self,
+        lane: &Lane,
+        tally: &mut JoinTally,
+        locals: &[SchemaRel],
+        mut prepare: impl FnMut(&mut JoinTally, &SchemaRel) -> A,
+        strict_check: impl Fn(usize, &A),
+    ) -> probe::ProbeOutcome {
+        let prep_span = lane.span("prepare", "engine");
+        let t_sort = Instant::now();
+        let prepared: Vec<A> = locals.iter().map(|l| prepare(tally, l)).collect();
+        tally.sort_time = t_sort.elapsed();
+        drop(prep_span);
+        if cfg!(feature = "strict-invariants") {
+            for (i, a) in prepared.iter().enumerate() {
+                strict_check(i, a);
+            }
+        }
+        let _probe_span = lane.span("probe", "engine");
+        let tj = Tributary::new(&prepared, self.order, self.filters, self.num_vars);
+        probe::tributary_probe(&tj, &prepared, self.head, self.threads)
+    }
+}
+
 /// Broadcast and HyperCube plans: one communication round, then a local
 /// multiway join on every worker.
 fn run_one_round(
@@ -1533,23 +1547,19 @@ fn run_one_round(
         ShuffleAlg::Regular => unreachable!("handled by run_regular"),
     };
 
-    // An attached R420 certificate replaces the sampled assert.
     #[cfg(feature = "strict-invariants")]
-    if !crate::strict::certified(&result.diagnostics) {
-        crate::strict::assert_all_colocated(
-            &shuffled,
-            match shuffle_alg {
-                ShuffleAlg::Broadcast => "broadcast shuffle",
-                _ => "hypercube shuffle",
-            },
-        );
-    }
+    crate::strict::assert_all_colocated(
+        &shuffled,
+        match shuffle_alg {
+            ShuffleAlg::Broadcast => "broadcast shuffle",
+            _ => "hypercube shuffle",
+        },
+    );
 
     result.absorb_round(round, cluster);
 
     // --- The local multiway join. ----------------------------------------
     let head = query.output_vars();
-    let num_vars = query.num_vars();
 
     let seed = cluster.seed;
     // Each worker's prepare sorts can additionally use the host cores
@@ -1573,16 +1583,28 @@ fn run_one_round(
             });
         }
     }
+    let tj = TjProbe {
+        order: &tj_order,
+        filters: &pending,
+        num_vars: query.num_vars(),
+        head: &head,
+        threads: probe_threads,
+    };
     let phase = run_phase_traced(hosted, &obs.trace, "local-join", |w, lane| {
         let locals = &locals_of[w];
         match join_alg {
             JoinAlg::Hash => {
                 let mut pending = pending.clone();
-                let mut cur = locals[local_order[0]].clone();
-                let ready0 = take_ready_filters(&mut pending, &cur.vars);
-                if !ready0.is_empty() {
-                    cur = cur.filter(&ready0);
-                }
+                // The root (under broadcast the largest atom) stays
+                // borrowed until a filter or the first join makes an
+                // owned intermediate.
+                let root = &locals[local_order[0]];
+                let ready0 = take_ready_filters(&mut pending, &root.vars);
+                let mut cur = if ready0.is_empty() {
+                    Cow::Borrowed(root)
+                } else {
+                    Cow::Owned(root.filter(&ready0))
+                };
                 let mut live: u64 = locals.iter().map(|l| l.rel.len() as u64).sum();
                 let mut tally = JoinTally::default();
                 let probe_span = lane.span("probe", "engine");
@@ -1591,7 +1613,7 @@ fn run_one_round(
                         hash_join_step(&cur, &locals[ai], &mut pending, seed, probe_threads);
                     tally.morsels += m;
                     tally.steals += st;
-                    cur = joined;
+                    cur = Cow::Owned(joined);
                     live = live.max(
                         locals.iter().map(|l| l.rel.len() as u64).sum::<u64>()
                             + cur.rel.len() as u64,
@@ -1632,76 +1654,62 @@ fn run_one_round(
                     }
                     view
                 };
-                let prep_span = lane.span("prepare", "engine");
-                let t_sort = std::time::Instant::now();
                 let probed = match opts.trie_layout {
-                    TrieLayout::Row => {
-                        let prepared: Vec<SortedAtom> = locals
-                            .iter()
-                            .map(|l| {
-                                if opts.sequential_prepare {
-                                    SortedAtom::prepare(&l.rel, &l.vars, order)
-                                } else {
-                                    SortedAtom::prepare_with(&l.rel, &l.vars, order, |r, cols| {
-                                        cached_view(&mut tally, r.fingerprint(), r, cols)
-                                    })
-                                }
-                            })
-                            .collect();
-                        tally.sort_time = t_sort.elapsed();
-                        drop(prep_span);
-                        #[cfg(feature = "strict-invariants")]
-                        for (i, sa) in prepared.iter().enumerate() {
+                    TrieLayout::Row => tj.run(
+                        lane,
+                        &mut tally,
+                        locals,
+                        |tally, l| {
+                            if opts.sequential_prepare {
+                                SortedAtom::prepare(&l.rel, &l.vars, order)
+                            } else {
+                                SortedAtom::prepare_with(&l.rel, &l.vars, order, |r, cols| {
+                                    cached_view(tally, r.fingerprint(), r, cols)
+                                })
+                            }
+                        },
+                        |i, sa: &SortedAtom| {
                             assert!(
                                 sa.relation().is_sorted_lex(),
                                 "strict-invariants: Tributary input {i} is not sorted \
                                  lexicographically after prepare"
                             );
-                        }
-                        let probe_span = lane.span("probe", "engine");
-                        let tj = Tributary::new(&prepared, order, &pending, num_vars);
-                        let probed = probe::tributary_probe(&tj, &prepared, &head, probe_threads);
-                        drop(probe_span);
-                        probed
-                    }
-                    TrieLayout::Columnar => {
-                        let prepared: Vec<ColumnarAtom> = locals
-                            .iter()
-                            .map(|l| {
-                                if opts.sequential_prepare {
-                                    ColumnarAtom::prepare(&l.rel, &l.vars, order)
-                                } else {
-                                    ColumnarAtom::prepare_with(&l.rel, &l.vars, order, |r, cols| {
-                                        let fp = r.fingerprint();
-                                        // SortCache first — the sorted
-                                        // view stays shared with row-
-                                        // layout and merge-join
-                                        // consumers of the same
-                                        // fragment…
-                                        let view = cached_view(&mut tally, fp, r, cols);
-                                        // …then the TrieCache layered
-                                        // on top, reusing the whole
-                                        // prepared trie across queries
-                                        // under the same key.
-                                        let (trie, lookup) = TrieCache::global().get_or_build(
-                                            fp,
-                                            cols,
-                                            entry_cap(cols),
-                                            || ColumnarTrie::build(&view),
-                                        );
-                                        match lookup {
-                                            Lookup::Hit => tally.trie_cache_hits += 1,
-                                            Lookup::Miss => tally.trie_cache_misses += 1,
-                                        }
-                                        trie
-                                    })
-                                }
-                            })
-                            .collect();
-                        tally.sort_time = t_sort.elapsed();
-                        drop(prep_span);
-                        #[cfg(feature = "strict-invariants")]
-                        for (i, ca) in prepared.iter().enumerate() {
+                        },
+                    ),
+                    TrieLayout::Columnar => tj.run(
+                        lane,
+                        &mut tally,
+                        locals,
+                        |tally, l| {
+                            if opts.sequential_prepare {
+                                ColumnarAtom::prepare(&l.rel, &l.vars, order)
+                            } else {
+                                ColumnarAtom::prepare_with(&l.rel, &l.vars, order, |r, cols| {
+                                    let fp = r.fingerprint();
+                                    // SortCache first — the sorted view
+                                    // stays shared with row-layout and
+                                    // merge-join consumers of the same
+                                    // fragment…
+                                    let view = cached_view(tally, fp, r, cols);
+                                    // …then the TrieCache layered on
+                                    // top, reusing the whole prepared
+                                    // trie across queries under the
+                                    // same key.
+                                    let (trie, lookup) = TrieCache::global().get_or_build(
+                                        fp,
+                                        cols,
+                                        entry_cap(cols),
+                                        || ColumnarTrie::build(&view),
+                                    );
+                                    match lookup {
+                                        Lookup::Hit => tally.trie_cache_hits += 1,
+                                        Lookup::Miss => tally.trie_cache_misses += 1,
+                                    }
+                                    trie
+                                })
+                            }
+                        },
+                        |i, ca: &ColumnarAtom| {
                             if let Err(e) = ca.trie().validate() {
                                 // xtask: allow(panic)
                                 panic!(
@@ -1709,13 +1717,8 @@ fn run_one_round(
                                      prepare: {e}"
                                 );
                             }
-                        }
-                        let probe_span = lane.span("probe", "engine");
-                        let tj = Tributary::new(&prepared, order, &pending, num_vars);
-                        let probed = probe::tributary_probe(&tj, &prepared, &head, probe_threads);
-                        drop(probe_span);
-                        probed
-                    }
+                        },
+                    ),
                 };
                 tally.morsels = probed.morsels;
                 tally.steals = probed.steals;

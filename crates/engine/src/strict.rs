@@ -1,27 +1,18 @@
 //! Runtime cross-checks behind the `strict-invariants` cargo feature.
 //!
-//! The static analyzer (`parjoin-analyze`) *argues* that every shuffle
-//! the engine performs is parallel-correct — joining tuples always meet
-//! on some worker. This module spot-checks that argument at runtime on
-//! sampled tuples, and verifies the sortedness precondition of the
-//! Tributary join's inputs. The checks cost extra passes over the data
-//! and therefore live behind a feature flag; they panic on violation,
-//! because a failure here means the engine itself (not the caller's
-//! plan) is broken.
+//! The static analyzer (`parjoin-analyze`) *proves* that every shuffle
+//! the engine plans is parallel-correct — joining tuples always meet on
+//! some worker (the R420 certificate every run carries). This module
+//! spot-checks, on sampled tuples of every run, that the shuffle the
+//! executor actually ran keeps that promise, and verifies the
+//! sortedness precondition of the Tributary join's inputs. The checks
+//! cost extra passes over the data and therefore live behind a feature
+//! flag; they panic on violation, because a failure here means the
+//! engine itself (not the caller's plan) is broken.
 
 use crate::dist::DistRel;
-use parjoin_analyze::{DiagCode, Diagnostic};
 use parjoin_common::Value;
 use parjoin_query::VarId;
-
-/// Whether a run's diagnostics carry the R420 certificate. Such a run
-/// skips the sampled co-location asserts: the proof covers *all*
-/// valuations, the samples only the shuffled ones.
-pub(crate) fn certified(diagnostics: &[Diagnostic]) -> bool {
-    diagnostics
-        .iter()
-        .any(|d| d.code == DiagCode::PolicyCertified)
-}
 
 /// Rows sampled from each side of a co-location check.
 const SAMPLE_PER_SIDE: usize = 32;
@@ -112,5 +103,65 @@ pub(crate) fn assert_all_colocated(shuffled: &[DistRel], what: &str) {
                 .collect();
             assert_colocated(a, b, &shared, what);
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use parjoin_common::Relation;
+
+    const X: VarId = VarId(0);
+    const Y: VarId = VarId(1);
+    const Z: VarId = VarId(2);
+
+    /// A two-column relation placed on two workers: `parts[w]` holds
+    /// the rows listed for worker `w`.
+    fn placed(vars: [VarId; 2], parts: [&[[Value; 2]]; 2]) -> DistRel {
+        DistRel {
+            vars: vars.to_vec(),
+            parts: parts
+                .iter()
+                .map(|rows| Relation::from_rows(2, rows.iter()))
+                .collect(),
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "share no worker")]
+    fn split_joining_pair_panics() {
+        // R(1,2) on worker 0 and S(2,3) on worker 1 join on y = 2.
+        let r = placed([X, Y], [&[[1, 2]], &[]]);
+        let s = placed([Y, Z], [&[], &[[2, 3]]]);
+        assert_colocated(&r, &s, &[Y], "test shuffle");
+    }
+
+    #[test]
+    fn colocated_pair_passes() {
+        let r = placed([X, Y], [&[[1, 2]], &[[5, 6]]]);
+        let s = placed([Y, Z], [&[[2, 3]], &[[6, 7]]]);
+        assert_colocated(&r, &s, &[Y], "test shuffle");
+        assert_all_colocated(&[r, s], "test shuffle");
+    }
+
+    #[test]
+    fn row_replicated_on_every_worker_passes() {
+        // The broadcast shape: S's row is on every worker, R stays
+        // wherever it was seeded.
+        let r = placed([X, Y], [&[], &[[1, 2]]]);
+        let s = placed([Y, Z], [&[[2, 3]], &[[2, 3]]]);
+        assert_colocated(&r, &s, &[Y], "broadcast shuffle");
+        assert_all_colocated(&[s, r], "broadcast shuffle");
+    }
+
+    #[test]
+    fn empty_shared_set_is_a_no_op() {
+        // Split rows that would fail on `y` are never compared without
+        // a shared variable.
+        let r = placed([X, Y], [&[[1, 2]], &[]]);
+        let s = placed([Y, Z], [&[], &[[2, 3]]]);
+        assert_colocated(&r, &s, &[], "cartesian step");
+        let t = placed([Z, VarId(3)], [&[], &[[9, 9]]]);
+        assert_all_colocated(&[r, t], "cartesian step");
     }
 }

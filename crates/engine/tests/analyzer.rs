@@ -320,8 +320,8 @@ fn clean_plans_have_no_warnings() {
     let q = triangle_query();
     let db = ring_db(24);
     // R413 is host-dependent: 4 simulated workers trigger it exactly
-    // when the machine running this test has <= 4 cores. Everything
-    // else must stay silent on a clean plan.
+    // when the machine running this test has <= 4 cores. Besides it, a
+    // clean plan carries its R420 certificate and nothing else.
     let saturated = std::thread::available_parallelism()
         .map(|n| 4 >= n.get())
         .unwrap_or(false);
@@ -334,7 +334,11 @@ fn clean_plans_have_no_warnings() {
             .diagnostics
             .iter()
             .partition(|d| d.code == DiagCode::ProbeParallelismDegraded);
+        let (r420, rest): (Vec<_>, Vec<_>) = rest
+            .into_iter()
+            .partition(|d| d.code == DiagCode::PolicyCertified);
         assert!(rest.is_empty(), "{s:?}/{j:?}: {rest:?}");
+        assert_eq!(r420.len(), 1, "{s:?}/{j:?}: {r420:?}");
         assert_eq!(
             !r413.is_empty(),
             saturated,

@@ -16,8 +16,8 @@
 //!    shuffle × join config (unless the session pinned one), and
 //!    `run_config` runs it against the snapshot with the same
 //!    [`PlanOptions`] [`batch_run`] builds. The analyzer's diagnostics
-//!    and the per-phase metrics ride back on the [`RunResult`] inside
-//!    the [`QueryOutcome`].
+//!    (the R420 certificate included) and the per-phase metrics ride
+//!    back on the [`RunResult`] inside the [`QueryOutcome`].
 //!
 //! Submissions return a [`Ticket`] immediately; [`Ticket::wait`] blocks
 //! for the outcome. Queries of one session (and of different sessions)
@@ -61,8 +61,9 @@ impl ConfigChoice {
 }
 
 /// Per-session knobs. [`Default`] matches the batch test harness:
-/// collected, non-distinct output, certify mode on (every served plan
-/// carries its R420 parallel-correctness proof).
+/// collected, non-distinct output. Every served plan carries its R420
+/// parallel-correctness proof whatever the knobs: the engine's
+/// pre-flight certifies each plan once.
 #[derive(Debug, Clone)]
 pub struct SessionConfig {
     /// Config selection (advisor by default).
@@ -72,10 +73,6 @@ pub struct SessionConfig {
     pub collect_output: bool,
     /// Deduplicate the collected output (set semantics).
     pub distinct_output: bool,
-    /// Run in certify mode: plans carry the R420 parallel-correctness
-    /// proof, or are refused with an R421 counterexample. Caching is the
-    /// same either way: repeated queries hit on content.
-    pub certify: bool,
     /// Per-session in-flight cap override; `None` uses the server's
     /// `session_cap`.
     pub max_in_flight: Option<usize>,
@@ -87,7 +84,6 @@ impl Default for SessionConfig {
             choice: ConfigChoice::Advised,
             collect_output: true,
             distinct_output: false,
-            certify: true,
             max_in_flight: None,
         }
     }
@@ -101,7 +97,6 @@ fn plan_options(cfg: &SessionConfig) -> PlanOptions {
     PlanOptions {
         collect_output: cfg.collect_output,
         distinct_output: cfg.distinct_output,
-        certify: cfg.certify,
         ..PlanOptions::default()
     }
 }

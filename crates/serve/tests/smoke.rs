@@ -423,7 +423,6 @@ fn reloaded_relation_is_planned_from_its_own_statistics() {
         let with_order = |order: &Vec<VarId>| {
             let opts = PlanOptions {
                 collect_output: true,
-                certify: true,
                 tj_order: Some(order.clone()),
                 ..PlanOptions::default()
             };

@@ -3,7 +3,10 @@
 
 //! Workspace automation tasks, invoked as `cargo xtask <task>`.
 //!
-//! The only task so far is `lint`: a source scan that bans `.unwrap()`,
+//! `loc` prints the non-test line count of the production sources (see
+//! [`count_loc`]) — the one number simplification changes report.
+//!
+//! `lint` is a source scan that bans `.unwrap()`,
 //! `.expect(`, and `panic!(` in non-test production code, reporting each
 //! violation as `file:line: …`. Rust's own lint machinery cannot express
 //! "no unwrap outside tests" across a workspace without nightly-only
@@ -44,6 +47,7 @@
 //! (e.g. why relaxed ordering is sound, where the handle is joined, or
 //! what bounds the count).
 
+use std::collections::BTreeMap;
 use std::fmt::Write as _;
 use std::path::{Path, PathBuf};
 use std::process::ExitCode;
@@ -52,8 +56,9 @@ fn main() -> ExitCode {
     let mut args = std::env::args().skip(1);
     match args.next().as_deref() {
         Some("lint") => lint(),
+        Some("loc") => loc(),
         other => {
-            eprintln!("usage: cargo xtask lint");
+            eprintln!("usage: cargo xtask lint|loc");
             if let Some(o) = other {
                 eprintln!("unknown task: {o}");
             }
@@ -104,6 +109,56 @@ fn lint() -> ExitCode {
         eprintln!("xtask lint: clean ({} files scanned)", files.len());
         ExitCode::SUCCESS
     }
+}
+
+/// Prints [`count_loc`]'s per-directory breakdown and its total.
+fn loc() -> ExitCode {
+    let counts = count_loc(&workspace_root());
+    let mut report = String::new();
+    for (dir, n) in &counts {
+        let _ = writeln!(report, "{n:>7}  {dir}");
+    }
+    let total: usize = counts.values().sum();
+    let _ = writeln!(report, "{total:>7}  total");
+    print!("{report}");
+    ExitCode::SUCCESS
+}
+
+/// Non-test lines of every `*.rs` file under `src/` and `crates/*/src`,
+/// keyed by that source directory (relative to `root`). A file counts
+/// the lines above its first `#[cfg(test)]` line. The end-to-end
+/// benchmark package (`crates/bench/src/bin/e2e`, a package of its own)
+/// and this crate are left out.
+fn count_loc(root: &Path) -> BTreeMap<String, usize> {
+    let mut dirs = vec![PathBuf::from("src")];
+    if let Ok(crates) = std::fs::read_dir(root.join("crates")) {
+        for entry in crates.flatten() {
+            if entry.file_name() != "xtask" {
+                dirs.push(Path::new("crates").join(entry.file_name()).join("src"));
+            }
+        }
+    }
+    let e2e = root.join("crates/bench/src/bin/e2e");
+    let mut counts = BTreeMap::new();
+    for dir in dirs {
+        let mut files = Vec::new();
+        collect_sources(&root.join(&dir), &mut files);
+        if files.is_empty() {
+            continue;
+        }
+        let lines = files
+            .iter()
+            .filter(|f| !f.starts_with(&e2e))
+            .filter_map(|f| std::fs::read_to_string(f).ok())
+            .map(|text| {
+                text.lines()
+                    .take_while(|l| !l.trim_start().starts_with("#[cfg(test)]"))
+                    .count()
+            })
+            .sum();
+        counts.insert(dir.to_string_lossy().into_owned(), lines);
+    }
+    counts
 }
 
 /// The workspace root: the directory holding the top-level Cargo.toml.
@@ -339,6 +394,36 @@ fn strip_comment(line: &str) -> &str {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn loc_counts_non_test_lines_per_source_dir() {
+        let root = std::env::temp_dir().join(format!("xtask-loc-{}", std::process::id()));
+        let write = |rel: &str, text: &str| {
+            let path = root.join(rel);
+            std::fs::create_dir_all(path.parent().unwrap()).unwrap();
+            std::fs::write(path, text).unwrap();
+        };
+        write("src/lib.rs", "a\nb\nc\n");
+        write(
+            "crates/a/src/lib.rs",
+            "a\nb\n#[cfg(test)]\nmod tests {\n}\n",
+        );
+        write("crates/a/src/deep/m.rs", "a\n    #[cfg(test)]\nfn t() {}\n");
+        write("crates/a/src/notes.md", "not rust\n");
+        write("crates/a/tests/t.rs", "a\nb\nc\nd\n");
+        write("crates/bench/src/bin/figures.rs", "a\nb\n");
+        write("crates/bench/src/bin/e2e/src/main.rs", "a\nb\nc\nd\ne\n");
+        write("crates/xtask/src/main.rs", "a\nb\nc\nd\n");
+        let counts = count_loc(&root);
+        std::fs::remove_dir_all(&root).unwrap();
+        let expect: BTreeMap<String, usize> = [
+            ("crates/a/src".to_string(), 3),
+            ("crates/bench/src".to_string(), 2),
+            ("src".to_string(), 3),
+        ]
+        .into();
+        assert_eq!(counts, expect);
+    }
 
     #[test]
     fn scan_flags_unwrap_and_panic() {

@@ -68,7 +68,6 @@ fn concurrent_mixed_runs_share_cache_and_counters_reconcile() {
     // anything the concurrent phase does.
     let seq_opts = PlanOptions {
         collect_output: true,
-        certify: true,
         sequential_prepare: true,
         ..Default::default()
     };
@@ -113,7 +112,6 @@ fn concurrent_mixed_runs_share_cache_and_counters_reconcile() {
     const THREADS: usize = 4;
     let opts = PlanOptions {
         collect_output: true,
-        certify: true,
         ..Default::default()
     };
     let per_thread: Vec<Vec<(usize, RunResult)>> = thread::scope(|sc| {

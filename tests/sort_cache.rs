@@ -5,13 +5,14 @@
 //! never consults a cache and that only one-round Tributary plans do.
 //! Plus what only a *pair* of production runs can show: a repeated
 //! identical run reports sort-cache hits, and a hit depends on content
-//! and columns only — not on whether either run was certified.
+//! and columns only — not on whether the run that cached it carried a
+//! certificate.
 
 #[macro_use]
 mod parity;
 
 use parity::{db_for, production, Production};
-use parjoin::engine::DiagCode;
+use parjoin::engine::{execute_fragment, plan_fragments, DiagCode};
 use parjoin::prelude::*;
 
 fn check(spec: &QuerySpec) {
@@ -66,27 +67,34 @@ fn second_identical_run_hits_the_cache() {
 
 #[test]
 fn certified_run_hits_what_an_uncertified_run_cached() {
+    // Every `run_config` run carries its R420 certificate. A mesh rank
+    // executing a shipped fragment carries none: the worker runs the
+    // pre-flight as a gate only. Both prepare through the same
+    // process-wide caches, keyed on content and columns alone, so an
+    // in-process run hits everything a rank of the same plan cached.
     let spec = parjoin::datagen::workloads::q1();
     let db = db_for(&spec);
-    let cluster = parity::cluster(TransportKind::Local);
-    let run = |opts: &PlanOptions| {
-        run_config(
-            &spec.query,
-            &db,
-            &cluster,
-            ShuffleAlg::HyperCube,
-            JoinAlg::Tributary,
-            opts,
-        )
-        .unwrap_or_else(|e| panic!("Q1 HC_TJ: {e}"))
-    };
-    run(&PlanOptions::default());
-    let certified = run(&PlanOptions {
-        certify: true,
-        ..PlanOptions::default()
-    });
-    // Same fragments, same column orders: every sorted view and trie
-    // the uncertified run left behind serves the certified one.
+    let cluster = Cluster::new(1);
+    let (shuffle, join) = (ShuffleAlg::HyperCube, JoinAlg::Tributary);
+    let opts = PlanOptions::default();
+    let mut mesh = parjoin::runtime::HostMesh::bind("127.0.0.1:0").expect("binds");
+    let addr = mesh.local_addr().expect("bound");
+    let frag = plan_fragments(
+        &spec.query,
+        &db,
+        &cluster,
+        shuffle,
+        join,
+        &opts,
+        &[addr.to_string()],
+    )
+    .expect("plans")
+    .remove(0);
+    mesh.join(0, vec![addr]).expect("one-rank mesh");
+    let uncertified = execute_fragment(frag, &mesh).expect("rank runs");
+    let certified = run_config(&spec.query, &db, &cluster, shuffle, join, &opts)
+        .unwrap_or_else(|e| panic!("Q1 HC_TJ: {e}"));
+    assert_eq!(certified.output_tuples, uncertified.output.len() as u64);
     assert!(
         certified.sort_cache_hits > 0 && certified.trie_cache_hits > 0,
         "{}",
@@ -103,7 +111,7 @@ fn certified_run_hits_what_an_uncertified_run_cached() {
             .diagnostics
             .iter()
             .any(|d| d.code == DiagCode::PolicyCertified),
-        "certify mode still attaches R420"
+        "every run_config run attaches R420"
     );
 }
 
