@@ -212,13 +212,13 @@ pub struct RunResult {
     pub total_cpu: Duration,
     /// Total tuples placed on the network.
     pub tuples_shuffled: u64,
-    /// Total encoded bytes placed on the network. Zero under the Local
-    /// transport (nothing is encoded); real payload bytes under the
-    /// streaming transports, identical for InProcess and Tcp.
-    pub bytes_shuffled: u64,
-    /// Per-shuffle metrics (Tables 2–4).
+    /// Per-shuffle metrics (Tables 2–4). Each shuffle's `bytes_sent` is
+    /// its encoded payload: zero under the Local transport (nothing is
+    /// encoded), and summed over a streaming run it equals
+    /// `runtime.tx.bytes`.
     pub shuffles: Vec<ShuffleStats>,
-    /// Number of result tuples (bag semantics over the head projection).
+    /// Number of result tuples (bag semantics over the head projection;
+    /// [`metric_names::OUTPUT_TUPLES`]).
     pub output_tuples: u64,
     /// The collected output, when requested.
     pub output: Option<Relation>,
@@ -230,7 +230,8 @@ pub struct RunResult {
     pub per_worker_join: Vec<Duration>,
     /// The hypercube configuration used, for HC plans.
     pub hc_config: Option<HcConfig>,
-    /// Largest number of live tuples observed on one worker.
+    /// Largest number of live tuples observed on one worker
+    /// ([`metric_names::PEAK_WORKER_TUPLES`]).
     pub peak_worker_tuples: u64,
     /// Communication rounds executed (shuffle barriers).
     pub rounds: u32,
@@ -241,98 +242,75 @@ pub struct RunResult {
     /// pre-flight analyzer attached to this plan (plans with analyzer
     /// *errors* never run; see [`EngineError::InvalidPlan`]).
     pub diagnostics: Vec<Diagnostic>,
-    /// Tributary prepare lookups served from the sorted-view cache
-    /// during this run.
+    /// Sort-cache hits ([`metric_names::SORT_CACHE_HITS`]).
     pub sort_cache_hits: u64,
-    /// Tributary prepare lookups that sorted fresh during this run.
+    /// Sort-cache misses ([`metric_names::SORT_CACHE_MISSES`]).
     pub sort_cache_misses: u64,
-    /// Process-wide [`SortCache`] evictions that happened *during this
-    /// run* (the cumulative counter's delta between run start and
-    /// finish). Non-zero values under sustained traffic mean the
-    /// working set of sorted views exceeds the cache budget — the
-    /// signal to watch when tuning the cache for a served workload.
-    pub sort_cache_evictions: u64,
-    /// Bytes resident in the process-wide [`SortCache`] when the run
-    /// finished (a gauge, not a per-run delta: concurrent runs share
-    /// the cache, so the absolute level is the meaningful number).
+    /// Sort-cache bytes resident at run end ([`metric_names::SORT_CACHE_RESIDENT_BYTES`]).
     pub sort_cache_resident_bytes: u64,
-    /// Per-worker probe threads the plan ran with (1 = sequential probe;
-    /// see [`crate::probe`]).
-    pub probe_threads: u64,
-    /// Total probe morsels executed across workers and join steps. Every
-    /// probe operation counts at least 1 (its sequential pass); values
-    /// above the number of probe operations mean morsel parallelism
-    /// actually split work.
+    /// Probe morsels ([`metric_names::PROBE_MORSELS`]).
     pub probe_morsels: u64,
-    /// Probe morsels a thread claimed from another thread's deque under
-    /// the work-stealing scheduler (see [`crate::probe`]). Zero when the
-    /// sequential path ran or no imbalance arose; a high
-    /// steals-to-morsels ratio means the initial contiguous deal was
-    /// skewed and the stealer rebalanced it.
+    /// Probe morsels stolen ([`metric_names::PROBE_STEALS`]).
     pub probe_steals: u64,
-    /// Columnar trie prepare lookups served from the process-wide
-    /// [`TrieCache`] during this run (always 0 on the [`TrieLayout::Row`]
-    /// path, which has no trie to cache).
+    /// Trie-cache hits ([`metric_names::TRIE_CACHE_HITS`]).
     pub trie_cache_hits: u64,
-    /// Columnar trie prepare lookups that built the trie fresh.
+    /// Trie-cache misses ([`metric_names::TRIE_CACHE_MISSES`]).
     pub trie_cache_misses: u64,
-    /// Process-wide [`TrieCache`] evictions during this run (cumulative
-    /// counter delta, like
-    /// [`RunResult::sort_cache_evictions`](Self::sort_cache_evictions)).
-    pub trie_cache_evictions: u64,
-    /// Bytes resident in the process-wide [`TrieCache`] when the run
-    /// finished (a gauge).
+    /// Trie-cache bytes resident at run end ([`metric_names::TRIE_CACHE_RESIDENT_BYTES`]).
     pub trie_cache_resident_bytes: u64,
-    /// Name-sorted snapshot of the run's metrics registry: the
-    /// `runtime.*` transport counters plus `engine.*` mirrors of the
-    /// legacy fields above (see [`metric_names`]). The mirrors reconcile
-    /// exactly — e.g. `engine.bytes.shuffled` equals
-    /// [`bytes_shuffled`](Self::bytes_shuffled), and under a streaming
-    /// transport both equal `runtime.tx.bytes`.
+    /// Name-sorted snapshot of the run's metrics registry, taken once
+    /// when the run finishes: the `engine.*` tallies of [`metric_names`]
+    /// (each present once counted) and, under a streaming transport,
+    /// the runtime's `runtime.*` counters. The registry is the only
+    /// store of these numbers; the counter fields above are read from
+    /// this snapshot.
     pub metrics: Vec<(String, u64)>,
 }
 
-/// Canonical names of the `engine.*` registry metrics every run snapshots
-/// into [`RunResult::metrics`] (alongside the runtime's
-/// [`parjoin_runtime::metrics::names`]).
+/// Canonical names of the `engine.*` registry metrics every run counts
+/// into its registry and snapshots into [`RunResult::metrics`]
+/// (alongside the runtime's [`parjoin_runtime::metrics::names`]).
 pub mod metric_names {
-    /// Mirror of [`RunResult::tuples_shuffled`](super::RunResult).
-    pub const TUPLES_SHUFFLED: &str = "engine.tuples.shuffled";
-    /// Mirror of [`RunResult::bytes_shuffled`](super::RunResult).
-    pub const BYTES_SHUFFLED: &str = "engine.bytes.shuffled";
-    /// Mirror of [`RunResult::output_tuples`](super::RunResult).
+    /// Result tuples (bag semantics over the head projection).
     pub const OUTPUT_TUPLES: &str = "engine.output.tuples";
-    /// Mirror of [`RunResult::rounds`](super::RunResult).
-    pub const ROUNDS: &str = "engine.rounds";
-    /// Number of shuffles executed (`RunResult::shuffles.len()`).
-    pub const SHUFFLES: &str = "engine.shuffles";
-    /// Mirror of [`RunResult::sort_cache_hits`](super::RunResult).
+    /// Tributary prepare lookups served from the process-wide
+    /// [`SortCache`](crate::SortCache).
     pub const SORT_CACHE_HITS: &str = "engine.sortcache.hits";
-    /// Mirror of [`RunResult::sort_cache_misses`](super::RunResult).
+    /// Tributary prepare lookups that sorted fresh.
     pub const SORT_CACHE_MISSES: &str = "engine.sortcache.misses";
-    /// Mirror of [`RunResult::sort_cache_evictions`](super::RunResult):
-    /// process-wide cache evictions during this run.
+    /// Process-wide sort-cache evictions during this run (the
+    /// cumulative counter's delta between run start and finish).
+    /// Non-zero under sustained traffic means the working set of sorted
+    /// views exceeds the cache budget.
     pub const SORT_CACHE_EVICTIONS: &str = "engine.sortcache.evictions";
-    /// Mirror of [`RunResult::sort_cache_resident_bytes`](super::RunResult):
-    /// bytes resident in the process-wide cache at run end (a gauge).
+    /// Bytes resident in the process-wide sort cache at run end (a
+    /// gauge: concurrent runs share the cache, so the absolute level is
+    /// the meaningful number).
     pub const SORT_CACHE_RESIDENT_BYTES: &str = "engine.sortcache.resident_bytes";
-    /// Mirror of [`RunResult::probe_morsels`](super::RunResult).
+    /// Probe morsels executed across workers and join steps, semijoin
+    /// reductions included. Every probe operation counts at least 1
+    /// (its sequential pass); more means morsel parallelism split work.
     pub const PROBE_MORSELS: &str = "engine.probe.morsels";
-    /// Mirror of [`RunResult::probe_steals`](super::RunResult).
+    /// Probe morsels a thread claimed from another thread's deque under
+    /// the work-stealing scheduler (see [`crate::probe`]); zero when the
+    /// sequential path ran or no imbalance arose.
     pub const PROBE_STEALS: &str = "engine.probe.steals";
-    /// Mirror of [`RunResult::probe_threads`](super::RunResult).
+    /// Per-worker probe threads the plan ran with (1 = sequential
+    /// probe).
     pub const PROBE_THREADS: &str = "engine.probe.threads";
-    /// Mirror of [`RunResult::trie_cache_hits`](super::RunResult).
+    /// Columnar trie prepare lookups served from the process-wide
+    /// [`TrieCache`](crate::TrieCache) (never counted on the
+    /// [`TrieLayout::Row`](super::TrieLayout) path, which has no trie).
     pub const TRIE_CACHE_HITS: &str = "engine.triecache.hits";
-    /// Mirror of [`RunResult::trie_cache_misses`](super::RunResult).
+    /// Columnar trie prepare lookups that built the trie fresh.
     pub const TRIE_CACHE_MISSES: &str = "engine.triecache.misses";
-    /// Mirror of [`RunResult::trie_cache_evictions`](super::RunResult):
-    /// process-wide trie-cache evictions during this run.
+    /// Process-wide trie-cache evictions during this run.
     pub const TRIE_CACHE_EVICTIONS: &str = "engine.triecache.evictions";
-    /// Mirror of [`RunResult::trie_cache_resident_bytes`](super::RunResult):
-    /// bytes resident in the process-wide trie cache at run end (a gauge).
+    /// Bytes resident in the process-wide trie cache at run end (a
+    /// gauge).
     pub const TRIE_CACHE_RESIDENT_BYTES: &str = "engine.triecache.resident_bytes";
-    /// Mirror of [`RunResult::peak_worker_tuples`](super::RunResult).
+    /// Largest number of live tuples observed on one worker (a
+    /// high-water mark).
     pub const PEAK_WORKER_TUPLES: &str = "engine.peak_worker_tuples";
     /// Relation statistics this run's planner found in the process-wide
     /// [`StatsCache`](crate::StatsCache).
@@ -344,14 +322,14 @@ pub mod metric_names {
 /// Per-run observability state: one [`Registry`] and one [`TraceSink`],
 /// created by [`run_config`] and threaded through the plan. Deliberately
 /// per-run rather than process-global — parallel tests (and parallel
-/// plans) would otherwise race their tallies, breaking the exact
-/// reconciliation `RunResult::metrics` promises.
+/// plans) would otherwise race their tallies. Every scalar tally of the
+/// run is added to `registry` where it is counted, worker closures
+/// included; [`execute`] reads them back once through `finalize`.
 pub(crate) struct RunObs {
     pub(crate) registry: Registry,
     pub(crate) trace: Arc<TraceSink>,
     /// Process-wide [`SortCache`] eviction count when the run started;
-    /// [`RunObs::finalize`] reports the delta as this run's eviction
-    /// pressure.
+    /// `finalize` reports the delta as this run's eviction pressure.
     evictions_at_start: u64,
     /// Same snapshot for the process-wide [`TrieCache`].
     trie_evictions_at_start: u64,
@@ -376,48 +354,60 @@ impl RunObs {
         RuntimeObs::on_registry(&self.registry, Arc::clone(&self.trace))
     }
 
-    /// Mirrors the legacy `RunResult` tallies onto the registry (under
-    /// [`metric_names`]) and snapshots everything into
-    /// `result.metrics`. Called exactly once per registry, after all
-    /// phases (including any semijoin pre-passes) have been absorbed.
-    pub(crate) fn finalize(&self, result: &mut RunResult) {
+    /// Counts one probe operation's morsels and steals.
+    pub(crate) fn count_probe(&self, morsels: u64, steals: u64) {
+        self.registry.add(metric_names::PROBE_MORSELS, morsels);
+        self.registry.add(metric_names::PROBE_STEALS, steals);
+    }
+
+    /// Counts one cache lookup under `hit` or `miss`.
+    fn count_lookup(&self, lookup: Lookup, hit: &str, miss: &str) {
+        let name = match lookup {
+            Lookup::Hit => hit,
+            Lookup::Miss => miss,
+        };
+        self.registry.add(name, 1);
+    }
+
+    /// Samples the process-wide caches' eviction deltas and resident
+    /// bytes into the registry, snapshots it into `result.metrics`, and
+    /// fills `result`'s counter fields from that one snapshot — their
+    /// only writer. Called once, at the end of [`execute`].
+    fn finalize(&self, result: &mut RunResult) {
         let reg = &self.registry;
-        reg.add(metric_names::TUPLES_SHUFFLED, result.tuples_shuffled);
-        reg.add(metric_names::BYTES_SHUFFLED, result.bytes_shuffled);
-        reg.add(metric_names::OUTPUT_TUPLES, result.output_tuples);
-        reg.add(metric_names::ROUNDS, u64::from(result.rounds));
-        reg.add(metric_names::SHUFFLES, result.shuffles.len() as u64);
-        reg.add(metric_names::SORT_CACHE_HITS, result.sort_cache_hits);
-        reg.add(metric_names::SORT_CACHE_MISSES, result.sort_cache_misses);
-        let cache = SortCache::global().stats();
-        result.sort_cache_evictions = cache.evictions.saturating_sub(self.evictions_at_start);
-        result.sort_cache_resident_bytes = cache.resident_bytes;
-        reg.add(
-            metric_names::SORT_CACHE_EVICTIONS,
-            result.sort_cache_evictions,
-        );
-        reg.add(
-            metric_names::SORT_CACHE_RESIDENT_BYTES,
-            result.sort_cache_resident_bytes,
-        );
-        reg.add(metric_names::TRIE_CACHE_HITS, result.trie_cache_hits);
-        reg.add(metric_names::TRIE_CACHE_MISSES, result.trie_cache_misses);
+        let sort = SortCache::global().stats();
         let trie = TrieCache::global().stats();
-        result.trie_cache_evictions = trie.evictions.saturating_sub(self.trie_evictions_at_start);
-        result.trie_cache_resident_bytes = trie.resident_bytes;
-        reg.add(
-            metric_names::TRIE_CACHE_EVICTIONS,
-            result.trie_cache_evictions,
-        );
-        reg.add(
-            metric_names::TRIE_CACHE_RESIDENT_BYTES,
-            result.trie_cache_resident_bytes,
-        );
-        reg.add(metric_names::PROBE_MORSELS, result.probe_morsels);
-        reg.add(metric_names::PROBE_STEALS, result.probe_steals);
-        reg.add(metric_names::PROBE_THREADS, result.probe_threads);
-        reg.add(metric_names::PEAK_WORKER_TUPLES, result.peak_worker_tuples);
+        let sort_evictions = sort.evictions.saturating_sub(self.evictions_at_start);
+        let trie_evictions = trie.evictions.saturating_sub(self.trie_evictions_at_start);
+        reg.add(metric_names::SORT_CACHE_EVICTIONS, sort_evictions);
+        reg.add(metric_names::SORT_CACHE_RESIDENT_BYTES, sort.resident_bytes);
+        reg.add(metric_names::TRIE_CACHE_EVICTIONS, trie_evictions);
+        reg.add(metric_names::TRIE_CACHE_RESIDENT_BYTES, trie.resident_bytes);
         result.metrics = reg.snapshot();
+        let read = |name| result.metric(name).unwrap_or(0);
+        [
+            result.output_tuples,
+            result.peak_worker_tuples,
+            result.probe_morsels,
+            result.probe_steals,
+            result.sort_cache_hits,
+            result.sort_cache_misses,
+            result.sort_cache_resident_bytes,
+            result.trie_cache_hits,
+            result.trie_cache_misses,
+            result.trie_cache_resident_bytes,
+        ] = [
+            read(metric_names::OUTPUT_TUPLES),
+            read(metric_names::PEAK_WORKER_TUPLES),
+            read(metric_names::PROBE_MORSELS),
+            read(metric_names::PROBE_STEALS),
+            read(metric_names::SORT_CACHE_HITS),
+            read(metric_names::SORT_CACHE_MISSES),
+            read(metric_names::SORT_CACHE_RESIDENT_BYTES),
+            read(metric_names::TRIE_CACHE_HITS),
+            read(metric_names::TRIE_CACHE_MISSES),
+            read(metric_names::TRIE_CACHE_RESIDENT_BYTES),
+        ];
     }
 
     /// Writes the chrome trace to `path` (no-op when `None`).
@@ -457,7 +447,6 @@ impl RunResult {
             wall: Duration::ZERO,
             total_cpu: Duration::ZERO,
             tuples_shuffled: 0,
-            bytes_shuffled: 0,
             shuffles: Vec::new(),
             output_tuples: 0,
             output: None,
@@ -471,14 +460,11 @@ impl RunResult {
             diagnostics: Vec::new(),
             sort_cache_hits: 0,
             sort_cache_misses: 0,
-            sort_cache_evictions: 0,
             sort_cache_resident_bytes: 0,
-            probe_threads: 1,
             probe_morsels: 0,
             probe_steals: 0,
             trie_cache_hits: 0,
             trie_cache_misses: 0,
-            trie_cache_evictions: 0,
             trie_cache_resident_bytes: 0,
             metrics: Vec::new(),
         }
@@ -510,34 +496,9 @@ impl RunResult {
         );
         let _ = writeln!(
             s,
-            "shuffled {} tuples ({} bytes) over {} shuffle(s)",
+            "shuffled {} tuples over {} shuffle(s)",
             self.tuples_shuffled,
-            self.bytes_shuffled,
             self.shuffles.len()
-        );
-        let _ = writeln!(
-            s,
-            "sort-cache {} hit(s) / {} miss(es)   probe {} thread(s), {} morsel(s), {} steal(s)",
-            self.sort_cache_hits,
-            self.sort_cache_misses,
-            self.probe_threads,
-            self.probe_morsels,
-            self.probe_steals
-        );
-        let _ = writeln!(
-            s,
-            "trie-cache {} hit(s) / {} miss(es)",
-            self.trie_cache_hits, self.trie_cache_misses
-        );
-        let _ = writeln!(
-            s,
-            "sort-cache pressure: {} eviction(s) during run, {} bytes resident at finish",
-            self.sort_cache_evictions, self.sort_cache_resident_bytes
-        );
-        let _ = writeln!(
-            s,
-            "trie-cache pressure: {} eviction(s) during run, {} bytes resident at finish",
-            self.trie_cache_evictions, self.trie_cache_resident_bytes
         );
         if !self.diagnostics.is_empty() {
             let _ = writeln!(s, "\ndiagnostics:");
@@ -633,7 +594,6 @@ impl RunResult {
                 per_worker[w] += c;
             }
             self.tuples_shuffled += s.tuples_sent;
-            self.bytes_shuffled += s.bytes_sent;
             self.shuffles.push(s);
         }
         let mut slowest = Duration::ZERO;
@@ -882,11 +842,10 @@ pub fn run_config(
         seam: &Seam::from(rt.as_ref()),
         obs: &obs,
     };
-    let mut result = plan_and_execute(&ex, db, shuffle_alg, join_alg)?;
+    let result = plan_and_execute(&ex, db, shuffle_alg, join_alg)?;
     if let Some(rt) = rt {
         rt.shutdown()?;
     }
-    obs.finalize(&mut result);
     obs.write_trace(opts.trace_path.as_deref())?;
     Ok(result)
 }
@@ -913,7 +872,7 @@ pub(crate) fn start_runtime(
 
 /// [`plan`] then [`execute`] against a caller-owned seam and [`RunObs`]
 /// (the semijoin plan shares both with its reduction passes). The
-/// caller finalizes and exports.
+/// caller exports the trace.
 pub(crate) fn plan_and_execute(
     ex: &Exec<'_>,
     db: &parjoin_common::Database,
@@ -1136,8 +1095,9 @@ pub(crate) struct Exec<'a> {
 }
 
 /// The one executor: runs `plan`'s step sequence over its hosted
-/// partitions, every shuffle going through `ex.seam`. `RunResult`'s
-/// per-worker vectors are indexed by hosted partition.
+/// partitions, every shuffle going through `ex.seam`, then reads the
+/// run's counters from one registry snapshot. `RunResult`'s per-worker
+/// vectors are indexed by hosted partition.
 ///
 /// # Errors
 /// [`EngineError::Transport`] when an exchange fails,
@@ -1160,7 +1120,9 @@ pub(crate) fn execute(ex: &Exec<'_>, mut plan: Plan) -> Result<RunResult, Engine
     let name = format!("{}_{}", plan.shuffle.tag(), plan.join.tag());
     let mut result = RunResult::new(name, hosted);
     result.diagnostics = std::mem::take(&mut plan.diagnostics);
-    result.probe_threads = plan.probe_threads as u64;
+    ex.obs
+        .registry
+        .add(metric_names::PROBE_THREADS, plan.probe_threads as u64);
     let pending = split_filters(ex.query).1;
     match plan.shuffle {
         ShuffleAlg::Regular => run_regular(ex, plan, pending, &mut result)?,
@@ -1178,27 +1140,29 @@ pub(crate) fn execute(ex: &Exec<'_>, mut plan: Plan) -> Result<RunResult, Engine
             });
         }
     }
+    ex.obs.finalize(&mut result);
     Ok(result)
 }
 
 /// One binary hash join on a worker, then the pending filters its output
 /// schema completes: an RS_HJ step's whole local join, and each step of
-/// a one-round plan's hash tree. Returns `(result, morsels, steals)`.
+/// a one-round plan's hash tree. Counts its morsels and steals.
 fn hash_join_step(
     a: &SchemaRel,
     b: &SchemaRel,
     pending: &mut Vec<Filter>,
     seed: u64,
     threads: usize,
-) -> (SchemaRel, u64, u64) {
+    obs: &RunObs,
+) -> SchemaRel {
     let (joined, morsels, steals) = probe::hash_join_parallel(a, b, seed, threads);
+    obs.count_probe(morsels, steals);
     let ready = take_ready_filters(pending, &joined.vars);
-    let out = if ready.is_empty() {
+    if ready.is_empty() {
         joined
     } else {
         joined.filter(&ready)
-    };
-    (out, morsels, steals)
+    }
 }
 
 /// Left-deep tree of binary joins with a regular shuffle per step.
@@ -1336,12 +1300,12 @@ fn run_regular(
             .collect();
         let phase = run_phase_traced(hosted, &obs.trace, "local-join", |w, lane| {
             let (a, b) = &sides[w];
-            let (filtered, sort_buf, sort_time, morsels, steals) = match join_alg {
+            let (filtered, sort_buf, sort_time) = match join_alg {
                 JoinAlg::Hash => {
                     let probe_span = lane.span("probe", "engine");
-                    let (j, m, st) = hash_join_step(a, b, &mut ready.clone(), seed, probe_threads);
+                    let j = hash_join_step(a, b, &mut ready.clone(), seed, probe_threads, obs);
                     drop(probe_span);
-                    (j, 0, Duration::ZERO, m, st)
+                    (j, 0, Duration::ZERO)
                 }
                 JoinAlg::Tributary => {
                     // merge_join times its own sorting internally, so the
@@ -1352,12 +1316,13 @@ fn run_regular(
                     let elapsed = t0.elapsed();
                     lane.record("prepare", "engine", t0, t);
                     lane.record("probe", "engine", t0 + t, elapsed.saturating_sub(t));
+                    obs.count_probe(1, 0);
                     let j = if ready.is_empty() {
                         j
                     } else {
                         j.filter(&ready)
                     };
-                    (j, buf, t, 1, 0)
+                    (j, buf, t)
                 }
             };
             // Memory model per the paper's Q4 discussion: the pipelined
@@ -1372,15 +1337,15 @@ fn run_regular(
                     a.rel.len() as u64 + b.rel.len() as u64 + sort_buf + filtered.rel.len() as u64
                 }
             };
-            (filtered.rel, live, sort_time, morsels, steals)
+            obs.registry
+                .counter(metric_names::PEAK_WORKER_TUPLES)
+                .max(live);
+            (filtered.rel, live, sort_time)
         });
         let mut parts = Vec::with_capacity(hosted);
         let mut sort_times = Vec::with_capacity(hosted);
-        for (w, (rel, live, sort, morsels, steals)) in phase.results.into_iter().enumerate() {
+        for (w, (rel, live, sort)) in phase.results.into_iter().enumerate() {
             check_budget(cluster, seam.first_rank() + w, live)?;
-            result.peak_worker_tuples = result.peak_worker_tuples.max(live);
-            result.probe_morsels += morsels;
-            result.probe_steals += steals;
             parts.push(rel);
             sort_times.push(sort);
         }
@@ -1413,20 +1378,6 @@ fn run_regular(
     finish_output(ex, cur, result)
 }
 
-/// Per-worker tallies of one local multiway join, folded into the
-/// [`RunResult`] after the phase joins.
-#[derive(Debug, Clone, Copy, Default)]
-struct JoinTally {
-    live: u64,
-    sort_time: Duration,
-    sort_cache_hits: u64,
-    sort_cache_misses: u64,
-    trie_cache_hits: u64,
-    trie_cache_misses: u64,
-    morsels: u64,
-    steals: u64,
-}
-
 /// What every worker's Tributary local join shares, whatever the trie
 /// layout.
 struct TjProbe<'a> {
@@ -1439,21 +1390,20 @@ struct TjProbe<'a> {
 
 impl TjProbe<'_> {
     /// One worker's Tributary local join over atoms of layout `A`:
-    /// prepares every local atom with `prepare` (timed into
-    /// `tally.sort_time`), runs the layout's `strict_check` on each
-    /// prepared atom when `strict-invariants` is on, then probes.
+    /// prepares every local atom with `prepare` (timed: the returned
+    /// duration), runs the layout's `strict_check` on each prepared atom
+    /// when `strict-invariants` is on, then probes.
     fn run<A: probe::ProbeAtom>(
         &self,
         lane: &Lane,
-        tally: &mut JoinTally,
         locals: &[SchemaRel],
-        mut prepare: impl FnMut(&mut JoinTally, &SchemaRel) -> A,
+        prepare: impl FnMut(&SchemaRel) -> A,
         strict_check: impl Fn(usize, &A),
-    ) -> probe::ProbeOutcome {
+    ) -> (probe::ProbeOutcome, Duration) {
         let prep_span = lane.span("prepare", "engine");
         let t_sort = Instant::now();
-        let prepared: Vec<A> = locals.iter().map(|l| prepare(tally, l)).collect();
-        tally.sort_time = t_sort.elapsed();
+        let prepared: Vec<A> = locals.iter().map(prepare).collect();
+        let sort_time = t_sort.elapsed();
         drop(prep_span);
         if cfg!(feature = "strict-invariants") {
             for (i, a) in prepared.iter().enumerate() {
@@ -1462,7 +1412,8 @@ impl TjProbe<'_> {
         }
         let _probe_span = lane.span("probe", "engine");
         let tj = Tributary::new(&prepared, self.order, self.filters, self.num_vars);
-        probe::tributary_probe(&tj, &prepared, self.head, self.threads)
+        let probed = probe::tributary_probe(&tj, &prepared, self.head, self.threads);
+        (probed, sort_time)
     }
 }
 
@@ -1592,7 +1543,7 @@ fn run_one_round(
     };
     let phase = run_phase_traced(hosted, &obs.trace, "local-join", |w, lane| {
         let locals = &locals_of[w];
-        match join_alg {
+        let (rel, live, sort_time) = match join_alg {
             JoinAlg::Hash => {
                 let mut pending = pending.clone();
                 // The root (under broadcast the largest atom) stays
@@ -1606,13 +1557,10 @@ fn run_one_round(
                     Cow::Owned(root.filter(&ready0))
                 };
                 let mut live: u64 = locals.iter().map(|l| l.rel.len() as u64).sum();
-                let mut tally = JoinTally::default();
                 let probe_span = lane.span("probe", "engine");
                 for &ai in &local_order[1..] {
-                    let (joined, m, st) =
-                        hash_join_step(&cur, &locals[ai], &mut pending, seed, probe_threads);
-                    tally.morsels += m;
-                    tally.steals += st;
+                    let joined =
+                        hash_join_step(&cur, &locals[ai], &mut pending, seed, probe_threads, obs);
                     cur = Cow::Owned(joined);
                     live = live.max(
                         locals.iter().map(|l| l.rel.len() as u64).sum::<u64>()
@@ -1621,12 +1569,10 @@ fn run_one_round(
                 }
                 drop(probe_span);
                 let out = cur.project(&head);
-                tally.live = live;
-                (out.rel, tally)
+                (out.rel, live, Duration::ZERO)
             }
             JoinAlg::Tributary => {
                 let order = &tj_order;
-                let mut tally = JoinTally::default();
                 // A view (or trie) too large for a worker's memory budget
                 // is returned but never cached — the budget bounds what
                 // either cache may pin (budget is in tuples; a sorted
@@ -1639,32 +1585,29 @@ fn run_one_round(
                 };
                 // Both cache layers key by the *base* fragment's content
                 // fingerprint — computed once here, reused by both.
-                let cached_view = |tally: &mut JoinTally,
-                                   fp: u128,
-                                   r: &Relation,
-                                   cols: &[usize]| {
+                let cached_view = |fp: u128, r: &Relation, cols: &[usize]| {
                     let sort = |r: &Relation, cols: &[usize]| {
                         prepare::sorted_by_columns_parallel(r, cols, prep_threads)
                     };
                     let (view, lookup) =
                         SortCache::global().get_or_sort_keyed(fp, r, cols, entry_cap(cols), sort);
-                    match lookup {
-                        Lookup::Hit => tally.sort_cache_hits += 1,
-                        Lookup::Miss => tally.sort_cache_misses += 1,
-                    }
+                    obs.count_lookup(
+                        lookup,
+                        metric_names::SORT_CACHE_HITS,
+                        metric_names::SORT_CACHE_MISSES,
+                    );
                     view
                 };
-                let probed = match opts.trie_layout {
+                let (probed, sort_time) = match opts.trie_layout {
                     TrieLayout::Row => tj.run(
                         lane,
-                        &mut tally,
                         locals,
-                        |tally, l| {
+                        |l| {
                             if opts.sequential_prepare {
                                 SortedAtom::prepare(&l.rel, &l.vars, order)
                             } else {
                                 SortedAtom::prepare_with(&l.rel, &l.vars, order, |r, cols| {
-                                    cached_view(tally, r.fingerprint(), r, cols)
+                                    cached_view(r.fingerprint(), r, cols)
                                 })
                             }
                         },
@@ -1678,9 +1621,8 @@ fn run_one_round(
                     ),
                     TrieLayout::Columnar => tj.run(
                         lane,
-                        &mut tally,
                         locals,
-                        |tally, l| {
+                        |l| {
                             if opts.sequential_prepare {
                                 ColumnarAtom::prepare(&l.rel, &l.vars, order)
                             } else {
@@ -1690,7 +1632,7 @@ fn run_one_round(
                                     // stays shared with row-layout and
                                     // merge-join consumers of the same
                                     // fragment…
-                                    let view = cached_view(tally, fp, r, cols);
+                                    let view = cached_view(fp, r, cols);
                                     // …then the TrieCache layered on
                                     // top, reusing the whole prepared
                                     // trie across queries under the
@@ -1701,10 +1643,11 @@ fn run_one_round(
                                         entry_cap(cols),
                                         || ColumnarTrie::build(&view),
                                     );
-                                    match lookup {
-                                        Lookup::Hit => tally.trie_cache_hits += 1,
-                                        Lookup::Miss => tally.trie_cache_misses += 1,
-                                    }
+                                    obs.count_lookup(
+                                        lookup,
+                                        metric_names::TRIE_CACHE_HITS,
+                                        metric_names::TRIE_CACHE_MISSES,
+                                    );
                                     trie
                                 })
                             }
@@ -1720,28 +1663,24 @@ fn run_one_round(
                         },
                     ),
                 };
-                tally.morsels = probed.morsels;
-                tally.steals = probed.steals;
-                tally.live = locals.iter().map(|l| 2 * l.rel.len() as u64).sum::<u64>()
+                obs.count_probe(probed.morsels, probed.steals);
+                let live = locals.iter().map(|l| 2 * l.rel.len() as u64).sum::<u64>()
                     + probed.rel.len() as u64;
-                (probed.rel, tally)
+                (probed.rel, live, sort_time)
             }
-        }
+        };
+        obs.registry
+            .counter(metric_names::PEAK_WORKER_TUPLES)
+            .max(live);
+        (rel, live, sort_time)
     });
 
     let mut outputs = Vec::with_capacity(hosted);
     let mut sort_times = Vec::with_capacity(hosted);
-    for (w, (rel, t)) in phase.results.into_iter().enumerate() {
-        check_budget(cluster, seam.first_rank() + w, t.live)?;
-        result.peak_worker_tuples = result.peak_worker_tuples.max(t.live);
-        result.probe_morsels += t.morsels;
-        result.probe_steals += t.steals;
+    for (w, (rel, live, sort_time)) in phase.results.into_iter().enumerate() {
+        check_budget(cluster, seam.first_rank() + w, live)?;
         outputs.push(rel);
-        sort_times.push(t.sort_time);
-        result.sort_cache_hits += t.sort_cache_hits;
-        result.sort_cache_misses += t.sort_cache_misses;
-        result.trie_cache_hits += t.trie_cache_hits;
-        result.trie_cache_misses += t.trie_cache_misses;
+        sort_times.push(sort_time);
     }
     result.absorb_phase(&phase.busy, Some(&sort_times));
 
@@ -1776,7 +1715,9 @@ fn finish_output(ex: &Exec<'_>, cur: DistRel, result: &mut RunResult) -> Result<
     } else {
         projected
     };
-    result.output_tuples = out.total_len();
+    ex.obs
+        .registry
+        .add(metric_names::OUTPUT_TUPLES, out.total_len());
     if opts.collect_output {
         result.output = Some(out.gather());
     }
@@ -2153,8 +2094,9 @@ mod tests {
                 "{s:?}/{j:?}: streaming output must be byte-identical"
             );
             assert_eq!(local.tuples_shuffled, streamed.tuples_shuffled);
-            assert_eq!(local.bytes_shuffled, 0, "{s:?}/{j:?}");
-            assert!(streamed.bytes_shuffled > 0, "{s:?}/{j:?}");
+            let bytes = |r: &RunResult| r.shuffles.iter().map(|s| s.bytes_sent).sum::<u64>();
+            assert_eq!(bytes(&local), 0, "{s:?}/{j:?}");
+            assert!(bytes(&streamed) > 0, "{s:?}/{j:?}");
         }
     }
 

@@ -45,10 +45,10 @@ pub struct SemijoinResult {
 }
 
 /// One distributed semijoin step: reduce `target` (consumed by its
-/// shuffle) by `reducer` on their shared variables. Returns the reduced relation, the two shuffle stats
-/// (projection, input), and the probe morsels and steals executed across
-/// workers (the local semijoin filter runs morsel-parallel with work
-/// stealing; see [`crate::probe`]).
+/// shuffle) by `reducer` on their shared variables. Returns the reduced
+/// relation and the two shuffle stats (projection, input). The local
+/// semijoin filter runs morsel-parallel with work stealing (see
+/// [`crate::probe`]); its morsels and steals are counted into `obs`.
 fn distributed_semijoin(
     target: DistRel,
     reducer: &DistRel,
@@ -57,7 +57,7 @@ fn distributed_semijoin(
     probe_threads: usize,
     obs: &RunObs,
     seam: &Seam<'_>,
-) -> Result<(DistRel, ShuffleStats, ShuffleStats, u64, u64), EngineError> {
+) -> Result<(DistRel, ShuffleStats, ShuffleStats), EngineError> {
     let shared: Vec<VarId> = target
         .vars
         .iter()
@@ -101,21 +101,14 @@ fn distributed_semijoin(
     let phase = run_phase_traced(cluster.workers, &obs.trace, "semijoin", |w, _lane| {
         let (t, r) = &sides[w];
         let (reduced, morsels, steals) = probe::semijoin_parallel(t, r, seed, probe_threads);
-        (reduced.rel, morsels, steals)
+        obs.count_probe(morsels, steals);
+        reduced.rel
     });
-    let mut parts = Vec::with_capacity(cluster.workers);
-    let mut morsels = 0u64;
-    let mut steals = 0u64;
-    for (rel, m, st) in phase.results {
-        parts.push(rel);
-        morsels += m;
-        steals += st;
-    }
     let reduced = DistRel {
         vars: tgt_s.vars,
-        parts,
+        parts: phase.results,
     };
-    Ok((reduced, stats_proj, stats_tgt, morsels, steals))
+    Ok((reduced, stats_proj, stats_tgt))
 }
 
 /// Runs the full semijoin plan on an acyclic query.
@@ -146,14 +139,11 @@ pub fn run_semijoin_plan(
     let mut sj_rounds = Vec::new();
     let mut projected_tuples = 0u64;
     let mut input_tuples = 0u64;
-    let mut sj_morsels = 0u64;
-    let mut sj_steals = 0u64;
     let probe_threads = opts.effective_probe_threads(cluster.workers);
     // One runtime, one registry and one trace span the whole plan —
     // reduction passes and final join — so every shuffle moves through
-    // the same seam and the exported metrics and chrome trace cover the
-    // semijoin work too (the final join's legacy counters are folded into
-    // `run` below, and we finalize after that fold).
+    // the same seam, and the final join's registry snapshot and the
+    // chrome trace cover the semijoin work too.
     let obs = RunObs::new(opts.trace_path.is_some());
     let rt = start_runtime(cluster, &obs)?;
     let seam = Seam::from(rt.as_ref());
@@ -169,7 +159,7 @@ pub fn run_semijoin_plan(
     for (target, reducer) in bottom_up.chain(top_down) {
         let atoms = &query.atoms;
         let unreduced = std::mem::replace(&mut dists[target], DistRel::empty(Vec::new(), 0));
-        let (reduced, sp, st, morsels, steals) = distributed_semijoin(
+        let (reduced, sp, st) = distributed_semijoin(
             unreduced,
             &dists[reducer],
             cluster,
@@ -180,8 +170,6 @@ pub fn run_semijoin_plan(
         )?;
         projected_tuples += sp.tuples_sent;
         input_tuples += st.tuples_sent;
-        sj_morsels += morsels;
-        sj_steals += steals;
         sj_rounds.push([sp, st]);
         dists[target] = reduced;
     }
@@ -227,12 +215,7 @@ pub fn run_semijoin_plan(
         run.absorb_round(round, cluster);
     }
     run.shuffles.extend(final_shuffles);
-    run.probe_morsels += sj_morsels;
-    run.probe_steals += sj_steals;
     run.config = "SJ_HJ".into();
-    // Finalize only now, with the semijoin shuffles and morsels folded
-    // in, so the metric mirrors match the folded totals exactly.
-    obs.finalize(&mut run);
     obs.write_trace(opts.trace_path.as_deref())?;
 
     Ok(SemijoinResult {
@@ -331,5 +314,28 @@ mod tests {
             sj.run.shuffles.iter().map(|s| s.tuples_sent).sum::<u64>()
         );
         assert!(sj.run.tuples_shuffled >= sj.projected_tuples_shuffled + sj.input_tuples_shuffled);
+
+        // Every probe operation counts at least one morsel per worker:
+        // each reduction step (two shuffles labelled `T ⋉ R: …`) and each
+        // of the final join's binary joins.
+        let workers = cluster.workers as u64;
+        let steps = sj
+            .run
+            .shuffles
+            .iter()
+            .filter(|s| s.label.contains('⋉'))
+            .count() as u64
+            / 2;
+        let joins = q.atoms.len() as u64 - 1;
+        assert_eq!(steps, 4, "two tree edges, reduced bottom-up then top-down");
+        assert!(
+            sj.run.probe_morsels >= (steps + joins) * workers,
+            "{} morsels for {steps} reduction steps and {joins} joins on {workers} workers",
+            sj.run.probe_morsels
+        );
+        assert_eq!(
+            sj.run.metric(crate::metric_names::PROBE_MORSELS),
+            Some(sj.run.probe_morsels)
+        );
     }
 }

@@ -19,9 +19,9 @@
 //!    [`Lane::span`] return an inert guard without even reading the
 //!    clock; detached counters still count but feed no registry.
 //! 3. **Per-run, not per-process.** Tests run many plans concurrently in
-//!    one process; a global registry would interleave their tallies and
-//!    break exact reconciliation against `RunResult`'s legacy counters.
-//!    Every run owns its own [`Registry`] and [`TraceSink`].
+//!    one process; a global registry would interleave their tallies, and
+//!    a run's registry is the only store of its scalar counters. Every
+//!    run owns its own [`Registry`] and [`TraceSink`].
 
 mod registry;
 mod trace;

@@ -34,6 +34,12 @@ impl Counter {
         self.add(1);
     }
 
+    /// Raises the value to `n` if it is below: a high-water mark.
+    #[inline]
+    pub fn max(&self, n: u64) {
+        self.0.fetch_max(n, Ordering::Relaxed);
+    }
+
     /// The current value.
     pub fn get(&self) -> u64 {
         self.0.load(Ordering::Relaxed)
@@ -68,6 +74,10 @@ impl Registry {
     /// into this registry) for as long as the caller holds it.
     pub fn counter(&self, name: &str) -> Counter {
         let mut slots = self.slots.lock().unwrap_or_else(PoisonError::into_inner);
+        // Only the first registration of a name allocates its key.
+        if let Some(c) = slots.get(name) {
+            return c.clone();
+        }
         slots.entry(name.to_string()).or_default().clone()
     }
 
@@ -109,6 +119,10 @@ mod tests {
         d.inc();
         assert_eq!(c.get(), 4);
         assert_eq!(d.get(), 4);
+        c.max(2);
+        assert_eq!(c.get(), 4, "max never lowers");
+        d.max(9);
+        assert_eq!(c.get(), 9);
     }
 
     #[test]

@@ -180,10 +180,19 @@ pub fn assert_parity(cell: &str, reference: &RunResult, run: &RunResult) {
     );
 }
 
+/// The encoded bytes a run's shuffles put on the network.
+fn bytes_shuffled(r: &RunResult) -> u64 {
+    r.shuffles.iter().map(|s| s.bytes_sent).sum()
+}
+
 /// What a reference run reports about itself: one probe thread, no
 /// cache lookups of either kind, no bytes.
 pub fn assert_reference(cell: &str, r: &RunResult) {
-    assert_eq!(r.probe_threads, 1, "{cell}: sequential_probe is one thread");
+    assert_eq!(
+        r.metric(metric_names::PROBE_THREADS),
+        Some(1),
+        "{cell}: sequential_probe is one thread"
+    );
     assert!(r.probe_morsels >= 1, "{cell}: no probe morsels recorded");
     assert_eq!(
         (r.sort_cache_hits, r.sort_cache_misses),
@@ -195,7 +204,7 @@ pub fn assert_reference(cell: &str, r: &RunResult) {
         (0, 0),
         "{cell}: the reference must bypass the TrieCache"
     );
-    assert_eq!(r.bytes_shuffled, 0, "{cell}: Local moves no bytes");
+    assert_eq!(bytes_shuffled(r), 0, "{cell}: Local moves no bytes");
 }
 
 /// What a production run reports about itself.
@@ -203,7 +212,8 @@ pub fn assert_production(cell: &str, (s, j): (ShuffleAlg, JoinAlg), p: Productio
     assert!(r.probe_morsels >= 1, "{cell}: no probe morsels recorded");
     if let Some(t) = p.probe_threads {
         assert_eq!(
-            r.probe_threads, t as u64,
+            r.metric(metric_names::PROBE_THREADS),
+            Some(t as u64),
             "{cell}: probe_threads must echo the override"
         );
     }
@@ -219,12 +229,13 @@ pub fn assert_production(cell: &str, (s, j): (ShuffleAlg, JoinAlg), p: Productio
             "{cell}: a plan without a TJ prepare phase touched a cache"
         );
     }
+    let bytes = bytes_shuffled(r);
     if !p.transport.is_streaming() {
-        assert_eq!(r.bytes_shuffled, 0, "{cell}: Local moves no bytes");
+        assert_eq!(bytes, 0, "{cell}: Local moves no bytes");
         return;
     }
     assert!(
-        r.bytes_shuffled > 0 || r.tuples_shuffled == 0,
+        bytes > 0 || r.tuples_shuffled == 0,
         "{cell}: streaming moved tuples but no bytes"
     );
     // One byte ledger: the bytes the engine reports are the bytes the
@@ -232,8 +243,8 @@ pub fn assert_production(cell: &str, (s, j): (ShuffleAlg, JoinAlg), p: Productio
     for counter in ["runtime.tx.bytes", "runtime.rx.bytes"] {
         assert_eq!(
             r.metric(counter),
-            Some(r.bytes_shuffled),
-            "{cell}: {counter} disagrees with bytes_shuffled"
+            Some(bytes),
+            "{cell}: {counter} disagrees with the shuffles' bytes"
         );
     }
     if p.batch_tuples == 1 {
@@ -258,10 +269,11 @@ pub fn assert_every_shuffle_streamed(cell: &str, r: &RunResult) {
             s.tuples_sent
         );
     }
-    assert!(r.bytes_shuffled > 0, "{cell}: nothing was streamed");
+    let bytes = bytes_shuffled(r);
+    assert!(bytes > 0, "{cell}: nothing was streamed");
     assert_eq!(
-        r.metric("engine.bytes.shuffled"),
         r.metric("runtime.tx.bytes"),
+        Some(bytes),
         "{cell}: engine and runtime disagree on the bytes shuffled"
     );
 }

@@ -1,9 +1,9 @@
 //! End-to-end checks of the observability layer: a traced run must emit
 //! a chrome://tracing-loadable JSON file with one span per phase per
-//! worker lane, the metrics registry snapshot on [`RunResult::metrics`]
-//! must reconcile *exactly* with the legacy ad-hoc counters
-//! (`bytes_shuffled`, `sort_cache_hits`, …), and [`RunResult::report`]
-//! must render the phase/worker tables these metrics feed.
+//! worker lane, the independent byte tallies (the engine's per-shuffle
+//! `bytes_sent`, the runtime's sent and received bytes) must agree
+//! *exactly*, and [`RunResult::report`] must render the phase/worker
+//! tables and the registry counters.
 
 use parjoin::obs::json::summarize_chrome_trace;
 use parjoin::obs::COORDINATOR_LANE;
@@ -74,28 +74,12 @@ fn local_transport_still_traces_engine_phases() {
 fn registry_reconciles_with_legacy_counters() {
     let dir = tmp_dir("metrics");
     let (r, _) = traced_run(&dir, TransportKind::InProcess);
-    // Engine mirrors.
-    assert_eq!(
-        r.metric(metric_names::TUPLES_SHUFFLED),
-        Some(r.tuples_shuffled)
-    );
-    assert_eq!(
-        r.metric(metric_names::BYTES_SHUFFLED),
-        Some(r.bytes_shuffled)
-    );
-    assert_eq!(r.metric(metric_names::OUTPUT_TUPLES), Some(r.output_tuples));
-    assert_eq!(
-        r.metric(metric_names::SORT_CACHE_HITS),
-        Some(r.sort_cache_hits)
-    );
-    assert_eq!(
-        r.metric(metric_names::SORT_CACHE_MISSES),
-        Some(r.sort_cache_misses)
-    );
-    assert_eq!(r.metric(metric_names::PROBE_MORSELS), Some(r.probe_morsels));
-    // The runtime counted the same bytes the engine tallied.
-    assert_eq!(r.metric("runtime.tx.bytes"), Some(r.bytes_shuffled));
-    assert_eq!(r.metric("runtime.rx.bytes"), Some(r.bytes_shuffled));
+    // The runtime sent and received exactly the bytes the engine's
+    // shuffles recorded.
+    let bytes: u64 = r.shuffles.iter().map(|s| s.bytes_sent).sum();
+    assert!(bytes > 0);
+    assert_eq!(r.metric("runtime.tx.bytes"), Some(bytes));
+    assert_eq!(r.metric("runtime.rx.bytes"), Some(bytes));
     assert_eq!(r.metric("runtime.rx.decode_errors"), Some(0));
     let _ = std::fs::remove_dir_all(&dir);
 }
@@ -132,7 +116,7 @@ fn report_renders_phase_and_worker_tables() {
         "sort(prep)",
         "join(probe)",
         "load skew (max/mean busy)",
-        "engine.bytes.shuffled",
+        "engine.output.tuples",
         "runtime.tx.bytes",
     ] {
         assert!(

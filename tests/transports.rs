@@ -2,7 +2,7 @@
 //! over `InProcess` channels and loopback `Tcp` against the reference
 //! configuration on `Local`, Q1–Q8 × six configurations
 //! (`parity::check`, which also pins that moved tuples mean moved bytes
-//! and that the runtime's byte counters are `bytes_shuffled`).
+//! and that the runtime's byte counters equal the shuffles' `bytes_sent`).
 //!
 //! The streaming exchange accumulates batches per source and
 //! concatenates sources in ascending order, so it reproduces the Local

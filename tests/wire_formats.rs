@@ -3,7 +3,7 @@
 //! decoder at their busiest — against the reference configuration,
 //! Q1–Q8 × six configurations (`parity::check`, which also pins that the
 //! runtime sent one frame per shuffled tuple and that its byte counters
-//! are `bytes_shuffled`); the 512-row points of the same axis are
+//! equal the shuffles' `bytes_sent`); the 512-row points of the same axis are
 //! `transports`'. There is one frame layout, so there is no format axis.
 //!
 //! And the analyzer's per-frame estimate — the arithmetic behind the
