@@ -6,10 +6,9 @@
 //! in `crates/runtime/tests/exchange.rs`.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
-use parjoin_common::{hash, Relation};
+use parjoin_common::Relation;
 use parjoin_datagen::graph;
-use parjoin_runtime::{local_shuffle, Router, Runtime, RuntimeConfig, TransportKind};
-use std::sync::Arc;
+use parjoin_runtime::{local_shuffle, Route, Runtime, RuntimeConfig, TransportKind};
 
 const WORKERS: usize = 8;
 
@@ -21,21 +20,15 @@ fn make_parts(rel: &Relation) -> Vec<Relation> {
     parts
 }
 
-fn hash_router(seed: u64) -> Router {
-    Arc::new(move |_w, row, dests| {
-        dests.push(hash::bucket_row(&[row[1]], seed, WORKERS));
-    })
-}
-
 fn bench_exchange(c: &mut Criterion) {
     let mut group = c.benchmark_group("exchange");
     let g = graph::twitter_graph(20_000, 5, 3);
     let parts = make_parts(&g);
-    let router = hash_router(42);
+    let route = Route::hash(vec![1], 42, WORKERS).expect("route");
     group.throughput(Throughput::Elements(g.len() as u64));
 
     group.bench_with_input(BenchmarkId::new("local", g.len()), &parts, |b, p| {
-        b.iter(|| local_shuffle(p, &router));
+        b.iter(|| local_shuffle(p, &route));
     });
 
     for batch in [512usize, 4096, 16_384] {
@@ -50,10 +43,7 @@ fn bench_exchange(c: &mut Criterion) {
             BenchmarkId::new("in_process", format!("batch{batch}")),
             &parts,
             |b, p| {
-                b.iter(|| {
-                    rt.shuffle(p.clone(), Arc::clone(&router))
-                        .expect("exchange succeeds")
-                });
+                b.iter(|| rt.shuffle(p.clone(), &route).expect("exchange succeeds"));
             },
         );
         rt.shutdown().expect("clean shutdown");

@@ -29,8 +29,7 @@ pub fn hash64(x: Value, seed: u64) -> u64 {
 #[inline]
 pub fn bucket(x: Value, seed: u64, buckets: usize) -> usize {
     assert!(buckets > 0, "bucket count must be positive");
-    // Multiply-shift range reduction avoids the modulo bias and the div.
-    ((hash64(x, seed) as u128 * buckets as u128) >> 64) as usize
+    reduce(hash64(x, seed), buckets)
 }
 
 /// Hashes a composite key (several attribute values) into one of `buckets`
@@ -39,11 +38,26 @@ pub fn bucket(x: Value, seed: u64, buckets: usize) -> usize {
 #[inline]
 pub fn bucket_row(vals: &[Value], seed: u64, buckets: usize) -> usize {
     assert!(buckets > 0, "bucket count must be positive");
-    let mut acc = seed ^ 0x51_7c_c1_b7_27_22_0a_95;
-    for &v in vals {
-        acc = hash64(v, acc);
-    }
-    ((acc as u128 * buckets as u128) >> 64) as usize
+    reduce(
+        vals.iter().fold(row_seed(seed), |acc, &v| hash64(v, acc)),
+        buckets,
+    )
+}
+
+/// The accumulator [`bucket_row`] folds a key's values into with
+/// [`hash64`], one value at a time.
+#[inline]
+pub fn row_seed(seed: u64) -> u64 {
+    seed ^ 0x51_7c_c1_b7_27_22_0a_95
+}
+
+/// Maps a 64-bit hash onto `0..buckets` by multiply-shift, which avoids
+/// the modulo bias and the division. Unchecked: a caller that validated
+/// `buckets > 0` once (a shuffle route) skips [`bucket`]'s per-call
+/// assert; `buckets == 0` yields 0.
+#[inline]
+pub fn reduce(h: u64, buckets: usize) -> usize {
+    ((h as u128 * buckets as u128) >> 64) as usize
 }
 
 /// 128-bit fingerprint of a (arity, rows, values) triple: two

@@ -39,7 +39,7 @@ use parjoin_core::tributary::{ColumnarAtom, ColumnarTrie, SortedAtom, Tributary}
 use parjoin_obs::{Lane, Registry, TraceSink, COORDINATOR_LANE};
 use parjoin_query::resolve::split_filters;
 use parjoin_query::{resolve_atoms, ConjunctiveQuery, Filter, VarId};
-use parjoin_runtime::{Runtime, RuntimeConfig, RuntimeObs};
+use parjoin_runtime::{Route, Runtime, RuntimeConfig, RuntimeObs};
 use std::borrow::Cow;
 use std::fmt::Write as _;
 use std::path::{Path, PathBuf};
@@ -1256,13 +1256,9 @@ fn run_regular(
             (cur_s, next_s, s1, s2)
         } else {
             let hash_on_key = |d: DistRel, label: &str| {
-                let router = shuffle::regular_router_for(
-                    &d.vars,
-                    &shuffle_key,
-                    cluster.seed,
-                    cluster.workers,
-                );
-                shuffle::run_router(d, router, format!("{label} ->h({key_desc})"), seam)
+                let route =
+                    shuffle::regular_route(&d.vars, &shuffle_key, cluster.seed, cluster.workers)?;
+                shuffle::run_route(d, &route, format!("{label} ->h({key_desc})"), seam)
             };
             let (cur_s, s1) = hash_on_key(cur, &cur_label)?;
             let (next_s, s2) = hash_on_key(next, next_label)?;
@@ -1459,9 +1455,9 @@ fn run_one_round(
                 if i == largest {
                     out.push(d); // stays partitioned, nothing sent
                 } else {
-                    let (bc, stats) = shuffle::run_router(
+                    let (bc, stats) = shuffle::run_route(
                         d,
-                        shuffle::broadcast_router(cluster.workers),
+                        &Route::broadcast(cluster.workers)?,
                         format!("Broadcast {}", query.atoms[i].relation),
                         seam,
                     )?;
@@ -1486,9 +1482,10 @@ fn run_one_round(
             }
             let mut out = Vec::with_capacity(seeded.len());
             for (i, d) in seeded.into_iter().enumerate() {
-                let router = shuffle::hypercube_router_for(&d.vars, &config, cluster.seed);
+                let route =
+                    shuffle::hypercube_route(&d.vars, &config, cluster.seed, cluster.workers)?;
                 let label = format!("HCS {}", query.atoms[i].relation);
-                let (hc, stats) = shuffle::run_router(d, router, label, seam)?;
+                let (hc, stats) = shuffle::run_route(d, &route, label, seam)?;
                 round.push(stats);
                 out.push(hc);
             }
@@ -1765,9 +1762,9 @@ fn group_count_output(
     };
     // Groups are placed by the head columns in head order.
     let seed = shuffle::join_key_seed(cluster.seed, &projected.vars);
-    let (mut combined, stats) = shuffle::run_router(
+    let (mut combined, stats) = shuffle::run_route(
         partial,
-        shuffle::regular_router((0..head).collect(), seed, cluster.workers),
+        &Route::hash((0..head).collect(), seed, cluster.workers)?,
         "group-count combine",
         ex.seam,
     )?;

@@ -79,8 +79,8 @@ fn distributed_semijoin(
 
     // Shuffle both on the shared variables.
     let hash_on_shared = |d: DistRel, what: &str| {
-        let router = shuffle::regular_router_for(&d.vars, &shared, cluster.seed, cluster.workers);
-        shuffle::run_router(d, router, format!("{label}: {what}"), seam)
+        let route = shuffle::regular_route(&d.vars, &shared, cluster.seed, cluster.workers)?;
+        shuffle::run_route(d, &route, format!("{label}: {what}"), seam)
     };
     let (proj_s, stats_proj) = hash_on_shared(projected, "keys")?;
     let (tgt_s, stats_tgt) = hash_on_shared(target, "input")?;

@@ -9,10 +9,10 @@
 //! a tuple counts as "sent" even when its destination equals its source
 //! worker (Table 2 charges the full 1,114,289 tuples for `R(x,y) ->h(y)`).
 //!
-//! Every shuffle in the engine is a [`Router`] closure (row →
-//! destination set) handed to `run_router`, which runs it over the
-//! *hosted* partitions through a `Seam`. `Local` is the sequential loop
-//! (byte-for-byte the original simulator, zero bytes moved); `Stream` is
+//! Every shuffle in the engine is a [`Route`] (hash, cube or skew)
+//! handed to `run_route`, which runs it over the *hosted* partitions
+//! through a `Seam`. `Local` is the in-memory two-pass kernel (zero
+//! bytes moved, exact-size partitions); `Stream` is
 //! one exchange round between the ranks of a [`Runtime`] — all `p` of
 //! them when the run is in-process, the one rank of a multi-process
 //! mesh this process hosts otherwise, the same code either way. Row
@@ -25,7 +25,8 @@ use crate::error::EngineError;
 use parjoin_common::{hash, Relation, ShuffleStats, Value};
 use parjoin_core::hypercube::HcConfig;
 use parjoin_query::VarId;
-use parjoin_runtime::{local_shuffle, Router, Runtime, ShuffleOutcome};
+use parjoin_runtime::route::HeavyKeys;
+use parjoin_runtime::{local_shuffle, Route, Runtime, RuntimeError, ShuffleOutcome};
 use std::collections::{BTreeMap, HashMap};
 use std::sync::Arc;
 
@@ -63,32 +64,43 @@ pub fn join_key_seed(base: u64, on: &[VarId]) -> u64 {
     hash::key_seed(base, &sorted)
 }
 
-/// Runs `router` over `input`'s hosted partitions through `seam` and
+/// Runs `route` over `input`'s hosted partitions through `seam` and
 /// packages the outcome as the engine's types. A streaming seam consumes
 /// the partitions: each rank owns the one it routes.
-pub(crate) fn run_router(
+pub(crate) fn run_route(
     input: DistRel,
-    router: Router,
+    route: &Route,
     label: impl Into<String>,
     seam: &Seam<'_>,
 ) -> Result<(DistRel, ShuffleStats), EngineError> {
     let outcome = match seam {
-        Seam::Local => local_shuffle(&input.parts, &router),
-        Seam::Stream(rt) => rt.shuffle(input.parts, router)?,
+        Seam::Local => local_shuffle(&input.parts, route),
+        Seam::Stream(rt) => rt.shuffle(input.parts, route)?,
     };
     Ok(package(input.vars, outcome, label))
 }
 
-/// The in-memory seam over a borrowed relation: no error source, and
-/// nothing to consume.
+/// The in-memory seam over a borrowed relation: nothing to consume, and
+/// no error source but the route.
+///
+/// # Panics
+/// Panics if the route is invalid. The infallible shuffles below build
+/// theirs over `input.workers()` ranks, which a [`DistRel`] of at least
+/// one partition (and, for HyperCube, at least as many partitions as
+/// cells) always satisfies.
 fn run_local(
     input: &DistRel,
-    router: &Router,
+    route: Result<Route, RuntimeError>,
     label: impl Into<String>,
 ) -> (DistRel, ShuffleStats) {
+    let route = match route {
+        Ok(route) => route,
+        // xtask: allow(panic)
+        Err(e) => panic!("in-memory shuffle over {} partitions: {e}", input.workers()),
+    };
     package(
         input.vars.clone(),
-        local_shuffle(&input.parts, router),
+        local_shuffle(&input.parts, &route),
         label,
     )
 }
@@ -114,40 +126,6 @@ fn package(
     (DistRel { vars, parts }, stats)
 }
 
-/// Key columns / hypercube dimensions a router handles in a stack
-/// buffer; beyond it a row's scratch space comes from the heap.
-const STACK_SLOTS: usize = 16;
-
-/// Runs `f` over a zeroed scratch slice of length `len`: on the stack up
-/// to [`STACK_SLOTS`], so routing a row allocates nothing.
-#[inline]
-fn with_scratch<T: Copy + Default, R>(len: usize, f: impl FnOnce(&mut [T]) -> R) -> R {
-    if len <= STACK_SLOTS {
-        f(&mut [T::default(); STACK_SLOTS][..len])
-    } else {
-        f(&mut vec![T::default(); len])
-    }
-}
-
-/// The [`Router`] of the regular shuffle: one destination per row, the
-/// hash bucket of the key columns.
-pub(crate) fn regular_router(cols: Vec<usize>, seed: u64, workers: usize) -> Router {
-    // Single-column keys (the common case) need no scratch at all.
-    if let [c] = cols[..] {
-        return Arc::new(move |_w, row, dests| {
-            dests.push(hash::bucket_row(&[row[c]], seed, workers));
-        });
-    }
-    Arc::new(move |_w, row, dests| {
-        with_scratch(cols.len(), |key: &mut [u64]| {
-            for (k, &c) in key.iter_mut().zip(&cols) {
-                *k = row[c];
-            }
-            dests.push(hash::bucket_row(key, seed, workers));
-        });
-    })
-}
-
 /// Columns of `on`'s variables in `vars`, in sorted variable order (so
 /// both join sides agree).
 fn key_cols(vars: &[VarId], on: &[VarId]) -> Vec<usize> {
@@ -160,35 +138,34 @@ fn key_cols(vars: &[VarId], on: &[VarId]) -> Vec<usize> {
     on_sorted.iter().map(col).collect()
 }
 
-/// Builds the regular-shuffle [`Router`] for a relation with schema
+/// Builds the regular-shuffle [`Route`] for a relation with schema
 /// `vars`, keyed on `on`, over `workers` destination ranks.
-pub(crate) fn regular_router_for(
+pub(crate) fn regular_route(
     vars: &[VarId],
     on: &[VarId],
     base_seed: u64,
     workers: usize,
-) -> Router {
-    regular_router(key_cols(vars, on), join_key_seed(base_seed, on), workers)
+) -> Result<Route, RuntimeError> {
+    Route::hash(key_cols(vars, on), join_key_seed(base_seed, on), workers)
 }
 
-/// Builds the broadcast [`Router`]: every row to every worker.
-pub(crate) fn broadcast_router(workers: usize) -> Router {
-    Arc::new(move |_w, _row, dests| dests.extend(0..workers))
-}
-
-/// Builds the HyperCube [`Router`] for a relation with schema `vars`
-/// under `config`.
-pub(crate) fn hypercube_router_for(vars: &[VarId], config: &HcConfig, base_seed: u64) -> Router {
-    let k = config.dims().len();
-    // Per-dimension hash seeds (independent h_i per variable).
-    let seeds: Vec<u64> = (0..k).map(|d| hash::dimension_seed(base_seed, d)).collect();
-    // Which dimensions this atom pins, and from which column.
-    let pinned: Vec<Option<usize>> = config
-        .vars()
-        .iter()
-        .map(|&v| vars.iter().position(|&x| x == v))
+/// Builds the HyperCube [`Route`] for a relation with schema `vars`
+/// under `config`, over `workers` destination ranks: dimension `d` is
+/// pinned by the column of its variable, hashed with its own seed
+/// (independent `h_d` per variable), and every other dimension fans out.
+pub(crate) fn hypercube_route(
+    vars: &[VarId],
+    config: &HcConfig,
+    base_seed: u64,
+    workers: usize,
+) -> Result<Route, RuntimeError> {
+    let pins: Vec<Option<(usize, u64)>> = (config.vars().iter().enumerate())
+        .map(|(d, &v)| {
+            let col = vars.iter().position(|&x| x == v)?;
+            Some((col, hash::dimension_seed(base_seed, d)))
+        })
         .collect();
-    hypercube_router(config.clone(), pinned, seeds)
+    Route::cube(config.dims(), &pins, workers)
 }
 
 /// Regular shuffle: hash-partition on the values of `on` (in sorted
@@ -199,8 +176,8 @@ pub fn regular(
     label: impl Into<String>,
     base_seed: u64,
 ) -> (DistRel, ShuffleStats) {
-    let router = regular_router_for(&input.vars, on, base_seed, input.workers());
-    run_local(input, &router, label)
+    let route = regular_route(&input.vars, on, base_seed, input.workers());
+    run_local(input, route, label)
 }
 
 /// [`regular`], executed on `rt`'s transport when one is given.
@@ -214,17 +191,17 @@ pub fn regular_via(
     base_seed: u64,
     rt: Option<&Runtime>,
 ) -> Result<(DistRel, ShuffleStats), EngineError> {
-    let router = regular_router_for(&input.vars, on, base_seed, input.workers());
+    let route = regular_route(&input.vars, on, base_seed, input.workers())?;
     match rt {
-        None => Ok(run_local(input, &router, label)),
+        None => Ok(run_local(input, Ok(route), label)),
         // The caller keeps its relation; the exchange consumes a copy.
-        Some(rt) => run_router(input.clone(), router, label, &Seam::Stream(rt)),
+        Some(rt) => run_route(input.clone(), &route, label, &Seam::Stream(rt)),
     }
 }
 
 /// Broadcast shuffle: every worker receives the full relation.
 pub fn broadcast(input: &DistRel, label: impl Into<String>) -> (DistRel, ShuffleStats) {
-    run_local(input, &broadcast_router(input.workers()), label)
+    run_local(input, Route::broadcast(input.workers()), label)
 }
 
 /// HyperCube shuffle: each tuple is sent to every cell of the hypercube
@@ -247,50 +224,14 @@ pub fn hypercube(
         "configuration has {} cells but only {workers} workers",
         config.num_cells()
     );
-    run_local(
-        input,
-        &hypercube_router_for(&input.vars, config, base_seed),
-        label,
-    )
-}
-
-/// The [`Router`] of the HyperCube shuffle: hash the pinned dimensions,
-/// enumerate the slab over the free ones (mixed-radix order).
-fn hypercube_router(config: HcConfig, pinned: Vec<Option<usize>>, seeds: Vec<u64>) -> Router {
-    let dims: Vec<usize> = config.dims().to_vec();
-    let k = dims.len();
-    let free_dims: Vec<usize> = (0..k).filter(|&d| pinned[d].is_none()).collect();
-    Arc::new(move |_w, row, dests| {
-        with_scratch(k, |coords: &mut [usize]| {
-            for d in 0..k {
-                if let Some(col) = pinned[d] {
-                    coords[d] = hash::bucket(row[col], seeds[d], dims[d]);
-                }
-            }
-            loop {
-                dests.push(config.cell_index(coords));
-                // Mixed-radix increment over free dims.
-                let mut advanced = false;
-                for &d in &free_dims {
-                    coords[d] += 1;
-                    if coords[d] < dims[d] {
-                        advanced = true;
-                        break;
-                    }
-                    coords[d] = 0;
-                }
-                if !advanced {
-                    break;
-                }
-            }
-        });
-    })
+    let route = hypercube_route(&input.vars, config, base_seed, workers);
+    run_local(input, route, label)
 }
 
 /// Heavy-hitter-resilient co-shuffle of a join pair (the paper's
 /// footnote 2: "Some parallel hash join algorithms detect the heavy
 /// hitters and treat them specially, to avoid skew"), in two steps that
-/// both go through [`run_router`]:
+/// both go through [`run_route`]:
 ///
 /// 1. **Decide.** Every hosted partition summarises its slice of the
 ///    pair ([`local_summary`]) and the summaries are all-gathered — a
@@ -330,9 +271,9 @@ pub(crate) fn skew_resilient_pair(
             .map(|(pa, pb)| local_summary((pa, &a_cols), (pb, &b_cols), factor, workers))
             .collect(),
     };
-    let (gathered, summary) = run_router(
+    let (gathered, summary) = run_route(
         summaries,
-        broadcast_router(workers),
+        &Route::broadcast(workers)?,
         format!("{} ⋈ {}: heavy-key summary", labels.0, labels.1),
         seam,
     )?;
@@ -340,9 +281,9 @@ pub(crate) fn skew_resilient_pair(
     let heavy = Arc::new(heavy_keys(&gathered.parts[0], factor, workers));
 
     let route = |input: DistRel, cols: Vec<usize>, label: &str, spread_when: bool| {
-        run_router(
+        run_route(
             input,
-            skew_router(cols, seed, workers, Arc::clone(&heavy), spread_when),
+            &Route::skew(cols, seed, Arc::clone(&heavy), spread_when, workers)?,
             format!("{label} ->skew-resilient"),
             seam,
         )
@@ -351,10 +292,6 @@ pub(crate) fn skew_resilient_pair(
     let (out_b, stats_b) = route(b, b_cols, labels.1, false)?;
     Ok((out_a, out_b, [summary, stats_a, stats_b]))
 }
-
-/// The heavy keys of a join pair; the value says whether side `a` is the
-/// one spread (side `b` is then replicated) or the other way round.
-type HeavyKeys = HashMap<Vec<Value>, bool>;
 
 /// First column of a summary row: the partition's `(|a|, |b|)` totals
 /// (key columns zero), or one candidate key's `(fa, fb)`.
@@ -427,33 +364,6 @@ fn heavy_keys(gathered: &Relation, factor: f64, workers: usize) -> HeavyKeys {
         .filter(|(_, [fa, fb])| (fa + fb) as f64 > bar)
         .map(|(key, [fa, fb])| (key.to_vec(), fa >= fb))
         .collect()
-}
-
-/// The [`Router`] of one side of the skew-resilient shuffle: a light
-/// key goes to its hash bucket, a heavy key's rows scatter by a hash of
-/// the whole row on the side being spread (`spread_when` matches the
-/// key's entry) and go to every worker on the other.
-fn skew_router(
-    cols: Vec<usize>,
-    seed: u64,
-    workers: usize,
-    heavy: Arc<HeavyKeys>,
-    spread_when: bool,
-) -> Router {
-    Arc::new(move |_w, row, dests| {
-        with_scratch(cols.len(), |key: &mut [Value]| {
-            for (k, &c) in key.iter_mut().zip(&cols) {
-                *k = row[c];
-            }
-            match heavy.get(&*key) {
-                None => dests.push(hash::bucket_row(key, seed, workers)),
-                Some(&spread_a) if spread_a == spread_when => {
-                    dests.push(hash::bucket_row(row, seed ^ 0xdead_beef, workers));
-                }
-                Some(_) => dests.extend(0..workers),
-            }
-        });
-    })
 }
 
 #[cfg(test)]

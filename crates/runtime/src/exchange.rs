@@ -2,9 +2,11 @@
 //!
 //! Each worker splits its endpoint, drains its inbox from a dedicated
 //! thread (so it can never deadlock against a full outgoing buffer), and
-//! walks its partition once: the router names each row's destinations,
-//! rows accumulate in per-destination buffers, and a buffer reaching
+//! walks its partition once, [`ROUTE_CHUNK`] rows at a time: the
+//! [`Route`] maps the chunk to bases, each row joins the pending window
+//! of every destination its base names, and a window reaching
 //! `batch_tuples` rows is framed ([`parjoin_common::wire`]) and sent.
+//! Nullary rows route as a count: they all share one base.
 //! After the final partial batches the worker signals end-of-stream and
 //! *drops its sender*, releasing its side of every connection, then joins
 //! the drain thread.
@@ -32,8 +34,8 @@
 use crate::error::RuntimeError;
 use crate::metrics::RuntimeObs;
 use crate::pool::BufPool;
+use crate::route::{Route, ROUTE_CHUNK};
 use crate::transport::{BatchSender, Endpoint};
-use crate::Router;
 use parjoin_common::{wire, Relation, Value, WireFormat};
 use std::sync::Arc;
 use std::time::Instant;
@@ -76,23 +78,26 @@ fn flush_batch(
     Ok(sent)
 }
 
-/// Runs one worker's side of the exchange to completion.
+/// Runs one worker's side of the exchange over a mesh of
+/// `route.workers()` ranks to completion.
 ///
 /// # Errors
 /// Propagates transport failures (peer death, timeout) and wire-format
 /// corruption from either direction of the stream.
-#[allow(clippy::too_many_arguments)]
+///
+/// # Panics
+/// Panics if `part` is narrower than a column the route reads.
 pub fn run_worker(
     id: usize,
     part: &Relation,
-    workers: usize,
     opts: ExchangeOpts,
     endpoint: Box<dyn Endpoint>,
-    router: &Router,
+    route: &Route,
     obs: &RuntimeObs,
     pool: &Arc<BufPool>,
 ) -> Result<WorkerOutcome, RuntimeError> {
     let arity = part.arity();
+    let workers = route.workers();
     // The worker's whole side of the exchange is one `shuffle` span on
     // its own trace lane. The drain thread records counters only: its
     // work overlaps this span on the same lane, and overlapping slices
@@ -136,22 +141,44 @@ pub fn run_worker(
 
     // Send side: route, batch, stream.
     let mut pending: Vec<(Vec<Value>, usize)> = (0..workers).map(|_| (Vec::new(), 0)).collect();
-    let mut dests: Vec<usize> = Vec::with_capacity(workers);
     let mut sent_tuples = 0u64;
     let mut bytes_sent = 0u64;
     let send_result = (|| -> Result<(), RuntimeError> {
-        for row in part.rows() {
-            dests.clear();
-            router(id, row, &mut dests);
-            sent_tuples += dests.len() as u64;
-            for &d in &dests {
-                let (flat, rows) = &mut pending[d];
-                flat.extend_from_slice(row);
-                *rows += 1;
-                if *rows >= opts.batch_tuples {
-                    bytes_sent += flush_batch(&mut *sender, d, arity, *rows, flat, obs)?;
-                    flat.clear();
-                    *rows = 0;
+        // A zero batch flushes every row, as a batch of one does; the
+        // nullary count below needs a positive step to terminate.
+        let batch = opts.batch_tuples.max(1);
+        if arity == 0 {
+            // Every nullary row goes where the first one goes.
+            let base = route.nullary_base();
+            for d in route.dests(base) {
+                let (_, rows) = &mut pending[d];
+                let mut left = part.len();
+                sent_tuples += left as u64;
+                while left > 0 {
+                    let take = left.min(batch - *rows);
+                    (*rows, left) = (*rows + take, left - take);
+                    if *rows >= batch {
+                        bytes_sent += flush_batch(&mut *sender, d, 0, *rows, &[], obs)?;
+                        *rows = 0;
+                    }
+                }
+            }
+        }
+        let mut bases = Vec::with_capacity(ROUTE_CHUNK);
+        for chunk in part.raw().chunks(ROUTE_CHUNK * arity.max(1)) {
+            bases.clear();
+            route.bases(chunk, arity, &mut bases);
+            for (row, &base) in chunk.chunks_exact(arity).zip(&bases) {
+                sent_tuples += route.fan(base) as u64;
+                for d in route.dests(base) {
+                    let (flat, rows) = &mut pending[d];
+                    flat.extend_from_slice(row);
+                    *rows += 1;
+                    if *rows >= batch {
+                        bytes_sent += flush_batch(&mut *sender, d, arity, *rows, flat, obs)?;
+                        flat.clear();
+                        *rows = 0;
+                    }
                 }
             }
         }

@@ -39,12 +39,14 @@ pub mod error;
 pub mod exchange;
 pub mod metrics;
 pub mod pool;
+pub mod route;
 pub mod tcp;
 pub mod transport;
 
 pub use error::RuntimeError;
 pub use metrics::RuntimeObs;
 pub use pool::BufPool;
+pub use route::Route;
 pub use tcp::{HandshakeConfig, HostMesh};
 pub use transport::TransportKind;
 
@@ -53,15 +55,6 @@ use std::sync::mpsc::{channel, RecvTimeoutError, Sender};
 use std::sync::{Arc, OnceLock};
 use std::thread::JoinHandle;
 use std::time::Duration;
-
-/// Decides, per producing worker and row, which workers receive a copy.
-///
-/// Arguments: producing worker id, the row, and an output buffer the
-/// router fills with destination worker ids (cleared by the caller
-/// between rows). One closure expresses all three of the paper's
-/// shuffles: hash partitioning pushes one destination, broadcast pushes
-/// all of them, HyperCube pushes the row's subcube slab.
-pub type Router = Arc<dyn Fn(usize, &[Value], &mut Vec<usize>) + Send + Sync>;
 
 /// Runtime construction knobs.
 #[derive(Debug, Clone)]
@@ -148,7 +141,7 @@ pub struct Runtime {
     members: Vec<Arc<HostMesh>>,
     /// One actor per hosted rank; none when a single rank is hosted.
     actors: Vec<Worker>,
-    /// The first rank whose actor died mid-job (a panicking router).
+    /// The first rank whose actor died mid-job (a panicking route).
     dead: OnceLock<usize>,
     /// Recycled receive buffers shared by every shuffle this runtime
     /// runs; hand-outs tally on `runtime.buf.{reuses,allocs}`.
@@ -261,7 +254,7 @@ impl Runtime {
     }
 
     /// Executes one exchange: every hosted rank routes its partition's
-    /// rows through `router` and the runtime returns the repartitioned
+    /// rows through `route` and the runtime returns the repartitioned
     /// data plus the paper's per-producer/per-consumer tallies and real
     /// byte counts, all indexed by hosted partition.
     ///
@@ -272,11 +265,12 @@ impl Runtime {
     ///
     /// # Errors
     /// Transport failures (peer death, timeouts, wire corruption) and
-    /// [`RuntimeError::Config`] on a partition-count mismatch.
+    /// [`RuntimeError::Config`] on a partition-count mismatch or a route
+    /// built for another mesh width, refused before any rank starts.
     pub fn shuffle(
         &self,
         parts: Vec<Relation>,
-        router: Router,
+        route: &Route,
     ) -> Result<ShuffleOutcome, RuntimeError> {
         let hosted = self.hosted;
         if parts.len() != hosted {
@@ -287,11 +281,17 @@ impl Runtime {
         }
         let config = &self.config;
         let width = config.workers;
+        if route.workers() != width {
+            return Err(RuntimeError::Config(format!(
+                "a route over {} ranks on a {width}-rank mesh",
+                route.workers()
+            )));
+        }
         // How each hosted rank gets this round's endpoint: the channel
         // mesh is built whole and dealt out; a TCP member forms its own
         // on its rank's thread, concurrently with its peers.
         let links: Vec<Link> = match config.transport {
-            TransportKind::Local => return Ok(local_shuffle(&parts, &router)),
+            TransportKind::Local => return Ok(local_shuffle(&parts, route)),
             TransportKind::InProcess => {
                 let (depth, timeout) = (config.channel_depth, config.io_timeout);
                 transport::in_process_mesh(width, depth, timeout, &self.pool)
@@ -310,14 +310,14 @@ impl Runtime {
             batch_tuples: config.batch_tuples,
             format: config.wire_format,
         };
+        let route = Arc::new(route.clone());
         let jobs = (self.first_rank..).zip(parts).zip(links);
         let jobs = jobs.map(|((rank, part), link)| {
-            let router = Arc::clone(&router);
+            let route = Arc::clone(&route);
             let obs = config.obs.clone();
             let pool = Arc::clone(&self.pool);
-            Box::new(move || {
-                exchange::run_worker(rank, &part, width, opts, link()?, &router, &obs, &pool)
-            }) as RankJob
+            Box::new(move || exchange::run_worker(rank, &part, opts, link()?, &route, &obs, &pool))
+                as RankJob
         });
         let outcomes = self.run_jobs(jobs.collect())?;
 
@@ -427,34 +427,100 @@ impl Drop for Runtime {
     }
 }
 
-/// The sequential in-memory shuffle ([`TransportKind::Local`]): iterate
-/// producers in ascending order, append each row to its destinations.
-/// This is byte-for-byte the original simulator loop, kept as the
-/// degenerate case of the runtime so existing tests and the memory-budget
-/// failure injection are unaffected.
-pub fn local_shuffle(parts: &[Relation], router: &Router) -> ShuffleOutcome {
-    let p = parts.len();
+/// The in-memory shuffle ([`TransportKind::Local`]): every producer's
+/// rows go to their destinations in ascending producer order, exactly
+/// as the streaming transports deliver them.
+///
+/// Two passes over [`route::ROUTE_CHUNK`]-row chunks: the first maps
+/// the rows to bases and counts rows per distinct base, from which each
+/// destination's row count follows; the second maps them again and
+/// scatters every row into a partition allocated at its exact final
+/// size. Nullary rows route as a count: all of a producer's rows share
+/// one base. The partitions carry no spare capacity into the sort,
+/// build and probe that follow, and no per-row base outlives its chunk.
+///
+/// # Panics
+/// Panics if a partition is narrower than a column the route reads.
+pub fn local_shuffle(parts: &[Relation], route: &Route) -> ShuffleOutcome {
+    let p = route.workers();
     let arity = parts.first().map_or(0, Relation::arity);
-    let mut out: Vec<Relation> = (0..p).map(|_| Relation::new(arity)).collect();
-    let mut per_producer = vec![0u64; p];
+    let chunk = route::ROUTE_CHUNK * arity.max(1);
+    let mut bases = Vec::with_capacity(route::ROUTE_CHUNK);
+    // Pass 1: rows per distinct base (slot `p`: every rank), counted
+    // per producer; `min` maps `ALL` to slot `p`.
+    let mut per_base = vec![0u64; p + 1];
+    let mut per_producer = vec![0u64; parts.len()];
+    let mut hist = vec![0u64; p + 1];
+    for (part, sent) in parts.iter().zip(&mut per_producer) {
+        debug_assert_eq!(part.arity(), arity, "partitions of one relation");
+        hist.fill(0);
+        if arity == 0 {
+            hist[(route.nullary_base() as usize).min(p)] = part.len() as u64;
+        }
+        for rows in part.raw().chunks(chunk) {
+            bases.clear();
+            route.bases(rows, arity, &mut bases);
+            bases
+                .iter()
+                .for_each(|&base| hist[(base as usize).min(p)] += 1);
+        }
+        for (slot, (&rows, total)) in hist.iter().zip(&mut per_base).enumerate() {
+            let base = if slot == p { route::ALL } else { slot as u32 };
+            *total += rows;
+            *sent += rows * route.fan(base) as u64;
+        }
+    }
     let mut per_consumer = vec![0u64; p];
-    let mut dests: Vec<usize> = Vec::with_capacity(p);
-    for (w, part) in parts.iter().enumerate() {
-        for row in part.rows() {
-            dests.clear();
-            router(w, row, &mut dests);
-            per_producer[w] += dests.len() as u64;
-            for &d in &dests {
-                out[d].push_row(row);
-                per_consumer[d] += 1;
+    for (slot, &rows) in per_base.iter().enumerate().filter(|(_, &n)| n > 0) {
+        let base = if slot == p { route::ALL } else { slot as u32 };
+        route.dests(base).for_each(|d| per_consumer[d] += rows);
+    }
+    // Pass 2: scatter in producer order into exact-size partitions.
+    let mut outs: Vec<Vec<Value>> = (per_consumer.iter())
+        .map(|&rows| Vec::with_capacity(rows as usize * arity))
+        .collect();
+    for rows in parts.iter().flat_map(|part| part.raw().chunks(chunk)) {
+        bases.clear();
+        route.bases(rows, arity, &mut bases);
+        match arity {
+            1 => scatter::<1>(route, rows, &bases, &mut outs),
+            2 => scatter::<2>(route, rows, &bases, &mut outs),
+            3 => scatter::<3>(route, rows, &bases, &mut outs),
+            4 => scatter::<4>(route, rows, &bases, &mut outs),
+            _ => {
+                for (row, &base) in rows.chunks_exact(arity).zip(&bases) {
+                    route
+                        .dests(base)
+                        .for_each(|d| outs[d].extend_from_slice(row));
+                }
             }
         }
     }
+    let parts = outs.into_iter().zip(&per_consumer).map(|(out, &rows)| {
+        if arity == 0 {
+            let mut part = Relation::new(0);
+            part.push_nullary_rows(rows as usize);
+            part
+        } else {
+            Relation::from_flat(arity, out)
+        }
+    });
     ShuffleOutcome {
-        parts: out,
+        parts: parts.collect(),
         per_producer,
         per_consumer,
         bytes_sent: 0,
         bytes_received: 0,
+    }
+}
+
+/// The scatter of [`local_shuffle`] for `A`-column rows: fixed-size
+/// copies the compiler unrolls.
+fn scatter<const A: usize>(route: &Route, rows: &[Value], bases: &[u32], outs: &mut [Vec<Value>]) {
+    let (rows, _) = rows.as_chunks::<A>();
+    for (row, &base) in rows.iter().zip(bases) {
+        route
+            .dests(base)
+            .for_each(|d| outs[d].extend_from_slice(row));
     }
 }

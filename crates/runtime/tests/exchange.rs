@@ -3,7 +3,7 @@
 //! same row order, same tallies — and report matching byte counts.
 
 use parjoin_common::{hash, Relation};
-use parjoin_runtime::{Router, Runtime, RuntimeConfig, ShuffleOutcome, TransportKind};
+use parjoin_runtime::{Route, Runtime, RuntimeConfig, ShuffleOutcome, TransportKind};
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -32,24 +32,22 @@ fn make_parts(workers: usize, arity: usize, rows: usize, seed: u64) -> Vec<Relat
     parts
 }
 
-fn hash_router(workers: usize, seed: u64) -> Router {
-    Arc::new(move |_w, row, dests| dests.push(hash::bucket(row[0], seed, workers)))
+fn hash_route(workers: usize, seed: u64) -> Route {
+    Route::hash(vec![0], seed, workers).expect("route")
 }
 
-fn broadcast_router(workers: usize) -> Router {
-    Arc::new(move |_w, _row, dests| dests.extend(0..workers))
+fn broadcast_route(workers: usize) -> Route {
+    Route::broadcast(workers).expect("route")
 }
 
 fn run(
     transport: TransportKind,
     batch: usize,
-    router: &Router,
+    route: &Route,
     parts: &[Relation],
 ) -> ShuffleOutcome {
     let rt = Runtime::new(config(transport, parts.len(), batch)).expect("runtime");
-    let out = rt
-        .shuffle(parts.to_vec(), Arc::clone(router))
-        .expect("shuffle");
+    let out = rt.shuffle(parts.to_vec(), route).expect("shuffle");
     rt.shutdown().expect("shutdown");
     out
 }
@@ -71,13 +69,13 @@ fn streaming_kinds() -> [TransportKind; 2] {
 fn streaming_matches_local_hash_partition() {
     let workers = 4;
     let parts = make_parts(workers, 3, 1000, 42);
-    let router = hash_router(workers, 7);
+    let route = hash_route(workers, 7);
     // batch=64 forces multi-batch streams; batch=4096 gives single batches.
     for batch in [64, 4096] {
-        let local = run(TransportKind::Local, batch, &router, &parts);
+        let local = run(TransportKind::Local, batch, &route, &parts);
         assert_eq!(local.bytes_sent, 0, "local path moves no bytes");
         for kind in streaming_kinds() {
-            let streamed = run(kind, batch, &router, &parts);
+            let streamed = run(kind, batch, &route, &parts);
             assert_same_shuffle(&local, &streamed);
             assert!(
                 streamed.bytes_sent > 0,
@@ -95,15 +93,15 @@ fn streaming_matches_local_hash_partition() {
 fn streaming_matches_local_broadcast() {
     let workers = 3;
     let parts = make_parts(workers, 2, 300, 5);
-    let router = broadcast_router(workers);
-    let local = run(TransportKind::Local, 128, &router, &parts);
+    let route = broadcast_route(workers);
+    let local = run(TransportKind::Local, 128, &route, &parts);
     assert_eq!(
         local.per_producer.iter().sum::<u64>(),
         300 * workers as u64,
         "broadcast sends one copy per worker"
     );
     for kind in streaming_kinds() {
-        let streamed = run(kind, 128, &router, &parts);
+        let streamed = run(kind, 128, &route, &parts);
         assert_same_shuffle(&local, &streamed);
     }
 }
@@ -114,9 +112,9 @@ fn in_process_and_tcp_report_identical_bytes() {
     // the two streaming transports must agree to the byte.
     let workers = 4;
     let parts = make_parts(workers, 2, 777, 9);
-    let router = hash_router(workers, 3);
-    let a = run(TransportKind::InProcess, 100, &router, &parts);
-    let b = run(TransportKind::Tcp, 100, &router, &parts);
+    let route = hash_route(workers, 3);
+    let a = run(TransportKind::InProcess, 100, &route, &parts);
+    let b = run(TransportKind::Tcp, 100, &route, &parts);
     assert_eq!(a.bytes_sent, b.bytes_sent);
     assert_eq!(a.bytes_received, b.bytes_received);
 }
@@ -127,13 +125,18 @@ fn nullary_relations_stream_with_multiplicity() {
     let mut parts: Vec<Relation> = (0..workers).map(|_| Relation::new(0)).collect();
     parts[0].push_nullary_rows(5);
     parts[1].push_nullary_rows(2);
-    // Route all nullary witnesses to worker 0.
-    let router: Router = Arc::new(|_w, _row, dests| dests.push(0));
-    let local = run(TransportKind::Local, 3, &router, &parts);
-    assert_eq!(local.parts[0].len(), 7);
-    assert_eq!(local.parts[0].arity(), 0);
+    // A hash on no column routes every nullary witness to one rank.
+    let route = Route::hash(Vec::new(), 4, workers).expect("route");
+    let local = run(TransportKind::Local, 3, &route, &parts);
+    let rank = local
+        .parts
+        .iter()
+        .position(|p| !p.is_empty())
+        .expect("a rank");
+    assert_eq!(local.parts[rank].len(), 7);
+    assert_eq!(local.parts[rank].arity(), 0);
     for kind in streaming_kinds() {
-        let streamed = run(kind, 3, &router, &parts);
+        let streamed = run(kind, 3, &route, &parts);
         assert_same_shuffle(&local, &streamed);
         assert!(
             streamed.bytes_sent > 0,
@@ -146,9 +149,9 @@ fn nullary_relations_stream_with_multiplicity() {
 fn empty_partitions_shuffle_cleanly() {
     let workers = 3;
     let parts: Vec<Relation> = (0..workers).map(|_| Relation::new(2)).collect();
-    let router = hash_router(workers, 1);
+    let route = hash_route(workers, 1);
     for kind in streaming_kinds() {
-        let out = run(kind, 16, &router, &parts);
+        let out = run(kind, 16, &route, &parts);
         assert!(out.parts.iter().all(Relation::is_empty));
         assert_eq!(out.per_producer, vec![0; workers]);
         assert_eq!(out.bytes_sent, 0, "no rows, no batches");
@@ -161,16 +164,14 @@ fn obs_counters_reconcile_with_shuffle_tallies() {
     use parjoin_runtime::RuntimeObs;
     let workers = 4;
     let parts = make_parts(workers, 2, 500, 11);
-    let router = hash_router(workers, 3);
+    let route = hash_route(workers, 3);
     for kind in streaming_kinds() {
         let reg = Registry::new();
         let trace = TraceSink::enabled();
         let mut cfg = config(kind, workers, 64);
         cfg.obs = RuntimeObs::on_registry(&reg, Arc::clone(&trace));
         let rt = Runtime::new(cfg).expect("runtime");
-        let out = rt
-            .shuffle(parts.clone(), Arc::clone(&router))
-            .expect("shuffle");
+        let out = rt.shuffle(parts.clone(), &route).expect("shuffle");
         rt.shutdown().expect("shutdown");
         // Registry counters mirror the outcome tallies exactly.
         assert_eq!(reg.get("runtime.tx.bytes"), Some(out.bytes_sent), "{kind}");
@@ -252,8 +253,8 @@ fn undecodable_frame_is_a_counted_typed_error() {
         batch_tuples: 16,
         format: Default::default(),
     };
-    let router = hash_router(2, 1);
-    let out = run_worker(0, &Relation::new(1), 2, opts, victim, &router, &obs, &pool);
+    let route = hash_route(2, 1);
+    let out = run_worker(0, &Relation::new(1), opts, victim, &route, &obs, &pool);
     peer.join().expect("hostile peer");
     match out {
         Err(RuntimeError::Io(msg)) => assert!(msg.contains("worker 1"), "names the source: {msg}"),
@@ -263,24 +264,24 @@ fn undecodable_frame_is_a_counted_typed_error() {
     assert_eq!(reg.get("runtime.rx.decode_errors"), Some(1));
 }
 
-/// A router that panics on one rank kills that rank's actor mid-round.
+/// A route that panics on one rank kills that rank's actor mid-round.
 /// Its peers see its streams end without end-of-stream and fail typed;
 /// the caller gets a typed error well inside `io_timeout` — no hang, no
 /// peer left blocked — the runtime refuses further shuffles, and
-/// `shutdown()` names the rank that died.
+/// `shutdown()` names the rank that died. The fault is in rank 2's
+/// input: its partition is narrower than the route's key column, so the
+/// kernel indexes past its rows.
 #[test]
 fn panicking_router_is_a_typed_error_not_a_hang() {
     use parjoin_runtime::RuntimeError;
     let workers = 4;
-    let parts = make_parts(workers, 2, 2000, 23);
+    let mut parts = make_parts(workers, 2, 2000, 23);
+    parts[2] = make_parts(1, 1, 500, 23).remove(0);
     for kind in streaming_kinds() {
-        let router: Router = Arc::new(move |w, row, dests| {
-            assert!(w != 2 || row[0] % 7 != 3, "injected router fault on rank 2");
-            dests.push(hash::bucket(row[0], 5, workers));
-        });
+        let route = Route::hash(vec![1], 5, workers).expect("route");
         let rt = Runtime::new(config(kind, workers, 64)).expect("runtime");
         let start = std::time::Instant::now();
-        let err = rt.shuffle(parts.clone(), Arc::clone(&router));
+        let err = rt.shuffle(parts.clone(), &route);
         assert!(
             matches!(err, Err(RuntimeError::Disconnected(ref m)) if m.contains("worker 2")),
             "{kind}: expected a typed error naming the dead rank, got {err:?}"
@@ -289,7 +290,7 @@ fn panicking_router_is_a_typed_error_not_a_hang() {
             start.elapsed() < Duration::from_secs(10),
             "{kind}: must not wait out the 20 s io_timeout"
         );
-        let again = rt.shuffle(parts.clone(), hash_router(workers, 5));
+        let again = rt.shuffle(parts.clone(), &hash_route(workers, 5));
         assert!(
             matches!(again, Err(RuntimeError::Disconnected(ref m)) if m.contains("worker 2")),
             "{kind}: a runtime with a dead rank refuses the next round: {again:?}"
@@ -307,7 +308,7 @@ fn buffer_pool_recycles_frames_across_sequential_shuffles() {
     use parjoin_runtime::RuntimeObs;
     let workers = 3;
     let parts = make_parts(workers, 2, 600, 17);
-    let router = hash_router(workers, 2);
+    let route = hash_route(workers, 2);
     for kind in streaming_kinds() {
         let reg = Registry::new();
         let mut cfg = config(kind, workers, 64);
@@ -316,12 +317,8 @@ fn buffer_pool_recycles_frames_across_sequential_shuffles() {
         // Within one shuffle every frame may still be in flight when the
         // next is acquired, so reuse is not guaranteed — but the second
         // shuffle starts with the first's frames all back in the pool.
-        let first = rt
-            .shuffle(parts.clone(), Arc::clone(&router))
-            .expect("shuffle 1");
-        let second = rt
-            .shuffle(parts.clone(), Arc::clone(&router))
-            .expect("shuffle 2");
+        let first = rt.shuffle(parts.clone(), &route).expect("shuffle 1");
+        let second = rt.shuffle(parts.clone(), &route).expect("shuffle 2");
         rt.shutdown().expect("shutdown");
         assert_same_shuffle(&first, &second);
         let reuses = reg.get("runtime.buf.reuses").unwrap_or(0);
@@ -347,7 +344,7 @@ fn zero_batch_tuples_is_rejected() {
 #[test]
 fn partition_count_mismatch_is_rejected() {
     let rt = Runtime::new(config(TransportKind::Local, 3, 16)).expect("runtime");
-    let router = hash_router(3, 1);
-    let err = rt.shuffle(vec![Relation::new(1); 2], router);
+    let route = hash_route(3, 1);
+    let err = rt.shuffle(vec![Relation::new(1); 2], &route);
     assert!(matches!(err, Err(parjoin_runtime::RuntimeError::Config(_))));
 }

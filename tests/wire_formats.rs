@@ -44,10 +44,8 @@ parity_tests! { check;
 #[test]
 fn analyzer_frame_estimate_tracks_actual_bytes_within_10_percent() {
     use parjoin_analyze::{estimated_frame_bytes, JoinKind, PlanSpec, ShuffleKind};
-    use parjoin_common::hash;
     use parjoin_obs::{Registry, TraceSink};
-    use parjoin_runtime::{Router, Runtime, RuntimeConfig, RuntimeObs};
-    use std::sync::Arc;
+    use parjoin_runtime::{Route, Runtime, RuntimeConfig, RuntimeObs};
     use std::time::Duration;
 
     // A two-atom query whose widest atom has arity 2 — matching the
@@ -67,8 +65,7 @@ fn analyzer_frame_estimate_tracks_actual_bytes_within_10_percent() {
     for i in 0..32_000u64 {
         parts[(i % workers as u64) as usize].push_row(&[i * 7 % 997, i * 13 % 991]);
     }
-    let router: Router =
-        Arc::new(move |_w, row, dests| dests.push(hash::bucket(row[0], 3, workers)));
+    let route = Route::hash(vec![0], 3, workers).expect("route");
 
     let spec = PlanSpec::new(&query, workers, ShuffleKind::Regular, JoinKind::Hash)
         .with_batch_tuples(batch as u64);
@@ -84,7 +81,7 @@ fn analyzer_frame_estimate_tracks_actual_bytes_within_10_percent() {
         ..RuntimeConfig::default()
     };
     let rt = Runtime::new(cfg).expect("runtime");
-    let out = rt.shuffle(parts, router).expect("shuffle");
+    let out = rt.shuffle(parts, &route).expect("shuffle");
     rt.shutdown().expect("shutdown");
 
     let batches = reg.get("runtime.tx.batches").expect("batch counter");
