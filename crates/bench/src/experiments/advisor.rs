@@ -7,7 +7,7 @@ use crate::experiments::six_configs::{run_six, scale_for};
 use crate::report::print_table;
 use crate::Settings;
 use parjoin_datagen::all_queries;
-use parjoin_engine::{advise, Cluster};
+use parjoin_engine::{advise, config_name, Cluster};
 
 /// Runs the advisor against measured results for all eight queries.
 pub fn run(settings: &Settings) {
@@ -19,46 +19,15 @@ pub fn run(settings: &Settings) {
         let db = scale.db_for(spec.dataset, settings.seed);
         let cluster = Cluster::new(settings.workers).with_seed(settings.seed);
         let advice = advise(&spec.query, &db, &cluster);
-        let picked_name =
-            format!("{:?}_{:?}", advice.shuffle, advice.join).replace("Regular", "RS");
-
         let results = run_six(&spec, &db, &cluster);
         let (best_name, best_wall) = results
             .iter()
-            .filter_map(|(n, r)| r.as_ref().ok().map(|r| (*n, r.wall)))
+            .filter_map(|(n, r)| r.as_ref().ok().map(|r| (n.as_str(), r.wall)))
             .min_by_key(|(_, w)| *w)
             .expect("some plan succeeds"); // xtask: allow(expect): bench driver aborts on failure
         let picked_wall = results
             .iter()
-            .find(|(n, _)| {
-                let (s, j) = match *n {
-                    "RS_HJ" => (
-                        parjoin_engine::ShuffleAlg::Regular,
-                        parjoin_engine::JoinAlg::Hash,
-                    ),
-                    "RS_TJ" => (
-                        parjoin_engine::ShuffleAlg::Regular,
-                        parjoin_engine::JoinAlg::Tributary,
-                    ),
-                    "BR_HJ" => (
-                        parjoin_engine::ShuffleAlg::Broadcast,
-                        parjoin_engine::JoinAlg::Hash,
-                    ),
-                    "BR_TJ" => (
-                        parjoin_engine::ShuffleAlg::Broadcast,
-                        parjoin_engine::JoinAlg::Tributary,
-                    ),
-                    "HC_HJ" => (
-                        parjoin_engine::ShuffleAlg::HyperCube,
-                        parjoin_engine::JoinAlg::Hash,
-                    ),
-                    _ => (
-                        parjoin_engine::ShuffleAlg::HyperCube,
-                        parjoin_engine::JoinAlg::Tributary,
-                    ),
-                };
-                s == advice.shuffle && j == advice.join
-            })
+            .find(|(n, _)| *n == config_name(advice.shuffle, advice.join))
             .and_then(|(_, r)| r.as_ref().ok().map(|r| r.wall))
             .unwrap_or_default();
 
@@ -74,7 +43,6 @@ pub fn run(settings: &Settings) {
             format!("{:.4}s", best_wall.as_secs_f64()),
             format!("{overhead:.2}x"),
         ]);
-        let _ = picked_name;
     }
     print_table(
         "advisor pick vs measured optimum",

@@ -5,7 +5,7 @@
 
 use crate::report::print_table;
 use crate::Settings;
-use parjoin_engine::{run_config, Cluster, JoinAlg, PlanOptions, ShuffleAlg};
+use parjoin_engine::{config_name, run_config, Cluster, JoinAlg, PlanOptions, ShuffleAlg};
 
 /// Runs Q1 under BR_TJ / HC_TJ / BR_HJ and prints the sort/join split.
 pub fn run(settings: &Settings) {
@@ -16,12 +16,13 @@ pub fn run(settings: &Settings) {
 
     println!("\n=== Table 5: Q1 operator time in the local join ===");
     let mut rows = Vec::new();
-    for (name, s, j) in [
-        ("BR_TJ", ShuffleAlg::Broadcast, JoinAlg::Tributary),
-        ("HC_TJ", ShuffleAlg::HyperCube, JoinAlg::Tributary),
-        ("BR_HJ", ShuffleAlg::Broadcast, JoinAlg::Hash),
+    for (s, j) in [
+        (ShuffleAlg::Broadcast, JoinAlg::Tributary),
+        (ShuffleAlg::HyperCube, JoinAlg::Tributary),
+        (ShuffleAlg::Broadcast, JoinAlg::Hash),
     ] {
-        let r = run_config(&spec.query, &db, &cluster, s, j, &opts).expect(name); // xtask: allow(expect): bench driver aborts on failure
+        let name = config_name(s, j);
+        let r = run_config(&spec.query, &db, &cluster, s, j, &opts).expect(&name); // xtask: allow(expect): bench driver aborts on failure
         let pp = r.prep_probe();
         let sort = pp.prep.as_secs_f64();
         let join = pp.probe.as_secs_f64();

@@ -3,8 +3,7 @@
 
 use crate::report::print_table;
 use crate::Settings;
-use parjoin_engine::semijoin::run_semijoin_plan;
-use parjoin_engine::{run_config, Cluster, JoinAlg, PlanOptions, ShuffleAlg};
+use parjoin_engine::{metric_names, run_config, Cluster, JoinAlg, PlanOptions, ShuffleAlg};
 use std::time::Duration;
 
 /// Runs the comparison and prints per-query rows.
@@ -24,46 +23,25 @@ pub fn run(settings: &Settings) {
         parjoin_datagen::workloads::q7(),
     ] {
         let db = settings.scale.db_for(spec.dataset, settings.seed);
-        let rs = run_config(
-            &spec.query,
-            &db,
-            &cluster,
-            ShuffleAlg::Regular,
-            JoinAlg::Hash,
-            &opts,
-        )
-        .expect("RS_HJ"); // xtask: allow(expect): bench driver aborts on failure
-        let hc = run_config(
-            &spec.query,
-            &db,
-            &cluster,
-            ShuffleAlg::HyperCube,
-            JoinAlg::Tributary,
-            &opts,
-        )
-        .expect("HC_TJ"); // xtask: allow(expect): bench driver aborts on failure
-        let sj = run_semijoin_plan(&spec.query, &db, &cluster, &opts).expect("acyclic"); // xtask: allow(expect): bench driver aborts on failure
-
-        let rows = vec![
-            vec![
-                "RS_HJ".into(),
-                format!("{:.4}s", rs.wall.as_secs_f64()),
-                rs.tuples_shuffled.to_string(),
-                rs.rounds.to_string(),
-            ],
-            vec![
-                "HC_TJ".into(),
-                format!("{:.4}s", hc.wall.as_secs_f64()),
-                hc.tuples_shuffled.to_string(),
-                hc.rounds.to_string(),
-            ],
-            vec![
-                "SJ_HJ".into(),
-                format!("{:.4}s", sj.run.wall.as_secs_f64()),
-                sj.run.tuples_shuffled.to_string(),
-                sj.run.rounds.to_string(),
-            ],
-        ];
+        let run = |s, j| run_config(&spec.query, &db, &cluster, s, j, &opts);
+        let runs = [
+            run(ShuffleAlg::Regular, JoinAlg::Hash),
+            run(ShuffleAlg::HyperCube, JoinAlg::Tributary),
+            run(ShuffleAlg::Semijoin, JoinAlg::Hash),
+        ]
+        .map(|r| r.expect("acyclic paper query runs")); // xtask: allow(expect): bench driver aborts on failure
+        let rows: Vec<Vec<String>> = runs
+            .iter()
+            .map(|r| {
+                vec![
+                    r.config.clone(),
+                    format!("{:.4}s", r.wall.as_secs_f64()),
+                    r.tuples_shuffled.to_string(),
+                    r.rounds.to_string(),
+                ]
+            })
+            .collect();
+        let sj = &runs[2];
         print_table(
             &format!("{} (round latency {:?})", spec.name, round_latency),
             &["plan", "wall", "tuples shuffled", "rounds"],
@@ -71,7 +49,8 @@ pub fn run(settings: &Settings) {
         );
         println!(
             "    semijoin shuffles: {} projected-key tuples + {} input tuples",
-            sj.projected_tuples_shuffled, sj.input_tuples_shuffled
+            sj.metric(metric_names::SEMIJOIN_KEY_TUPLES).unwrap_or(0),
+            sj.metric(metric_names::SEMIJOIN_INPUT_TUPLES).unwrap_or(0)
         );
     }
     println!(

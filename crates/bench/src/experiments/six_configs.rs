@@ -8,32 +8,22 @@ use crate::Settings;
 use parjoin_common::Database;
 use parjoin_datagen::{DatasetKind, QuerySpec, Scale};
 use parjoin_engine::{
-    run_config, Cluster, EngineError, JoinAlg, PlanOptions, RunResult, ShuffleAlg,
+    config_name, run_config, Cluster, EngineError, JoinAlg, PlanOptions, RunResult, ShuffleAlg,
+    PAPER_CONFIGS,
 };
 
-/// The six configurations in the paper's fixed order.
-pub fn configs() -> Vec<(&'static str, ShuffleAlg, JoinAlg)> {
-    vec![
-        ("RS_HJ", ShuffleAlg::Regular, JoinAlg::Hash),
-        ("RS_TJ", ShuffleAlg::Regular, JoinAlg::Tributary),
-        ("BR_HJ", ShuffleAlg::Broadcast, JoinAlg::Hash),
-        ("BR_TJ", ShuffleAlg::Broadcast, JoinAlg::Tributary),
-        ("HC_HJ", ShuffleAlg::HyperCube, JoinAlg::Hash),
-        ("HC_TJ", ShuffleAlg::HyperCube, JoinAlg::Tributary),
-    ]
-}
-
-/// Runs all six configurations.
+/// Runs all six configurations, in the paper's order, each result under
+/// its configuration name.
 pub fn run_six(
     spec: &QuerySpec,
     db: &Database,
     cluster: &Cluster,
-) -> Vec<(&'static str, Result<RunResult, EngineError>)> {
-    configs()
+) -> Vec<(String, Result<RunResult, EngineError>)> {
+    PAPER_CONFIGS
         .into_iter()
-        .map(|(name, s, j)| {
+        .map(|(s, j)| {
             (
-                name,
+                config_name(s, j),
                 run_config(&spec.query, db, cluster, s, j, &PlanOptions::default()),
             )
         })
@@ -66,7 +56,7 @@ pub fn figure(
     spec: &QuerySpec,
     settings: &Settings,
     fail_budget: Option<u64>,
-) -> Vec<(&'static str, Result<RunResult, EngineError>)> {
+) -> Vec<(String, Result<RunResult, EngineError>)> {
     let scale = scale_for(spec.name, settings.scale);
     let db = scale.db_for(spec.dataset, settings.seed);
     let mut cluster = Cluster::new(settings.workers).with_seed(settings.seed);
@@ -99,7 +89,7 @@ pub fn figure(
     println!("  input size (tuples referenced by atoms): {input}");
 
     let results = run_six(spec, &db, &cluster);
-    if let Some((_, Ok(hc))) = results.iter().find(|(n, _)| *n == "HC_TJ") {
+    if let Some((_, Ok(hc))) = results.iter().find(|(n, _)| n == "HC_TJ") {
         if let Some(cfg) = &hc.hc_config {
             println!("  hypercube configuration: {cfg}");
         }
@@ -143,7 +133,7 @@ pub fn figure(
 pub fn results_json(
     figure: &str,
     spec: &QuerySpec,
-    results: &[(&'static str, Result<RunResult, EngineError>)],
+    results: &[(String, Result<RunResult, EngineError>)],
 ) -> Json {
     let configs = results
         .iter()
@@ -177,7 +167,7 @@ pub fn results_json(
                 ]),
                 Err(e) => Json::Obj(vec![("fail".into(), Json::Str(e.to_string()))]),
             };
-            (name.to_string(), body)
+            (name.clone(), body)
         })
         .collect();
     Json::Obj(vec![
@@ -212,15 +202,6 @@ pub fn fig09_budget(spec: &QuerySpec, settings: &Settings) -> Option<u64> {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn six_config_list_matches_paper_order() {
-        let names: Vec<&str> = configs().iter().map(|(n, _, _)| *n).collect();
-        assert_eq!(
-            names,
-            vec!["RS_HJ", "RS_TJ", "BR_HJ", "BR_TJ", "HC_HJ", "HC_TJ"]
-        );
-    }
 
     #[test]
     fn scale_override_shrinks_q4() {

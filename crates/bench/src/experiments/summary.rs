@@ -20,7 +20,7 @@ pub fn run(settings: &Settings) {
         let get = |name: &str| {
             results
                 .iter()
-                .find(|(n, _)| *n == name)
+                .find(|(n, _)| n == name)
                 .and_then(|(_, r)| r.as_ref().ok())
         };
 
@@ -52,7 +52,7 @@ pub fn run(settings: &Settings) {
         };
         let best = results
             .iter()
-            .filter_map(|(n, r)| r.as_ref().ok().map(|r| (*n, r.wall)))
+            .filter_map(|(n, r)| r.as_ref().ok().map(|r| (n.as_str(), r.wall)))
             .min_by_key(|(_, w)| *w)
             .map(|(n, _)| n)
             .unwrap_or("-");

@@ -100,6 +100,59 @@ fn six_configs_match_local_over_real_sockets() {
     }
 }
 
+/// The §3.6 semijoin plan is an ordinary plan: its reduction rounds run
+/// on every rank over the partition that rank hosts, then the final
+/// join, byte-identical to the Local run with the same tallies.
+#[test]
+fn semijoin_plans_match_local_over_real_sockets() {
+    let cluster = Cluster::new(4).with_seed(11).with_batch_tuples(512);
+    let opts = PlanOptions {
+        collect_output: true,
+        ..Default::default()
+    };
+
+    let (addrs, handles) = spawn_workers(4);
+    let mut remote = RemoteCluster::connect(&addrs, Duration::from_secs(20)).expect("connect");
+    remote.reply_timeout = Some(Duration::from_secs(60));
+
+    for spec in [
+        parjoin_datagen::workloads::q3(),
+        parjoin_datagen::workloads::q7(),
+    ] {
+        let db = parjoin_datagen::workloads::Scale::tiny().db_for(spec.dataset, 7);
+        for j in JoinAlg::ALL {
+            let (s, q) = (ShuffleAlg::Semijoin, spec.name);
+            let local = run_config(&spec.query, &db, &cluster, s, j, &opts)
+                .unwrap_or_else(|e| panic!("local {q} SJ/{j:?}: {e}"));
+            let run = remote
+                .run(&spec.query, &db, &cluster, s, j, &opts)
+                .unwrap_or_else(|e| panic!("remote {q} SJ/{j:?}: {e}"));
+            let local_out = local.output.as_ref().expect("collected");
+            assert_eq!(local_out.arity(), run.output.arity(), "{q} SJ/{j:?}");
+            assert_eq!(
+                local_out.raw(),
+                run.output.raw(),
+                "{q} SJ/{j:?}: output not byte-identical to Local"
+            );
+            assert_eq!(local.output_tuples, run.output_tuples, "{q} SJ/{j:?}");
+            run.reconcile()
+                .unwrap_or_else(|e| panic!("{q} SJ/{j:?}: {e}"));
+            let rounds = local.shuffles.len() as u32;
+            assert!(
+                run.workers.iter().all(|w| w.rounds == rounds),
+                "{q} SJ/{j:?}: every rank runs every reduction round"
+            );
+            let sent: u64 = run.workers.iter().map(|w| w.tuples_sent).sum();
+            assert_eq!(local.tuples_shuffled, sent, "{q} SJ/{j:?}: tallies drifted");
+        }
+    }
+
+    remote.shutdown().expect("shutdown");
+    for h in handles {
+        h.join().expect("worker thread").expect("worker serve");
+    }
+}
+
 /// A mesh rank prepares through the process-wide sort and trie caches
 /// like any in-process worker: the second HC_TJ run on one persistent
 /// session finds its sorted views and tries resident. (The Local run

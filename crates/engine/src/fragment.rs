@@ -29,6 +29,7 @@ use crate::plans::{
     self, check_order, Exec, JoinAlg, Plan, PlanOptions, RunObs, ShuffleAlg, TrieLayout,
 };
 use crate::probe;
+use crate::semijoin;
 use crate::shuffle::Seam;
 use parjoin_analyze as analyze;
 use parjoin_common::wire::control::{self, ControlError, PayloadReader};
@@ -116,13 +117,9 @@ fn read_u32_list(r: &mut PayloadReader<'_>) -> Result<Vec<u32>, ControlError> {
     (0..n).map(|_| r.u32()).collect()
 }
 
-/// One-byte wire codes: an enum value's code is its index here.
-const SHUFFLES: [ShuffleAlg; 3] = [
-    ShuffleAlg::Regular,
-    ShuffleAlg::Broadcast,
-    ShuffleAlg::HyperCube,
-];
-const JOINS: [JoinAlg; 2] = [JoinAlg::Hash, JoinAlg::Tributary];
+/// One-byte wire codes: an enum value's code is its index in
+/// [`ShuffleAlg::ALL`], [`JoinAlg::ALL`] or here. A worker built before
+/// a code existed refuses it typed (`read_code`).
 const LAYOUTS: [TrieLayout; 2] = [TrieLayout::Row, TrieLayout::Columnar];
 const CMP_OPS: [CmpOp; 6] = [
     CmpOp::Lt,
@@ -270,8 +267,8 @@ impl Fragment {
         control::put_u32(&mut buf, self.rank);
         control::put_u32(&mut buf, self.workers);
         control::put_u64(&mut buf, self.seed);
-        put_code(&mut buf, &SHUFFLES, self.shuffle);
-        put_code(&mut buf, &JOINS, self.join);
+        put_code(&mut buf, &ShuffleAlg::ALL, self.shuffle);
+        put_code(&mut buf, &JoinAlg::ALL, self.join);
         put_code(&mut buf, &LAYOUTS, self.trie_layout);
         control::put_u8(
             &mut buf,
@@ -340,8 +337,8 @@ impl Fragment {
         let rank = r.u32()?;
         let workers = r.u32()?;
         let seed = r.u64()?;
-        let shuffle = read_code(&mut r, "shuffle", &SHUFFLES)?;
-        let join = read_code(&mut r, "join", &JOINS)?;
+        let shuffle = read_code(&mut r, "shuffle", &ShuffleAlg::ALL)?;
+        let join = read_code(&mut r, "join", &JoinAlg::ALL)?;
         let trie_layout = read_code(&mut r, "trie layout", &LAYOUTS)?;
         // Tag 0 named the second codec PJCP version 1 still carried.
         let wire_format = match r.u8()? {
@@ -471,8 +468,9 @@ impl Fragment {
     /// inconsistent (rank out of range, address list of the wrong
     /// width, atom lists out of alignment), its local join order is not
     /// a permutation of the atoms, its probe thread count is 0 or above
-    /// [`probe::MAX_PROBE_THREADS`], or it lacks the Tributary order or
-    /// HyperCube shares its configuration needs.
+    /// [`probe::MAX_PROBE_THREADS`], it lacks the Tributary order or
+    /// HyperCube shares its configuration needs, or it asks for a
+    /// semijoin plan of a cyclic query.
     pub fn preflight(&self) -> Result<(), EngineError> {
         if self.rank >= self.workers {
             return Err(EngineError::Unsupported(format!(
@@ -510,8 +508,11 @@ impl Fragment {
         // its spec, and the executor indexes the atoms with it.
         check_order("local join order", &self.local_order, atoms)?;
         checked_probe_threads(self.probe_threads)?;
-        let one_round = self.shuffle != ShuffleAlg::Regular;
-        if one_round && self.join == JoinAlg::Tributary && self.tj_order.is_none() {
+        if self.shuffle == ShuffleAlg::Semijoin {
+            semijoin::reduction_tree(&self.query)?;
+        }
+        if self.shuffle.is_one_round() && self.join == JoinAlg::Tributary && self.tj_order.is_none()
+        {
             return Err(EngineError::Unsupported(
                 "Tributary fragment carries no variable order".to_string(),
             ));
@@ -752,14 +753,7 @@ mod tests {
 
     #[test]
     fn fragments_roundtrip_all_configs() {
-        for (s, j) in [
-            (ShuffleAlg::Regular, JoinAlg::Hash),
-            (ShuffleAlg::Regular, JoinAlg::Tributary),
-            (ShuffleAlg::Broadcast, JoinAlg::Hash),
-            (ShuffleAlg::Broadcast, JoinAlg::Tributary),
-            (ShuffleAlg::HyperCube, JoinAlg::Hash),
-            (ShuffleAlg::HyperCube, JoinAlg::Tributary),
-        ] {
+        for (s, j) in crate::PAPER_CONFIGS {
             for frag in fragments_for(s, j) {
                 let bytes = frag.encode();
                 let back = Fragment::decode(&bytes).unwrap();
@@ -821,6 +815,39 @@ mod tests {
             matches!(err, ControlError::Malformed(_)),
             "want Malformed, got {err:?}"
         );
+    }
+
+    #[test]
+    fn shuffle_code_past_the_table_is_malformed() {
+        // Code 3 is the semijoin plan, which a worker built before it
+        // refuses exactly as this one refuses code 4.
+        let mut frag = fragments_for(ShuffleAlg::Regular, JoinAlg::Hash).remove(0);
+        frag.shuffle = ShuffleAlg::Semijoin;
+        let mut bytes = frag.encode();
+        assert_eq!(bytes[16], 3, "offset 16 is the shuffle code");
+        bytes[16] = 4;
+        let err = Fragment::decode(&bytes).unwrap_err();
+        assert!(
+            matches!(&err, ControlError::Malformed(m) if m.contains("unknown shuffle code 4")),
+            "want Malformed, got {err:?}"
+        );
+    }
+
+    #[test]
+    fn semijoin_fragment_for_a_cyclic_query_is_refused() {
+        let (q, db) = triangle_db();
+        let (s, j) = (ShuffleAlg::Semijoin, JoinAlg::Hash);
+        let opts = PlanOptions::default();
+        let err = plan_fragments(&q, &db, &Cluster::new(1), s, j, &opts, &addrs(1)).unwrap_err();
+        assert!(
+            matches!(&err, EngineError::Unsupported(m) if m.contains("cyclic")),
+            "planner gave {err:?}"
+        );
+        // Shipped anyway, it is refused by the worker's pre-flight and
+        // by the executor.
+        let mut frag = single_rank_fragment(ShuffleAlg::Regular, j);
+        frag.shuffle = s;
+        assert_refused(&frag, "SJ on a triangle");
     }
 
     #[test]

@@ -24,7 +24,11 @@
 //! | `HC_HJ` | HyperCube | left-deep hash-join tree |
 //! | `HC_TJ` | HyperCube | Tributary join |
 //!
-//! plus the distributed semijoin (GYM) plans of §3.6 in [`semijoin`].
+//! ([`PAPER_CONFIGS`], in that order), plus §3.6's distributed semijoin
+//! (GYM) plan as [`ShuffleAlg::Semijoin`]: `SJ_HJ` / `SJ_TJ` run
+//! semijoin reduction rounds along the join tree of an acyclic query,
+//! then the regular-shuffle plan. [`parse_config`] reads all eight
+//! names.
 //!
 //! Every plan is vetted by the static analyzer (`parjoin-analyze`)
 //! before execution: malformed plans come back as
@@ -64,7 +68,7 @@ pub mod local;
 pub mod plans;
 pub mod prepare;
 pub mod probe;
-pub mod semijoin;
+mod semijoin;
 pub mod shuffle;
 pub mod sortcache;
 pub mod statscache;
@@ -81,7 +85,8 @@ pub use parjoin_analyze::{DiagCode, Diagnostic, Severity};
 pub use parjoin_obs as obs;
 pub use parjoin_runtime::TransportKind;
 pub use plans::{
-    metric_names, run_config, JoinAlg, PlanOptions, PrepProbe, RunResult, ShuffleAlg, TrieLayout,
+    config_name, metric_names, parse_config, run_config, JoinAlg, PlanOptions, PrepProbe,
+    RunResult, ShuffleAlg, TrieLayout, PAPER_CONFIGS,
 };
 pub use sortcache::SortCache;
 pub use statscache::StatsCache;

@@ -11,6 +11,9 @@
 //! * **HyperCube (HC)** plans shuffle every relation once through the
 //!   hypercube chosen by Algorithm 1 and run the whole multiway join
 //!   locally (Figure 1b).
+//! * **Semijoin (SJ)** plans (§3.6) first run GYM semijoin reduction
+//!   rounds along the query's join tree (`crate::semijoin`), then the
+//!   regular-shuffle plan's join loop over the reduced relations.
 //!
 //! The local join is either a tree of binary hash joins (`JoinAlg::Hash`)
 //! or the Tributary join (`JoinAlg::Tributary`); under RS the Tributary
@@ -27,6 +30,7 @@ use crate::exec::{parallelism_warning, run_phase_traced};
 use crate::local::{hash_join, merge_join, SchemaRel};
 use crate::prepare;
 use crate::probe;
+use crate::semijoin;
 use crate::shuffle::{self, Seam};
 use crate::sortcache::{Lookup, SortCache};
 use crate::statscache::{self, QueryStats};
@@ -46,7 +50,7 @@ use std::path::{Path, PathBuf};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-/// Shuffle algorithm (§3's three contenders).
+/// Shuffle algorithm (§3's three contenders, plus §3.6's semijoin plan).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ShuffleAlg {
     /// Hash-partition on the join attributes, one join at a time.
@@ -55,6 +59,10 @@ pub enum ShuffleAlg {
     Broadcast,
     /// One-round HyperCube shuffle.
     HyperCube,
+    /// The GYM semijoin plan (§3.6): semijoin reduction rounds along the
+    /// query's join tree, bottom-up then top-down, then the regular
+    /// shuffle's join. Acyclic queries only.
+    Semijoin,
 }
 
 /// Local join algorithm.
@@ -67,16 +75,39 @@ pub enum JoinAlg {
 }
 
 impl ShuffleAlg {
+    /// Every shuffle algorithm. A [`Fragment`](crate::Fragment) ships a
+    /// shuffle as its index here, so entries are only ever appended.
+    pub const ALL: [ShuffleAlg; 4] = [
+        ShuffleAlg::Regular,
+        ShuffleAlg::Broadcast,
+        ShuffleAlg::HyperCube,
+        ShuffleAlg::Semijoin,
+    ];
+
+    /// The first half of a configuration name (`RS`, `BR`, `HC`, `SJ`).
     fn tag(self) -> &'static str {
         match self {
             ShuffleAlg::Regular => "RS",
             ShuffleAlg::Broadcast => "BR",
             ShuffleAlg::HyperCube => "HC",
+            ShuffleAlg::Semijoin => "SJ",
         }
+    }
+
+    /// Whether every relation moves in one communication round before a
+    /// local multiway join (BR, HC), rather than once per binary join
+    /// step (RS, and SJ after its reductions).
+    pub fn is_one_round(self) -> bool {
+        matches!(self, ShuffleAlg::Broadcast | ShuffleAlg::HyperCube)
     }
 }
 
 impl JoinAlg {
+    /// Every local join algorithm, in wire-code order (see
+    /// [`ShuffleAlg::ALL`]).
+    pub const ALL: [JoinAlg; 2] = [JoinAlg::Hash, JoinAlg::Tributary];
+
+    /// The second half of a configuration name (`HJ`, `TJ`).
     fn tag(self) -> &'static str {
         match self {
             JoinAlg::Hash => "HJ",
@@ -85,10 +116,46 @@ impl JoinAlg {
     }
 }
 
+/// The paper's six configurations (§3) in its fixed order: `RS_HJ`,
+/// `RS_TJ`, `BR_HJ`, `BR_TJ`, `HC_HJ`, `HC_TJ`.
+pub const PAPER_CONFIGS: [(ShuffleAlg, JoinAlg); 6] = [
+    (ShuffleAlg::Regular, JoinAlg::Hash),
+    (ShuffleAlg::Regular, JoinAlg::Tributary),
+    (ShuffleAlg::Broadcast, JoinAlg::Hash),
+    (ShuffleAlg::Broadcast, JoinAlg::Tributary),
+    (ShuffleAlg::HyperCube, JoinAlg::Hash),
+    (ShuffleAlg::HyperCube, JoinAlg::Tributary),
+];
+
+/// A configuration's name, e.g. `"HC_TJ"` ([`RunResult::config`]).
+pub fn config_name(shuffle: ShuffleAlg, join: JoinAlg) -> String {
+    format!("{}_{}", shuffle.tag(), join.tag())
+}
+
+/// Parses a configuration name made of the two tags: the paper's six
+/// plus `SJ_HJ` and `SJ_TJ`.
+///
+/// ```
+/// use parjoin_engine::{parse_config, JoinAlg, ShuffleAlg};
+///
+/// assert_eq!(parse_config("SJ_HJ"), Some((ShuffleAlg::Semijoin, JoinAlg::Hash)));
+/// assert_eq!(parse_config("XX_YY"), None);
+/// ```
+pub fn parse_config(name: &str) -> Option<(ShuffleAlg, JoinAlg)> {
+    let (shuffle, join) = name.split_once('_')?;
+    Some((
+        ShuffleAlg::ALL.into_iter().find(|s| s.tag() == shuffle)?,
+        JoinAlg::ALL.into_iter().find(|j| j.tag() == join)?,
+    ))
+}
+
 impl From<ShuffleAlg> for analyze::ShuffleKind {
+    /// A semijoin plan is vetted as the regular-shuffle plan it ends in:
+    /// its reductions only delete tuples, so the regular estimates bound
+    /// it from above.
     fn from(s: ShuffleAlg) -> Self {
         match s {
-            ShuffleAlg::Regular => analyze::ShuffleKind::Regular,
+            ShuffleAlg::Regular | ShuffleAlg::Semijoin => analyze::ShuffleKind::Regular,
             ShuffleAlg::Broadcast => analyze::ShuffleKind::Broadcast,
             ShuffleAlg::HyperCube => analyze::ShuffleKind::HyperCube,
         }
@@ -317,6 +384,13 @@ pub mod metric_names {
     pub const STATS_CACHE_HITS: &str = "engine.statscache.hits";
     /// Relations this run's planner had to analyse.
     pub const STATS_CACHE_MISSES: &str = "engine.statscache.misses";
+    /// Tuples a semijoin plan's reductions shuffled as deduplicated key
+    /// projections (the paper's "2.29 million tuples from the projected
+    /// tables").
+    pub const SEMIJOIN_KEY_TUPLES: &str = "engine.semijoin.key_tuples";
+    /// Tuples a semijoin plan's reductions shuffled as the relations
+    /// being reduced.
+    pub const SEMIJOIN_INPUT_TUPLES: &str = "engine.semijoin.input_tuples";
 }
 
 /// Per-run observability state: one [`Registry`] and one [`TraceSink`],
@@ -628,7 +702,10 @@ impl RunResult {
         }
     }
 
-    fn absorb_phase(&mut self, busy: &[Duration], sort: Option<&[Duration]>) {
+    /// Books one local phase: the slowest worker extends the simulated
+    /// wall-clock and each worker's busy time is charged as sort (`sort`'s
+    /// share) or join CPU.
+    pub(crate) fn absorb_phase(&mut self, busy: &[Duration], sort: Option<&[Duration]>) {
         let wall = busy.iter().copied().max().unwrap_or_default();
         self.wall += wall;
         for (w, &d) in busy.iter().enumerate() {
@@ -822,7 +899,9 @@ pub(crate) fn check_order(what: &str, order: &[usize], atoms: usize) -> Result<(
 /// rejects the plan (malformed join order, unexecutable HyperCube
 /// configuration, filters that would be dropped, …),
 /// [`EngineError::MemoryBudget`] when a worker exceeds the cluster's
-/// budget, or [`EngineError::Resolve`] for catalog mismatches. Analyzer
+/// budget, [`EngineError::Resolve`] for catalog mismatches, or
+/// [`EngineError::Unsupported`] for a semijoin plan of a cyclic query
+/// (no full reduction exists, §3.6). Analyzer
 /// *warnings* do not fail the run; they are carried on
 /// [`RunResult::diagnostics`].
 pub fn run_config(
@@ -834,7 +913,25 @@ pub fn run_config(
     opts: &PlanOptions,
 ) -> Result<RunResult, EngineError> {
     let obs = RunObs::new(opts.trace_path.is_some());
-    let rt = start_runtime(cluster, &obs)?;
+    let plan = plan(query, db, cluster, shuffle_alg, join_alg, opts)?;
+    let (hits, misses) = plan.stats_lookups;
+    obs.registry.add(metric_names::STATS_CACHE_HITS, hits);
+    obs.registry.add(metric_names::STATS_CACHE_MISSES, misses);
+    // Every shuffle of the plan streams through one worker runtime: live
+    // under a streaming transport, none under Local (the degenerate
+    // case).
+    let rt = if cluster.transport.is_streaming() {
+        Some(Runtime::new(RuntimeConfig {
+            workers: cluster.workers,
+            transport: cluster.transport,
+            batch_tuples: cluster.batch_tuples,
+            wire_format: cluster.wire_format,
+            obs: obs.runtime_obs(),
+            ..RuntimeConfig::default()
+        })?)
+    } else {
+        None
+    };
     let ex = Exec {
         query,
         cluster,
@@ -842,50 +939,12 @@ pub fn run_config(
         seam: &Seam::from(rt.as_ref()),
         obs: &obs,
     };
-    let result = plan_and_execute(&ex, db, shuffle_alg, join_alg)?;
+    let result = execute(&ex, plan)?;
     if let Some(rt) = rt {
         rt.shutdown()?;
     }
     obs.write_trace(opts.trace_path.as_deref())?;
     Ok(result)
-}
-
-/// The worker runtime every shuffle of one plan streams through — the
-/// semijoin plan's reduction passes and final join included: live under
-/// a streaming transport, none under Local (the degenerate case).
-pub(crate) fn start_runtime(
-    cluster: &Cluster,
-    obs: &RunObs,
-) -> Result<Option<Runtime>, EngineError> {
-    if !cluster.transport.is_streaming() {
-        return Ok(None);
-    }
-    Ok(Some(Runtime::new(RuntimeConfig {
-        workers: cluster.workers,
-        transport: cluster.transport,
-        batch_tuples: cluster.batch_tuples,
-        wire_format: cluster.wire_format,
-        obs: obs.runtime_obs(),
-        ..RuntimeConfig::default()
-    })?))
-}
-
-/// [`plan`] then [`execute`] against a caller-owned seam and [`RunObs`]
-/// (the semijoin plan shares both with its reduction passes). The
-/// caller exports the trace.
-pub(crate) fn plan_and_execute(
-    ex: &Exec<'_>,
-    db: &parjoin_common::Database,
-    shuffle_alg: ShuffleAlg,
-    join_alg: JoinAlg,
-) -> Result<RunResult, EngineError> {
-    let plan = plan(ex.query, db, ex.cluster, shuffle_alg, join_alg, ex.opts)?;
-    let (hits, misses) = plan.stats_lookups;
-    ex.obs.registry.add(metric_names::STATS_CACHE_HITS, hits);
-    ex.obs
-        .registry
-        .add(metric_names::STATS_CACHE_MISSES, misses);
-    execute(ex, plan)
 }
 
 /// Every global decision of one shuffle×join plan, made once by
@@ -923,14 +982,17 @@ pub(crate) struct Plan {
 /// picks the effective join order, runs the pre-flight analyzer (whose
 /// policy pass certifies the plan parallel-correct) on it, seeds the
 /// base relations round-robin, and derives the Tributary variable
-/// order, the broadcast root and the HyperCube shares.
+/// order, the broadcast root and the HyperCube shares. A semijoin plan
+/// is planned as the regular-shuffle plan it ends in; its reduction
+/// rounds are a pure function of the query, left to [`execute`].
 ///
 /// # Errors
 /// [`EngineError::Resolve`] for catalog mismatches,
 /// [`EngineError::InvalidPlan`] when the analyzer refuses the plan (a
 /// policy counterexample included), [`EngineError::Unsupported`] when a
 /// one-round Tributary plan needs the order optimiser over an atom wider
-/// than [`MAX_SUBSET_ARITY`].
+/// than [`MAX_SUBSET_ARITY`], or a semijoin plan is asked of a cyclic
+/// query.
 pub(crate) fn plan(
     query: &ConjunctiveQuery,
     db: &parjoin_common::Database,
@@ -939,6 +1001,9 @@ pub(crate) fn plan(
     join_alg: JoinAlg,
     opts: &PlanOptions,
 ) -> Result<Plan, EngineError> {
+    if shuffle_alg == ShuffleAlg::Semijoin {
+        semijoin::reduction_tree(query)?;
+    }
     let (resolved, _residual) = resolve_atoms(query, db)?;
     let atom_vars: Vec<Vec<VarId>> = resolved.iter().map(|a| a.vars.clone()).collect();
     let cards: Vec<u64> = resolved.iter().map(|a| a.len() as u64).collect();
@@ -982,7 +1047,7 @@ pub(crate) fn plan(
     };
     let mut diagnostics = analyze::preflight(&spec).map_err(EngineError::InvalidPlan)?;
     diagnostics.extend(parallelism_warning());
-    if opts.skew_resilient && shuffle_alg == ShuffleAlg::Regular {
+    if opts.skew_resilient && !shuffle_alg.is_one_round() {
         // The certificate covers the plain hash route. The PRPD
         // fallback the skew_resilient knob adds for heavy keys (spread
         // one side, replicate the other) preserves co-location by
@@ -1005,7 +1070,7 @@ pub(crate) fn plan(
     // Tributary global variable order, cost-model optimized once on the
     // *pre-shuffle* relations' statistics, as the paper's optimizer
     // would: they see no replication.
-    let tj_order = if join_alg == JoinAlg::Tributary && shuffle_alg != ShuffleAlg::Regular {
+    let tj_order = if join_alg == JoinAlg::Tributary && shuffle_alg.is_one_round() {
         Some(match &opts.tj_order {
             Some(order) => order.clone(),
             None => {
@@ -1117,18 +1182,16 @@ pub(crate) fn execute(ex: &Exec<'_>, mut plan: Plan) -> Result<RunResult, Engine
             )))
         }
     };
-    let name = format!("{}_{}", plan.shuffle.tag(), plan.join.tag());
-    let mut result = RunResult::new(name, hosted);
+    let mut result = RunResult::new(config_name(plan.shuffle, plan.join), hosted);
     result.diagnostics = std::mem::take(&mut plan.diagnostics);
     ex.obs
         .registry
         .add(metric_names::PROBE_THREADS, plan.probe_threads as u64);
     let pending = split_filters(ex.query).1;
-    match plan.shuffle {
-        ShuffleAlg::Regular => run_regular(ex, plan, pending, &mut result)?,
-        ShuffleAlg::Broadcast | ShuffleAlg::HyperCube => {
-            run_one_round(ex, plan, pending, &mut result)?;
-        }
+    if plan.shuffle.is_one_round() {
+        run_one_round(ex, plan, pending, &mut result)?;
+    } else {
+        run_regular(ex, plan, pending, &mut result)?;
     }
 
     if ex.opts.collect_output {
@@ -1165,7 +1228,9 @@ fn hash_join_step(
     }
 }
 
-/// Left-deep tree of binary joins with a regular shuffle per step.
+/// Left-deep tree of binary joins with a regular shuffle per step; a
+/// semijoin plan first runs its reduction rounds over the seeded
+/// relations.
 fn run_regular(
     ex: &Exec<'_>,
     plan: Plan,
@@ -1174,6 +1239,7 @@ fn run_regular(
 ) -> Result<(), EngineError> {
     let (query, cluster, opts, seam, obs) = (ex.query, ex.cluster, ex.opts, ex.seam, ex.obs);
     let Plan {
+        shuffle,
         join: join_alg,
         join_order: order,
         probe_threads,
@@ -1181,6 +1247,11 @@ fn run_regular(
         ..
     } = plan;
     let hosted = result.per_worker_busy.len();
+    let seeded = if shuffle == ShuffleAlg::Semijoin {
+        semijoin::reduce(ex, seeded, probe_threads, result)?
+    } else {
+        seeded
+    };
     let mut seeded: Vec<Option<DistRel>> = seeded.into_iter().map(Some).collect();
     if order.len() != seeded.len() {
         return Err(EngineError::Unsupported(
@@ -1492,7 +1563,7 @@ fn run_one_round(
             result.hc_config = Some(config);
             out
         }
-        ShuffleAlg::Regular => unreachable!("handled by run_regular"),
+        ShuffleAlg::Regular | ShuffleAlg::Semijoin => unreachable!("handled by run_regular"),
     };
 
     #[cfg(feature = "strict-invariants")]
@@ -1804,17 +1875,6 @@ mod tests {
         db
     }
 
-    fn all_configs() -> Vec<(ShuffleAlg, JoinAlg)> {
-        vec![
-            (ShuffleAlg::Regular, JoinAlg::Hash),
-            (ShuffleAlg::Regular, JoinAlg::Tributary),
-            (ShuffleAlg::Broadcast, JoinAlg::Hash),
-            (ShuffleAlg::Broadcast, JoinAlg::Tributary),
-            (ShuffleAlg::HyperCube, JoinAlg::Hash),
-            (ShuffleAlg::HyperCube, JoinAlg::Tributary),
-        ]
-    }
-
     fn run_collect(
         q: &ConjunctiveQuery,
         db: &Database,
@@ -1836,6 +1896,23 @@ mod tests {
             .collect();
         rows.sort();
         rows
+    }
+
+    #[test]
+    fn config_names_are_built_from_the_tags_and_parse_back() {
+        let names = PAPER_CONFIGS.map(|(s, j)| config_name(s, j));
+        assert_eq!(
+            names,
+            ["RS_HJ", "RS_TJ", "BR_HJ", "BR_TJ", "HC_HJ", "HC_TJ"]
+        );
+        for s in ShuffleAlg::ALL {
+            for j in JoinAlg::ALL {
+                assert_eq!(parse_config(&config_name(s, j)), Some((s, j)));
+            }
+        }
+        for bad in ["SJ", "SJ_", "_HJ", "SJ_HJ_", "sj_hj", "XX_YY"] {
+            assert_eq!(parse_config(bad), None, "{bad}");
+        }
     }
 
     #[test]
@@ -1871,7 +1948,7 @@ mod tests {
         let db = ring_db(30);
         let reference = run_collect(&q, &db, 4, ShuffleAlg::Regular, JoinAlg::Hash);
         assert!(!reference.is_empty(), "ring with shortcuts has triangles");
-        for (s, j) in all_configs() {
+        for (s, j) in PAPER_CONFIGS {
             let got = run_collect(&q, &db, 4, s, j);
             assert_eq!(got, reference, "{s:?}/{j:?} disagrees");
         }
@@ -1970,7 +2047,7 @@ mod tests {
         let q = b.build();
         let db = ring_db(20);
         let reference = run_collect(&q, &db, 3, ShuffleAlg::Regular, JoinAlg::Hash);
-        for (s, j) in all_configs() {
+        for (s, j) in PAPER_CONFIGS {
             assert_eq!(run_collect(&q, &db, 3, s, j), reference, "{s:?}/{j:?}");
         }
         // And the filter actually prunes: recompute without it.
@@ -2070,7 +2147,7 @@ mod tests {
             collect_output: true,
             ..Default::default()
         };
-        for (s, j) in all_configs() {
+        for (s, j) in PAPER_CONFIGS {
             let local = run_config(&q, &db, &Cluster::new(4).with_seed(17), s, j, &opts)
                 .expect("local plan runs");
             let streamed = run_config(
@@ -2187,7 +2264,7 @@ mod tests {
         b.atom("E1", [x, y]);
         let q = b.build();
         let db = ring_db(10);
-        for (s, j) in all_configs() {
+        for (s, j) in PAPER_CONFIGS {
             let r = run_config(&q, &db, &Cluster::new(4), s, j, &PlanOptions::default())
                 .unwrap_or_else(|e| panic!("{s:?}/{j:?}: {e}"));
             assert_eq!(r.output_tuples, 20, "{s:?}/{j:?}");

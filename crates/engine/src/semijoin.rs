@@ -13,51 +13,91 @@
 //! 1. bottom-up: replace each parent `P` by `P ⋉ child`, children first;
 //! 2. top-down: replace each child `C` by `C ⋉ parent`, root first;
 //! 3. final join of the reduced relations with a regular-shuffle plan.
+//!
+//! This module is the reduction half of [`ShuffleAlg::Semijoin`]: the
+//! planner plans an SJ plan exactly like the regular-shuffle plan it
+//! ends in, and `plans::run_regular` calls [`reduce`] on the seeded
+//! partitions before its join loop. The join tree is a pure function of
+//! the query, so every rank of a mesh derives the same rounds.
+//!
+//! [`ShuffleAlg::Semijoin`]: crate::ShuffleAlg::Semijoin
 
-use crate::cluster::Cluster;
 use crate::dist::DistRel;
 use crate::error::EngineError;
 use crate::exec::run_phase_traced;
 use crate::local::SchemaRel;
-use crate::plans::{
-    plan_and_execute, start_runtime, Exec, JoinAlg, PlanOptions, RunObs, RunResult, ShuffleAlg,
-};
+use crate::plans::{metric_names, Exec, RunResult};
 use crate::probe;
-use crate::shuffle::{self, Seam};
-use parjoin_common::{Database, ShuffleStats};
-use parjoin_query::hypergraph::gyo_join_tree;
-use parjoin_query::{resolve_atoms, ConjunctiveQuery, VarId};
+use crate::shuffle;
+use parjoin_query::hypergraph::{gyo_join_tree, JoinTree};
+use parjoin_query::{ConjunctiveQuery, VarId};
 
-/// Extra metrics for the semijoin phase, alongside the final-join run.
-#[derive(Debug, Clone)]
-pub struct SemijoinResult {
-    /// The complete run (semijoin shuffles + final join) — `tuples_shuffled`
-    /// includes everything.
-    pub run: RunResult,
-    /// Tuples shuffled for the deduplicated key projections only (the
-    /// paper reports these separately: "2.29 million tuples from the
-    /// projected tables").
-    pub projected_tuples_shuffled: u64,
-    /// Tuples shuffled for the reduced input relations during semijoins.
-    pub input_tuples_shuffled: u64,
-    /// Per-atom tuple counts after full reduction.
-    pub reduced_cards: Vec<u64>,
+/// The GYM join tree the reductions follow, or the typed refusal a
+/// cyclic query gets: no full semijoin reduction exists for it (§3.6).
+pub(crate) fn reduction_tree(query: &ConjunctiveQuery) -> Result<JoinTree, EngineError> {
+    gyo_join_tree(query).ok_or_else(|| {
+        EngineError::Unsupported(format!(
+            "query `{}` is cyclic; semijoin reduction does not terminate",
+            query.name
+        ))
+    })
+}
+
+/// Runs the reduction rounds over the hosted partitions `dists` (one per
+/// atom) and returns the reduced relations: bottom-up, children reduce
+/// parents; then top-down, parents reduce children. Each step is one
+/// communication round of two shuffles and one local semijoin phase,
+/// both booked into `result` in order.
+///
+/// # Errors
+/// [`EngineError::Unsupported`] for a cyclic query (see
+/// [`reduction_tree`]) and [`EngineError::Transport`] when an exchange
+/// fails.
+pub(crate) fn reduce(
+    ex: &Exec<'_>,
+    mut dists: Vec<DistRel>,
+    probe_threads: usize,
+    result: &mut RunResult,
+) -> Result<Vec<DistRel>, EngineError> {
+    let tree = reduction_tree(ex.query)?;
+    // Each step is `(target, reducer)`.
+    let bottom_up = tree
+        .bottom_up
+        .iter()
+        .filter_map(|&a| Some((tree.parent[a]?, a)));
+    let top_down = tree.top_down().into_iter();
+    let top_down = top_down.flat_map(|a| tree.children(a).into_iter().map(move |c| (c, a)));
+    for (target, reducer) in bottom_up.chain(top_down) {
+        let atoms = &ex.query.atoms;
+        let label = format!("{} ⋉ {}", atoms[target].relation, atoms[reducer].relation);
+        let unreduced = std::mem::replace(&mut dists[target], DistRel::empty(Vec::new(), 0));
+        dists[target] = distributed_semijoin(
+            unreduced,
+            &dists[reducer],
+            &label,
+            probe_threads,
+            ex,
+            result,
+        )?;
+    }
+    Ok(dists)
 }
 
 /// One distributed semijoin step: reduce `target` (consumed by its
-/// shuffle) by `reducer` on their shared variables. Returns the reduced
-/// relation and the two shuffle stats (projection, input). The local
-/// semijoin filter runs morsel-parallel with work stealing (see
-/// [`crate::probe`]); its morsels and steals are counted into `obs`.
+/// shuffle) by `reducer` on their shared variables, booking the round's
+/// two shuffles (projection, input) and the local semijoin's busy time
+/// into `result`. The local semijoin filter runs morsel-parallel with
+/// work stealing (see [`crate::probe`]); its morsels and steals are
+/// counted into the run's registry.
 fn distributed_semijoin(
     target: DistRel,
     reducer: &DistRel,
-    cluster: &Cluster,
     label: &str,
     probe_threads: usize,
-    obs: &RunObs,
-    seam: &Seam<'_>,
-) -> Result<(DistRel, ShuffleStats, ShuffleStats), EngineError> {
+    ex: &Exec<'_>,
+    result: &mut RunResult,
+) -> Result<DistRel, EngineError> {
+    let (cluster, obs) = (ex.cluster, ex.obs);
     let shared: Vec<VarId> = target
         .vars
         .iter()
@@ -80,10 +120,18 @@ fn distributed_semijoin(
     // Shuffle both on the shared variables.
     let hash_on_shared = |d: DistRel, what: &str| {
         let route = shuffle::regular_route(&d.vars, &shared, cluster.seed, cluster.workers)?;
-        shuffle::run_route(d, &route, format!("{label}: {what}"), seam)
+        shuffle::run_route(d, &route, format!("{label}: {what}"), ex.seam)
     };
     let (proj_s, stats_proj) = hash_on_shared(projected, "keys")?;
     let (tgt_s, stats_tgt) = hash_on_shared(target, "input")?;
+    obs.registry
+        .add(metric_names::SEMIJOIN_KEY_TUPLES, stats_proj.tuples_sent);
+    obs.registry
+        .add(metric_names::SEMIJOIN_INPUT_TUPLES, stats_tgt.tuples_sent);
+    result.absorb_round([stats_proj, stats_tgt], cluster);
+
+    #[cfg(feature = "strict-invariants")]
+    crate::strict::assert_colocated(&tgt_s, &proj_s, &shared, "semijoin reduction");
 
     // Local semijoin (morsel-parallel over the target's rows).
     let seed = cluster.seed;
@@ -98,140 +146,25 @@ fn distributed_semijoin(
         .zip(proj_s.parts)
         .map(|(t, r)| (side(&tgt_s.vars, t), side(&proj_s.vars, r)))
         .collect();
-    let phase = run_phase_traced(cluster.workers, &obs.trace, "semijoin", |w, _lane| {
+    let phase = run_phase_traced(sides.len(), &obs.trace, "semijoin", |w, _lane| {
         let (t, r) = &sides[w];
         let (reduced, morsels, steals) = probe::semijoin_parallel(t, r, seed, probe_threads);
         obs.count_probe(morsels, steals);
         reduced.rel
     });
-    let reduced = DistRel {
+    result.absorb_phase(&phase.busy, None);
+    Ok(DistRel {
         vars: tgt_s.vars,
         parts: phase.results,
-    };
-    Ok((reduced, stats_proj, stats_tgt))
-}
-
-/// Runs the full semijoin plan on an acyclic query.
-///
-/// # Errors
-/// [`EngineError::Unsupported`] if the query is cyclic (no full semijoin
-/// reduction exists, §3.6), plus the usual resolve/budget errors from the
-/// final join.
-pub fn run_semijoin_plan(
-    query: &ConjunctiveQuery,
-    db: &Database,
-    cluster: &Cluster,
-    opts: &PlanOptions,
-) -> Result<SemijoinResult, EngineError> {
-    let tree = gyo_join_tree(query).ok_or_else(|| {
-        EngineError::Unsupported(format!(
-            "query `{}` is cyclic; semijoin reduction does not terminate",
-            query.name
-        ))
-    })?;
-    let (resolved, _residual) = resolve_atoms(query, db)?;
-
-    let mut dists: Vec<DistRel> = resolved
-        .iter()
-        .map(|a| DistRel::round_robin(&a.rel, a.vars.clone(), cluster.workers))
-        .collect();
-
-    let mut sj_rounds = Vec::new();
-    let mut projected_tuples = 0u64;
-    let mut input_tuples = 0u64;
-    let probe_threads = opts.effective_probe_threads(cluster.workers);
-    // One runtime, one registry and one trace span the whole plan —
-    // reduction passes and final join — so every shuffle moves through
-    // the same seam, and the final join's registry snapshot and the
-    // chrome trace cover the semijoin work too.
-    let obs = RunObs::new(opts.trace_path.is_some());
-    let rt = start_runtime(cluster, &obs)?;
-    let seam = Seam::from(rt.as_ref());
-
-    // Bottom-up, children reduce parents; then top-down, parents reduce
-    // children. Each step is `(target, reducer)`.
-    let bottom_up = tree
-        .bottom_up
-        .iter()
-        .filter_map(|&a| Some((tree.parent[a]?, a)));
-    let top_down = tree.top_down().into_iter();
-    let top_down = top_down.flat_map(|a| tree.children(a).into_iter().map(move |c| (c, a)));
-    for (target, reducer) in bottom_up.chain(top_down) {
-        let atoms = &query.atoms;
-        let unreduced = std::mem::replace(&mut dists[target], DistRel::empty(Vec::new(), 0));
-        let (reduced, sp, st) = distributed_semijoin(
-            unreduced,
-            &dists[reducer],
-            cluster,
-            &format!("{} ⋉ {}", atoms[target].relation, atoms[reducer].relation),
-            probe_threads,
-            &obs,
-            &seam,
-        )?;
-        projected_tuples += sp.tuples_sent;
-        input_tuples += st.tuples_sent;
-        sj_rounds.push([sp, st]);
-        dists[target] = reduced;
-    }
-    // Final join: run the RS_HJ plan over a database of reduced relations.
-    // Atom names must be unique in the temporary catalog (self-joins reuse
-    // a base name but may now have different reductions).
-    let mut reduced_db = Database::new();
-    let mut final_query = query.clone();
-    for (i, d) in dists.iter().enumerate() {
-        let name = format!("__reduced_{i}_{}", query.atoms[i].relation);
-        reduced_db.insert(name.clone(), d.gather());
-        final_query.atoms[i].relation = name;
-        // The reduced relations are variables-only (selections applied
-        // during resolve); rewrite terms accordingly.
-        final_query.atoms[i].terms = d
-            .vars
-            .iter()
-            .map(|&v| parjoin_query::Term::Var(v))
-            .collect();
-    }
-    // Single-variable filters were already applied during the original
-    // resolve; drop them to avoid double application (harmless but noisy).
-    let reduced_cards: Vec<u64> = dists.iter().map(|d| d.total_len()).collect();
-    // Let run_config pick its fanout-aware greedy order over the reduced
-    // relations.
-    let ex = Exec {
-        query: &final_query,
-        cluster,
-        opts,
-        seam: &seam,
-        obs: &obs,
-    };
-    let mut run = plan_and_execute(&ex, &reduced_db, ShuffleAlg::Regular, JoinAlg::Hash)?;
-    if let Some(rt) = rt {
-        rt.shutdown()?;
-    }
-
-    // Fold the semijoin steps into the run's totals: each is one extra
-    // communication round of two parallel shuffles. They ran first, so
-    // the final join's (already tallied) shuffles are re-appended after.
-    let final_shuffles = std::mem::take(&mut run.shuffles);
-    for round in sj_rounds {
-        run.absorb_round(round, cluster);
-    }
-    run.shuffles.extend(final_shuffles);
-    run.config = "SJ_HJ".into();
-    obs.write_trace(opts.trace_path.as_deref())?;
-
-    Ok(SemijoinResult {
-        run,
-        projected_tuples_shuffled: projected_tuples,
-        input_tuples_shuffled: input_tuples,
-        reduced_cards,
     })
 }
 
 #[cfg(test)]
 mod tests {
-    use super::*;
-    use crate::plans::run_config;
-    use parjoin_common::Relation;
-    use parjoin_query::QueryBuilder;
+    use crate::plans::{metric_names, run_config, RunResult};
+    use crate::{Cluster, EngineError, JoinAlg, PlanOptions, ShuffleAlg};
+    use parjoin_common::{Database, Relation};
+    use parjoin_query::{ConjunctiveQuery, QueryBuilder};
 
     fn path_query() -> ConjunctiveQuery {
         let mut b = QueryBuilder::new("P");
@@ -258,19 +191,24 @@ mod tests {
         db
     }
 
+    fn run_sj(q: &ConjunctiveQuery, cluster: &Cluster, opts: &PlanOptions) -> RunResult {
+        let (s, j) = (ShuffleAlg::Semijoin, JoinAlg::Hash);
+        run_config(q, &path_db(), cluster, s, j, opts).expect("acyclic")
+    }
+
     #[test]
     fn semijoin_matches_regular_plan() {
         let q = path_query();
-        let db = path_db();
         let cluster = Cluster::new(4).with_seed(3);
         let opts = PlanOptions {
             collect_output: true,
             ..Default::default()
         };
-        let sj = run_semijoin_plan(&q, &db, &cluster, &opts).expect("acyclic");
-        let rs =
-            run_config(&q, &db, &cluster, ShuffleAlg::Regular, JoinAlg::Hash, &opts).expect("plan");
-        let mut a: Vec<Vec<u64>> = sj.run.output.unwrap().rows().map(|r| r.to_vec()).collect();
+        let sj = run_sj(&q, &cluster, &opts);
+        assert_eq!(sj.config, "SJ_HJ");
+        let (s, j) = (ShuffleAlg::Regular, JoinAlg::Hash);
+        let rs = run_config(&q, &path_db(), &cluster, s, j, &opts).expect("plan");
+        let mut a: Vec<Vec<u64>> = sj.output.unwrap().rows().map(|r| r.to_vec()).collect();
         let mut b: Vec<Vec<u64>> = rs.output.unwrap().rows().map(|r| r.to_vec()).collect();
         a.sort();
         b.sort();
@@ -279,16 +217,20 @@ mod tests {
 
     #[test]
     fn reduction_removes_dangling_tuples() {
-        let q = path_query();
-        let db = path_db();
-        let cluster = Cluster::new(4);
-        let sj = run_semijoin_plan(&q, &db, &cluster, &PlanOptions::default()).unwrap();
+        let sj = run_sj(&path_query(), &Cluster::new(4), &PlanOptions::default());
+        // An atom's first final-join shuffle is a hash route: it sends
+        // every reduced tuple exactly once.
+        let reduced = |rel: &str| {
+            let prefix = format!("{rel} ->h(");
+            let first = sj.shuffles.iter().find(|s| s.label.starts_with(&prefix));
+            first.map(|s| s.tuples_sent).expect("atom shuffled")
+        };
         // R had 20 tuples, 10 of which dangle.
-        assert_eq!(sj.reduced_cards[0], 10);
+        assert_eq!(reduced("R"), 10);
         // T keeps only z values reachable as 2·y for y<10 and y=x<20 …
-        assert!(sj.reduced_cards[2] <= 10);
-        assert!(sj.projected_tuples_shuffled > 0);
-        assert!(sj.input_tuples_shuffled > 0);
+        assert!(reduced("T") <= 10);
+        assert!(sj.metric(metric_names::SEMIJOIN_KEY_TUPLES) > Some(0));
+        assert!(sj.metric(metric_names::SEMIJOIN_INPUT_TUPLES) > Some(0));
     }
 
     #[test]
@@ -297,45 +239,42 @@ mod tests {
         let (x, y, z) = (b.var("x"), b.var("y"), b.var("z"));
         b.atom("R", [x, y]).atom("S", [y, z]).atom("T", [z, x]);
         let q = b.build();
-        let db = path_db();
-        let err =
-            run_semijoin_plan(&q, &db, &Cluster::new(2), &PlanOptions::default()).unwrap_err();
-        assert!(matches!(err, EngineError::Unsupported(_)));
+        for j in JoinAlg::ALL {
+            let (c, opts) = (Cluster::new(2), PlanOptions::default());
+            let err = run_config(&q, &path_db(), &c, ShuffleAlg::Semijoin, j, &opts).unwrap_err();
+            assert!(matches!(err, EngineError::Unsupported(_)), "{j:?}: {err:?}");
+        }
     }
 
     #[test]
     fn shuffle_accounting_includes_semijoins() {
         let q = path_query();
-        let db = path_db();
         let cluster = Cluster::new(4);
-        let sj = run_semijoin_plan(&q, &db, &cluster, &PlanOptions::default()).unwrap();
+        let sj = run_sj(&q, &cluster, &PlanOptions::default());
         assert_eq!(
-            sj.run.tuples_shuffled,
-            sj.run.shuffles.iter().map(|s| s.tuples_sent).sum::<u64>()
+            sj.tuples_shuffled,
+            sj.shuffles.iter().map(|s| s.tuples_sent).sum::<u64>()
         );
-        assert!(sj.run.tuples_shuffled >= sj.projected_tuples_shuffled + sj.input_tuples_shuffled);
+        let tally = |name| sj.metric(name).unwrap_or(0);
+        let reductions =
+            tally(metric_names::SEMIJOIN_KEY_TUPLES) + tally(metric_names::SEMIJOIN_INPUT_TUPLES);
+        assert!(sj.tuples_shuffled >= reductions);
 
         // Every probe operation counts at least one morsel per worker:
         // each reduction step (two shuffles labelled `T ⋉ R: …`) and each
         // of the final join's binary joins.
         let workers = cluster.workers as u64;
-        let steps = sj
-            .run
-            .shuffles
-            .iter()
-            .filter(|s| s.label.contains('⋉'))
-            .count() as u64
-            / 2;
+        let steps = sj.shuffles.iter().filter(|s| s.label.contains('⋉')).count() as u64 / 2;
         let joins = q.atoms.len() as u64 - 1;
         assert_eq!(steps, 4, "two tree edges, reduced bottom-up then top-down");
         assert!(
-            sj.run.probe_morsels >= (steps + joins) * workers,
+            sj.probe_morsels >= (steps + joins) * workers,
             "{} morsels for {steps} reduction steps and {joins} joins on {workers} workers",
-            sj.run.probe_morsels
+            sj.probe_morsels
         );
         assert_eq!(
-            sj.run.metric(crate::metric_names::PROBE_MORSELS),
-            Some(sj.run.probe_morsels)
+            sj.metric(metric_names::PROBE_MORSELS),
+            Some(sj.probe_morsels)
         );
     }
 }

@@ -8,24 +8,17 @@ use parjoin_analyze as analyze;
 use parjoin_analyze::policy::{AtomRoute, Family, Pin, Policy, Verdict};
 use parjoin_common::hash;
 use parjoin_datagen::{all_queries, Scale};
-use parjoin_engine::{run_config, Cluster, DiagCode, JoinAlg, PlanOptions, ShuffleAlg};
+use parjoin_engine::{
+    run_config, Cluster, DiagCode, JoinAlg, PlanOptions, ShuffleAlg, PAPER_CONFIGS,
+};
 use parjoin_query::VarId;
-
-const SIX_CONFIGS: [(ShuffleAlg, JoinAlg); 6] = [
-    (ShuffleAlg::Regular, JoinAlg::Hash),
-    (ShuffleAlg::Regular, JoinAlg::Tributary),
-    (ShuffleAlg::Broadcast, JoinAlg::Hash),
-    (ShuffleAlg::Broadcast, JoinAlg::Tributary),
-    (ShuffleAlg::HyperCube, JoinAlg::Hash),
-    (ShuffleAlg::HyperCube, JoinAlg::Tributary),
-];
 
 #[test]
 fn all_workloads_certify_under_all_six_configs() {
     let scale = Scale::tiny();
     for spec in all_queries() {
         let db = scale.db_for(spec.dataset, 42);
-        for (shuffle, join) in SIX_CONFIGS {
+        for (shuffle, join) in PAPER_CONFIGS {
             let r = run_config(
                 &spec.query,
                 &db,

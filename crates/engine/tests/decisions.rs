@@ -27,17 +27,9 @@ use parjoin_datagen::{all_queries, Scale};
 use parjoin_engine::plans::greedy_join_order;
 use parjoin_engine::{
     advise, plan_fragments, Cluster, DistRel, JoinAlg, PlanOptions, ShuffleAlg, StatsCache,
+    PAPER_CONFIGS,
 };
 use parjoin_query::{resolve_atoms, VarId};
-
-const SIX_CONFIGS: [(ShuffleAlg, JoinAlg); 6] = [
-    (ShuffleAlg::Regular, JoinAlg::Hash),
-    (ShuffleAlg::Regular, JoinAlg::Tributary),
-    (ShuffleAlg::Broadcast, JoinAlg::Hash),
-    (ShuffleAlg::Broadcast, JoinAlg::Tributary),
-    (ShuffleAlg::HyperCube, JoinAlg::Hash),
-    (ShuffleAlg::HyperCube, JoinAlg::Tributary),
-];
 
 /// Q1–Q8 at tiny scale (seed 42, 4 workers): the advisor's verdict and
 /// its regular-shuffle estimate (network tuples, busiest worker), as
@@ -225,7 +217,7 @@ fn plans_from_cached_stats_decide_what_plans_from_tuples_decided() {
                 spec.name
             );
 
-            for (s, j) in SIX_CONFIGS {
+            for (s, j) in PAPER_CONFIGS {
                 let frags = plan_fragments(
                     &spec.query,
                     db,
@@ -236,7 +228,7 @@ fn plans_from_cached_stats_decide_what_plans_from_tuples_decided() {
                     &addrs,
                 )
                 .unwrap_or_else(|e| panic!("{pass} {} {s:?}/{j:?}: {e}", spec.name));
-                let one_round_tj = j == JoinAlg::Tributary && s != ShuffleAlg::Regular;
+                let one_round_tj = j == JoinAlg::Tributary && s.is_one_round();
                 for f in &frags {
                     assert_eq!(
                         f.join_order, want_join,

@@ -26,7 +26,9 @@
 use crate::error::ServeError;
 use crate::server_core::ServerCore;
 use crate::SERVE_METRICS;
-use parjoin_engine::{advise, run_config, Cluster, JoinAlg, PlanOptions, RunResult, ShuffleAlg};
+use parjoin_engine::{
+    advise, parse_config, run_config, Cluster, JoinAlg, PlanOptions, RunResult, ShuffleAlg,
+};
 use parjoin_query::{parser, ConjunctiveQuery};
 use std::sync::mpsc;
 use std::sync::Arc;
@@ -43,19 +45,12 @@ pub enum ConfigChoice {
 }
 
 impl ConfigChoice {
-    /// Parses `"advise"` or a config name (`"RS_HJ"`, `"RS_TJ"`,
-    /// `"BR_HJ"`, `"BR_TJ"`, `"HC_HJ"`, `"HC_TJ"`).
+    /// Parses `"advise"` or a config name (`"HC_TJ"`, `"SJ_HJ"`, …; see
+    /// [`parse_config`]).
     pub fn parse(s: &str) -> Option<ConfigChoice> {
-        let fixed = |sh, jn| Some(ConfigChoice::Fixed(sh, jn));
         match s {
             "advise" => Some(ConfigChoice::Advised),
-            "RS_HJ" => fixed(ShuffleAlg::Regular, JoinAlg::Hash),
-            "RS_TJ" => fixed(ShuffleAlg::Regular, JoinAlg::Tributary),
-            "BR_HJ" => fixed(ShuffleAlg::Broadcast, JoinAlg::Hash),
-            "BR_TJ" => fixed(ShuffleAlg::Broadcast, JoinAlg::Tributary),
-            "HC_HJ" => fixed(ShuffleAlg::HyperCube, JoinAlg::Hash),
-            "HC_TJ" => fixed(ShuffleAlg::HyperCube, JoinAlg::Tributary),
-            _ => None,
+            name => parse_config(name).map(|(sh, jn)| ConfigChoice::Fixed(sh, jn)),
         }
     }
 }
@@ -281,7 +276,10 @@ mod tests {
     #[test]
     fn config_choice_parses_all_names() {
         assert_eq!(ConfigChoice::parse("advise"), Some(ConfigChoice::Advised));
-        for name in ["RS_HJ", "RS_TJ", "BR_HJ", "BR_TJ", "HC_HJ", "HC_TJ"] {
+        let names = [
+            "RS_HJ", "RS_TJ", "BR_HJ", "BR_TJ", "HC_HJ", "HC_TJ", "SJ_HJ", "SJ_TJ",
+        ];
+        for name in names {
             assert!(
                 matches!(ConfigChoice::parse(name), Some(ConfigChoice::Fixed(_, _))),
                 "{name}"

@@ -6,7 +6,6 @@
 //! cargo run --release --example knowledge_graph
 //! ```
 
-use parjoin::engine::semijoin::run_semijoin_plan;
 use parjoin::prelude::*;
 
 fn report(name: &str, r: &RunResult) {
@@ -62,11 +61,21 @@ fn main() {
 
         // Acyclic queries also admit the full Yannakakis/GYM semijoin
         // reduction (§3.6).
-        let sj = run_semijoin_plan(&spec.query, &db, &cluster, &opts).expect("acyclic");
-        report("SJ_HJ", &sj.run);
+        let sj = run_config(
+            &spec.query,
+            &db,
+            &cluster,
+            ShuffleAlg::Semijoin,
+            JoinAlg::Hash,
+            &opts,
+        )
+        .expect("acyclic");
+        report("SJ_HJ", &sj);
+        let tally = |name| sj.metric(name).unwrap_or(0);
         println!(
             "         semijoin detail: {} key tuples + {} input tuples reshuffled",
-            sj.projected_tuples_shuffled, sj.input_tuples_shuffled
+            tally(metric_names::SEMIJOIN_KEY_TUPLES),
+            tally(metric_names::SEMIJOIN_INPUT_TUPLES)
         );
 
         let distinct = rs.output.as_ref().map(|o| o.len()).unwrap_or(0);

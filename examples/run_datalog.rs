@@ -43,18 +43,6 @@ fn load_relation(dir: &Path, name: &str, arity: usize) -> Relation {
     rel.distinct()
 }
 
-fn parse_config(name: &str) -> (ShuffleAlg, JoinAlg) {
-    match name {
-        "RS_HJ" => (ShuffleAlg::Regular, JoinAlg::Hash),
-        "RS_TJ" => (ShuffleAlg::Regular, JoinAlg::Tributary),
-        "BR_HJ" => (ShuffleAlg::Broadcast, JoinAlg::Hash),
-        "BR_TJ" => (ShuffleAlg::Broadcast, JoinAlg::Tributary),
-        "HC_HJ" => (ShuffleAlg::HyperCube, JoinAlg::Hash),
-        "HC_TJ" => (ShuffleAlg::HyperCube, JoinAlg::Tributary),
-        other => panic!("unknown configuration `{other}` (use e.g. HC_TJ)"),
-    }
-}
-
 fn demo_dir() -> std::path::PathBuf {
     let dir = std::env::temp_dir().join("parjoin_datalog_demo");
     std::fs::create_dir_all(&dir).expect("temp dir");
@@ -100,7 +88,8 @@ fn main() {
         }
     }
 
-    let (s, j) = parse_config(&config);
+    let (s, j) = parjoin::engine::parse_config(&config)
+        .unwrap_or_else(|| panic!("unknown configuration `{config}` (use e.g. HC_TJ)"));
     let cluster = Cluster::new(16);
     let opts = PlanOptions {
         collect_output: true,

@@ -17,8 +17,8 @@
 //!   --spawn-workers N    spawn N parjoin-worker processes on loopback
 //!                        (the binary is found next to this one)
 //!   --queries Q1,..|all  paper queries to run (default all)
-//!   --configs CS,..|all  shuffle×join configs, e.g. RS_HJ,HC_TJ
-//!                        (default all six)
+//!   --configs CS,..|all  shuffle×join configs, e.g. RS_HJ,HC_TJ,SJ_HJ
+//!                        (default and `all`: the paper's six)
 //!   --scale tiny|small|medium   dataset scale (default tiny)
 //!   --twitter-nodes N    override the Twitter graph's node count
 //!   --twitter-m N        override edges-per-node
@@ -34,7 +34,9 @@
 
 use parjoin_datagen::Scale;
 use parjoin_dist::RemoteCluster;
-use parjoin_engine::{run_config, Cluster, JoinAlg, PlanOptions, ShuffleAlg};
+use parjoin_engine::{
+    config_name, parse_config, run_config, Cluster, JoinAlg, PlanOptions, ShuffleAlg, PAPER_CONFIGS,
+};
 use std::io::BufRead;
 use std::process::{Child, Command, ExitCode, Stdio};
 use std::time::Duration;
@@ -44,20 +46,11 @@ const USAGE: &str = "usage: parjoin-coordinator (--hosts A,B,C | --spawn-workers
                      [--twitter-nodes N] [--twitter-m N] [--freebase N] [--db-seed N] [--seed N] \
                      [--batch-tuples N] [--connect-timeout-secs N] [--check-local] [--distinct]";
 
-const ALL_CONFIGS: [(&str, ShuffleAlg, JoinAlg); 6] = [
-    ("RS_HJ", ShuffleAlg::Regular, JoinAlg::Hash),
-    ("RS_TJ", ShuffleAlg::Regular, JoinAlg::Tributary),
-    ("BR_HJ", ShuffleAlg::Broadcast, JoinAlg::Hash),
-    ("BR_TJ", ShuffleAlg::Broadcast, JoinAlg::Tributary),
-    ("HC_HJ", ShuffleAlg::HyperCube, JoinAlg::Hash),
-    ("HC_TJ", ShuffleAlg::HyperCube, JoinAlg::Tributary),
-];
-
 struct Opts {
     hosts: Vec<String>,
     spawn_workers: usize,
     queries: Vec<String>,
-    configs: Vec<(&'static str, ShuffleAlg, JoinAlg)>,
+    configs: Vec<(ShuffleAlg, JoinAlg)>,
     scale: Scale,
     db_seed: u64,
     seed: u64,
@@ -80,7 +73,7 @@ fn parse_opts() -> Result<Option<Opts>, String> {
         hosts: Vec::new(),
         spawn_workers: 0,
         queries: vec!["all".to_string()],
-        configs: ALL_CONFIGS.to_vec(),
+        configs: PAPER_CONFIGS.to_vec(),
         scale: Scale::tiny(),
         db_seed: 7,
         seed: 11,
@@ -107,11 +100,9 @@ fn parse_opts() -> Result<Option<Opts>, String> {
                     o.configs = Vec::new();
                     for name in v.split(',') {
                         let name = name.trim();
-                        let found = ALL_CONFIGS
-                            .iter()
-                            .find(|(tag, _, _)| *tag == name)
+                        let config = parse_config(name)
                             .ok_or_else(|| format!("unknown config {name} (e.g. HC_TJ)"))?;
-                        o.configs.push(*found);
+                        o.configs.push(config);
                     }
                 }
             }
@@ -256,7 +247,8 @@ fn run() -> Result<(), String> {
         let spec = parjoin_datagen::workloads::spec_for(qname)
             .ok_or_else(|| format!("unknown query {qname} (Q1..Q8)"))?;
         let db = opts.scale.db_for(spec.dataset, opts.db_seed);
-        for &(tag, s, j) in &opts.configs {
+        for &(s, j) in &opts.configs {
+            let tag = config_name(s, j);
             let run = remote
                 .run(&spec.query, &db, &cluster, s, j, &plan_opts)
                 .map_err(|e| format!("{qname} {tag}: {e}"))?;

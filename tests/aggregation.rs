@@ -141,8 +141,8 @@ fn every_round_pays_round_latency_exactly_once() {
     let path =
         parjoin::query::parser::parse("P(x, w) :- Twitter(x, y), Twitter(y, z), Twitter(z, w)")
             .unwrap();
-    let sj = parjoin::engine::semijoin::run_semijoin_plan(&path, &db, &cluster, &plain).unwrap();
-    check("SJ_HJ", &sj.run, 6);
+    let sj = run_config(&path, &db, &cluster, ShuffleAlg::Semijoin, hj, &plain).unwrap();
+    check("SJ_HJ", &sj, 6);
 }
 
 #[test]

@@ -1,8 +1,9 @@
 //! Cross-crate correctness: every shuffle×join configuration (and, for
-//! acyclic queries, the semijoin plan) computes the same answer for all
+//! acyclic queries, the semijoin plans) computes the same answer for all
 //! eight paper queries.
 
-use parjoin::engine::semijoin::run_semijoin_plan;
+mod parity;
+
 use parjoin::prelude::*;
 
 fn run_rows(
@@ -29,17 +30,6 @@ fn run_rows(
     rows
 }
 
-fn all_configs() -> Vec<(ShuffleAlg, JoinAlg)> {
-    vec![
-        (ShuffleAlg::Regular, JoinAlg::Hash),
-        (ShuffleAlg::Regular, JoinAlg::Tributary),
-        (ShuffleAlg::Broadcast, JoinAlg::Hash),
-        (ShuffleAlg::Broadcast, JoinAlg::Tributary),
-        (ShuffleAlg::HyperCube, JoinAlg::Hash),
-        (ShuffleAlg::HyperCube, JoinAlg::Tributary),
-    ]
-}
-
 fn check_query(spec: &QuerySpec, expect_nonempty: bool) {
     check_query_at(spec, expect_nonempty, Scale::tiny());
 }
@@ -54,27 +44,9 @@ fn check_query_at(spec: &QuerySpec, expect_nonempty: bool, scale: Scale) {
             spec.name
         );
     }
-    for (s, j) in all_configs().into_iter().skip(1) {
+    for (s, j) in parity::configs_for(spec).into_iter().skip(1) {
         let got = run_rows(spec, &db, 4, s, j);
         assert_eq!(got, reference, "{} disagrees under {s:?}/{j:?}", spec.name);
-    }
-    if !spec.cyclic {
-        let cluster = Cluster::new(4).with_seed(11);
-        let opts = PlanOptions {
-            collect_output: true,
-            ..Default::default()
-        };
-        let sj = run_semijoin_plan(&spec.query, &db, &cluster, &opts)
-            .unwrap_or_else(|e| panic!("{} semijoin: {e}", spec.name));
-        let mut rows: Vec<Vec<u64>> = sj
-            .run
-            .output
-            .expect("collected")
-            .rows()
-            .map(|x| x.to_vec())
-            .collect();
-        rows.sort();
-        assert_eq!(rows, reference, "{} semijoin disagrees", spec.name);
     }
 }
 

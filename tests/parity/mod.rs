@@ -3,7 +3,8 @@
 //! `wire_formats` suites — each runs one slice of it.
 //!
 //! The single claim: on every paper query under all six shuffle×join
-//! configurations, the production path's collected output is
+//! configurations (and, for the acyclic ones, §3.6's semijoin plans:
+//! [`configs_for`]), the production path's collected output is
 //! **byte-identical** to the reference configuration's — the backing
 //! buffers are compared raw, unsorted, so no row may move — and both
 //! shuffle the same number of tuples.
@@ -26,14 +27,15 @@ use parjoin::prelude::*;
 use std::fmt;
 
 /// The six shuffle×join configurations of the paper.
-pub const CONFIGS: [(ShuffleAlg, JoinAlg); 6] = [
-    (ShuffleAlg::Regular, JoinAlg::Hash),
-    (ShuffleAlg::Regular, JoinAlg::Tributary),
-    (ShuffleAlg::Broadcast, JoinAlg::Hash),
-    (ShuffleAlg::Broadcast, JoinAlg::Tributary),
-    (ShuffleAlg::HyperCube, JoinAlg::Hash),
-    (ShuffleAlg::HyperCube, JoinAlg::Tributary),
-];
+pub const CONFIGS: [(ShuffleAlg, JoinAlg); 6] = parjoin::engine::PAPER_CONFIGS;
+
+/// Every configuration `spec` runs under: the paper's six, then
+/// `SJ_HJ` and `SJ_TJ` when the query is acyclic.
+pub fn configs_for(spec: &QuerySpec) -> Vec<(ShuffleAlg, JoinAlg)> {
+    let semijoin = JoinAlg::ALL.map(|j| (ShuffleAlg::Semijoin, j));
+    let acyclic_only: &[_] = if spec.cyclic { &[] } else { &semijoin };
+    CONFIGS.iter().chain(acyclic_only).copied().collect()
+}
 
 /// One point on the production side of the matrix.
 #[derive(Debug, Clone, Copy)]
@@ -157,7 +159,7 @@ pub fn production(
 /// True for the plans with a Tributary prepare phase (one-round TJ):
 /// the only ones that consult SortCache and TrieCache.
 pub fn prepares_tries(s: ShuffleAlg, j: JoinAlg) -> bool {
-    j == JoinAlg::Tributary && s != ShuffleAlg::Regular
+    j == JoinAlg::Tributary && s.is_one_round()
 }
 
 /// The claim itself: same bytes, same arity, same counts.
@@ -282,7 +284,7 @@ pub fn assert_every_shuffle_streamed(cell: &str, r: &RunResult) {
 /// the production path at every point of `axis`.
 pub fn check(spec: &QuerySpec, axis: &[Production]) {
     let db = db_for(spec);
-    for (s, j) in CONFIGS {
+    for (s, j) in configs_for(spec) {
         let cell = format!("{} {s:?}/{j:?}", spec.name);
         let oracle = reference(spec, &db, s, j);
         assert_reference(&cell, &oracle);

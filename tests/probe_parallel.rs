@@ -57,37 +57,39 @@ fn probe_stats_count_morsels() {
 #[test]
 fn semijoin_plan_parallel_probe_identical() {
     // The GYM semijoin plan has its own probe path (semijoin_parallel);
-    // cover it separately from the six run_config plans.
-    use parjoin::engine::semijoin::run_semijoin_plan;
+    // cover it separately from the six paper configurations.
     let spec = parjoin::datagen::workloads::q3();
     let db = db_for(&spec);
     let cluster = cluster(TransportKind::Local);
-    let baseline = run_semijoin_plan(&spec.query, &db, &cluster, &reference_opts())
-        .expect("semijoin baseline");
+    let (s, j) = (ShuffleAlg::Semijoin, JoinAlg::Hash);
+    let baseline =
+        run_config(&spec.query, &db, &cluster, s, j, &reference_opts()).expect("semijoin baseline");
     for t in [1usize, 2, 4] {
         let opts = production_opts(Production::local(Some(t)));
         let parallel =
-            run_semijoin_plan(&spec.query, &db, &cluster, &opts).expect("semijoin parallel");
+            run_config(&spec.query, &db, &cluster, s, j, &opts).expect("semijoin parallel");
         assert_eq!(
-            baseline.run.output.as_ref().expect("collected").raw(),
-            parallel.run.output.as_ref().expect("collected").raw(),
+            baseline.output.as_ref().expect("collected").raw(),
+            parallel.output.as_ref().expect("collected").raw(),
             "semijoin t={t}: output not byte-identical"
         );
     }
     // The reduction passes shuffle through the same runtime as the
     // final join: on a streaming transport every one of them moves real
     // bytes, and the reduced result is still the reference's.
-    let streamed = run_semijoin_plan(
+    let streamed = run_config(
         &spec.query,
         &db,
         &parity::cluster(TransportKind::InProcess),
+        s,
+        j,
         &production_opts(Production::streaming(TransportKind::InProcess)),
     )
     .expect("semijoin on InProcess");
-    parity::assert_parity("Q3 SJ_HJ on InProcess", &baseline.run, &streamed.run);
-    parity::assert_every_shuffle_streamed("Q3 SJ_HJ on InProcess", &streamed.run);
+    parity::assert_parity("Q3 SJ_HJ on InProcess", &baseline, &streamed);
+    parity::assert_every_shuffle_streamed("Q3 SJ_HJ on InProcess", &streamed);
     assert!(
-        streamed.run.shuffles[0].label.ends_with(": keys"),
+        streamed.shuffles[0].label.ends_with(": keys"),
         "the first recorded shuffle is a reduction pass"
     );
 }

@@ -5,7 +5,7 @@
 //! *exactly*, and [`RunResult::report`] must render the phase/worker
 //! tables and the registry counters.
 
-use parjoin::obs::json::summarize_chrome_trace;
+use parjoin::obs::json::{self, summarize_chrome_trace, Json};
 use parjoin::obs::COORDINATOR_LANE;
 use parjoin::prelude::*;
 
@@ -124,5 +124,44 @@ fn report_renders_phase_and_worker_tables() {
             "report missing `{needle}`:\n{report}"
         );
     }
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn semijoin_reductions_are_charged_as_join_cpu() {
+    // A phase charges each worker the time around its span, so the
+    // run's join CPU covers every `local-join` span and — the
+    // reductions' local semijoins being join work too — every
+    // `semijoin` span.
+    let dir = tmp_dir("semijoin");
+    let path = dir.join("trace-sj.json");
+    let spec = parjoin::datagen::workloads::q3();
+    let db = Scale::tiny().db_for(spec.dataset, 7);
+    let opts = PlanOptions {
+        trace_path: Some(path.clone()),
+        ..Default::default()
+    };
+    let (s, j) = (ShuffleAlg::Semijoin, JoinAlg::Hash);
+    let r = run_config(&spec.query, &db, &Cluster::new(4).with_seed(7), s, j, &opts)
+        .expect("traced Q3 SJ_HJ runs");
+    let text = std::fs::read_to_string(&path).expect("trace file written");
+    let Json::Arr(events) = json::parse(&text).expect("trace parses") else {
+        panic!("a chrome trace is an array of events");
+    };
+    // `dur` is exported in microseconds to the nanosecond.
+    let span_ns = |name: &str| -> u64 {
+        let named = events
+            .iter()
+            .filter(|e| e.get("name").and_then(Json::as_str) == Some(name));
+        let durs = named.filter_map(|e| e.get("dur").and_then(Json::as_f64));
+        durs.map(|us| (us * 1000.0).round() as u64).sum()
+    };
+    let (semijoin, local_join) = (span_ns("semijoin"), span_ns("local-join"));
+    assert!(semijoin > 0 && local_join > 0, "both phases traced");
+    assert!(
+        r.join_cpu().as_nanos() >= u128::from(semijoin + local_join),
+        "join CPU {:?} < {semijoin} ns of semijoin spans + {local_join} ns of local-join spans",
+        r.join_cpu()
+    );
     let _ = std::fs::remove_dir_all(&dir);
 }

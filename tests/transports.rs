@@ -1,6 +1,7 @@
 //! Parity slice — **the streaming transports**: the production path
 //! over `InProcess` channels and loopback `Tcp` against the reference
-//! configuration on `Local`, Q1–Q8 × six configurations
+//! configuration on `Local`, Q1–Q8 × six configurations (eight on the
+//! acyclic Q3 and Q7)
 //! (`parity::check`, which also pins that moved tuples mean moved bytes
 //! and that the runtime's byte counters equal the shuffles' `bytes_sent`).
 //!
@@ -29,7 +30,7 @@ fn check(spec: &QuerySpec) {
 /// excluded from the count).
 fn check_stats(spec: &QuerySpec) {
     let db = db_for(spec);
-    for (s, j) in parity::CONFIGS {
+    for (s, j) in parity::configs_for(spec) {
         let local = reference(spec, &db, s, j);
         let streamed = STREAMING.map(|p| production(spec, &db, s, j, p));
         for run in &streamed {
