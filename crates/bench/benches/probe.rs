@@ -14,6 +14,10 @@
 //! * `steal_t{2,4}` — the columnar kernel under the same work-stealing
 //!   dispatcher.
 //!
+//! Three shapes: the triangle and the four-cycle on a Zipf graph, and
+//! the triangle on a hub graph whose leaf slices are one key against
+//! thousands (the two-way leaf kernel's lopsided branch).
+//!
 //! Skew matters: under a Zipf-like degree distribution a few hot nodes
 //! own long runs, so leapfrog seeks routinely jump many rows — exactly
 //! where galloping's `O(log m)` beats restarting a binary search over
@@ -188,24 +192,48 @@ fn v(i: u32) -> VarId {
     VarId(i)
 }
 
-/// (name, atom variable lists) for the two cyclic shapes.
-fn shapes() -> Vec<(&'static str, Vec<[VarId; 2]>)> {
+/// A hub joined both ways to each of `nodes - 1` other vertices, plus
+/// `extra` uniform edges among those. Under the triangle order `[x, y, z]`
+/// with `x` the hub, the leaf intersects `y`'s few out-neighbours with the
+/// hub's thousands: the lopsided slices the leaf kernel drives from the
+/// short side.
+fn hub_edges(nodes: u64, extra: usize, seed: u64) -> Relation {
+    let spokes = (1..nodes).flat_map(|i| [[0, i], [i, 0]]);
+    let others = (0..extra as u64).map(|i| {
+        let a = 1 + hash::hash64(2 * i, seed) % (nodes - 1);
+        let b = 1 + hash::hash64(2 * i + 1, seed) % (nodes - 1);
+        [a, b]
+    });
+    Relation::from_rows(2, spokes.chain(others).collect::<Vec<[Value; 2]>>()).distinct()
+}
+
+/// (name, graph, atom variable lists): the two cyclic shapes on the
+/// Zipf graph, and the triangle on the hub graph.
+fn shapes() -> Vec<(&'static str, Relation, Vec<[VarId; 2]>)> {
+    let quick = quick_mode();
+    let edges_n: usize = if quick { 6_000 } else { 40_000 };
+    let nodes: u64 = (edges_n as u64 / 4).max(64);
+    let zipf = zipf_edges(edges_n, nodes, 17);
+    let hub = if quick {
+        hub_edges(2_000, 4_000, 23)
+    } else {
+        hub_edges(8_000, 16_000, 23)
+    };
+    let triangle = vec![[v(0), v(1)], [v(1), v(2)], [v(2), v(0)]];
     vec![
-        ("triangle", vec![[v(0), v(1)], [v(1), v(2)], [v(2), v(0)]]),
+        ("triangle", zipf.clone(), triangle.clone()),
         (
             "four_cycle",
+            zipf,
             vec![[v(0), v(1)], [v(1), v(2)], [v(2), v(3)], [v(3), v(0)]],
         ),
+        ("hub_triangle", hub, triangle),
     ]
 }
 
 fn bench_probe(c: &mut Criterion) {
     let mut group = c.benchmark_group("probe");
-    let edges_n: usize = if quick_mode() { 6_000 } else { 40_000 };
-    let nodes: u64 = (edges_n as u64 / 4).max(64);
-    let edges = zipf_edges(edges_n, nodes, 17);
-
-    for (name, atom_vars) in shapes() {
+    for (name, edges, atom_vars) in shapes() {
         let num_vars = atom_vars.len();
         let order: Vec<VarId> = (0..num_vars as u32).map(v).collect();
         let sorted: Vec<SortedAtom> = atom_vars

@@ -1,11 +1,22 @@
 //! Tributary join vs a local hash-join tree on the triangle query —
-//! the single-machine core of the paper's HJ/TJ comparison.
+//! the single-machine core of the paper's HJ/TJ comparison: the row
+//! layout with and without its sort, B-tree LFTJ with its build, the
+//! presorted columnar layout, and a hash-join tree.
+//!
+//! The vendored criterion stand-in ignores CLI arguments, so quick mode
+//! (CI's `-- --test` smoke run) is detected here: it keeps the smallest
+//! graph and two samples.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use parjoin_core::order::{best_order, OrderCostModel};
-use parjoin_core::tributary::{BTreeAtom, SortedAtom, Tributary};
+use parjoin_core::tributary::{BTreeAtom, ColumnarAtom, SortedAtom, Tributary};
 use parjoin_datagen::graph;
 use parjoin_query::VarId;
+
+/// True when invoked as a smoke test (`cargo bench ... -- --test`).
+fn quick_mode() -> bool {
+    std::env::args().any(|a| a == "--test" || a == "--quick")
+}
 
 fn v(i: u32) -> VarId {
     VarId(i)
@@ -13,7 +24,12 @@ fn v(i: u32) -> VarId {
 
 fn bench_triangle(c: &mut Criterion) {
     let mut group = c.benchmark_group("triangle_local_join");
-    for &nodes in &[400u64, 1_600, 6_400] {
+    let sizes: &[u64] = if quick_mode() {
+        &[400]
+    } else {
+        &[400, 1_600, 6_400]
+    };
+    for &nodes in sizes {
         let g = graph::twitter_graph(nodes, 5, 7);
         let vars = vec![v(0), v(1), v(2)];
         let atoms_spec: Vec<(&parjoin_common::Relation, Vec<VarId>)> = vec![
@@ -45,6 +61,16 @@ fn bench_triangle(c: &mut Criterion) {
         group.bench_with_input(
             BenchmarkId::new("tributary_presorted", g.len()),
             &prepared,
+            |b, prepared| b.iter(|| Tributary::new(prepared, &order, &[], 3).count()),
+        );
+
+        let columnar: Vec<ColumnarAtom> = atoms_spec
+            .iter()
+            .map(|(_, vs)| ColumnarAtom::prepare(&g, vs, &order))
+            .collect();
+        group.bench_with_input(
+            BenchmarkId::new("columnar_presorted", g.len()),
+            &columnar,
             |b, prepared| b.iter(|| Tributary::new(prepared, &order, &[], 3).count()),
         );
 
@@ -88,7 +114,7 @@ fn bench_triangle(c: &mut Criterion) {
 
 criterion_group! {
     name = benches;
-    config = Criterion::default().sample_size(10);
+    config = Criterion::default().sample_size(if quick_mode() { 2 } else { 10 });
     targets = bench_triangle
 }
 criterion_main!(benches);

@@ -23,8 +23,10 @@
 //! row contributes new nodes only from its first level of disagreement
 //! with the previous row, exactly the classic sorted-array-to-trie scan.
 //! [`ColumnarCursor`] implements the same [`TrieCursor`] contract as the
-//! row layout, so [`Tributary`](super::Tributary) runs unchanged on
-//! either.
+//! row layout, so [`Tributary`](super::Tributary) runs on either; only
+//! this layout hands out its remaining keys as one slice
+//! ([`TrieCursor::level_keys`]), which the join's leaf kernel intersects
+//! directly at the last trie level.
 
 use super::join::{order_columns, TrieAtom};
 use super::trie::TrieCursor;
@@ -327,6 +329,12 @@ impl TrieCursor for ColumnarCursor<'_> {
     fn at_end(&self) -> bool {
         debug_assert_ne!(self.depth, ROOT, "at_end() at root");
         self.pos[self.depth] >= self.range[self.depth].1
+    }
+
+    fn level_keys(&self) -> Option<&[Value]> {
+        debug_assert_ne!(self.depth, ROOT, "level_keys() at root");
+        let d = self.depth;
+        Some(&self.trie.keys[d][self.pos[d]..self.range[d].1])
     }
 }
 

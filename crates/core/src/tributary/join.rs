@@ -1,6 +1,7 @@
 //! The multiway Tributary join executor.
 
 use super::btree::{BTreeAtom, BTreeCursor};
+use super::columnar::lower_bound_gallop;
 use super::trie::{TrieCursor, TrieIter};
 use parjoin_common::{Relation, Value};
 use parjoin_query::{Filter, VarId};
@@ -147,6 +148,37 @@ impl TrieAtom for BTreeAtom {
     }
 }
 
+/// Per-trie-level work of Tributary runs: `steps[d]` counts loop
+/// iterations of the intersection that ran at depth `d`, `seeks[d]` the
+/// seeks (gallops) it issued there. A run tallies into plain integers of
+/// its own; callers merge the tallies of a probe's morsels once.
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
+pub struct ProbeCounts {
+    /// Intersection loop iterations per depth.
+    pub steps: Vec<u64>,
+    /// Seek (gallop) calls per depth.
+    pub seeks: Vec<u64>,
+}
+
+impl ProbeCounts {
+    /// Zero tallies for `depths` trie levels.
+    fn new(depths: usize) -> ProbeCounts {
+        ProbeCounts {
+            steps: vec![0; depths],
+            seeks: vec![0; depths],
+        }
+    }
+
+    /// Adds `other`'s tallies level by level; both must come from the
+    /// same join (one morsel's run each).
+    pub fn merge(&mut self, other: &ProbeCounts) {
+        let steps = self.steps.iter_mut().zip(&other.steps);
+        for (mine, theirs) in steps.chain(self.seeks.iter_mut().zip(&other.seeks)) {
+            *mine += theirs;
+        }
+    }
+}
+
 /// A configured Tributary join over prepared atoms.
 ///
 /// ```
@@ -251,7 +283,7 @@ impl<'a, A: TrieAtom> Tributary<'a, A> {
         hi: Option<Value>,
         emit: F,
     ) -> u64 {
-        self.run_range_guarded(lo, hi, emit, || true).0
+        self.run_range_counted(lo, hi, emit).0
     }
 
     /// Like [`Self::run`], but additionally consults `guard` every few
@@ -267,26 +299,34 @@ impl<'a, A: TrieAtom> Tributary<'a, A> {
         F: FnMut(&[Value]) -> bool,
         G: FnMut() -> bool,
     {
-        self.run_range_guarded(0, None, emit, guard)
+        let (count, completed, _) = self.run_inner(0, None, emit, guard);
+        (count, completed)
     }
 
-    /// [`Self::run_range`] with the guard hook of [`Self::run_guarded`].
-    pub fn run_range_guarded<F, G>(
+    /// [`Self::run_range`] that also returns the run's per-level work
+    /// (see [`ProbeCounts`]).
+    pub fn run_range_counted<F: FnMut(&[Value]) -> bool>(
+        &self,
+        lo: Value,
+        hi: Option<Value>,
+        emit: F,
+    ) -> (u64, ProbeCounts) {
+        let (count, _, counts) = self.run_inner(lo, hi, emit, || true);
+        (count, counts)
+    }
+
+    /// The one body behind every run entry point.
+    fn run_inner<F, G>(
         &self,
         lo: Value,
         hi: Option<Value>,
         emit: F,
         guard: G,
-    ) -> (u64, bool)
+    ) -> (u64, bool, ProbeCounts)
     where
         F: FnMut(&[Value]) -> bool,
         G: FnMut() -> bool,
     {
-        if self.order.is_empty() {
-            return (0, true);
-        }
-        let mut iters: Vec<A::Cursor<'_>> = self.atoms.iter().map(|a| a.cursor()).collect();
-        let mut assignment = vec![0 as Value; self.num_vars];
         let mut ctx = RunCtx {
             emit,
             guard,
@@ -294,9 +334,15 @@ impl<'a, A: TrieAtom> Tributary<'a, A> {
             ops: 0,
             lo,
             hi,
+            counts: ProbeCounts::new(self.order.len()),
         };
+        if self.order.is_empty() {
+            return (0, true, ctx.counts);
+        }
+        let mut iters: Vec<A::Cursor<'_>> = self.atoms.iter().map(|a| a.cursor()).collect();
+        let mut assignment = vec![0 as Value; self.num_vars];
         let completed = self.recurse(0, &mut iters, &mut assignment, &mut ctx);
-        (ctx.count, completed)
+        (ctx.count, completed, ctx.counts)
     }
 
     /// Counts results without materializing them.
@@ -307,16 +353,20 @@ impl<'a, A: TrieAtom> Tributary<'a, A> {
     /// Runs the join and materializes the projection onto `head`.
     pub fn collect(&self, head: &[VarId]) -> Relation {
         let mut out = Relation::new(head.len().max(1));
+        let mut row = Vec::with_capacity(head.len());
         self.run(|asg| {
-            let row: Vec<Value> = head.iter().map(|v| asg[v.index()]).collect();
+            row.clear();
+            row.extend(head.iter().map(|v| asg[v.index()]));
             out.push_row(&row);
             true
         });
         out
     }
 
-    /// Depth-`d` leapfrog over the participating iterators; returns
-    /// `false` to propagate early termination.
+    /// Depth-`d` intersection over the participating iterators: the
+    /// two-way leaf kernel ([`Self::leaf_pair`]) at the last depth when
+    /// both participants hand out their key slices, the cursor leapfrog
+    /// otherwise. Returns `false` to propagate early termination.
     fn recurse<F, G>(
         &self,
         d: usize,
@@ -337,18 +387,90 @@ impl<'a, A: TrieAtom> Tributary<'a, A> {
             // values below the range before the leapfrog starts.
             for &a in parts {
                 if !iters[a].at_end() {
+                    ctx.counts.seeks[0] += 1;
                     iters[a].seek(ctx.lo);
                 }
             }
         }
         let mut keep_going = true;
         if parts.iter().all(|&a| !iters[a].at_end()) {
-            keep_going = self.leapfrog(d, iters, assignment, ctx);
+            let slices = match **parts {
+                [a, b] if d + 1 == self.order.len() => {
+                    iters[a].level_keys().zip(iters[b].level_keys())
+                }
+                _ => None,
+            };
+            keep_going = match slices {
+                Some((a, b)) => self.leaf_pair(d, a, b, assignment, ctx),
+                None => self.leapfrog(d, iters, assignment, ctx),
+            };
         }
         for &a in parts {
             iters[a].up();
         }
         keep_going
+    }
+
+    /// Binds `x` at depth `d` and reports whether the filters that
+    /// become bound there pass.
+    #[inline]
+    fn admit(&self, d: usize, x: Value, assignment: &mut [Value]) -> bool {
+        assignment[self.order[d].index()] = x;
+        self.filters_at[d].iter().all(|f| f.eval(assignment))
+    }
+
+    /// Two-way leaf intersection. Slices at a trie's last level are
+    /// lopsided (a few keys against a hub's thousands), so the loop
+    /// drives from the shorter one: each of its keys gallops the longer
+    /// slice forward, and when the longer slice lands past the key the
+    /// shorter one gallops up to where it landed, which keeps the
+    /// kernel adaptive on disjoint ranges. Steps never exceed the
+    /// shorter slice's length. Matches come out ascending, as the cursor
+    /// leapfrog emits them, and every step ticks the guard.
+    fn leaf_pair<F, G>(
+        &self,
+        d: usize,
+        a: &[Value],
+        b: &[Value],
+        assignment: &mut [Value],
+        ctx: &mut RunCtx<F, G>,
+    ) -> bool
+    where
+        F: FnMut(&[Value]) -> bool,
+        G: FnMut() -> bool,
+    {
+        let (a, b) = match (d, ctx.hi) {
+            // A single-variable query's leaf is depth 0: keep the
+            // morsel's upper bound by cutting both slices at `hi`.
+            (0, Some(h)) => (
+                &a[..a.partition_point(|&k| k < h)],
+                &b[..b.partition_point(|&k| k < h)],
+            ),
+            _ => (a, b),
+        };
+        let (short, long) = if a.len() <= b.len() { (a, b) } else { (b, a) };
+        let (mut i, mut j) = (0, 0);
+        while let Some(&x) = short.get(i) {
+            if !ctx.tick(d) {
+                return false;
+            }
+            ctx.counts.seeks[d] += 1;
+            j = lower_bound_gallop(long, j, x);
+            let Some(&y) = long.get(j) else {
+                break;
+            };
+            if y == x {
+                if self.admit(d, x, assignment) && !ctx.emit_one(assignment) {
+                    return false;
+                }
+                i += 1;
+                j += 1;
+            } else {
+                ctx.counts.seeks[d] += 1;
+                i = lower_bound_gallop(short, i + 1, y);
+            }
+        }
+        true
     }
 
     fn leapfrog<F, G>(
@@ -364,11 +486,20 @@ impl<'a, A: TrieAtom> Tributary<'a, A> {
     {
         let parts = &self.participants[d];
         let k = parts.len();
-        // Rotation order sorted by current key (Veldhuizen's init).
-        let mut rot: Vec<usize> = parts.clone();
+        // Rotation order sorted by current key (Veldhuizen's init), held
+        // on the stack unless the level is unusually wide.
+        let mut stack = [0usize; STACK_WIDTH];
+        let mut spill = Vec::new();
+        let rot: &mut [usize] = if k <= STACK_WIDTH {
+            stack[..k].copy_from_slice(parts);
+            &mut stack[..k]
+        } else {
+            spill.extend_from_slice(parts);
+            &mut spill
+        };
         rot.sort_by_key(|&a| iters[a].key());
         let mut p = 0usize;
-        let mut max_key = iters[rot[(k - 1) % k]].key();
+        let mut max_key = iters[rot[k - 1]].key();
         loop {
             // Morsel upper bound: depth-0 keys ascend monotonically, so
             // once the running max reaches `hi` no further match can fall
@@ -380,44 +511,44 @@ impl<'a, A: TrieAtom> Tributary<'a, A> {
                     }
                 }
             }
-            if !ctx.tick() {
+            if !ctx.tick(d) {
                 return false;
             }
             let a = rot[p];
             let x = iters[a].key();
             if x == max_key {
                 // All k iterators agree on x: a match at this level.
-                assignment[self.order[d].index()] = x;
-                if self.filters_at[d].iter().all(|f| f.eval(assignment)) {
-                    if d + 1 == self.order.len() {
-                        ctx.count += 1;
-                        if !(ctx.emit)(assignment) {
-                            return false;
-                        }
-                    } else if !self.recurse(d + 1, iters, assignment, ctx) {
+                if self.admit(d, x, assignment) {
+                    let go_on = if d + 1 == self.order.len() {
+                        ctx.emit_one(assignment)
+                    } else {
+                        self.recurse(d + 1, iters, assignment, ctx)
+                    };
+                    if !go_on {
                         return false;
                     }
                 }
                 iters[a].next_key();
-                if iters[a].at_end() {
-                    return true;
-                }
-                max_key = iters[a].key();
-                p = (p + 1) % k;
             } else {
+                ctx.counts.seeks[d] += 1;
                 iters[a].seek(max_key);
-                if iters[a].at_end() {
-                    return true;
-                }
-                max_key = iters[a].key();
-                p = (p + 1) % k;
             }
+            if iters[a].at_end() {
+                return true;
+            }
+            max_key = iters[a].key();
+            p = (p + 1) % k;
         }
     }
 }
 
-/// Per-run mutable state: the emit/guard closures, the result count, and
-/// an operation counter driving periodic guard checks.
+/// Participants per level whose rotation [`Tributary`] keeps on the
+/// stack; a wider level's rotation spills to the heap.
+const STACK_WIDTH: usize = 8;
+
+/// Per-run mutable state: the emit/guard closures, the result count, an
+/// operation counter driving periodic guard checks, and the per-level
+/// tallies.
 struct RunCtx<F, G> {
     emit: F,
     guard: G,
@@ -427,12 +558,26 @@ struct RunCtx<F, G> {
     /// for an unrestricted run.
     lo: Value,
     hi: Option<Value>,
+    /// Per-level work of this run.
+    counts: ProbeCounts,
 }
 
 impl<F, G: FnMut() -> bool> RunCtx<F, G> {
-    /// Counts one leapfrog operation; every 8192 ops, asks the guard.
+    /// Counts one emitted result and hands it to `emit`.
     #[inline]
-    fn tick(&mut self) -> bool {
+    fn emit_one(&mut self, assignment: &[Value]) -> bool
+    where
+        F: FnMut(&[Value]) -> bool,
+    {
+        self.count += 1;
+        (self.emit)(assignment)
+    }
+
+    /// Counts one intersection step at depth `d`; every 8192 steps, asks
+    /// the guard.
+    #[inline]
+    fn tick(&mut self, d: usize) -> bool {
+        self.counts.steps[d] += 1;
         self.ops += 1;
         if self.ops & 0x1fff == 0 {
             (self.guard)()

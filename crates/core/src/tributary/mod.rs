@@ -24,5 +24,5 @@ mod trie;
 
 pub use btree::{BTreeAtom, BTreeCursor};
 pub use columnar::{lower_bound_gallop, ColumnarAtom, ColumnarCursor, ColumnarTrie};
-pub use join::{order_columns, SortedAtom, Tributary, TrieAtom};
+pub use join::{order_columns, ProbeCounts, SortedAtom, Tributary, TrieAtom};
 pub use trie::{TrieCursor, TrieIter};

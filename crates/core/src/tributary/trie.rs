@@ -41,6 +41,15 @@ pub trait TrieCursor {
     fn key(&self) -> Value;
     /// True when the current level is exhausted.
     fn at_end(&self) -> bool;
+    /// The distinct keys left at the current level, from the cursor's
+    /// position to the end of the parent's child range, ascending — or
+    /// `None` when the layout does not store a level as one contiguous
+    /// key array (row layouts hold runs of duplicates, not distinct
+    /// keys). [`Tributary`](crate::tributary::Tributary) intersects
+    /// these slices directly at the last trie level.
+    fn level_keys(&self) -> Option<&[Value]> {
+        None
+    }
 }
 
 /// A positional iterator over the trie view of a sorted relation.

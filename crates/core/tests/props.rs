@@ -1,5 +1,6 @@
 //! Property tests: Tributary join vs a naive evaluator; trie-layout
 //! parity (row arrays vs B-trees vs the columnar level-segmented trie);
+//! the columnar leaf kernel vs the cursor leapfrog, sequence for sequence;
 //! Algorithm 1 optimality within the integral frontier; cost-model
 //! sanity; `RelStats` vs brute-force counting.
 
@@ -10,7 +11,7 @@ use parjoin_core::tributary::{
     lower_bound_gallop, BTreeAtom, ColumnarAtom, SortedAtom, Tributary, TrieAtom, TrieCursor,
     TrieIter,
 };
-use parjoin_query::{QueryBuilder, VarId};
+use parjoin_query::{CmpOp, Filter, Operand, QueryBuilder, VarId};
 use proptest::prelude::*;
 
 fn v(i: u32) -> VarId {
@@ -398,4 +399,236 @@ proptest! {
         let prob = ShareProblem::from_query(&b.build(), &cards);
         prop_assert!(prob.round_down(n).num_cells() <= n);
     }
+}
+
+/// The `x` values of [`arb_leaf_rel`]: spread over the range its `z`s
+/// fall in, so a filter `x < z` rejects a share of the leaf matches.
+const LEAF_XS: [Value; 4] = [0, 30, 60, 90];
+
+/// A binary relation over `x ∈ LEAF_XS` and `z` in a window of random
+/// offset and width: some draws put a hub's dozens of `z`s under each `x`,
+/// some a handful, and some windows miss each other entirely, so the
+/// leaf slices of a star query come out lopsided or fully disjoint.
+fn arb_leaf_rel() -> impl Strategy<Value = Relation> {
+    (0u64..80, 1u64..60, 0usize..=120).prop_flat_map(|(base, span, n)| {
+        proptest::collection::vec((0usize..4, 0..span), 0..=n).prop_map(move |rows| {
+            let rows: Vec<[Value; 2]> = rows.iter().map(|&(x, z)| [LEAF_XS[x], base + z]).collect();
+            Relation::from_rows(2, rows).distinct()
+        })
+    })
+}
+
+/// Four relations for a star query that share rows: each keeps a random
+/// half of one common relation (or none of it) plus rows of its own, so
+/// the leaf intersections have real matches while lopsided and fully
+/// disjoint slices still occur.
+fn arb_leaf_rels() -> impl Strategy<Value = Vec<Relation>> {
+    let own = proptest::collection::vec((arb_leaf_rel(), any::<u64>(), any::<bool>()), 4);
+    (arb_leaf_rel(), own).prop_map(|(common, own)| {
+        own.into_iter()
+            .map(|(rel, bits, shares)| {
+                let kept = common
+                    .rows()
+                    .enumerate()
+                    .filter(|(i, _)| shares && bits >> (i % 64) & 1 == 1)
+                    .map(|(_, row)| row);
+                Relation::from_rows(2, kept.chain(rel.rows())).distinct()
+            })
+            .collect()
+    })
+}
+
+/// What `atoms` emit under `order`, in emission order, over the morsel
+/// `[lo, hi)`, with `emit` stopping the run after `limit` rows.
+fn emitted<A: TrieAtom>(
+    atoms: &[A],
+    order: &[VarId],
+    filters: &[Filter],
+    (lo, hi): (Value, Option<Value>),
+    limit: usize,
+) -> Vec<Vec<Value>> {
+    let mut out = Vec::new();
+    Tributary::new(atoms, order, filters, order.len()).run_range(lo, hi, |a| {
+        out.push(a.to_vec());
+        out.len() < limit
+    });
+    out
+}
+
+/// The columnar layout runs the leaf kernel where two atoms meet at the
+/// leaf and its cursor leapfrog at any other width; the row and B-tree
+/// layouts hand out no key slices and always run the cursor leapfrog.
+/// All three must emit the same sequence.
+fn assert_leaf_kernel_agrees(
+    specs: &[(&Relation, Vec<VarId>)],
+    order: &[VarId],
+    filters: &[Filter],
+    window: (Value, Option<Value>),
+    limit: usize,
+) {
+    let row: Vec<SortedAtom> = specs
+        .iter()
+        .map(|(r, vs)| SortedAtom::prepare(r, vs, order))
+        .collect();
+    let bt: Vec<BTreeAtom> = specs
+        .iter()
+        .map(|(r, vs)| BTreeAtom::prepare(r, vs, order))
+        .collect();
+    let col: Vec<ColumnarAtom> = specs
+        .iter()
+        .map(|(r, vs)| ColumnarAtom::prepare(r, vs, order))
+        .collect();
+    let want = emitted(&row, order, filters, window, limit);
+    assert_eq!(emitted(&bt, order, filters, window, limit), want);
+    assert_eq!(emitted(&col, order, filters, window, limit), want);
+}
+
+/// The star query `R₁(x, z), …, R_k(x, z)` under `[x, z]`: `k` atoms
+/// meet at the leaf `z`.
+fn star(rels: &[Relation]) -> Vec<(&Relation, Vec<VarId>)> {
+    rels.iter().map(|r| (r, vec![v(0), v(1)])).collect()
+}
+
+/// `x < z`, bound at the leaf of the star.
+fn x_below_z() -> Filter {
+    Filter {
+        left: v(0),
+        op: CmpOp::Lt,
+        right: Operand::Var(v(1)),
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    #[test]
+    fn leaf_kernel_emits_the_cursor_sequence(
+        rels in arb_leaf_rels(),
+        k in 1usize..=4,
+        filtered in any::<bool>(),
+    ) {
+        // One, two (lopsided or disjoint: the kernel), three and four
+        // (the columnar cursor path) leaf participants, with and without
+        // a filter bound at the leaf.
+        let filters = if filtered { vec![x_below_z()] } else { Vec::new() };
+        assert_leaf_kernel_agrees(&star(&rels[..k]), &[v(0), v(1)], &filters, (0, None), usize::MAX);
+    }
+
+    #[test]
+    fn leaf_kernel_keeps_morsel_windows(
+        rels in arb_leaf_rels(),
+        sets in proptest::collection::vec(proptest::collection::vec(0u64..60, 0..=50), 4),
+        k in 1usize..=4,
+        x_window in (0u64..100, 1u64..100),
+        z_window in (0u64..70, 1u64..40),
+    ) {
+        let ((x_lo, x_width), (z_lo, z_width)) = (x_window, z_window);
+        let star = star(&rels[..k]);
+        let order = [v(0), v(1)];
+        assert_leaf_kernel_agrees(&star, &order, &[], (x_lo, Some(x_lo + x_width)), usize::MAX);
+        assert_leaf_kernel_agrees(&star, &order, &[], (x_lo, None), usize::MAX);
+        // A single-variable query over overlapping key sets: its leaf is
+        // depth 0, so the kernel itself must keep the morsel's bounds.
+        let sets: Vec<Relation> = sets[..k]
+            .iter()
+            .map(|keys| Relation::from_rows(1, keys.iter().map(|&z| [z]).collect::<Vec<_>>()).distinct())
+            .collect();
+        let unary: Vec<(&Relation, Vec<VarId>)> = sets.iter().map(|r| (r, vec![v(0)])).collect();
+        assert_leaf_kernel_agrees(&unary, &[v(0)], &[], (z_lo, Some(z_lo + z_width)), usize::MAX);
+        assert_leaf_kernel_agrees(&unary, &[v(0)], &[], (z_lo, None), usize::MAX);
+    }
+
+    #[test]
+    fn leaf_kernel_stops_where_emit_stops(
+        rels in arb_leaf_rels(),
+        k in 1usize..=4,
+        limit in 1usize..40,
+    ) {
+        // The same n-row prefix when `emit` returns false after n rows.
+        assert_leaf_kernel_agrees(&star(&rels[..k]), &[v(0), v(1)], &[], (0, None), limit);
+    }
+
+    #[test]
+    fn leaf_steps_stay_within_the_shorter_slices(
+        rels in arb_leaf_rels(),
+    ) {
+        // Two-way leaf: one step per key of the shorter slice at most,
+        // and at least one step per result.
+        let rels = &rels[..2];
+        let order = [v(0), v(1)];
+        let col: Vec<ColumnarAtom> = star(rels)
+            .iter()
+            .map(|(r, vs)| ColumnarAtom::prepare(r, vs, &order))
+            .collect();
+        let (n, counts) = Tributary::new(&col, &order, &[], 2).run_range_counted(0, None, |_| true);
+        let degree = |r: &Relation, x: Value| r.rows().filter(|row| row[0] == x).count() as u64;
+        let bound: u64 = LEAF_XS
+            .iter()
+            .map(|&x| degree(&rels[0], x).min(degree(&rels[1], x)))
+            .sum();
+        prop_assert!(counts.steps[1] <= bound, "{} leaf steps > {bound}", counts.steps[1]);
+        prop_assert!(counts.steps[1] >= n);
+    }
+}
+
+/// What `atoms` emit before a guard that always answers `false` stops
+/// the run.
+fn emitted_until_guard<A: TrieAtom>(atoms: &[A], order: &[VarId]) -> Vec<Vec<Value>> {
+    let mut out = Vec::new();
+    let (n, completed) = Tributary::new(atoms, order, &[], order.len()).run_guarded(
+        |a| {
+            out.push(a.to_vec());
+            true
+        },
+        || false,
+    );
+    assert!(!completed, "the guard stops the run");
+    assert_eq!(n as usize, out.len());
+    out
+}
+
+#[test]
+fn leaf_kernel_honours_the_guard() {
+    // 20 000 leaf steps each: the guard is asked after 8 192 and stops
+    // both paths part-way, each with a prefix of the full sequence.
+    let keys = Relation::from_rows(1, (0..20_000u64).map(|i| [i]).collect::<Vec<_>>());
+    let evens = Relation::from_rows(
+        1,
+        (0..40_000u64).step_by(2).map(|i| [i]).collect::<Vec<_>>(),
+    );
+    let order = [v(0)];
+    for rels in [vec![&keys], vec![&keys, &evens]] {
+        let row: Vec<SortedAtom> = rels
+            .iter()
+            .map(|r| SortedAtom::prepare(r, &order, &order))
+            .collect();
+        let col: Vec<ColumnarAtom> = rels
+            .iter()
+            .map(|r| ColumnarAtom::prepare(r, &order, &order))
+            .collect();
+        let full = emitted(&row, &order, &[], (0, None), usize::MAX);
+        for out in [
+            emitted_until_guard(&row, &order),
+            emitted_until_guard(&col, &order),
+        ] {
+            assert!(out.len() < full.len() && full.starts_with(&out));
+        }
+    }
+}
+
+#[test]
+fn disjoint_leaf_slices_take_one_step() {
+    // 50 keys below a hub's 1 000: the first gallop of the long slice
+    // lands past every short key, so the short slice gallops to its end
+    // instead of stepping through its 50 keys.
+    let short = Relation::from_rows(2, (0..50u64).map(|z| [0, z]).collect::<Vec<_>>());
+    let long = Relation::from_rows(2, (100..1_100u64).map(|z| [0, z]).collect::<Vec<_>>());
+    let rels = [short, long];
+    let order = [v(0), v(1)];
+    let col: Vec<ColumnarAtom> = star(&rels)
+        .iter()
+        .map(|(r, vs)| ColumnarAtom::prepare(r, vs, &order))
+        .collect();
+    let (n, counts) = Tributary::new(&col, &order, &[], 2).run_range_counted(0, None, |_| true);
+    assert_eq!((n, counts.steps[1]), (0, 1));
 }

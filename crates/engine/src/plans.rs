@@ -39,7 +39,7 @@ use parjoin_analyze::{self as analyze, Diagnostic};
 use parjoin_common::{Relation, ShuffleStats};
 use parjoin_core::hypercube::{HcConfig, ShareProblem};
 use parjoin_core::order::{best_order_seeded, OrderCostModel, RelStats, MAX_SUBSET_ARITY};
-use parjoin_core::tributary::{ColumnarAtom, ColumnarTrie, SortedAtom, Tributary};
+use parjoin_core::tributary::{ColumnarAtom, ColumnarTrie, ProbeCounts, SortedAtom, Tributary};
 use parjoin_obs::{Lane, Registry, TraceSink, COORDINATOR_LANE};
 use parjoin_query::resolve::split_filters;
 use parjoin_query::{resolve_atoms, ConjunctiveQuery, Filter, VarId};
@@ -362,6 +362,14 @@ pub mod metric_names {
     /// the work-stealing scheduler (see [`crate::probe`]); zero when the
     /// sequential path ran or no imbalance arose.
     pub const PROBE_STEALS: &str = "engine.probe.steals";
+    /// Prefix of the Tributary probe's per-level step tallies:
+    /// `engine.probe.steps.l{d}` counts the loop iterations of the
+    /// intersection that ran at trie depth `d`, summed over morsels and
+    /// workers.
+    pub const PROBE_STEPS_PREFIX: &str = "engine.probe.steps.l";
+    /// Prefix of the per-level seek tallies: `engine.probe.seeks.l{d}`
+    /// counts the seeks (gallops) issued at trie depth `d`.
+    pub const PROBE_SEEKS_PREFIX: &str = "engine.probe.seeks.l";
     /// Per-worker probe threads the plan ran with (1 = sequential
     /// probe).
     pub const PROBE_THREADS: &str = "engine.probe.threads";
@@ -432,6 +440,19 @@ impl RunObs {
     pub(crate) fn count_probe(&self, morsels: u64, steals: u64) {
         self.registry.add(metric_names::PROBE_MORSELS, morsels);
         self.registry.add(metric_names::PROBE_STEALS, steals);
+    }
+
+    /// Adds the per-level work a Tributary probe summed over its morsels
+    /// as `engine.probe.{steps,seeks}.l{d}`.
+    pub(crate) fn count_levels(&self, levels: &ProbeCounts) {
+        for (prefix, tallies) in [
+            (metric_names::PROBE_STEPS_PREFIX, &levels.steps),
+            (metric_names::PROBE_SEEKS_PREFIX, &levels.seeks),
+        ] {
+            for (d, &n) in tallies.iter().enumerate() {
+                self.registry.add(&format!("{prefix}{d}"), n);
+            }
+        }
     }
 
     /// Counts one cache lookup under `hit` or `miss`.
@@ -1732,6 +1753,7 @@ fn run_one_round(
                     ),
                 };
                 obs.count_probe(probed.morsels, probed.steals);
+                obs.count_levels(&probed.counts);
                 let live = locals.iter().map(|l| 2 * l.rel.len() as u64).sum::<u64>()
                     + probed.rel.len() as u64;
                 (probed.rel, live, sort_time)

@@ -46,7 +46,7 @@
 use crate::local::{semijoin as local_semijoin, HashJoinShape, SchemaRel, SemijoinShape};
 use crate::prepare;
 use parjoin_common::{Relation, Value};
-use parjoin_core::tributary::{ColumnarAtom, SortedAtom, Tributary, TrieAtom};
+use parjoin_core::tributary::{ColumnarAtom, ProbeCounts, SortedAtom, Tributary, TrieAtom};
 use parjoin_query::VarId;
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -258,6 +258,8 @@ pub struct ProbeOutcome {
     /// Morsels a thread claimed from another thread's deque (always 0
     /// for the sequential path).
     pub steals: u64,
+    /// Per-level work of the Tributary probe, summed over its morsels.
+    pub counts: ProbeCounts,
 }
 
 /// Runs `tj`, materializing the projection onto `head`, with up to
@@ -275,18 +277,22 @@ pub fn tributary_probe<A: ProbeAtom>(
     let collect_range = |lo: Value, hi: Option<Value>| {
         let mut out = Relation::new(head.len());
         let mut row = Vec::with_capacity(head.len());
-        tj.run_range(lo, hi, |asg| {
+        let (_, counts) = tj.run_range_counted(lo, hi, |asg| {
             row.clear();
             row.extend(head.iter().map(|v| asg[v.index()]));
             out.push_row(&row);
             true
         });
-        out
+        (out, counts)
     };
-    let collect_seq = || ProbeOutcome {
-        rel: collect_range(0, None),
-        morsels: 1,
-        steals: 0,
+    let collect_seq = || {
+        let (rel, counts) = collect_range(0, None);
+        ProbeOutcome {
+            rel,
+            morsels: 1,
+            steals: 0,
+            counts,
+        }
     };
     // The smallest depth-0 atom bounds the number of distinct first-
     // variable values most tightly, giving the most even value split.
@@ -312,14 +318,16 @@ pub fn tributary_probe<A: ProbeAtom>(
     let mut it = parts.into_iter();
     // One part per morsel and at least one morsel always exists.
     // xtask: allow(expect)
-    let mut rel = it.next().expect("at least one morsel");
-    for p in it {
+    let (mut rel, mut counts) = it.next().expect("at least one morsel");
+    for (p, c) in it {
         rel.extend_from(&p);
+        counts.merge(&c);
     }
     ProbeOutcome {
         rel,
         morsels: bounds.len() as u64,
         steals,
+        counts,
     }
 }
 
@@ -608,6 +616,10 @@ mod tests {
             let par = tributary_probe(&tj, &atoms, &head, threads);
             assert!(par.morsels > 1, "{threads} threads should split");
             assert_eq!(par.rel.raw(), seq.rel.raw(), "{threads} threads");
+            // Morsels split only depth 0: below it every subtree is
+            // enumerated once either way, so the summed tallies agree.
+            assert_eq!(par.counts.steps[1..], seq.counts.steps[1..]);
+            assert_eq!(par.counts.seeks[1..], seq.counts.seeks[1..]);
         }
     }
 

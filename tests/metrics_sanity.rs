@@ -168,3 +168,59 @@ fn tuples_shuffled_equals_sum_of_stats() {
         );
     }
 }
+
+/// The probe's per-level tallies (`engine.probe.{steps,seeks}.l{d}`)
+/// are exact counts: they repeat from run to run and across the
+/// `Local`, `InProcess` and `Tcp` transports at a fixed probe-thread
+/// count, every result costs at least one leaf step, and the run report
+/// lists them.
+#[test]
+fn probe_level_tallies_are_exact_across_runs_and_transports() {
+    let spec = parjoin::datagen::workloads::q1();
+    let db = Scale::tiny().twitter_db(3);
+    let run = |transport| {
+        let cluster = Cluster::new(4).with_seed(11).with_transport(transport);
+        let opts = PlanOptions {
+            probe_threads: Some(2),
+            ..Default::default()
+        };
+        run_config(
+            &spec.query,
+            &db,
+            &cluster,
+            ShuffleAlg::HyperCube,
+            JoinAlg::Tributary,
+            &opts,
+        )
+        .unwrap()
+    };
+    let tallies = |r: &RunResult| -> Vec<(String, u64)> {
+        r.metrics
+            .iter()
+            .filter(|(n, _)| {
+                n.starts_with(metric_names::PROBE_STEPS_PREFIX)
+                    || n.starts_with(metric_names::PROBE_SEEKS_PREFIX)
+            })
+            .cloned()
+            .collect()
+    };
+    let first = run(TransportKind::Local);
+    let want = tallies(&first);
+    assert_eq!(want.len(), 6, "steps and seeks at Q1's three depths");
+    let leaf_steps = first
+        .metric(&format!("{}2", metric_names::PROBE_STEPS_PREFIX))
+        .unwrap();
+    assert!(first.output_tuples > 0);
+    assert!(leaf_steps >= first.output_tuples, "a leaf step per result");
+    let report = first.report();
+    for (name, _) in &want {
+        assert!(report.contains(name.as_str()), "report lists {name}");
+    }
+    for transport in [
+        TransportKind::Local,
+        TransportKind::InProcess,
+        TransportKind::Tcp,
+    ] {
+        assert_eq!(tallies(&run(transport)), want, "{transport}");
+    }
+}
