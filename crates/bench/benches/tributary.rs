@@ -1,13 +1,18 @@
 //! Tributary join vs a local hash-join tree on the triangle query —
 //! the single-machine core of the paper's HJ/TJ comparison: the row
 //! layout with and without its sort, B-tree LFTJ with its build, the
-//! presorted columnar layout, and a hash-join tree.
+//! presorted columnar layout, and a hash-join tree. The columnar layout
+//! runs twice: on the generator's dense node ids, where every trie root
+//! carries a rank directory, and on the same graph with its ids
+//! scattered over the `u64` domain, where every root is sparse and
+//! level-0 seeks gallop.
 //!
 //! The vendored criterion stand-in ignores CLI arguments, so quick mode
 //! (CI's `-- --test` smoke run) is detected here: it keeps the smallest
 //! graph and two samples.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
+use parjoin_common::Relation;
 use parjoin_core::order::{best_order, OrderCostModel};
 use parjoin_core::tributary::{BTreeAtom, ColumnarAtom, SortedAtom, Tributary};
 use parjoin_datagen::graph;
@@ -22,6 +27,18 @@ fn v(i: u32) -> VarId {
     VarId(i)
 }
 
+/// `g` with every node id multiplied by a large odd constant: the same
+/// graph (the map is a bijection on `u64`), its ids spread so thin that
+/// no trie root qualifies for a rank directory.
+fn scattered(g: &Relation) -> Relation {
+    const SCATTER: u64 = 0x9E37_79B9_7F4A_7C15;
+    let rows: Vec<[u64; 2]> = g
+        .rows()
+        .map(|r| [r[0].wrapping_mul(SCATTER), r[1].wrapping_mul(SCATTER)])
+        .collect();
+    Relation::from_rows(2, rows)
+}
+
 fn bench_triangle(c: &mut Criterion) {
     let mut group = c.benchmark_group("triangle_local_join");
     let sizes: &[u64] = if quick_mode() {
@@ -32,7 +49,7 @@ fn bench_triangle(c: &mut Criterion) {
     for &nodes in sizes {
         let g = graph::twitter_graph(nodes, 5, 7);
         let vars = vec![v(0), v(1), v(2)];
-        let atoms_spec: Vec<(&parjoin_common::Relation, Vec<VarId>)> = vec![
+        let atoms_spec: Vec<(&Relation, Vec<VarId>)> = vec![
             (&g, vec![v(0), v(1)]),
             (&g, vec![v(1), v(2)]),
             (&g, vec![v(2), v(0)]),
@@ -71,6 +88,24 @@ fn bench_triangle(c: &mut Criterion) {
         group.bench_with_input(
             BenchmarkId::new("columnar_presorted", g.len()),
             &columnar,
+            |b, prepared| b.iter(|| Tributary::new(prepared, &order, &[], 3).count()),
+        );
+
+        let sparse_g = scattered(&g);
+        let sparse: Vec<ColumnarAtom> = atoms_spec
+            .iter()
+            .map(|(_, vs)| ColumnarAtom::prepare(&sparse_g, vs, &order))
+            .collect();
+        assert!(columnar.iter().all(|a| a.trie().rank_directory().is_some()));
+        assert!(sparse.iter().all(|a| a.trie().rank_directory().is_none()));
+        assert_eq!(
+            Tributary::new(&sparse, &order, &[], 3).count(),
+            Tributary::new(&columnar, &order, &[], 3).count(),
+            "scattering the ids keeps every triangle"
+        );
+        group.bench_with_input(
+            BenchmarkId::new("columnar_presorted_sparse_root", g.len()),
+            &sparse,
             |b, prepared| b.iter(|| Tributary::new(prepared, &order, &[], 3).count()),
         );
 

@@ -27,6 +27,12 @@
 //! this layout hands out its remaining keys as one slice
 //! ([`TrieCursor::level_keys`]), which the join's leaf kernel intersects
 //! directly at the last trie level.
+//!
+//! A dense level 0 also carries a [`RankDirectory`]: an atom whose first
+//! variable sits below the top of the global order re-opens its root
+//! once per parent binding and seeks it from the start each time, so
+//! there a seek answered by one bitmap word and one running rank
+//! replaces a gallop across the whole root.
 
 use super::join::{order_columns, TrieAtom};
 use super::trie::TrieCursor;
@@ -91,13 +97,118 @@ pub fn lower_bound_gallop(xs: &[Value], start: usize, v: Value) -> usize {
         .sum::<usize>()
 }
 
+/// An O(1) lower bound over a dense, strictly increasing key array: one
+/// `u64` bitmap word plus one `u32` running rank per 64 values of the
+/// key span `[keys[0], keys[n - 1]]`.
+///
+/// Bit `i` of `bits[w]` is set when `base + 64 w + i` is a key, and
+/// `rank[w]` counts the keys below `base + 64 w`, so the index of the
+/// first key `>= v` is `rank[w] + popcount(bits[w] & below(v))` — one
+/// word load, one rank load, one popcount, whatever the distance to the
+/// answer. [`RankDirectory::build`] declines a key array whose directory
+/// would take more bytes than the keys themselves (12 bytes per 64-value
+/// word against 8 per key: a density below 1.5 keys per word), so the
+/// directory at most doubles the footprint of the level it indexes, and
+/// sparse arrays keep [`lower_bound_gallop`].
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct RankDirectory {
+    /// The smallest key: bit 0 of word 0.
+    base: Value,
+    /// The largest key; a target above it lands at `len`.
+    last: Value,
+    /// Number of keys indexed.
+    len: usize,
+    /// Presence bitmap, one word per 64 values of the span.
+    bits: Vec<u64>,
+    /// `rank[w]`: keys below `base + 64 w` (set bits in `bits[..w]`).
+    rank: Vec<u32>,
+}
+
+impl RankDirectory {
+    /// Indexes `keys`, which must be strictly increasing, or returns
+    /// `None` when they are empty or too sparse to pay for a directory
+    /// (its bytes would exceed `keys`' own). The span is computed in
+    /// `u128`, so `{0, u64::MAX}` is simply sparse.
+    ///
+    /// # Panics
+    /// Panics if `keys` holds `u32::MAX` or more keys (ranks are `u32`,
+    /// like [`ColumnarTrie`]'s offsets).
+    pub fn build(keys: &[Value]) -> Option<RankDirectory> {
+        let (&base, &last) = (keys.first()?, keys.last()?);
+        debug_assert!(
+            keys.windows(2).all(|w| w[0] < w[1]),
+            "RankDirectory requires strictly increasing keys"
+        );
+        let words = (u128::from(last - base) + 1).div_ceil(64);
+        let bytes = words * DIRECTORY_WORD_BYTES as u128;
+        if bytes > std::mem::size_of_val(keys) as u128 {
+            return None;
+        }
+        assert!(
+            (keys.len() as u64) < u64::from(u32::MAX),
+            "RankDirectory ranks are u32; {} keys is too many",
+            keys.len()
+        );
+        // `words` fits `usize`: it is at most two thirds of `keys.len()`.
+        let mut bits = vec![0u64; words as usize];
+        for &k in keys {
+            let off = k - base;
+            bits[(off / 64) as usize] |= 1 << (off % 64);
+        }
+        let mut seen = 0u32;
+        let rank = bits
+            .iter()
+            .map(|w| {
+                let below = seen;
+                seen += w.count_ones();
+                below
+            })
+            .collect();
+        Some(RankDirectory {
+            base,
+            last,
+            len: keys.len(),
+            bits,
+            rank,
+        })
+    }
+
+    /// First index `i >= start` whose key is `>= v`, or the key count
+    /// when every key from `start` on is below `v` — the same answer as
+    /// [`lower_bound_gallop`] over the indexed keys, in constant time.
+    #[inline]
+    pub fn lower_bound(&self, start: usize, v: Value) -> usize {
+        if v <= self.base {
+            return start.min(self.len);
+        }
+        if v > self.last {
+            return self.len;
+        }
+        let off = v - self.base;
+        let w = (off / 64) as usize;
+        let below = (1u64 << (off % 64)) - 1;
+        let at = self.rank[w] as usize + (self.bits[w] & below).count_ones() as usize;
+        at.max(start)
+    }
+
+    /// Heap bytes of the bitmap and the ranks.
+    pub fn approx_bytes(&self) -> usize {
+        self.bits.len() * DIRECTORY_WORD_BYTES
+    }
+}
+
+/// Bytes of one [`RankDirectory`] word: the `u64` bitmap word and its
+/// `u32` running rank.
+const DIRECTORY_WORD_BYTES: usize = std::mem::size_of::<u64>() + std::mem::size_of::<u32>();
+
 /// A relation materialized as a level-segmented columnar trie.
 ///
 /// Level `d` holds the deduplicated keys of trie depth `d` in
 /// `keys[d]`, ordered by the (parent-path, key) lexicographic order of
 /// the source relation. For `d < arity - 1`, node `i` of level `d` owns
 /// children `keys[d + 1][offsets[d][i] .. offsets[d][i + 1]]` — CSR
-/// adjacency, one `u32` per node plus a trailing sentinel.
+/// adjacency, one `u32` per node plus a trailing sentinel. A dense
+/// level 0 is also indexed by a [`RankDirectory`].
 #[derive(Debug, Clone)]
 pub struct ColumnarTrie {
     arity: usize,
@@ -107,6 +218,8 @@ pub struct ColumnarTrie {
     rows: usize,
     keys: Vec<Vec<Value>>,
     offsets: Vec<Vec<u32>>,
+    /// Constant-time seeks over `keys[0]`, when it is dense enough.
+    root: Option<RankDirectory>,
 }
 
 impl ColumnarTrie {
@@ -133,6 +246,7 @@ impl ColumnarTrie {
                 rows: 0,
                 keys,
                 offsets,
+                root: None,
             };
         }
         let mut rows = 0usize;
@@ -165,11 +279,13 @@ impl ColumnarTrie {
         for d in 0..a.saturating_sub(1) {
             offsets[d].push(keys[d + 1].len() as u32);
         }
+        let root = RankDirectory::build(&keys[0]);
         ColumnarTrie {
             arity: a,
             rows,
             keys,
             offsets,
+            root,
         }
     }
 
@@ -189,8 +305,14 @@ impl ColumnarTrie {
         self.keys.first().map(Vec::as_slice).unwrap_or(&[])
     }
 
-    /// Approximate heap footprint in bytes (key arrays + offset arrays),
-    /// for cache accounting.
+    /// The directory over level 0, or `None` when level 0 is too sparse
+    /// (or empty) to carry one; see [`RankDirectory::build`].
+    pub fn rank_directory(&self) -> Option<&RankDirectory> {
+        self.root.as_ref()
+    }
+
+    /// Approximate heap footprint in bytes (key arrays, offset arrays and
+    /// the level-0 directory), for cache accounting.
     pub fn approx_bytes(&self) -> usize {
         let key_bytes: usize = self
             .keys
@@ -202,13 +324,15 @@ impl ColumnarTrie {
             .iter()
             .map(|o| o.len() * std::mem::size_of::<u32>())
             .sum();
-        key_bytes + off_bytes
+        let root_bytes = self.root.as_ref().map_or(0, RankDirectory::approx_bytes);
+        key_bytes + off_bytes + root_bytes
     }
 
     /// Structural self-check: per level, offsets are monotone with a
     /// correct sentinel, and keys are strictly increasing within every
-    /// parent range. `Ok(())` on a well-formed trie; used by the
-    /// engine's `strict-invariants` feature after every build.
+    /// parent range; level 0 carries exactly the directory its keys call
+    /// for. `Ok(())` on a well-formed trie; used by the engine's
+    /// `strict-invariants` feature after every build.
     pub fn validate(&self) -> Result<(), String> {
         for d in 0..self.arity.saturating_sub(1) {
             let offs = &self.offsets[d];
@@ -239,6 +363,9 @@ impl ColumnarTrie {
             if level0.windows(2).any(|k| k[0] >= k[1]) {
                 return Err("level 0: keys not strictly increasing".into());
             }
+            if self.root != RankDirectory::build(level0) {
+                return Err("level 0: rank directory disagrees with the keys".into());
+            }
         }
         Ok(())
     }
@@ -260,7 +387,8 @@ const ROOT: usize = usize::MAX;
 /// A [`TrieCursor`] over a [`ColumnarTrie`]: per level, the parent's
 /// child range in that level's key array and the current position.
 /// `next_key` is a position increment, `open` two offset loads, `seek` a
-/// [`lower_bound_gallop`] over the contiguous key array.
+/// [`lower_bound_gallop`] over the contiguous key array — or, on a level
+/// 0 with a [`RankDirectory`], one directory lookup.
 #[derive(Debug)]
 pub struct ColumnarCursor<'a> {
     trie: &'a ColumnarTrie,
@@ -314,11 +442,19 @@ impl TrieCursor for ColumnarCursor<'_> {
     fn seek(&mut self, v: Value) {
         debug_assert!(!self.at_end(), "seek() at end");
         let d = self.depth;
-        let hi = self.range[d].1;
-        // The slice is capped at the parent range's end, and the search
-        // starts at the current position inside it, so every key touched
-        // belongs to this parent's strictly-increasing child block.
-        self.pos[d] = lower_bound_gallop(&self.trie.keys[d][..hi], self.pos[d], v);
+        self.pos[d] = match &self.trie.root {
+            // Level 0 has one parent, the root, so its range is the whole
+            // key array the directory indexes.
+            Some(dir) if d == 0 => dir.lower_bound(self.pos[0], v),
+            _ => {
+                // The slice is capped at the parent range's end, and the
+                // search starts at the current position inside it, so
+                // every key touched belongs to this parent's
+                // strictly-increasing child block.
+                let hi = self.range[d].1;
+                lower_bound_gallop(&self.trie.keys[d][..hi], self.pos[d], v)
+            }
+        };
     }
 
     fn key(&self) -> Value {
@@ -669,7 +805,48 @@ mod tests {
     #[test]
     fn approx_bytes_tracks_levels() {
         let trie = ColumnarTrie::build(&figure2_r());
-        // 5 level-0 keys + 7 level-1 keys, 8 bytes each; 6 offsets, 4 each.
-        assert_eq!(trie.approx_bytes(), (5 + 7) * 8 + 6 * 4);
+        // 5 level-0 keys + 7 level-1 keys, 8 bytes each; 6 offsets, 4
+        // each; level 0 spans 0..=5, one directory word of 8 + 4 bytes.
+        assert_eq!(trie.approx_bytes(), (5 + 7) * 8 + 6 * 4 + (8 + 4));
+    }
+
+    /// A unary trie over `keys` (sorted and deduplicated here).
+    fn unary(keys: impl IntoIterator<Item = u64>) -> ColumnarTrie {
+        let mut keys: Vec<u64> = keys.into_iter().collect();
+        keys.sort_unstable();
+        keys.dedup();
+        ColumnarTrie::build(&Relation::from_rows(
+            1,
+            keys.iter().map(|&k| [k]).collect::<Vec<_>>(),
+        ))
+    }
+
+    #[test]
+    fn rank_directory_costs_twelve_bytes_per_word() {
+        // 640 consecutive keys: 5 120 key bytes, and a directory of ten
+        // words at 8 + 4 bytes each on top.
+        let dense = unary(1_000..1_640);
+        let dir = dense.rank_directory().expect("dense root");
+        assert_eq!(dir.approx_bytes(), 10 * 12);
+        assert_eq!(dense.approx_bytes(), 640 * 8 + 10 * 12);
+        // Every 9th value over the same span still pays: 72 keys (576
+        // bytes) against 10 words (120 bytes).
+        let ninths = unary((0..72).map(|i| 5 + 9 * i));
+        assert_eq!(ninths.approx_bytes(), 72 * 8 + 10 * 12);
+        // Every 100th value does not: 64 keys (512 bytes) would need 99
+        // words (1 188 bytes), so the root keeps the gallop and no byte.
+        let sparse = unary((0..64).map(|i| 100 * i));
+        assert!(sparse.rank_directory().is_none());
+        assert_eq!(sparse.approx_bytes(), 64 * 8);
+        assert!(dense.validate().is_ok() && sparse.validate().is_ok());
+    }
+
+    #[test]
+    fn validate_catches_a_stale_directory() {
+        let mut trie = ColumnarTrie::build(&figure2_r());
+        trie.root = RankDirectory::build(&[0, 2, 3, 4, 6]);
+        assert!(trie.validate().is_err());
+        trie.root = None;
+        assert!(trie.validate().is_err(), "a dense root must carry one");
     }
 }

@@ -23,6 +23,6 @@ mod join;
 mod trie;
 
 pub use btree::{BTreeAtom, BTreeCursor};
-pub use columnar::{lower_bound_gallop, ColumnarAtom, ColumnarCursor, ColumnarTrie};
+pub use columnar::{lower_bound_gallop, ColumnarAtom, ColumnarCursor, ColumnarTrie, RankDirectory};
 pub use join::{order_columns, ProbeCounts, SortedAtom, Tributary, TrieAtom};
 pub use trie::{TrieCursor, TrieIter};

@@ -1,6 +1,7 @@
 //! Property tests: Tributary join vs a naive evaluator; trie-layout
 //! parity (row arrays vs B-trees vs the columnar level-segmented trie);
-//! the columnar leaf kernel vs the cursor leapfrog, sequence for sequence;
+//! the columnar leaf kernel and the rank directory vs the cursor leapfrog,
+//! sequence for sequence;
 //! Algorithm 1 optimality within the integral frontier; cost-model
 //! sanity; `RelStats` vs brute-force counting.
 
@@ -8,8 +9,8 @@ use parjoin_common::{Relation, Value};
 use parjoin_core::hypercube::{HcConfig, ShareProblem};
 use parjoin_core::order::{OrderCostModel, RelStats};
 use parjoin_core::tributary::{
-    lower_bound_gallop, BTreeAtom, ColumnarAtom, SortedAtom, Tributary, TrieAtom, TrieCursor,
-    TrieIter,
+    lower_bound_gallop, BTreeAtom, ColumnarAtom, ColumnarTrie, SortedAtom, Tributary, TrieAtom,
+    TrieCursor, TrieIter,
 };
 use parjoin_query::{CmpOp, Filter, Operand, QueryBuilder, VarId};
 use proptest::prelude::*;
@@ -456,10 +457,11 @@ fn emitted<A: TrieAtom>(
 }
 
 /// The columnar layout runs the leaf kernel where two atoms meet at the
-/// leaf and its cursor leapfrog at any other width; the row and B-tree
-/// layouts hand out no key slices and always run the cursor leapfrog.
+/// leaf and its cursor leapfrog at any other width, and answers level-0
+/// seeks of a dense root from its rank directory; the row and B-tree
+/// layouts hand out no key slices and always gallop or walk their trees.
 /// All three must emit the same sequence.
-fn assert_leaf_kernel_agrees(
+fn assert_layouts_agree(
     specs: &[(&Relation, Vec<VarId>)],
     order: &[VarId],
     filters: &[Filter],
@@ -489,12 +491,13 @@ fn star(rels: &[Relation]) -> Vec<(&Relation, Vec<VarId>)> {
     rels.iter().map(|r| (r, vec![v(0), v(1)])).collect()
 }
 
-/// `x < z`, bound at the leaf of the star.
-fn x_below_z() -> Filter {
+/// `x < z`, `x` being variable 0: bound wherever `z` is (the leaf of
+/// the star, or of the triangle).
+fn x_below_z(z: VarId) -> Filter {
     Filter {
         left: v(0),
         op: CmpOp::Lt,
-        right: Operand::Var(v(1)),
+        right: Operand::Var(z),
     }
 }
 
@@ -510,8 +513,8 @@ proptest! {
         // One, two (lopsided or disjoint: the kernel), three and four
         // (the columnar cursor path) leaf participants, with and without
         // a filter bound at the leaf.
-        let filters = if filtered { vec![x_below_z()] } else { Vec::new() };
-        assert_leaf_kernel_agrees(&star(&rels[..k]), &[v(0), v(1)], &filters, (0, None), usize::MAX);
+        let filters = if filtered { vec![x_below_z(v(1))] } else { Vec::new() };
+        assert_layouts_agree(&star(&rels[..k]), &[v(0), v(1)], &filters, (0, None), usize::MAX);
     }
 
     #[test]
@@ -525,8 +528,8 @@ proptest! {
         let ((x_lo, x_width), (z_lo, z_width)) = (x_window, z_window);
         let star = star(&rels[..k]);
         let order = [v(0), v(1)];
-        assert_leaf_kernel_agrees(&star, &order, &[], (x_lo, Some(x_lo + x_width)), usize::MAX);
-        assert_leaf_kernel_agrees(&star, &order, &[], (x_lo, None), usize::MAX);
+        assert_layouts_agree(&star, &order, &[], (x_lo, Some(x_lo + x_width)), usize::MAX);
+        assert_layouts_agree(&star, &order, &[], (x_lo, None), usize::MAX);
         // A single-variable query over overlapping key sets: its leaf is
         // depth 0, so the kernel itself must keep the morsel's bounds.
         let sets: Vec<Relation> = sets[..k]
@@ -534,8 +537,8 @@ proptest! {
             .map(|keys| Relation::from_rows(1, keys.iter().map(|&z| [z]).collect::<Vec<_>>()).distinct())
             .collect();
         let unary: Vec<(&Relation, Vec<VarId>)> = sets.iter().map(|r| (r, vec![v(0)])).collect();
-        assert_leaf_kernel_agrees(&unary, &[v(0)], &[], (z_lo, Some(z_lo + z_width)), usize::MAX);
-        assert_leaf_kernel_agrees(&unary, &[v(0)], &[], (z_lo, None), usize::MAX);
+        assert_layouts_agree(&unary, &[v(0)], &[], (z_lo, Some(z_lo + z_width)), usize::MAX);
+        assert_layouts_agree(&unary, &[v(0)], &[], (z_lo, None), usize::MAX);
     }
 
     #[test]
@@ -545,7 +548,7 @@ proptest! {
         limit in 1usize..40,
     ) {
         // The same n-row prefix when `emit` returns false after n rows.
-        assert_leaf_kernel_agrees(&star(&rels[..k]), &[v(0), v(1)], &[], (0, None), limit);
+        assert_layouts_agree(&star(&rels[..k]), &[v(0), v(1)], &[], (0, None), limit);
     }
 
     #[test]
@@ -631,4 +634,177 @@ fn disjoint_leaf_slices_take_one_step() {
         .collect();
     let (n, counts) = Tributary::new(&col, &order, &[], 2).run_range_counted(0, None, |_| true);
     assert_eq!((n, counts.steps[1]), (0, 1));
+}
+
+/// Multiplier that scatters consecutive ids over the whole `u64` domain
+/// (odd, so no two ids collide).
+const SCATTER: u64 = 0x9E37_79B9_7F4A_7C15;
+
+/// Strictly increasing level-0 keys of five shapes: a dense window at a
+/// random base, fewer than 64 keys within 64 consecutive values, dense keys
+/// ending at `u64::MAX`, ids scattered by [`SCATTER`] (sparse), and
+/// `{0, u64::MAX}`. Returns the shape with the keys.
+fn arb_root_keys() -> impl Strategy<Value = (usize, Vec<Value>)> {
+    let offsets = proptest::collection::vec(0u64..400, 0..=300);
+    (0usize..5, 0u64..1 << 40, offsets).prop_map(|(shape, base, offs)| {
+        let mut keys: Vec<Value> = match shape {
+            0 => offs.iter().map(|&o| base + o).collect(),
+            1 => offs.iter().take(63).map(|&o| base + o % 64).collect(),
+            2 => offs.iter().map(|&o| u64::MAX - o).collect(),
+            3 => offs.iter().map(|&o| o.wrapping_mul(SCATTER)).collect(),
+            _ => vec![0, u64::MAX],
+        };
+        keys.sort_unstable();
+        keys.dedup();
+        (shape, keys)
+    })
+}
+
+/// Seek targets around `keys`: below the smallest key, above the
+/// largest, on keys, in the gaps beside them, and anywhere at all.
+fn root_targets(keys: &[Value], picks: &[(usize, u64)]) -> Vec<Value> {
+    let (Some(&min), Some(&max)) = (keys.first(), keys.last()) else {
+        return picks.iter().map(|&(_, x)| x).collect();
+    };
+    let mut out = vec![
+        0,
+        u64::MAX,
+        min,
+        max,
+        min.saturating_sub(1),
+        max.saturating_add(1),
+    ];
+    for &(i, x) in picks {
+        let k = keys[i % keys.len()];
+        out.extend([k, k.saturating_sub(1), k.saturating_add(1), x]);
+    }
+    out
+}
+
+/// A triangle `R(x, y), S(y, z), T(z, x)` under `[x, y, z]` over a graph
+/// on 40 nodes: every root is dense, and `S`, rooted at depth 1, has its
+/// level 0 re-opened and sought once per `x` binding.
+fn dense_triangle(edges: &Relation) -> Vec<(&Relation, Vec<VarId>)> {
+    vec![
+        (edges, vec![v(0), v(1)]),
+        (edges, vec![v(1), v(2)]),
+        (edges, vec![v(2), v(0)]),
+    ]
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    #[test]
+    fn rank_directory_seeks_like_partition_point(
+        root in arb_root_keys(),
+        picks in proptest::collection::vec((0usize..300, any::<u64>()), 0..8),
+    ) {
+        let (shape, keys) = root;
+        let n = keys.len();
+        let trie = ColumnarTrie::build(&Relation::from_rows(
+            1,
+            keys.iter().map(|&k| [k]).collect::<Vec<_>>(),
+        ));
+        prop_assert!(trie.validate().is_ok());
+        // The density rule, restated in u128: 12 directory bytes per 64
+        // values of span against 8 bytes per key.
+        let dense = match (keys.first(), keys.last()) {
+            (Some(&lo), Some(&hi)) => {
+                (u128::from(hi - lo) + 1).div_ceil(64) * 12 <= n as u128 * 8
+            }
+            _ => false,
+        };
+        prop_assert_eq!(trie.rank_directory().is_some(), dense);
+        match shape {
+            0..=2 => prop_assert_eq!(dense, n >= 2),
+            4 => prop_assert!(!dense),
+            _ => {}
+        }
+        for v in root_targets(&keys, &picks) {
+            for start in 0..=n {
+                let want = start + keys[start..].partition_point(|&k| k < v);
+                prop_assert_eq!(lower_bound_gallop(&keys, start, v), want);
+                if let Some(dir) = trie.rank_directory() {
+                    prop_assert_eq!(dir.lower_bound(start, v), want, "start={} v={}", start, v);
+                }
+                if start == n {
+                    continue;
+                }
+                // The same seek through the cursor, from `start`.
+                let mut c = trie.cursor();
+                c.open();
+                for _ in 0..start {
+                    c.next_key();
+                }
+                c.seek(v);
+                prop_assert_eq!(c.at_end(), want == n);
+                if want < n {
+                    prop_assert_eq!(c.key(), keys[want]);
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn dense_roots_emit_the_cursor_sequence(
+        raw in proptest::collection::vec((0u64..40, 0u64..40), 0..=300),
+        x_window in (0u64..40, 1u64..40),
+        y_floor in 0u64..40,
+        limit in 1usize..200,
+    ) {
+        let edges = Relation::from_rows(2, raw.iter().map(|&(a, b)| [a, b]).collect::<Vec<_>>())
+            .distinct();
+        let specs = dense_triangle(&edges);
+        let order = [v(0), v(1), v(2)];
+        let s = ColumnarAtom::prepare(&edges, &[v(1), v(2)], &order);
+        prop_assert_eq!(s.trie().rank_directory().is_some(), s.trie().level0().len() >= 2);
+        // `y > y_floor` binds at S's root, `x < z` at the leaf.
+        let filters = [
+            Filter { left: v(1), op: CmpOp::Gt, right: Operand::Const(y_floor) },
+            x_below_z(v(2)),
+        ];
+        let (x_lo, x_width) = x_window;
+        for window in [(0, None), (x_lo, Some(x_lo + x_width)), (x_lo, None)] {
+            assert_layouts_agree(&specs, &order, &[], window, usize::MAX);
+            assert_layouts_agree(&specs, &order, &filters, window, usize::MAX);
+            assert_layouts_agree(&specs, &order, &filters, window, limit);
+        }
+    }
+}
+
+#[test]
+fn dense_roots_honour_the_guard() {
+    // The complete graph on 40 nodes: 64 000 triangles, far more steps
+    // than the 8 192 after which the guard is first asked, so the guard
+    // stops every layout part-way through a prefix of the full sequence.
+    let edges = Relation::from_rows(
+        2,
+        (0..1_600u64).map(|i| [i / 40, i % 40]).collect::<Vec<_>>(),
+    );
+    let specs = dense_triangle(&edges);
+    let order = [v(0), v(1), v(2)];
+    let row: Vec<SortedAtom> = specs
+        .iter()
+        .map(|(r, vs)| SortedAtom::prepare(r, vs, &order))
+        .collect();
+    let bt: Vec<BTreeAtom> = specs
+        .iter()
+        .map(|(r, vs)| BTreeAtom::prepare(r, vs, &order))
+        .collect();
+    let col: Vec<ColumnarAtom> = specs
+        .iter()
+        .map(|(r, vs)| ColumnarAtom::prepare(r, vs, &order))
+        .collect();
+    assert!(col.iter().all(|a| a.trie().rank_directory().is_some()));
+    let full = emitted(&row, &order, &[], (0, None), usize::MAX);
+    assert_eq!(full.len(), 64_000);
+    assert_eq!(emitted(&col, &order, &[], (0, None), usize::MAX), full);
+    for out in [
+        emitted_until_guard(&row, &order),
+        emitted_until_guard(&bt, &order),
+        emitted_until_guard(&col, &order),
+    ] {
+        assert!(out.len() < full.len() && full.starts_with(&out));
+    }
 }

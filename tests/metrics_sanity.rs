@@ -224,3 +224,55 @@ fn probe_level_tallies_are_exact_across_runs_and_transports() {
         assert_eq!(tallies(&run(transport)), want, "{transport}");
     }
 }
+
+/// The exact probe work of cold Q1 and Q2 at tiny scale: every
+/// `engine.probe.{steps,seeks}.l{d}` tally, pinned. Data seed 3, cluster
+/// seed 11, four `Local` workers, HyperCube + Tributary on the default
+/// columnar layout, one probe thread (morsel boundaries move the
+/// tallies, so the thread count is part of the pin). A change to how a
+/// seek is *answered* (a faster lower bound, a different trie layout)
+/// must leave these numbers alone; a change to *which* seeks the
+/// leapfrog issues moves them, and must say so.
+#[test]
+fn probe_level_tallies_are_pinned_on_q1_and_q2() {
+    let db = Scale::tiny().twitter_db(3);
+    let cluster = Cluster::new(4)
+        .with_seed(11)
+        .with_transport(TransportKind::Local);
+    let opts = PlanOptions {
+        probe_threads: Some(1),
+        ..Default::default()
+    };
+    let pinned: [(QuerySpec, &[u64], &[u64]); 2] = [
+        (
+            parjoin::datagen::workloads::q1(),
+            &[1357, 2506, 1498],
+            &[791, 1553, 2626],
+        ),
+        (
+            parjoin::datagen::workloads::q2(),
+            &[2094, 6889, 6567, 398],
+            &[1518, 5394, 6454, 397],
+        ),
+    ];
+    for (spec, steps, seeks) in pinned {
+        let r = run_config(
+            &spec.query,
+            &db,
+            &cluster,
+            ShuffleAlg::HyperCube,
+            JoinAlg::Tributary,
+            &opts,
+        )
+        .unwrap();
+        let levels = |prefix: &str| -> Vec<u64> {
+            (0..spec.query.num_vars())
+                .map(|d| r.metric(&format!("{prefix}{d}")).unwrap_or(0))
+                .collect()
+        };
+        let got_steps = levels(metric_names::PROBE_STEPS_PREFIX);
+        let got_seeks = levels(metric_names::PROBE_SEEKS_PREFIX);
+        assert_eq!(got_steps, steps, "{}: steps per level", spec.name);
+        assert_eq!(got_seeks, seeks, "{}: seeks per level", spec.name);
+    }
+}
