@@ -467,15 +467,16 @@ pub fn check_resources(spec: &PlanSpec<'_>, out: &mut Vec<Diagnostic>) {
     }
 }
 
-/// Sort-cache pre-flight for Tributary plans: estimates the per-worker
-/// *sorted working set* of the prepare phase — every atom's post-shuffle
-/// fragment plus its sorted copy, i.e. twice the shuffled input — and
-/// warns when it exceeds the memory budget. Unlike
-/// [`check_resources`]'s general load estimate, this targets the sort
-/// pipeline specifically: over budget, the engine's sorted-view cache
-/// refuses to pin any view of this plan (caching degrades to
-/// sort-every-time) and the prepare itself is the likely point of a
-/// mid-flight `MemoryBudget` abort.
+/// Prepare-cache pre-flight for Tributary plans: estimates the
+/// per-worker *prepare working set* — every atom's post-shuffle
+/// fragment plus its prepared copy (the columnar layout's sort words
+/// and trie, the row layout's sorted view), i.e. twice the shuffled
+/// input — and warns when it exceeds the memory budget. Unlike
+/// [`check_resources`]'s general load estimate, this targets the
+/// prepare pipeline specifically: over budget, the engine's prepare
+/// caches refuse to pin any trie (or view) of this plan (caching
+/// degrades to prepare-every-time) and the prepare itself is the likely
+/// point of a mid-flight `MemoryBudget` abort.
 pub fn check_sort_cache(spec: &PlanSpec<'_>, out: &mut Vec<Diagnostic>) {
     if spec.join != JoinKind::Tributary {
         return;
@@ -517,15 +518,15 @@ pub fn check_sort_cache(spec: &PlanSpec<'_>, out: &mut Vec<Diagnostic>) {
             (config.workload(&problem), "hypercube workload")
         }
     };
-    let working_set = 2.0 * input; // fragment + sorted copy per atom
+    let working_set = 2.0 * input; // fragment + prepared copy per atom
 
     if working_set > budget as f64 {
         out.push(
             Diagnostic::warning(
                 DiagCode::SortCacheOverBudget,
                 format!(
-                    "projected sorted working set of the Tributary prepare phase exceeds \
-                     the per-worker memory budget; sorted views of this plan will not be \
+                    "projected working set of the Tributary prepare phase exceeds the \
+                     per-worker memory budget; prepared tries of this plan will not be \
                      cached and the prepare is likely to abort ({kind} estimate)"
                 ),
             )

@@ -135,11 +135,11 @@ pub enum DiagCode {
     /// first full batch with `FrameTooLarge` instead of shuffling
     /// anything. Lower `batch_tuples` or raise `max_frame_bytes`.
     FrameOverLimit,
-    /// The Tributary prepare phase's projected sorted working set
-    /// (every atom's post-shuffle fragment, sorted-copy included)
-    /// exceeds the per-worker memory budget, so no sorted view of this
-    /// plan can be pinned by the sort cache and the prepare itself is
-    /// likely to overrun the budget.
+    /// The Tributary prepare phase's projected working set (every
+    /// atom's post-shuffle fragment, prepared copy included) exceeds
+    /// the per-worker memory budget, so no prepared trie of this plan
+    /// can be pinned by the prepare caches and the prepare itself is
+    /// likely to overrun the budget. (The name predates the trie cache.)
     SortCacheOverBudget,
     /// The cluster simulates at least as many workers as the host has
     /// cores, so the intra-worker parallel prepare (chunked sorts) and

@@ -7,15 +7,26 @@
 //! scattered over the `u64` domain, where every root is sparse and
 //! level-0 seeks gallop.
 //!
+//! `prepare_columnar` times the columnar prepare alone on the shape of
+//! the cold Q1 workload's partitions (the Twitter graph at 12 000 nodes,
+//! generator seed 7, HyperCube 1×2×2 over four workers): the sorted
+//! view plus `ColumnarTrie::build` against the engine's pack → sort →
+//! emit kernel, after asserting the two build identical tries.
+//!
 //! The vendored criterion stand-in ignores CLI arguments, so quick mode
 //! (CI's `-- --test` smoke run) is detected here: it keeps the smallest
 //! graph and two samples.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use parjoin_common::Relation;
+use parjoin_core::hypercube::HcConfig;
 use parjoin_core::order::{best_order, OrderCostModel};
-use parjoin_core::tributary::{BTreeAtom, ColumnarAtom, SortedAtom, Tributary};
+use parjoin_core::tributary::{
+    order_columns, BTreeAtom, ColumnarAtom, ColumnarTrie, SortedAtom, Tributary,
+};
 use parjoin_datagen::graph;
+use parjoin_engine::dist::DistRel;
+use parjoin_engine::{prepare, shuffle};
 use parjoin_query::VarId;
 
 /// True when invoked as a smoke test (`cargo bench ... -- --test`).
@@ -147,9 +158,66 @@ fn bench_triangle(c: &mut Criterion) {
     group.finish();
 }
 
+/// The columnar prepare of every HyperCube partition of the triangle
+/// query's three atoms (R(x,y), S(y,z), T(z,x), order x ≺ y ≺ z), one
+/// prepare thread, as a cold worker does it.
+fn bench_prepare_columnar(c: &mut Criterion) {
+    let mut group = c.benchmark_group("prepare_columnar");
+    let nodes = if quick_mode() { 1_500 } else { 12_000 };
+    let g = graph::twitter_graph(nodes, 6, 7);
+    let order = [v(0), v(1), v(2)];
+    let config = HcConfig::new(order.to_vec(), vec![1, 2, 2]);
+    let parts: Vec<(Relation, Vec<usize>)> = [[v(0), v(1)], [v(1), v(2)], [v(2), v(0)]]
+        .iter()
+        .enumerate()
+        .flat_map(|(i, vars)| {
+            let seeded = DistRel::round_robin(&g, vars.to_vec(), 4);
+            let (cols, _) = order_columns(vars, &order);
+            let (hc, _) = shuffle::hypercube(&seeded, &config, format!("HCS {i}"), 7);
+            hc.parts.into_iter().map(move |p| (p, cols.clone()))
+        })
+        .collect();
+    let rows: usize = parts.iter().map(|(p, _)| p.len()).sum();
+    for (p, cols) in &parts {
+        assert_eq!(
+            prepare::columnar_trie(p, cols, 1),
+            ColumnarTrie::build(&prepare::sorted_by_columns_parallel(p, cols, 1)),
+            "the fused kernel builds the sorted-view trie"
+        );
+    }
+    group.bench_with_input(
+        BenchmarkId::new("sort_then_build", rows),
+        &parts,
+        |b, parts| {
+            b.iter(|| {
+                parts
+                    .iter()
+                    .map(|(p, cols)| {
+                        let view = prepare::sorted_by_columns_parallel(p, cols, 1);
+                        ColumnarTrie::build(&view).rows()
+                    })
+                    .sum::<usize>()
+            });
+        },
+    );
+    group.bench_with_input(
+        BenchmarkId::new("pack_sort_emit", rows),
+        &parts,
+        |b, parts| {
+            b.iter(|| {
+                parts
+                    .iter()
+                    .map(|(p, cols)| prepare::columnar_trie(p, cols, 1).rows())
+                    .sum::<usize>()
+            });
+        },
+    );
+    group.finish();
+}
+
 criterion_group! {
     name = benches;
     config = Criterion::default().sample_size(if quick_mode() { 2 } else { 10 });
-    targets = bench_triangle
+    targets = bench_triangle, bench_prepare_columnar
 }
 criterion_main!(benches);

@@ -29,14 +29,15 @@ pub fn run(settings: &Settings) {
         // The paper's Table 5 reports contribution to *local join* time
         // (the shuffle/network phases are excluded).
         let total = (sort + join).max(1e-12);
-        let cache = if r.sort_cache_hits + r.sort_cache_misses > 0 {
-            format!(
-                " [sort-cache {}h/{}m]",
-                r.sort_cache_hits, r.sort_cache_misses
-            )
-        } else {
-            String::new()
-        };
+        // The prepare cache the run's layout consulted: the TrieCache
+        // for the default columnar tries, the SortCache for row views.
+        let cache = [
+            ("trie-cache", r.trie_cache_hits, r.trie_cache_misses),
+            ("sort-cache", r.sort_cache_hits, r.sort_cache_misses),
+        ]
+        .into_iter()
+        .find(|&(_, h, m)| h + m > 0)
+        .map_or(String::new(), |(name, h, m)| format!(" [{name} {h}h/{m}m]"));
         rows.push(vec![
             format!("{name}: all sorts (prep){cache}"),
             format!("{:.3}s", sort),

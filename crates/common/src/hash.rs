@@ -60,21 +60,43 @@ pub fn reduce(h: u64, buckets: usize) -> usize {
     ((h as u128 * buckets as u128) >> 64) as usize
 }
 
+/// Independent hash chains per half of [`fingerprint128`]: enough to
+/// keep the multiplier busy instead of waiting on one chain's latency.
+const FINGERPRINT_LANES: usize = 4;
+
 /// 128-bit fingerprint of a (arity, rows, values) triple: two
-/// independently seeded [`hash64`] chains over the same stream, packed
-/// into a `u128`. One 64-bit chain would make cache-key collisions
-/// merely unlikely; two independent chains make them negligible, which
-/// is the bar for a cache that silently substitutes its entry for a
-/// fresh sort.
+/// independently seeded halves, packed into a `u128`. One 64-bit hash
+/// would make cache-key collisions merely unlikely; two independent
+/// ones make them negligible, which is the bar for a cache that
+/// silently substitutes its entry for a fresh sort.
+///
+/// Each half runs `FINGERPRINT_LANES` (4) interleaved [`hash64`] chains —
+/// value `i` feeds lane `i % LANES` — each seeded from the same
+/// arity/rows header and its lane number, so a value's position (not
+/// just its lane) shapes the result. The lanes fold into the half in
+/// lane order, and the values of an incomplete last group hash after
+/// them, one at a time.
 pub fn fingerprint128(arity: u64, rows: u64, data: &[Value]) -> u128 {
-    let mut lo = hash64(arity, 0x9e37_79b9_7f4a_7c15);
-    let mut hi = hash64(arity, 0xc2b2_ae3d_27d4_eb4f);
-    lo = hash64(rows, lo);
-    hi = hash64(rows, hi);
-    for &v in data {
-        lo = hash64(v, lo);
-        hi = hash64(v, hi);
+    let header = |seed: u64| hash64(rows, hash64(arity, seed));
+    let seeds = [header(0x9e37_79b9_7f4a_7c15), header(0xc2b2_ae3d_27d4_eb4f)];
+    // Both halves advance in one pass: eight independent chains.
+    let mut lanes: [[u64; FINGERPRINT_LANES]; 2] =
+        seeds.map(|h| std::array::from_fn(|l| hash64(l as u64, h)));
+    let groups = data.chunks_exact(FINGERPRINT_LANES);
+    let tail = groups.remainder();
+    for group in groups {
+        for half in &mut lanes {
+            for (lane, &v) in half.iter_mut().zip(group) {
+                *lane = hash64(v, *lane);
+            }
+        }
     }
+    let [lo, hi] = [0, 1].map(|h| {
+        let folded = lanes[h]
+            .iter()
+            .fold(seeds[h], |acc, &lane| hash64(lane, acc));
+        tail.iter().fold(folded, |acc, &v| hash64(v, acc))
+    });
     ((hi as u128) << 64) | lo as u128
 }
 
@@ -159,6 +181,42 @@ mod tests {
         // With 1024 buckets, collisions across all three are vanishingly
         // unlikely for a good hash.
         assert!(a != b || a != c);
+    }
+
+    #[test]
+    fn fingerprint_sees_every_value_and_position() {
+        let base: Vec<Value> = (0..9).map(|i| hash64(i, 5)).collect();
+        let fp = |data: &[Value]| fingerprint128(1, data.len() as u64, data);
+        let reference = fp(&base);
+        for i in 0..base.len() {
+            let mut changed = base.clone();
+            changed[i] ^= 1;
+            assert_ne!(fp(&changed), reference, "change at {i}");
+        }
+        for i in 0..base.len() - 1 {
+            let mut swapped = base.clone();
+            swapped.swap(i, i + 1);
+            assert_ne!(fp(&swapped), reference, "swap at {i}");
+        }
+    }
+
+    #[test]
+    fn fingerprint_separates_every_length_and_arity() {
+        let data: Vec<Value> = (0..9).map(|i| hash64(i, 6)).collect();
+        // Every lane remainder, once with the header following the
+        // length and once with it held fixed.
+        for header_rows in [None, Some(9)] {
+            let fps: Vec<u128> = (0..=9)
+                .map(|n| fingerprint128(1, header_rows.unwrap_or(n as u64), &data[..n]))
+                .collect();
+            for i in 0..fps.len() {
+                for j in i + 1..fps.len() {
+                    assert_ne!(fps[i], fps[j], "lengths {i} and {j}");
+                }
+            }
+        }
+        let flat = &data[..8];
+        assert_ne!(fingerprint128(1, 8, flat), fingerprint128(2, 4, flat));
     }
 
     #[test]

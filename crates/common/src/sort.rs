@@ -20,6 +20,10 @@
 //! * [`merge_runs`] — a galloping merge of two sorted index runs, used
 //!   by the engine's intra-worker parallel sort to combine per-thread
 //!   chunks.
+//! * [`KeyPacking`] — the composite radix path's row packer, public so
+//!   the engine's columnar prepare can sort packed words directly
+//!   ([`KeyPacking::sorted_words`]) and build trie levels from them
+//!   without ever gathering a sorted row view.
 //!
 //! All kernels are *stable-equivalent*: equal rows keep their relative
 //! index order, so chunked parallel sorts and the single-threaded path
@@ -86,30 +90,20 @@ pub fn sorted_indices_radix(data: &[Value], arity: usize, lo: usize, hi: usize) 
         return idx;
     }
 
-    // Pre-pass: per column, the OR of every value XOR the first row's
-    // value — a bitmask of the bits that differ anywhere. A key byte
+    // A column whose varying bits are all zero is constant: a key byte
     // whose mask slice is zero would produce a single-bucket (trivial)
     // histogram, so its counting pass is skipped outright.
-    let first = &data[lo * arity..(lo + 1) * arity];
-    let mut vary = vec![0u64; arity];
-    for r in lo..hi {
-        let row = &data[r * arity..(r + 1) * arity];
-        for (c, &v) in row.iter().enumerate() {
-            vary[c] |= v ^ first[c];
-        }
-    }
-    if vary.iter().all(|&m| m == 0) {
+    let cols: Vec<usize> = (0..arity).collect();
+    let packing = KeyPacking::new(data, arity, lo, hi, &cols);
+    if packing.packed_vary() == 0 {
         return idx; // all rows equal
     }
 
-    // Bits at or above a column's highest varying bit are constant
-    // across all rows, so comparing the low `width` bits compares the
-    // column. When every column's varying width fits one u64 the whole
-    // row packs into a single composite key and one LSD chain sorts
-    // all columns at once — no per-column re-gather of the row buffer.
-    let widths: Vec<u32> = vary.iter().map(|m| 64 - m.leading_zeros()).collect();
-    if widths.iter().map(|&w| w as u64).sum::<u64>() <= 64 {
-        composite_radix(data, arity, lo, &mut idx, &vary, &widths);
+    // When every column's varying width fits one u64 the whole row
+    // packs into a single composite key and one LSD chain sorts all
+    // columns at once — no per-column re-gather of the row buffer.
+    if packing.fits() {
+        composite_radix(data, arity, lo, &mut idx, &packing);
         return idx;
     }
 
@@ -120,22 +114,208 @@ pub fn sorted_indices_radix(data: &[Value], arity: usize, lo: usize, hi: usize) 
 
     // LSD over columns: the last column is the least significant key.
     for col in (0..arity).rev() {
-        if vary[col] == 0 {
+        let vary = packing.vary[col];
+        if vary == 0 {
             continue; // column is constant: any order satisfies it
         }
         keys.clear();
         keys.extend(idx.iter().map(|&i| data[i as usize * arity + col]));
         ids.clear();
         ids.extend_from_slice(&idx);
-        lsd_digit_passes(&mut keys, &mut ids, vary[col]);
+        lsd_digit_passes(&mut keys, &mut ids, vary);
         idx.copy_from_slice(&ids);
     }
     idx
 }
 
-/// Sorts `idx` by a single packed key per row: each column contributes
-/// its low `widths[col]` bits (everything above is constant, so the
-/// packed comparison equals the lexicographic row comparison).
+/// How rows pack into one `u64` sort key: each chosen column
+/// contributes only the bits that vary across the rows, the first
+/// column most significant. Bits at or above a column's highest varying
+/// bit are constant across all rows, so comparing packed words compares
+/// the rows lexicographically on those columns, and the constant high
+/// bits (taken from the first row) restore every value from its field.
+///
+/// This is the one packer behind the composite radix sort and the
+/// engine's columnar prepare, which sorts packed words and emits trie
+/// levels from them without materialising a sorted row view.
+#[derive(Debug, Clone)]
+pub struct KeyPacking {
+    /// Source column of each field, most significant field first.
+    cols: Vec<usize>,
+    /// Bit offset of each field in the packed word (0 for a constant
+    /// field, so no shift ever reaches 64).
+    shifts: Vec<u32>,
+    /// Mask of each field's varying width.
+    masks: Vec<u64>,
+    /// Each field's constant bits above its varying width.
+    high: Vec<Value>,
+    /// Per field: the OR of every value XOR the first row's value.
+    vary: Vec<u64>,
+    /// Sum of the fields' varying widths; packing needs it `<= 64`.
+    width: u32,
+    /// The most significant field in which two words differ, indexed by
+    /// the bit length of their XOR: entry `b + 1` is the field holding
+    /// bit `b` (field 0 above every field), and entry 0 (equal words) is
+    /// the field count.
+    field_of_diff: [u8; 65],
+}
+
+impl KeyPacking {
+    /// Plans the packing of columns `cols` (most significant first) of
+    /// rows `[lo, hi)` of a row-major buffer: one pass computes which
+    /// bits of each column vary.
+    ///
+    /// # Panics
+    /// Panics if `hi * arity` exceeds the buffer, `hi < lo`, `cols`
+    /// holds more than 255 columns, or a column is out of range on a
+    /// non-empty range.
+    pub fn new(data: &[Value], arity: usize, lo: usize, hi: usize, cols: &[usize]) -> KeyPacking {
+        assert!(
+            lo <= hi && hi * arity <= data.len(),
+            "row range out of bounds"
+        );
+        assert!(cols.len() < 256, "a packed key has at most 255 fields");
+        let mut vary = vec![0u64; cols.len()];
+        let mut first = vec![0 as Value; cols.len()];
+        if lo < hi && !cols.is_empty() {
+            let row0 = &data[lo * arity..(lo + 1) * arity];
+            for (f, &c) in first.iter_mut().zip(cols) {
+                *f = row0[c];
+            }
+            for row in data[lo * arity..hi * arity].chunks_exact(arity) {
+                for ((m, &c), &f) in vary.iter_mut().zip(cols).zip(&first) {
+                    *m |= row[c] ^ f;
+                }
+            }
+        }
+        let widths: Vec<u32> = vary.iter().map(|m| 64 - m.leading_zeros()).collect();
+        let width: u32 = widths.iter().sum();
+        let masks: Vec<u64> = widths
+            .iter()
+            .map(|&w| if w == 64 { u64::MAX } else { (1u64 << w) - 1 })
+            .collect();
+        let high = first.iter().zip(&masks).map(|(&v, &m)| v & !m).collect();
+        let mut shifts = vec![0u32; cols.len()];
+        let mut field_of_diff = [0u8; 65];
+        field_of_diff[0] = cols.len() as u8;
+        if width <= 64 {
+            // Fields fill the word from the top: the last field sits at
+            // bit 0, each earlier one directly above its successor.
+            let mut at = 0u32;
+            for f in (0..cols.len()).rev() {
+                if widths[f] == 0 {
+                    continue;
+                }
+                shifts[f] = at;
+                for b in at..at + widths[f] {
+                    field_of_diff[b as usize + 1] = f as u8;
+                }
+                at += widths[f];
+            }
+        }
+        KeyPacking {
+            cols: cols.to_vec(),
+            shifts,
+            masks,
+            high,
+            vary,
+            width,
+            field_of_diff,
+        }
+    }
+
+    /// True when the varying widths sum to at most 64 bits, so every row
+    /// packs into one word. The other methods (except
+    /// [`KeyPacking::fields`]) require it.
+    pub fn fits(&self) -> bool {
+        self.width <= 64
+    }
+
+    /// Number of fields (packed columns).
+    pub fn fields(&self) -> usize {
+        self.cols.len()
+    }
+
+    /// The bits that differ between any two packed words of the rows the
+    /// packing was planned on; zero when every such row packs equal.
+    pub fn packed_vary(&self) -> u64 {
+        self.vary
+            .iter()
+            .zip(&self.shifts)
+            .fold(0, |acc, (&m, &s)| acc | m << s)
+    }
+
+    /// Packs one row (a full source row, indexed by the planned columns).
+    #[inline]
+    pub fn pack(&self, row: &[Value]) -> u64 {
+        self.cols
+            .iter()
+            .zip(&self.masks)
+            .zip(&self.shifts)
+            .fold(0, |key, ((&c, &m), &s)| key | (row[c] & m) << s)
+    }
+
+    /// The value of field `f` of packed word `k`.
+    #[inline]
+    pub fn field(&self, k: u64, f: usize) -> Value {
+        self.high[f] | (k >> self.shifts[f]) & self.masks[f]
+    }
+
+    /// The most significant field in which packed words `a` and `b`
+    /// differ (0 when they differ above every field), or
+    /// [`KeyPacking::fields`] when they are equal — a branch-free table
+    /// lookup.
+    #[inline]
+    pub fn first_diff(&self, a: u64, b: u64) -> usize {
+        self.field_of_diff[(64 - (a ^ b).leading_zeros()) as usize] as usize
+    }
+
+    /// Rows `[lo, hi)` packed and radix-sorted ascending. Equal rows pack
+    /// to equal words, so no position rides along: the order among
+    /// duplicates is invisible.
+    pub fn sorted_words(&self, data: &[Value], arity: usize, lo: usize, hi: usize) -> Vec<u64> {
+        let vary = self.packed_vary();
+        if vary == 0 {
+            return vec![0; hi - lo];
+        }
+        let (mut words, radix) = self.pack_rows(data, arity, lo, hi, vary, |key, _| key);
+        radix.scatter(&mut words);
+        words
+    }
+
+    /// The packing loop: rows `[lo, hi)` packed and mapped through
+    /// `word(key, relative position)`, with the counting histograms of
+    /// the radix plan for `word_vary` (the varying bits of the mapped
+    /// words, non-zero) filled in the same scan.
+    fn pack_rows(
+        &self,
+        data: &[Value],
+        arity: usize,
+        lo: usize,
+        hi: usize,
+        word_vary: u64,
+        word: impl Fn(u64, usize) -> u64,
+    ) -> (Vec<u64>, RadixPlan) {
+        debug_assert!(self.fits(), "packing wider than one word");
+        debug_assert!(arity > 0, "a nullary row packs to nothing");
+        let mut radix = RadixPlan::new(word_vary);
+        let mut words: Vec<u64> = Vec::with_capacity(hi - lo);
+        words.extend(
+            data[lo * arity..hi * arity]
+                .chunks_exact(arity.max(1))
+                .enumerate()
+                .map(|(j, row)| {
+                    let w = word(self.pack(row), j);
+                    radix.count(w);
+                    w
+                }),
+        );
+        (words, radix)
+    }
+}
+
+/// Sorts `idx` (rows `lo..lo + idx.len()` in order) by a single packed
+/// key per row (see [`KeyPacking`]).
 ///
 /// The row's *relative position* rides in the low bits of the same
 /// `u64`, so each counting pass moves 8 bytes per row, not a padded
@@ -147,61 +327,20 @@ pub fn sorted_indices_radix(data: &[Value], arity: usize, lo: usize, hi: usize) 
 /// fix-up; uniform keys make such runs birthday-rare, and in the worst
 /// case the fix-up degenerates to the comparator sort (correct, just
 /// not faster).
-fn composite_radix(
-    data: &[Value],
-    arity: usize,
-    lo: usize,
-    idx: &mut [u32],
-    vary: &[u64],
-    widths: &[u32],
-) {
+fn composite_radix(data: &[Value], arity: usize, lo: usize, idx: &mut [u32], packing: &KeyPacking) {
     let n = idx.len();
-    let masks: Vec<u64> = widths
-        .iter()
-        .map(|&w| if w == 64 { u64::MAX } else { (1u64 << w) - 1 })
-        .collect();
     // Bits to hold a relative position 0..n (n ≥ 2 here, so ≥ 1).
     let idx_bits = 64 - (n as u64 - 1).leading_zeros();
-    let total_width: u32 = widths.iter().sum();
-    let drop = (total_width + idx_bits).saturating_sub(64);
+    let drop = (packing.width + idx_bits).saturating_sub(64);
     // The packed vary mask mirrors the packing, so trivial composite
     // digits (constant bits that rode along inside a column) still
     // skip — and the position bits below it are never scattered at all
     // (they start in position order and stable passes keep them there).
-    let mut packed_vary = 0u64;
-    for (c, &m) in vary.iter().enumerate() {
-        let w = widths[c];
-        if w == 0 {
-            continue;
-        }
-        packed_vary = if w == 64 { 0 } else { packed_vary << w };
-        packed_vary |= m & masks[c];
-    }
-    let (digit, shifts) = digit_plan((packed_vary >> drop) << idx_bits);
-    let mask = (1u64 << digit) - 1;
-    // Every pass's histogram fills during the build scan, so the first
-    // scatter starts without another pass over the keys.
-    let mut hists = vec![vec![0u32; 1 << digit]; shifts.len()];
-    let mut packed: Vec<u64> = Vec::with_capacity(n);
-    packed.extend(idx.iter().enumerate().map(|(j, &i)| {
-        let row = &data[i as usize * arity..(i as usize + 1) * arity];
-        let mut key = 0u64;
-        for (c, &v) in row.iter().enumerate() {
-            let w = widths[c];
-            if w == 0 {
-                continue;
-            }
-            // Total width ≤ 64, so a full-width column means key == 0.
-            key = if w == 64 { 0 } else { key << w };
-            key |= v & masks[c];
-        }
-        let pk = ((key >> drop) << idx_bits) | j as u64;
-        for (h, &s) in hists.iter_mut().zip(&shifts) {
-            h[((pk >> s) & mask) as usize] += 1;
-        }
-        pk
-    }));
-    scatter_passes_packed(&mut packed, digit, &shifts, &hists);
+    let vary = (packing.packed_vary() >> drop) << idx_bits;
+    let (mut packed, radix) = packing.pack_rows(data, arity, lo, lo + n, vary, |key, j| {
+        ((key >> drop) << idx_bits) | j as u64
+    });
+    radix.scatter(&mut packed);
 
     let pos_mask = (1u64 << idx_bits) - 1;
     if drop > 0 {
@@ -294,26 +433,57 @@ fn lsd_digit_passes(keys: &mut Vec<u64>, ids: &mut Vec<u32>, vary: u64) {
     }
 }
 
-/// The scatter chain of [`lsd_digit_passes`] for self-contained packed
-/// words (key bits above position bits) with pre-filled histograms: one
-/// 8-byte array is all any pass touches.
-fn scatter_passes_packed(packed: &mut Vec<u64>, digit: u32, shifts: &[u32], hists: &[Vec<u32>]) {
-    let buckets = 1usize << digit;
-    let mask = (buckets - 1) as u64;
-    let mut scratch = vec![0u64; packed.len()];
-    let mut offsets = vec![0u32; buckets];
-    for (hist, &shift) in hists.iter().zip(shifts) {
-        let mut acc = 0u32;
-        for (o, &h) in offsets.iter_mut().zip(hist) {
-            *o = acc;
-            acc += h;
+/// The counting passes of an LSD chain over self-contained packed
+/// words: the [`digit_plan`] of their varying bits, plus one histogram
+/// per pass, filled by [`RadixPlan::count`] while the words are built so
+/// the first scatter starts without another pass over the keys.
+struct RadixPlan {
+    digit: u32,
+    shifts: Vec<u32>,
+    hists: Vec<Vec<u32>>,
+}
+
+impl RadixPlan {
+    /// The plan for words whose varying bits are `vary` (non-zero).
+    fn new(vary: u64) -> RadixPlan {
+        let (digit, shifts) = digit_plan(vary);
+        let hists = vec![vec![0u32; 1 << digit]; shifts.len()];
+        RadixPlan {
+            digit,
+            shifts,
+            hists,
         }
-        for &k in packed.iter() {
-            let b = ((k >> shift) & mask) as usize;
-            scratch[offsets[b] as usize] = k;
-            offsets[b] += 1;
+    }
+
+    /// Tallies one word into every pass's histogram.
+    #[inline]
+    fn count(&mut self, w: u64) {
+        let mask = (1u64 << self.digit) - 1;
+        for (h, &s) in self.hists.iter_mut().zip(&self.shifts) {
+            h[((w >> s) & mask) as usize] += 1;
         }
-        std::mem::swap(packed, &mut scratch);
+    }
+
+    /// The scatter chain of [`lsd_digit_passes`] for words every one of
+    /// which was [`RadixPlan::count`]ed: one 8-byte array is all any
+    /// pass touches. Stable, like every pass.
+    fn scatter(&self, words: &mut Vec<u64>) {
+        let mask = (1u64 << self.digit) - 1;
+        let mut scratch = vec![0u64; words.len()];
+        let mut offsets = vec![0u32; 1 << self.digit];
+        for (hist, &shift) in self.hists.iter().zip(&self.shifts) {
+            let mut acc = 0u32;
+            for (o, &h) in offsets.iter_mut().zip(hist) {
+                *o = acc;
+                acc += h;
+            }
+            for &k in words.iter() {
+                let b = ((k >> shift) & mask) as usize;
+                scratch[offsets[b] as usize] = k;
+                offsets[b] += 1;
+            }
+            std::mem::swap(words, &mut scratch);
+        }
     }
 }
 

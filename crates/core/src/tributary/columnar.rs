@@ -36,6 +36,7 @@
 
 use super::join::{order_columns, TrieAtom};
 use super::trie::TrieCursor;
+use parjoin_common::sort::KeyPacking;
 use parjoin_common::{Relation, Value};
 use parjoin_query::VarId;
 use std::sync::Arc;
@@ -209,7 +210,7 @@ const DIRECTORY_WORD_BYTES: usize = std::mem::size_of::<u64>() + std::mem::size_
 /// children `keys[d + 1][offsets[d][i] .. offsets[d][i + 1]]` — CSR
 /// adjacency, one `u32` per node plus a trailing sentinel. A dense
 /// level 0 is also indexed by a [`RankDirectory`].
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ColumnarTrie {
     arity: usize,
     /// Distinct rows ingested (the leaf count); what parallelism
@@ -287,6 +288,98 @@ impl ColumnarTrie {
             offsets,
             root,
         }
+    }
+
+    /// Builds the trie of rows packed under `packing` — one trie level
+    /// per packed field — from their words, sorted ascending: the same
+    /// trie [`ColumnarTrie::build`] makes from the sorted rows, with no
+    /// sorted row view in between.
+    ///
+    /// A word's first new level is the field holding the top set bit of
+    /// its XOR with the previous word ([`KeyPacking::first_diff`]); an
+    /// equal word is a duplicate row and opens none. A counting pass
+    /// sizes every level exactly. The emitting pass is branch-free: each
+    /// word writes its value (the field's constant high bits over the
+    /// word's field bits) and child offset into the next free slot of
+    /// every level, and a level's cursor advances only when the word
+    /// opens it, so a later word overwrites a slot that was not taken.
+    ///
+    /// # Panics
+    /// Panics if `packing` does not fit one word or `words` holds
+    /// `u32::MAX` or more words, or (debug) if `words` is not sorted.
+    pub fn from_sorted_words(packing: &KeyPacking, words: &[u64]) -> ColumnarTrie {
+        assert!(packing.fits(), "from_sorted_words needs a one-word packing");
+        debug_assert!(
+            words.windows(2).all(|w| w[0] <= w[1]),
+            "ColumnarTrie requires sorted words"
+        );
+        assert!(
+            (words.len() as u64) < u64::from(u32::MAX),
+            "ColumnarTrie offsets are u32; {} rows is too many",
+            words.len()
+        );
+        let a = packing.fields();
+        if a == 0 || words.is_empty() {
+            // The trie of no rows (a nullary trie holds none either).
+            return ColumnarTrie::build(&Relation::new(a));
+        }
+        let first = words[0];
+        // Each word with the first level it opens (`a` for a duplicate):
+        // level 0 for the first word.
+        let opening = || {
+            std::iter::once((first, 0)).chain(
+                words
+                    .windows(2)
+                    .map(|w| (w[1], packing.first_diff(w[1], w[0]))),
+            )
+        };
+        // Counting pass: a word opening level `d` adds a node to every
+        // level from `d` down.
+        let mut opened = vec![0usize; a + 1];
+        for (_, start) in opening() {
+            opened[start] += 1;
+        }
+        let sizes: Vec<usize> = opened[..a]
+            .iter()
+            .scan(0, |acc, &n| {
+                *acc += n;
+                Some(*acc)
+            })
+            .collect();
+        // One slot of slack per level takes the last word's unopened
+        // writes; the offsets' slack slot is the sentinel's.
+        let mut keys: Vec<Vec<Value>> = sizes.iter().map(|&n| vec![0; n + 1]).collect();
+        let mut offsets: Vec<Vec<u32>> = sizes[..a - 1].iter().map(|&n| vec![0; n + 1]).collect();
+        let mut next = vec![0usize; a];
+        for (k, start) in opening() {
+            for d in 0..a {
+                keys[d][next[d]] = packing.field(k, d);
+                if d + 1 < a {
+                    offsets[d][next[d]] = next[d + 1] as u32;
+                }
+                next[d] += usize::from(start <= d);
+            }
+        }
+        for (d, level) in keys.iter_mut().enumerate() {
+            level.truncate(sizes[d]);
+        }
+        for (d, offs) in offsets.iter_mut().enumerate() {
+            offs[sizes[d]] = sizes[d + 1] as u32;
+        }
+        let root = RankDirectory::build(&keys[0]);
+        ColumnarTrie {
+            arity: a,
+            rows: sizes[a - 1],
+            keys,
+            offsets,
+            root,
+        }
+    }
+
+    /// Nodes per level, root level first (for a relation, the distinct
+    /// prefixes of each length).
+    pub fn level_sizes(&self) -> Vec<usize> {
+        self.keys.iter().map(Vec::len).collect()
     }
 
     /// Number of columns (trie depth).

@@ -1,10 +1,12 @@
 //! Property tests: Tributary join vs a naive evaluator; trie-layout
 //! parity (row arrays vs B-trees vs the columnar level-segmented trie);
 //! the columnar leaf kernel and the rank directory vs the cursor leapfrog,
-//! sequence for sequence;
+//! sequence for sequence; the packed-word trie build vs the sorted-view
+//! build, struct for struct;
 //! Algorithm 1 optimality within the integral frontier; cost-model
 //! sanity; `RelStats` vs brute-force counting.
 
+use parjoin_common::sort::KeyPacking;
 use parjoin_common::{Relation, Value};
 use parjoin_core::hypercube::{HcConfig, ShareProblem};
 use parjoin_core::order::{OrderCostModel, RelStats};
@@ -806,5 +808,78 @@ fn dense_roots_honour_the_guard() {
         emitted_until_guard(&col, &order),
     ] {
         assert!(out.len() < full.len() && full.starts_with(&out));
+    }
+}
+
+/// One column's values: constant, a five-value domain, the same domain
+/// with `u64::MAX` in it, or the full `u64` width.
+fn column_value(mode: u8, raw: u64) -> Value {
+    match mode {
+        0 => 7,
+        1 => raw % 5,
+        2 if raw % 5 == 4 => u64::MAX,
+        2 => raw % 5,
+        _ => raw,
+    }
+}
+
+/// Bags of arity 0–4 whose columns each draw from one
+/// [`column_value`] mode, with a prefix of the rows repeated, plus a
+/// random permutation of the columns. Constant columns, duplicates,
+/// empty inputs, one full-width column (which packs) and spans of
+/// more than 64 bits (which do not) are all likely.
+fn arb_packable() -> impl Strategy<Value = (Relation, Vec<usize>)> {
+    let shape = (
+        0usize..=4,
+        proptest::collection::vec(0u8..4, 4),
+        proptest::collection::vec(any::<u64>(), 4),
+    );
+    let rows = (
+        proptest::collection::vec(proptest::collection::vec(any::<u64>(), 4), 0..=40),
+        0usize..=20,
+    );
+    (shape, rows).prop_map(|((arity, modes, perm), (raw, dups))| {
+        let mut rel = Relation::new(arity);
+        for r in raw.iter().chain(raw.iter().take(dups)) {
+            let row: Vec<Value> = (0..arity).map(|c| column_value(modes[c], r[c])).collect();
+            rel.push_row(&row);
+        }
+        let mut cols: Vec<usize> = (0..arity).collect();
+        cols.sort_by_key(|&c| perm[c]);
+        (rel, cols)
+    })
+}
+
+/// Bits that vary in column `c` of `rel`.
+fn varying_width(rel: &Relation, c: usize) -> u32 {
+    let vary = rel.rows().fold(0, |m, r| m | (r[c] ^ rel.row(0)[c]));
+    64 - vary.leading_zeros()
+}
+
+/// The packed-word build equals the sorted-view build whenever the
+/// packing fits one word, and the packing fits exactly when the
+/// columns' varying bits sum to at most 64.
+fn assert_packed_build_matches(rel: &Relation, cols: &[usize]) {
+    let want = ColumnarTrie::build(&rel.sorted_by_columns(cols));
+    let (n, arity) = (rel.len(), rel.arity());
+    let packing = KeyPacking::new(rel.raw(), arity, 0, n, cols);
+    let width: u32 = match n {
+        0 => 0,
+        _ => cols.iter().map(|&c| varying_width(rel, c)).sum(),
+    };
+    assert_eq!(packing.fits(), width <= 64, "{rel:?} {cols:?}");
+    if packing.fits() {
+        let words = packing.sorted_words(rel.raw(), arity, 0, n);
+        let got = ColumnarTrie::from_sorted_words(&packing, &words);
+        assert_eq!(got, want, "{rel:?} {cols:?}");
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    #[test]
+    fn packed_words_build_the_sorted_view_trie(case in arb_packable()) {
+        assert_packed_build_matches(&case.0, &case.1);
     }
 }

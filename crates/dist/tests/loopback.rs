@@ -153,9 +153,9 @@ fn semijoin_plans_match_local_over_real_sockets() {
     }
 }
 
-/// A mesh rank prepares through the process-wide sort and trie caches
-/// like any in-process worker: the second HC_TJ run on one persistent
-/// session finds its sorted views and tries resident. (The Local run
+/// A mesh rank prepares through the process-wide trie cache like any
+/// in-process worker: the second HC_TJ run on one persistent session
+/// finds its tries resident, and neither run sorts a view. (The Local run
 /// comes last — it shuffles to the very same partitions and would warm
 /// the caches for the mesh.)
 #[test]
@@ -175,19 +175,23 @@ fn second_run_on_a_session_hits_the_prepare_caches() {
     let mut remote = RemoteCluster::connect(&addrs, Duration::from_secs(20)).expect("connect");
     remote.reply_timeout = Some(Duration::from_secs(60));
 
+    // No test here prepares the row layout, the SortCache's only user.
+    let sort_lookups = || {
+        let s = SortCache::global().stats();
+        s.hits + s.misses
+    };
+    let sort_before = sort_lookups();
     let first = remote
         .run(&spec.query, &db, &cluster, s, j, &opts)
         .expect("first remote run");
-    let (sort_hits, trie_hits) = (
-        SortCache::global().stats().hits,
-        TrieCache::global().stats().hits,
-    );
+    let trie_hits = TrieCache::global().stats().hits;
     let second = remote
         .run(&spec.query, &db, &cluster, s, j, &opts)
         .expect("second remote run");
-    assert!(
-        SortCache::global().stats().hits > sort_hits,
-        "the second mesh run found no sorted view in the SortCache"
+    assert_eq!(
+        sort_lookups(),
+        sort_before,
+        "the mesh runs' columnar prepare consulted the SortCache"
     );
     assert!(
         TrieCache::global().stats().hits > trie_hits,

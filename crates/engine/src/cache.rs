@@ -3,7 +3,7 @@
 //!
 //! The caches implement the same policy — `(content fingerprint,
 //! columns)` keys hit on equality, LRU eviction under a byte capacity,
-//! build-outside-the-lock, racing inserts keep the incumbent — over
+//! build-outside-the-lock, one build per key at a time — over
 //! different payloads (sorted `Relation` views, prepared
 //! `ColumnarTrie`s, `RelStats` counts). [`KeyedCache`] is that policy
 //! once; the public cache types are thin wrappers choosing the payload
@@ -16,8 +16,8 @@
 //! parallel-correct is a property of the whole plan, proved once per
 //! plan by the certifier (R420), not per lookup.
 
-use std::collections::HashMap;
-use std::sync::{Arc, Mutex, PoisonError};
+use std::collections::{HashMap, HashSet};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
 
 /// Outcome of a cache lookup, for per-run stat tallies.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -74,8 +74,13 @@ struct Entry<P> {
     last_used: u64,
 }
 
+/// A cache key: content fingerprint and column permutation.
+type Key = (u128, Vec<usize>);
+
 struct Inner<P> {
-    map: HashMap<(u128, Vec<usize>), Entry<P>>,
+    map: HashMap<Key, Entry<P>>,
+    /// Keys whose payload a missed lookup is building right now.
+    building: HashSet<Key>,
     resident: usize,
     capacity: usize,
     tick: u64,
@@ -88,6 +93,32 @@ struct Inner<P> {
 /// payloads.
 pub(crate) struct KeyedCache<P> {
     inner: Mutex<Inner<P>>,
+    /// Signalled whenever a build ends, inserted or not.
+    built: Condvar,
+}
+
+/// Clears its key's `building` mark when the build ends — also when it
+/// unwinds, so a panicking build never leaves waiters asleep.
+struct Building<'a, P> {
+    cache: &'a KeyedCache<P>,
+    key: &'a Key,
+}
+
+impl<P> Drop for Building<'_, P> {
+    fn drop(&mut self) {
+        let mut inner = self.cache.lock();
+        inner.building.remove(self.key);
+        drop(inner);
+        self.cache.built.notify_all();
+    }
+}
+
+impl<P> KeyedCache<P> {
+    /// The state, also after a panic elsewhere poisoned the lock: no
+    /// update leaves it inconsistent midway.
+    fn lock(&self) -> MutexGuard<'_, Inner<P>> {
+        self.inner.lock().unwrap_or_else(PoisonError::into_inner)
+    }
 }
 
 impl<P: CachePayload> KeyedCache<P> {
@@ -95,8 +126,10 @@ impl<P: CachePayload> KeyedCache<P> {
     /// every lookup misses and nothing is inserted).
     pub(crate) fn with_capacity(capacity: usize) -> KeyedCache<P> {
         KeyedCache {
+            built: Condvar::new(),
             inner: Mutex::new(Inner {
                 map: HashMap::new(),
+                building: HashSet::new(),
                 resident: 0,
                 capacity,
                 tick: 0,
@@ -116,7 +149,12 @@ impl<P: CachePayload> KeyedCache<P> {
     /// `max_entry_bytes` caps the size of any *inserted* payload — pass
     /// the run's memory budget so a payload too large for a worker's
     /// memory is returned but never pinned in the cache. `build` runs
-    /// outside the lock.
+    /// outside the lock. A lookup of a key another lookup is building
+    /// waits for that build instead of repeating it, so concurrent
+    /// workers holding the same fragment (a HyperCube replica) build it
+    /// once, and hits and misses do not depend on thread timing. A build
+    /// that is not inserted (over the budget or the capacity) wakes its
+    /// waiters to miss and build in turn.
     pub(crate) fn lookup_or_build<F>(
         &self,
         fp: u128,
@@ -128,8 +166,8 @@ impl<P: CachePayload> KeyedCache<P> {
         F: FnOnce() -> P,
     {
         let key = (fp, cols.to_vec());
-        {
-            let mut inner = self.inner.lock().unwrap_or_else(PoisonError::into_inner);
+        let mut inner = self.lock();
+        loop {
             inner.tick += 1;
             let tick = inner.tick;
             if let Some(e) = inner.map.get_mut(&key) {
@@ -138,20 +176,29 @@ impl<P: CachePayload> KeyedCache<P> {
                 inner.hits += 1;
                 return (payload, Lookup::Hit);
             }
-            inner.misses += 1;
+            if !inner.building.contains(&key) {
+                break;
+            }
+            inner = self
+                .built
+                .wait(inner)
+                .unwrap_or_else(PoisonError::into_inner);
         }
+        inner.misses += 1;
+        inner.building.insert(key.clone());
+        drop(inner);
         // Build outside the lock: concurrent workers preparing different
-        // relations must not serialize on the cache mutex.
+        // relations must not serialize on the cache mutex. The mark is
+        // cleared only after the insert below, so a waiter wakes to a hit.
+        let _building = Building {
+            cache: self,
+            key: &key,
+        };
         let payload = Arc::new(build());
         let bytes = payload.approx_bytes();
-        let mut inner = self.inner.lock().unwrap_or_else(PoisonError::into_inner);
+        let mut inner = self.lock();
         let fits_budget = max_entry_bytes.is_none_or(|cap| bytes <= cap);
         if bytes <= inner.capacity && fits_budget {
-            // An insert racing a concurrent identical insert keeps the
-            // incumbent (the payloads are identical by construction).
-            if inner.map.contains_key(&key) {
-                return (payload, Lookup::Miss);
-            }
             while inner.resident + bytes > inner.capacity {
                 let Some(victim) = inner
                     .map
@@ -170,7 +217,7 @@ impl<P: CachePayload> KeyedCache<P> {
             let tick = inner.tick;
             inner.resident += bytes;
             inner.map.insert(
-                key,
+                key.clone(),
                 Entry {
                     payload: Arc::clone(&payload),
                     bytes,
@@ -183,7 +230,7 @@ impl<P: CachePayload> KeyedCache<P> {
 
     /// Cumulative counters since process start (or [`KeyedCache::clear`]).
     pub(crate) fn stats(&self) -> CacheStats {
-        let inner = self.inner.lock().unwrap_or_else(PoisonError::into_inner);
+        let inner = self.lock();
         CacheStats {
             hits: inner.hits,
             misses: inner.misses,
@@ -193,9 +240,10 @@ impl<P: CachePayload> KeyedCache<P> {
         }
     }
 
-    /// Drops every entry and resets the counters.
+    /// Drops every entry and resets the counters (builds in flight
+    /// finish and insert as usual).
     pub(crate) fn clear(&self) {
-        let mut inner = self.inner.lock().unwrap_or_else(PoisonError::into_inner);
+        let mut inner = self.lock();
         inner.map.clear();
         inner.resident = 0;
         inner.hits = 0;

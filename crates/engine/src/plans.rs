@@ -181,7 +181,8 @@ pub enum TrieLayout {
     /// Columnar level-segmented tries (`ColumnarTrie`): per-level
     /// contiguous key arrays + CSR child offsets, branch-free chunked
     /// galloping, and cross-query reuse through the process-wide
-    /// [`TrieCache`]. Byte-identical output to `Row`.
+    /// [`TrieCache`], whose misses pack, sort and emit the trie without
+    /// a sorted view. Byte-identical output to `Row`.
     #[default]
     Columnar,
 }
@@ -216,11 +217,14 @@ pub struct PlanOptions {
     /// one extra hash shuffle on the head columns (counted in the
     /// metrics), and replace the projected output, count column last.
     pub group_count: bool,
-    /// Prepare Tributary atoms serially and without the sorted-view
-    /// cache (plain [`SortedAtom::prepare`]). The default (`false`)
-    /// prepare path serves sorted views from the process-wide
-    /// [`SortCache`] and sorts misses with the intra-worker parallel
-    /// sort; both are byte-identical to the sequential path. One of the
+    /// Prepare Tributary atoms serially and without a cache (plain
+    /// [`SortedAtom::prepare`] / `ColumnarAtom::prepare`: sort a view,
+    /// build from it). The default (`false`) prepare path serves
+    /// columnar tries from the process-wide [`TrieCache`], building
+    /// misses with the pack → sort → emit kernel
+    /// ([`prepare::columnar_trie`]), and the row layout's sorted views
+    /// from the [`SortCache`], sorting misses with the intra-worker
+    /// parallel sort; both are byte-identical to the sequential path. One of the
     /// three knobs of the *reference configuration* (`Local` transport +
     /// `sequential_prepare` + `sequential_probe` + [`TrieLayout::Row`]),
     /// the oracle the parity matrix and the e2e harness compare the
@@ -340,10 +344,12 @@ pub struct RunResult {
 pub mod metric_names {
     /// Result tuples (bag semantics over the head projection).
     pub const OUTPUT_TUPLES: &str = "engine.output.tuples";
-    /// Tributary prepare lookups served from the process-wide
-    /// [`SortCache`](crate::SortCache).
+    /// Row-layout Tributary prepare lookups served from the
+    /// process-wide [`SortCache`](crate::SortCache) (never counted on
+    /// the default columnar layout, which consults only the
+    /// [`TrieCache`](crate::TrieCache)).
     pub const SORT_CACHE_HITS: &str = "engine.sortcache.hits";
-    /// Tributary prepare lookups that sorted fresh.
+    /// Row-layout Tributary prepare lookups that sorted fresh.
     pub const SORT_CACHE_MISSES: &str = "engine.sortcache.misses";
     /// Process-wide sort-cache evictions during this run (the
     /// cumulative counter's delta between run start and finish).
@@ -379,6 +385,11 @@ pub mod metric_names {
     pub const TRIE_CACHE_HITS: &str = "engine.triecache.hits";
     /// Columnar trie prepare lookups that built the trie fresh.
     pub const TRIE_CACHE_MISSES: &str = "engine.triecache.misses";
+    /// Prefix of the prepare's per-level trie sizes:
+    /// `engine.trie.keys.l{d}` counts the level-`d` nodes of every trie
+    /// this run built on a [`TrieCache`](crate::TrieCache) miss, summed
+    /// over atoms and workers (hits add nothing).
+    pub const TRIE_KEYS_PREFIX: &str = "engine.trie.keys.l";
     /// Process-wide trie-cache evictions during this run.
     pub const TRIE_CACHE_EVICTIONS: &str = "engine.triecache.evictions";
     /// Bytes resident in the process-wide trie cache at run end (a
@@ -452,6 +463,15 @@ impl RunObs {
             for (d, &n) in tallies.iter().enumerate() {
                 self.registry.add(&format!("{prefix}{d}"), n);
             }
+        }
+    }
+
+    /// Adds the nodes per level of a trie the TrieCache missed on as
+    /// `engine.trie.keys.l{d}`.
+    fn count_trie_keys(&self, trie: &ColumnarTrie) {
+        for (d, n) in trie.level_sizes().into_iter().enumerate() {
+            self.registry
+                .add(&format!("{}{d}", metric_names::TRIE_KEYS_PREFIX), n as u64);
         }
     }
 
@@ -1672,20 +1692,41 @@ fn run_one_round(
                         (t as usize).saturating_mul(cols.len().max(1) * std::mem::size_of::<u64>())
                     })
                 };
-                // Both cache layers key by the *base* fragment's content
-                // fingerprint — computed once here, reused by both.
-                let cached_view = |fp: u128, r: &Relation, cols: &[usize]| {
+                // The row layout's sorted views come from the SortCache…
+                let cached_view = |r: &Relation, cols: &[usize]| {
                     let sort = |r: &Relation, cols: &[usize]| {
                         prepare::sorted_by_columns_parallel(r, cols, prep_threads)
                     };
                     let (view, lookup) =
-                        SortCache::global().get_or_sort_keyed(fp, r, cols, entry_cap(cols), sort);
+                        SortCache::global().get_or_sort(r, cols, entry_cap(cols), sort);
                     obs.count_lookup(
                         lookup,
                         metric_names::SORT_CACHE_HITS,
                         metric_names::SORT_CACHE_MISSES,
                     );
                     view
+                };
+                // …and the columnar layout's tries from the TrieCache,
+                // which on a miss packs, sorts and emits the trie in one
+                // kernel: no sorted view is made, let alone cached.
+                let cached_trie = |r: &Relation, cols: &[usize]| {
+                    let build = || {
+                        let trie = prepare::columnar_trie(r, cols, prep_threads);
+                        obs.count_trie_keys(&trie);
+                        trie
+                    };
+                    let (trie, lookup) = TrieCache::global().get_or_build(
+                        r.fingerprint(),
+                        cols,
+                        entry_cap(cols),
+                        build,
+                    );
+                    obs.count_lookup(
+                        lookup,
+                        metric_names::TRIE_CACHE_HITS,
+                        metric_names::TRIE_CACHE_MISSES,
+                    );
+                    trie
                 };
                 let (probed, sort_time) = match opts.trie_layout {
                     TrieLayout::Row => tj.run(
@@ -1695,9 +1736,7 @@ fn run_one_round(
                             if opts.sequential_prepare {
                                 SortedAtom::prepare(&l.rel, &l.vars, order)
                             } else {
-                                SortedAtom::prepare_with(&l.rel, &l.vars, order, |r, cols| {
-                                    cached_view(r.fingerprint(), r, cols)
-                                })
+                                SortedAtom::prepare_with(&l.rel, &l.vars, order, cached_view)
                             }
                         },
                         |i, sa: &SortedAtom| {
@@ -1715,30 +1754,7 @@ fn run_one_round(
                             if opts.sequential_prepare {
                                 ColumnarAtom::prepare(&l.rel, &l.vars, order)
                             } else {
-                                ColumnarAtom::prepare_with(&l.rel, &l.vars, order, |r, cols| {
-                                    let fp = r.fingerprint();
-                                    // SortCache first — the sorted view
-                                    // stays shared with row-layout and
-                                    // merge-join consumers of the same
-                                    // fragment…
-                                    let view = cached_view(fp, r, cols);
-                                    // …then the TrieCache layered on
-                                    // top, reusing the whole prepared
-                                    // trie across queries under the
-                                    // same key.
-                                    let (trie, lookup) = TrieCache::global().get_or_build(
-                                        fp,
-                                        cols,
-                                        entry_cap(cols),
-                                        || ColumnarTrie::build(&view),
-                                    );
-                                    obs.count_lookup(
-                                        lookup,
-                                        metric_names::TRIE_CACHE_HITS,
-                                        metric_names::TRIE_CACHE_MISSES,
-                                    );
-                                    trie
-                                })
+                                ColumnarAtom::prepare_with(&l.rel, &l.vars, order, cached_trie)
                             }
                         },
                         |i, ca: &ColumnarAtom| {

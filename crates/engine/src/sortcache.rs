@@ -1,8 +1,8 @@
-//! Worker-level cache of sorted relation views.
+//! Worker-level cache of sorted relation views, for the row trie layout.
 //!
 //! The experiment harness runs the same base relations through 8 queries
-//! × 6 configs; without a cache every `SortedAtom::prepare` re-sorts
-//! from scratch even when an identical `(relation, column permutation)`
+//! × 6 configs; without a cache every `SortedAtom::prepare` of the
+//! [`TrieLayout::Row`](crate::TrieLayout::Row) path re-sorts from scratch even when an identical `(relation, column permutation)`
 //! pair was sorted seconds ago — and the prepare phase dominates local
 //! time (paper Table 5). Entries are keyed by the relation's 128-bit
 //! content fingerprint plus the column permutation, so a cache hit is a
@@ -22,8 +22,9 @@
 //!
 //! The lookup/eviction machinery itself lives in
 //! the crate's `KeyedCache`, shared with the columnar
-//! [`TrieCache`](crate::TrieCache) that layers on top of this cache on
-//! the columnar probe path.
+//! [`TrieCache`](crate::TrieCache). The default columnar layout never
+//! consults this cache: it sorts packed words straight into tries and
+//! caches those (see `crate::prepare::columnar_trie`).
 
 use crate::cache::KeyedCache;
 pub use crate::cache::{CacheStats, Lookup};
@@ -74,25 +75,8 @@ impl SortCache {
     where
         F: FnOnce(&Relation, &[usize]) -> Relation,
     {
-        self.get_or_sort_keyed(rel.fingerprint(), rel, cols, max_entry_bytes, sort)
-    }
-
-    /// Lookup with a caller-supplied fingerprint, so layered caches (the
-    /// TrieCache keys by the same base-relation fingerprint) hash the
-    /// relation once per prepare instead of once per layer.
-    pub(crate) fn get_or_sort_keyed<F>(
-        &self,
-        fp: u128,
-        rel: &Relation,
-        cols: &[usize],
-        max_entry_bytes: Option<usize>,
-        sort: F,
-    ) -> (Arc<Relation>, Lookup)
-    where
-        F: FnOnce(&Relation, &[usize]) -> Relation,
-    {
         self.cache
-            .lookup_or_build(fp, cols, max_entry_bytes, || sort(rel, cols))
+            .lookup_or_build(rel.fingerprint(), cols, max_entry_bytes, || sort(rel, cols))
     }
 
     /// Cumulative counters since process start (or [`SortCache::clear`]).

@@ -1,23 +1,17 @@
 //! Worker-level cache of prepared columnar tries.
 //!
-//! The [`SortCache`](crate::SortCache) amortizes the *sort* across
-//! queries; on the columnar probe path the trie *construction* (dedup +
-//! CSR offsets over the sorted view) is the next repeated cost, and a
-//! prepared [`ColumnarTrie`] is exactly as reusable as the sorted view
-//! it was built from: the build is a deterministic function of
-//! `(relation content, column permutation)`. The TrieCache therefore
-//! layers on top of the SortCache with the *same key discipline* —
-//! `(base-relation fingerprint, cols)`, a hit on equality — so a served
-//! query stream reuses whole tries, not just sorted views.
+//! A prepared [`ColumnarTrie`] is a deterministic function of
+//! `(base-relation content, column permutation)`, so the TrieCache keys
+//! it by `(base-relation fingerprint, cols)`, a hit on equality, and a
+//! served query stream reuses whole tries. It is the columnar layout's
+//! one prepare cache: the prepare looks the trie up first and, on a
+//! miss, builds it with the pack → sort → emit kernel
+//! (`crate::prepare::columnar_trie`) without making or caching a sorted
+//! view. The [`SortCache`](crate::SortCache) serves only the row layout.
 //!
-//! Keying by the *base* relation's fingerprint (not the sorted view's)
-//! is sound precisely because the sorted view is itself deterministic
-//! from `(base content, cols)` — and it means one fingerprint
-//! computation serves both cache layers on a miss.
-//!
-//! Same policy as the SortCache (both wrap
-//! the crate's `KeyedCache`): process-wide singleton, LRU eviction
-//! under a byte capacity, build outside the lock, and a per-run
+//! Same policy as the SortCache (both wrap the crate's `KeyedCache`):
+//! process-wide singleton, LRU eviction under a byte capacity, build
+//! outside the lock, one build per key at a time, and a per-run
 //! `max_entry_bytes` budget cap.
 
 use crate::cache::KeyedCache;
@@ -26,7 +20,8 @@ use parjoin_core::tributary::ColumnarTrie;
 use std::sync::{Arc, OnceLock};
 
 /// Default capacity in bytes — matches the SortCache default; the
-/// deduplicated trie of a view is never larger than the view itself.
+/// deduplicated trie of a relation is never larger than its sorted
+/// view.
 pub const DEFAULT_CAPACITY_BYTES: usize = crate::sortcache::DEFAULT_CAPACITY_BYTES;
 
 /// An LRU cache mapping `(base-relation fingerprint, column
@@ -52,7 +47,8 @@ impl TrieCache {
 
     /// Returns the prepared trie for the base relation whose content
     /// fingerprint is `fp` permuted by `cols`, building it via `build`
-    /// on a miss.
+    /// on a miss (or waiting for a concurrent lookup already building
+    /// the same key, which then counts as a hit).
     ///
     /// `max_entry_bytes` caps the size of any *inserted* trie — pass the
     /// run's memory budget, as with
@@ -121,6 +117,34 @@ mod tests {
         cache.get_or_build(b.fingerprint(), &[0, 1], None, build_for(&b, &[0, 1]));
         let s = cache.stats();
         assert_eq!((s.entries, s.hits, s.misses), (3, 0, 3));
+    }
+
+    #[test]
+    fn a_lookup_waits_for_the_same_key_in_flight() {
+        let cache = TrieCache::with_capacity(1 << 20);
+        let rel = sample(4);
+        let fp = rel.fingerprint();
+        let (entered, started) = std::sync::mpsc::channel();
+        let builds = std::sync::atomic::AtomicUsize::new(0);
+        // The assertions hold under any interleaving: the second lookup
+        // starts once the first is building, and finds the entry or the
+        // build in flight. The pause only keeps the build in flight, so
+        // the wait is what usually runs.
+        let build = || {
+            builds.fetch_add(1, std::sync::atomic::Ordering::SeqCst);
+            let _ = entered.send(());
+            std::thread::sleep(std::time::Duration::from_millis(50));
+            ColumnarTrie::build(&rel.sorted_by_columns(&[0, 1]))
+        };
+        let (first, second) = std::thread::scope(|scope| {
+            let first = scope.spawn(|| cache.get_or_build(fp, &[0, 1], None, build));
+            started.recv().expect("the first lookup builds");
+            let second = cache.get_or_build(fp, &[0, 1], None, || unreachable!("built twice"));
+            (first.join().expect("first lookup"), second)
+        });
+        assert_eq!((first.1, second.1), (Lookup::Miss, Lookup::Hit));
+        assert!(Arc::ptr_eq(&first.0, &second.0));
+        assert_eq!(builds.into_inner(), 1);
     }
 
     #[test]

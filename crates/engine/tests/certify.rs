@@ -9,7 +9,7 @@ use parjoin_analyze::policy::{AtomRoute, Family, Pin, Policy, Verdict};
 use parjoin_common::hash;
 use parjoin_datagen::{all_queries, Scale};
 use parjoin_engine::{
-    run_config, Cluster, DiagCode, JoinAlg, PlanOptions, ShuffleAlg, PAPER_CONFIGS,
+    run_config, Cluster, DiagCode, JoinAlg, PlanOptions, ShuffleAlg, TrieLayout, PAPER_CONFIGS,
 };
 use parjoin_query::VarId;
 
@@ -112,27 +112,39 @@ fn miswired_policy_is_refuted_with_a_concrete_valuation() {
 
 #[test]
 fn warm_certified_runs_hit_both_caches() {
-    // Two identical HyperCube/Tributary runs: the certificate is a
-    // proof attached to the plan and leaves caching alone, so every
-    // sorted view and trie of the second run comes out of the cache.
+    // Two identical HyperCube/Tributary runs per trie layout: the
+    // certificate is a proof attached to the plan and leaves caching
+    // alone, so every trie (columnar) and every sorted view (row) of the
+    // second run comes out of its layout's cache.
     let spec = all_queries().remove(0);
     let db = Scale::tiny().db_for(spec.dataset, 7);
     let cluster = Cluster::new(8);
-    let run = || {
+    let run = |trie_layout| {
+        let opts = PlanOptions {
+            trie_layout,
+            ..Default::default()
+        };
         run_config(
             &spec.query,
             &db,
             &cluster,
             ShuffleAlg::HyperCube,
             JoinAlg::Tributary,
-            &PlanOptions::default(),
+            &opts,
         )
         .unwrap_or_else(|e| panic!("{e}"))
     };
-    run();
-    let second = run();
+    run(TrieLayout::Row);
+    let row = run(TrieLayout::Row);
     assert!(
-        second.sort_cache_hits > 0 && second.trie_cache_hits > 0,
+        row.sort_cache_hits > 0 && row.sort_cache_misses == 0,
+        "warm row run must re-sort nothing: {}",
+        row.report()
+    );
+    run(TrieLayout::Columnar);
+    let second = run(TrieLayout::Columnar);
+    assert!(
+        second.trie_cache_hits > 0 && second.sort_cache_hits == 0,
         "{}",
         second.report()
     );

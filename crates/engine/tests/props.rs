@@ -1,11 +1,13 @@
 //! Property tests for the engine's shuffles and local joins.
 
+use parjoin_common::hash::hash64;
 use parjoin_common::Relation;
 use parjoin_core::hypercube::HcConfig;
+use parjoin_core::tributary::ColumnarTrie;
 use parjoin_core::tributary::{SortedAtom, Tributary};
 use parjoin_engine::dist::DistRel;
 use parjoin_engine::local::{hash_join, merge_join, semijoin, SchemaRel};
-use parjoin_engine::prepare::sorted_by_columns_parallel;
+use parjoin_engine::prepare::{columnar_trie, sorted_by_columns_parallel};
 use parjoin_engine::probe::morsel_bounds;
 use parjoin_engine::shuffle;
 use parjoin_engine::{
@@ -324,5 +326,55 @@ proptest! {
         let cols: Vec<usize> = if swap { vec![1, 0] } else { vec![0, 1] };
         let par = sorted_by_columns_parallel(&rel, &cols, threads);
         prop_assert_eq!(par.raw(), rel.sorted_by_columns(&cols).raw());
+    }
+}
+
+/// Inputs for the columnar prepare kernel: a bag of arity 0–4 whose
+/// columns are each constant, over a five-value domain, over that
+/// domain with `u64::MAX`, or full-width; a column permutation; and a
+/// thread count of 1–4. Half the bags are small (up to 40 rows, a
+/// repeated prefix among them) and half are large enough for the
+/// chunked parallel path.
+fn arb_prepare_input() -> impl Strategy<Value = (Relation, Vec<usize>, usize)> {
+    let shape = (
+        0usize..=4,
+        proptest::collection::vec(0u8..4, 4),
+        proptest::collection::vec(any::<u64>(), 4),
+    );
+    let size = (any::<u64>(), 0usize..=40, any::<bool>(), 1usize..=4);
+    (shape, size).prop_map(|((arity, modes, perm), (seed, small, large, threads))| {
+        let n = if large { 8_192 + small * 50 } else { small };
+        let mut rel = Relation::new(arity);
+        for i in 0..n as u64 {
+            // Rows past the first half of a small bag repeat earlier ones.
+            let r = if large { i } else { i % (n as u64 / 2 + 1) };
+            let row: Vec<u64> = (0..arity as u64)
+                .map(|c| {
+                    let raw = hash64(r * 8 + c, seed);
+                    match modes[c as usize] {
+                        0 => 7,
+                        1 => raw % 5,
+                        2 if raw % 5 == 4 => u64::MAX,
+                        2 => raw % 5,
+                        _ => raw,
+                    }
+                })
+                .collect();
+            rel.push_row(&row);
+        }
+        let mut cols: Vec<usize> = (0..arity).collect();
+        cols.sort_by_key(|&c| perm[c]);
+        (rel, cols, threads)
+    })
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    #[test]
+    fn columnar_prepare_equals_build_over_the_sorted_view(case in arb_prepare_input()) {
+        let (rel, cols, threads) = case;
+        let want = ColumnarTrie::build(&rel.sorted_by_columns(&cols));
+        prop_assert_eq!(columnar_trie(&rel, &cols, threads), want);
     }
 }

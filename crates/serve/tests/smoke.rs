@@ -128,7 +128,7 @@ fn overloaded_server_sheds_typed_and_serves_byte_identical() {
     }
 
     // Coverage pass: every workload query at least once, served after
-    // the flood warmed the SortCache.
+    // the flood warmed the TrieCache.
     for &name in &queries::NAMES {
         let outcome = session
             .submit_named(name)
@@ -276,7 +276,8 @@ fn session_cap_rejects_with_typed_error() {
 fn repeat_queries_warm_both_caches() {
     let server = start_loaded_server();
     // Pin a Tributary config: the columnar probe path is what populates
-    // the SortCache and the TrieCache (hash joins touch neither).
+    // the TrieCache (hash joins touch no prepare cache, and the columnar
+    // prepare never touches the SortCache).
     let session = server.session(SessionConfig {
         choice: ConfigChoice::parse("HC_TJ").expect("known config"),
         ..SessionConfig::default()
@@ -296,16 +297,21 @@ fn repeat_queries_warm_both_caches() {
         second.output.as_ref().expect("collected").raw(),
         "warm run must be byte-identical to the cold run"
     );
-    // The repeat reuses every sorted view and whole prepared trie: each
-    // per-atom lookup of the warm run hits, none misses.
+    // The repeat reuses every whole prepared trie: each per-atom lookup
+    // of the warm run hits, none misses, and neither run sorts a view.
     assert!(
-        second.sort_cache_hits > 0 && second.trie_cache_hits > 0,
-        "warm run must hit both caches, got {second:?}"
+        first.trie_cache_misses + first.trie_cache_hits > 0 && second.trie_cache_hits > 0,
+        "warm run must hit the trie cache, got {second:?}"
     );
     assert_eq!(
         (second.sort_cache_misses, second.trie_cache_misses),
         (0, 0),
         "warm run must not re-sort or rebuild anything"
+    );
+    assert_eq!(
+        first.sort_cache_hits + first.sort_cache_misses + second.sort_cache_hits,
+        0,
+        "the columnar prepare must not consult the SortCache"
     );
     // The serve-level counters aggregate the per-run tallies.
     for (name, per_run) in [
@@ -316,6 +322,10 @@ fn repeat_queries_warm_both_caches() {
         (
             "serve.triecache.hits",
             first.trie_cache_hits + second.trie_cache_hits,
+        ),
+        (
+            "serve.triecache.misses",
+            first.trie_cache_misses + second.trie_cache_misses,
         ),
     ] {
         assert_eq!(server.metric(name), Some(per_run), "{name}");

@@ -1,20 +1,22 @@
-//! Concurrent `run_config` calls sharing the ONE process-wide SortCache.
+//! Concurrent `run_config` calls sharing the process-wide prepare caches.
 //!
 //! N threads run the mixed Q1–Q8 workload through the cache-touching
-//! Tributary configurations (BR_TJ, HC_TJ) simultaneously, each thread
-//! starting at a different offset so they collide on the same cache
-//! keys mid-flight. The contract under contention:
+//! Tributary configurations (BR_TJ, HC_TJ) on both trie layouts
+//! simultaneously, each thread starting at a different offset so they
+//! collide on the same cache keys mid-flight. The default columnar
+//! layout consults only the [`TrieCache`]; the row layout only the
+//! [`SortCache`]. The contract under contention:
 //!
 //! * every concurrent run is byte-identical to a sequential
 //!   (`sequential_prepare`, cache-bypassing) baseline;
 //! * no lock is poisoned — every thread joins cleanly and the cache
 //!   keeps serving afterwards;
 //! * the per-run hit/miss counters on [`RunResult`] reconcile
-//!   *exactly* with the global [`SortCache`] statistics delta: each
-//!   lookup is classified once, locally and globally alike;
-//! * the same exact reconciliation holds for the [`TrieCache`] layered
-//!   on top (the default columnar layout consults both: sorted view
-//!   first, prepared trie second);
+//!   *exactly* with the global [`SortCache`] statistics delta (the row
+//!   layout's runs): each lookup is classified once, locally and
+//!   globally alike;
+//! * the same exact reconciliation holds for the [`TrieCache`] (the
+//!   columnar runs), and each run touches only its layout's cache;
 //! * and for the [`StatsCache`] the planner reads: emptied just before
 //!   the threads start, so they analyse the relations cold and racing,
 //!   and every lookup is still one per-run hit or miss and one global
@@ -30,14 +32,18 @@ use parjoin::engine::{SortCache, StatsCache};
 use parjoin::prelude::*;
 use std::thread;
 
-/// The two configurations whose Tributary prepare phase consults the
-/// sort cache (Regular-shuffle TJ re-sorts per round and bypasses it).
+/// The two configurations whose Tributary prepare phase consults a
+/// prepare cache (Regular-shuffle TJ re-sorts per round and bypasses
+/// both).
 fn cache_configs() -> [(ShuffleAlg, JoinAlg); 2] {
     [
         (ShuffleAlg::Broadcast, JoinAlg::Tributary),
         (ShuffleAlg::HyperCube, JoinAlg::Tributary),
     ]
 }
+
+/// The two layouts, each with its own prepare cache.
+const LAYOUTS: [TrieLayout; 2] = [TrieLayout::Columnar, TrieLayout::Row];
 
 struct Baseline {
     name: String,
@@ -62,7 +68,9 @@ fn concurrent_mixed_runs_share_cache_and_counters_reconcile() {
             (spec, db)
         })
         .collect();
-    let n_units = work.len() * cache_configs().len();
+    // A unit is one (query, config) baseline run on one layout.
+    let n_baselines = work.len() * cache_configs().len();
+    let n_units = n_baselines * LAYOUTS.len();
 
     // Sequential baselines: cache bypassed, so these are independent of
     // anything the concurrent phase does.
@@ -71,7 +79,7 @@ fn concurrent_mixed_runs_share_cache_and_counters_reconcile() {
         sequential_prepare: true,
         ..Default::default()
     };
-    let mut baselines: Vec<Baseline> = Vec::with_capacity(n_units);
+    let mut baselines: Vec<Baseline> = Vec::with_capacity(n_baselines);
     for (spec, db) in &work {
         for (s, j) in cache_configs() {
             let r = run_config(&spec.query, db, &cluster, s, j, &seq_opts)
@@ -110,8 +118,9 @@ fn concurrent_mixed_runs_share_cache_and_counters_reconcile() {
     // once, starting `t` units into the rotation so different threads
     // hit the same keys at different times.
     const THREADS: usize = 4;
-    let opts = PlanOptions {
+    let opts_for = |layout| PlanOptions {
         collect_output: true,
+        trie_layout: layout,
         ..Default::default()
     };
     let per_thread: Vec<Vec<(usize, RunResult)>> = thread::scope(|sc| {
@@ -119,15 +128,18 @@ fn concurrent_mixed_runs_share_cache_and_counters_reconcile() {
             .map(|t| {
                 let work = &work;
                 let cluster = &cluster;
-                let opts = &opts;
+                let opts_for = &opts_for;
                 sc.spawn(move || {
                     let mut out = Vec::with_capacity(n_units);
                     for i in 0..n_units {
                         let unit = (i + t * 3) % n_units;
-                        let (spec, db) = &work[unit / cache_configs().len()];
-                        let (s, j) = cache_configs()[unit % cache_configs().len()];
-                        let r = run_config(&spec.query, db, cluster, s, j, opts)
-                            .unwrap_or_else(|e| panic!("{} {s:?}/{j:?}: {e}", spec.name));
+                        let (base, layout) = (unit % n_baselines, LAYOUTS[unit / n_baselines]);
+                        let (spec, db) = &work[base / cache_configs().len()];
+                        let (s, j) = cache_configs()[base % cache_configs().len()];
+                        let r = run_config(&spec.query, db, cluster, s, j, &opts_for(layout))
+                            .unwrap_or_else(|e| {
+                                panic!("{} {s:?}/{j:?} {layout:?}: {e}", spec.name)
+                            });
                         out.push((unit, r));
                     }
                     out
@@ -151,7 +163,8 @@ fn concurrent_mixed_runs_share_cache_and_counters_reconcile() {
     let (mut s_hits, mut s_misses) = (0u64, 0u64);
     for runs in &per_thread {
         for (unit, r) in runs {
-            let base = &baselines[*unit];
+            let base = &baselines[unit % n_baselines];
+            let layout = LAYOUTS[unit / n_baselines];
             let out = r.output.as_ref().expect("collected");
             assert_eq!(out.arity(), base.arity, "{}: arity drifted", base.name);
             assert_eq!(
@@ -165,18 +178,32 @@ fn concurrent_mixed_runs_share_cache_and_counters_reconcile() {
                 "{}: output count drifted",
                 base.name
             );
-            assert!(
-                r.sort_cache_hits + r.sort_cache_misses > 0,
-                "{}: TJ prepare recorded no cache lookups",
-                base.name
-            );
+            let sort_lookups = r.sort_cache_hits + r.sort_cache_misses;
+            let trie_lookups = r.trie_cache_hits + r.trie_cache_misses;
+            match layout {
+                TrieLayout::Row => {
+                    assert!(
+                        sort_lookups > 0,
+                        "{}: row TJ prepare recorded no cache lookups",
+                        base.name
+                    );
+                    assert_eq!(trie_lookups, 0, "{}: row TJ prepare built tries", base.name);
+                }
+                TrieLayout::Columnar => {
+                    assert!(
+                        trie_lookups > 0,
+                        "{}: columnar TJ prepare recorded no trie-cache lookups",
+                        base.name
+                    );
+                    assert_eq!(
+                        sort_lookups, 0,
+                        "{}: columnar TJ prepare consulted the SortCache",
+                        base.name
+                    );
+                }
+            }
             hits += r.sort_cache_hits;
             misses += r.sort_cache_misses;
-            assert!(
-                r.trie_cache_hits + r.trie_cache_misses > 0,
-                "{}: columnar TJ prepare recorded no trie-cache lookups",
-                base.name
-            );
             t_hits += r.trie_cache_hits;
             t_misses += r.trie_cache_misses;
             s_hits += r.metric(metric_names::STATS_CACHE_HITS).unwrap_or(0);
@@ -194,7 +221,7 @@ fn concurrent_mixed_runs_share_cache_and_counters_reconcile() {
     );
     assert!(hits > 0, "repeated identical queries must produce hits");
 
-    // The TrieCache layered on top reconciles just as exactly.
+    // The TrieCache reconciles just as exactly.
     assert_eq!(
         trie_after.hits - trie_before.hits,
         t_hits,
@@ -233,11 +260,12 @@ fn concurrent_mixed_runs_share_cache_and_counters_reconcile() {
     assert_eq!(after.evictions - before.evictions, 0);
     assert!(after.resident_bytes > 0, "no sorted views resident");
 
-    // The cache is still healthy after the contention: a fresh repeat
-    // run is served from cache, on the main thread.
+    // The caches are still healthy after the contention: a fresh repeat
+    // run on each layout is served from its cache, on the main thread.
     let (spec, db) = &work[0];
     let (s, j) = cache_configs()[0];
-    let again = run_config(&spec.query, db, &cluster, s, j, &opts).expect("post-contention run");
+    let again = run_config(&spec.query, db, &cluster, s, j, &opts_for(TrieLayout::Row))
+        .expect("post-contention row run");
     assert!(
         again.sort_cache_hits > 0 && again.sort_cache_misses == 0,
         "warm cache must serve a repeat of {} entirely from cache",
@@ -247,6 +275,15 @@ fn concurrent_mixed_runs_share_cache_and_counters_reconcile() {
         again.sort_cache_resident_bytes > 0,
         "resident-bytes gauge not populated on RunResult"
     );
+    let again = run_config(
+        &spec.query,
+        db,
+        &cluster,
+        s,
+        j,
+        &opts_for(TrieLayout::Columnar),
+    )
+    .expect("post-contention columnar run");
     assert!(
         again.trie_cache_hits > 0 && again.trie_cache_misses == 0,
         "warm trie cache must serve a repeat of {} without rebuilding",

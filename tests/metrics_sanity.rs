@@ -3,6 +3,21 @@
 //! and the Algorithm 1 workload model.
 
 use parjoin::prelude::*;
+use std::sync::{Mutex, PoisonError};
+
+/// Held by every test here that prepares the tiny data-seed-3 Q1/Q2
+/// partitions on cluster seed 11: they share trie-cache keys, so one
+/// test's runs would turn another's misses into hits and empty its
+/// `engine.trie.keys.l{d}` tallies.
+static SEED3_PARTITIONS: Mutex<()> = Mutex::new(());
+
+/// Takes [`SEED3_PARTITIONS`]; a test that panicked under it leaves
+/// the caches as consistent as any other run would.
+fn seed3_partitions() -> std::sync::MutexGuard<'static, ()> {
+    SEED3_PARTITIONS
+        .lock()
+        .unwrap_or_else(PoisonError::into_inner)
+}
 
 #[test]
 fn hypercube_shuffle_matches_expected_replication() {
@@ -176,6 +191,7 @@ fn tuples_shuffled_equals_sum_of_stats() {
 /// lists them.
 #[test]
 fn probe_level_tallies_are_exact_across_runs_and_transports() {
+    let _partitions = seed3_partitions();
     let spec = parjoin::datagen::workloads::q1();
     let db = Scale::tiny().twitter_db(3);
     let run = |transport| {
@@ -235,6 +251,7 @@ fn probe_level_tallies_are_exact_across_runs_and_transports() {
 /// leapfrog issues moves them, and must say so.
 #[test]
 fn probe_level_tallies_are_pinned_on_q1_and_q2() {
+    let _partitions = seed3_partitions();
     let db = Scale::tiny().twitter_db(3);
     let cluster = Cluster::new(4)
         .with_seed(11)
@@ -274,5 +291,74 @@ fn probe_level_tallies_are_pinned_on_q1_and_q2() {
         let got_seeks = levels(metric_names::PROBE_SEEKS_PREFIX);
         assert_eq!(got_steps, steps, "{}: steps per level", spec.name);
         assert_eq!(got_seeks, seeks, "{}: seeks per level", spec.name);
+    }
+}
+
+/// The exact prepare work of cold Q1 and Q2 under the settings of
+/// [`probe_level_tallies_are_pinned_on_q1_and_q2`]: every
+/// `engine.trie.keys.l{d}` tally — the trie nodes per level the
+/// prepare built on its trie-cache misses — pinned, and identical on
+/// the `Local`, `InProcess` and `Tcp` transports. Each run starts from
+/// an empty trie cache (a hit builds nothing and counts nothing), and a
+/// repeat of the last run on the warm cache counts no keys at all.
+#[test]
+fn trie_level_keys_are_pinned_on_q1_and_q2() {
+    let _partitions = seed3_partitions();
+    let db = Scale::tiny().twitter_db(3);
+    let opts = PlanOptions {
+        probe_threads: Some(1),
+        ..Default::default()
+    };
+    let pinned: [(QuerySpec, &[u64]); 2] = [
+        (parjoin::datagen::workloads::q1(), &[1273, 2622]),
+        (parjoin::datagen::workloads::q2(), &[2001, 4370]),
+    ];
+    let run = |spec: &QuerySpec, transport| {
+        let cluster = Cluster::new(4).with_seed(11).with_transport(transport);
+        run_config(
+            &spec.query,
+            &db,
+            &cluster,
+            ShuffleAlg::HyperCube,
+            JoinAlg::Tributary,
+            &opts,
+        )
+        .unwrap()
+    };
+    for (spec, keys) in pinned {
+        // Name-sorted, so level order for fewer than ten levels.
+        let levels = |r: &RunResult| -> Vec<u64> {
+            r.metrics
+                .iter()
+                .filter(|(n, _)| n.starts_with(metric_names::TRIE_KEYS_PREFIX))
+                .map(|&(_, v)| v)
+                .collect()
+        };
+        for transport in [
+            TransportKind::Local,
+            TransportKind::InProcess,
+            TransportKind::Tcp,
+        ] {
+            TrieCache::global().clear();
+            let r = run(&spec, transport);
+            assert_eq!(
+                levels(&r),
+                keys,
+                "{} on {transport}: trie keys per level",
+                spec.name
+            );
+        }
+        let warm = run(&spec, TransportKind::Local);
+        assert_eq!(
+            warm.trie_cache_misses, 0,
+            "{}: warm repeat missed",
+            spec.name
+        );
+        assert_eq!(
+            levels(&warm),
+            [],
+            "{}: a trie-cache hit counted keys",
+            spec.name
+        );
     }
 }

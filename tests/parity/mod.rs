@@ -12,11 +12,12 @@
 //! * The **reference configuration** is `Local` + `sequential_prepare` +
 //!   `sequential_probe` + `TrieLayout::Row`, as the e2e harness's
 //!   `oracle.rs` defines it: no caches, no threads, no wire.
-//! * The **production path** is `PlanOptions::default()` — SortCache +
-//!   TrieCache, parallel radix sort, columnar tries, work-stealing
-//!   morsel probe — varied only along [`Production`]: where the bytes go
-//!   (`Local`, `InProcess`, `Tcp`), how many probe threads, and how many
-//!   tuples ride in one frame.
+//! * The **production path** is `PlanOptions::default()` — columnar
+//!   tries from the TrieCache, built on a miss by the pack → sort → emit
+//!   kernel, and the work-stealing morsel probe — varied only along
+//!   [`Production`]: where the bytes go (`Local`, `InProcess`, `Tcp`),
+//!   how many probe threads, how many tuples ride in one frame, and
+//!   which trie layout prepares (`Row` sorts through the SortCache).
 //!
 //! Every cell also pins the accounting each run must report about
 //! itself ([`assert_reference`], [`assert_production`]), so a slice
@@ -47,6 +48,8 @@ pub struct Production {
     pub probe_threads: Option<usize>,
     /// `Cluster::batch_tuples`: rows per streamed frame.
     pub batch_tuples: usize,
+    /// The trie layout Tributary plans prepare.
+    pub layout: TrieLayout,
 }
 
 /// Rows per frame unless a slice says otherwise: small enough that even
@@ -61,7 +64,13 @@ impl Production {
             transport: TransportKind::Local,
             probe_threads,
             batch_tuples: BATCH_TUPLES,
+            layout: TrieLayout::Columnar,
         }
+    }
+
+    /// The same point with Tributary plans prepared in `layout`.
+    pub const fn with_layout(self, layout: TrieLayout) -> Production {
+        Production { layout, ..self }
     }
 
     /// A streaming transport at host-default probe threads.
@@ -75,6 +84,7 @@ impl Production {
             transport,
             probe_threads: None,
             batch_tuples,
+            layout: TrieLayout::Columnar,
         }
     }
 }
@@ -87,6 +97,9 @@ impl fmt::Display for Production {
         }
         if self.batch_tuples != BATCH_TUPLES {
             write!(f, " batch={}", self.batch_tuples)?;
+        }
+        if self.layout != TrieLayout::Columnar {
+            write!(f, " {:?}", self.layout)?;
         }
         Ok(())
     }
@@ -116,6 +129,7 @@ pub fn production_opts(p: Production) -> PlanOptions {
     PlanOptions {
         collect_output: true,
         probe_threads: p.probe_threads,
+        trie_layout: p.layout,
         ..Default::default()
     }
 }
@@ -157,7 +171,8 @@ pub fn production(
 }
 
 /// True for the plans with a Tributary prepare phase (one-round TJ):
-/// the only ones that consult SortCache and TrieCache.
+/// the only ones that consult a prepare cache — the TrieCache on the
+/// columnar layout, the SortCache on the row layout.
 pub fn prepares_tries(s: ShuffleAlg, j: JoinAlg) -> bool {
     j == JoinAlg::Tributary && s.is_one_round()
 }
@@ -222,8 +237,22 @@ pub fn assert_production(cell: &str, (s, j): (ShuffleAlg, JoinAlg), p: Productio
     let sort_lookups = r.sort_cache_hits + r.sort_cache_misses;
     let trie_lookups = r.trie_cache_hits + r.trie_cache_misses;
     if prepares_tries(s, j) {
-        assert!(sort_lookups > 0, "{cell}: TJ prepare skipped the SortCache");
-        assert!(trie_lookups > 0, "{cell}: TJ prepare skipped the TrieCache");
+        match p.layout {
+            TrieLayout::Columnar => {
+                assert!(trie_lookups > 0, "{cell}: TJ prepare skipped the TrieCache");
+                assert_eq!(
+                    sort_lookups, 0,
+                    "{cell}: columnar TJ prepare consulted the SortCache"
+                );
+            }
+            TrieLayout::Row => {
+                assert!(sort_lookups > 0, "{cell}: TJ prepare skipped the SortCache");
+                assert_eq!(
+                    trie_lookups, 0,
+                    "{cell}: row TJ prepare consulted the TrieCache"
+                );
+            }
+        }
     } else {
         assert_eq!(
             (sort_lookups, trie_lookups),

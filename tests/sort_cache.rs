@@ -1,12 +1,14 @@
 //! Parity slice — **the prepare pipeline**: the production path on
-//! `Local` at host-default probe threads (SortCache + TrieCache +
-//! parallel radix sort) against the reference configuration, Q1–Q8 × six
-//! configurations (`parity::check`), which also pins that the reference
-//! never consults a cache and that only one-round Tributary plans do.
-//! Plus what only a *pair* of production runs can show: a repeated
-//! identical run reports sort-cache hits, and a hit depends on content
-//! and columns only — not on whether the run that cached it carried a
-//! certificate.
+//! `Local` at host-default probe threads against the reference
+//! configuration, Q1–Q8 × six configurations (`parity::check`), once per
+//! trie layout: columnar tries from the TrieCache (pack → sort → emit on
+//! a miss) and row-major sorted views from the SortCache (parallel radix
+//! sort on a miss). The check also pins that the reference never
+//! consults a cache, that only one-round Tributary plans do, and that
+//! each layout consults only its own cache. Plus what only a *pair* of
+//! production runs can show: a repeated identical run reports cache
+//! hits, and a hit depends on content and columns only — not on whether
+//! the run that cached it carried a certificate.
 
 #[macro_use]
 mod parity;
@@ -16,7 +18,13 @@ use parjoin::engine::{execute_fragment, plan_fragments, DiagCode};
 use parjoin::prelude::*;
 
 fn check(spec: &QuerySpec) {
-    parity::check(spec, &[Production::local(None)]);
+    parity::check(
+        spec,
+        &[
+            Production::local(None),
+            Production::local(None).with_layout(TrieLayout::Row),
+        ],
+    );
 }
 
 parity_tests! { check;
@@ -30,39 +38,46 @@ parity_tests! { check;
     q8_actor_director_cached_prepare_identical => q8,
 }
 
-fn q1_br_tj() -> RunResult {
+fn q1_br_tj(layout: TrieLayout) -> RunResult {
     let spec = parjoin::datagen::workloads::q1();
     production(
         &spec,
         &db_for(&spec),
         ShuffleAlg::Broadcast,
         JoinAlg::Tributary,
-        Production::local(None),
+        Production::local(None).with_layout(layout),
     )
 }
 
 #[test]
 fn second_identical_run_hits_the_cache() {
-    let first = q1_br_tj();
-    let second = q1_br_tj();
-    assert_eq!(
-        first.output.as_ref().expect("collected").raw(),
-        second.output.as_ref().expect("collected").raw(),
-        "identical runs must agree"
-    );
-    // The second run re-prepares the same post-shuffle fragments with
-    // the same permutations, so every lookup the first run populated
-    // now hits.
-    assert!(
-        second.sort_cache_hits >= 1,
-        "second identical run reported no cache hits (hits={}, misses={})",
-        second.sort_cache_hits,
-        second.sort_cache_misses
-    );
-    assert!(
-        second.sort_cache_hits >= first.sort_cache_hits,
-        "cache hits regressed between identical runs"
-    );
+    // Each layout prepares through its own cache: the TrieCache serves
+    // columnar tries, the SortCache row-major sorted views.
+    for layout in [TrieLayout::Columnar, TrieLayout::Row] {
+        let first = q1_br_tj(layout);
+        let second = q1_br_tj(layout);
+        assert_eq!(
+            first.output.as_ref().expect("collected").raw(),
+            second.output.as_ref().expect("collected").raw(),
+            "identical {layout:?} runs must agree"
+        );
+        let lookups = |r: &RunResult| match layout {
+            TrieLayout::Columnar => (r.trie_cache_hits, r.trie_cache_misses),
+            TrieLayout::Row => (r.sort_cache_hits, r.sort_cache_misses),
+        };
+        let (hits, misses) = lookups(&second);
+        // The second run re-prepares the same post-shuffle fragments
+        // with the same permutations, so every lookup the first run
+        // populated now hits.
+        assert!(
+            hits >= 1,
+            "second identical {layout:?} run reported no cache hits (hits={hits}, misses={misses})"
+        );
+        assert!(
+            hits >= lookups(&first).0,
+            "{layout:?} cache hits regressed between identical runs"
+        );
+    }
 }
 
 #[test]
@@ -95,8 +110,9 @@ fn certified_run_hits_what_an_uncertified_run_cached() {
     let certified = run_config(&spec.query, &db, &cluster, shuffle, join, &opts)
         .unwrap_or_else(|e| panic!("Q1 HC_TJ: {e}"));
     assert_eq!(certified.output_tuples, uncertified.output.len() as u64);
+    // The columnar prepare is served by the TrieCache alone.
     assert!(
-        certified.sort_cache_hits > 0 && certified.trie_cache_hits > 0,
+        certified.trie_cache_hits > 0 && certified.sort_cache_hits == 0,
         "{}",
         certified.report()
     );
@@ -117,7 +133,7 @@ fn certified_run_hits_what_an_uncertified_run_cached() {
 
 #[test]
 fn prep_probe_breakdown_covers_local_join_cpu() {
-    let r = q1_br_tj();
+    let r = q1_br_tj(TrieLayout::Columnar);
     let pp = r.prep_probe();
     assert_eq!(pp.prep, r.sort_cpu());
     assert_eq!(pp.probe, r.join_cpu());
