@@ -114,10 +114,26 @@ mod tests {
         });
     }
 
+    /// The most tuples any one worker received over a run's shuffles:
+    /// the counted work behind the plan's straggler, which no host
+    /// stall can move.
+    fn max_load(db: &Database, cluster: &Cluster, s: ShuffleAlg, j: JoinAlg) -> u64 {
+        let spec = parjoin_datagen::workloads::q1();
+        let r =
+            run_config(&spec.query, db, cluster, s, j, &PlanOptions::default()).expect("plan runs");
+        let mut load = vec![0u64; cluster.workers];
+        for shuffle in &r.shuffles {
+            for (w, &c) in shuffle.per_consumer.iter().enumerate() {
+                load[w] += c;
+            }
+        }
+        load.into_iter().max().unwrap_or(0)
+    }
+
     #[test]
     fn skew_widens_the_gap() {
-        // With celebrities, RS/HC wall ratio must exceed the plain-PA
-        // ratio at the same scale.
+        // With celebrities, the RS/HC ratio of the max per-worker load
+        // must exceed the plain-PA ratio at the same scale.
         let settings = Settings {
             scale: Scale::small(),
             workers: 64,
@@ -135,12 +151,14 @@ mod tests {
             ),
         );
         let ratio = |db: &Database| {
-            wall(db, &cluster, ShuffleAlg::Regular, JoinAlg::Hash)
-                / wall(db, &cluster, ShuffleAlg::HyperCube, JoinAlg::Tributary).max(1e-12)
+            let rs = max_load(db, &cluster, ShuffleAlg::Regular, JoinAlg::Hash);
+            let hc = max_load(db, &cluster, ShuffleAlg::HyperCube, JoinAlg::Tributary);
+            rs as f64 / hc.max(1) as f64
         };
+        let (with, without) = (ratio(&with), ratio(&without));
         assert!(
-            ratio(&with) > ratio(&without),
-            "celebrities must widen the RS/HC gap"
+            with > without,
+            "celebrities must widen the RS/HC gap: {with:.2} vs {without:.2}"
         );
     }
 }

@@ -146,13 +146,31 @@ impl Relation {
             rows * self.arity * 8,
             "payload is not rows × arity words"
         );
-        self.data.reserve(rows * self.arity);
-        for chunk in bytes.chunks_exact(8) {
-            let mut word = [0u8; 8];
-            word.copy_from_slice(chunk);
-            self.data.push(Value::from_le_bytes(word));
+        let start = self.data.len();
+        self.data.resize(start + rows * self.arity, 0);
+        let (words, _) = bytes.as_chunks::<8>();
+        for (slot, &word) in self.data[start..].iter_mut().zip(words) {
+            *slot = Value::from_le_bytes(word);
         }
         self.rows += rows;
+    }
+
+    /// Appends whole rows given flat, `arity` values per row.
+    ///
+    /// # Panics
+    /// Panics if the relation is nullary or `flat` is not a whole number
+    /// of rows.
+    pub fn extend_flat(&mut self, flat: &[Value]) {
+        assert!(self.arity > 0, "extend_flat on a nullary relation");
+        assert_eq!(flat.len() % self.arity, 0, "flat rows of another arity");
+        self.data.extend_from_slice(flat);
+        self.rows += flat.len() / self.arity;
+    }
+
+    /// Removes every tuple, keeping the allocation.
+    pub fn clear(&mut self) {
+        self.data.clear();
+        self.rows = 0;
     }
 
     /// Appends every tuple of `other`.

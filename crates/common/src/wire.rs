@@ -198,9 +198,17 @@ pub fn encode_vectored(
     assert!(!compressed, "the wire frame has no compressed payload");
     assert_eq!(flat.len(), rows * arity, "flat buffer is not rows × arity");
     out.extend_from_slice(vectored_header(arity, rows).as_bytes());
-    out.reserve(flat.len() * 8);
-    for &v in flat {
-        out.extend_from_slice(&v.to_le_bytes());
+    extend_le_words(out, flat);
+}
+
+/// Appends `values` to `out` as little-endian words: one resize, then
+/// one pass of whole 8-byte slots, with no per-word growth check.
+pub fn extend_le_words(out: &mut Vec<u8>, values: &[Value]) {
+    let start = out.len();
+    out.resize(start + values.len() * 8, 0);
+    let (slots, _) = out[start..].as_chunks_mut::<8>();
+    for (slot, &v) in slots.iter_mut().zip(values) {
+        *slot = v.to_le_bytes();
     }
 }
 

@@ -65,6 +65,7 @@ pub mod error;
 pub mod exec;
 pub mod fragment;
 pub mod local;
+mod pipeline;
 pub mod plans;
 pub mod prepare;
 pub mod probe;

@@ -33,32 +33,9 @@ impl SchemaRel {
         if filters.is_empty() {
             return self.clone();
         }
-        let lookups: Vec<(usize, parjoin_query::CmpOp, Operand2)> = filters
-            .iter()
-            .map(|f| {
-                let l = self.col_of(f.left).expect("filter var bound"); // xtask: allow(expect): analyzer-verified binding
-                let r = match f.right {
-                    parjoin_query::Operand::Var(v) => {
-                        // xtask: allow(expect): analyzer-verified binding
-                        Operand2::Col(self.col_of(v).expect("filter var bound"))
-                    }
-                    parjoin_query::Operand::Const(c) => Operand2::Const(c),
-                };
-                (l, f.op, r)
-            })
-            .collect();
-        let rel = self.rel.filter(|row| {
-            lookups.iter().all(|&(l, op, ref r)| {
-                let rv = match *r {
-                    Operand2::Col(c) => row[c],
-                    Operand2::Const(c) => c,
-                };
-                op.eval(row[l], rv)
-            })
-        });
         SchemaRel {
             vars: self.vars.clone(),
-            rel,
+            rel: self.rel.filter(row_filter(&self.vars, filters)),
         }
     }
 
@@ -72,6 +49,35 @@ impl SchemaRel {
             vars: keep.to_vec(),
             rel: self.rel.project(&cols),
         }
+    }
+}
+
+/// `filters` (all over `vars`) as one row predicate, with every
+/// variable resolved to its column once.
+pub(crate) fn row_filter(vars: &[VarId], filters: &[Filter]) -> impl Fn(&[Value]) -> bool {
+    let col_of = |v: VarId| vars.iter().position(|&x| x == v);
+    let lookups: Vec<(usize, parjoin_query::CmpOp, Operand2)> = filters
+        .iter()
+        .map(|f| {
+            let l = col_of(f.left).expect("filter var bound"); // xtask: allow(expect): analyzer-verified binding
+            let r = match f.right {
+                parjoin_query::Operand::Var(v) => {
+                    // xtask: allow(expect): analyzer-verified binding
+                    Operand2::Col(col_of(v).expect("filter var bound"))
+                }
+                parjoin_query::Operand::Const(c) => Operand2::Const(c),
+            };
+            (l, f.op, r)
+        })
+        .collect();
+    move |row: &[Value]| {
+        lookups.iter().all(|&(l, op, r)| {
+            let rv = match r {
+                Operand2::Col(c) => row[c],
+                Operand2::Const(c) => c,
+            };
+            op.eval(row[l], rv)
+        })
     }
 }
 
@@ -260,7 +266,33 @@ impl<'a> HashJoinShape<'a> {
     /// `[0, probe_len)` in range order is byte-identical to one full
     /// probe pass — the morsel determinism invariant.
     pub fn probe_range(&self, lo: usize, hi: usize) -> Relation {
-        let mut out = Relation::new(self.vars.len().max(1));
+        let mut out = Relation::new(self.out_arity());
+        let no_flush = &mut |_: &mut Relation| Ok::<(), std::convert::Infallible>(());
+        let Ok(()) = self.probe_chunked(lo, hi, &mut out, usize::MAX, no_flush);
+        out
+    }
+
+    /// Columns of an output row (at least one).
+    pub fn out_arity(&self) -> usize {
+        self.vars.len().max(1)
+    }
+
+    /// [`HashJoinShape::probe_range`] into `out`, handing `out` to
+    /// `flush` after every probe row that leaves it holding `chunk` rows
+    /// or more; `flush` is expected to take them. Whatever is left in
+    /// `out` at the end is the caller's. Cutting the output into pieces
+    /// changes neither its rows nor their order.
+    ///
+    /// # Errors
+    /// Whatever `flush` returns; probing stops there.
+    pub fn probe_chunked<E>(
+        &self,
+        lo: usize,
+        hi: usize,
+        out: &mut Relation,
+        chunk: usize,
+        flush: &mut dyn FnMut(&mut Relation) -> Result<(), E>,
+    ) -> Result<(), E> {
         let mut row_buf: Vec<Value> = Vec::with_capacity(self.vars.len());
         let mut emit = |prow: &[Value], bidx: usize, out: &mut Relation| {
             let brow = self.build.rel.row(bidx);
@@ -279,7 +311,10 @@ impl<'a> HashJoinShape<'a> {
             for p in lo..hi {
                 let prow = self.probe.rel.row(p);
                 for bidx in self.table.probe1(prow[pc]) {
-                    emit(prow, bidx, &mut out);
+                    emit(prow, bidx, out);
+                }
+                if out.len() >= chunk {
+                    flush(out)?;
                 }
             }
         } else {
@@ -289,11 +324,14 @@ impl<'a> HashJoinShape<'a> {
                 key.clear();
                 key.extend(self.probe_cols.iter().map(|&c| prow[c]));
                 for bidx in self.table.probe(&key) {
-                    emit(prow, bidx, &mut out);
+                    emit(prow, bidx, out);
+                }
+                if out.len() >= chunk {
+                    flush(out)?;
                 }
             }
         }
-        out
+        Ok(())
     }
 }
 

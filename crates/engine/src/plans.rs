@@ -27,7 +27,8 @@ use crate::cluster::Cluster;
 use crate::dist::{DistRel, AGGREGATE};
 use crate::error::EngineError;
 use crate::exec::{parallelism_warning, run_phase_traced};
-use crate::local::{hash_join, merge_join, SchemaRel};
+use crate::local::{hash_join, SchemaRel};
+use crate::pipeline::{self, Left, RankJoin, StepJoin};
 use crate::prepare;
 use crate::probe;
 use crate::semijoin;
@@ -879,7 +880,11 @@ fn rooted_order(atom_vars: &[Vec<VarId>], root: usize) -> Vec<usize> {
     order
 }
 
-fn check_budget(cluster: &Cluster, worker: usize, needed: u64) -> Result<(), EngineError> {
+pub(crate) fn check_budget(
+    cluster: &Cluster,
+    worker: usize,
+    needed: u64,
+) -> Result<(), EngineError> {
     if let Some(budget) = cluster.memory_budget {
         if needed > budget {
             return Err(EngineError::MemoryBudget {
@@ -1271,14 +1276,16 @@ fn hash_join_step(
 
 /// Left-deep tree of binary joins with a regular shuffle per step; a
 /// semijoin plan first runs its reduction rounds over the seeded
-/// relations.
+/// relations. Each step's join is the next step's left input, run by
+/// that step's exchange ([`pipeline`]); the last one is materialised
+/// for the output.
 fn run_regular(
     ex: &Exec<'_>,
     plan: Plan,
     mut pending: Vec<Filter>,
     result: &mut RunResult,
 ) -> Result<(), EngineError> {
-    let (query, cluster, opts, seam, obs) = (ex.query, ex.cluster, ex.opts, ex.seam, ex.obs);
+    let (query, cluster, opts, seam) = (ex.query, ex.cluster, ex.opts, ex.seam);
     let Plan {
         shuffle,
         join: join_alg,
@@ -1287,7 +1294,6 @@ fn run_regular(
         seeded,
         ..
     } = plan;
-    let hosted = result.per_worker_busy.len();
     let seeded = if shuffle == ShuffleAlg::Semijoin {
         semijoin::reduce(ex, seeded, probe_threads, result)?
     } else {
@@ -1305,15 +1311,15 @@ fn run_regular(
             .and_then(Option::take)
             .ok_or_else(|| EngineError::Unsupported(format!("join order reuses atom {ai}")))
     };
-    let mut cur = take_atom(order[0])?;
+    let mut first = take_atom(order[0])?;
     let mut cur_label = query.atoms[order[0]].relation.clone();
 
     // Filters already covered by the first atom alone (e.g. a var-var
     // comparison within one atom) apply before any join.
-    let ready0 = take_ready_filters(&mut pending, &cur.vars);
+    let ready0 = take_ready_filters(&mut pending, &first.vars);
     if !ready0.is_empty() {
-        let vars = cur.vars.clone();
-        cur.parts = cur
+        let vars = first.vars.clone();
+        first.parts = first
             .parts
             .iter()
             .map(|p| {
@@ -1326,12 +1332,13 @@ fn run_regular(
             })
             .collect();
     }
+    let mut cur = Left::Rel(first);
 
     for &ai in &order[1..] {
         let next = take_atom(ai)?;
         let next_label = &query.atoms[ai].relation;
         let shared: Vec<VarId> = cur
-            .vars
+            .vars()
             .iter()
             .copied()
             .filter(|v| next.vars.contains(v))
@@ -1351,6 +1358,8 @@ fn run_regular(
             .collect::<Vec<_>>()
             .join(",");
         let (cur_s, next_s, s1, s2) = if opts.skew_resilient && !shuffle_key.is_empty() {
+            // The heavy-key summary reads the whole left input.
+            let cur = pipeline::realise(ex, cur, result)?;
             let (cur_s, next_s, [summary, s1, s2]) = shuffle::skew_resilient_pair(
                 cur,
                 next,
@@ -1367,13 +1376,15 @@ fn run_regular(
             result.absorb_round([summary], cluster);
             (cur_s, next_s, s1, s2)
         } else {
-            let hash_on_key = |d: DistRel, label: &str| {
-                let route =
-                    shuffle::regular_route(&d.vars, &shuffle_key, cluster.seed, cluster.workers)?;
-                shuffle::run_route(d, &route, format!("{label} ->h({key_desc})"), seam)
+            let on_key = |vars: &[VarId]| {
+                shuffle::regular_route(vars, &shuffle_key, cluster.seed, cluster.workers)
             };
-            let (cur_s, s1) = hash_on_key(cur, &cur_label)?;
-            let (next_s, s2) = hash_on_key(next, next_label)?;
+            let route = on_key(cur.vars())?;
+            let label = format!("{cur_label} ->h({key_desc})");
+            let (cur_s, s1) = pipeline::route(ex, cur, &route, label, result)?;
+            let route = on_key(&next.vars)?;
+            let label = format!("{next_label} ->h({key_desc})");
+            let (next_s, s2) = shuffle::run_route(next, &route, label, seam)?;
             (cur_s, next_s, s1, s2)
         };
         result.absorb_round([s1, s2], cluster);
@@ -1381,7 +1392,8 @@ fn run_regular(
         #[cfg(feature = "strict-invariants")]
         crate::strict::assert_colocated(&cur_s, &next_s, &shuffle_key, "regular shuffle");
 
-        // Per-worker binary join.
+        // This step's per-worker binary join; both sides' partitions go
+        // to their worker by move.
         let out_schema = {
             let a = SchemaRel {
                 vars: cur_s.vars.clone(),
@@ -1394,77 +1406,26 @@ fn run_regular(
             hash_join(&a, &b, 0).vars
         };
         let ready = take_ready_filters(&mut pending, &out_schema);
-        let seed = cluster.seed;
-        // Both sides' partitions go to their worker by move.
         let side = |vars: &[VarId], rel| SchemaRel {
             vars: vars.to_vec(),
             rel,
         };
-        let sides: Vec<(SchemaRel, SchemaRel)> = cur_s
-            .parts
-            .into_iter()
-            .zip(next_s.parts)
-            .map(|(a, b)| (side(&cur_s.vars, a), side(&next_s.vars, b)))
-            .collect();
-        let phase = run_phase_traced(hosted, &obs.trace, "local-join", |w, lane| {
-            let (a, b) = &sides[w];
-            let (filtered, sort_buf, sort_time) = match join_alg {
-                JoinAlg::Hash => {
-                    let probe_span = lane.span("probe", "engine");
-                    let j = hash_join_step(a, b, &mut ready.clone(), seed, probe_threads, obs);
-                    drop(probe_span);
-                    (j, 0, Duration::ZERO)
-                }
-                JoinAlg::Tributary => {
-                    // merge_join times its own sorting internally, so the
-                    // prepare/probe split is synthesized from its report
-                    // rather than measured by RAII spans.
-                    let t0 = Instant::now();
-                    let (j, buf, t) = merge_join(a, b, seed);
-                    let elapsed = t0.elapsed();
-                    lane.record("prepare", "engine", t0, t);
-                    lane.record("probe", "engine", t0 + t, elapsed.saturating_sub(t));
-                    obs.count_probe(1, 0);
-                    let j = if ready.is_empty() {
-                        j
-                    } else {
-                        j.filter(&ready)
-                    };
-                    (j, buf, t)
-                }
-            };
-            // Memory model per the paper's Q4 discussion: the pipelined
-            // hash join keeps only its build side (the smaller input)
-            // resident plus the output in flight, while the blocking
-            // sort-merge join must materialize *both* inputs and their
-            // sorted copies — which is why RS_TJ runs out of memory
-            // where RS_HJ survives (Figure 9).
-            let live = match join_alg {
-                JoinAlg::Hash => a.rel.len().min(b.rel.len()) as u64 + filtered.rel.len() as u64,
-                JoinAlg::Tributary => {
-                    a.rel.len() as u64 + b.rel.len() as u64 + sort_buf + filtered.rel.len() as u64
-                }
-            };
-            obs.registry
-                .counter(metric_names::PEAK_WORKER_TUPLES)
-                .max(live);
-            (filtered.rel, live, sort_time)
+        let ranks = (cur_s.parts.into_iter().zip(next_s.parts)).map(|(a, b)| RankJoin {
+            a: side(&cur_s.vars, a),
+            b: side(&next_s.vars, b),
+            ready: ready.clone(),
+            alg: join_alg,
+            seed: cluster.seed,
+            threads: probe_threads,
         });
-        let mut parts = Vec::with_capacity(hosted);
-        let mut sort_times = Vec::with_capacity(hosted);
-        for (w, (rel, live, sort)) in phase.results.into_iter().enumerate() {
-            check_budget(cluster, seam.first_rank() + w, live)?;
-            parts.push(rel);
-            sort_times.push(sort);
-        }
-        result.absorb_phase(&phase.busy, Some(&sort_times));
-
-        cur = DistRel {
+        cur = Left::Join(StepJoin {
             vars: out_schema,
-            parts,
-        };
+            ranks: ranks.collect(),
+        });
         cur_label = format!("{cur_label}{next_label}");
     }
+    // The last step's join, which the output gathers.
+    let cur = pipeline::realise(ex, cur, result)?;
     // The analyzer rejects plans whose filters never bind
     // (`FilterNeverApplied`), so this is unreachable through `run_config`;
     // it remains a hard error — not a debug assertion — so release builds

@@ -341,38 +341,56 @@ pub fn hash_join_parallel(
     threads: usize,
 ) -> (SchemaRel, u64, u64) {
     let shape = HashJoinShape::new(a, b, seed);
+    let mut rel = Relation::new(shape.out_arity());
+    let concat = &mut |piece: &mut Relation| {
+        if rel.is_empty() {
+            std::mem::swap(&mut rel, piece);
+        } else {
+            rel.extend_from(piece);
+        }
+        Ok::<(), std::convert::Infallible>(())
+    };
+    let Ok((morsels, steals)) = hash_probe(&shape, threads, usize::MAX, concat);
+    (
+        SchemaRel {
+            vars: shape.vars,
+            rel,
+        },
+        morsels,
+        steals,
+    )
+}
+
+/// The probe of `shape` with up to `threads` work-stealing morsel
+/// threads, handing `emit` the output in probe-row order: in pieces of
+/// at least `chunk` rows (the last one excepted) on the sequential path,
+/// one piece per morsel, in morsel order, on the parallel one. `emit`
+/// may take a piece's rows or leave them. Returns `(morsels, steals)`.
+///
+/// # Errors
+/// Whatever `emit` returns; the probe stops there.
+pub(crate) fn hash_probe<E>(
+    shape: &HashJoinShape<'_>,
+    threads: usize,
+    chunk: usize,
+    emit: &mut dyn FnMut(&mut Relation) -> Result<(), E>,
+) -> Result<(u64, u64), E> {
     let n = shape.probe_len();
     if threads <= 1 || n < MORSEL_MIN_ROWS {
-        let rel = shape.probe_range(0, n);
-        return (
-            SchemaRel {
-                vars: shape.vars.clone(),
-                rel,
-            },
-            1,
-            0,
-        );
+        let mut out = Relation::new(shape.out_arity());
+        shape.probe_chunked(0, n, &mut out, chunk, emit)?;
+        emit(&mut out)?;
+        return Ok((1, 0));
     }
     let morsels = adaptive_morsels(n, threads).min(n);
     let per = n.div_ceil(morsels);
     let (parts, steals) = scatter_stealing(morsels, threads, |m| {
         shape.probe_range(m * per, ((m + 1) * per).min(n))
     });
-    let mut it = parts.into_iter();
-    // One part per morsel and at least one morsel always exists.
-    // xtask: allow(expect)
-    let mut rel = it.next().expect("at least one morsel");
-    for p in it {
-        rel.extend_from(&p);
+    for mut part in parts {
+        emit(&mut part)?;
     }
-    (
-        SchemaRel {
-            vars: shape.vars.clone(),
-            rel,
-        },
-        morsels as u64,
-        steals,
-    )
+    Ok((morsels as u64, steals))
 }
 
 /// [`crate::local::semijoin`] with up to `threads` work-stealing morsel

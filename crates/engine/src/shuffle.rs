@@ -25,6 +25,7 @@ use crate::error::EngineError;
 use parjoin_common::{hash, Relation, ShuffleStats, Value};
 use parjoin_core::hypercube::HcConfig;
 use parjoin_query::VarId;
+use parjoin_runtime::exchange::Produce;
 use parjoin_runtime::route::HeavyKeys;
 use parjoin_runtime::{local_shuffle, Route, Runtime, RuntimeError, ShuffleOutcome};
 use std::collections::{BTreeMap, HashMap};
@@ -78,6 +79,28 @@ pub(crate) fn run_route(
         Seam::Stream(rt) => rt.shuffle(input.parts, route)?,
     };
     Ok(package(input.vars, outcome, label))
+}
+
+/// Runs one exchange on `rt` fed by `producers`, one per hosted rank,
+/// whose rows have schema `vars`, and packages the outcome as
+/// [`run_route`] does, with each producer's report in rank order.
+///
+/// # Errors
+/// [`EngineError::Transport`] if the exchange fails.
+pub(crate) fn run_producers<P>(
+    vars: Vec<VarId>,
+    producers: Vec<P>,
+    route: &Route,
+    label: impl Into<String>,
+    rt: &Runtime,
+) -> Result<(DistRel, ShuffleStats, Vec<P::Report>), EngineError>
+where
+    P: Produce + Send + 'static,
+    P::Report: Send + 'static,
+{
+    let (outcome, reports) = rt.exchange(producers, route)?;
+    let (out, stats) = package(vars, outcome, label);
+    Ok((out, stats, reports))
 }
 
 /// The in-memory seam over a borrowed relation: nothing to consume, and

@@ -2,11 +2,15 @@
 //!
 //! Each worker splits its endpoint, drains its inbox from a dedicated
 //! thread (so it can never deadlock against a full outgoing buffer), and
-//! walks its partition once, [`ROUTE_CHUNK`] rows at a time: the
-//! [`Route`] maps the chunk to bases, each row joins the pending window
-//! of every destination its base names, and a window reaching
-//! `batch_tuples` rows is framed ([`parjoin_common::wire`]) and sent.
-//! Nullary rows route as a count: they all share one base.
+//! runs its [`Produce`]r, which feeds the send side its rows as it makes
+//! them: a materialised partition hands over its rows at once, a join
+//! hands over each piece of output as it probes. The send side takes
+//! them [`ROUTE_CHUNK`] rows at a time: the [`Route`] maps the chunk to
+//! bases, each row joins the pending window of every destination its
+//! base names, and a window reaching `batch_tuples` rows is framed
+//! ([`parjoin_common::wire`]) and sent. Nullary rows route as a count:
+//! they all share one base. Batches depend on the rows and their order
+//! only, never on how a producer splits them into pieces.
 //! After the final partial batches the worker signals end-of-stream and
 //! *drops its sender*, releasing its side of every connection, then joins
 //! the drain thread.
@@ -37,8 +41,9 @@ use crate::pool::BufPool;
 use crate::route::{Route, ROUTE_CHUNK};
 use crate::transport::{BatchSender, Endpoint};
 use parjoin_common::{wire, Relation, Value, WireFormat};
+use parjoin_obs::Lane;
 use std::sync::Arc;
-use std::time::Instant;
+use std::time::{Duration, Instant};
 
 /// Exchange knobs beyond the mesh itself.
 #[derive(Debug, Clone, Copy)]
@@ -49,8 +54,99 @@ pub struct ExchangeOpts {
     pub format: WireFormat,
 }
 
+/// Where a [`Produce`]r puts the rows it sends, in order: the
+/// exchange's routing and batching on a streaming transport, a plain
+/// relation on `Local`.
+pub trait RowSink {
+    /// Takes whole rows, flat, of the exchange's (non-zero) arity.
+    ///
+    /// # Errors
+    /// Transport failures of the batches these rows complete.
+    fn push_rows(&mut self, rows: &[Value]) -> Result<(), RuntimeError>;
+
+    /// Takes `rows` nullary rows.
+    ///
+    /// # Errors
+    /// As [`RowSink::push_rows`].
+    fn push_nullary(&mut self, rows: usize) -> Result<(), RuntimeError>;
+
+    /// Time this sink has spent so far inside the transport's send
+    /// (blocked on a full destination included): what a producer
+    /// subtracts from its own time to book compute.
+    fn blocked(&self) -> Duration {
+        Duration::ZERO
+    }
+
+    /// Takes every row of `rel`.
+    ///
+    /// # Errors
+    /// As [`RowSink::push_rows`].
+    fn push_relation(&mut self, rel: &Relation) -> Result<(), RuntimeError> {
+        if rel.arity() == 0 {
+            self.push_nullary(rel.len())
+        } else {
+            self.push_rows(rel.raw())
+        }
+    }
+}
+
+impl RowSink for Relation {
+    fn push_rows(&mut self, rows: &[Value]) -> Result<(), RuntimeError> {
+        self.extend_flat(rows);
+        Ok(())
+    }
+
+    fn push_nullary(&mut self, rows: usize) -> Result<(), RuntimeError> {
+        self.push_nullary_rows(rows);
+        Ok(())
+    }
+}
+
+/// One rank's side of an exchange: what it sends. A materialised
+/// partition is the trivial producer; a producer that computes its rows
+/// (a join) hands them over as it makes them, so they never have to be
+/// materialised on the sending side.
+pub trait Produce {
+    /// What the producer reports besides its rows.
+    type Report;
+
+    /// Columns of every row it sends.
+    fn arity(&self) -> usize;
+
+    /// Feeds every row to `sink`, in order. `lane` is the rank's trace
+    /// lane, inside its `shuffle` span.
+    ///
+    /// # Errors
+    /// Whatever `sink` returns.
+    fn produce(self, sink: &mut dyn RowSink, lane: &Lane) -> Result<Self::Report, RuntimeError>;
+}
+
+impl Produce for &Relation {
+    type Report = ();
+
+    fn arity(&self) -> usize {
+        Relation::arity(self)
+    }
+
+    fn produce(self, sink: &mut dyn RowSink, _: &Lane) -> Result<(), RuntimeError> {
+        sink.push_relation(self)
+    }
+}
+
+impl Produce for Relation {
+    type Report = ();
+
+    fn arity(&self) -> usize {
+        Relation::arity(self)
+    }
+
+    fn produce(self, sink: &mut dyn RowSink, lane: &Lane) -> Result<(), RuntimeError> {
+        (&self).produce(sink, lane)
+    }
+}
+
 /// One worker's tallies from a streaming shuffle.
-pub struct WorkerOutcome {
+pub struct WorkerOutcome<R = ()> {
     /// The rows routed to this worker, in deterministic source order.
     pub received: Relation,
     /// Tuples this worker sent (counting one per destination copy).
@@ -59,52 +155,136 @@ pub struct WorkerOutcome {
     pub bytes_sent: u64,
     /// Encoded batch bytes this worker received.
     pub bytes_received: u64,
+    /// What this worker's producer reported.
+    pub report: R,
 }
 
-/// Frames one pending batch and hands it to the transport, tallying
-/// `tx.{bytes,batches}`. Returns the bytes sent.
-fn flush_batch(
-    sender: &mut dyn BatchSender,
-    dest: usize,
+/// The send side of one worker's exchange: routes the rows it is fed,
+/// appends each to the pending window of every destination its base
+/// names, and frames and sends a window once it holds `batch` rows.
+struct Outbox<'a> {
+    sender: Box<dyn BatchSender>,
+    route: &'a Route,
+    obs: &'a RuntimeObs,
     arity: usize,
-    rows: usize,
-    flat: &[Value],
-    obs: &RuntimeObs,
-) -> Result<u64, RuntimeError> {
-    let header = wire::vectored_header(arity, rows);
-    let sent = sender.send_vectored(dest, header.as_bytes(), flat)?;
-    obs.tx_bytes.add(sent);
-    obs.tx_batches.inc();
-    Ok(sent)
+    batch: usize,
+    /// Per destination: the pending rows, flat, and their count.
+    pending: Vec<(Vec<Value>, usize)>,
+    bases: Vec<u32>,
+    sent_tuples: u64,
+    bytes_sent: u64,
+    blocked: Duration,
+}
+
+impl Outbox<'_> {
+    /// Frames destination `d`'s pending window and hands it to the
+    /// transport, tallying `tx.{bytes,batches,wait_ns}`.
+    fn flush(&mut self, d: usize) -> Result<(), RuntimeError> {
+        let (flat, rows) = &mut self.pending[d];
+        let header = wire::vectored_header(self.arity, *rows);
+        let t0 = Instant::now();
+        let sent = self.sender.send_vectored(d, header.as_bytes(), flat);
+        let waited = t0.elapsed();
+        self.blocked += waited;
+        let obs = self.obs;
+        obs.tx_wait_ns
+            .add(waited.as_nanos().min(u128::from(u64::MAX)) as u64);
+        let sent = sent?;
+        obs.tx_bytes.add(sent);
+        obs.tx_batches.inc();
+        self.bytes_sent += sent;
+        flat.clear();
+        *rows = 0;
+        Ok(())
+    }
+
+    /// Sends every partial window, then end-of-stream.
+    fn finish(&mut self) -> Result<(), RuntimeError> {
+        for d in 0..self.pending.len() {
+            if self.pending[d].1 > 0 {
+                self.flush(d)?;
+            }
+        }
+        self.sender.finish()
+    }
+}
+
+impl RowSink for Outbox<'_> {
+    fn push_rows(&mut self, rows: &[Value]) -> Result<(), RuntimeError> {
+        let (route, arity, batch) = (self.route, self.arity, self.batch);
+        let mut bases = std::mem::take(&mut self.bases);
+        for chunk in rows.chunks(ROUTE_CHUNK * arity) {
+            bases.clear();
+            route.bases(chunk, arity, &mut bases);
+            for (row, &base) in chunk.chunks_exact(arity).zip(&bases) {
+                self.sent_tuples += route.fan(base) as u64;
+                for d in route.dests(base) {
+                    let (flat, pending) = &mut self.pending[d];
+                    flat.extend_from_slice(row);
+                    *pending += 1;
+                    if *pending >= batch {
+                        self.flush(d)?;
+                    }
+                }
+            }
+        }
+        self.bases = bases;
+        Ok(())
+    }
+
+    fn push_nullary(&mut self, rows: usize) -> Result<(), RuntimeError> {
+        // Every nullary row goes where the first one goes.
+        let route = self.route;
+        for d in route.dests(route.nullary_base()) {
+            self.sent_tuples += rows as u64;
+            let mut left = rows;
+            while left > 0 {
+                let pending = &mut self.pending[d].1;
+                let take = left.min(self.batch - *pending);
+                (*pending, left) = (*pending + take, left - take);
+                if *pending >= self.batch {
+                    self.flush(d)?;
+                }
+            }
+        }
+        Ok(())
+    }
+
+    fn blocked(&self) -> Duration {
+        self.blocked
+    }
 }
 
 /// Runs one worker's side of the exchange over a mesh of
-/// `route.workers()` ranks to completion.
+/// `route.workers()` ranks to completion: `producer` feeds the send side
+/// as it makes its rows, and the drain thread collects what the peers
+/// send.
 ///
 /// # Errors
 /// Propagates transport failures (peer death, timeout) and wire-format
 /// corruption from either direction of the stream.
 ///
 /// # Panics
-/// Panics if `part` is narrower than a column the route reads.
-pub fn run_worker(
+/// Panics if a produced row is narrower than a column the route reads.
+pub fn run_worker<P: Produce>(
     id: usize,
-    part: &Relation,
+    producer: P,
     opts: ExchangeOpts,
     endpoint: Box<dyn Endpoint>,
     route: &Route,
     obs: &RuntimeObs,
     pool: &Arc<BufPool>,
-) -> Result<WorkerOutcome, RuntimeError> {
-    let arity = part.arity();
+) -> Result<WorkerOutcome<P::Report>, RuntimeError> {
+    let arity = producer.arity();
     let workers = route.workers();
     // The worker's whole side of the exchange is one `shuffle` span on
-    // its own trace lane. The drain thread records counters only: its
-    // work overlaps this span on the same lane, and overlapping slices
-    // on one chrome-trace tid render as garbage.
+    // its own trace lane; a producer nests its own spans inside it. The
+    // drain thread records counters only: its work overlaps this span
+    // on the same lane, and overlapping slices on one chrome-trace tid
+    // render as garbage.
     let lane = obs.trace.lane(id as u32);
     let _span = lane.span("shuffle", "runtime");
-    let (mut sender, mut receiver) = endpoint.split();
+    let (sender, mut receiver) = endpoint.split();
 
     let drain_obs = obs.clone();
     let drain_pool = Arc::clone(pool);
@@ -139,66 +319,33 @@ pub fn run_worker(
         })
         .map_err(|e| RuntimeError::Io(e.to_string()))?;
 
-    // Send side: route, batch, stream.
-    let mut pending: Vec<(Vec<Value>, usize)> = (0..workers).map(|_| (Vec::new(), 0)).collect();
-    let mut sent_tuples = 0u64;
-    let mut bytes_sent = 0u64;
-    let send_result = (|| -> Result<(), RuntimeError> {
-        // A zero batch flushes every row, as a batch of one does; the
-        // nullary count below needs a positive step to terminate.
-        let batch = opts.batch_tuples.max(1);
-        if arity == 0 {
-            // Every nullary row goes where the first one goes.
-            let base = route.nullary_base();
-            for d in route.dests(base) {
-                let (_, rows) = &mut pending[d];
-                let mut left = part.len();
-                sent_tuples += left as u64;
-                while left > 0 {
-                    let take = left.min(batch - *rows);
-                    (*rows, left) = (*rows + take, left - take);
-                    if *rows >= batch {
-                        bytes_sent += flush_batch(&mut *sender, d, 0, *rows, &[], obs)?;
-                        *rows = 0;
-                    }
-                }
-            }
-        }
-        let mut bases = Vec::with_capacity(ROUTE_CHUNK);
-        for chunk in part.raw().chunks(ROUTE_CHUNK * arity.max(1)) {
-            bases.clear();
-            route.bases(chunk, arity, &mut bases);
-            for (row, &base) in chunk.chunks_exact(arity).zip(&bases) {
-                sent_tuples += route.fan(base) as u64;
-                for d in route.dests(base) {
-                    let (flat, rows) = &mut pending[d];
-                    flat.extend_from_slice(row);
-                    *rows += 1;
-                    if *rows >= batch {
-                        bytes_sent += flush_batch(&mut *sender, d, arity, *rows, flat, obs)?;
-                        flat.clear();
-                        *rows = 0;
-                    }
-                }
-            }
-        }
-        for (d, (flat, rows)) in pending.iter_mut().enumerate() {
-            if *rows > 0 {
-                bytes_sent += flush_batch(&mut *sender, d, arity, *rows, flat, obs)?;
-                flat.clear();
-                *rows = 0;
-            }
-        }
-        sender.finish()
-    })();
+    // Send side: produce, route, batch, stream. A zero batch flushes
+    // every row, as a batch of one does; the nullary count needs a
+    // positive step to terminate.
+    let mut outbox = Outbox {
+        sender,
+        route,
+        obs,
+        arity,
+        batch: opts.batch_tuples.max(1),
+        pending: (0..workers).map(|_| (Vec::new(), 0)).collect(),
+        bases: Vec::with_capacity(ROUTE_CHUNK),
+        sent_tuples: 0,
+        bytes_sent: 0,
+        blocked: Duration::ZERO,
+    };
+    let send_result = producer
+        .produce(&mut outbox, &lane)
+        .and_then(|report| outbox.finish().map(|()| report));
+    let (sent_tuples, bytes_sent) = (outbox.sent_tuples, outbox.bytes_sent);
     // Always release our side of every connection *before* joining the
     // drain thread: on the error path this is what unblocks peers (and
     // our own drain) instead of letting them wait out the full timeout.
-    drop(sender);
+    drop(outbox);
     let drain_result = drain
         .join()
         .map_err(|_| RuntimeError::Io(format!("drain thread of worker {id} panicked")));
-    send_result?;
+    let report = send_result?;
     let (per_src, bytes_received) = drain_result??;
 
     let total: usize = per_src.iter().map(Relation::len).sum();
@@ -211,5 +358,6 @@ pub fn run_worker(
         sent_tuples,
         bytes_sent,
         bytes_received,
+        report,
     })
 }

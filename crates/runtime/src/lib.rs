@@ -30,7 +30,9 @@
 //! ## Worker lifecycle
 //!
 //! [`Runtime::new`] spawns the threads; [`Runtime::shuffle`] executes
-//! one exchange on them; [`Runtime::shutdown`] (or drop) closes the
+//! one exchange of materialised partitions on them, and
+//! [`Runtime::exchange`] one fed by a producer per rank (a join whose
+//! output is routed as it is made); [`Runtime::shutdown`] (or drop) closes the
 //! control channels and joins every thread. A runtime hosting a single
 //! rank spawns none: with no in-process peer to run beside, the rank's
 //! side of the exchange runs on the calling thread.
@@ -124,7 +126,7 @@ type Job = Box<dyn FnOnce() + Send>;
 type Link = Box<dyn FnOnce() -> Result<Box<dyn transport::Endpoint>, RuntimeError> + Send>;
 
 /// One hosted rank's side of one shuffle round, ready to run.
-type RankJob = Box<dyn FnOnce() -> Result<exchange::WorkerOutcome, RuntimeError> + Send>;
+type RankJob<R> = Box<dyn FnOnce() -> Result<exchange::WorkerOutcome<R>, RuntimeError> + Send>;
 
 struct Worker {
     tx: Sender<Job>,
@@ -259,9 +261,10 @@ impl Runtime {
     /// byte counts, all indexed by hosted partition.
     ///
     /// `parts[i]` is hosted rank `i`'s input partition, consumed by the
-    /// exchange. Row order of the output partitions is deterministic and
-    /// identical across all transports (sources are concatenated in
-    /// ascending order).
+    /// exchange: each one is the trivial producer of
+    /// [`Runtime::exchange`]. Row order of the output partitions is
+    /// deterministic and identical across all transports (sources are
+    /// concatenated in ascending order).
     ///
     /// # Errors
     /// Transport failures (peer death, timeouts, wire corruption) and
@@ -272,26 +275,44 @@ impl Runtime {
         parts: Vec<Relation>,
         route: &Route,
     ) -> Result<ShuffleOutcome, RuntimeError> {
-        let hosted = self.hosted;
-        if parts.len() != hosted {
-            return Err(RuntimeError::Config(format!(
-                "shuffle got {} partitions for {hosted} hosted rank(s)",
-                parts.len()
-            )));
+        if self.config.transport == TransportKind::Local {
+            self.check_round(parts.len(), route)?;
+            return Ok(local_shuffle(&parts, route));
         }
+        Ok(self.exchange(parts, route)?.0)
+    }
+
+    /// Executes one exchange fed by one producer per hosted rank:
+    /// `producers[i]` runs on hosted rank `i`'s side of the exchange and
+    /// hands over its rows as it makes them, so a rank's rows are routed,
+    /// batched and sent while it is still producing them, and never
+    /// materialised on the sending side. Returns what [`Runtime::shuffle`]
+    /// returns plus each producer's report, in rank order. Each
+    /// destination receives exactly the rows, order and batches that
+    /// shuffling the producers' materialised output would give it.
+    ///
+    /// Under [`TransportKind::Local`] the producers run one after the
+    /// other into relations, which are then shuffled in memory.
+    ///
+    /// # Errors
+    /// As [`Runtime::shuffle`], plus whatever a producer returns.
+    pub fn exchange<P>(
+        &self,
+        producers: Vec<P>,
+        route: &Route,
+    ) -> Result<(ShuffleOutcome, Vec<P::Report>), RuntimeError>
+    where
+        P: exchange::Produce + Send + 'static,
+        P::Report: Send + 'static,
+    {
+        self.check_round(producers.len(), route)?;
         let config = &self.config;
         let width = config.workers;
-        if route.workers() != width {
-            return Err(RuntimeError::Config(format!(
-                "a route over {} ranks on a {width}-rank mesh",
-                route.workers()
-            )));
-        }
         // How each hosted rank gets this round's endpoint: the channel
         // mesh is built whole and dealt out; a TCP member forms its own
         // on its rank's thread, concurrently with its peers.
         let links: Vec<Link> = match config.transport {
-            TransportKind::Local => return Ok(local_shuffle(&parts, route)),
+            TransportKind::Local => return self.local_exchange(producers, route),
             TransportKind::InProcess => {
                 let (depth, timeout) = (config.channel_depth, config.io_timeout);
                 transport::in_process_mesh(width, depth, timeout, &self.pool)
@@ -311,16 +332,18 @@ impl Runtime {
             format: config.wire_format,
         };
         let route = Arc::new(route.clone());
-        let jobs = (self.first_rank..).zip(parts).zip(links);
-        let jobs = jobs.map(|((rank, part), link)| {
+        let jobs = (self.first_rank..).zip(producers).zip(links);
+        let jobs = jobs.map(|((rank, producer), link)| {
             let route = Arc::clone(&route);
             let obs = config.obs.clone();
             let pool = Arc::clone(&self.pool);
-            Box::new(move || exchange::run_worker(rank, &part, opts, link()?, &route, &obs, &pool))
-                as RankJob
+            Box::new(move || {
+                exchange::run_worker(rank, producer, opts, link()?, &route, &obs, &pool)
+            }) as RankJob<_>
         });
         let outcomes = self.run_jobs(jobs.collect())?;
 
+        let hosted = outcomes.len();
         let mut out = ShuffleOutcome {
             parts: Vec::with_capacity(hosted),
             per_producer: Vec::with_capacity(hosted),
@@ -328,20 +351,63 @@ impl Runtime {
             bytes_sent: 0,
             bytes_received: 0,
         };
+        let mut reports = Vec::with_capacity(hosted);
         for worker in outcomes {
             out.per_producer.push(worker.sent_tuples);
             out.per_consumer.push(worker.received.len() as u64);
             out.bytes_sent += worker.bytes_sent;
             out.bytes_received += worker.bytes_received;
             out.parts.push(worker.received);
+            reports.push(worker.report);
         }
-        Ok(out)
+        Ok((out, reports))
+    }
+
+    /// Refuses a round before any rank starts: one input per hosted
+    /// rank, and a route over this mesh's width.
+    fn check_round(&self, inputs: usize, route: &Route) -> Result<(), RuntimeError> {
+        let hosted = self.hosted;
+        if inputs != hosted {
+            return Err(RuntimeError::Config(format!(
+                "shuffle got {inputs} partitions for {hosted} hosted rank(s)"
+            )));
+        }
+        let width = self.config.workers;
+        if route.workers() != width {
+            return Err(RuntimeError::Config(format!(
+                "a route over {} ranks on a {width}-rank mesh",
+                route.workers()
+            )));
+        }
+        Ok(())
+    }
+
+    /// [`Runtime::exchange`] under [`TransportKind::Local`]: each
+    /// producer fills a relation on the calling thread, then the
+    /// relations are shuffled in memory.
+    fn local_exchange<P: exchange::Produce>(
+        &self,
+        producers: Vec<P>,
+        route: &Route,
+    ) -> Result<(ShuffleOutcome, Vec<P::Report>), RuntimeError> {
+        let mut parts = Vec::with_capacity(producers.len());
+        let mut reports = Vec::with_capacity(producers.len());
+        for (rank, producer) in (self.first_rank..).zip(producers) {
+            let mut part = Relation::new(producer.arity());
+            let lane = self.config.obs.trace.lane(rank as u32);
+            reports.push(producer.produce(&mut part, &lane)?);
+            parts.push(part);
+        }
+        Ok((local_shuffle(&parts, route), reports))
     }
 
     /// Runs one job per hosted rank — on the rank's actor, or right here
     /// when a lone rank has none — and collects their outcomes in rank
     /// order.
-    fn run_jobs(&self, jobs: Vec<RankJob>) -> Result<Vec<exchange::WorkerOutcome>, RuntimeError> {
+    fn run_jobs<R: Send + 'static>(
+        &self,
+        jobs: Vec<RankJob<R>>,
+    ) -> Result<Vec<exchange::WorkerOutcome<R>>, RuntimeError> {
         if self.actors.is_empty() {
             return jobs.into_iter().map(|job| job()).collect();
         }

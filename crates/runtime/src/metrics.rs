@@ -27,6 +27,9 @@ pub mod names {
     pub const TX_FLUSHES: &str = "runtime.tx.flushes";
     /// Nanoseconds drain threads spent blocked in `recv`.
     pub const RX_WAIT_NS: &str = "runtime.rx.wait_ns";
+    /// Nanoseconds senders spent inside the transport's send, blocked
+    /// on a full destination included: the mirror of [`RX_WAIT_NS`].
+    pub const TX_WAIT_NS: &str = "runtime.tx.wait_ns";
     /// Frames rejected on the receive path: by a transport's stream
     /// decoder (corrupt tag, oversized length prefix, stream truncated
     /// mid-frame) or by the exchange's payload decoder (a frame that
@@ -58,6 +61,8 @@ pub struct RuntimeObs {
     pub tx_flushes: Counter,
     /// Drain-thread blocked-receive nanoseconds ([`names::RX_WAIT_NS`]).
     pub rx_wait_ns: Counter,
+    /// Sender nanoseconds inside the transport ([`names::TX_WAIT_NS`]).
+    pub tx_wait_ns: Counter,
     /// Decoder rejections ([`names::RX_DECODE_ERRORS`]).
     pub rx_decode_errors: Counter,
     /// Pool free-list hits ([`names::BUF_REUSES`]).
@@ -81,6 +86,7 @@ impl RuntimeObs {
             rx_batches: Counter::new(),
             tx_flushes: Counter::new(),
             rx_wait_ns: Counter::new(),
+            tx_wait_ns: Counter::new(),
             rx_decode_errors: Counter::new(),
             buf_reuses: Counter::new(),
             buf_allocs: Counter::new(),
@@ -99,6 +105,7 @@ impl RuntimeObs {
             rx_batches: registry.counter(names::RX_BATCHES),
             tx_flushes: registry.counter(names::TX_FLUSHES),
             rx_wait_ns: registry.counter(names::RX_WAIT_NS),
+            tx_wait_ns: registry.counter(names::TX_WAIT_NS),
             rx_decode_errors: registry.counter(names::RX_DECODE_ERRORS),
             buf_reuses: registry.counter(names::BUF_REUSES),
             buf_allocs: registry.counter(names::BUF_ALLOCS),

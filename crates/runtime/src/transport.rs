@@ -29,7 +29,7 @@
 
 use crate::error::RuntimeError;
 use crate::pool::BufPool;
-use parjoin_common::Value;
+use parjoin_common::{wire, Value};
 use std::sync::mpsc::{sync_channel, Receiver, SyncSender, TryRecvError};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -153,10 +153,7 @@ pub(crate) fn idle_backoff(idle_rounds: u32) {
 /// buffer (the owned-frame assembly of the channel transport).
 fn assemble_frame(buf: &mut Vec<u8>, header: &[u8], values: &[Value]) {
     buf.extend_from_slice(header);
-    buf.reserve(values.len() * 8);
-    for &v in values {
-        buf.extend_from_slice(&v.to_le_bytes());
-    }
+    wire::extend_le_words(buf, values);
 }
 
 /// `None` frame is the end-of-stream marker; the source is implied by
