@@ -12,17 +12,27 @@
 //! materialises its whole output and then shuffles it
 //! ([`Runtime::shuffle`]). Both are checked to deliver the same
 //! partitions before either is timed.
+//!
+//! Its receive-side pair routes a hash join's *probe* side instead:
+//! each rank holds its build partition and either probes every batch as
+//! its drain thread decodes it, keeping output per source
+//! ([`Runtime::exchange_with`], the last step of a pipelined
+//! regular-shuffle plan), or receives its whole partition and then
+//! joins it in one phase. Both are checked to give every rank the same
+//! output before either is timed.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use parjoin_common::Relation;
 use parjoin_datagen::graph;
+use parjoin_engine::exec::run_phase;
 use parjoin_engine::local::JoinTable;
 use parjoin_obs::Lane;
-use parjoin_runtime::exchange::{Produce, RowSink};
+use parjoin_runtime::exchange::{concat, Consume, Produce, RowSink};
 use parjoin_runtime::route::ROUTE_CHUNK;
 use parjoin_runtime::{
     local_shuffle, Route, Runtime, RuntimeConfig, RuntimeError, ShuffleOutcome, TransportKind,
 };
+use std::sync::Arc;
 
 const WORKERS: usize = 8;
 
@@ -124,6 +134,58 @@ impl Produce for TwoPath {
     }
 }
 
+/// One rank's build side of `E(x, y) ⋈ E(y, z)` on the receive side of
+/// the probe side's exchange: every decoded batch is probed at once and
+/// its output kept per source.
+struct ProbeOnReceipt {
+    build: Arc<Relation>,
+    table: JoinTable,
+    batch: Relation,
+    per_src: Vec<Relation>,
+}
+
+impl ProbeOnReceipt {
+    fn new(build: Arc<Relation>) -> Self {
+        ProbeOnReceipt {
+            table: JoinTable::build(&build, &[0], 7),
+            build,
+            batch: Relation::new(2),
+            per_src: (0..WORKERS).map(|_| Relation::new(3)).collect(),
+        }
+    }
+}
+
+/// Appends `probe ⋈ build` on `y`, in probe order, to `out`.
+fn probe_into(table: &JoinTable, build: &Relation, probe: &Relation, out: &mut Relation) {
+    for row in probe.rows() {
+        for b in table.probe1(row[1]) {
+            out.push_row(&[row[0], row[1], build.value(b, 1)]);
+        }
+    }
+}
+
+impl Consume for ProbeOnReceipt {
+    type Report = ();
+
+    fn inbox(&mut self, _: usize) -> &mut Relation {
+        &mut self.batch
+    }
+
+    fn received(&mut self, src: usize, _: usize) {
+        probe_into(
+            &self.table,
+            &self.build,
+            &self.batch,
+            &mut self.per_src[src],
+        );
+        self.batch.clear();
+    }
+
+    fn finish(self) -> (Relation, ()) {
+        (concat(3, self.per_src), ())
+    }
+}
+
 fn partitions(out: &ShuffleOutcome) -> Vec<&[u64]> {
     out.parts.iter().map(Relation::raw).collect()
 }
@@ -171,6 +233,42 @@ fn bench_pipelined(c: &mut Criterion) {
     });
     group.bench_function(format!("join_feeds_exchange/{rows}"), |b| {
         b.iter(pipelined);
+    });
+
+    // The receive side: the probe rows travel, the build rows stay.
+    let probe_parts: Vec<Relation> = joins.iter().map(|j| j.probe.clone()).collect();
+    let builds: Vec<Arc<Relation>> = joins.iter().map(|j| Arc::new(j.build.clone())).collect();
+    let concat_then_join = || {
+        let received = rt
+            .shuffle(probe_parts.clone(), &on_y_probe)
+            .expect("exchange succeeds");
+        run_phase(WORKERS, |w| {
+            let build = &builds[w];
+            let mut out = Relation::new(3);
+            let table = JoinTable::build(build, &[0], 7);
+            probe_into(&table, build, &received.parts[w], &mut out);
+            out
+        })
+        .results
+    };
+    let received_feeds_join = || {
+        let consumers = builds.iter().cloned().map(ProbeOnReceipt::new).collect();
+        let (out, _, _) = rt
+            .exchange_with(probe_parts.clone(), consumers, &on_y_probe)
+            .expect("exchange succeeds");
+        out.parts
+    };
+    let (want, got) = (concat_then_join(), received_feeds_join());
+    let raw =
+        |parts: &[Relation]| -> Vec<Vec<u64>> { parts.iter().map(|p| p.raw().to_vec()).collect() };
+    assert_eq!(raw(&want), raw(&got), "same output on every rank");
+    let probed: u64 = probe_parts.iter().map(|p| p.len() as u64).sum();
+    group.throughput(Throughput::Elements(probed));
+    group.bench_function(format!("concat_then_join/{probed}"), |b| {
+        b.iter(concat_then_join);
+    });
+    group.bench_function(format!("received_feeds_join/{probed}"), |b| {
+        b.iter(received_feeds_join);
     });
     group.finish();
     rt.shutdown().expect("clean shutdown");

@@ -209,32 +209,27 @@ fn output_schema(a: &SchemaRel, b: &SchemaRel) -> (Vec<VarId>, Vec<usize>) {
     (vars, b_cols)
 }
 
-/// The fixed (per-join, not per-row) state of a binary hash join: side
-/// assignment, key columns, built table, and output schema. Splitting
-/// this out of [`hash_join`] lets the morsel-parallel probe layer
-/// ([`crate::probe`]) build once and probe disjoint row ranges from many
-/// threads — `JoinTable` is all flat `Vec`s, so sharing it read-only
-/// across scoped threads is free.
-pub(crate) struct HashJoinShape<'a> {
-    build: &'a SchemaRel,
-    probe: &'a SchemaRel,
+/// What a binary hash join fixes before its first probe row: which side
+/// builds, the key columns, the output schema, and the table over the
+/// build side's rows. It borrows neither side, so a join whose probe side
+/// arrives in batches ([`crate::pipeline`]) keeps it and probes each
+/// batch as it comes.
+pub(crate) struct BuiltJoin {
     build_is_a: bool,
     probe_cols: Vec<usize>,
     /// Output vars: a's vars then b-only vars.
     pub vars: Vec<VarId>,
     b_only_cols: Vec<usize>,
-    pub table: JoinTable,
+    table: JoinTable,
 }
 
-impl<'a> HashJoinShape<'a> {
-    /// Plans the join (smaller side builds) and builds the hash table.
-    pub fn new(a: &'a SchemaRel, b: &'a SchemaRel, seed: u64) -> Self {
+impl BuiltJoin {
+    /// Plans the join of `a` and `b` with `a` building when `build_is_a`
+    /// (`b` otherwise), and builds the table over the build side's rows;
+    /// the probe side's rows are not read.
+    pub fn new(a: &SchemaRel, b: &SchemaRel, build_is_a: bool, seed: u64) -> Self {
         let on = shared_vars(a, b);
-        let (build, probe, build_is_a) = if a.rel.len() <= b.rel.len() {
-            (a, b, true)
-        } else {
-            (b, a, false)
-        };
+        let (build, probe) = if build_is_a { (a, b) } else { (b, a) };
         let build_cols: Vec<usize> = on
             .iter()
             .map(|&v| build.col_of(v).expect("shared")) // xtask: allow(expect): analyzer-verified binding
@@ -245,14 +240,105 @@ impl<'a> HashJoinShape<'a> {
             .collect();
         let table = JoinTable::build(&build.rel, &build_cols, seed);
         let (vars, b_only_cols) = output_schema(a, b);
-        HashJoinShape {
-            build,
-            probe,
+        BuiltJoin {
             build_is_a,
             probe_cols,
             vars,
             b_only_cols,
             table,
+        }
+    }
+
+    /// Columns of an output row (at least one).
+    pub fn out_arity(&self) -> usize {
+        self.vars.len().max(1)
+    }
+
+    /// Probes rows `[lo, hi)` of `probe` against the table built over
+    /// `build`, appending matches to `out` in probe-row order, and hands
+    /// `out` to `flush` after every probe row that leaves it holding
+    /// `chunk` rows or more; `flush` is expected to take them. Whatever
+    /// is left in `out` at the end is the caller's. Concatenating the
+    /// outputs of consecutive row ranges — or of consecutive pieces of
+    /// the probe side — is byte-identical to one pass over the whole,
+    /// and cutting the output into pieces changes neither its rows nor
+    /// their order.
+    ///
+    /// # Errors
+    /// Whatever `flush` returns; probing stops there.
+    pub fn probe_chunked<E>(
+        &self,
+        build: &Relation,
+        probe: &Relation,
+        (lo, hi): (usize, usize),
+        out: &mut Relation,
+        chunk: usize,
+        flush: &mut dyn FnMut(&mut Relation) -> Result<(), E>,
+    ) -> Result<(), E> {
+        let mut row_buf: Vec<Value> = Vec::with_capacity(self.vars.len());
+        let mut emit = |prow: &[Value], bidx: usize, out: &mut Relation| {
+            let brow = build.row(bidx);
+            let (arow, brow2) = if self.build_is_a {
+                (brow, prow)
+            } else {
+                (prow, brow)
+            };
+            row_buf.clear();
+            row_buf.extend_from_slice(arow);
+            row_buf.extend(self.b_only_cols.iter().map(|&c| brow2[c]));
+            out.push_row(&row_buf);
+        };
+        if let [pc] = self.probe_cols[..] {
+            // Single-key fast path: scalar probe, no key buffer.
+            for p in lo..hi {
+                let prow = probe.row(p);
+                for bidx in self.table.probe1(prow[pc]) {
+                    emit(prow, bidx, out);
+                }
+                if out.len() >= chunk {
+                    flush(out)?;
+                }
+            }
+        } else {
+            let mut key = Vec::with_capacity(self.probe_cols.len());
+            for p in lo..hi {
+                let prow = probe.row(p);
+                key.clear();
+                key.extend(self.probe_cols.iter().map(|&c| prow[c]));
+                for bidx in self.table.probe(&key) {
+                    emit(prow, bidx, out);
+                }
+                if out.len() >= chunk {
+                    flush(out)?;
+                }
+            }
+        }
+        Ok(())
+    }
+}
+
+/// A binary hash join over two borrowed sides, planned the way every
+/// hash join here is: the smaller side builds. Splitting this out of
+/// [`hash_join`] lets the morsel-parallel probe layer ([`crate::probe`])
+/// build once and probe disjoint row ranges from many threads —
+/// `JoinTable` is all flat `Vec`s, so sharing it read-only across scoped
+/// threads is free.
+pub(crate) struct HashJoinShape<'a> {
+    build: &'a SchemaRel,
+    probe: &'a SchemaRel,
+    /// The built table and the output schema.
+    pub join: BuiltJoin,
+}
+
+impl<'a> HashJoinShape<'a> {
+    /// Plans the join (smaller side builds) and builds the hash table.
+    pub fn new(a: &'a SchemaRel, b: &'a SchemaRel, seed: u64) -> Self {
+        let build_is_a = a.rel.len() <= b.rel.len();
+        let (build, probe) = if build_is_a { (a, b) } else { (b, a) };
+        HashJoinShape {
+            build,
+            probe,
+            join: BuiltJoin::new(a, b, build_is_a, seed),
         }
     }
 
@@ -274,14 +360,11 @@ impl<'a> HashJoinShape<'a> {
 
     /// Columns of an output row (at least one).
     pub fn out_arity(&self) -> usize {
-        self.vars.len().max(1)
+        self.join.out_arity()
     }
 
-    /// [`HashJoinShape::probe_range`] into `out`, handing `out` to
-    /// `flush` after every probe row that leaves it holding `chunk` rows
-    /// or more; `flush` is expected to take them. Whatever is left in
-    /// `out` at the end is the caller's. Cutting the output into pieces
-    /// changes neither its rows nor their order.
+    /// [`BuiltJoin::probe_chunked`] over rows `[lo, hi)` of the probe
+    /// side.
     ///
     /// # Errors
     /// Whatever `flush` returns; probing stops there.
@@ -293,45 +376,8 @@ impl<'a> HashJoinShape<'a> {
         chunk: usize,
         flush: &mut dyn FnMut(&mut Relation) -> Result<(), E>,
     ) -> Result<(), E> {
-        let mut row_buf: Vec<Value> = Vec::with_capacity(self.vars.len());
-        let mut emit = |prow: &[Value], bidx: usize, out: &mut Relation| {
-            let brow = self.build.rel.row(bidx);
-            let (arow, brow2) = if self.build_is_a {
-                (brow, prow)
-            } else {
-                (prow, brow)
-            };
-            row_buf.clear();
-            row_buf.extend_from_slice(arow);
-            row_buf.extend(self.b_only_cols.iter().map(|&c| brow2[c]));
-            out.push_row(&row_buf);
-        };
-        if let [pc] = self.probe_cols[..] {
-            // Single-key fast path: scalar probe, no key buffer.
-            for p in lo..hi {
-                let prow = self.probe.rel.row(p);
-                for bidx in self.table.probe1(prow[pc]) {
-                    emit(prow, bidx, out);
-                }
-                if out.len() >= chunk {
-                    flush(out)?;
-                }
-            }
-        } else {
-            let mut key = Vec::with_capacity(self.probe_cols.len());
-            for p in lo..hi {
-                let prow = self.probe.rel.row(p);
-                key.clear();
-                key.extend(self.probe_cols.iter().map(|&c| prow[c]));
-                for bidx in self.table.probe(&key) {
-                    emit(prow, bidx, out);
-                }
-                if out.len() >= chunk {
-                    flush(out)?;
-                }
-            }
-        }
-        Ok(())
+        let (build, probe) = (&self.build.rel, &self.probe.rel);
+        (self.join).probe_chunked(build, probe, (lo, hi), out, chunk, flush)
     }
 }
 
@@ -346,7 +392,7 @@ pub fn hash_join(a: &SchemaRel, b: &SchemaRel, seed: u64) -> SchemaRel {
     let shape = HashJoinShape::new(a, b, seed);
     let rel = shape.probe_range(0, shape.probe_len());
     SchemaRel {
-        vars: shape.vars,
+        vars: shape.join.vars,
         rel,
     }
 }

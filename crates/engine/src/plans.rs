@@ -27,7 +27,7 @@ use crate::cluster::Cluster;
 use crate::dist::{DistRel, AGGREGATE};
 use crate::error::EngineError;
 use crate::exec::{parallelism_warning, run_phase_traced};
-use crate::local::{hash_join, SchemaRel};
+use crate::local::{hash_join, row_filter, SchemaRel};
 use crate::pipeline::{self, Left, RankJoin, StepJoin};
 use crate::prepare;
 use crate::probe;
@@ -411,6 +411,11 @@ pub mod metric_names {
     /// Tuples a semijoin plan's reductions shuffled as the relations
     /// being reduced.
     pub const SEMIJOIN_INPUT_TUPLES: &str = "engine.semijoin.input_tuples";
+    /// Rank-steps of a regular plan whose hash join probed its left input
+    /// batch by batch as the exchange delivered it (`engine::pipeline`,
+    /// DESIGN §19); a rank whose left input ended no larger than its
+    /// build side joins once its streams end, and is not counted.
+    pub const PIPELINE_RECEIVED_JOINS: &str = "engine.pipeline.received_joins";
 }
 
 /// Per-run observability state: one [`Registry`] and one [`TraceSink`],
@@ -1311,30 +1316,24 @@ fn run_regular(
             .and_then(Option::take)
             .ok_or_else(|| EngineError::Unsupported(format!("join order reuses atom {ai}")))
     };
-    let mut first = take_atom(order[0])?;
+    let first = take_atom(order[0])?;
     let mut cur_label = query.atoms[order[0]].relation.clone();
 
     // Filters already covered by the first atom alone (e.g. a var-var
     // comparison within one atom) apply before any join.
     let ready0 = take_ready_filters(&mut pending, &first.vars);
-    if !ready0.is_empty() {
-        let vars = first.vars.clone();
-        first.parts = first
-            .parts
-            .iter()
-            .map(|p| {
-                SchemaRel {
-                    vars: vars.clone(),
-                    rel: p.clone(),
-                }
-                .filter(&ready0)
-                .rel
-            })
-            .collect();
-    }
+    let first = if ready0.is_empty() {
+        first
+    } else {
+        let keep = |p: Relation| p.filter(row_filter(&first.vars, &ready0));
+        DistRel {
+            parts: first.parts.into_iter().map(keep).collect(),
+            vars: first.vars,
+        }
+    };
     let mut cur = Left::Rel(first);
 
-    for &ai in &order[1..] {
+    for (step, &ai) in order.iter().enumerate().skip(1) {
         let next = take_atom(ai)?;
         let next_label = &query.atoms[ai].relation;
         let shared: Vec<VarId> = cur
@@ -1357,7 +1356,70 @@ fn run_regular(
             .map(|v| query.var_name(*v))
             .collect::<Vec<_>>()
             .join(",");
-        let (cur_s, next_s, s1, s2) = if opts.skew_resilient && !shuffle_key.is_empty() {
+        let (cur_h, next_h) = (
+            format!("{cur_label} ->h({key_desc})"),
+            format!("{next_label} ->h({key_desc})"),
+        );
+
+        // This step's per-worker binary join; both sides' partitions go
+        // to their worker by move.
+        let out_schema = {
+            let a = SchemaRel {
+                vars: cur.vars().to_vec(),
+                rel: Relation::new(cur.vars().len()),
+            };
+            let b = SchemaRel {
+                vars: next.vars.clone(),
+                rel: Relation::new(next.vars.len()),
+            };
+            hash_join(&a, &b, 0).vars
+        };
+        let ready = take_ready_filters(&mut pending, &out_schema);
+        let rank_join = |a_vars: &[VarId], a, b_vars: &[VarId], b| RankJoin {
+            a: SchemaRel {
+                vars: a_vars.to_vec(),
+                rel: a,
+            },
+            b: SchemaRel {
+                vars: b_vars.to_vec(),
+                rel: b,
+            },
+            ready: ready.clone(),
+            alg: join_alg,
+            seed: cluster.seed,
+            threads: probe_threads,
+        };
+        let skew = opts.skew_resilient && !shuffle_key.is_empty();
+        let on_key = |vars: &[VarId]| {
+            shuffle::regular_route(vars, &shuffle_key, cluster.seed, cluster.workers)
+        };
+        if let Seam::Stream(rt) = seam {
+            if step + 1 == order.len() && !skew && join_alg == JoinAlg::Hash && probe_threads <= 1 {
+                // The last hash join runs on the receive side of its
+                // left exchange: its base atom is shuffled first, so each
+                // rank holds its build side before the first batch of the
+                // left input arrives. Both routes hash the same key, as
+                // below. It probes one batch at a time on the drain
+                // thread, so it runs only where the probe would run on
+                // one thread anyway; with more, the materialised join
+                // keeps its morsels.
+                let route = on_key(&next.vars)?;
+                let (next_s, base) = shuffle::run_route(next, &route, next_h, seam)?;
+                let (a_vars, arity) = (cur.vars().to_vec(), cur.arity());
+                let ranks = (next_s.parts.into_iter())
+                    .map(|b| rank_join(&a_vars, Relation::new(arity), &next_s.vars, b));
+                let last = StepJoin {
+                    vars: out_schema,
+                    ranks: ranks.collect(),
+                };
+                let route = on_key(&a_vars)?;
+                let left = (cur, &route, cur_h);
+                let out = pipeline::join_received(ex, rt, left, (last, base), result)?;
+                cur = Left::Rel(out);
+                break;
+            }
+        }
+        let (cur_s, next_s, s1, s2) = if skew {
             // The heavy-key summary reads the whole left input.
             let cur = pipeline::realise(ex, cur, result)?;
             let (cur_s, next_s, [summary, s1, s2]) = shuffle::skew_resilient_pair(
@@ -1376,15 +1438,10 @@ fn run_regular(
             result.absorb_round([summary], cluster);
             (cur_s, next_s, s1, s2)
         } else {
-            let on_key = |vars: &[VarId]| {
-                shuffle::regular_route(vars, &shuffle_key, cluster.seed, cluster.workers)
-            };
             let route = on_key(cur.vars())?;
-            let label = format!("{cur_label} ->h({key_desc})");
-            let (cur_s, s1) = pipeline::route(ex, cur, &route, label, result)?;
+            let (cur_s, s1) = pipeline::route(ex, cur, &route, cur_h, result)?;
             let route = on_key(&next.vars)?;
-            let label = format!("{next_label} ->h({key_desc})");
-            let (next_s, s2) = shuffle::run_route(next, &route, label, seam)?;
+            let (next_s, s2) = shuffle::run_route(next, &route, next_h, seam)?;
             (cur_s, next_s, s1, s2)
         };
         result.absorb_round([s1, s2], cluster);
@@ -1392,39 +1449,16 @@ fn run_regular(
         #[cfg(feature = "strict-invariants")]
         crate::strict::assert_colocated(&cur_s, &next_s, &shuffle_key, "regular shuffle");
 
-        // This step's per-worker binary join; both sides' partitions go
-        // to their worker by move.
-        let out_schema = {
-            let a = SchemaRel {
-                vars: cur_s.vars.clone(),
-                rel: Relation::new(cur_s.vars.len()),
-            };
-            let b = SchemaRel {
-                vars: next_s.vars.clone(),
-                rel: Relation::new(next_s.vars.len()),
-            };
-            hash_join(&a, &b, 0).vars
-        };
-        let ready = take_ready_filters(&mut pending, &out_schema);
-        let side = |vars: &[VarId], rel| SchemaRel {
-            vars: vars.to_vec(),
-            rel,
-        };
-        let ranks = (cur_s.parts.into_iter().zip(next_s.parts)).map(|(a, b)| RankJoin {
-            a: side(&cur_s.vars, a),
-            b: side(&next_s.vars, b),
-            ready: ready.clone(),
-            alg: join_alg,
-            seed: cluster.seed,
-            threads: probe_threads,
-        });
+        let ranks = (cur_s.parts.into_iter().zip(next_s.parts))
+            .map(|(a, b)| rank_join(&cur_s.vars, a, &next_s.vars, b));
         cur = Left::Join(StepJoin {
             vars: out_schema,
             ranks: ranks.collect(),
         });
         cur_label = format!("{cur_label}{next_label}");
     }
-    // The last step's join, which the output gathers.
+    // The last step's join, which the output gathers (already run when
+    // it ran on the receive side).
     let cur = pipeline::realise(ex, cur, result)?;
     // The analyzer rejects plans whose filters never bind
     // (`FilterNeverApplied`), so this is unreachable through `run_config`;

@@ -353,7 +353,7 @@ pub fn hash_join_parallel(
     let Ok((morsels, steals)) = hash_probe(&shape, threads, usize::MAX, concat);
     (
         SchemaRel {
-            vars: shape.vars,
+            vars: shape.join.vars,
             rel,
         },
         morsels,

@@ -25,7 +25,7 @@ use crate::error::EngineError;
 use parjoin_common::{hash, Relation, ShuffleStats, Value};
 use parjoin_core::hypercube::HcConfig;
 use parjoin_query::VarId;
-use parjoin_runtime::exchange::Produce;
+use parjoin_runtime::exchange::{Consume, Produce};
 use parjoin_runtime::route::HeavyKeys;
 use parjoin_runtime::{local_shuffle, Route, Runtime, RuntimeError, ShuffleOutcome};
 use std::collections::{BTreeMap, HashMap};
@@ -81,26 +81,34 @@ pub(crate) fn run_route(
     Ok(package(input.vars, outcome, label))
 }
 
-/// Runs one exchange on `rt` fed by `producers`, one per hosted rank,
-/// whose rows have schema `vars`, and packages the outcome as
-/// [`run_route`] does, with each producer's report in rank order.
+/// What [`run_exchange`] returns: the consumers' partitions, the
+/// shuffle's stats, then each rank's producer and consumer reports.
+pub(crate) type Routed<R, C> = (DistRel, ShuffleStats, Vec<R>, Vec<C>);
+
+/// Runs one exchange on `rt` fed by `producers` and drained by
+/// `consumers`, one of each per hosted rank, whose output rows have
+/// schema `vars`, and packages the outcome as [`run_route`] does, with
+/// each producer's and each consumer's report in rank order.
 ///
 /// # Errors
 /// [`EngineError::Transport`] if the exchange fails.
-pub(crate) fn run_producers<P>(
+pub(crate) fn run_exchange<P, C>(
     vars: Vec<VarId>,
     producers: Vec<P>,
+    consumers: Vec<C>,
     route: &Route,
     label: impl Into<String>,
     rt: &Runtime,
-) -> Result<(DistRel, ShuffleStats, Vec<P::Report>), EngineError>
+) -> Result<Routed<P::Report, C::Report>, EngineError>
 where
     P: Produce + Send + 'static,
     P::Report: Send + 'static,
+    C: Consume + Send + 'static,
+    C::Report: Send + 'static,
 {
-    let (outcome, reports) = rt.exchange(producers, route)?;
+    let (outcome, reports, consumed) = rt.exchange_with(producers, consumers, route)?;
     let (out, stats) = package(vars, outcome, label);
-    Ok((out, stats, reports))
+    Ok((out, stats, reports, consumed))
 }
 
 /// The in-memory seam over a borrowed relation: nothing to consume, and
@@ -129,7 +137,7 @@ fn run_local(
 }
 
 /// A shuffle outcome as the engine's types.
-fn package(
+pub(crate) fn package(
     vars: Vec<VarId>,
     outcome: ShuffleOutcome,
     label: impl Into<String>,

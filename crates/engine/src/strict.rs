@@ -11,11 +11,30 @@
 //! engine itself (not the caller's plan) is broken.
 
 use crate::dist::DistRel;
-use parjoin_common::Value;
+use parjoin_common::{Relation, Value};
 use parjoin_query::VarId;
 
 /// Rows sampled from each side of a co-location check.
 const SAMPLE_PER_SIDE: usize = 32;
+
+/// Rows [`sample_batch`] takes from one batch, so that a rank's sample
+/// spans several batches and sources.
+const SAMPLE_PER_BATCH: usize = 8;
+
+/// Appends the first of the last `rows` rows of `batch` (a frame a
+/// receive-side join was just handed) to `sample`: up to
+/// [`SAMPLE_PER_BATCH`] of them, until `sample` holds
+/// [`SAMPLE_PER_SIDE`]. A consumer that drops each batch once probed
+/// keeps these rows for [`assert_colocated`].
+pub(crate) fn sample_batch(sample: &mut Relation, batch: &Relation, rows: usize) {
+    let take = (SAMPLE_PER_SIDE.saturating_sub(sample.len()))
+        .min(SAMPLE_PER_BATCH)
+        .min(rows);
+    let first = batch.len() - rows;
+    for i in first..first + take {
+        sample.push_row(batch.row(i));
+    }
+}
 
 /// Column indices of `shared` within `vars` (`None` if any is missing —
 /// the caller's shared set should always be a subset of both schemas).

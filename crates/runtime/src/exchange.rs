@@ -28,12 +28,20 @@
 //! one count on `runtime.rx.decode_errors`, exactly like a frame the
 //! transport itself rejects.
 //!
-//! The drain thread accumulates arriving batches **per source** and the
-//! final partition concatenates sources in ascending order. Because each
-//! source's batches arrive in order (FIFO channels / one TCP connection
-//! per directed pair), the resulting row order is *identical* to the
-//! sequential `Local` loop — streaming transports are deterministic, not
-//! merely equivalent up to reordering.
+//! The drain thread hands every decoded batch to the rank's [`Consume`]r,
+//! the receive-side counterpart of [`Produce`]: the frame decodes onto
+//! the relation the consumer names for its source, and the consumer is
+//! then told how many rows arrived. The default, [`Accumulate`], keeps
+//! each source's rows and concatenates the sources in ascending order
+//! once every stream has ended. Because each source's batches arrive in
+//! order (FIFO channels / one TCP connection per directed pair), the
+//! resulting row order is *identical* to the sequential `Local` loop —
+//! streaming transports are deterministic, not merely equivalent up to
+//! reordering. A consumer that computes on its rows (a join) can use each
+//! batch as it arrives and keep per source only what it makes of them;
+//! it then answers for that order itself. Once the last stream ends the
+//! drain thread hands the consumer back, and the worker's own thread
+//! finishes it into the rank's partition.
 
 use crate::error::RuntimeError;
 use crate::metrics::RuntimeObs;
@@ -145,10 +153,84 @@ impl Produce for Relation {
     }
 }
 
+/// One rank's receiving side of an exchange: what its drain thread does
+/// with each batch it decodes, in arrival order. Batches from one source
+/// arrive in the order that source sent them; batches from different
+/// sources interleave.
+pub trait Consume {
+    /// What the consumer reports besides its partition.
+    type Report;
+
+    /// The relation the next frame from source `src` decodes onto: its
+    /// rows are appended, and the relation has the exchange's arity.
+    fn inbox(&mut self, src: usize) -> &mut Relation;
+
+    /// Takes the `rows` rows a frame from `src` has just appended to its
+    /// [`Consume::inbox`].
+    fn received(&mut self, src: usize, rows: usize);
+
+    /// Every stream has ended: the last call on the drain thread.
+    fn ended(&mut self) {}
+
+    /// The rank's partition, and the report: called on the worker's
+    /// own thread once the drain thread has handed the consumer back.
+    fn finish(self) -> (Relation, Self::Report);
+}
+
+/// The default consumer: each source's rows, concatenated in ascending
+/// source order at the end.
+pub struct Accumulate {
+    arity: usize,
+    per_src: Vec<Relation>,
+}
+
+impl Accumulate {
+    /// A consumer of `arity`-column rows from `sources` ranks.
+    pub fn new(arity: usize, sources: usize) -> Self {
+        Accumulate {
+            arity,
+            per_src: (0..sources).map(|_| Relation::new(arity)).collect(),
+        }
+    }
+}
+
+impl Consume for Accumulate {
+    type Report = ();
+
+    fn inbox(&mut self, src: usize) -> &mut Relation {
+        &mut self.per_src[src]
+    }
+
+    fn received(&mut self, _: usize, _: usize) {}
+
+    fn finish(self) -> (Relation, ()) {
+        (concat(self.arity, self.per_src), ())
+    }
+}
+
+/// `parts`, each of `arity` columns, in order as one relation: how a
+/// rank's sources make its partition. A part holding every row is
+/// returned as it is; otherwise the rows are copied into a relation of
+/// exactly their total size.
+pub fn concat(arity: usize, mut parts: Vec<Relation>) -> Relation {
+    let total = parts.iter().map(Relation::len).sum();
+    if let Some(i) = parts.iter().position(|p| p.len() == total && total > 0) {
+        return parts.swap_remove(i);
+    }
+    let mut out = Relation::with_capacity(arity, total);
+    for part in &parts {
+        out.extend_from(part);
+    }
+    out
+}
+
 /// One worker's tallies from a streaming shuffle.
-pub struct WorkerOutcome<R = ()> {
-    /// The rows routed to this worker, in deterministic source order.
+pub struct WorkerOutcome<R = (), C = ()> {
+    /// What this worker's consumer made of the rows routed to it: with
+    /// [`Accumulate`], those rows in deterministic source order.
     pub received: Relation,
+    /// Tuples routed to this worker.
+    pub received_tuples: u64,
     /// Tuples this worker sent (counting one per destination copy).
     pub sent_tuples: u64,
     /// Encoded batch bytes this worker sent.
@@ -157,6 +239,8 @@ pub struct WorkerOutcome<R = ()> {
     pub bytes_received: u64,
     /// What this worker's producer reported.
     pub report: R,
+    /// What this worker's consumer reported.
+    pub consumed: C,
 }
 
 /// The send side of one worker's exchange: routes the rows it is fed,
@@ -257,8 +341,9 @@ impl RowSink for Outbox<'_> {
 
 /// Runs one worker's side of the exchange over a mesh of
 /// `route.workers()` ranks to completion: `producer` feeds the send side
-/// as it makes its rows, and the drain thread collects what the peers
-/// send.
+/// as it makes its rows, and the drain thread hands `consumer` every
+/// batch as it decodes ([`Accumulate`] collects them) and tells it when
+/// the last stream has ended; this thread then finishes it.
 ///
 /// # Errors
 /// Propagates transport failures (peer death, timeout) and wire-format
@@ -266,15 +351,20 @@ impl RowSink for Outbox<'_> {
 ///
 /// # Panics
 /// Panics if a produced row is narrower than a column the route reads.
-pub fn run_worker<P: Produce>(
+pub fn run_worker<P, C>(
     id: usize,
-    producer: P,
+    (producer, mut consumer): (P, C),
     opts: ExchangeOpts,
     endpoint: Box<dyn Endpoint>,
     route: &Route,
     obs: &RuntimeObs,
     pool: &Arc<BufPool>,
-) -> Result<WorkerOutcome<P::Report>, RuntimeError> {
+) -> Result<WorkerOutcome<P::Report, C::Report>, RuntimeError>
+where
+    P: Produce,
+    C: Consume + Send + 'static,
+    C::Report: Send + 'static,
+{
     let arity = producer.arity();
     let workers = route.workers();
     // The worker's whole side of the exchange is one `shuffle` span on
@@ -293,11 +383,10 @@ pub fn run_worker<P: Produce>(
     let drain = std::thread::Builder::new()
         .name(format!("parjoin-drain-{id}"))
         // xtask: allow(spawn)
-        .spawn(move || -> Result<(Vec<Relation>, u64), RuntimeError> {
+        .spawn(move || -> Result<_, RuntimeError> {
             // This worker's one receive loop, however many peers feed it.
             drain_obs.rx_threads.inc();
-            let mut per_src: Vec<Relation> = (0..workers).map(|_| Relation::new(arity)).collect();
-            let mut bytes = 0u64;
+            let (mut bytes, mut rows) = (0u64, 0u64);
             loop {
                 let wait = Instant::now();
                 let msg = receiver.recv();
@@ -308,14 +397,18 @@ pub fn run_worker<P: Produce>(
                 bytes += frame.len() as u64;
                 drain_obs.rx_bytes.add(frame.len() as u64);
                 drain_obs.rx_batches.inc();
-                wire::decode_frame_into(format, &frame, &mut per_src[src]).map_err(|e| {
-                    drain_obs.rx_decode_errors.inc();
-                    RuntimeError::Io(format!("frame from worker {src}: {e}"))
-                })?;
+                let decoded = wire::decode_frame_into(format, &frame, consumer.inbox(src))
+                    .map_err(|e| {
+                        drain_obs.rx_decode_errors.inc();
+                        RuntimeError::Io(format!("frame from worker {src}: {e}"))
+                    })?;
                 // Decoded: recycle the buffer for the next frame.
                 drain_pool.release(frame);
+                rows += decoded as u64;
+                consumer.received(src, decoded);
             }
-            Ok((per_src, bytes))
+            consumer.ended();
+            Ok((consumer, bytes, rows))
         })
         .map_err(|e| RuntimeError::Io(e.to_string()))?;
 
@@ -346,18 +439,15 @@ pub fn run_worker<P: Produce>(
         .join()
         .map_err(|_| RuntimeError::Io(format!("drain thread of worker {id} panicked")));
     let report = send_result?;
-    let (per_src, bytes_received) = drain_result??;
-
-    let total: usize = per_src.iter().map(Relation::len).sum();
-    let mut received = Relation::with_capacity(arity, total);
-    for src in &per_src {
-        received.extend_from(src);
-    }
+    let (consumer, bytes_received, received_tuples) = drain_result??;
+    let (received, consumed) = consumer.finish();
     Ok(WorkerOutcome {
         received,
+        received_tuples,
         sent_tuples,
         bytes_sent,
         bytes_received,
         report,
+        consumed,
     })
 }

@@ -30,9 +30,11 @@
 //! ## Worker lifecycle
 //!
 //! [`Runtime::new`] spawns the threads; [`Runtime::shuffle`] executes
-//! one exchange of materialised partitions on them, and
+//! one exchange of materialised partitions on them,
 //! [`Runtime::exchange`] one fed by a producer per rank (a join whose
-//! output is routed as it is made); [`Runtime::shutdown`] (or drop) closes the
+//! output is routed as it is made), and [`Runtime::exchange_with`] one
+//! whose ranks also consume what they receive as it arrives (a join
+//! probed batch by batch); [`Runtime::shutdown`] (or drop) closes the
 //! control channels and joins every thread. A runtime hosting a single
 //! rank spawns none: with no in-process peer to run beside, the rank's
 //! side of the exchange runs on the calling thread.
@@ -119,6 +121,11 @@ pub struct ShuffleOutcome {
     pub bytes_received: u64,
 }
 
+/// What [`Runtime::exchange_with`] returns: the shuffle's outcome, then
+/// each hosted rank's producer report and consumer report, in rank
+/// order.
+pub type Exchanged<R, C> = (ShuffleOutcome, Vec<R>, Vec<C>);
+
 /// A job run on one actor thread.
 type Job = Box<dyn FnOnce() + Send>;
 
@@ -126,7 +133,8 @@ type Job = Box<dyn FnOnce() + Send>;
 type Link = Box<dyn FnOnce() -> Result<Box<dyn transport::Endpoint>, RuntimeError> + Send>;
 
 /// One hosted rank's side of one shuffle round, ready to run.
-type RankJob<R> = Box<dyn FnOnce() -> Result<exchange::WorkerOutcome<R>, RuntimeError> + Send>;
+type RankJob<R, C> =
+    Box<dyn FnOnce() -> Result<exchange::WorkerOutcome<R, C>, RuntimeError> + Send>;
 
 struct Worker {
     tx: Sender<Job>,
@@ -305,14 +313,46 @@ impl Runtime {
         P: exchange::Produce + Send + 'static,
         P::Report: Send + 'static,
     {
+        let consumers = (producers.iter())
+            .map(|p| exchange::Accumulate::new(p.arity(), route.workers()))
+            .collect();
+        let (out, reports, _) = self.exchange_with(producers, consumers, route)?;
+        Ok((out, reports))
+    }
+
+    /// [`Runtime::exchange`] with one [`exchange::Consume`]r per hosted
+    /// rank: `consumers[i]` takes every batch hosted rank `i` receives as
+    /// its drain thread decodes it, and its partition is what the
+    /// consumer makes of them. `per_consumer` still counts the tuples
+    /// each rank received. Returns each consumer's report too, in rank
+    /// order.
+    ///
+    /// Under [`TransportKind::Local`] each consumer gets its rank's whole
+    /// shuffled partition as one batch from source 0.
+    ///
+    /// # Errors
+    /// As [`Runtime::exchange`].
+    pub fn exchange_with<P, C>(
+        &self,
+        producers: Vec<P>,
+        consumers: Vec<C>,
+        route: &Route,
+    ) -> Result<Exchanged<P::Report, C::Report>, RuntimeError>
+    where
+        P: exchange::Produce + Send + 'static,
+        P::Report: Send + 'static,
+        C: exchange::Consume + Send + 'static,
+        C::Report: Send + 'static,
+    {
         self.check_round(producers.len(), route)?;
+        self.check_round(consumers.len(), route)?;
         let config = &self.config;
         let width = config.workers;
         // How each hosted rank gets this round's endpoint: the channel
         // mesh is built whole and dealt out; a TCP member forms its own
         // on its rank's thread, concurrently with its peers.
         let links: Vec<Link> = match config.transport {
-            TransportKind::Local => return self.local_exchange(producers, route),
+            TransportKind::Local => return self.local_exchange(producers, consumers, route),
             TransportKind::InProcess => {
                 let (depth, timeout) = (config.channel_depth, config.io_timeout);
                 transport::in_process_mesh(width, depth, timeout, &self.pool)
@@ -332,14 +372,13 @@ impl Runtime {
             format: config.wire_format,
         };
         let route = Arc::new(route.clone());
-        let jobs = (self.first_rank..).zip(producers).zip(links);
-        let jobs = jobs.map(|((rank, producer), link)| {
+        let jobs = (self.first_rank..).zip(producers.into_iter().zip(consumers));
+        let jobs = jobs.zip(links).map(|((rank, sides), link)| {
             let route = Arc::clone(&route);
             let obs = config.obs.clone();
             let pool = Arc::clone(&self.pool);
-            Box::new(move || {
-                exchange::run_worker(rank, producer, opts, link()?, &route, &obs, &pool)
-            }) as RankJob<_>
+            Box::new(move || exchange::run_worker(rank, sides, opts, link()?, &route, &obs, &pool))
+                as RankJob<_, _>
         });
         let outcomes = self.run_jobs(jobs.collect())?;
 
@@ -351,16 +390,17 @@ impl Runtime {
             bytes_sent: 0,
             bytes_received: 0,
         };
-        let mut reports = Vec::with_capacity(hosted);
+        let (mut reports, mut consumed) = (Vec::with_capacity(hosted), Vec::with_capacity(hosted));
         for worker in outcomes {
             out.per_producer.push(worker.sent_tuples);
-            out.per_consumer.push(worker.received.len() as u64);
+            out.per_consumer.push(worker.received_tuples);
             out.bytes_sent += worker.bytes_sent;
             out.bytes_received += worker.bytes_received;
             out.parts.push(worker.received);
             reports.push(worker.report);
+            consumed.push(worker.consumed);
         }
-        Ok((out, reports))
+        Ok((out, reports, consumed))
     }
 
     /// Refuses a round before any rank starts: one input per hosted
@@ -382,14 +422,19 @@ impl Runtime {
         Ok(())
     }
 
-    /// [`Runtime::exchange`] under [`TransportKind::Local`]: each
-    /// producer fills a relation on the calling thread, then the
-    /// relations are shuffled in memory.
-    fn local_exchange<P: exchange::Produce>(
+    /// [`Runtime::exchange_with`] under [`TransportKind::Local`]: each
+    /// producer fills a relation on the calling thread, the relations are
+    /// shuffled in memory, and each consumer takes its rank's partition.
+    fn local_exchange<P, C>(
         &self,
         producers: Vec<P>,
+        consumers: Vec<C>,
         route: &Route,
-    ) -> Result<(ShuffleOutcome, Vec<P::Report>), RuntimeError> {
+    ) -> Result<Exchanged<P::Report, C::Report>, RuntimeError>
+    where
+        P: exchange::Produce,
+        C: exchange::Consume,
+    {
         let mut parts = Vec::with_capacity(producers.len());
         let mut reports = Vec::with_capacity(producers.len());
         for (rank, producer) in (self.first_rank..).zip(producers) {
@@ -398,16 +443,31 @@ impl Runtime {
             reports.push(producer.produce(&mut part, &lane)?);
             parts.push(part);
         }
-        Ok((local_shuffle(&parts, route), reports))
+        let mut out = local_shuffle(&parts, route);
+        let mut consumed = Vec::with_capacity(consumers.len());
+        for (part, mut consumer) in out.parts.iter_mut().zip(consumers) {
+            let (inbox, rows) = (consumer.inbox(0), part.len());
+            if inbox.is_empty() {
+                std::mem::swap(inbox, part);
+            } else {
+                inbox.extend_from(part);
+            }
+            consumer.received(0, rows);
+            consumer.ended();
+            let (received, report) = consumer.finish();
+            *part = received;
+            consumed.push(report);
+        }
+        Ok((out, reports, consumed))
     }
 
     /// Runs one job per hosted rank — on the rank's actor, or right here
     /// when a lone rank has none — and collects their outcomes in rank
     /// order.
-    fn run_jobs<R: Send + 'static>(
+    fn run_jobs<R: Send + 'static, C: Send + 'static>(
         &self,
-        jobs: Vec<RankJob<R>>,
-    ) -> Result<Vec<exchange::WorkerOutcome<R>>, RuntimeError> {
+        jobs: Vec<RankJob<R, C>>,
+    ) -> Result<Vec<exchange::WorkerOutcome<R, C>>, RuntimeError> {
         if self.actors.is_empty() {
             return jobs.into_iter().map(|job| job()).collect();
         }

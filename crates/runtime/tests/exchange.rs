@@ -226,7 +226,7 @@ fn obs_counters_reconcile_with_shuffle_tallies() {
 fn undecodable_frame_is_a_counted_typed_error() {
     use parjoin_common::wire;
     use parjoin_obs::{Registry, TraceSink};
-    use parjoin_runtime::exchange::{run_worker, ExchangeOpts};
+    use parjoin_runtime::exchange::{run_worker, Accumulate, ExchangeOpts};
     use parjoin_runtime::transport::in_process_mesh;
     use parjoin_runtime::{BufPool, RuntimeError, RuntimeObs};
 
@@ -254,7 +254,8 @@ fn undecodable_frame_is_a_counted_typed_error() {
         format: Default::default(),
     };
     let route = hash_route(2, 1);
-    let out = run_worker(0, &Relation::new(1), opts, victim, &route, &obs, &pool);
+    let sides = (&Relation::new(1), Accumulate::new(1, 2));
+    let out = run_worker(0, sides, opts, victim, &route, &obs, &pool);
     peer.join().expect("hostile peer");
     match out {
         Err(RuntimeError::Io(msg)) => assert!(msg.contains("worker 1"), "names the source: {msg}"),
