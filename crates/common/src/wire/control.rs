@@ -32,17 +32,21 @@ pub const MAGIC: [u8; 4] = *b"PJCP";
 /// relation bodies inside `Fragment` and `OutputBatch` payloads onto the
 /// parent module's one frame layout (version 1 used a second codec
 /// without the flags byte); version 3 made the fragment's one option
-/// byte a flags byte carrying `skew_resilient` and `group_count`. An
-/// older peer gets a typed [`ControlError::UnsupportedVersion`].
-pub const VERSION: u16 = 3;
+/// byte a flags byte carrying `skew_resilient` and `group_count`;
+/// version 4 names each atom's partition by content fingerprint, its
+/// rows inline only when the worker does not hold it yet. An older peer
+/// gets a typed [`ControlError::UnsupportedVersion`].
+pub const VERSION: u16 = 4;
 
 /// Fixed size of the frame header: magic, version, kind, payload length.
 pub const HEADER_LEN: usize = 4 + 2 + 1 + 4;
 
-/// Default ceiling on a control frame's payload (256 MiB): fragments
-/// carry seeded partitions, so they are orders of magnitude larger than
-/// data-plane batches, but an absurd length prefix is still better
-/// rejected than allocated.
+/// Default ceiling on a control frame's payload (256 MiB). A fragment
+/// carries a rank's seed partition of a relation the first time a
+/// session names it, so such a fragment can be orders of magnitude
+/// larger than a data-plane batch; every later one is the plan alone, a
+/// few hundred bytes. An absurd length prefix is still better rejected
+/// than allocated.
 pub const DEFAULT_FRAME_LIMIT: u32 = 256 << 20;
 
 /// Typed decode failures of the control protocol.
@@ -258,6 +262,11 @@ pub fn put_u64(buf: &mut Vec<u8>, v: u64) {
     buf.extend_from_slice(&v.to_le_bytes());
 }
 
+/// Appends a little-endian `u128` (a content fingerprint).
+pub fn put_u128(buf: &mut Vec<u8>, v: u128) {
+    buf.extend_from_slice(&v.to_le_bytes());
+}
+
 /// Appends a length-prefixed UTF-8 string.
 pub fn put_str(buf: &mut Vec<u8>, s: &str) {
     put_u32(buf, s.len() as u32);
@@ -351,6 +360,16 @@ impl<'a> PayloadReader<'a> {
         Ok(u64::from_le_bytes([
             b[0], b[1], b[2], b[3], b[4], b[5], b[6], b[7],
         ]))
+    }
+
+    /// Reads a little-endian `u128`.
+    ///
+    /// # Errors
+    /// [`ControlError::Truncated`] at end of payload.
+    pub fn u128(&mut self) -> Result<u128, ControlError> {
+        let mut b = [0u8; 16];
+        b.copy_from_slice(self.take(16)?);
+        Ok(u128::from_le_bytes(b))
     }
 
     /// Reads a length-prefixed UTF-8 string.
@@ -471,6 +490,7 @@ mod tests {
         put_u8(&mut buf, 3);
         put_u32(&mut buf, 70_000);
         put_u64(&mut buf, u64::MAX - 1);
+        put_u128(&mut buf, u128::MAX - 7);
         put_str(&mut buf, "twitter → q1");
         put_opt_u64(&mut buf, Some(42));
         put_opt_u64(&mut buf, None);
@@ -478,6 +498,7 @@ mod tests {
         assert_eq!(r.u8().expect("u8"), 3);
         assert_eq!(r.u32().expect("u32"), 70_000);
         assert_eq!(r.u64().expect("u64"), u64::MAX - 1);
+        assert_eq!(r.u128().expect("u128"), u128::MAX - 7);
         assert_eq!(r.str().expect("str"), "twitter → q1");
         assert_eq!(r.opt_u64().expect("some"), Some(42));
         assert_eq!(r.opt_u64().expect("none"), None);
@@ -491,5 +512,7 @@ mod tests {
         );
         let mut r = PayloadReader::new(&[1]);
         assert!(matches!(r.u64(), Err(ControlError::Truncated(_))));
+        let mut r = PayloadReader::new(&[1; 15]);
+        assert!(matches!(r.u128(), Err(ControlError::Truncated(_))));
     }
 }

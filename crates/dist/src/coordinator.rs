@@ -1,29 +1,38 @@
 //! The coordinator side of the control plane: dial every worker, ship
 //! per-rank plan fragments, collect streamed results, and reconcile
-//! cross-process metrics.
+//! cross-process metrics. It also keeps the books on every worker's
+//! partition store, which holds exactly what the latest fragment named:
+//! a fragment carries a partition's rows only where the worker does not
+//! hold them yet.
 
 use crate::error::DistError;
 use crate::proto::{self, WorkerStats};
-use parjoin_common::wire::control::{self, FrameKind, DEFAULT_FRAME_LIMIT};
+use parjoin_common::wire::control::{self, FrameKind, DEFAULT_FRAME_LIMIT, HEADER_LEN};
 use parjoin_common::wire::decode_frame_into;
 use parjoin_common::{Database, Relation, WireFormat};
-use parjoin_engine::{plan_fragments, Cluster, JoinAlg, PlanOptions, ShuffleAlg};
+use parjoin_engine::{
+    plan_mesh, Cluster, Fragment, JoinAlg, PartitionRef, PlanOptions, ShuffleAlg,
+};
 use parjoin_query::ConjunctiveQuery;
 use std::net::TcpStream;
 use std::time::{Duration, Instant};
 
-/// One connected worker: its control stream and advertised data-plane
-/// address.
+/// One connected worker: its control stream, advertised data-plane
+/// address, and what its partition store holds.
 struct WorkerLink {
     host: String,
     stream: TcpStream,
     data_addr: String,
+    /// Fingerprints of the partitions the worker's store holds: those
+    /// the last fragment named, none after an error.
+    held: Vec<u128>,
 }
 
 /// A mesh of connected worker processes, addressed by rank in
 /// connection order. Queries run with [`RemoteCluster::run`] reuse the
 /// same worker set — the per-query fragments re-form the data mesh, the
-/// control connections persist.
+/// control connections persist, and so does each worker's store of the
+/// seed partitions earlier fragments shipped it.
 pub struct RemoteCluster {
     links: Vec<WorkerLink>,
     /// Per-frame size ceiling on control connections.
@@ -84,6 +93,10 @@ pub struct RemoteRun {
     pub output_tuples: u64,
     /// Per-worker stats, rank-ascending.
     pub workers: Vec<WorkerStats>,
+    /// Control-plane bytes written for the query's fragments, frame
+    /// headers included: the seed partitions a worker did not hold yet,
+    /// and the plan.
+    pub fragment_bytes: u64,
 }
 
 impl RemoteRun {
@@ -157,6 +170,7 @@ impl RemoteCluster {
                 host: host.clone(),
                 stream,
                 data_addr,
+                held: Vec::new(),
             });
         }
         Ok(RemoteCluster {
@@ -177,7 +191,8 @@ impl RemoteCluster {
     /// rank-ascending. `cluster.workers` must equal
     /// [`RemoteCluster::workers`]; plan decisions (join order, shares,
     /// probe threads, seeds) all come from `cluster`/`opts` just like
-    /// `run_config`.
+    /// `run_config`. A rank's fragment carries the rows of only the
+    /// partitions its worker does not hold yet.
     ///
     /// # Errors
     /// [`DistError::Engine`] when planning fails,
@@ -201,15 +216,48 @@ impl RemoteCluster {
             )));
         }
         let data_addrs: Vec<String> = self.links.iter().map(|l| l.data_addr.clone()).collect();
-        let frags = plan_fragments(query, db, cluster, shuffle_alg, join_alg, opts, &data_addrs)?;
-        for (link, frag) in self.links.iter_mut().zip(&frags) {
-            control::write_frame(&mut link.stream, FrameKind::Fragment, &frag.encode())?;
-        }
-
+        let mesh = plan_mesh(query, db, cluster, shuffle_alg, join_alg, opts, &data_addrs)?;
+        let frags: Vec<Fragment> = (self.links.iter().enumerate())
+            .map(|(rank, link)| mesh.fragment(rank, |fp| link.held.contains(&fp)))
+            .collect();
         // Under `group_count` every rank returns `(head…, count)` rows.
         let arity = query.output_vars().len() + usize::from(opts.group_count);
+        let run = self.ship(&frags, arity);
+        // A store now holds exactly what its fragment named; after an
+        // error what it holds is unknown, so the next fragment carries
+        // every partition inline.
+        for (link, frag) in self.links.iter_mut().zip(&frags) {
+            link.held = match run {
+                Ok(_) => frag.parts.iter().map(PartitionRef::fingerprint).collect(),
+                Err(_) => Vec::new(),
+            };
+        }
+        let run = run?;
+        Ok(RemoteRun {
+            output: if opts.distinct_output {
+                run.output.distinct()
+            } else {
+                run.output
+            },
+            ..run
+        })
+    }
+
+    /// Writes one fragment per rank and collects every rank's reply of
+    /// `arity`-column output, rank-ascending. A rank's refusal leaves
+    /// its control stream in step, so the others' replies are still
+    /// read; the first refusal is returned.
+    fn ship(&mut self, frags: &[Fragment], arity: usize) -> Result<RemoteRun, DistError> {
+        let mut fragment_bytes = 0;
+        for (link, frag) in self.links.iter_mut().zip(frags) {
+            let payload = frag.encode();
+            fragment_bytes += (HEADER_LEN + payload.len()) as u64;
+            control::write_frame(&mut link.stream, FrameKind::Fragment, &payload)?;
+        }
+
         let mut output = Relation::new(arity);
         let mut workers = Vec::with_capacity(self.links.len());
+        let mut refused = None;
         for (rank, link) in self.links.iter_mut().enumerate() {
             loop {
                 let (kind, payload) = proto::read_frame_deadline(
@@ -229,10 +277,9 @@ impl RemoteCluster {
                         break;
                     }
                     FrameKind::Error => {
-                        return Err(DistError::Worker {
-                            rank,
-                            message: proto::decode_error(&payload)?,
-                        })
+                        let message = proto::decode_error(&payload)?;
+                        refused.get_or_insert(DistError::Worker { rank, message });
+                        break;
                     }
                     other => {
                         return Err(DistError::Protocol(format!(
@@ -242,16 +289,14 @@ impl RemoteCluster {
                 }
             }
         }
-        let output_tuples = workers.iter().map(|w| w.output_tuples).sum();
-        let output = if opts.distinct_output {
-            output.distinct()
-        } else {
-            output
-        };
+        if let Some(err) = refused {
+            return Err(err);
+        }
         Ok(RemoteRun {
+            output_tuples: workers.iter().map(|w| w.output_tuples).sum(),
             output,
-            output_tuples,
             workers,
+            fragment_bytes,
         })
     }
 

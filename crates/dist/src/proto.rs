@@ -12,6 +12,11 @@
 //! coord   -> Shutdown                                  (end of session)
 //! ```
 //!
+//! A worker keeps the seed partitions its fragments carry for the whole
+//! session, so a fragment names a partition the worker holds by
+//! fingerprint instead of shipping it again; naming one it does not hold
+//! earns an `Error` reply like any other refused fragment.
+//!
 //! Frame framing, magic, and versioning live in
 //! [`parjoin_common::wire::control`]; this module adds the payload
 //! shapes and a [`read_frame_deadline`] that converts a socket read

@@ -1,15 +1,63 @@
 //! The worker side of the control plane: accept one coordinator,
 //! announce the data-plane listener, execute shipped fragments, stream
-//! results back.
+//! results back, and keep the seed partitions the fragments ship for
+//! the rest of the session.
 
 use crate::error::DistError;
 use crate::proto::{self, WorkerStats};
 use parjoin_common::wire::control::{self, FrameKind, DEFAULT_FRAME_LIMIT};
 use parjoin_common::wire::encode_vectored;
-use parjoin_engine::{execute_fragment, Fragment};
+use parjoin_common::Relation;
+use parjoin_engine::{execute_fragment, Fragment, PartitionRef};
 use parjoin_runtime::{HandshakeConfig, HostMesh};
+use std::collections::HashMap;
 use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::sync::Arc;
 use std::time::Duration;
+
+/// The seed partitions a worker keeps between the fragments of one
+/// coordinator session, keyed by the content fingerprint the fragments
+/// name them by: exactly the partitions the latest fragment named. Only
+/// fragments change it, so the coordinator always knows what it holds,
+/// and it never holds more than one query's partitions.
+#[derive(Default)]
+struct PartitionStore {
+    parts: HashMap<u128, Arc<Relation>>,
+}
+
+impl PartitionStore {
+    /// Replaces the store with the partitions `frag` names — its inline
+    /// ones, and the named ones kept from the store — and resolves each
+    /// name in `frag` to the partition it names.
+    ///
+    /// # Errors
+    /// The refusal to send when `frag` names a partition the store does
+    /// not hold; the store is then empty.
+    fn admit(&mut self, frag: &mut Fragment) -> Result<(), String> {
+        let mut held = std::mem::take(&mut self.parts);
+        for p in &frag.parts {
+            if let PartitionRef::Inline { fp, part } = p {
+                self.parts.insert(*fp, Arc::clone(part));
+            }
+        }
+        for p in &mut frag.parts {
+            if let PartitionRef::Resident(fp) = *p {
+                let part = match self.parts.get(&fp) {
+                    Some(part) => Arc::clone(part),
+                    None => held.remove(&fp).ok_or_else(|| {
+                        self.parts.clear();
+                        format!(
+                            "fragment names partition {fp:032x}, which this worker does not hold"
+                        )
+                    })?,
+                };
+                self.parts.insert(fp, Arc::clone(&part));
+                *p = PartitionRef::Inline { fp, part };
+            }
+        }
+        Ok(())
+    }
+}
 
 /// A worker process's control server: one control listener (for the
 /// coordinator) plus one data-plane mesh listener (for peer workers),
@@ -85,8 +133,9 @@ impl WorkerServer {
     /// `Ready`, execute fragments until `Shutdown` (clean return) or a
     /// terminal failure.
     ///
-    /// Recoverable per-fragment failures — an undecodable fragment, a
-    /// failed pre-flight, a bad address book — are reported to the
+    /// Recoverable per-fragment failures — an undecodable fragment, one
+    /// that names a partition this worker does not hold, a failed
+    /// pre-flight, a bad address book — are reported to the
     /// coordinator in an `Error` frame and the worker keeps serving
     /// (the mesh was never touched). A failure *during* execution also
     /// sends `Error`, but then tears the session down: mid-query mesh
@@ -110,6 +159,7 @@ impl WorkerServer {
             FrameKind::Ready,
             &proto::encode_ready(&data_addr),
         )?;
+        let mut store = PartitionStore::default();
         loop {
             let (kind, payload) = proto::read_frame_deadline(
                 &mut stream,
@@ -118,7 +168,7 @@ impl WorkerServer {
                 "the next control frame from the coordinator",
             )?;
             match kind {
-                FrameKind::Fragment => self.run_fragment(&mut stream, &payload)?,
+                FrameKind::Fragment => self.run_fragment(&mut stream, &mut store, &payload)?,
                 FrameKind::Shutdown => return Ok(()),
                 other => {
                     return Err(DistError::Protocol(format!(
@@ -136,11 +186,19 @@ impl WorkerServer {
         Ok(())
     }
 
-    fn run_fragment(&mut self, stream: &mut TcpStream, payload: &[u8]) -> Result<(), DistError> {
-        let frag = match Fragment::decode(payload) {
+    fn run_fragment(
+        &mut self,
+        stream: &mut TcpStream,
+        store: &mut PartitionStore,
+        payload: &[u8],
+    ) -> Result<(), DistError> {
+        let mut frag = match Fragment::decode(payload) {
             Ok(f) => f,
             Err(e) => return Self::refuse(stream, format!("fragment rejected: {e}")),
         };
+        if let Err(e) = store.admit(&mut frag) {
+            return Self::refuse(stream, e);
+        }
         if let Err(e) = frag.preflight() {
             return Self::refuse(stream, format!("fragment failed pre-flight: {e}"));
         }
@@ -161,8 +219,8 @@ impl WorkerServer {
         let rx_bytes0 = self.mesh.obs.rx_bytes.get();
         let tx_batches0 = self.mesh.obs.tx_batches.get();
         let rx_batches0 = self.mesh.obs.rx_batches.get();
-        // The executor takes the fragment by value (its partitions move
-        // into the plan); keep what the reply needs.
+        // The executor takes the fragment by value; keep what the reply
+        // needs.
         let (rank, batch_tuples) = (frag.rank as usize, frag.batch_tuples as usize);
         let outcome = match execute_fragment(frag, &self.mesh) {
             Ok(o) => o,

@@ -106,70 +106,72 @@ fn worker_dies_between_hello_and_first_frame() {
     );
 }
 
-/// Builds a frame as a PJCP version-2 peer would have sent it.
-fn version_2_frame(kind: FrameKind, payload: &[u8]) -> Vec<u8> {
+/// Builds a frame as a peer speaking PJCP `version` would send it.
+fn old_frame(version: u16, kind: FrameKind, payload: &[u8]) -> Vec<u8> {
     let mut frame = Vec::new();
     control::write_frame(&mut frame, kind, payload).expect("write");
-    frame[4..6].copy_from_slice(&2u16.to_le_bytes());
+    frame[4..6].copy_from_slice(&version.to_le_bytes());
     frame
 }
 
 /// PJCP version 3 gave the fragment's flags byte two more bits
 /// (`skew_resilient`, `group_count`), which change how many exchange
-/// rounds a rank runs and what it returns; a version-2 peer on either
-/// end of the control connection is refused by version, typed, before
-/// any payload is read.
+/// rounds a rank runs and what it returns; version 4 names partitions by
+/// fingerprint, so an older worker would read a resident name as rows.
+/// A version-2 or version-3 peer on either end of the control connection
+/// is refused by version, typed, before any payload is read.
 #[test]
-fn version_2_peers_are_refused_by_version() {
+fn older_peers_are_refused_by_version() {
     use std::io::Write;
-    let want = ControlError::UnsupportedVersion {
-        got: 2,
-        supported: 3,
-    };
-
-    // A version-2 worker announcing itself to this coordinator.
-    let err = watchdog(Duration::from_secs(10), || {
-        let listener = TcpListener::bind("127.0.0.1:0").expect("bind");
-        let addr = listener.local_addr().expect("addr").to_string();
-        let fake = std::thread::spawn(move || {
-            let (mut s, _) = listener.accept().expect("accept");
-            s.write_all(&version_2_frame(
-                FrameKind::Ready,
-                &proto::encode_ready("127.0.0.1:1"),
-            ))
-            .expect("ready");
-        });
-        let err = match RemoteCluster::connect(&[addr], Duration::from_secs(5)) {
-            Err(e) => e,
-            Ok(_) => panic!("a version-2 worker must not be admitted"),
+    for version in [2, 3] {
+        let want = ControlError::UnsupportedVersion {
+            got: version,
+            supported: control::VERSION,
         };
-        fake.join().expect("fake worker");
-        err
-    });
-    assert!(
-        matches!(&err, DistError::Control(e) if *e == want),
-        "coordinator side: {err}"
-    );
 
-    // A version-2 coordinator shipping a fragment to this worker.
-    let err = watchdog(Duration::from_secs(10), || {
-        let server = WorkerServer::bind("127.0.0.1:0").expect("bind");
-        let addr = server.control_addr().expect("addr");
-        let serving = std::thread::spawn(move || server.serve());
-        let mut s = std::net::TcpStream::connect(addr).expect("connect");
-        let (kind, _) = control::read_frame(&mut s, control::DEFAULT_FRAME_LIMIT).expect("ready");
-        assert_eq!(kind, FrameKind::Ready);
-        s.write_all(&version_2_frame(FrameKind::Fragment, b"old fragment"))
-            .expect("fragment");
-        serving
-            .join()
-            .expect("worker thread")
-            .expect_err("a version-2 fragment must end the session")
-    });
-    assert!(
-        matches!(&err, DistError::Control(e) if *e == want),
-        "worker side: {err}"
-    );
+        // An old worker announcing itself to this coordinator.
+        let err = watchdog(Duration::from_secs(10), move || {
+            let listener = TcpListener::bind("127.0.0.1:0").expect("bind");
+            let addr = listener.local_addr().expect("addr").to_string();
+            let fake = std::thread::spawn(move || {
+                let (mut s, _) = listener.accept().expect("accept");
+                let ready = proto::encode_ready("127.0.0.1:1");
+                s.write_all(&old_frame(version, FrameKind::Ready, &ready))
+                    .expect("ready");
+            });
+            let err = match RemoteCluster::connect(&[addr], Duration::from_secs(5)) {
+                Err(e) => e,
+                Ok(_) => panic!("a version-{version} worker must not be admitted"),
+            };
+            fake.join().expect("fake worker");
+            err
+        });
+        assert!(
+            matches!(&err, DistError::Control(e) if *e == want),
+            "coordinator side, version {version}: {err}"
+        );
+
+        // An old coordinator shipping a fragment to this worker.
+        let err = watchdog(Duration::from_secs(10), move || {
+            let server = WorkerServer::bind("127.0.0.1:0").expect("bind");
+            let addr = server.control_addr().expect("addr");
+            let serving = std::thread::spawn(move || server.serve());
+            let mut s = std::net::TcpStream::connect(addr).expect("connect");
+            let (kind, _) =
+                control::read_frame(&mut s, control::DEFAULT_FRAME_LIMIT).expect("ready");
+            assert_eq!(kind, FrameKind::Ready);
+            s.write_all(&old_frame(version, FrameKind::Fragment, b"old fragment"))
+                .expect("fragment");
+            serving
+                .join()
+                .expect("worker thread")
+                .expect_err("an old fragment must end the session")
+        });
+        assert!(
+            matches!(&err, DistError::Control(e) if *e == want),
+            "worker side, version {version}: {err}"
+        );
+    }
 }
 
 /// A coordinator that vanishes mid-session surfaces on the worker as a

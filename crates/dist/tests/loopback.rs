@@ -3,12 +3,14 @@
 //! control and data planes) must produce output byte-identical to the
 //! sequential `Transport::Local` engine for every shuffle×join
 //! configuration — and their cross-process metric tallies must
-//! reconcile exactly.
+//! reconcile exactly. A session ships each seed partition to its worker
+//! once, and the tests at the end pin what the workers' stores hold.
 
 use parjoin_dist::{RemoteCluster, WorkerServer};
 use parjoin_engine::statscache::Lookup;
 use parjoin_engine::{
-    run_config, Cluster, JoinAlg, PlanOptions, ShuffleAlg, SortCache, StatsCache, TrieCache,
+    run_config, Cluster, JoinAlg, PartitionRef, PlanOptions, ShuffleAlg, SortCache, StatsCache,
+    TrieCache,
 };
 use std::sync::Arc;
 use std::time::Duration;
@@ -510,4 +512,235 @@ fn refusal_keeps_the_session_alive() {
     for h in handles {
         h.join().expect("worker thread").expect("worker serve");
     }
+}
+
+/// Asserts `run` is byte-identical to the Local run of the same query
+/// and that its cross-process tallies balance.
+fn assert_matches_local(
+    run: &parjoin_dist::RemoteRun,
+    spec: &parjoin_datagen::workloads::QuerySpec,
+    db: &parjoin_common::Database,
+    cluster: &Cluster,
+    (s, j): (ShuffleAlg, JoinAlg),
+) {
+    let opts = PlanOptions {
+        collect_output: true,
+        ..Default::default()
+    };
+    let local = run_config(&spec.query, db, cluster, s, j, &opts).expect("local");
+    let local_out = local.output.as_ref().expect("collected");
+    let what = format!("{} {s:?}/{j:?}", spec.name);
+    assert_eq!(local_out.arity(), run.output.arity(), "{what}: arity");
+    assert_eq!(
+        local_out.raw(),
+        run.output.raw(),
+        "{what}: output not byte-identical to Local"
+    );
+    run.reconcile().unwrap_or_else(|e| panic!("{what}: {e}"));
+    let sent: u64 = run.workers.iter().map(|w| w.tuples_sent).sum();
+    assert_eq!(local.tuples_shuffled, sent, "{what}: tallies drifted");
+}
+
+/// Bytes of the one edge relation's rows, across all ranks.
+fn edge_bytes(db: &parjoin_common::Database) -> u64 {
+    let rel = db.get("Twitter").expect("a Twitter relation");
+    8 * rel.raw().len() as u64
+}
+
+/// Connects a session to `n` fresh loopback workers.
+fn session(
+    n: usize,
+) -> (
+    RemoteCluster,
+    Vec<std::thread::JoinHandle<Result<(), parjoin_dist::DistError>>>,
+) {
+    let (addrs, handles) = spawn_workers(n);
+    let mut remote = RemoteCluster::connect(&addrs, Duration::from_secs(20)).expect("connect");
+    remote.reply_timeout = Some(Duration::from_secs(60));
+    (remote, handles)
+}
+
+fn end_session(
+    remote: RemoteCluster,
+    handles: Vec<std::thread::JoinHandle<Result<(), parjoin_dist::DistError>>>,
+) {
+    remote.shutdown().expect("shutdown");
+    for h in handles {
+        h.join().expect("worker thread").expect("worker serve");
+    }
+}
+
+const HC_TJ: (ShuffleAlg, JoinAlg) = (ShuffleAlg::HyperCube, JoinAlg::Tributary);
+const RS_HJ: (ShuffleAlg, JoinAlg) = (ShuffleAlg::Regular, JoinAlg::Hash);
+
+/// Partitions live on the workers: the session's first fragment per
+/// rank carries that rank's partition of the edge relation once, though
+/// Q1 names it three times; every later query over the same edges, Q2
+/// and the regular shuffle included, ships its plan alone, and every
+/// output is byte-identical to Local.
+#[test]
+fn a_session_ships_each_partition_once() {
+    let (q1, q2) = (
+        parjoin_datagen::workloads::q1(),
+        parjoin_datagen::workloads::q2(),
+    );
+    let db = parjoin_datagen::workloads::Scale::tiny().db_for(q1.dataset, 7);
+    let cluster = Cluster::new(4).with_seed(11).with_batch_tuples(512);
+    let opts = PlanOptions {
+        collect_output: true,
+        ..Default::default()
+    };
+    let (mut remote, handles) = session(4);
+    let edges = edge_bytes(&db);
+    for (i, (spec, config)) in [(&q1, HC_TJ), (&q1, RS_HJ), (&q2, RS_HJ), (&q1, HC_TJ)]
+        .into_iter()
+        .enumerate()
+    {
+        let (s, j) = config;
+        let run = remote
+            .run(&spec.query, &db, &cluster, s, j, &opts)
+            .unwrap_or_else(|e| panic!("query {i}: {e}"));
+        assert_matches_local(&run, spec, &db, &cluster, config);
+        if i == 0 {
+            // The rows of every rank's partition, once, plus four plans.
+            assert!(
+                (edges..edges + 4 * 4096).contains(&run.fragment_bytes),
+                "first query shipped {} bytes for {edges} bytes of edges",
+                run.fragment_bytes
+            );
+        } else {
+            assert!(
+                run.fragment_bytes < 4096,
+                "query {i}'s four fragments took {} bytes",
+                run.fragment_bytes
+            );
+        }
+    }
+    end_session(remote, handles);
+}
+
+/// A partition's name is its content: a relation with one changed tuple
+/// is a new fingerprint, so its partitions ship inline again and no
+/// rank ever runs on a stale one. A store holds only what the latest
+/// fragment named, so the old content ships again when next named, and
+/// stays resident for the query after that.
+#[test]
+fn a_changed_relation_ships_inline_again() {
+    let spec = parjoin_datagen::workloads::q1();
+    let db = parjoin_datagen::workloads::Scale::tiny().db_for(spec.dataset, 7);
+    let mut rows: Vec<Vec<u64>> = db
+        .get("Twitter")
+        .expect("edges")
+        .rows()
+        .map(<[u64]>::to_vec)
+        .collect();
+    rows[0][1] += 1;
+    let mut changed = parjoin_common::Database::new();
+    changed.insert("Twitter", parjoin_common::Relation::from_rows(2, &rows));
+    let cluster = Cluster::new(4).with_seed(11).with_batch_tuples(512);
+    let opts = PlanOptions {
+        collect_output: true,
+        ..Default::default()
+    };
+    let (s, j) = HC_TJ;
+    let (mut remote, handles) = session(4);
+    let edges = edge_bytes(&db);
+    for (i, (db, inline)) in [(&db, true), (&changed, true), (&db, true), (&db, false)]
+        .into_iter()
+        .enumerate()
+    {
+        let run = remote
+            .run(&spec.query, db, &cluster, s, j, &opts)
+            .unwrap_or_else(|e| panic!("query {i}: {e}"));
+        assert_matches_local(&run, &spec, db, &cluster, HC_TJ);
+        assert_eq!(
+            run.fragment_bytes >= edges,
+            inline,
+            "query {i} shipped {} bytes",
+            run.fragment_bytes
+        );
+    }
+    end_session(remote, handles);
+}
+
+/// A fragment that names a partition its worker does not hold is
+/// refused with a typed `Error` frame, never a panic, and leaves the
+/// store empty; the session goes on. Spoken over a raw control stream,
+/// since the coordinator never names a partition it has not shipped.
+#[test]
+fn an_unheld_partition_name_is_refused_and_the_session_goes_on() {
+    use parjoin_common::wire::control::{self, FrameKind, DEFAULT_FRAME_LIMIT};
+    use parjoin_common::wire::decode_frame_into;
+    use parjoin_common::{Relation, WireFormat};
+    use parjoin_dist::proto;
+
+    let spec = parjoin_datagen::workloads::q1();
+    let db = parjoin_datagen::workloads::Scale::tiny().db_for(spec.dataset, 7);
+    let cluster = Cluster::new(1).with_seed(11).with_batch_tuples(512);
+    let opts = PlanOptions {
+        collect_output: true,
+        ..Default::default()
+    };
+    let (s, j) = HC_TJ;
+    let local = run_config(&spec.query, &db, &cluster, s, j, &opts).expect("local");
+    let local = local.output.expect("collected");
+
+    let server = WorkerServer::bind("127.0.0.1:0").expect("bind");
+    let addr = server.control_addr().expect("addr");
+    let serving = std::thread::spawn(move || server.serve());
+    let mut stream = std::net::TcpStream::connect(addr).expect("connect");
+    stream
+        .set_read_timeout(Some(Duration::from_secs(60)))
+        .expect("timeout");
+    let (kind, ready) = control::read_frame(&mut stream, DEFAULT_FRAME_LIMIT).expect("ready");
+    assert_eq!(kind, FrameKind::Ready);
+    let data_addr = proto::decode_ready(&ready).expect("data address");
+
+    // Ships `frag` and reads the worker's output, or its refusal.
+    let mut run = |frag: &parjoin_engine::Fragment| -> Result<Relation, String> {
+        control::write_frame(&mut stream, FrameKind::Fragment, &frag.encode()).expect("ship");
+        let mut out = Relation::new(local.arity());
+        loop {
+            let (kind, payload) =
+                control::read_frame(&mut stream, DEFAULT_FRAME_LIMIT).expect("reply");
+            match kind {
+                FrameKind::OutputBatch => {
+                    let rows = decode_frame_into(WireFormat::Vectored, &payload, &mut out);
+                    rows.expect("batch");
+                }
+                FrameKind::OutputDone => return Ok(out),
+                FrameKind::Error => return Err(proto::decode_error(&payload).expect("message")),
+                other => panic!("unexpected {other:?} frame"),
+            }
+        }
+    };
+    let inline =
+        parjoin_engine::plan_fragments(&spec.query, &db, &cluster, s, j, &opts, &[data_addr])
+            .expect("plans")
+            .remove(0);
+    let fp = inline.parts[0].fingerprint();
+    let named = |fp| {
+        let mut frag = inline.clone();
+        frag.parts.fill(PartitionRef::Resident(fp));
+        frag
+    };
+    let refused = |reply: Result<Relation, String>| {
+        let err = reply.expect_err("an unheld partition must be refused");
+        assert!(err.contains("does not hold"), "unexpected refusal: {err}");
+    };
+
+    refused(run(&named(fp)));
+    assert_eq!(run(&inline).expect("inline").raw(), local.raw());
+    assert_eq!(run(&named(fp)).expect("resident").raw(), local.raw());
+    // A name of other content is refused and empties the store, so the
+    // edges it held are refused next; shipped inline, they run again.
+    refused(run(&named(0xDEAD_BEEF)));
+    refused(run(&named(fp)));
+    assert_eq!(run(&inline).expect("re-shipped").raw(), local.raw());
+
+    control::write_frame(&mut stream, FrameKind::Shutdown, &[]).expect("shutdown");
+    serving
+        .join()
+        .expect("worker thread")
+        .expect("worker serve");
 }

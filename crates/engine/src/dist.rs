@@ -2,6 +2,7 @@
 
 use parjoin_common::Relation;
 use parjoin_query::VarId;
+use std::sync::Arc;
 
 /// Schema slot of a column that carries a count, not a query variable
 /// (the group-count combine and the skew summaries are shuffled as
@@ -33,6 +34,19 @@ impl DistRel {
             parts[i % workers].push_row(row);
         }
         DistRel { vars, parts }
+    }
+
+    /// Rank `rank`'s share of [`DistRel::round_robin`]: rows `rank`,
+    /// `rank + workers`, … of `rel`, copied straight out of it.
+    pub(crate) fn round_robin_part(rel: &Relation, rank: usize, workers: usize) -> Relation {
+        let rows = rel.len() / workers + usize::from(rank < rel.len() % workers);
+        let mut part = Relation::with_capacity(rel.arity(), rows);
+        match rel.arity() {
+            0 => part.push_nullary_rows(rows),
+            arity => (rel.raw().chunks_exact(arity).skip(rank).step_by(workers))
+                .for_each(|row| part.push_row(row)),
+        }
+        part
     }
 
     /// An empty distributed relation. The partition arity is exactly
@@ -84,6 +98,36 @@ impl DistRel {
     }
 }
 
+/// One atom's hosted seed partitions as the executor takes them:
+/// shared, so a one-round plan routes a mesh worker's resident
+/// partitions in place and the worker keeps them for the next query.
+pub(crate) struct Hosted {
+    /// One variable per column.
+    pub(crate) vars: Vec<VarId>,
+    /// One partition per hosted rank.
+    pub(crate) parts: Vec<Arc<Relation>>,
+}
+
+impl Hosted {
+    /// All `workers` round-robin seed partitions of `rel`: what an
+    /// in-process run hosts.
+    pub(crate) fn seed(rel: &Relation, vars: Vec<VarId>, workers: usize) -> Hosted {
+        let DistRel { vars, parts } = DistRel::round_robin(rel, vars, workers);
+        let parts = parts.into_iter().map(Arc::new).collect();
+        Hosted { vars, parts }
+    }
+
+    /// The partitions owned, for a step that consumes its input: moved
+    /// out where nothing else holds them (an in-process seed), copied
+    /// where a worker's store keeps them.
+    pub(crate) fn into_dist(self) -> DistRel {
+        DistRel {
+            vars: self.vars,
+            parts: self.parts.into_iter().map(Arc::unwrap_or_clone).collect(),
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -98,6 +142,21 @@ mod tests {
         let d = DistRel::round_robin(&rel, vec![v(0), v(1)], 3);
         assert_eq!(d.part_lens(), vec![4, 3, 3]);
         assert_eq!(d.total_len(), 10);
+    }
+
+    #[test]
+    fn one_rank_part_is_that_ranks_round_robin_partition() {
+        let rel = Relation::from_rows(2, (0..10u64).map(|i| [i, i * 3]).collect::<Vec<_>>().iter());
+        let mut nullary = Relation::new(0);
+        nullary.push_nullary_rows(7);
+        for rel in [rel, nullary, Relation::new(2)] {
+            for workers in 1..5 {
+                let d = DistRel::round_robin(&rel, vec![v(0); rel.arity()], workers);
+                for (rank, part) in d.parts.iter().enumerate() {
+                    assert_eq!(&DistRel::round_robin_part(&rel, rank, workers), part);
+                }
+            }
+        }
     }
 
     #[test]

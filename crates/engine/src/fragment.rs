@@ -14,6 +14,13 @@
 //! run. The only things a worker recomputes are pure functions of the
 //! query itself (residual filters, join schemas).
 //!
+//! A fragment names each atom's partition on its rank by the content
+//! fingerprint of the atom's relation ([`PartitionRef`]). Its rows ride
+//! inline only where the worker does not hold them yet: the first time
+//! a session names them, and once per fragment however many atoms share
+//! the relation. A mesh query therefore ships its plan, not its
+//! database (DESIGN.md §20).
+//!
 //! The wire form rides inside a `Fragment` control frame of the PJCP
 //! protocol (`parjoin_common::wire::control`): little-endian fixed-width
 //! scalars, length-prefixed strings and lists, and relations encoded
@@ -23,10 +30,11 @@
 //! [`Fragment::preflight`] before a single tuple moves.
 
 use crate::cluster::Cluster;
-use crate::dist::DistRel;
+use crate::dist::{DistRel, Hosted};
 use crate::error::EngineError;
 use crate::plans::{
-    self, check_order, Exec, JoinAlg, Plan, PlanOptions, RunObs, ShuffleAlg, TrieLayout,
+    self, check_order, Exec, JoinAlg, Plan, PlanOptions, PlannedAtom, RunObs, ShuffleAlg,
+    TrieLayout,
 };
 use crate::probe;
 use crate::semijoin;
@@ -39,7 +47,38 @@ use parjoin_core::hypercube::HcConfig;
 use parjoin_query::{Atom, CmpOp, ConjunctiveQuery, Filter, Operand, Term, VarId};
 use parjoin_runtime::exchange::ExchangeOpts;
 use parjoin_runtime::{HostMesh, Runtime, TransportKind};
+use std::sync::Arc;
 use std::time::Duration;
+
+/// How a fragment names one atom's partition on its rank: rank `r`'s
+/// round-robin seed partition of the atom's relation, keyed by that
+/// relation's content fingerprint. A fingerprint is a function of the
+/// content alone, so a changed relation is a new key and a worker can
+/// never be served a stale partition.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum PartitionRef {
+    /// The rows travel in the fragment, and the worker keeps them under
+    /// `fp` for the rest of its session.
+    Inline {
+        /// Content fingerprint of the atom's whole relation.
+        fp: u128,
+        /// This rank's partition of it.
+        part: Arc<Relation>,
+    },
+    /// The worker already holds the partition under this fingerprint:
+    /// an earlier fragment of the session shipped it, or an earlier atom
+    /// of this one.
+    Resident(u128),
+}
+
+impl PartitionRef {
+    /// The fingerprint the partition is kept under.
+    pub fn fingerprint(&self) -> u128 {
+        match self {
+            PartitionRef::Inline { fp, .. } | PartitionRef::Resident(fp) => *fp,
+        }
+    }
+}
 
 /// One rank's share of a distributed plan, self-contained and
 /// serializable. See the module docs for the lockstep contract.
@@ -92,8 +131,11 @@ pub struct Fragment {
     pub query: ConjunctiveQuery,
     /// Schema (variables) of each resolved atom.
     pub atom_vars: Vec<Vec<VarId>>,
-    /// This rank's round-robin seed partition of each resolved atom.
-    pub parts: Vec<Relation>,
+    /// This rank's round-robin seed partition of each resolved atom, in
+    /// atom order: inline where the worker does not hold it yet, else
+    /// named by fingerprint. Atoms over one relation (Q1's three) share
+    /// one partition, inline at most once per fragment.
+    pub parts: Vec<PartitionRef>,
     /// Data-plane addresses of every rank, index-aligned with ranks;
     /// the worker dials these to form the exchange mesh.
     pub data_addrs: Vec<String>,
@@ -104,6 +146,11 @@ pub struct Fragment {
 /// with it that sets the bit gets a typed refusal, not a misread plan.
 const FLAG_SKEW_RESILIENT: u8 = 1 << 1;
 const FLAG_GROUP_COUNT: u8 = 1 << 2;
+
+/// A partition reference's tag byte: rows follow, or the fingerprint is
+/// all.
+const PART_INLINE: u8 = 0;
+const PART_RESIDENT: u8 = 1;
 
 fn put_u32_list(buf: &mut Vec<u8>, vs: impl ExactSizeIterator<Item = u32>) {
     control::put_u32(buf, vs.len() as u32);
@@ -188,6 +235,36 @@ fn read_relation(r: &mut PayloadReader<'_>) -> Result<Relation, ControlError> {
     decode_frame_into(WireFormat::Vectored, body, &mut rel)
         .map_err(|e| ControlError::Malformed(format!("relation body: {e}")))?;
     Ok(rel)
+}
+
+/// A tag byte, the fingerprint, then (inline) the relation.
+fn put_part(buf: &mut Vec<u8>, p: &PartitionRef) {
+    match p {
+        PartitionRef::Inline { fp, part } => {
+            control::put_u8(buf, PART_INLINE);
+            control::put_u128(buf, *fp);
+            put_relation(buf, part);
+        }
+        PartitionRef::Resident(fp) => {
+            control::put_u8(buf, PART_RESIDENT);
+            control::put_u128(buf, *fp);
+        }
+    }
+}
+
+fn read_part(r: &mut PayloadReader<'_>) -> Result<PartitionRef, ControlError> {
+    let tag = r.u8()?;
+    let fp = r.u128()?;
+    match tag {
+        PART_INLINE => Ok(PartitionRef::Inline {
+            fp,
+            part: Arc::new(read_relation(r)?),
+        }),
+        PART_RESIDENT => Ok(PartitionRef::Resident(fp)),
+        _ => Err(ControlError::Malformed(format!(
+            "unknown partition reference tag {tag}"
+        ))),
+    }
 }
 
 impl Fragment {
@@ -317,7 +394,7 @@ impl Fragment {
         }
         control::put_u32(&mut buf, self.parts.len() as u32);
         for p in &self.parts {
-            put_relation(&mut buf, p);
+            put_part(&mut buf, p);
         }
         control::put_u32(&mut buf, self.data_addrs.len() as u32);
         for a in &self.data_addrs {
@@ -399,9 +476,9 @@ impl Fragment {
         let atom_vars = (0..n_atom_vars)
             .map(|_| Ok(read_u32_list(&mut r)?.into_iter().map(VarId).collect()))
             .collect::<Result<Vec<Vec<VarId>>, ControlError>>()?;
-        let n_parts = r.count(8)?;
+        let n_parts = r.count(17)?;
         let parts = (0..n_parts)
-            .map(|_| read_relation(&mut r))
+            .map(|_| read_part(&mut r))
             .collect::<Result<Vec<_>, _>>()?;
         let n_addrs = r.count(4)?;
         let data_addrs = (0..n_addrs)
@@ -466,7 +543,8 @@ impl Fragment {
     /// [`EngineError::InvalidPlan`] when the analyzer finds errors;
     /// [`EngineError::Unsupported`] when the fragment's geometry is
     /// inconsistent (rank out of range, address list of the wrong
-    /// width, atom lists out of alignment), its local join order is not
+    /// width, atom lists out of alignment, an inline partition whose
+    /// arity is not its atom's), its local join order is not
     /// a permutation of the atoms, its probe thread count is 0 or above
     /// [`probe::MAX_PROBE_THREADS`], it lacks the Tributary order or
     /// HyperCube shares its configuration needs, or it asks for a
@@ -495,14 +573,8 @@ impl Fragment {
                 self.cards.len()
             )));
         }
-        for (vs, p) in self.atom_vars.iter().zip(&self.parts) {
-            if vs.len() != p.arity() {
-                return Err(EngineError::Unsupported(format!(
-                    "fragment partition arity {} does not match its {}-variable schema",
-                    p.arity(),
-                    vs.len()
-                )));
-            }
+        for i in 0..atoms {
+            self.partition(i)?;
         }
         // The analyzer vets `join_order`; `local_order` is not part of
         // its spec, and the executor indexes the atoms with it.
@@ -525,6 +597,28 @@ impl Fragment {
         analyze::preflight(&self.plan_spec()).map_err(EngineError::InvalidPlan)?;
         Ok(())
     }
+
+    /// Atom `i`'s partition where the fragment carries its rows: inline
+    /// for this atom or for another over the same relation. `None` for
+    /// a name only the worker's store can resolve.
+    ///
+    /// # Errors
+    /// [`EngineError::Unsupported`] when its arity is not the atom's.
+    fn partition(&self, i: usize) -> Result<Option<&Arc<Relation>>, EngineError> {
+        let (vars, fp) = (&self.atom_vars[i], self.parts[i].fingerprint());
+        let part = self.parts.iter().find_map(|p| match p {
+            PartitionRef::Inline { fp: f, part } if *f == fp => Some(part),
+            _ => None,
+        });
+        match part {
+            Some(part) if part.arity() != vars.len() => Err(EngineError::Unsupported(format!(
+                "fragment partition arity {} does not match its {}-variable schema",
+                part.arity(),
+                vars.len()
+            ))),
+            part => Ok(part),
+        }
+    }
 }
 
 /// A shipped probe thread count, refused outside
@@ -542,9 +636,41 @@ fn checked_probe_threads(n: u32) -> Result<usize, EngineError> {
 
 /// Plans `query` exactly as [`run_config`](crate::run_config) does and
 /// slices the plan into one [`Fragment`] per rank: every rank gets the
-/// same decisions and its own round-robin seed partition of each atom.
+/// same decisions and its own round-robin seed partition of each atom,
+/// inline (once per distinct relation).
 ///
 /// `data_addrs[r]` must be rank `r`'s data-plane listener address.
+///
+/// # Errors
+/// As [`plan_mesh`].
+pub fn plan_fragments(
+    query: &ConjunctiveQuery,
+    db: &parjoin_common::Database,
+    cluster: &Cluster,
+    shuffle_alg: ShuffleAlg,
+    join_alg: JoinAlg,
+    opts: &PlanOptions,
+    data_addrs: &[String],
+) -> Result<Vec<Fragment>, EngineError> {
+    let mesh = plan_mesh(query, db, cluster, shuffle_alg, join_alg, opts, data_addrs)?;
+    Ok((0..cluster.workers)
+        .map(|rank| mesh.fragment(rank, |_| false))
+        .collect())
+}
+
+/// One mesh query planned once, unseeded: each rank's [`Fragment`] is
+/// cut from it by [`MeshPlan::fragment`], with only the partitions that
+/// rank's worker does not hold yet.
+pub struct MeshPlan {
+    /// Every rank's fragment but for `rank` and `parts`.
+    template: Fragment,
+    /// Each resolved atom's content fingerprint and relation.
+    atoms: Vec<(u128, Arc<Relation>)>,
+}
+
+/// Plans `query` exactly as [`run_config`](crate::run_config) does, for
+/// a mesh of `cluster.workers` ranks whose data-plane listeners are
+/// `data_addrs`.
 ///
 /// # Errors
 /// - [`EngineError::Unsupported`] for a mis-sized address list and for
@@ -555,7 +681,7 @@ fn checked_probe_threads(n: u32) -> Result<usize, EngineError> {
 ///   relations.
 /// - [`EngineError::InvalidPlan`] when the analyzer refuses the plan
 ///   (a policy counterexample included).
-pub fn plan_fragments(
+pub fn plan_mesh(
     query: &ConjunctiveQuery,
     db: &parjoin_common::Database,
     cluster: &Cluster,
@@ -563,7 +689,7 @@ pub fn plan_fragments(
     join_alg: JoinAlg,
     opts: &PlanOptions,
     data_addrs: &[String],
-) -> Result<Vec<Fragment>, EngineError> {
+) -> Result<MeshPlan, EngineError> {
     if opts.trace_path.is_some() {
         return Err(EngineError::Unsupported(
             "over a mesh, trace_path: workers have no channel to return their spans to the \
@@ -582,37 +708,77 @@ pub fn plan_fragments(
     // The mesh is a streaming TCP transport whatever the coordinator's
     // own cluster says, so the analyzer vets batch and frame sizes.
     let mesh_cluster = cluster.clone().with_transport(TransportKind::Tcp);
-    let plan = plans::plan(query, db, &mesh_cluster, shuffle_alg, join_alg, opts)?;
-    let atom_vars: Vec<Vec<VarId>> = plan.seeded.iter().map(|d| d.vars.clone()).collect();
-    let cards: Vec<u64> = plan.seeded.iter().map(DistRel::total_len).collect();
-    let host_cores = parjoin_common::threads::host_parallelism().map(|c| c as u64);
+    let (plan, atoms) = plans::plan(query, db, &mesh_cluster, shuffle_alg, join_alg, opts)?;
+    let template = Fragment {
+        rank: 0,
+        workers: cluster.workers as u32,
+        seed: cluster.seed,
+        shuffle: shuffle_alg,
+        join: join_alg,
+        trie_layout: opts.trie_layout,
+        wire_format: cluster.wire_format,
+        skew_resilient: opts.skew_resilient,
+        group_count: opts.group_count,
+        batch_tuples: cluster.batch_tuples as u32,
+        probe_threads: plan.probe_threads as u32,
+        memory_budget: cluster.memory_budget,
+        host_cores: parjoin_common::threads::host_parallelism().map(|c| c as u64),
+        join_order: plan.join_order,
+        local_order: plan.local_order,
+        tj_order: plan.tj_order,
+        hc_config: plan.hc_config,
+        cards: atoms.iter().map(|a| a.rel.len() as u64).collect(),
+        query: query.clone(),
+        atom_vars: atoms.iter().map(|a| a.vars.clone()).collect(),
+        parts: Vec::new(),
+        data_addrs: data_addrs.to_vec(),
+    };
+    Ok(MeshPlan {
+        template,
+        atoms: fingerprinted(atoms),
+    })
+}
 
-    Ok((0..cluster.workers)
-        .map(|rank| Fragment {
+/// Each atom's relation under its content fingerprint: the one the
+/// planner's statistics lookups computed, else hashed here, once per
+/// shared relation (a self-join's atoms are one).
+fn fingerprinted(atoms: Vec<PlannedAtom>) -> Vec<(u128, Arc<Relation>)> {
+    let mut out: Vec<(u128, Arc<Relation>)> = Vec::new();
+    for a in atoms {
+        let shared = out.iter().find(|(_, rel)| Arc::ptr_eq(rel, &a.rel));
+        let fp = (a.fp.or(shared.map(|&(fp, _)| fp))).unwrap_or_else(|| a.rel.fingerprint());
+        out.push((fp, a.rel));
+    }
+    out
+}
+
+impl MeshPlan {
+    /// Rank `rank`'s fragment. An atom's partition is named
+    /// [`PartitionRef::Resident`] where `resident(fp)` says the worker
+    /// holds it, or where an earlier atom of this fragment carries it;
+    /// otherwise its rows, copied straight out of the relation, ride
+    /// inline.
+    pub fn fragment(&self, rank: usize, resident: impl Fn(u128) -> bool) -> Fragment {
+        let workers = self.template.workers as usize;
+        let mut parts: Vec<PartitionRef> = Vec::new();
+        for &(fp, ref rel) in &self.atoms {
+            let shipped = parts.iter().any(|p| p.fingerprint() == fp);
+            parts.push(if shipped || resident(fp) {
+                PartitionRef::Resident(fp)
+            } else {
+                let part = DistRel::round_robin_part(rel, rank, workers);
+                PartitionRef::Inline {
+                    fp,
+                    part: Arc::new(part),
+                }
+            });
+        }
+        Fragment {
             rank: rank as u32,
-            workers: cluster.workers as u32,
-            seed: cluster.seed,
-            shuffle: shuffle_alg,
-            join: join_alg,
-            trie_layout: opts.trie_layout,
-            wire_format: cluster.wire_format,
-            skew_resilient: opts.skew_resilient,
-            group_count: opts.group_count,
-            batch_tuples: cluster.batch_tuples as u32,
-            probe_threads: plan.probe_threads as u32,
-            memory_budget: cluster.memory_budget,
-            host_cores,
-            join_order: plan.join_order.clone(),
-            local_order: plan.local_order.clone(),
-            tj_order: plan.tj_order.clone(),
-            hc_config: plan.hc_config.clone(),
-            cards: cards.clone(),
-            query: query.clone(),
-            atom_vars: atom_vars.clone(),
-            parts: plan.seeded.iter().map(|d| d.parts[rank].clone()).collect(),
-            data_addrs: data_addrs.to_vec(),
-        })
-        .collect())
+            parts,
+            ..self.template.clone()
+        }
+    }
 }
 
 /// What one rank produced by executing its fragment.
@@ -629,10 +795,11 @@ pub struct RemoteOutcome {
 
 /// Executes `frag` on an already-joined `mesh` and returns this rank's
 /// output partition: the fragment's decisions and its one partition per
-/// atom (moved, not copied) go through the same executor `run_config` uses, with every
-/// shuffle one exchange round on the mesh. The rank therefore prepares
-/// through the process-wide sort and trie caches like any in-process
-/// worker.
+/// atom go through the same executor `run_config` uses, with every
+/// shuffle one exchange round on the mesh. A one-round plan routes the
+/// partitions in place, so whoever else holds them (the worker's store)
+/// keeps them. The rank prepares through the process-wide sort and trie
+/// caches like any in-process worker.
 ///
 /// # Errors
 /// - [`EngineError::Transport`] when an exchange round fails (peer
@@ -642,7 +809,9 @@ pub struct RemoteOutcome {
 ///   fragment's per-worker budget.
 /// - [`EngineError::InvalidPlan`] / [`EngineError::Unsupported`] on
 ///   malformed fragments (callers normally run
-///   [`Fragment::preflight`] first).
+///   [`Fragment::preflight`] first), and on a fragment that still names
+///   a partition [`PartitionRef::Resident`]: the worker's store resolves
+///   those before execution.
 pub fn execute_fragment(frag: Fragment, mesh: &HostMesh) -> Result<RemoteOutcome, EngineError> {
     if mesh.workers() != frag.workers as usize || mesh.rank() != frag.rank as usize {
         return Err(EngineError::Unsupported(format!(
@@ -672,6 +841,19 @@ pub fn execute_fragment(frag: Fragment, mesh: &HostMesh) -> Result<RemoteOutcome
         group_count: frag.group_count,
         ..PlanOptions::default()
     };
+    let mut seeded = Vec::new();
+    for (i, vars) in frag.atom_vars.iter().enumerate() {
+        let Some(part) = frag.partition(i)? else {
+            return Err(EngineError::Unsupported(format!(
+                "fragment names partition {:032x}, which was never resolved",
+                frag.parts[i].fingerprint()
+            )));
+        };
+        seeded.push(Hosted {
+            vars: vars.clone(),
+            parts: vec![Arc::clone(part)],
+        });
+    }
     let plan = Plan {
         shuffle: frag.shuffle,
         join: frag.join,
@@ -682,16 +864,9 @@ pub fn execute_fragment(frag: Fragment, mesh: &HostMesh) -> Result<RemoteOutcome
         probe_threads: checked_probe_threads(frag.probe_threads)?,
         diagnostics: Vec::new(),
         stats_lookups: (0, 0),
-        seeded: frag
-            .atom_vars
-            .into_iter()
-            .zip(frag.parts)
-            .map(|(vars, part)| DistRel {
-                vars,
-                parts: vec![part],
-            })
-            .collect(),
     };
+    // The hosted partitions hold the fragment's references from here.
+    drop(frag.parts);
     // This process hosts one rank of the mesh; every shuffle is one
     // exchange round on it.
     let rt = Runtime::rank_of(
@@ -708,7 +883,7 @@ pub fn execute_fragment(frag: Fragment, mesh: &HostMesh) -> Result<RemoteOutcome
         seam: &Seam::Stream(&rt),
         obs: &RunObs::new(false),
     };
-    let result = plans::execute(&ex, plan)?;
+    let result = plans::execute(&ex, plan, seeded)?;
     Ok(RemoteOutcome {
         // `collect_output` is set above. xtask: allow(expect)
         output: result.output.expect("collected output"),
@@ -764,22 +939,76 @@ mod tests {
                 assert_eq!(frag.join_order, back.join_order);
                 assert_eq!(frag.tj_order, back.tj_order);
                 assert_eq!(frag.hc_config, back.hc_config);
-                assert_eq!(
-                    frag.parts.iter().map(Relation::raw).collect::<Vec<_>>(),
-                    back.parts.iter().map(Relation::raw).collect::<Vec<_>>()
-                );
+                assert_eq!(frag.parts, back.parts);
                 back.preflight().unwrap();
             }
+        }
+    }
+
+    fn inline(p: &PartitionRef) -> &Relation {
+        match p {
+            PartitionRef::Inline { part, .. } => part,
+            PartitionRef::Resident(fp) => panic!("partition {fp:032x} is not inline"),
         }
     }
 
     #[test]
     fn fragments_partition_the_seeded_data() {
         let frags = fragments_for(ShuffleAlg::HyperCube, JoinAlg::Hash);
-        let total: usize = frags.iter().map(|f| f.parts[0].len()).sum();
+        let total: usize = frags.iter().map(|f| inline(&f.parts[0]).len()).sum();
         assert_eq!(total, 40, "round-robin partitions cover the relation");
         assert!(frags.iter().all(|f| f.workers == 4));
         assert!(frags.iter().any(|f| f.hc_config.is_some()));
+    }
+
+    #[test]
+    fn atoms_over_one_relation_ship_it_once_per_fragment() {
+        // R, S and U hold the same edges: one fingerprint, one inline
+        // partition per fragment, the other two atoms name it.
+        let (q, db) = triangle_db();
+        let fp = db.get("R").unwrap().fingerprint();
+        let (s, j) = (ShuffleAlg::HyperCube, JoinAlg::Tributary);
+        let cluster = Cluster::new(4).with_seed(11);
+        let opts = PlanOptions::default();
+        let mesh = plan_mesh(&q, &db, &cluster, s, j, &opts, &addrs(4)).unwrap();
+        // Explicit orders skip the statistics lookups, so `plan_mesh`
+        // hashes the relations itself, to the same names.
+        let explicit = PlanOptions {
+            join_order: Some(vec![0, 1, 2]),
+            tj_order: Some(vec![VarId(0), VarId(1), VarId(2)]),
+            ..PlanOptions::default()
+        };
+        let unlooked = plan_mesh(&q, &db, &cluster, s, j, &explicit, &addrs(4)).unwrap();
+        for (rank, frag) in fragments_for(s, j).iter().enumerate() {
+            assert_eq!(unlooked.fragment(rank, |_| false).parts, frag.parts);
+            assert_eq!(frag.parts[0].fingerprint(), fp);
+            assert_eq!(frag.parts[1..], vec![PartitionRef::Resident(fp); 2]);
+            let part = inline(&frag.parts[0]);
+            assert_eq!(
+                part,
+                &DistRel::round_robin_part(db.get("R").unwrap(), rank, 4)
+            );
+            // A worker that holds it is shipped the plan alone.
+            let resident = mesh.fragment(rank, |held| held == fp);
+            assert_eq!(resident.parts, vec![PartitionRef::Resident(fp); 3]);
+            assert!(resident.encode().len() < frag.encode().len() - 8 * part.raw().len());
+            resident.preflight().unwrap();
+        }
+    }
+
+    #[test]
+    fn an_unresolved_partition_name_is_refused_by_the_executor() {
+        let mut frag = single_rank_fragment(ShuffleAlg::HyperCube, JoinAlg::Tributary);
+        frag.parts[0] = PartitionRef::Resident(7);
+        frag.preflight().unwrap();
+        let mut mesh = HostMesh::bind("127.0.0.1:0").unwrap();
+        let addr = mesh.local_addr().unwrap();
+        mesh.join(0, vec![addr]).unwrap();
+        let err = execute_fragment(frag, &mesh).unwrap_err();
+        assert!(
+            matches!(&err, EngineError::Unsupported(m) if m.contains("never resolved")),
+            "executor gave {err:?}"
+        );
     }
 
     #[test]

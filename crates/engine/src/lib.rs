@@ -55,7 +55,9 @@
 //! runs [`execute_fragment`] — [`plans`]' step sequence over the one
 //! partition it hosts, its shuffles going through a runtime that hosts
 //! that one rank of the workers' [`HostMesh`](parjoin_runtime::HostMesh)
-//! instead of all `p` ranks of an in-process one.
+//! instead of all `p` ranks of an in-process one. A fragment names each
+//! partition by content fingerprint ([`PartitionRef`]) and carries its
+//! rows only where the worker does not hold them yet.
 
 pub mod advisor;
 mod cache;
@@ -81,7 +83,9 @@ pub use advisor::{advise, Advice};
 pub use cluster::Cluster;
 pub use dist::DistRel;
 pub use error::EngineError;
-pub use fragment::{execute_fragment, plan_fragments, Fragment, RemoteOutcome};
+pub use fragment::{
+    execute_fragment, plan_fragments, plan_mesh, Fragment, MeshPlan, PartitionRef, RemoteOutcome,
+};
 pub use parjoin_analyze::{DiagCode, Diagnostic, Severity};
 pub use parjoin_obs as obs;
 pub use parjoin_runtime::TransportKind;

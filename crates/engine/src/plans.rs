@@ -24,7 +24,7 @@
 //! modeled, but shuffle volume and skew are reported exactly.
 
 use crate::cluster::Cluster;
-use crate::dist::{DistRel, AGGREGATE};
+use crate::dist::{DistRel, Hosted, AGGREGATE};
 use crate::error::EngineError;
 use crate::exec::{parallelism_warning, run_phase_traced};
 use crate::local::{hash_join, row_filter, SchemaRel};
@@ -964,7 +964,11 @@ pub fn run_config(
     opts: &PlanOptions,
 ) -> Result<RunResult, EngineError> {
     let obs = RunObs::new(opts.trace_path.is_some());
-    let plan = plan(query, db, cluster, shuffle_alg, join_alg, opts)?;
+    let (plan, atoms) = plan(query, db, cluster, shuffle_alg, join_alg, opts)?;
+    // Seed each atom round-robin, as the initial data placement.
+    let seeded = (atoms.iter())
+        .map(|a| Hosted::seed(&a.rel, a.vars.clone(), cluster.workers))
+        .collect();
     let (hits, misses) = plan.stats_lookups;
     obs.registry.add(metric_names::STATS_CACHE_HITS, hits);
     obs.registry.add(metric_names::STATS_CACHE_MISSES, misses);
@@ -990,7 +994,7 @@ pub fn run_config(
         seam: &Seam::from(rt.as_ref()),
         obs: &obs,
     };
-    let result = execute(&ex, plan)?;
+    let result = execute(&ex, plan, seeded)?;
     if let Some(rt) = rt {
         rt.shutdown()?;
     }
@@ -999,7 +1003,7 @@ pub fn run_config(
 }
 
 /// Every global decision of one shuffle×join plan, made once by
-/// [`plan`]: `run_config` executes it over all `p` partitions,
+/// [`plan`]: `run_config` executes it over all `p` seed partitions,
 /// `plan_fragments` slices it per rank, and a mesh rank rebuilds it from
 /// the fragment it was shipped. [`execute`] makes no decision of its
 /// own, so every rank of every deployment runs the same step sequence.
@@ -1024,18 +1028,30 @@ pub(crate) struct Plan {
     /// `(hits, misses)` of the planner's [`StatsCache`](crate::StatsCache)
     /// lookups; zero for a plan rebuilt from a shipped fragment.
     pub(crate) stats_lookups: (u64, u64),
-    /// The hosted partitions of each resolved atom's round-robin
-    /// placement: all `p` in-process, this rank's one on a mesh.
-    pub(crate) seeded: Vec<DistRel>,
+}
+
+/// One resolved atom as [`plan`] saw it, unseeded: `run_config` seeds
+/// all `p` partitions of it, and a mesh fragment names rank `r`'s by
+/// the relation's content fingerprint.
+pub(crate) struct PlannedAtom {
+    /// One variable per column of `rel`.
+    pub(crate) vars: Vec<VarId>,
+    /// The relation after selection pushdown: the catalog's own, shared,
+    /// where no selection applied.
+    pub(crate) rel: Arc<Relation>,
+    /// `rel`'s content fingerprint, where the statistics lookups
+    /// computed it; a plan whose orders are both explicit never hashes.
+    pub(crate) fp: Option<u128>,
 }
 
 /// Plans `query` under the given configuration: resolves the atoms,
 /// picks the effective join order, runs the pre-flight analyzer (whose
-/// policy pass certifies the plan parallel-correct) on it, seeds the
-/// base relations round-robin, and derives the Tributary variable
-/// order, the broadcast root and the HyperCube shares. A semijoin plan
-/// is planned as the regular-shuffle plan it ends in; its reduction
-/// rounds are a pure function of the query, left to [`execute`].
+/// policy pass certifies the plan parallel-correct) on it, and derives
+/// the Tributary variable order, the broadcast root and the HyperCube
+/// shares. A semijoin plan is planned as the regular-shuffle plan it
+/// ends in; its reduction rounds are a pure function of the query, left
+/// to [`execute`]. Returns the plan and its resolved atoms, which it
+/// does not seed: where their partitions come from is the caller's.
 ///
 /// # Errors
 /// [`EngineError::Resolve`] for catalog mismatches,
@@ -1051,18 +1067,28 @@ pub(crate) fn plan(
     shuffle_alg: ShuffleAlg,
     join_alg: JoinAlg,
     opts: &PlanOptions,
-) -> Result<Plan, EngineError> {
+) -> Result<(Plan, Vec<PlannedAtom>), EngineError> {
     if shuffle_alg == ShuffleAlg::Semijoin {
         semijoin::reduction_tree(query)?;
     }
     let (resolved, _residual) = resolve_atoms(query, db)?;
     let atom_vars: Vec<Vec<VarId>> = resolved.iter().map(|a| a.vars.clone()).collect();
     let cards: Vec<u64> = resolved.iter().map(|a| a.len() as u64).collect();
+    // An atom no selection touched shares the catalog's relation (and a
+    // self-join's atoms share one), so nothing here copies it.
+    let rels: Vec<Arc<Relation>> = (resolved.into_iter())
+        .map(|a| match a.rel {
+            Cow::Borrowed(base) => {
+                (db.get_shared(&a.base)).unwrap_or_else(|| Arc::new(base.clone()))
+            }
+            Cow::Owned(rel) => Arc::new(rel),
+        })
+        .collect();
     // Both optimisers below are arithmetic over the relations' cached
     // statistics; a plan whose orders are both explicit never asks.
     let stats = std::cell::OnceCell::new();
     let rel_stats = || -> &QueryStats {
-        stats.get_or_init(|| statscache::query_stats(resolved.iter().map(|a| a.rel.as_ref())))
+        stats.get_or_init(|| statscache::query_stats(rels.iter().map(Arc::as_ref)))
     };
     let join_order = opts
         .join_order
@@ -1150,12 +1176,6 @@ pub(crate) fn plan(
         None
     };
 
-    // Seed each atom round-robin, as the initial data placement.
-    let seeded: Vec<DistRel> = resolved
-        .iter()
-        .map(|a| DistRel::round_robin(&a.rel, a.vars.clone(), cluster.workers))
-        .collect();
-
     let local_order = if shuffle_alg == ShuffleAlg::Broadcast {
         // Root the local hash tree at the partitioned fragment so every
         // worker's intermediates stay ~1/p-sized (the broadcast plan's
@@ -1185,7 +1205,8 @@ pub(crate) fn plan(
         })
     });
 
-    Ok(Plan {
+    let fps = stats.get().map(|s| s.fingerprints.clone());
+    let plan = Plan {
         shuffle: shuffle_alg,
         join: join_alg,
         join_order,
@@ -1195,8 +1216,15 @@ pub(crate) fn plan(
         probe_threads: opts.effective_probe_threads(cluster.workers),
         diagnostics,
         stats_lookups: stats.get().map_or((0, 0), |s| (s.hits, s.misses)),
-        seeded,
-    })
+    };
+    let atoms = (atom_vars.into_iter().zip(rels).enumerate())
+        .map(|(i, (vars, rel))| PlannedAtom {
+            vars,
+            rel,
+            fp: fps.as_ref().map(|fps| fps[i]),
+        })
+        .collect();
+    Ok((plan, atoms))
 }
 
 /// What [`execute`] runs a [`Plan`] against.
@@ -1210,10 +1238,11 @@ pub(crate) struct Exec<'a> {
     pub(crate) obs: &'a RunObs,
 }
 
-/// The one executor: runs `plan`'s step sequence over its hosted
-/// partitions, every shuffle going through `ex.seam`, then reads the
-/// run's counters from one registry snapshot. `RunResult`'s per-worker
-/// vectors are indexed by hosted partition.
+/// The one executor: runs `plan`'s step sequence over `seeded`, each
+/// atom's hosted seed partitions (all `p` in-process, the rank's one on
+/// a mesh), every shuffle going through `ex.seam`, then reads the run's
+/// counters from one registry snapshot. `RunResult`'s per-worker vectors
+/// are indexed by hosted partition.
 ///
 /// # Errors
 /// [`EngineError::Transport`] when an exchange fails,
@@ -1222,14 +1251,18 @@ pub(crate) struct Exec<'a> {
 /// for a plan whose decisions do not fit the query — unreachable from
 /// [`plan`], which the analyzer vets, but a plan rebuilt from a shipped
 /// fragment is outside input.
-pub(crate) fn execute(ex: &Exec<'_>, mut plan: Plan) -> Result<RunResult, EngineError> {
+pub(crate) fn execute(
+    ex: &Exec<'_>,
+    mut plan: Plan,
+    seeded: Vec<Hosted>,
+) -> Result<RunResult, EngineError> {
     let atoms = ex.query.atoms.len();
-    let hosted = match plan.seeded.first() {
-        Some(d) if plan.seeded.len() == atoms => d.workers(),
+    let hosted = match seeded.first() {
+        Some(d) if seeded.len() == atoms => d.parts.len(),
         _ => {
             return Err(EngineError::Unsupported(format!(
                 "plan carries {} relations for a {atoms}-atom query",
-                plan.seeded.len()
+                seeded.len()
             )))
         }
     };
@@ -1240,9 +1273,9 @@ pub(crate) fn execute(ex: &Exec<'_>, mut plan: Plan) -> Result<RunResult, Engine
         .add(metric_names::PROBE_THREADS, plan.probe_threads as u64);
     let pending = split_filters(ex.query).1;
     if plan.shuffle.is_one_round() {
-        run_one_round(ex, plan, pending, &mut result)?;
+        run_one_round(ex, plan, seeded, pending, &mut result)?;
     } else {
-        run_regular(ex, plan, pending, &mut result)?;
+        run_regular(ex, plan, seeded, pending, &mut result)?;
     }
 
     if ex.opts.collect_output {
@@ -1287,6 +1320,7 @@ fn hash_join_step(
 fn run_regular(
     ex: &Exec<'_>,
     plan: Plan,
+    seeded: Vec<Hosted>,
     mut pending: Vec<Filter>,
     result: &mut RunResult,
 ) -> Result<(), EngineError> {
@@ -1296,9 +1330,10 @@ fn run_regular(
         join: join_alg,
         join_order: order,
         probe_threads,
-        seeded,
         ..
     } = plan;
+    // Every step consumes its inputs.
+    let seeded = seeded.into_iter().map(Hosted::into_dist).collect();
     let seeded = if shuffle == ShuffleAlg::Semijoin {
         semijoin::reduce(ex, seeded, probe_threads, result)?
     } else {
@@ -1525,6 +1560,7 @@ impl TjProbe<'_> {
 fn run_one_round(
     ex: &Exec<'_>,
     plan: Plan,
+    seeded: Vec<Hosted>,
     pending: Vec<Filter>,
     result: &mut RunResult,
 ) -> Result<(), EngineError> {
@@ -1536,7 +1572,6 @@ fn run_one_round(
         tj_order,
         hc_config,
         probe_threads,
-        seeded,
         ..
     } = plan;
     let hosted = result.per_worker_busy.len();
@@ -1560,10 +1595,11 @@ fn run_one_round(
             let mut out = Vec::with_capacity(seeded.len());
             for (i, d) in seeded.into_iter().enumerate() {
                 if i == largest {
-                    out.push(d); // stays partitioned, nothing sent
+                    out.push(d.into_dist()); // stays partitioned, nothing sent
                 } else {
-                    let (bc, stats) = shuffle::run_route(
-                        d,
+                    let (bc, stats) = shuffle::route_parts(
+                        d.vars,
+                        d.parts,
                         &Route::broadcast(cluster.workers)?,
                         format!("Broadcast {}", query.atoms[i].relation),
                         seam,
@@ -1592,7 +1628,7 @@ fn run_one_round(
                 let route =
                     shuffle::hypercube_route(&d.vars, &config, cluster.seed, cluster.workers)?;
                 let label = format!("HCS {}", query.atoms[i].relation);
-                let (hc, stats) = shuffle::run_route(d, &route, label, seam)?;
+                let (hc, stats) = shuffle::route_parts(d.vars, d.parts, &route, label, seam)?;
                 round.push(stats);
                 out.push(hc);
             }
@@ -2237,6 +2273,7 @@ mod tests {
             let (s, j) = (ShuffleAlg::HyperCube, JoinAlg::Tributary);
             plan(&q, &db, c, s, j, &PlanOptions::default())
                 .expect("plans")
+                .0
                 .tj_order
                 .expect("one-round Tributary plans carry an order")
         };

@@ -28,6 +28,7 @@ use parjoin_query::VarId;
 use parjoin_runtime::exchange::{Consume, Produce};
 use parjoin_runtime::route::HeavyKeys;
 use parjoin_runtime::{local_shuffle, Route, Runtime, RuntimeError, ShuffleOutcome};
+use std::borrow::Borrow;
 use std::collections::{BTreeMap, HashMap};
 use std::sync::Arc;
 
@@ -74,11 +75,27 @@ pub(crate) fn run_route(
     label: impl Into<String>,
     seam: &Seam<'_>,
 ) -> Result<(DistRel, ShuffleStats), EngineError> {
+    route_parts(input.vars, input.parts, route, label, seam)
+}
+
+/// [`run_route`] over partitions of schema `vars` however they are
+/// held: a shared one (a mesh worker's resident seed partition) is
+/// routed in place, and the store keeps it for the next query.
+pub(crate) fn route_parts<P>(
+    vars: Vec<VarId>,
+    parts: Vec<P>,
+    route: &Route,
+    label: impl Into<String>,
+    seam: &Seam<'_>,
+) -> Result<(DistRel, ShuffleStats), EngineError>
+where
+    P: Produce<Report = ()> + Borrow<Relation> + Send + 'static,
+{
     let outcome = match seam {
-        Seam::Local => local_shuffle(&input.parts, route),
-        Seam::Stream(rt) => rt.shuffle(input.parts, route)?,
+        Seam::Local => local_shuffle(&parts, route),
+        Seam::Stream(rt) => rt.shuffle(parts, route)?,
     };
-    Ok(package(input.vars, outcome, label))
+    Ok(package(vars, outcome, label))
 }
 
 /// What [`run_exchange`] returns: the consumers' partitions, the

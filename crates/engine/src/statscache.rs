@@ -55,8 +55,14 @@ impl StatsCache {
     /// first time this content is seen. A serving catalog calls this at
     /// load time so no query pays for the analysis.
     pub fn get_or_compute(&self, rel: &Relation) -> (Arc<RelStats>, Lookup) {
+        self.lookup(rel.fingerprint(), rel)
+    }
+
+    /// [`StatsCache::get_or_compute`] for a relation whose fingerprint
+    /// `fp` the caller already holds.
+    fn lookup(&self, fp: u128, rel: &Relation) -> (Arc<RelStats>, Lookup) {
         self.cache
-            .lookup_or_build(rel.fingerprint(), &[], None, || RelStats::compute(rel))
+            .lookup_or_build(fp, &[], None, || RelStats::compute(rel))
     }
 
     /// Cumulative counters since process start (or [`StatsCache::clear`]).
@@ -74,6 +80,9 @@ impl StatsCache {
 pub(crate) struct QueryStats {
     /// One entry per atom, in atom order.
     pub(crate) stats: Vec<Arc<RelStats>>,
+    /// Each atom's content fingerprint, the key its statistics were
+    /// looked up by, in atom order.
+    pub(crate) fingerprints: Vec<u128>,
     /// Lookups the global cache served.
     pub(crate) hits: u64,
     /// Lookups that analysed the relation.
@@ -84,26 +93,29 @@ pub(crate) struct QueryStats {
 /// borrow the same relation (self-joins without pushed selections) are
 /// fingerprinted and looked up once.
 pub(crate) fn query_stats<'a>(rels: impl IntoIterator<Item = &'a Relation>) -> QueryStats {
-    let mut seen: Vec<(&Relation, Arc<RelStats>)> = Vec::new();
+    let mut seen: Vec<(&Relation, u128, Arc<RelStats>)> = Vec::new();
     let mut out = QueryStats {
         stats: Vec::new(),
+        fingerprints: Vec::new(),
         hits: 0,
         misses: 0,
     };
     for rel in rels {
-        let stats = match seen.iter().find(|(r, _)| std::ptr::eq(*r, rel)) {
-            Some((_, stats)) => Arc::clone(stats),
+        let (fp, stats) = match seen.iter().find(|(r, ..)| std::ptr::eq(*r, rel)) {
+            Some((_, fp, stats)) => (*fp, Arc::clone(stats)),
             None => {
-                let (stats, lookup) = StatsCache::global().get_or_compute(rel);
+                let fp = rel.fingerprint();
+                let (stats, lookup) = StatsCache::global().lookup(fp, rel);
                 match lookup {
                     Lookup::Hit => out.hits += 1,
                     Lookup::Miss => out.misses += 1,
                 }
-                seen.push((rel, Arc::clone(&stats)));
-                stats
+                seen.push((rel, fp, Arc::clone(&stats)));
+                (fp, stats)
             }
         };
         out.stats.push(stats);
+        out.fingerprints.push(fp);
     }
     out
 }

@@ -1,6 +1,7 @@
 //! Property tests for the engine's shuffles and local joins.
 
 use parjoin_common::hash::hash64;
+use parjoin_common::wire::control::ControlError;
 use parjoin_common::Relation;
 use parjoin_core::hypercube::HcConfig;
 use parjoin_core::tributary::ColumnarTrie;
@@ -11,7 +12,7 @@ use parjoin_engine::prepare::{columnar_trie, sorted_by_columns_parallel};
 use parjoin_engine::probe::morsel_bounds;
 use parjoin_engine::shuffle;
 use parjoin_engine::{
-    plan_fragments, Cluster, Fragment, JoinAlg, PlanOptions, ShuffleAlg, SortCache,
+    plan_mesh, Cluster, Fragment, JoinAlg, PartitionRef, PlanOptions, ShuffleAlg, SortCache,
 };
 use parjoin_query::VarId;
 use proptest::prelude::*;
@@ -37,7 +38,8 @@ fn multiset(rel: &Relation) -> BTreeMap<Vec<u64>, usize> {
 
 /// A valid rank-0 fragment payload per shuffle algorithm (a 12-edge
 /// triangle query on two ranks), `group_count` and `skew_resilient`
-/// set: the seeds the hostile-bytes properties mutate.
+/// set, with R's and U's partitions inline and S's named resident: the
+/// seeds the hostile-bytes properties mutate.
 fn valid_fragments() -> &'static [Vec<u8>] {
     static FRAGS: std::sync::OnceLock<Vec<Vec<u8>>> = std::sync::OnceLock::new();
     FRAGS.get_or_init(|| {
@@ -62,9 +64,12 @@ fn valid_fragments() -> &'static [Vec<u8>] {
         .into_iter()
         .map(|s| {
             let cluster = Cluster::new(2);
-            plan_fragments(&q, &db, &cluster, s, JoinAlg::Tributary, &opts, &addrs)
+            // The pushed-down `x < 9` gives R and U contents of their
+            // own; S is the base relation.
+            let held = db.get("S").unwrap().fingerprint();
+            plan_mesh(&q, &db, &cluster, s, JoinAlg::Tributary, &opts, &addrs)
                 .unwrap()
-                .remove(0)
+                .fragment(0, |fp| fp == held)
                 .encode()
         })
         .collect()
@@ -84,6 +89,114 @@ fn assert_fragment_decode_is_bounded(bytes: &[u8]) {
             bytes.len()
         );
         let _ = frag.preflight();
+    }
+}
+
+/// Offset of each partition reference in a valid fragment's payload.
+fn part_offsets(bytes: &[u8]) -> Vec<usize> {
+    let frag = Fragment::decode(bytes).unwrap();
+    // With only the first `i` references and no addresses, the payload
+    // ends where reference `i` starts, plus the address list's count.
+    let end_of = |i: usize| {
+        let mut f = frag.clone();
+        f.parts.truncate(i);
+        f.data_addrs.clear();
+        f.encode().len() - 4
+    };
+    (0..frag.parts.len()).map(end_of).collect()
+}
+
+/// Asserts `bytes` decodes to [`ControlError::Truncated`] (`truncated`)
+/// or to [`ControlError::Malformed`] naming `says`, and that nothing
+/// panics or over-allocates.
+fn assert_refused(bytes: &[u8], truncated: bool, says: &str) {
+    match Fragment::decode(bytes) {
+        Err(ControlError::Truncated(_)) if truncated => {}
+        Err(ControlError::Malformed(m)) if !truncated && m.contains(says) => {}
+        other => panic!("want a typed refusal naming {says:?}, got {other:?}"),
+    }
+    assert_fragment_decode_is_bounded(bytes);
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    #[test]
+    fn fragment_decode_refuses_unknown_partition_tags(which in 0usize..3, tag in 2u8..=255) {
+        let mut bytes = valid_fragments()[which].clone();
+        let offsets = part_offsets(&bytes);
+        // An inline reference (R's) and a resident one (S's).
+        prop_assert_eq!([bytes[offsets[0]], bytes[offsets[1]]], [0, 1]);
+        for at in [offsets[0], offsets[1]] {
+            let mut bad = bytes.clone();
+            bad[at] = tag;
+            assert_refused(&bad, false, "partition reference tag");
+        }
+        bytes.truncate(offsets[1] + 1);
+        assert_refused(&bytes, true, "");
+    }
+
+    #[test]
+    fn fragment_decode_refuses_a_truncated_fingerprint(
+        which in 0usize..3,
+        part in 0usize..3,
+        keep in 0usize..16,
+    ) {
+        // Cut inside one reference's fingerprint: its tag byte and
+        // `keep` of the 16 bytes arrive.
+        let bytes = &valid_fragments()[which];
+        let at = part_offsets(bytes)[part] + 1 + keep;
+        match Fragment::decode(&bytes[..at]) {
+            // The list count refuses a cut it can already see is short.
+            Err(ControlError::Truncated(_) | ControlError::Malformed(_)) => {}
+            other => panic!("want a typed refusal, got {other:?}"),
+        }
+        assert_fragment_decode_is_bounded(&bytes[..at]);
+        if part == 2 {
+            // Past the count check: the fingerprint read itself refuses.
+            assert_refused(&bytes[..at], true, "");
+        }
+    }
+
+    #[test]
+    fn fragments_of_inline_and_resident_partitions_roundtrip(
+        rels in proptest::collection::vec(arb_rel(6, 12), 3),
+        resident in proptest::collection::vec(any::<bool>(), 3),
+        rank in 0usize..3,
+    ) {
+        // Three relations, equal ones sharing a fingerprint; each one
+        // resident on the worker or not.
+        let q = parjoin_query::parser::parse("T(x, y, z) :- R(x, y), S(y, z), U(z, x)").unwrap();
+        let mut db = parjoin_common::Database::new();
+        for (name, rel) in ["R", "S", "U"].into_iter().zip(&rels) {
+            db.insert(name, rel.clone());
+        }
+        let fps: Vec<u128> = rels.iter().map(Relation::fingerprint).collect();
+        let held = |fp: u128| fps.iter().zip(&resident).any(|(&f, &r)| r && f == fp);
+        let addrs: Vec<String> = (1..=3).map(|p| format!("127.0.0.1:{p}")).collect();
+        let (s, j) = (ShuffleAlg::HyperCube, JoinAlg::Tributary);
+        let opts = PlanOptions::default();
+        let mesh = plan_mesh(&q, &db, &Cluster::new(3), s, j, &opts, &addrs).unwrap();
+        let frag = mesh.fragment(rank, held);
+        for (i, p) in frag.parts.iter().enumerate() {
+            let inline_before = fps[..i].contains(&fps[i]);
+            match p {
+                PartitionRef::Inline { fp, part } => {
+                    prop_assert!(!held(*fp) && !inline_before);
+                    prop_assert_eq!(
+                        part.as_ref(),
+                        &DistRel::round_robin(&rels[i], vec![v(0), v(1)], 3).parts[rank]
+                    );
+                }
+                PartitionRef::Resident(fp) => prop_assert!(held(*fp) || inline_before),
+            }
+            prop_assert_eq!(p.fingerprint(), fps[i]);
+        }
+        let bytes = frag.encode();
+        let back = Fragment::decode(&bytes).unwrap();
+        prop_assert_eq!(&back.parts, &frag.parts);
+        prop_assert_eq!(back.encode(), bytes);
+        back.preflight().unwrap();
     }
 }
 

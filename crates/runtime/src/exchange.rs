@@ -153,6 +153,20 @@ impl Produce for Relation {
     }
 }
 
+/// A partition shared with a store that outlives the exchange (a mesh
+/// worker's resident seed partitions): routed in place, never copied.
+impl Produce for Arc<Relation> {
+    type Report = ();
+
+    fn arity(&self) -> usize {
+        Relation::arity(self)
+    }
+
+    fn produce(self, sink: &mut dyn RowSink, _: &Lane) -> Result<(), RuntimeError> {
+        sink.push_relation(&self)
+    }
+}
+
 /// One rank's receiving side of an exchange: what its drain thread does
 /// with each batch it decodes, in arrival order. Batches from one source
 /// arrive in the order that source sent them; batches from different

@@ -55,6 +55,7 @@ pub use tcp::{HandshakeConfig, HostMesh};
 pub use transport::TransportKind;
 
 use parjoin_common::{Relation, Value, WireFormat};
+use std::borrow::Borrow;
 use std::sync::mpsc::{channel, RecvTimeoutError, Sender};
 use std::sync::{Arc, OnceLock};
 use std::thread::JoinHandle;
@@ -270,19 +271,19 @@ impl Runtime {
     ///
     /// `parts[i]` is hosted rank `i`'s input partition, consumed by the
     /// exchange: each one is the trivial producer of
-    /// [`Runtime::exchange`]. Row order of the output partitions is
-    /// deterministic and identical across all transports (sources are
-    /// concatenated in ascending order).
+    /// [`Runtime::exchange`]. A shared partition (`Arc<Relation>`) is
+    /// routed in place, so whoever else holds it keeps it. Row order of
+    /// the output partitions is deterministic and identical across all
+    /// transports (sources are concatenated in ascending order).
     ///
     /// # Errors
     /// Transport failures (peer death, timeouts, wire corruption) and
     /// [`RuntimeError::Config`] on a partition-count mismatch or a route
     /// built for another mesh width, refused before any rank starts.
-    pub fn shuffle(
-        &self,
-        parts: Vec<Relation>,
-        route: &Route,
-    ) -> Result<ShuffleOutcome, RuntimeError> {
+    pub fn shuffle<P>(&self, parts: Vec<P>, route: &Route) -> Result<ShuffleOutcome, RuntimeError>
+    where
+        P: exchange::Produce<Report = ()> + Borrow<Relation> + Send + 'static,
+    {
         if self.config.transport == TransportKind::Local {
             self.check_round(parts.len(), route)?;
             return Ok(local_shuffle(&parts, route));
@@ -567,9 +568,9 @@ impl Drop for Runtime {
 ///
 /// # Panics
 /// Panics if a partition is narrower than a column the route reads.
-pub fn local_shuffle(parts: &[Relation], route: &Route) -> ShuffleOutcome {
+pub fn local_shuffle<R: Borrow<Relation>>(parts: &[R], route: &Route) -> ShuffleOutcome {
     let p = route.workers();
-    let arity = parts.first().map_or(0, Relation::arity);
+    let arity = parts.first().map_or(0, |part| part.borrow().arity());
     let chunk = route::ROUTE_CHUNK * arity.max(1);
     let mut bases = Vec::with_capacity(route::ROUTE_CHUNK);
     // Pass 1: rows per distinct base (slot `p`: every rank), counted
@@ -577,7 +578,7 @@ pub fn local_shuffle(parts: &[Relation], route: &Route) -> ShuffleOutcome {
     let mut per_base = vec![0u64; p + 1];
     let mut per_producer = vec![0u64; parts.len()];
     let mut hist = vec![0u64; p + 1];
-    for (part, sent) in parts.iter().zip(&mut per_producer) {
+    for (part, sent) in parts.iter().map(Borrow::borrow).zip(&mut per_producer) {
         debug_assert_eq!(part.arity(), arity, "partitions of one relation");
         hist.fill(0);
         if arity == 0 {
@@ -605,7 +606,7 @@ pub fn local_shuffle(parts: &[Relation], route: &Route) -> ShuffleOutcome {
     let mut outs: Vec<Vec<Value>> = (per_consumer.iter())
         .map(|&rows| Vec::with_capacity(rows as usize * arity))
         .collect();
-    for rows in parts.iter().flat_map(|part| part.raw().chunks(chunk)) {
+    for rows in (parts.iter()).flat_map(|part| part.borrow().raw().chunks(chunk)) {
         bases.clear();
         route.bases(rows, arity, &mut bases);
         match arity {
