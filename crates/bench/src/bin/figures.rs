@@ -38,7 +38,7 @@ enum Figure {
 use Figure::{Fig09, Run, Six};
 
 /// Every experiment, in paper order.
-const FIGURES: [(&str, Figure); 20] = [
+const FIGURES: [(&str, Figure); 21] = [
     ("fig03", Six("Figure 3", workloads::q1)),
     ("tab02_04", Run(skew::run)),
     ("tab05", Run(breakdown::run)),
@@ -55,6 +55,7 @@ const FIGURES: [(&str, Figure); 20] = [
     ("fig10", Run(scalability::run)),
     ("fig11", Run(hc_config::run)),
     ("fig12", Run(order_cost::run)),
+    ("tj_order", Run(tj_order::run)),
     ("fig18", Run(random_cells::run)),
     ("ablations", Run(ablation::run)),
     ("sensitivity", Run(sensitivity::run)),

@@ -13,4 +13,5 @@ pub mod sensitivity;
 pub mod six_configs;
 pub mod skew;
 pub mod summary;
+pub mod tj_order;
 pub mod worker_util;

@@ -41,6 +41,11 @@ impl HcConfig {
         self.vars.iter().position(|&x| x == v)
     }
 
+    /// The share `d_v` of variable `v`: 1 where `v` has no dimension.
+    pub fn share(&self, v: VarId) -> usize {
+        self.dim_of(v).map_or(1, |d| self.dims[d])
+    }
+
     /// Total number of cells `∏ dᵢ`.
     pub fn num_cells(&self) -> usize {
         self.dims.iter().product()
@@ -58,11 +63,7 @@ impl HcConfig {
             .atoms
             .iter()
             .map(|a| {
-                let denom: f64 = a
-                    .vars
-                    .iter()
-                    .map(|&v| self.dim_of(v).map_or(1.0, |d| self.dims[d] as f64))
-                    .product();
+                let denom: f64 = a.vars.iter().map(|&v| self.share(v) as f64).product();
                 a.cardinality as f64 / denom
             })
             .sum()
@@ -76,11 +77,7 @@ impl HcConfig {
             .atoms
             .iter()
             .map(|a| {
-                let hashed: f64 = a
-                    .vars
-                    .iter()
-                    .map(|&v| self.dim_of(v).map_or(1.0, |d| self.dims[d] as f64))
-                    .product();
+                let hashed: f64 = a.vars.iter().map(|&v| self.share(v) as f64).product();
                 a.cardinality as f64 * (cells / hashed)
             })
             .sum()

@@ -1,12 +1,14 @@
 //! The Tributary-join cost model (paper §5.1, Eq. 3–4).
 
 use super::stats::RelStats;
+use crate::hypercube::HcConfig;
 use parjoin_common::Relation;
 use parjoin_query::VarId;
 use std::sync::Arc;
 
 /// A cost model instance: per-atom variable lists plus each atom's
-/// relation statistics.
+/// relation statistics, and optionally the HyperCube shares of the
+/// partition one rank probes ([`OrderCostModel::per_rank`]).
 ///
 /// ```
 /// use parjoin_common::Relation;
@@ -23,6 +25,9 @@ use std::sync::Arc;
 /// ```
 pub struct OrderCostModel {
     atoms: Vec<(Vec<VarId>, Arc<RelStats>)>,
+    /// The HyperCube shares `d_v` a per-rank model divides by; `None`,
+    /// and any variable the configuration does not name, means share 1.
+    shares: Option<HcConfig>,
 }
 
 impl OrderCostModel {
@@ -58,7 +63,23 @@ impl OrderCostModel {
                 super::stats::MAX_SUBSET_ARITY
             );
         }
-        OrderCostModel { atoms }
+        OrderCostModel {
+            atoms,
+            shares: None,
+        }
+    }
+
+    /// The model of one rank's probe under the HyperCube `config`: each
+    /// variable `v` keeps 1/`d_v` of its values on a rank, so a prefix
+    /// `p` keeps `V(Rⱼ, p) / ∏_{v∈p} d_v` of its distinct values, and the
+    /// step binding `v` shrinks by `d_v` (see [`OrderCostModel::cost`]).
+    /// Under all-1 shares the cost is the single-machine one.
+    #[must_use]
+    pub fn per_rank(self, config: &HcConfig) -> Self {
+        OrderCostModel {
+            shares: Some(config.clone()),
+            ..self
+        }
     }
 
     /// Estimates TJ's cost (number of binary-search-driven steps) for a
@@ -70,6 +91,11 @@ impl OrderCostModel {
     /// where `pᵢⱼ` is the prefix of `Rⱼ`'s attributes among the first `i`
     /// order variables. The total cost unrolls Eq. 4's recursion
     /// `Cost_{≥i} = Sᵢ + Sᵢ·Cost_{≥i+1}` into `Σᵢ Πⱼ≤ᵢ Sⱼ`.
+    ///
+    /// A [per-rank](OrderCostModel::per_rank) model divides each `Sᵢ` by
+    /// the share `d_{φ(i)}` of the variable it binds: the per-rank
+    /// prefix counts `V(Rⱼ, p) / ∏_{v∈p} d_v` differ between `pᵢⱼ` and
+    /// `pᵢ₋₁ⱼ` by exactly that factor, whichever atom `j` is.
     ///
     /// Variables absent from every atom contribute nothing; the order must
     /// cover every variable some atom mentions, or prefixes go stale —
@@ -95,6 +121,9 @@ impl OrderCostModel {
             }
             if !any {
                 continue; // variable not joined here; no step
+            }
+            if let Some(config) = &self.shares {
+                step /= config.share(var) as f64;
             }
             prefix_product *= step;
             total += prefix_product;
@@ -155,6 +184,17 @@ mod tests {
         // Cost = 2 + 2·1.5 + 2·1.5·1.25 = 2 + 3 + 3.75 = 8.75.
         let c = m.cost(&[v(1), v(0), v(2)]);
         assert!((c - 8.75).abs() < 1e-9, "{c}");
+    }
+
+    #[test]
+    fn per_rank_divides_each_step_by_its_share() {
+        let (r1, r2) = two_path();
+        let m = OrderCostModel::from_atoms(&[(&r1, vec![v(0), v(1)]), (&r2, vec![v(1), v(2)])])
+            .per_rank(&HcConfig::new(vec![v(1), v(2)], vec![2, 5]));
+        // As above, with S1 = 2/2 (x2's share) and S3 = 1.25/5 (x3's);
+        // x1 has no dimension. Cost = 1 + 1·1.5 + 1.5·0.25 = 2.875.
+        let c = m.cost(&[v(1), v(0), v(2)]);
+        assert!((c - 2.875).abs() < 1e-9, "{c}");
     }
 
     #[test]

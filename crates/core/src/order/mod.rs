@@ -57,6 +57,14 @@ pub fn best_order_seeded(model: &OrderCostModel, vars: &[VarId], seed: u64) -> (
     best.expect("at least one order")
 }
 
+/// Every order of `vars`, each once, in the order [`best_order`] visits
+/// them.
+pub fn all_orders(vars: &[VarId]) -> Vec<Vec<VarId>> {
+    let mut out = Vec::new();
+    permute(&mut vars.to_vec(), 0, &mut |order| out.push(order.to_vec()));
+    out
+}
+
 /// Heap-style permutation enumeration (recursive swap form).
 fn permute<F: FnMut(&[VarId])>(v: &mut Vec<VarId>, i: usize, f: &mut F) {
     if i == v.len() {

@@ -392,6 +392,30 @@ proptest! {
     }
 
     #[test]
+    fn unit_shares_leave_the_cost_unchanged(
+        a in arb_edges(10, 40),
+        b in arb_edges(10, 40),
+        c in arb_edges(10, 40),
+    ) {
+        // A triangle and a path over the same three variables: with
+        // every share at 1 the per-rank model is the share-free one,
+        // bit for bit, on every order.
+        let (x, y, z) = (v(0), v(1), v(2));
+        let shapes = [
+            vec![(&a, vec![x, y]), (&b, vec![y, z]), (&c, vec![z, x])],
+            vec![(&a, vec![x, y]), (&b, vec![y, z])],
+        ];
+        let unit = HcConfig::new(vec![x, y, z], vec![1; 3]);
+        for atoms in shapes {
+            let free = OrderCostModel::from_atoms(&atoms);
+            let per_rank = OrderCostModel::from_atoms(&atoms).per_rank(&unit);
+            for order in [[x, y, z], [x, z, y], [y, x, z], [y, z, x], [z, x, y], [z, y, x]] {
+                prop_assert_eq!(per_rank.cost(&order).to_bits(), free.cost(&order).to_bits());
+            }
+        }
+    }
+
+    #[test]
     fn round_down_never_exceeds_budget(
         cards in proptest::collection::vec(1u64..1_000_000, 3),
         n in 2usize..100,

@@ -198,7 +198,8 @@ pub struct PlanOptions {
     pub hc_config: Option<HcConfig>,
     /// Tributary global variable order; `None` runs the §5 cost-model
     /// optimizer (exhaustive up to 10 variables, the best of 20 orders
-    /// sampled from [`Cluster::seed`] above).
+    /// sampled from [`Cluster::seed`] above), which prices a HyperCube
+    /// plan's order per rank ([`OrderCostModel::per_rank`]).
     pub tj_order: Option<Vec<VarId>>,
     /// Materialize the (projected) output at the coordinator.
     pub collect_output: bool,
@@ -1047,8 +1048,9 @@ pub(crate) struct PlannedAtom {
 /// Plans `query` under the given configuration: resolves the atoms,
 /// picks the effective join order, runs the pre-flight analyzer (whose
 /// policy pass certifies the plan parallel-correct) on it, and derives
-/// the Tributary variable order, the broadcast root and the HyperCube
-/// shares. A semijoin plan is planned as the regular-shuffle plan it
+/// the HyperCube shares, the Tributary variable order (priced for the
+/// partition one rank probes under those shares) and the broadcast
+/// root. A semijoin plan is planned as the regular-shuffle plan it
 /// ends in; its reduction rounds are a pure function of the query, left
 /// to [`execute`]. Returns the plan and its resolved atoms, which it
 /// does not seed: where their partitions come from is the caller's.
@@ -1144,9 +1146,29 @@ pub(crate) fn plan(
     }
     analyze::sort_diagnostics(&mut diagnostics);
 
+    let hc_config = (shuffle_alg == ShuffleAlg::HyperCube).then(|| {
+        opts.hc_config.clone().unwrap_or_else(|| {
+            let problem = ShareProblem {
+                vars: query.all_vars(),
+                atoms: atom_vars
+                    .iter()
+                    .zip(&cards)
+                    .map(|(vs, &c)| parjoin_core::hypercube::AtomShape {
+                        vars: vs.clone(),
+                        cardinality: c,
+                    })
+                    .collect(),
+            };
+            problem.optimize(cluster.workers)
+        })
+    });
+
     // Tributary global variable order, cost-model optimized once on the
-    // *pre-shuffle* relations' statistics, as the paper's optimizer
-    // would: they see no replication.
+    // pre-shuffle relations' statistics. Under HyperCube every rank
+    // probes a partition in which variable `v` keeps 1/`d_v` of its
+    // values, so the model prices that rank's probe: each step divided
+    // by its variable's share (DESIGN §21). A broadcast rank probes
+    // whole relations beside one 1/p fragment, priced share-free.
     let tj_order = if join_alg == JoinAlg::Tributary && shuffle_alg.is_one_round() {
         Some(match &opts.tj_order {
             Some(order) => order.clone(),
@@ -1162,13 +1184,16 @@ pub(crate) fn plan(
                         stats[i].arity()
                     )));
                 }
-                let model = OrderCostModel::from_stats(
+                let mut model = OrderCostModel::from_stats(
                     atom_vars
                         .iter()
                         .cloned()
                         .zip(stats.iter().cloned())
                         .collect(),
                 );
+                if let Some(config) = &hc_config {
+                    model = model.per_rank(config);
+                }
                 best_order_seeded(&model, &query.all_vars(), cluster.seed).0
             }
         })
@@ -1188,22 +1213,6 @@ pub(crate) fn plan(
     } else {
         join_order.clone()
     };
-    let hc_config = (shuffle_alg == ShuffleAlg::HyperCube).then(|| {
-        opts.hc_config.clone().unwrap_or_else(|| {
-            let problem = ShareProblem {
-                vars: query.all_vars(),
-                atoms: atom_vars
-                    .iter()
-                    .zip(&cards)
-                    .map(|(vs, &c)| parjoin_core::hypercube::AtomShape {
-                        vars: vs.clone(),
-                        cardinality: c,
-                    })
-                    .collect(),
-            };
-            problem.optimize(cluster.workers)
-        })
-    });
 
     let fps = stats.get().map(|s| s.fingerprints.clone());
     let plan = Plan {

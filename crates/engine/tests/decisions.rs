@@ -6,9 +6,10 @@
 //! ships must equal what the formulas this engine used before it kept
 //! statistics return — a `project(&[c]).distinct()` count per column for
 //! the join order, and the cost model built from the round-robin-seeded,
-//! re-gathered relations for the variable order. Both are kept here as
-//! oracles. The sweep runs once on an empty [`StatsCache`] and once on
-//! the cache it left behind.
+//! re-gathered relations for the variable order, priced per rank under a
+//! HyperCube plan's shares (Q1's `(y, z, x)` at `1x2x2` is pinned). Both
+//! are kept here as oracles. The sweep runs once on an empty
+//! [`StatsCache`] and once on the cache it left behind.
 //!
 //! The advisor prices the regular-shuffle plan along that same greedy
 //! order — the sweep checks [`Advice::rs_join_order`](parjoin_engine::Advice)
@@ -23,6 +24,7 @@
 
 use parjoin_common::{Database, Relation};
 use parjoin_core::order::{best_order, OrderCostModel};
+use parjoin_core::HcConfig;
 use parjoin_datagen::{all_queries, Scale};
 use parjoin_engine::plans::greedy_join_order;
 use parjoin_engine::{
@@ -166,12 +168,14 @@ fn oracle_greedy(atoms: &[(Vec<VarId>, &Relation)]) -> Vec<usize> {
     order
 }
 
-/// The Tributary order as the engine derived it: the cost model over
-/// the gathered round-robin placement, enumerated exhaustively.
+/// The Tributary order as the engine derives it: the cost model over
+/// the gathered round-robin placement, enumerated exhaustively, and
+/// under a HyperCube plan's `shares` priced per rank.
 fn oracle_tj_order(
     atoms: &[(Vec<VarId>, &Relation)],
     vars: &[VarId],
     workers: usize,
+    shares: Option<&HcConfig>,
 ) -> Vec<VarId> {
     let gathered: Vec<Relation> = atoms
         .iter()
@@ -182,7 +186,12 @@ fn oracle_tj_order(
         .zip(atoms)
         .map(|(rel, (vs, _))| (rel, vs.clone()))
         .collect();
-    best_order(&OrderCostModel::from_atoms(&model_atoms), vars).0
+    let model = OrderCostModel::from_atoms(&model_atoms);
+    let model = match shares {
+        Some(config) => model.per_rank(config),
+        None => model,
+    };
+    best_order(&model, vars).0
 }
 
 #[test]
@@ -209,7 +218,10 @@ fn plans_from_cached_stats_decide_what_plans_from_tuples_decided() {
                 .map(|a| (a.vars.clone(), a.rel.as_ref()))
                 .collect();
             let want_join = oracle_greedy(&shapes);
-            let want_tj = oracle_tj_order(&shapes, &spec.query.all_vars(), cluster.workers);
+            let vars = spec.query.all_vars();
+            let want_tj = |shares: Option<&HcConfig>| {
+                oracle_tj_order(&shapes, &vars, cluster.workers, shares)
+            };
             assert_eq!(
                 greedy_join_order(&shapes),
                 want_join,
@@ -228,7 +240,10 @@ fn plans_from_cached_stats_decide_what_plans_from_tuples_decided() {
                     &addrs,
                 )
                 .unwrap_or_else(|e| panic!("{pass} {} {s:?}/{j:?}: {e}", spec.name));
-                let one_round_tj = j == JoinAlg::Tributary && s.is_one_round();
+                // A HyperCube rank probes its share of every variable
+                // and is priced per rank; a broadcast rank is not.
+                let planned_tj = (j == JoinAlg::Tributary && s.is_one_round())
+                    .then(|| want_tj(frags[0].hc_config.as_ref()));
                 for f in &frags {
                     assert_eq!(
                         f.join_order, want_join,
@@ -236,11 +251,21 @@ fn plans_from_cached_stats_decide_what_plans_from_tuples_decided() {
                         spec.name
                     );
                     assert_eq!(
-                        f.tj_order.as_ref(),
-                        one_round_tj.then_some(&want_tj),
+                        f.tj_order, planned_tj,
                         "{pass} {} {s:?}/{j:?}: planned Tributary order",
                         spec.name
                     );
+                }
+                if (spec.name, s, j) == ("Q1", ShuffleAlg::HyperCube, JoinAlg::Tributary) {
+                    // Q1's `x` is the one variable `1x2x2` leaves whole on
+                    // every rank, so the per-rank order binds it last.
+                    let f = &frags[0];
+                    let names: Vec<&str> = (f.tj_order.iter().flatten())
+                        .map(|&v| spec.query.var_name(v))
+                        .collect();
+                    let config = f.hc_config.as_ref().map(ToString::to_string);
+                    assert_eq!(config.as_deref(), Some("1x2x2"), "{pass} Q1: shares");
+                    assert_eq!(names, ["y", "z", "x"], "{pass} Q1: per-rank order");
                 }
             }
 
